@@ -127,10 +127,13 @@ impl Nfa {
 
     /// Word membership by subset simulation: `w ∈ L(M)`?
     pub fn accepts(&self, word: &[Sym]) -> bool {
+        // Two state sets, swapped per symbol: the cost of a call does not
+        // include an allocation per letter.
         let mut current = vec![false; self.num_states()];
+        let mut next = vec![false; self.num_states()];
         current[self.start.index()] = true;
         for &y in word {
-            let mut next = vec![false; self.num_states()];
+            next.fill(false);
             let mut any = false;
             for (q, &live) in current.iter().enumerate() {
                 if !live {
@@ -146,7 +149,7 @@ impl Nfa {
             if !any {
                 return false;
             }
-            current = next;
+            std::mem::swap(&mut current, &mut next);
         }
         current
             .iter()

@@ -55,12 +55,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// The steady state still allocates for real products — the result
 /// script/forest, dirty-node graphs, the committed document revision —
 /// but the kernel's query machinery (Dijkstra state, reverse CSR,
-/// segmentation buffers) is pooled and contributes zero. The pin carries
-/// ~1.5× headroom over the measured count (~2,110 in both debug and
-/// release); a
+/// segmentation buffers) is pooled and contributes zero, and commit
+/// patches the view instead of rebuilding it. The pin carries ~1.5×
+/// headroom over the measured count (~935 in both debug and release); a
 /// reintroduced per-query allocation multiplies the count by the number
 /// of per-node queries and blows well past it.
-const BUDGET: u64 = 3_200;
+const BUDGET: u64 = 1_400;
 
 #[test]
 fn warm_churn_update_stays_under_allocation_budget() {

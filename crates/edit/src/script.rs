@@ -75,11 +75,51 @@ fn project(s: &Script, keep: impl Fn(ELabel) -> bool) -> Option<DocTree> {
 /// and returns `Out(S)`.
 pub fn apply(s: &Script, t: &DocTree) -> Result<DocTree, EditError> {
     validate_script(s)?;
-    let input = input_tree(s).ok_or(EditError::EmptyInput)?;
-    if &input != t {
+    if s.label(s.root()).op == EditOp::Ins {
+        return Err(EditError::EmptyInput);
+    }
+    if !input_matches(s, t) {
         return Err(EditError::InputMismatch);
     }
     output_tree(s).ok_or(EditError::EmptyOutput)
+}
+
+/// Whether `In(s) = t` exactly — identifiers, labels and structure,
+/// including the contents of deleted subtrees — checked in lockstep
+/// without materialising the input projection. `s` must satisfy the
+/// closure discipline ([`validate_script`]); a script whose root inserts
+/// has an empty input and matches no tree.
+///
+/// Every non-`Ins` script node must occupy the corresponding position of
+/// `t` with the same identifier and label. Whole child lists are matched
+/// and walked from the shared root, so this covers all of `t` exactly.
+pub(crate) fn input_matches(s: &Script, t: &DocTree) -> bool {
+    let root = s.root();
+    let root_label = s.label(root);
+    if root_label.op == EditOp::Ins || root != t.root() || root_label.label != t.label(root) {
+        return false;
+    }
+    let mut stack = vec![root];
+    while let Some(n) = stack.pop() {
+        let t_children = t.children(n);
+        let mut i = 0usize;
+        for &c in s.children(n) {
+            let cl = s.label(c);
+            if cl.op == EditOp::Ins {
+                continue;
+            }
+            match t_children.get(i) {
+                Some(&tc) if tc == c && t.label(tc) == cl.label => {}
+                _ => return false,
+            }
+            i += 1;
+            stack.push(c);
+        }
+        if i != t_children.len() {
+            return false;
+        }
+    }
+    true
 }
 
 /// Applies a script to a tree **in place**: checks `t = In(S)` exactly
@@ -102,34 +142,9 @@ pub fn apply_in_place(t: &mut DocTree, s: &Script) -> Result<(), EditError> {
         EditOp::Del => return Err(EditError::EmptyOutput),
         EditOp::Nop => {}
     }
-    if s.root() != t.root() || root_label.label != t.label(t.root()) {
+    // Phase 1 (read-only): verify In(S) = t.
+    if !input_matches(s, t) {
         return Err(EditError::InputMismatch);
-    }
-
-    // Phase 1 (read-only): verify In(S) = t in lockstep, without building
-    // the input projection. Every non-Ins script node must occupy the
-    // corresponding position of `t` with the same identifier and label;
-    // since whole child lists are matched and recursed into from the
-    // shared root, this covers all of `t` exactly.
-    let mut stack = vec![s.root()];
-    while let Some(n) = stack.pop() {
-        let t_children = t.children(n);
-        let mut i = 0usize;
-        for &c in s.children(n) {
-            let cl = s.label(c);
-            if cl.op == EditOp::Ins {
-                continue;
-            }
-            match t_children.get(i) {
-                Some(&tc) if tc == c && t.label(tc) == cl.label => {}
-                _ => return Err(EditError::InputMismatch),
-            }
-            i += 1;
-            stack.push(c);
-        }
-        if i != t_children.len() {
-            return Err(EditError::InputMismatch);
-        }
     }
 
     // Phase 2: mutate. Walk the Nop skeleton; at each node the invariant
@@ -335,6 +350,38 @@ mod tests {
             EditError::InputMismatch
         );
         assert_eq!(t, missing_del_leaf);
+    }
+
+    #[test]
+    fn input_matches_agrees_with_the_input_projection() {
+        let mut alpha = Alphabet::new();
+        let s = s0(&mut alpha);
+        let mut gen = NodeIdGen::new();
+        let mut trees = Vec::new();
+        for term in [
+            "r#0(a#1, d#3(c#8), a#4, d#6(c#10))",
+            "r#0(a#1, d#3, a#4, d#6(c#10))",
+            "r#0(a#1, d#3(c#8), a#4, d#6(c#10), a#90)",
+            "r#0(a#1, d#3(c#8), a#4, d#6(a#10))",
+            "r#0(a#1, d#3(c#8), a#4)",
+            "a#0(a#1, d#3(c#8), a#4, d#6(c#10))",
+        ] {
+            trees.push(parse_term_with_ids(&mut alpha, &mut gen, term).unwrap());
+        }
+        let del_root = parse_script(&mut alpha, "del:r#0(del:a#1)").unwrap();
+        let ins_root = parse_script(&mut alpha, "ins:r#0(ins:a#1)").unwrap();
+        trees.push(parse_term_with_ids(&mut alpha, &mut gen, "r#0(a#1)").unwrap());
+        for script in [&s, &del_root, &ins_root] {
+            for t in &trees {
+                assert_eq!(
+                    input_matches(script, t),
+                    input_tree(script).as_ref() == Some(t),
+                    "{} vs {}",
+                    crate::term::script_to_term(script, &alpha),
+                    to_term_with_ids(t, &alpha)
+                );
+            }
+        }
     }
 
     #[test]

@@ -8,16 +8,20 @@
 //! problem instance.)
 
 use crate::error::EditError;
-use crate::script::{input_tree, validate_script, Script};
+use crate::op::EditOp;
+use crate::script::{input_matches, validate_script, Script};
 use std::collections::HashSet;
 use xvu_tree::{DocTree, NodeId};
 
 /// Checks that `s` is well-formed and `In(s)` equals `view`
-/// (identifier-sensitive).
+/// (identifier-sensitive). The comparison walks `s` and `view` in
+/// lockstep; the input tree is never materialised.
 pub fn check_is_update_of(s: &Script, view: &DocTree) -> Result<(), EditError> {
     validate_script(s)?;
-    let input = input_tree(s).ok_or(EditError::EmptyInput)?;
-    if &input != view {
+    if s.label(s.root()).op == EditOp::Ins {
+        return Err(EditError::EmptyInput);
+    }
+    if !input_matches(s, view) {
         return Err(EditError::NotAnUpdateOf(
             "In(S) differs from the view".to_owned(),
         ));

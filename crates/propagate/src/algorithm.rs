@@ -21,7 +21,7 @@ use crate::selection::Selector;
 use std::sync::Arc;
 use std::time::Instant;
 use xvu_dtd::{min_sizes, InsertletPackage};
-use xvu_edit::{del_script, ins_script, nop_script, ELabel, Script, ScriptFootprint};
+use xvu_edit::{ELabel, Script, ScriptFootprint};
 use xvu_tree::{NodeId, NodeIdGen, SlotMap, Tree};
 
 /// Tuning knobs for [`propagate`].
@@ -136,12 +136,15 @@ pub(crate) fn propagate_with_cache(
     }
     let t1 = phases.is_some().then(Instant::now);
     let mut gen = inst.id_gen();
-    let script = assemble(
+    let root = forest.root;
+    let mut script: Script = Tree::leaf_with_id(root, ELabel::nop(inst.source.label(root)));
+    assemble(
+        &mut script,
         inst,
         &forest,
         cost,
         cfg,
-        forest.root,
+        root,
         &mut gen,
         &mut SlotMap::with_capacity(inst.update.size()),
         cache,
@@ -182,7 +185,8 @@ pub fn propagate_view_edit(
     propagate(&inst, insertlets, cfg)
 }
 
-/// Builds the script for preserved node `n` from its chosen optimal path.
+/// Fills in the children of preserved node `n` — already in `out` as a
+/// `Nop` node — from its chosen optimal path.
 ///
 /// `opt_cache` memoises optimal subgraphs per update-tree slot within one
 /// assembly (a node's graph is walked once, but subgraph extraction is
@@ -190,6 +194,7 @@ pub fn propagate_view_edit(
 /// additionally memoised *across* updates in the session `cache`.
 #[allow(clippy::too_many_arguments)]
 fn assemble(
+    out: &mut Script,
     inst: &Instance<'_>,
     forest: &PropagationForest,
     cost: &CostModel<'_>,
@@ -200,16 +205,19 @@ fn assemble(
     mut cache: Option<&mut PropCache>,
     fp: Option<&ScriptFootprint>,
     scratch: &mut PropScratch,
-) -> Result<Script, PropagateError> {
+) -> Result<(), PropagateError> {
     let nslot = inst.update.slot(n).expect("preserved node in update");
     // Identity fast path: a clean node (subtree entirely `Nop`) whose
     // cheapest propagation costs 0 keeps its source subtree verbatim —
     // every 0-weight edge of `G_n` is a `Nop*` edge (deletions weigh the
     // subtree size, inserts at least 1), so any optimal path reproduces
-    // the source child word unchanged, recursively. Emitting the nop
-    // script directly skips the walk and the per-node subgraph machinery.
+    // the source child word unchanged, recursively. Copying the source
+    // children directly skips the walk and the per-node subgraph machinery.
     if fp.is_some_and(|f| f.is_clean(nslot)) && forest.cost(n) == Some(0) {
-        return Ok(nop_script(&inst.source.subtree(n)));
+        for &c in inst.source.children(n) {
+            out.append_mapped_subtree(n, inst.source, c, |&l| ELabel::nop(l))?;
+        }
+        return Ok(());
     }
     let opt: Arc<PropGraph> = match opt_cache.get(nslot) {
         Some(g) => Arc::clone(g),
@@ -249,14 +257,18 @@ fn assemble(
         .walk(|g, outs| cfg.selector.pick(g, outs))
         .ok_or(PropagateError::NoPropagationPath(n))?;
     build_script_from_path(
-        inst, forest, cost, cfg, n, &opt, &path, gen, opt_cache, cache, fp, scratch,
+        out, inst, forest, cost, cfg, n, &opt, &path, gen, opt_cache, cache, fp, scratch,
     )
 }
 
-/// Assembles the script for node `n` given an explicit edge path in (a
-/// subgraph of) `G_n`. Shared by the main algorithm and the enumerators.
+/// Appends the children of node `n` — already in `out` as a `Nop` node —
+/// read off an explicit edge path in (a subgraph of) `G_n`. Source
+/// subtrees the path keeps or deletes, and inserted fragments, are copied
+/// into `out` once, label-mapped on the way. Shared by the main algorithm
+/// and the complement search.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_script_from_path(
+    out: &mut Script,
     inst: &Instance<'_>,
     forest: &PropagationForest,
     cost: &CostModel<'_>,
@@ -269,16 +281,13 @@ pub(crate) fn build_script_from_path(
     mut cache: Option<&mut PropCache>,
     fp: Option<&ScriptFootprint>,
     scratch: &mut PropScratch,
-) -> Result<Script, PropagateError> {
-    let x = inst.source.label(n);
+) -> Result<(), PropagateError> {
     // Positional edges resolve against the node's child words — see
     // `PropEdge`: for common children the source id serves both trees.
     let t_kids = inst.source.children(n);
     let s_kids = inst.update.children(n);
-    let mut script: Script = Tree::leaf_with_id(n, ELabel::nop(x));
-    let root = script.root();
     for &e in path {
-        let sub = match graph.edge(e).payload {
+        match graph.edge(e).payload {
             PropEdge::InsInvisible(y) => {
                 let frag = cost.insertlets.instantiate(
                     inst.dtd,
@@ -287,38 +296,43 @@ pub(crate) fn build_script_from_path(
                     gen,
                     cfg.witness_budget,
                 )?;
-                ins_script(&frag)
+                out.append_mapped_subtree(n, &frag, frag.root(), |&l| ELabel::ins(l))?;
             }
             PropEdge::DelInvisible { tpos } | PropEdge::DelVisible { tpos } => {
-                del_script(&inst.source.subtree(t_kids[tpos as usize]))
+                let c = t_kids[tpos as usize];
+                out.append_mapped_subtree(n, inst.source, c, |&l| ELabel::del(l))?;
             }
             PropEdge::NopInvisible { tpos, .. } => {
-                nop_script(&inst.source.subtree(t_kids[tpos as usize]))
+                let c = t_kids[tpos as usize];
+                out.append_mapped_subtree(n, inst.source, c, |&l| ELabel::nop(l))?;
             }
             PropEdge::InsVisible { spos } => {
                 let inv = forest
                     .inversion(s_kids[spos as usize])
                     .expect("built forest has an inversion per Ins child")
                     .materialize_min(inst.dtd, cost, cfg.selector, gen, cfg.witness_budget)?;
-                ins_script(&inv)
+                out.append_mapped_subtree(n, &inv, inv.root(), |&l| ELabel::ins(l))?;
             }
-            PropEdge::NopVisible { tpos, .. } => assemble(
-                inst,
-                forest,
-                cost,
-                cfg,
-                t_kids[tpos as usize],
-                gen,
-                opt_cache,
-                cache.as_deref_mut(),
-                fp,
-                scratch,
-            )?,
-        };
-        let pos = script.children(root).len();
-        script.attach_subtree(root, pos, sub)?;
+            PropEdge::NopVisible { tpos, .. } => {
+                let c = t_kids[tpos as usize];
+                out.add_child_with_id(n, c, ELabel::nop(inst.source.label(c)))?;
+                assemble(
+                    out,
+                    inst,
+                    forest,
+                    cost,
+                    cfg,
+                    c,
+                    gen,
+                    opt_cache,
+                    cache.as_deref_mut(),
+                    fp,
+                    scratch,
+                )?;
+            }
+        }
     }
-    Ok(script)
+    Ok(())
 }
 
 #[cfg(test)]

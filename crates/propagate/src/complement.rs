@@ -24,8 +24,8 @@ use crate::instance::Instance;
 use crate::pathgraph::PathGraph;
 use crate::scratch::PropScratch;
 use std::sync::Arc;
-use xvu_edit::{EditOp, Script, ScriptFootprint};
-use xvu_tree::{NodeId, SlotMap, SlotSet};
+use xvu_edit::{ELabel, EditOp, Script, ScriptFootprint};
+use xvu_tree::{NodeId, SlotMap, SlotSet, Tree};
 
 /// How a propagation touches the invisible part of the document.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -55,11 +55,12 @@ impl InvisibleImpact {
 /// A script node is *invisible* if it is absent from both the old view
 /// (`A(t)`) and the new view (`A(Out(S'))`); since side-effect freedom
 /// fixes both views, classifying against the instance's views is exact.
+/// Those views are `In(S)` and `Out(S)` — the update's non-`Ins` and
+/// non-`Del` nodes — so together they are exactly the update's nodes.
 pub fn invisible_impact(inst: &Instance<'_>, script: &Script) -> InvisibleImpact {
     let mut impact = InvisibleImpact::default();
     for n in script.preorder() {
-        let visible = inst.view.contains(n) || inst.updated_view.contains(n);
-        if visible {
+        if inst.update.contains(n) {
             continue;
         }
         match script.label(n).op {
@@ -220,8 +221,21 @@ fn walk_filtered(
         .ok_or(PropagateError::NoPropagationPath(n))?;
     // Reuse the assembler, but recurse through the *filtered* graphs: we
     // construct child scripts ourselves and splice via a custom walk.
-    let mut script = build_script_from_path(
-        inst, forest, cost, cfg, n, g, &path, gen, opt_cache, None, None, scratch,
+    let mut script: Script = Tree::leaf_with_id(n, ELabel::nop(inst.source.label(n)));
+    build_script_from_path(
+        &mut script,
+        inst,
+        forest,
+        cost,
+        cfg,
+        n,
+        g,
+        &path,
+        gen,
+        opt_cache,
+        None,
+        None,
+        scratch,
     )?;
     // build_script_from_path recursed into the *optimal* child graphs for
     // (vi)-edges, which may use invisible edits. Rebuild those children

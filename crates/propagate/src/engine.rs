@@ -15,10 +15,11 @@
 //! [`Session`] that serves repeated [`Session::propagate`] /
 //! [`Session::verify`] / [`Session::count_optimal`] /
 //! [`Session::enumerate_optimal`] calls, each reusing the session's
-//! cached view, visible-node set, and identifier high-water mark.
+//! cached view and identifier high-water mark.
 //! [`Session::commit`] advances the session to a propagation's output
 //! using incremental revalidation ([`crate::revalidate_output`]) instead
-//! of a full schema check.
+//! of a full schema check, and patches the view where the propagation
+//! changed it instead of extracting it again.
 //!
 //! The free functions ([`crate::propagate`], [`Instance::new`], …) remain
 //! as a one-shot compatibility layer over the same core code paths.
@@ -66,18 +67,17 @@ use crate::count::count_optimal_propagations;
 use crate::enumerate::enumerate_optimal_propagations;
 use crate::error::PropagateError;
 use crate::forest::PropagationForest;
-use crate::incremental::revalidate_output;
+use crate::incremental::revalidate_with;
 use crate::instance::{Instance, Prepared};
 use crate::scratch::PropScratch;
 use crate::shared::{SharedCacheBackend, SharedCacheStats, SharedMemoCache};
 use crate::verify::verify_propagation;
 use std::borrow::Cow;
-use std::collections::HashSet;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use xvu_dtd::{min_sizes, Dtd, InsertletPackage, MinSizes};
 use xvu_edit::{apply_in_place, script_footprint, EditError, Script};
-use xvu_tree::{Alphabet, DocTree, Interner, NodeId, NodeIdGen, SlotSet};
+use xvu_tree::{Alphabet, DocTree, Interner, NodeIdGen, SlotSet};
 use xvu_view::{derive_view_dtd, Annotation};
 
 /// A compiled `(Σ, D, A)` triple with every update-independent artefact
@@ -375,12 +375,7 @@ impl Engine {
         self.dtd
             .validate(source)
             .map_err(PropagateError::SourceNotValid)?;
-        let Prepared {
-            view,
-            visible,
-            hidden,
-            gen,
-        } = Prepared::from_source(&self.ann, source);
+        let Prepared { view, gen } = Prepared::from_source(&self.ann, source);
         Instance::from_parts(
             &self.dtd,
             &self.ann,
@@ -388,8 +383,6 @@ impl Engine {
             update,
             self.alpha.len(),
             Cow::Owned(view),
-            Cow::Owned(visible),
-            &hidden,
             gen,
             Cow::Borrowed(&self.view_dtd),
         )
@@ -405,10 +398,11 @@ impl Engine {
 /// One open document served by an [`Engine`].
 ///
 /// The session validates the document once at [`Engine::open`] and caches
-/// its view, visible/hidden identifier sets, and identifier high-water
-/// mark; every subsequent call runs only update-dependent work.
-/// [`Session::commit`] advances the session to a propagation's output
-/// document with incremental revalidation.
+/// its view and identifier high-water mark; every subsequent call runs
+/// only update-dependent work. [`Session::commit`] advances the session to
+/// a propagation's output document with incremental revalidation, and
+/// keeps the view current by patching it under the propagation's changed
+/// parents.
 ///
 /// # Incremental propagation
 ///
@@ -505,11 +499,6 @@ impl<'e> Session<'e> {
         &self.prepared.view
     }
 
-    /// Identifiers of the currently visible nodes of the document.
-    pub fn visible(&self) -> &HashSet<NodeId> {
-        &self.prepared.visible
-    }
-
     /// Number of propagations committed so far.
     pub fn commits(&self) -> u64 {
         self.commits
@@ -540,7 +529,8 @@ impl<'e> Session<'e> {
     /// Assembles the validated [`Instance`] for `update` against the
     /// current document, borrowing every session-cached artefact (no
     /// document-sized copies). All update-dependent well-formedness
-    /// checks of [`Instance::new`] run; the source-side work does not.
+    /// checks of [`Instance::new`] run, in time proportional to the
+    /// update; the source-side work does not.
     pub fn instance<'s>(&'s self, update: &'s Script) -> Result<Instance<'s>, PropagateError> {
         Instance::from_parts(
             &self.engine.dtd,
@@ -549,8 +539,6 @@ impl<'e> Session<'e> {
             update,
             self.engine.alpha.len(),
             Cow::Borrowed(&self.prepared.view),
-            Cow::Borrowed(&self.prepared.visible),
-            &self.prepared.hidden,
             self.prepared.gen.clone(),
             Cow::Borrowed(&self.engine.view_dtd),
         )
@@ -568,13 +556,13 @@ impl<'e> Session<'e> {
         let cm = self.engine.cost_model();
         let mut cache = self.cache_guard();
         let mut scratch = self.scratch_guard();
-        let fp = cache.enabled().then(|| script_footprint(update));
+        let fp = cache.enabled().then(|| inst.footprint());
         let result = propagate_with_cache(
             &inst,
             &cm,
             &self.engine.config,
             Some(&mut cache),
-            fp.as_ref(),
+            fp,
             &mut scratch,
             None,
         );
@@ -599,13 +587,13 @@ impl<'e> Session<'e> {
         let cm = self.engine.cost_model();
         let mut cache = self.cache_guard();
         let mut scratch = self.scratch_guard();
-        let fp = cache.enabled().then(|| script_footprint(update));
+        let fp = cache.enabled().then(|| inst.footprint());
         let result = propagate_with_cache(
             &inst,
             &cm,
             &self.engine.config,
             Some(&mut cache),
-            fp.as_ref(),
+            fp,
             &mut scratch,
             Some(&mut phases),
         );
@@ -640,31 +628,20 @@ impl<'e> Session<'e> {
     /// (never a silent count of 0).
     pub fn count_optimal(&self, update: &Script) -> Result<u128, PropagateError> {
         let inst = self.instance(update)?;
-        let forest = self.forest_for(&inst, update)?;
+        let forest = self.forest_for(&inst)?;
         count_optimal_propagations(&forest).ok_or(PropagateError::NoPropagationPath(forest.root))
     }
 
     /// Builds the propagation forest for an already-validated instance,
-    /// routing clean-region graphs through the session cache. (A disabled
-    /// cache is a pass-through, so the only conditional work is the
-    /// footprint analysis itself.)
-    fn forest_for(
-        &self,
-        inst: &Instance<'_>,
-        update: &Script,
-    ) -> Result<PropagationForest, PropagateError> {
+    /// routing clean-region graphs through the session cache (a disabled
+    /// cache is a pass-through).
+    fn forest_for(&self, inst: &Instance<'_>) -> Result<PropagationForest, PropagateError> {
         let cm = self.engine.cost_model();
         let mut cache = self.cache_guard();
         let mut scratch = self.scratch_guard();
-        let fp = cache.enabled().then(|| script_footprint(update));
-        let forest = PropagationForest::build_with(
-            inst,
-            &cm,
-            Some(&mut cache),
-            fp.as_ref(),
-            &mut scratch,
-            None,
-        );
+        let fp = cache.enabled().then(|| inst.footprint());
+        let forest =
+            PropagationForest::build_with(inst, &cm, Some(&mut cache), fp, &mut scratch, None);
         cache.flush_shared();
         forest
     }
@@ -683,7 +660,7 @@ impl<'e> Session<'e> {
     ) -> Result<Vec<Script>, PropagateError> {
         let inst = self.instance(update)?;
         let cm = self.engine.cost_model();
-        let forest = self.forest_for(&inst, update)?;
+        let forest = self.forest_for(&inst)?;
         enumerate_optimal_propagations(&inst, &cm, &forest, &self.engine.config, cap)
     }
 
@@ -697,22 +674,16 @@ impl<'e> Session<'e> {
         let cm = self.engine.cost_model();
         let mut cache = self.cache_guard();
         let mut scratch = self.scratch_guard();
-        let fp = cache.enabled().then(|| script_footprint(update));
-        let forest = PropagationForest::build_with(
-            &inst,
-            &cm,
-            Some(&mut cache),
-            fp.as_ref(),
-            &mut scratch,
-            None,
-        )?;
+        let fp = cache.enabled().then(|| inst.footprint());
+        let forest =
+            PropagationForest::build_with(&inst, &cm, Some(&mut cache), fp, &mut scratch, None)?;
         let result = find_complement_preserving_with(
             &inst,
             &forest,
             &cm,
             &self.engine.config,
             Some(&mut cache),
-            fp.as_ref(),
+            fp,
             &mut scratch,
         );
         cache.flush_shared();
@@ -732,10 +703,20 @@ impl<'e> Session<'e> {
     /// ([`xvu_tree::Tree::drain_dirty_to_root`]) yields the dirty region —
     /// edited parents plus all their ancestors — and the session's
     /// [`PropCache`] invalidates exactly those entries, carrying every
-    /// other memo across the commit. The view, visible set, and identifier
-    /// high-water mark are then rebuilt from the new document.
+    /// other memo across the commit.
+    ///
+    /// The view is patched in place rather than extracted again: the
+    /// propagation is side-effect free, so the view changes only under the
+    /// visible parents in the script's footprint, which lose their deleted
+    /// visible children and gain the view of each inserted visible
+    /// subtree. The identifier high-water mark is bumped past the inserted
+    /// identifiers and never rewinds. Revalidation, the in-place apply and
+    /// the memo re-keying still walk the script or the document; the view
+    /// and generator cost only the footprint. A failed commit changes
+    /// nothing.
     pub fn commit(&mut self, prop: &Propagation) -> Result<(), PropagateError> {
-        revalidate_output(&self.engine.dtd, &prop.script)?;
+        let fp = script_footprint(&prop.script);
+        revalidate_with(&self.engine.dtd, &prop.script, &fp)?;
         // Drain cache entries (and structural intern ids) keyed by
         // *identifier* before the in-place apply relocates arena slots.
         let (kept, kept_interns) = {
@@ -783,15 +764,7 @@ impl<'e> Session<'e> {
             cache.restore_intern_ids(&self.doc, kept_interns, &dirty);
             cache.flush_shared();
         }
-        let mut prepared = Prepared::from_source(&self.engine.ann, &self.doc);
-        // `from_source` clears every identifier of the new document —
-        // including hidden insertlet material the propagation introduced —
-        // but the session's high-water mark must also stay monotone across
-        // commits: identifiers handed out for *deleted* nodes (of this or
-        // any earlier update) are never recycled, so scripts can't confuse
-        // node identity across the session's history.
-        prepared.gen.merge(&self.prepared.gen);
-        self.prepared = prepared;
+        self.prepared.advance(&self.engine.ann, &prop.script, &fp);
         self.commits += 1;
         Ok(())
     }
@@ -810,7 +783,8 @@ mod tests {
     use super::*;
     use crate::fixtures;
     use crate::propagate;
-    use xvu_edit::{nop_script, output_tree, parse_script, script_to_term};
+    use xvu_edit::{nop_script, output_tree, parse_script, script_to_term, ELabel};
+    use xvu_tree::NodeId;
     use xvu_view::extract_view;
 
     fn paper_engine() -> (Engine, DocTree, Script) {
@@ -904,6 +878,86 @@ mod tests {
             session.commit(&prop),
             Err(PropagateError::NotAPropagation(_))
         ));
+    }
+
+    #[test]
+    fn failed_commits_leave_the_view_and_generator_untouched() {
+        let (engine, t0, s0) = paper_engine();
+        let mut session = engine.open(&t0).unwrap();
+        let prop = session.propagate(&s0).unwrap();
+        session.commit(&prop).unwrap();
+        let view = session.view().clone();
+        let doc = session.document().clone();
+        let next = session.id_gen().peek();
+        let untouched = |s: &Session<'_>| {
+            assert_eq!(s.view(), &view);
+            assert_eq!(s.document(), &doc);
+            assert_eq!(s.id_gen().peek(), next);
+            assert_eq!(s.commits(), 1);
+        };
+
+        // Input mismatch: the same propagation again starts from the old
+        // document.
+        assert!(matches!(
+            session.commit(&prop),
+            Err(PropagateError::NotAPropagation(_))
+        ));
+        untouched(&session);
+
+        // Failed revalidation: the current document plus a trailing `b`
+        // under the root breaks `r → (a·(b+c)·d)*`. Its fresh identifier
+        // must not move the generator.
+        let b = engine.alphabet().get("b").unwrap();
+        let mut script = nop_script(session.document());
+        let root = script.root();
+        script
+            .add_child_with_id(root, NodeId(5000), ELabel::ins(b))
+            .unwrap();
+        let bad = Propagation {
+            script,
+            cost: 1,
+            forest: prop.forest.clone(),
+        };
+        assert!(matches!(
+            session.commit(&bad),
+            Err(PropagateError::NotAPropagation(m)) if m.contains("incremental validation")
+        ));
+        untouched(&session);
+    }
+
+    #[test]
+    fn open_is_stack_safe_on_a_20k_level_chain() {
+        // r → a?, a → a?·b?: a chain one node per level, opened on a
+        // thread with a 256 KiB stack. The view extraction and the
+        // lockstep `In(S)` check both walk the whole chain.
+        let mut alpha = Alphabet::new();
+        let dtd = xvu_dtd::parse_dtd(&mut alpha, "r -> a?\na -> a?.b?").unwrap();
+        let ann = xvu_view::parse_annotation(&mut alpha, "hide a b").unwrap();
+        let (r, a, b) = (
+            alpha.get("r").unwrap(),
+            alpha.get("a").unwrap(),
+            alpha.get("b").unwrap(),
+        );
+        let mut gen = NodeIdGen::new();
+        let mut doc = DocTree::leaf(&mut gen, r);
+        let mut parent = doc.root();
+        for _ in 0..20_000 {
+            parent = doc.add_child(parent, &mut gen, a);
+        }
+        doc.add_child(parent, &mut gen, b);
+        let engine = Engine::new(alpha, dtd, ann);
+        let view_size = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let session = engine.open(&doc).expect("the chain is valid");
+                let identity = nop_script(session.view());
+                session.instance(&identity).expect("identity is an update");
+                session.view().size()
+            })
+            .unwrap()
+            .join()
+            .expect("open must not overflow the stack");
+        assert_eq!(view_size, 20_001, "everything but the hidden b");
     }
 
     #[test]

@@ -12,7 +12,10 @@
 
 use crate::error::PropagateError;
 use xvu_dtd::Dtd;
-use xvu_edit::{diff, input_tree, output_tree, script_footprint, validate_script, EditOp, Script};
+use xvu_edit::{
+    diff, input_tree, output_tree, script_footprint, validate_script, EditOp, Script,
+    ScriptFootprint,
+};
 use xvu_tree::{NodeId, Sym};
 use xvu_view::{extract_view, Annotation};
 
@@ -33,6 +36,16 @@ use xvu_view::{extract_view, Annotation};
 ///
 /// Returns the first offending node, like [`Dtd::validate`].
 pub fn revalidate_output(dtd: &Dtd, script: &Script) -> Result<(), PropagateError> {
+    revalidate_with(dtd, script, &script_footprint(script))
+}
+
+/// [`revalidate_output`] over a footprint the caller already computed
+/// (`fp` must be `script`'s).
+pub(crate) fn revalidate_with(
+    dtd: &Dtd,
+    script: &Script,
+    fp: &ScriptFootprint,
+) -> Result<(), PropagateError> {
     validate_script(script).map_err(PropagateError::Edit)?;
     if script.label(script.root()).op == EditOp::Del {
         return Err(PropagateError::NotAPropagation(
@@ -44,7 +57,7 @@ pub fn revalidate_output(dtd: &Dtd, script: &Script) -> Result<(), PropagateErro
     // materialised. The footprint lists the changed nodes in document
     // order, so the *first* offending node is the one reported, like
     // `Dtd::validate`.
-    for &n in script_footprint(script).changed() {
+    for &n in fp.changed() {
         let word: Vec<Sym> = script
             .children(n)
             .iter()

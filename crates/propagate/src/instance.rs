@@ -2,8 +2,8 @@
 //!
 //! An instance bundles the paper's inputs — DTD `D`, annotation `A`,
 //! source document `t ∈ L(D)`, and view update `S` — together with the
-//! derived artefacts every stage needs (the view `A(t)`, the visible-node
-//! set, the view DTD), and validates all of the paper's well-formedness
+//! derived artefacts every stage needs (the view `A(t)`, the view DTD, the
+//! update's footprint), and validates all of the paper's well-formedness
 //! requirements up front:
 //!
 //! 1. `t ∈ L(D)`;
@@ -14,57 +14,104 @@
 //!    identifiers;
 //! 5. every label inserted by `S` is visible under its parent (a
 //!    consequence of 3 made into a direct check for better diagnostics).
+//!
+//! Requirements 3 and 5 are checked on the update's changed parents only
+//! ([`ScriptFootprint::changed`]): every other node of `Out(S)` keeps its
+//! `A(t)` child word, and the view of a valid document satisfies the
+//! derived view DTD, so only changed child words can violate it — the same
+//! argument [`crate::revalidate_output`] makes on the source side.
 
 use crate::error::PropagateError;
 use std::borrow::Cow;
-use std::collections::HashSet;
 use xvu_dtd::Dtd;
-use xvu_edit::{check_is_update_of, output_tree, EditError, EditOp, Script};
-use xvu_tree::{DocTree, NodeId, NodeIdGen};
-use xvu_view::{derive_view_dtd, extract_view, visible_nodes, Annotation};
+use xvu_edit::{check_is_update_of, script_footprint, EditError, EditOp, Script, ScriptFootprint};
+use xvu_tree::{DocTree, NodeId, NodeIdGen, Sym};
+use xvu_view::{derive_view_dtd, extract_subtree_view, extract_view, Annotation};
 
 /// The update-independent artefacts derived from one source document
-/// under a fixed annotation: the view, the visible/hidden identifier
-/// sets, and a fresh-identifier generator already positioned past every
-/// source identifier.
+/// under a fixed annotation: the view and a fresh-identifier generator
+/// already positioned past every source identifier.
 ///
 /// [`Instance::new`] computes one per call; a [`crate::Session`] computes
-/// it once per document and reuses it across updates.
+/// it once per document and then [advances](Prepared::advance) it across
+/// each commit.
 #[derive(Clone, Debug)]
 pub(crate) struct Prepared {
     /// The materialised view `A(t)`.
     pub view: DocTree,
-    /// Identifiers of the visible nodes of `t`.
-    pub visible: HashSet<NodeId>,
-    /// Identifiers of the hidden nodes of `t` (`N_t \ N_{A(t)}`).
-    pub hidden: HashSet<NodeId>,
     /// Generator positioned past every identifier of `t`.
     pub gen: NodeIdGen,
 }
 
 impl Prepared {
-    /// Extracts the view and identifier sets of `source` under `ann`.
+    /// Extracts the view of `source` under `ann` and positions the
+    /// generator past its identifiers.
     pub(crate) fn from_source(ann: &Annotation, source: &DocTree) -> Prepared {
-        let view = extract_view(ann, source);
-        let visible = visible_nodes(ann, source);
-        let mut hidden = HashSet::new();
         let mut gen = NodeIdGen::new();
         for id in source.node_ids() {
             gen.bump_past(id);
-            if !visible.contains(&id) {
-                hidden.insert(id);
-            }
         }
         Prepared {
-            view,
-            visible,
-            hidden,
+            view: extract_view(ann, source),
             gen,
+        }
+    }
+
+    /// Advances the view and generator across a committed propagation
+    /// `script` (whose footprint is `fp`), in time proportional to that
+    /// footprint.
+    ///
+    /// Propagations are side-effect free, so the view changes exactly
+    /// under the visible `Nop` parents the footprint lists: each loses
+    /// its deleted visible children and gains the visible part of each
+    /// inserted visible subtree, at its output position. The generator is
+    /// bumped past the inserted identifiers — deleted ones stay spent.
+    /// The caller guarantees that `script` was applied to the document
+    /// this view was taken from.
+    pub(crate) fn advance(&mut self, ann: &Annotation, script: &Script, fp: &ScriptFootprint) {
+        for &n in fp.changed() {
+            let label = script.label(n);
+            if label.op == EditOp::Ins {
+                self.gen.bump_past(n);
+                continue;
+            }
+            if !self.view.contains(n) {
+                continue; // a hidden parent: nothing below it is visible
+            }
+            // `pos` counts the view children emitted so far, like the
+            // attach position of `xvu_edit::apply_in_place`.
+            let mut pos = 0usize;
+            for &c in script.children(n) {
+                let cl = script.label(c);
+                if !ann.is_visible(label.label, cl.label) {
+                    continue;
+                }
+                match cl.op {
+                    EditOp::Nop => pos += 1,
+                    EditOp::Del => {
+                        self.view
+                            .detach_subtree(c)
+                            .expect("a deleted visible child is in the view");
+                    }
+                    EditOp::Ins => {
+                        let sub = extract_subtree_view(ann, script, c, |l| l.label);
+                        self.view
+                            .attach_subtree(n, pos, sub)
+                            .expect("inserted identifiers are new to the document");
+                        pos += 1;
+                    }
+                }
+            }
         }
     }
 }
 
 /// A validated view-update problem instance.
+///
+/// Given the source artefacts, validation costs time proportional to the
+/// update: `In(S)` is matched against the view in lockstep, and `Out(S)`
+/// is never materialised — the view-DTD check reads the changed child
+/// words straight off the script.
 #[derive(Clone, Debug)]
 pub struct Instance<'a> {
     /// The document schema `D`.
@@ -80,15 +127,13 @@ pub struct Instance<'a> {
     /// The materialised view `A(t)` (= `In(S)`) — owned by one-shot
     /// instances, borrowed from the session cache by session-built ones.
     pub view: Cow<'a, DocTree>,
-    /// Identifiers of the visible nodes of `t` (owned or session-cached,
-    /// like [`Instance::view`]).
-    pub visible: Cow<'a, HashSet<NodeId>>,
-    /// The updated view `Out(S)`.
-    pub updated_view: DocTree,
     /// The derived view DTD capturing `A(L(D))` — owned by one-shot
     /// instances, borrowed from the engine's precompiled copy by
     /// session-built ones.
     pub view_dtd: Cow<'a, Dtd>,
+    /// The update's footprint, computed once at construction and shared
+    /// by validation and the propagation cache.
+    footprint: ScriptFootprint,
     /// Generator positioned past every source/update identifier, computed
     /// once at construction so [`Instance::id_gen`] is O(1).
     gen0: NodeIdGen,
@@ -105,12 +150,7 @@ impl<'a> Instance<'a> {
     ) -> Result<Instance<'a>, PropagateError> {
         dtd.validate(source)
             .map_err(PropagateError::SourceNotValid)?;
-        let Prepared {
-            view,
-            visible,
-            hidden,
-            gen,
-        } = Prepared::from_source(ann, source);
+        let Prepared { view, gen } = Prepared::from_source(ann, source);
         let view_dtd = Cow::Owned(derive_view_dtd(dtd, ann, alphabet_len));
         Instance::from_parts(
             dtd,
@@ -119,8 +159,6 @@ impl<'a> Instance<'a> {
             update,
             alphabet_len,
             Cow::Owned(view),
-            Cow::Owned(visible),
-            &hidden,
             gen,
             view_dtd,
         )
@@ -128,10 +166,10 @@ impl<'a> Instance<'a> {
 
     /// Assembles an instance from precomputed source artefacts, running
     /// only the *update-dependent* checks (requirements 2–5 of the module
-    /// docs). The caller guarantees requirement 1 (`t ∈ L(D)`) and that
-    /// the artefacts genuinely belong to `(dtd, ann, source)`; sessions
-    /// pass their caches borrowed so assembly copies nothing
-    /// document-sized.
+    /// docs), in time proportional to the update. The caller guarantees
+    /// requirement 1 (`t ∈ L(D)`) and that the artefacts genuinely belong
+    /// to `(dtd, ann, source)`; sessions pass their caches borrowed so
+    /// assembly copies nothing document-sized.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
         dtd: &'a Dtd,
@@ -140,40 +178,56 @@ impl<'a> Instance<'a> {
         update: &'a Script,
         alphabet_len: usize,
         view: Cow<'a, DocTree>,
-        visible: Cow<'a, HashSet<NodeId>>,
-        hidden: &HashSet<NodeId>,
         mut gen: NodeIdGen,
         view_dtd: Cow<'a, Dtd>,
     ) -> Result<Instance<'a>, PropagateError> {
         check_is_update_of(update, &view)?;
 
         for id in update.node_ids() {
-            if hidden.contains(&id) {
+            if source.contains(id) && !view.contains(id) {
                 return Err(PropagateError::Edit(EditError::HiddenIdUsed(id)));
             }
             gen.bump_past(id);
         }
 
-        let updated_view = output_tree(update).ok_or_else(|| {
-            PropagateError::InvalidInstance("update deletes the view root".to_owned())
-        })?;
-
-        if let Some(v) = view_dtd.first_violation(&updated_view) {
-            return Err(PropagateError::OutputNotAView(format!(
-                "node {} (child word not derivable in any view)",
-                v.node
-            )));
+        if update.label(update.root()).op == EditOp::Del {
+            return Err(PropagateError::InvalidInstance(
+                "update deletes the view root".to_owned(),
+            ));
         }
 
-        // Inserted labels must be visible under their parents.
-        for n in update.preorder() {
-            let parent_label = update.label(n).label;
+        // Only changed child words can leave the view language; the
+        // footprint lists them in document order, so the first violation
+        // found is the first in `Out(S)`.
+        let footprint = script_footprint(update);
+        let mut word: Vec<Sym> = Vec::new();
+        for &n in footprint.changed() {
+            word.clear();
+            word.extend(
+                update
+                    .children(n)
+                    .iter()
+                    .map(|&c| update.label(c))
+                    .filter(|l| l.op != EditOp::Del)
+                    .map(|l| l.label),
+            );
+            if !view_dtd.content_model(update.label(n).label).accepts(&word) {
+                return Err(PropagateError::OutputNotAView(format!(
+                    "node {n} (child word not derivable in any view)"
+                )));
+            }
+        }
+
+        // Inserted labels must be visible under their parents. A parent
+        // with an inserted child is changed, so the footprint covers them.
+        for &n in footprint.changed() {
+            let parent = update.label(n);
+            if parent.op == EditOp::Ins {
+                continue;
+            }
             for &c in update.children(n) {
                 let cl = update.label(c);
-                if cl.op == EditOp::Ins
-                    && update.label(n).op != EditOp::Ins
-                    && !ann.is_visible(parent_label, cl.label)
-                {
+                if cl.op == EditOp::Ins && !ann.is_visible(parent.label, cl.label) {
                     return Err(PropagateError::InsertedInvisibleLabel { node: c });
                 }
             }
@@ -186,9 +240,8 @@ impl<'a> Instance<'a> {
             update,
             alphabet_len,
             view,
-            visible,
-            updated_view,
             view_dtd,
+            footprint,
             gen0: gen,
         })
     }
@@ -197,6 +250,12 @@ impl<'a> Instance<'a> {
     /// by the source document or the update (cached at construction).
     pub fn id_gen(&self) -> NodeIdGen {
         self.gen0.clone()
+    }
+
+    /// The update's footprint ([`xvu_edit::script_footprint`]): its
+    /// changed parents and its untouched (entirely `Nop`) region.
+    pub(crate) fn footprint(&self) -> &ScriptFootprint {
+        &self.footprint
     }
 
     /// The preserved view nodes `N_Δ` (the `Nop` nodes of `S`), in
@@ -222,7 +281,7 @@ mod tests {
         let fx = fixtures::paper_running_example();
         let inst = Instance::new(&fx.dtd, &fx.ann, &fx.t0, &fx.s0, fx.alpha.len()).unwrap();
         assert_eq!(inst.view.size(), 7);
-        assert_eq!(inst.updated_view.size(), 9);
+        assert_eq!(xvu_edit::output_tree(inst.update).unwrap().size(), 9);
         // N_Δ = {n0, n4, n6, n10}
         let nd: Vec<u64> = inst.n_delta().iter().map(|n| n.0).collect();
         assert_eq!(nd, vec![0, 4, 6, 10]);

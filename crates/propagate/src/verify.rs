@@ -35,7 +35,8 @@ pub fn verify_propagation(inst: &Instance<'_>, candidate: &Script) -> Result<(),
         .map_err(|e| PropagateError::NotAPropagation(format!("not schema compliant: {e}")))?;
 
     let out_view = extract_view(inst.ann, &out);
-    if out_view != inst.updated_view {
+    let updated_view = output_tree(inst.update).expect("a validated update keeps its root");
+    if out_view != updated_view {
         return Err(PropagateError::NotAPropagation(
             "side effect: A(Out(S')) differs from Out(S)".to_owned(),
         ));

@@ -499,6 +499,50 @@ impl<L> Tree<L> {
         out
     }
 
+    /// Appends a label-mapped copy of `src`'s subtree rooted at `root` as
+    /// the last child of `parent`, identifiers preserved: what
+    /// [`Tree::subtree`] + [`Tree::map_labels`] + [`Tree::attach_subtree`]
+    /// build, in one pass and without the two intermediate trees.
+    ///
+    /// The copied identifiers must be disjoint from this tree's. Every
+    /// check runs before the first mutation, so on `Err` the tree is
+    /// unchanged.
+    pub fn append_mapped_subtree<M>(
+        &mut self,
+        parent: NodeId,
+        src: &Tree<M>,
+        root: NodeId,
+        mut f: impl FnMut(&M) -> L,
+    ) -> Result<(), TreeError> {
+        let Some(pslot) = self.slot(parent) else {
+            return Err(TreeError::UnknownNode(parent));
+        };
+        if !src.contains(root) {
+            return Err(TreeError::UnknownNode(root));
+        }
+        let mut stack = vec![root];
+        while let Some(n) = stack.pop() {
+            if self.contains(n) {
+                return Err(TreeError::DuplicateNodeId(n));
+            }
+            stack.extend_from_slice(src.children(n));
+        }
+        self.mark_children_changed(pslot);
+        self.slab[pslot.index()].children.push(root);
+        stack.push(root);
+        while let Some(n) = stack.pop() {
+            let node = src.node(n);
+            self.push_node(Node {
+                id: n,
+                label: f(&node.label),
+                parent: if n == root { Some(parent) } else { node.parent },
+                children: node.children.clone(),
+            });
+            stack.extend_from_slice(&node.children);
+        }
+        Ok(())
+    }
+
     /// The number of nodes in the subtree rooted at `id`, `|t|_n|`.
     pub fn subtree_size(&self, id: NodeId) -> usize {
         let mut count = 0usize;
@@ -852,6 +896,34 @@ mod tests {
             t.attach_subtree(r, 0, dup),
             Err(TreeError::DuplicateNodeId(a))
         );
+    }
+
+    #[test]
+    fn append_mapped_subtree_matches_subtree_map_attach() {
+        // r(a(b)) copied under a fresh root with labels shifted by 10
+        let (src, _, a, b) = chain3();
+        let mut gen = NodeIdGen::starting_at(100);
+        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
+        let r = t.root();
+        let first = t.add_child(r, &mut gen, sym(9));
+        let shift = |l: &Sym| sym(l.index() + 10);
+        let mut expect = t.clone();
+        expect
+            .attach_subtree(r, 1, src.subtree(a).map_labels(|_, l| shift(l)))
+            .unwrap();
+        t.append_mapped_subtree(r, &src, a, shift).unwrap();
+        assert_eq!(t, expect);
+        assert_eq!(t.children(r), &[first, a]);
+        assert_eq!(t.label(b), sym(12));
+        t.validate().unwrap();
+        // a duplicate identifier anywhere in the copy leaves `t` unchanged
+        let before = t.clone();
+        assert_eq!(
+            t.append_mapped_subtree(r, &src, a, shift),
+            Err(TreeError::DuplicateNodeId(a))
+        );
+        assert_eq!(t, before);
+        assert_eq!(t.epoch(), before.epoch());
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! * [`visible_nodes`] / [`extract_view`] — compute `⟦A⟧_t` and `A(t)`,
 //!   preserving node identifiers (the identifiers are what ties views back
 //!   to their sources during update propagation);
+//!   [`extract_subtree_view`] is the same walk from any subtree root;
 //! * [`derive_view_dtd`] — a DTD for the view language `A(L(D))`, used to
 //!   check that user updates produce legal views;
 //! * [`parse_annotation`] — a small textual syntax for annotations.
@@ -34,5 +35,5 @@ mod view;
 mod viewdtd;
 
 pub use annotation::{parse_annotation, Annotation, AnnotationParseError};
-pub use view::{extract_view, hidden_count, visible_nodes};
+pub use view::{extract_subtree_view, extract_view, hidden_count, visible_nodes};
 pub use viewdtd::derive_view_dtd;

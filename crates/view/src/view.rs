@@ -2,7 +2,7 @@
 
 use crate::annotation::Annotation;
 use std::collections::HashSet;
-use xvu_tree::{DocTree, NodeId, Tree};
+use xvu_tree::{DocTree, NodeId, Sym, Tree};
 
 /// Computes the set of visible nodes `⟦A⟧_t` of `t` (paper §2):
 ///
@@ -31,19 +31,42 @@ pub fn visible_nodes(ann: &Annotation, t: &DocTree) -> HashSet<NodeId> {
 /// Extracts the view `A(t)`: the restriction of `t` to its visible nodes,
 /// preserving identifiers, labels, and relative order.
 pub fn extract_view(ann: &Annotation, t: &DocTree) -> DocTree {
-    fn rec(ann: &Annotation, t: &DocTree, n: NodeId, out: &mut DocTree, out_parent: NodeId) {
-        let parent_label = t.label(n);
-        for &c in t.children(n) {
-            if ann.is_visible(parent_label, t.label(c)) {
-                out.add_child_with_id(out_parent, c, t.label(c))
-                    .expect("view ids are a subset of source ids, hence unique");
-                rec(ann, t, c, out, c);
-            }
+    extract_subtree_view(ann, t, t.root(), |&l| l)
+}
+
+/// The view of the subtree of `t` rooted at `root`, taking `root` as
+/// visible: `root` plus every descendant whose ancestors up to `root` are
+/// visible under `ann`, identifiers and order preserved. Labels are read
+/// through `label`, so the visible part of an editing script's inserted
+/// subtree is extracted without projecting the script first.
+///
+/// The walk keeps its own stack, so a deep tree costs heap, not call
+/// stack; nodes enter the result in document order.
+pub fn extract_subtree_view<L>(
+    ann: &Annotation,
+    t: &Tree<L>,
+    root: NodeId,
+    label: impl Fn(&L) -> Sym,
+) -> DocTree {
+    let mut out = Tree::leaf_with_id(root, label(&t.node(root).label));
+    let mut stack = vec![root];
+    while let Some(n) = stack.pop() {
+        let node = t.node(n);
+        let node_label = label(&node.label);
+        if n != root {
+            let parent = node.parent.expect("a non-root node has a parent");
+            out.add_child_with_id(parent, n, node_label)
+                .expect("view ids are a subset of source ids, hence unique");
         }
+        // Reversed, so the leftmost visible child is popped (and
+        // appended to its parent) first.
+        stack.extend(
+            node.children
+                .iter()
+                .rev()
+                .filter(|&&c| ann.is_visible(node_label, label(&t.node(c).label))),
+        );
     }
-    let mut out = Tree::leaf_with_id(t.root(), t.label(t.root()));
-    let root = t.root();
-    rec(ann, t, root, &mut out, root);
     out
 }
 
@@ -128,6 +151,21 @@ mod tests {
         let view = extract_view(&a0, &t0);
         let kids: Vec<u64> = view.children(view.root()).iter().map(|n| n.0).collect();
         assert_eq!(kids, vec![1, 3, 4, 6]);
+    }
+
+    #[test]
+    fn subtree_view_matches_the_view_of_the_subtree() {
+        // from d#3 (label d): a#7 is hidden under d, c#8 visible
+        let (alpha, t0, a0) = fixtures();
+        let sub = extract_subtree_view(&a0, &t0, NodeId(3), |&l| l);
+        assert_eq!(to_term_with_ids(&sub, &alpha), "d#3(c#8)");
+        assert_eq!(sub, extract_view(&a0, &t0.subtree(NodeId(3))));
+        // labels are read through the mapping: a tree over pairs works too
+        let paired = t0.map_labels(|_, &l| (l, 0u8));
+        assert_eq!(
+            extract_subtree_view(&a0, &paired, t0.root(), |&(l, _)| l),
+            extract_view(&a0, &t0)
+        );
     }
 
     #[test]

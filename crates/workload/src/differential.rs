@@ -31,7 +31,7 @@ use xvu_propagate::{
     count_optimal_propagations, propagate, Config, Engine, Instance, Propagation, Session,
 };
 use xvu_repair::{repair_based_update, RepairConfig};
-use xvu_tree::Alphabet;
+use xvu_tree::{Alphabet, NodeIdGen};
 use xvu_view::extract_view;
 
 /// Everything observable about a propagation: cost, the exact script in
@@ -345,15 +345,20 @@ pub fn differential_check(
         None
     };
 
-    // Commit lock-step: both sessions absorb the propagation and must
-    // agree on the resulting document byte-for-byte.
+    // Commit lock-step: both sessions absorb the propagation, each passes
+    // the from-scratch commit oracle, and they must agree on the
+    // resulting document byte-for-byte.
     if cfg.commit {
-        cached
-            .commit(&cold)
-            .map_err(|e| fail(format!("cached commit failed: {e}")))?;
-        uncached
-            .commit(&pu)
-            .map_err(|e| fail(format!("uncached commit failed: {e}")))?;
+        for (session, prop, which) in [
+            (&mut cached, &cold, "cached"),
+            (&mut uncached, &pu, "uncached"),
+        ] {
+            let before = session.id_gen();
+            session
+                .commit(prop)
+                .map_err(|e| fail(format!("{which} commit failed: {e}")))?;
+            commit_oracle(session, &before).map_err(|e| fail(format!("{which} commit: {e}")))?;
+        }
         if cached.document() != uncached.document() {
             return Err(fail(
                 "cached and uncached sessions diverged after commit".to_owned(),
@@ -369,6 +374,34 @@ pub fn differential_check(
         cache_hits,
         shared_hits,
     })
+}
+
+/// The paired from-scratch oracle for one commit: the view the session
+/// patched incrementally must equal the view extracted from its document
+/// from scratch, and its fresh-identifier generator must clear every
+/// document identifier without rewinding below `before` (the session's
+/// generator just before the commit).
+///
+/// Kept out of [`Session::commit`] itself, so the commit path runs the
+/// same code in every build.
+pub fn commit_oracle(session: &Session<'_>, before: &NodeIdGen) -> Result<(), String> {
+    let doc = session.document();
+    if session.view() != &extract_view(session.engine().annotation(), doc) {
+        return Err("the patched view differs from the view extracted from scratch".to_owned());
+    }
+    let next = session.id_gen().peek();
+    if next < before.peek() {
+        return Err(format!(
+            "identifier generator rewound from {} to {next}",
+            before.peek()
+        ));
+    }
+    if let Some(id) = doc.node_ids().find(|&id| id >= next) {
+        return Err(format!(
+            "identifier generator at {next} does not clear document node {id}"
+        ));
+    }
+    Ok(())
 }
 
 /// Aggregate report of a sweep over one budget.

@@ -24,10 +24,10 @@
 use proptest::prelude::*;
 use xml_view_update::prelude::*;
 use xml_view_update::workload::differential::{
-    differential_check, fingerprint, run_sweep, OracleConfig,
+    commit_oracle, differential_check, fingerprint, run_sweep, OracleConfig,
 };
 use xml_view_update::workload::enumo::{
-    enumerate_recipes, instance_from_recipe, random_annotation_for, EnumBudget,
+    enumerate_instances, enumerate_recipes, instance_from_recipe, random_annotation_for, EnumBudget,
 };
 use xml_view_update::workload::replay::instance_dump;
 use xml_view_update::workload::{ChurnConfig, ChurnStream};
@@ -180,6 +180,27 @@ proptest! {
     }
 }
 
+/// `Session::instance` checks the view DTD on an update's changed
+/// parents only. That is sound because every other node keeps its source
+/// view child word, and the view of a valid document passes the derived
+/// view DTD — pinned here for every enumerated family.
+#[test]
+fn source_views_of_enumerated_families_satisfy_the_view_dtd() {
+    let mut checked = 0;
+    for inst in enumerate_instances(&EnumBudget::default()) {
+        let engine = Engine::new(inst.alpha.clone(), inst.dtd.clone(), inst.ann.clone());
+        let view = extract_view(&inst.ann, &inst.doc);
+        if let Some(v) = engine.view_dtd().first_violation(&view) {
+            panic!(
+                "{}: source view violates the view DTD at node {}",
+                inst.name, v.node
+            );
+        }
+        checked += 1;
+    }
+    assert!(checked >= 200, "only {checked} enumerated instances");
+}
+
 /// Satellite: churn over enumerated families — one representative family
 /// per coverage regime absorbs ≥ 5 committed churn updates through a
 /// cached and an uncached session in lock-step, byte-identically, with
@@ -236,8 +257,12 @@ fn churn_over_enumerated_families_stays_in_lockstep() {
                     &u
                 )
             );
-            cached.commit(&pc).unwrap();
-            uncached.commit(&pu).unwrap();
+            for (session, prop) in [(&mut cached, &pc), (&mut uncached, &pu)] {
+                let before = session.id_gen();
+                session.commit(prop).unwrap();
+                commit_oracle(session, &before)
+                    .unwrap_or_else(|e| panic!("family {family}, step {step}: {e}"));
+            }
             assert_eq!(
                 cached.document(),
                 uncached.document(),

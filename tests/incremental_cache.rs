@@ -5,10 +5,13 @@
 //! driven through one long-lived session, cached propagation must produce
 //! byte-identical results — cost, script, optimal-propagation count — to
 //! the cache-disabled path and to fresh per-step computation, across
-//! commits that invalidate only the dirty region.
+//! commits that invalidate only the dirty region. After every commit the
+//! incrementally patched view is checked against one extracted from
+//! scratch (`commit_oracle`).
 
 use proptest::prelude::*;
 use xml_view_update::prelude::*;
+use xml_view_update::workload::differential::commit_oracle;
 use xml_view_update::workload::replay::instance_dump;
 use xml_view_update::workload::{
     generate_annotation, generate_doc, generate_dtd, generate_update, ChurnConfig, ChurnStream,
@@ -118,8 +121,12 @@ proptest! {
                 "user-visible effect exact\n{}", dump
             );
 
-            cached.commit(&pc).unwrap();
-            uncached.commit(&pu).unwrap();
+            for (session, prop) in [(&mut cached, &pc), (&mut uncached, &pu)] {
+                let before = session.id_gen();
+                session.commit(prop).unwrap();
+                let oracle = commit_oracle(session, &before);
+                prop_assert!(oracle.is_ok(), "{:?}\n{}", oracle, dump);
+            }
             prop_assert_eq!(cached.document(), uncached.document(), "commit lock-step\n{}", dump);
             chain_doc = out_chain;
         }
@@ -243,8 +250,11 @@ fn churn_stream_cached_equals_uncached() {
                 fingerprint(&pu, &alpha),
                 "cached vs uncached\n{dump}"
             );
-            cached.commit(&pc).unwrap();
-            uncached.commit(&pu).unwrap();
+            for (session, prop) in [(&mut cached, &pc), (&mut uncached, &pu)] {
+                let before = session.id_gen();
+                session.commit(prop).unwrap();
+                commit_oracle(session, &before).unwrap_or_else(|e| panic!("{e}\n{dump}"));
+            }
             assert_eq!(cached.document(), uncached.document(), "commit\n{dump}");
         }
         let stats = cached.cache_stats();
