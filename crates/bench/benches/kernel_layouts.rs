@@ -1,14 +1,10 @@
-//! Head-to-head memory-layout benches for the propagation kernel.
+//! Kernel benches for the propagation graphs.
 //!
-//! The Synchrobench methodology applied to layout candidates: harvest the
-//! per-node propagation graphs real forests produce for each workload,
-//! then race three kernel arms over the identical query set —
+//! Harvest the per-node propagation graphs real forests produce for each
+//! workload, then time two kernel arms over the identical query set —
 //!
-//! * `jagged_fresh` — the pre-CSR layout (one `Vec` per vertex) with a
-//!   fresh-allocation Dijkstra per query, mirrored faithfully in
-//!   [`xvu_bench::kernel::JaggedMirror`];
-//! * `csr_fresh` — the shipped CSR layout queried with a throwaway
-//!   scratch per call;
+//! * `csr_fresh` — the CSR layout queried with a throwaway scratch per
+//!   call;
 //! * `csr_pooled` — CSR through one warm [`xvu_propagate::GraphScratch`],
 //!   the configuration `Session` and `propagate_batch` actually run.
 //!
@@ -21,9 +17,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 use std::time::Duration;
-use xvu_bench::kernel::{
-    harvest_from, harvest_graphs, sum_csr_fresh, sum_csr_pooled, sum_jagged, JaggedMirror,
-};
+use xvu_bench::kernel::{harvest_from, harvest_graphs, sum_csr_fresh, sum_csr_pooled};
 use xvu_bench::{hospital_churn_batch, random_update_batch};
 use xvu_dtd::InsertletPackage;
 use xvu_propagate::{propagate, Config, GraphScratch, Instance, PropGraph};
@@ -61,14 +55,10 @@ fn bench_kernel_layouts(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(1));
     group.sample_size(10);
     for (name, graphs) in workload_graph_sets() {
-        let mirrors: Vec<JaggedMirror> = graphs.iter().map(JaggedMirror::of).collect();
         // Pre-warm the memoised CSRs so every arm times queries, not
         // one-time construction.
         let _ = sum_csr_fresh(&graphs);
         group.throughput(Throughput::Elements(graphs.len() as u64));
-        group.bench_with_input(BenchmarkId::new("jagged_fresh", &name), &(), |b, _| {
-            b.iter(|| black_box(sum_jagged(&mirrors)))
-        });
         group.bench_with_input(BenchmarkId::new("csr_fresh", &name), &(), |b, _| {
             b.iter(|| black_box(sum_csr_fresh(&graphs)))
         });

@@ -117,31 +117,21 @@ fn bench_committed_sequence(c: &mut Criterion) {
 }
 
 fn bench_churn(c: &mut Criterion) {
-    // The dirty-region caching workload: K small localized edits through
-    // one long-lived session (propagate + commit each), cache on vs off.
-    // Same pregenerated stream both ways — results are byte-identical,
-    // only the recomputation differs.
+    // The memoised workload: K small localized edits through one session
+    // (propagate + commit each), memo on vs off. Same pregenerated stream
+    // both ways — results are byte-identical, only the recomputation
+    // differs.
     let mut group = c.benchmark_group("repeated_updates_churn");
     group.measurement_time(Duration::from_secs(1));
     group.sample_size(10);
     for k in [10usize, 50] {
         let (oi, updates) = xvu_bench::hospital_churn_batch(4, 30, k, 0xc0ffee);
-        let engine = oi.engine();
-        group.throughput(Throughput::Elements(k as u64));
-        group.bench_with_input(BenchmarkId::new("cached", k), &k, |b, _| {
-            b.iter(|| {
-                black_box(xvu_bench::run_churn_session(
-                    &engine, &oi.doc, &updates, true,
-                ))
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("uncached", k), &k, |b, _| {
-            b.iter(|| {
-                black_box(xvu_bench::run_churn_session(
-                    &engine, &oi.doc, &updates, false,
-                ))
-            })
-        });
+        for (name, engine) in [("cached", oi.engine()), ("uncached", oi.engine_uncached())] {
+            group.throughput(Throughput::Elements(k as u64));
+            group.bench_with_input(BenchmarkId::new(name, k), &k, |b, _| {
+                b.iter(|| black_box(xvu_bench::run_churn_session(&engine, &oi.doc, &updates)))
+            });
+        }
     }
     group.finish();
 }
@@ -152,12 +142,11 @@ fn bench_enumerated(c: &mut Criterion) {
     // committed through a long-lived session — the same per-family
     // serving pattern the daemon amortizes, measured per regime so cost
     // shifts in any one grammar shape are visible in isolation. Each
-    // regime runs twice: `<regime>` on an engine whose fleet-wide shared
-    // memo tier is off (session cache only — the pre-interning baseline)
-    // and `<regime>_shared` through fresh sessions of an engine whose
-    // shared tier was warmed by one untimed replay of the same
-    // deterministic churn stream, so the pair prices exactly what
-    // InternId-keyed cross-session sharing buys per grammar shape.
+    // regime runs twice: `<regime>` on an engine with the memo off (the
+    // unmemoised baseline) and `<regime>_memo` through fresh sessions of
+    // an engine whose memo was warmed by one untimed replay of the same
+    // deterministic churn stream, so the pair prices exactly what the
+    // structure-keyed memo buys per grammar shape.
     use xvu_workload::enumo::{enumerate_instances, EnumBudget};
     use xvu_workload::{ChurnConfig, ChurnStream};
 
@@ -181,11 +170,11 @@ fn bench_enumerated(c: &mut Criterion) {
                 .dtd(inst.dtd.clone())
                 .annotation(inst.ann.clone())
         };
-        let private = builder()
-            .shared_cache(false)
+        let uncached = builder()
+            .prop_cache(false)
             .build()
             .expect("enumerated artefacts compile");
-        let shared = builder().build().expect("enumerated artefacts compile");
+        let memo = builder().build().expect("enumerated artefacts compile");
         let replay = |engine: &xvu_propagate::Engine| {
             let mut session = engine.open(&inst.doc).expect("enumerated doc is valid");
             let mut stream = ChurnStream::for_enumerated(inst, ChurnConfig::default(), 0xE7E7);
@@ -197,18 +186,16 @@ fn bench_enumerated(c: &mut Criterion) {
             }
             total
         };
-        // Warm the shared tier once, untimed; the stream is seed-fixed so
-        // every measured fresh session replays the identical evolution.
-        replay(&shared);
+        // Warm the memo once, untimed; the stream is seed-fixed so every
+        // measured fresh session replays the identical evolution.
+        replay(&memo);
         group.throughput(Throughput::Elements(K as u64));
         group.bench_with_input(BenchmarkId::new(regime, K), &K, |b, _| {
-            b.iter(|| black_box(replay(&private)))
+            b.iter(|| black_box(replay(&uncached)))
         });
-        group.bench_with_input(
-            BenchmarkId::new(format!("{regime}_shared"), K),
-            &K,
-            |b, _| b.iter(|| black_box(replay(&shared))),
-        );
+        group.bench_with_input(BenchmarkId::new(format!("{regime}_memo"), K), &K, |b, _| {
+            b.iter(|| black_box(replay(&memo)))
+        });
     }
     group.finish();
 }

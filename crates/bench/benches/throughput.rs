@@ -25,7 +25,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use std::time::Duration;
 use xvu_bench::{batch_requests, hospital_update_batch, random_update_batch};
-use xvu_propagate::{Engine, SessionPool, SharedCacheBackend};
+use xvu_propagate::SessionPool;
 use xvu_workload::scenario::{admit_patient, Hospital};
 
 /// Requests per batch — large enough that the per-thread share at 8 jobs
@@ -119,57 +119,10 @@ fn bench_session_pool_hospital(c: &mut Criterion) {
     group.finish();
 }
 
-/// The shared-memo-tier backend head-to-head the module docs of
-/// `xvu_propagate::shared` point at: `Sharded` (16-way sharded
-/// `RwLock<HashMap>`) vs `Snapshot` (epoch-swapped frozen `Arc<HashMap>`,
-/// lock-free probes). The tier is warmed by one sequential pass, then the
-/// figure of merit is **warm read throughput** of the same batch at each
-/// worker count — the contention-free steady state where sessions consult
-/// the tier on every request and publish nothing. A backend whose read
-/// path serializes would flatten instead of scaling with jobs.
-fn bench_shared_cache_backends(c: &mut Criterion) {
-    let mut group = c.benchmark_group("shared_cache_backends");
-    group.measurement_time(Duration::from_secs(1));
-    group.sample_size(10);
-    let (oi, updates) = random_update_batch(32, 400, 3, BATCH, 1234);
-    let requests = batch_requests(&oi, &updates);
-    for backend in [SharedCacheBackend::Sharded, SharedCacheBackend::Snapshot] {
-        let engine = Engine::builder()
-            .alphabet(oi.alpha.clone())
-            .dtd(oi.dtd.clone())
-            .annotation(oi.ann.clone())
-            .shared_cache_backend(backend)
-            .build()
-            .expect("complete engine");
-        // Warm pass: publish every structure-keyed memo once, so the
-        // measured iterations exercise only the backend's read path.
-        engine.propagate_batch(&requests, 1);
-        for jobs in JOBS {
-            group.throughput(Throughput::Elements(requests.len() as u64));
-            group.bench_with_input(
-                BenchmarkId::new(format!("{backend:?}").to_lowercase(), jobs),
-                &jobs,
-                |b, &jobs| {
-                    b.iter(|| {
-                        let results = engine.propagate_batch(&requests, jobs);
-                        let total: u64 = results
-                            .iter()
-                            .map(|r| r.as_ref().expect("Theorem 5").cost)
-                            .sum();
-                        black_box(total)
-                    })
-                },
-            );
-        }
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_batch_random32,
     bench_batch_hospital,
-    bench_session_pool_hospital,
-    bench_shared_cache_backends
+    bench_session_pool_hospital
 );
 criterion_main!(benches);

@@ -1,15 +1,9 @@
-//! Tree-storage micro-benchmarks: arena-backed `xvu_tree::Tree` vs the
-//! historical `HashMap<NodeId, Node>` layout.
-//!
-//! The map-backed shadow implemented here reproduces the pre-arena
-//! storage exactly (node map keyed by id, per-node parent/children
-//! links), so `build` / `traverse` / `random_access` isolate the cost of
-//! the storage layout itself — hash probe and pointer chase vs dense
-//! index and slab read. Nothing gates on these numbers; they document
-//! the before/after of the arena refactor.
+//! Tree-storage micro-benchmarks for the arena-backed `xvu_tree::Tree`:
+//! build, traverse, random access, and the load path per serialized
+//! format. Nothing gates on these numbers; they keep the storage costs
+//! visible in the criterion sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Duration;
 use xvu_tree::{
@@ -17,64 +11,8 @@ use xvu_tree::{
     NodeIdGen, Sym, Tree,
 };
 
-/// The pre-arena storage layout, reproduced for comparison.
-struct MapTree {
-    nodes: HashMap<NodeId, MapNode>,
-    root: NodeId,
-}
-
-struct MapNode {
-    label: Sym,
-    children: Vec<NodeId>,
-}
-
-impl MapTree {
-    fn leaf(id: NodeId, label: Sym) -> MapTree {
-        let mut nodes = HashMap::new();
-        nodes.insert(
-            id,
-            MapNode {
-                label,
-                children: Vec::new(),
-            },
-        );
-        MapTree { nodes, root: id }
-    }
-
-    fn add_child(&mut self, parent: NodeId, id: NodeId, label: Sym) {
-        self.nodes.insert(
-            id,
-            MapNode {
-                label,
-                children: Vec::new(),
-            },
-        );
-        self.nodes
-            .get_mut(&parent)
-            .expect("parent present")
-            .children
-            .push(id);
-    }
-
-    fn label(&self, id: NodeId) -> Sym {
-        self.nodes[&id].label
-    }
-
-    fn preorder_label_sum(&self) -> u64 {
-        let mut sum = 0u64;
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[&n];
-            sum += node.label.index() as u64;
-            stack.extend(node.children.iter().rev().copied());
-        }
-        sum
-    }
-}
-
-/// Deterministic shape shared by both layouts: node `i` attaches under a
-/// pseudo-random earlier node (a bushy, irregular tree), labels cycle
-/// over 16 symbols.
+/// Deterministic shape: node `i` attaches under a pseudo-random earlier
+/// node (a bushy, irregular tree), labels cycle over 16 symbols.
 fn shape(n: usize) -> Vec<(usize, usize)> {
     (1..n)
         .map(|i| (i.wrapping_mul(2_654_435_761) % i, i % 16))
@@ -94,18 +32,6 @@ fn build_arena(n: usize) -> Tree<Sym> {
     t
 }
 
-fn build_map(n: usize) -> MapTree {
-    let mut t = MapTree::leaf(NodeId(0), Sym::from_index(0));
-    for (i, (parent, label)) in shape(n).into_iter().enumerate() {
-        t.add_child(
-            NodeId(parent as u64),
-            NodeId(i as u64 + 1),
-            Sym::from_index(label),
-        );
-    }
-    t
-}
-
 fn bench_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_ops_build");
     group.measurement_time(Duration::from_secs(1));
@@ -113,9 +39,6 @@ fn bench_build(c: &mut Criterion) {
     for n in [1_000usize, 10_000] {
         group.bench_with_input(BenchmarkId::new("arena", n), &n, |b, &n| {
             b.iter(|| black_box(build_arena(n).size()))
-        });
-        group.bench_with_input(BenchmarkId::new("hashmap", n), &n, |b, &n| {
-            b.iter(|| black_box(build_map(n).nodes.len()))
         });
     }
     group.finish();
@@ -127,7 +50,6 @@ fn bench_traverse(c: &mut Criterion) {
     group.sample_size(20);
     for n in [1_000usize, 10_000] {
         let arena = build_arena(n);
-        let map = build_map(n);
         group.bench_with_input(BenchmarkId::new("arena", n), &n, |b, _| {
             b.iter(|| {
                 let sum: u64 = arena
@@ -136,9 +58,6 @@ fn bench_traverse(c: &mut Criterion) {
                     .sum();
                 black_box(sum)
             })
-        });
-        group.bench_with_input(BenchmarkId::new("hashmap", n), &n, |b, _| {
-            b.iter(|| black_box(map.preorder_label_sum()))
         });
     }
     group.finish();
@@ -150,8 +69,7 @@ fn bench_random_access(c: &mut Criterion) {
     group.sample_size(20);
     for n in [1_000usize, 10_000] {
         let arena = build_arena(n);
-        let map = build_map(n);
-        // pseudo-random probe order, identical for both layouts
+        // pseudo-random probe order
         let probes: Vec<NodeId> = (0..n)
             .map(|i| NodeId((i.wrapping_mul(2_654_435_761) % n) as u64))
             .collect();
@@ -161,12 +79,6 @@ fn bench_random_access(c: &mut Criterion) {
                     .iter()
                     .map(|&id| arena.label(id).index() as u64)
                     .sum();
-                black_box(sum)
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("hashmap", n), &n, |b, _| {
-            b.iter(|| {
-                let sum: u64 = probes.iter().map(|&id| map.label(id).index() as u64).sum();
                 black_box(sum)
             })
         });

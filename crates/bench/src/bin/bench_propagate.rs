@@ -5,7 +5,7 @@
 //! document-heavy hospital batch and the schema-heavy 32-label random
 //! batch — plus the **churn** workload (K small localized edits against
 //! the hospital document through one long-lived session, propagate +
-//! commit each, measured with the session's propagation cache on and off
+//! commit each, measured with the engine's propagation memo on and off
 //! in the same run), and the **enumerated coverage arm** (one-shot
 //! propagation over every instance of `xvu_workload::enumo`'s default
 //! budget, grouped by regime, with each regime's view-edit → source-edit
@@ -14,7 +14,7 @@
 //! of scraped bench logs. Since schema /5 every workload also carries a
 //! per-phase breakdown (`phases`: instance validation, graph build,
 //! typing, assembly, commit — via `Session::propagate_phased`) and a
-//! `kernel` section races the memory-layout arms of
+//! `kernel` section times the pooled CSR kernel of
 //! `benches/kernel_layouts.rs` over each workload's harvested graph set.
 //!
 //! ```text
@@ -27,14 +27,14 @@
 //! time session open + K × (propagate + commit).
 
 use std::hint::black_box;
-use std::time::Instant;
-use xvu_bench::kernel::{harvest_graphs, sum_csr_fresh, sum_csr_pooled, sum_jagged, JaggedMirror};
+use std::time::{Duration, Instant};
+use xvu_bench::kernel::{harvest_graphs, sum_csr_fresh, sum_csr_pooled};
 use xvu_bench::{
     enumerated_regime_rows, hospital_churn_batch, hospital_update_batch, median_time,
     random_update_batch, run_churn_session, OwnedInstance,
 };
 use xvu_edit::Script;
-use xvu_propagate::GraphScratch;
+use xvu_propagate::{Engine, GraphScratch};
 
 /// Median engine-amortized wall time for one workload, in nanoseconds.
 fn engine_amortized_median_ns(oi: &OwnedInstance, updates: &[Script], runs: usize) -> u128 {
@@ -116,45 +116,51 @@ struct Row {
     phases: PhaseSums,
 }
 
-/// One workload's kernel head-to-head: median ns for one best-cost sweep
-/// over the harvested graph set, per layout arm.
+/// One workload's kernel row: median ns for one pooled best-cost sweep
+/// over the harvested graph set.
 struct KernelRow {
     name: &'static str,
     graphs: usize,
-    jagged_fresh_ns: u128,
-    csr_fresh_ns: u128,
     csr_pooled_ns: u128,
 }
 
 fn kernel_row(name: &'static str, oi: &OwnedInstance, runs: usize) -> KernelRow {
     let graphs = harvest_graphs(oi);
-    let mirrors: Vec<JaggedMirror> = graphs.iter().map(JaggedMirror::of).collect();
-    // Every arm must agree — the head-to-head is only meaningful over
-    // observationally identical kernels.
     let mut scratch = GraphScratch::default();
-    let expect = sum_jagged(&mirrors);
-    assert_eq!(expect, sum_csr_fresh(&graphs), "kernel arms disagree");
     assert_eq!(
-        expect,
+        sum_csr_fresh(&graphs),
         sum_csr_pooled(&graphs, &mut scratch),
-        "kernel arms disagree"
+        "pooled kernel disagrees with a fresh scratch"
     );
     KernelRow {
         name,
         graphs: graphs.len(),
-        jagged_fresh_ns: median_time(runs, || {
-            black_box(sum_jagged(&mirrors));
-        })
-        .as_nanos(),
-        csr_fresh_ns: median_time(runs, || {
-            black_box(sum_csr_fresh(&graphs));
-        })
-        .as_nanos(),
         csr_pooled_ns: median_time(runs, || {
             black_box(sum_csr_pooled(&graphs, &mut scratch));
         })
         .as_nanos(),
     }
+}
+
+/// Median wall time of a churn replay through a fresh session of a fresh
+/// engine, the engine compiled outside the timed region (its memo starts
+/// cold every run).
+fn fresh_engine_churn_ns(
+    runs: usize,
+    engine: impl Fn() -> Engine,
+    doc: &xvu_tree::DocTree,
+    updates: &[Script],
+) -> u128 {
+    let mut samples: Vec<Duration> = (0..runs.max(1))
+        .map(|_| {
+            let engine = engine();
+            let t0 = Instant::now();
+            black_box(run_churn_session(&engine, doc, updates));
+            t0.elapsed()
+        })
+        .collect();
+    samples.sort();
+    samples[samples.len() / 2].as_nanos()
 }
 
 fn main() {
@@ -184,72 +190,42 @@ fn main() {
         },
     ];
 
-    // Churn: K small localized edits through one session, cache on vs off
+    // Churn: K small localized edits through one session, memo on vs off
     // in the same run (engine precompiled; timed region = session open +
-    // K × (propagate + commit)). Costs must agree — the cache is a pure
-    // memo.
+    // K × (propagate + commit)). Each run compiles a fresh engine outside
+    // the timed region, so the memo-on row starts cold and its hits come
+    // from within the stream. Costs must agree — the memo is a pure memo.
     let (churn, churn_updates) = hospital_churn_batch(4, 30, K, 0xc0ffee);
-    // Private engine: the row isolates the *session* cache's effect, so
-    // the fleet-wide shared tier stays off here (it gets its own row
-    // below).
-    let churn_engine = churn.engine_private();
-    let check_cached = run_churn_session(&churn_engine, &churn.doc, &churn_updates, true);
-    let check_uncached = run_churn_session(&churn_engine, &churn.doc, &churn_updates, false);
+    let check_cached = run_churn_session(&churn.engine(), &churn.doc, &churn_updates);
+    let check_uncached = run_churn_session(&churn.engine_uncached(), &churn.doc, &churn_updates);
     assert_eq!(
         check_cached, check_uncached,
-        "cache changed propagation results"
+        "the memo changed propagation results"
     );
-    let churn_cached_ns = median_time(RUNS, || {
-        black_box(run_churn_session(
-            &churn_engine,
-            &churn.doc,
-            &churn_updates,
-            true,
-        ));
-    })
-    .as_nanos();
-    let churn_uncached_ns = median_time(RUNS, || {
-        black_box(run_churn_session(
-            &churn_engine,
-            &churn.doc,
-            &churn_updates,
-            false,
-        ));
-    })
-    .as_nanos();
+    let churn_cached_ns =
+        fresh_engine_churn_ns(RUNS, || churn.engine(), &churn.doc, &churn_updates);
+    let churn_uncached_ns =
+        fresh_engine_churn_ns(RUNS, || churn.engine_uncached(), &churn.doc, &churn_updates);
     let improvement_pct = 100.0 * (1.0 - churn_cached_ns as f64 / churn_uncached_ns.max(1) as f64);
     let churn_phases = phase_medians(RUNS, || phased_pass(&churn, &churn_updates, true));
 
-    // Cross-document sharing: warm a sharing engine's fleet tier with one
-    // untimed churn replay, then measure the identical replay through
-    // *fresh* sessions (run_churn_session opens a new session per call, so
-    // the session-local cache starts empty every run — the only carry-over
-    // is the InternId-keyed shared tier). Baseline = the same fresh-session
-    // replay on the private engine above (churn_cached_ns).
-    let sharing_engine = churn.engine();
-    let check_shared = run_churn_session(&sharing_engine, &churn.doc, &churn_updates, true);
-    assert_eq!(
-        check_shared, check_uncached,
-        "shared tier changed propagation results"
-    );
-    let cross_shared_ns = median_time(RUNS, || {
-        black_box(run_churn_session(
-            &sharing_engine,
-            &churn.doc,
-            &churn_updates,
-            true,
-        ));
+    // Cross-document reuse: warm one engine's memo with an untimed churn
+    // replay, then measure the identical replay through *fresh* sessions
+    // of that engine (run_churn_session opens a new session per call; the
+    // only carry-over is the structure-keyed memo). Baseline = the same
+    // replay on a fresh engine (churn_cached_ns).
+    let warm_engine = churn.engine();
+    run_churn_session(&warm_engine, &churn.doc, &churn_updates);
+    let warm_ns = median_time(RUNS, || {
+        black_box(run_churn_session(&warm_engine, &churn.doc, &churn_updates));
     })
     .as_nanos();
-    let shared_stats = sharing_engine.shared_cache_stats();
+    let warm_stats = warm_engine.cache_stats();
     assert!(
-        shared_stats.hits > 0,
-        "fresh sessions never hit the shared tier: {shared_stats:?}"
+        warm_stats.hits > 0,
+        "fresh sessions never hit the warm memo: {warm_stats:?}"
     );
-    let shared_hit_rate =
-        shared_stats.hits as f64 / (shared_stats.hits + shared_stats.misses).max(1) as f64;
-    let cross_improvement_pct =
-        100.0 * (1.0 - cross_shared_ns as f64 / churn_cached_ns.max(1) as f64);
+    let warm_improvement_pct = 100.0 * (1.0 - warm_ns as f64 / churn_cached_ns.max(1) as f64);
 
     // Enumerated coverage arm: the whole default-budget grammar space,
     // one-shot, grouped by regime; amplification = propagation cost /
@@ -261,9 +237,9 @@ fn main() {
         .expect("enumeration is non-empty");
     let blowup_regime = blowup.regime;
 
-    // Kernel head-to-head: the layout arms of `benches/kernel_layouts.rs`
-    // raced over each workload's harvested graph set (median ns per full
-    // best-cost sweep).
+    // Kernel rows: the pooled CSR arm of `benches/kernel_layouts.rs` over
+    // each workload's harvested graph set (median ns per full best-cost
+    // sweep).
     let kernel_rows = [
         kernel_row("hospital", &hospital, RUNS),
         kernel_row("random32", &random32, RUNS),
@@ -271,7 +247,7 @@ fn main() {
     ];
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-propagate/5\",\n");
+    json.push_str("  \"schema\": \"xvu-bench-propagate/6\",\n");
     json.push_str("  \"timed_region\": \"engine compile + session open + K propagations\",\n");
     json.push_str(
         "  \"phases_note\": \"phases are per-phase ns summed over the K updates of one warm \
@@ -293,7 +269,7 @@ fn main() {
     }
     json.push_str(&format!(
         "    \"churn\": {{ \"updates\": {}, \"doc_nodes\": {}, \
-         \"timed_region\": \"session open + K x (propagate + commit), engine precompiled\", \
+         \"timed_region\": \"session open + K x (propagate + commit), a fresh engine compiled outside the timed region per run\", \
          \"cached_median_ns\": {}, \"uncached_median_ns\": {}, \
          \"cached_us_per_update\": {:.3}, \"uncached_us_per_update\": {:.3}, \
          \"cache_improvement_pct\": {:.1}, {} }},\n",
@@ -308,34 +284,30 @@ fn main() {
     ));
     json.push_str(&format!(
         "    \"churn_cross_document\": {{ \"updates\": {}, \"doc_nodes\": {}, \
-         \"timed_region\": \"fresh session per run over a warm shared memo tier; baseline = churn cached_median_ns on a private engine\", \
-         \"shared_median_ns\": {}, \"shared_us_per_update\": {:.3}, \
-         \"shared_improvement_pct\": {:.1}, \"shared_hit_rate\": {:.4}, \
-         \"shared_entries\": {} }}\n",
+         \"timed_region\": \"fresh session per run over a warm engine memo; baseline = churn cached_median_ns (a fresh engine per run)\", \
+         \"warm_median_ns\": {}, \"warm_us_per_update\": {:.3}, \
+         \"warm_improvement_pct\": {:.1}, \"hit_rate\": {:.4}, \
+         \"entries\": {} }}\n",
         K,
         churn.doc.size(),
-        cross_shared_ns,
-        cross_shared_ns as f64 / 1e3 / K as f64,
-        cross_improvement_pct,
-        shared_hit_rate,
-        shared_stats.entries,
+        warm_ns,
+        warm_ns as f64 / 1e3 / K as f64,
+        warm_improvement_pct,
+        warm_stats.hit_rate(),
+        warm_stats.entries,
     ));
     json.push_str("  },\n");
     json.push_str(
-        "  \"kernel\": {\n    \"timed_region\": \"median ns per best-cost sweep over every \
-         per-node propagation graph harvested from the workload's forest; arms as in \
-         benches/kernel_layouts.rs\",\n    \"winner\": \"csr_pooled\",\n    \"workloads\": {\n",
+        "  \"kernel\": {\n    \"timed_region\": \"median ns per pooled best-cost sweep over \
+         every per-node propagation graph harvested from the workload's forest (csr_pooled \
+         in benches/kernel_layouts.rs)\",\n    \"workloads\": {\n",
     );
     for (i, k) in kernel_rows.iter().enumerate() {
         json.push_str(&format!(
-            "      \"{}\": {{ \"graphs\": {}, \"jagged_fresh_ns\": {}, \"csr_fresh_ns\": {}, \
-             \"csr_pooled_ns\": {}, \"pooled_speedup_vs_jagged\": {:.2} }}{}\n",
+            "      \"{}\": {{ \"graphs\": {}, \"csr_pooled_ns\": {} }}{}\n",
             k.name,
             k.graphs,
-            k.jagged_fresh_ns,
-            k.csr_fresh_ns,
             k.csr_pooled_ns,
-            k.jagged_fresh_ns as f64 / k.csr_pooled_ns.max(1) as f64,
             if i + 1 == kernel_rows.len() { "" } else { "," },
         ));
     }

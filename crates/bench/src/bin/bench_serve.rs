@@ -5,11 +5,10 @@
 //! replays it through the daemon — real TCP, worker pool, admission
 //! queue — at several session-pool sizes. Each row reports sustained
 //! throughput, write/read latency quantiles from the daemon's own
-//! histograms, the session-local propagation-cache hit rate, and the
-//! fleet-wide shared memo tier's hit rate (eviction retires a session's
-//! private memos but not what it published to the shared tier, so the
-//! starved pools are where the shared rate earns its keep), so the
-//! serving-stack perf trajectory is tracked by a checked-in artifact.
+//! histograms, and the hit rate of the engines' propagation memo (the
+//! memo is engine-owned, so eviction does not empty it and the starved
+//! pools keep hitting), so the serving-stack perf trajectory is tracked
+//! by a checked-in artifact.
 //!
 //! Every replay is also a correctness gate: the daemon's replies are
 //! diffed against the fingerprints the generator recorded from direct
@@ -22,8 +21,8 @@
 //!
 //! Fleet clients keep one document open at a time, so the pool sizes
 //! straddle the client count: a pool below it forces steady LRU eviction
-//! (sessions lose their propagation-cache memos and are reopened with
-//! their identifier floor restored), a pool above it never evicts.
+//! (sessions are dropped and reopened with their identifier floor
+//! restored), a pool above it never evicts.
 
 use std::time::{Duration, Instant};
 use xvu_propagate::Engine;
@@ -49,8 +48,7 @@ fn row_json(pool: usize, plan: &FleetPlan, r: &FleetReport) -> String {
          \"updates_per_sec\": {:.1}, \"requests_per_sec\": {:.1}, \
          \"write_p50_ms\": {:.3}, \"write_p99_ms\": {:.3}, \
          \"read_p50_ms\": {:.3}, \"read_p99_ms\": {:.3}, \
-         \"cache_hit_rate\": {:.4}, \"shared_hit_rate\": {:.4}, \
-         \"shared_hits\": {}, \"shared_entries\": {}, \
+         \"cache_hit_rate\": {:.4}, \"cache_hits\": {}, \"cache_entries\": {}, \
          \"evictions\": {}, \"retries\": {}, \
          \"rejected_writes\": {}, \"queue_max\": {} }}",
         r.requests,
@@ -61,10 +59,9 @@ fn row_json(pool: usize, plan: &FleetPlan, r: &FleetReport) -> String {
         r.stats.write_latency.quantile_ms(0.99),
         r.stats.read_latency.quantile_ms(0.50),
         r.stats.read_latency.quantile_ms(0.99),
-        r.stats.cache_hit_rate(),
-        r.stats.shared_hit_rate(),
-        r.stats.shared_hits,
-        r.stats.shared_entries,
+        r.stats.cache.hit_rate(),
+        r.stats.cache.hits,
+        r.stats.cache.entries,
         r.stats.evictions,
         r.retries,
         r.stats.rejected_writes,
@@ -183,11 +180,10 @@ fn main() {
         assert!(report.drained_clean, "pool={pool}: dirty drain");
         eprintln!(
             "  pool {pool:>3}: {:.1} updates/s, write p99 {:.2} ms, hit rate {:.3}, \
-             shared hit rate {:.3}, {} evictions",
+             {} evictions",
             plan.updates as f64 / report.wall.as_secs_f64().max(1e-9),
             report.stats.write_latency.quantile_ms(0.99),
-            report.stats.cache_hit_rate(),
-            report.stats.shared_hit_rate(),
+            report.stats.cache.hit_rate(),
             report.stats.evictions
         );
         rows.push((pool, report));
@@ -210,7 +206,7 @@ fn main() {
 
     let out_path = arg.unwrap_or_else(|| "BENCH_serve.json".to_owned());
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-serve/3\",\n");
+    json.push_str("  \"schema\": \"xvu-bench-serve/4\",\n");
     json.push_str(
         "  \"timed_region\": \"TCP replay of the full fleet plan: corpus load + every client op + drain\",\n",
     );

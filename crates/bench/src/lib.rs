@@ -80,15 +80,14 @@ impl OwnedInstance {
             .expect("complete engine")
     }
 
-    /// Like [`OwnedInstance::engine`] but with the fleet-wide shared
-    /// memo tier switched off — the session-cache-only baseline the
-    /// cross-document rows compare against.
-    pub fn engine_private(&self) -> Engine {
+    /// Like [`OwnedInstance::engine`] but with the propagation memo
+    /// switched off — the unmemoised baseline.
+    pub fn engine_uncached(&self) -> Engine {
         Engine::builder()
             .alphabet(self.alpha.clone())
             .dtd(self.dtd.clone())
             .annotation(self.ann.clone())
-            .shared_cache(false)
+            .prop_cache(false)
             .build()
             .expect("complete engine")
     }
@@ -277,8 +276,8 @@ pub fn random_update_batch(
 /// update targets the same document).
 ///
 /// The stream is produced by simulating one session; because propagation
-/// is deterministic and cache-invariant, replaying the same scripts
-/// through any session opened on the same document (cache on or off)
+/// is deterministic and memo-invariant, replaying the same scripts
+/// through any session opened on the same document (memo on or off)
 /// reproduces the same evolution, so the batch can be timed repeatedly
 /// via [`run_churn_session`].
 pub fn hospital_churn_batch(
@@ -327,18 +326,12 @@ pub fn hospital_churn_batch(
     (OwnedInstance { update, ..oi }, updates)
 }
 
-/// Replays a churn stream through one session: per update, propagate then
-/// commit, with the session's propagation cache forced on or off. Returns
-/// the summed propagation cost (a cache-invariance checksum: both settings
-/// must agree).
-pub fn run_churn_session(
-    engine: &Engine,
-    doc: &DocTree,
-    updates: &[Script],
-    cache_enabled: bool,
-) -> u64 {
+/// Replays a churn stream through one fresh session of `engine`: per
+/// update, propagate then commit. Returns the summed propagation cost (a
+/// memo-invariance checksum: engines with the memo on and off must
+/// agree).
+pub fn run_churn_session(engine: &Engine, doc: &DocTree, updates: &[Script]) -> u64 {
     let mut session = engine.open(doc).expect("valid document");
-    session.set_cache_enabled(cache_enabled);
     let mut total = 0u64;
     for u in updates {
         let prop = session.propagate(u).expect("churn update propagates");
@@ -444,18 +437,15 @@ pub fn enumerated_regime_rows(runs: usize) -> Vec<RegimeRow> {
     rows
 }
 
-/// Head-to-head kernel-layout arms: the CSR [`xvu_propagate::pathgraph`]
-/// kernel (fresh-scratch and pooled-scratch) against a faithful mirror of
-/// the jagged `Vec<Vec<_>>` adjacency layout it replaced. The benches in
+/// Kernel arms over the CSR [`xvu_propagate::pathgraph`] kernel:
+/// fresh-scratch and pooled-scratch best-cost sweeps. The benches in
 /// `benches/kernel_layouts.rs` and the `kernel` section of
 /// `BENCH_propagate.json` both drive these on graphs harvested from real
-/// propagation forests, so the comparison measures the layouts on the
-/// exact vertex/edge distributions the algorithm produces — not on
-/// synthetic graphs.
+/// propagation forests, so they measure the kernel on the exact
+/// vertex/edge distributions the algorithm produces — not on synthetic
+/// graphs.
 pub mod kernel {
     use super::OwnedInstance;
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
     use xvu_dtd::{min_sizes, InsertletPackage};
     use xvu_edit::Script;
     use xvu_propagate::{CostModel, GraphScratch, Instance, PropGraph, PropagationForest};
@@ -463,7 +453,7 @@ pub mod kernel {
     use xvu_view::Annotation;
 
     /// Clones every per-node propagation graph out of one instance's
-    /// forest — the query set the kernel arms race over.
+    /// forest — the query set the kernel arms sweep.
     pub fn harvest_graphs(oi: &OwnedInstance) -> Vec<PropGraph> {
         harvest_from(&oi.dtd, &oi.ann, &oi.doc, &oi.update, oi.alpha.len())
     }
@@ -486,64 +476,6 @@ pub mod kernel {
         };
         let forest = PropagationForest::build(&inst, &cm).expect("Theorem 5");
         forest.graphs().map(|(_, g)| g.clone()).collect()
-    }
-
-    /// A faithful mirror of the pre-CSR adjacency layout: one
-    /// heap-allocated `Vec` per vertex. Its [`JaggedMirror::best_cost`]
-    /// runs the same Dijkstra as the kernel but allocates its distance
-    /// array and heap per call — the fresh-allocation baseline both
-    /// layout questions (contiguity, pooling) are measured against.
-    pub struct JaggedMirror {
-        out: Vec<Vec<(u32, u64)>>,
-        goal: Vec<bool>,
-        start: u32,
-    }
-
-    impl JaggedMirror {
-        /// Mirrors a harvested graph, preserving per-row edge order.
-        pub fn of(g: &PropGraph) -> JaggedMirror {
-            let mut out = vec![Vec::new(); g.n_vertices()];
-            for (_, e) in g.edges() {
-                out[e.from as usize].push((e.to, e.weight));
-            }
-            JaggedMirror {
-                out,
-                goal: (0..g.n_vertices() as u32).map(|v| g.is_goal(v)).collect(),
-                start: g.start(),
-            }
-        }
-
-        /// Cheapest start→goal cost with per-call allocation (the old
-        /// kernel's behaviour).
-        pub fn best_cost(&self) -> Option<u64> {
-            let mut dist = vec![u64::MAX; self.out.len()];
-            let mut heap = BinaryHeap::new();
-            dist[self.start as usize] = 0;
-            heap.push(Reverse((0u64, self.start)));
-            while let Some(Reverse((d, v))) = heap.pop() {
-                if d > dist[v as usize] {
-                    continue;
-                }
-                for &(to, w) in &self.out[v as usize] {
-                    let nd = d.saturating_add(w);
-                    if nd < dist[to as usize] && nd != u64::MAX {
-                        dist[to as usize] = nd;
-                        heap.push(Reverse((nd, to)));
-                    }
-                }
-            }
-            (0..self.out.len())
-                .filter(|&v| self.goal[v])
-                .map(|v| dist[v])
-                .min()
-                .filter(|&c| c != u64::MAX)
-        }
-    }
-
-    /// Σ best-cost over the mirrored set — the jagged, fresh-allocation
-    /// arm.
-    pub fn sum_jagged(mirrors: &[JaggedMirror]) -> u64 {
-        mirrors.iter().filter_map(JaggedMirror::best_cost).sum()
     }
 
     /// Σ best-cost over the CSR set with a fresh scratch per query.
@@ -609,10 +541,9 @@ mod tests {
     fn churn_batch_replays_identically_with_and_without_cache() {
         let (oi, updates) = hospital_churn_batch(2, 6, 6, 42);
         assert_eq!(updates.len(), 6);
-        let engine = oi.engine();
-        let cached = run_churn_session(&engine, &oi.doc, &updates, true);
-        let uncached = run_churn_session(&engine, &oi.doc, &updates, false);
-        assert_eq!(cached, uncached, "cache must not change results");
+        let cached = run_churn_session(&oi.engine(), &oi.doc, &updates);
+        let uncached = run_churn_session(&oi.engine_uncached(), &oi.doc, &updates);
+        assert_eq!(cached, uncached, "the memo must not change results");
         assert!(
             updates.iter().any(|u| xvu_edit::cost(u) > 0),
             "churn stream produced only identity updates"
@@ -636,11 +567,10 @@ mod tests {
         let graphs = kernel::harvest_graphs(&oi);
         assert!(!graphs.is_empty());
         assert!(graphs.iter().any(|g| g.n_edges() > 0));
-        let mirrors: Vec<_> = graphs.iter().map(kernel::JaggedMirror::of).collect();
         let mut s = xvu_propagate::GraphScratch::default();
-        let jagged = kernel::sum_jagged(&mirrors);
-        assert_eq!(jagged, kernel::sum_csr_fresh(&graphs));
-        assert_eq!(jagged, kernel::sum_csr_pooled(&graphs, &mut s));
+        let fresh = kernel::sum_csr_fresh(&graphs);
+        assert!(fresh > 0);
+        assert_eq!(fresh, kernel::sum_csr_pooled(&graphs, &mut s));
     }
 
     #[test]

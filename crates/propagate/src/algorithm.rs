@@ -10,7 +10,7 @@
 //! With a polynomial `Φ` and an insertlet package `W`, the whole pipeline
 //! is polynomial in `|D| + |t| + |S| + |W|`.
 
-use crate::cache::PropCache;
+use crate::cache::Memo;
 use crate::cost::CostModel;
 use crate::error::PropagateError;
 use crate::forest::PropagationForest;
@@ -100,21 +100,21 @@ pub(crate) fn propagate_with(
     cost: &CostModel<'_>,
     cfg: &Config,
 ) -> Result<Propagation, PropagateError> {
-    propagate_with_cache(inst, cost, cfg, None, None, &mut PropScratch::new(), None)
+    propagate_with_memo(inst, cost, cfg, None, None, &mut PropScratch::new(), None)
 }
 
-/// The cache-aware propagation core: graphs and optimal subgraphs for
-/// nodes outside the update footprint (`fp`'s clean region) are served
-/// from — and stored into — the session's [`PropCache`]. With `cache` /
-/// `fp` absent this is exactly [`propagate_with`]; with them present the
-/// result is byte-identical but the dynamic program is only recomputed
-/// inside the footprint.
+/// The memo-aware propagation core: graphs of nodes outside the update
+/// footprint (`fp`'s clean region) are served from — and stored into —
+/// the engine memo, and their scripts are copied from the source. With
+/// `memo` / `fp` absent this is exactly [`propagate_with`]; with them
+/// present the result is byte-identical but the dynamic program is only
+/// recomputed inside the footprint.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn propagate_with_cache(
+pub(crate) fn propagate_with_memo(
     inst: &Instance<'_>,
     cost: &CostModel<'_>,
     cfg: &Config,
-    mut cache: Option<&mut PropCache>,
+    memo: Option<&mut Memo<'_>>,
     fp: Option<&ScriptFootprint>,
     scratch: &mut PropScratch,
     mut phases: Option<&mut PhaseBreakdown>,
@@ -124,7 +124,7 @@ pub(crate) fn propagate_with_cache(
     let forest = PropagationForest::build_with(
         inst,
         cost,
-        cache.as_deref_mut(),
+        memo,
         fp,
         scratch,
         phases.is_some().then_some(&mut typing_ns),
@@ -147,7 +147,6 @@ pub(crate) fn propagate_with_cache(
         root,
         &mut gen,
         &mut SlotMap::with_capacity(inst.update.size()),
-        cache,
         fp,
         scratch,
     )?;
@@ -190,8 +189,7 @@ pub fn propagate_view_edit(
 ///
 /// `opt_cache` memoises optimal subgraphs per update-tree slot within one
 /// assembly (a node's graph is walked once, but subgraph extraction is
-/// reused by enumeration callers); for clean nodes the extraction is
-/// additionally memoised *across* updates in the session `cache`.
+/// reused by enumeration callers).
 #[allow(clippy::too_many_arguments)]
 fn assemble(
     out: &mut Script,
@@ -202,7 +200,6 @@ fn assemble(
     n: NodeId,
     gen: &mut NodeIdGen,
     opt_cache: &mut SlotMap<Arc<PropGraph>>,
-    mut cache: Option<&mut PropCache>,
     fp: Option<&ScriptFootprint>,
     scratch: &mut PropScratch,
 ) -> Result<(), PropagateError> {
@@ -213,6 +210,8 @@ fn assemble(
     // subtree size, inserts at least 1), so any optimal path reproduces
     // the source child word unchanged, recursively. Copying the source
     // children directly skips the walk and the per-node subgraph machinery.
+    // Every clean node costs 0 (its identity path weighs nothing), so an
+    // optimal subgraph is only ever extracted inside the footprint.
     if fp.is_some_and(|f| f.is_clean(nslot)) && forest.cost(n) == Some(0) {
         for &c in inst.source.children(n) {
             out.append_mapped_subtree(n, inst.source, c, |&l| ELabel::nop(l))?;
@@ -222,33 +221,13 @@ fn assemble(
     let opt: Arc<PropGraph> = match opt_cache.get(nslot) {
         Some(g) => Arc::clone(g),
         None => {
-            // Clean nodes key the session memo by their document slot;
-            // the extraction is a pure function of the (unchanged) graph.
-            let src_slot = if fp.is_some_and(|f| f.is_clean(nslot)) {
-                inst.source.slot(n)
-            } else {
-                None
-            };
-            let memo = match (cache.as_deref_mut(), src_slot) {
-                (Some(c), Some(s)) => c.opt(s),
-                _ => None,
-            };
-            let g = match memo {
-                Some(g) => g,
-                None => {
-                    let g = Arc::new(
-                        forest
-                            .graph(n)
-                            .ok_or(PropagateError::NoPropagationPath(n))?
-                            .optimal_subgraph_with(scratch.graph_mut())
-                            .ok_or(PropagateError::NoPropagationPath(n))?,
-                    );
-                    if let (Some(c), Some(s)) = (cache.as_deref_mut(), src_slot) {
-                        c.store_opt(s, Arc::clone(&g));
-                    }
-                    g
-                }
-            };
+            let g = Arc::new(
+                forest
+                    .graph(n)
+                    .ok_or(PropagateError::NoPropagationPath(n))?
+                    .optimal_subgraph_with(scratch.graph_mut())
+                    .ok_or(PropagateError::NoPropagationPath(n))?,
+            );
             opt_cache.insert(nslot, Arc::clone(&g));
             g
         }
@@ -257,7 +236,7 @@ fn assemble(
         .walk(|g, outs| cfg.selector.pick(g, outs))
         .ok_or(PropagateError::NoPropagationPath(n))?;
     build_script_from_path(
-        out, inst, forest, cost, cfg, n, &opt, &path, gen, opt_cache, cache, fp, scratch,
+        out, inst, forest, cost, cfg, n, &opt, &path, gen, opt_cache, fp, scratch,
     )
 }
 
@@ -278,7 +257,6 @@ pub(crate) fn build_script_from_path(
     path: &[u32],
     gen: &mut NodeIdGen,
     opt_cache: &mut SlotMap<Arc<PropGraph>>,
-    mut cache: Option<&mut PropCache>,
     fp: Option<&ScriptFootprint>,
     scratch: &mut PropScratch,
 ) -> Result<(), PropagateError> {
@@ -316,19 +294,7 @@ pub(crate) fn build_script_from_path(
             PropEdge::NopVisible { tpos, .. } => {
                 let c = t_kids[tpos as usize];
                 out.add_child_with_id(n, c, ELabel::nop(inst.source.label(c)))?;
-                assemble(
-                    out,
-                    inst,
-                    forest,
-                    cost,
-                    cfg,
-                    c,
-                    gen,
-                    opt_cache,
-                    cache.as_deref_mut(),
-                    fp,
-                    scratch,
-                )?;
+                assemble(out, inst, forest, cost, cfg, c, gen, opt_cache, fp, scratch)?;
             }
         }
     }

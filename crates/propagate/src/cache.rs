@@ -1,60 +1,59 @@
-//! Session-persistent propagation caches with commit-time invalidation.
+//! The engine-owned propagation memo: one table, keyed by subtree
+//! structure.
 //!
-//! [`crate::Session::propagate`] recomputes, per update, one dynamic
-//! program per preserved node: a typing run over the node's source
-//! children, a segment decomposition, the propagation graph `G_n`, its
-//! optimal subgraph, and (on demand) its complement-preserving
-//! restriction. For a node whose entire subtree the update leaves alone
-//! (`Nop` throughout — the *clean region* of
-//! [`xvu_edit::script_footprint`]), every one of those artefacts is a pure
-//! function of the node's source subtree: the cheapest propagation is the
-//! identity, the child-cost rows feeding `G_n` are all zero, and no
-//! inserted fragment is in sight.
+//! [`crate::Session::propagate`] runs, per preserved node, a typing run
+//! over the node's source children and builds the propagation graph
+//! `G_n`; [`crate::Session::complement_preserving`] also restricts it to
+//! the complement-preserving edges. For a node whose whole subtree the
+//! update leaves alone — the *clean region* of
+//! [`xvu_edit::script_footprint`] — each of these is a pure function of
+//! the node's source subtree and the engine's `(Σ, D, A)`: the cheapest
+//! propagation is the identity, the child-cost rows feeding `G_n` are all
+//! zero, and no inserted fragment is in sight. A typing run depends on
+//! the source child word alone, so it qualifies for every node.
 //!
-//! [`PropCache`] memoises exactly those artefacts, keyed by the session
-//! document's arena [`Slot`]s. The contract:
+//! # Keying contract
 //!
-//! * **Lookup domain** — an entry for node `n` may only be consulted when
-//!   the current update's footprint marks `n` clean; inside the footprint
-//!   everything is recomputed (and never cached, because it depends on the
-//!   update). Typing runs are the one exception: they depend only on the
-//!   source child word, so they are memoised for dirty nodes too.
-//! * **Invalidation** — [`crate::Session::commit`] applies the committed
-//!   propagation in place and drains the document's dirty journal
-//!   ([`xvu_tree::Tree::drain_dirty_to_root`]); entries for the dirty
-//!   region (every node whose subtree changed: the edited parents plus
-//!   their ancestors up to the root) are dropped, entries for deleted
-//!   nodes disappear with their identifiers, and everything else is
-//!   re-keyed to the document's post-commit slots and carried over.
+//! The engine's [`Interner`] names every subtree shape with an
+//! [`InternId`] (equal ids ⟺ structurally equal subtrees, identifiers
+//! ignored), and the memo is keyed by that name. An entry is stored and
+//! served only for an artefact that depends on nothing but the interned
+//! subtree and the engine: graphs and complement restrictions of clean
+//! nodes, typing runs of any node. Graph edges name children by position
+//! ([`crate::PropEdge`]), so a hit is the very graph a fresh build would
+//! produce, for any node of any document with that shape. Propagations,
+//! counts and enumerations are byte-identical with the memo on or off
+//! ([`crate::EngineBuilder::prop_cache`]).
 //!
-//! Cached graphs are compared-by-construction with the uncached path: a
-//! hit returns the very structure a fresh build would produce (the build
-//! is deterministic in the source subtree), so propagations, counts, and
-//! enumerations are byte-identical with the cache on or off — property
-//! `session_cache_matches_one_shot` in `tests/incremental_cache.rs` pins
-//! this.
+//! # Sessions and commit
 //!
-//! # The shared tier
+//! A session keeps only the intern id of every live node's subtree, a
+//! [`SlotMap`] over its document's arena slots computed at
+//! [`crate::Engine::open`]. Structural keys cannot go stale — an edited
+//! subtree has a *different* id — so nothing is ever invalidated.
+//! [`crate::Session::commit`] maintains the id map alone: surviving ids
+//! are re-keyed to the post-commit slots, and the dirty region (the
+//! edited parents and their ancestors) plus every freshly inserted
+//! subtree is re-interned bottom-up, on an explicit stack.
 //!
-//! Since the positional-edge refactor, every artefact this cache holds
-//! for a *clean* node (plus typing runs for any node) is a pure function
-//! of the node's source-subtree structure and the engine — so on a local
-//! miss the cache consults the engine-owned [`SharedMemoCache`]
-//! (see [`crate::shared`]), keyed by the subtree's
-//! [`InternId`]. Hits are *promoted* into the local slot-keyed table;
-//! misses are built once, stored locally, and buffered for one batched
-//! publication at operation end ([`PropCache::flush_shared`]). The local
-//! `hits`/`misses` counters are unaffected by the shared tier (a shared
-//! hit still counts as a local miss); `shared_hits`/`shared_misses`
-//! observe the second tier. The intern-id map mirrors the document and is
-//! maintained through commit exactly like the entries themselves: drained
-//! by identifier, restored for the clean region, and recomputed
-//! bottom-up for the dirty region and freshly inserted subtrees.
+//! # One backend
+//!
+//! Every session of an engine, and of its clones, shares the table, so
+//! lookups must not serialize the daemon's workers. The table is 16
+//! shards of `RwLock<HashMap>`: a lookup takes one shard read lock and
+//! clones only the artefact it asked for, and a miss stores straight
+//! into its shard under the write lock, so structurally equal nodes met
+//! in one operation are built once. Each operation tallies its graph
+//! hits and misses and adds them to the engine's counters once, when it
+//! ends. A snapshot-swap design (readers probe a frozen
+//! `Arc<HashMap>`, writers clone, merge and swap it) tied this one on
+//! read throughput, but with a store on every miss it would clone the
+//! whole map per store.
 
 use crate::graph::PropGraph;
-use crate::shared::{SharedEntry, SharedMemoCache};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 use xvu_automata::StateId;
 use xvu_tree::{DocTree, InternId, Interner, NodeId, Slot, SlotMap, SlotSet};
 
@@ -63,391 +62,247 @@ use xvu_tree::{DocTree, InternId, Interner, NodeId, Slot, SlotMap, SlotSet};
 /// nondeterministic (that outcome is memoised too).
 pub(crate) type TypingRun = Option<Arc<[StateId]>>;
 
-/// Per-node memoised dynamic-programming artefacts.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct CacheEntry {
-    /// The propagation graph `G_n` and its cheapest path cost (0 for every
-    /// clean node: the identity propagation). Only stored for nodes whose
-    /// subtree the caching update left clean.
-    pub(crate) graph: Option<(Arc<PropGraph>, u64)>,
-    /// The optimal subgraph `G*_n`, filled lazily by script assembly.
-    pub(crate) opt: Option<Arc<PropGraph>>,
-    /// The complement-preserving restriction of `G_n` (all
-    /// invisible-mutation edges removed), filled lazily by
-    /// [`crate::Session::complement_preserving`].
-    pub(crate) complement: Option<Arc<PropGraph>>,
-    /// The typing run over the node's source child word.
-    pub(crate) run: Option<TypingRun>,
+/// One structure's memoised artefacts.
+#[derive(Debug, Default)]
+struct Entry {
+    /// `G_n` and its cheapest path cost (0 for a clean node: the
+    /// identity propagation).
+    graph: Option<(Arc<PropGraph>, u64)>,
+    /// The complement-preserving restriction of `G_n` (every
+    /// invisible-mutation edge removed).
+    complement: Option<Arc<PropGraph>>,
+    /// The typing run over the structure's child word.
+    run: Option<TypingRun>,
 }
 
-/// Observability counters for a session's [`PropCache`], returned by
-/// [`crate::Session::cache_stats`].
+/// Counters of an engine's memo table, returned by
+/// [`crate::Engine::cache_stats`] and summed over every session the engine
+/// (and its clones) opened.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Graph lookups answered from the cache.
+    /// Graph lookups answered from the table.
     pub hits: u64,
-    /// Graph lookups that had to build (and then cached the result).
+    /// Graph lookups that had to build (the result was then stored).
     pub misses: u64,
-    /// Entries dropped by commit-time invalidation (dirty region plus
-    /// deleted nodes).
-    pub invalidated: u64,
-    /// Entries currently held.
+    /// Distinct structures the table holds.
     pub entries: usize,
-    /// Lookups this session answered from the engine's shared memo cache
-    /// (these also count as local `misses`; see the module docs).
-    pub shared_hits: u64,
-    /// Shared-tier consultations that found nothing for the structure.
-    pub shared_misses: u64,
-    /// Entries this session published to the shared tier.
-    pub published: u64,
 }
 
-/// The engine-owned pieces a session cache needs to take part in
-/// fleet-wide sharing: the interner that names structures and the shared
-/// memo table keyed by those names.
-#[derive(Clone, Debug)]
-pub(crate) struct SharedHandle {
-    /// Assigns every subtree its structural [`InternId`].
-    pub(crate) interner: Arc<Interner>,
-    /// The engine-level shared memo table.
-    pub(crate) cache: Arc<SharedMemoCache>,
+impl CacheStats {
+    /// Fraction of graph lookups answered from the table (0 when idle).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
 }
 
-/// The session-persistent memo table. See the module docs for the keying
-/// and invalidation contract.
-#[derive(Clone, Debug)]
-pub struct PropCache {
-    enabled: bool,
-    entries: SlotMap<CacheEntry>,
-    hits: u64,
-    misses: u64,
-    invalidated: u64,
-    /// `Some` when the engine runs a shared tier; `None` → private mode.
-    shared: Option<SharedHandle>,
-    /// Structural id of every live node's subtree (mirrors the document).
-    intern_ids: SlotMap<InternId>,
-    /// Freshly built memos awaiting one batched publication.
-    pending: HashMap<InternId, SharedEntry>,
-    shared_hits: u64,
-    shared_misses: u64,
-    published: u64,
+const SHARD_COUNT: usize = 16;
+
+/// The engine-owned memo: the interner that names subtree structures and
+/// the sharded table keyed by those names. See the [module docs](self).
+#[derive(Debug)]
+pub(crate) struct MemoTable {
+    interner: Interner,
+    shards: [RwLock<HashMap<InternId, Entry>>; SHARD_COUNT],
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
-impl PropCache {
-    /// An empty cache; `enabled = false` makes every lookup a pass-through
-    /// miss that stores nothing (the measured baseline of the `churn`
-    /// benchmark).
-    pub(crate) fn new(enabled: bool) -> PropCache {
-        PropCache {
-            enabled,
-            entries: SlotMap::new(),
-            hits: 0,
-            misses: 0,
-            invalidated: 0,
-            shared: None,
-            intern_ids: SlotMap::new(),
-            pending: HashMap::new(),
-            shared_hits: 0,
-            shared_misses: 0,
-            published: 0,
+impl MemoTable {
+    /// An empty table over a fresh interner.
+    pub(crate) fn new() -> MemoTable {
+        MemoTable {
+            interner: Interner::new(),
+            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
         }
     }
 
-    /// An empty cache wired to the engine's shared tier: interns the whole
-    /// document up front so every node has its structural key.
-    pub(crate) fn with_shared(enabled: bool, handle: SharedHandle, doc: &DocTree) -> PropCache {
-        let intern_ids = handle.interner.intern_doc(doc);
-        PropCache {
-            shared: Some(handle),
-            intern_ids,
-            ..PropCache::new(enabled)
-        }
+    /// The intern id of every node's subtree, keyed by arena slot.
+    pub(crate) fn intern_doc(&self, doc: &DocTree) -> SlotMap<InternId> {
+        self.interner.intern_doc(doc)
     }
 
-    /// Whether lookups and stores are active.
-    pub(crate) fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Enables or disables the cache, dropping all entries either way (a
-    /// re-enabled cache must not serve entries from before the blackout).
-    /// Dropped entries count as invalidated, like [`PropCache::clear`].
-    /// Unpublished pending memos are dropped too; the intern-id map stays
-    /// (it mirrors the document, not the memo state).
-    pub(crate) fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-        self.invalidated += self.entries.len() as u64;
-        self.entries = SlotMap::new();
-        self.pending.clear();
-    }
-
-    /// Current counters.
-    pub(crate) fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            invalidated: self.invalidated,
-            entries: self.entries.len(),
-            shared_hits: self.shared_hits,
-            shared_misses: self.shared_misses,
-            published: self.published,
-        }
-    }
-
-    /// Drops every entry (counters survive).
-    pub(crate) fn clear(&mut self) {
-        self.invalidated += self.entries.len() as u64;
-        self.entries = SlotMap::new();
-        self.pending.clear();
-    }
-
-    /// Consults the engine's shared tier for one artefact of the node at
-    /// `slot`, counting the outcome here and in the engine's fleet-wide
-    /// tallies. `None` without counting when the session runs private.
-    fn shared_lookup<T>(
-        &mut self,
-        slot: Slot,
-        pick: impl FnOnce(&SharedEntry) -> Option<T>,
-    ) -> Option<T> {
-        let handle = self.shared.as_ref()?;
-        let id = *self.intern_ids.get(slot)?;
-        let found = handle.cache.get(id).as_ref().and_then(pick);
-        handle.cache.record_lookup(found.is_some());
-        match found {
-            Some(v) => {
-                self.shared_hits += 1;
-                Some(v)
-            }
-            None => {
-                self.shared_misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Buffers one artefact of the node at `slot` for publication to the
-    /// shared tier (no-op in private mode). Callers uphold the keying
-    /// contract: graphs/opt/complement only for clean nodes, runs always.
-    fn pend(&mut self, slot: Slot, fill: impl FnOnce(&mut SharedEntry)) {
-        if self.shared.is_none() {
-            return;
-        }
-        if let Some(&id) = self.intern_ids.get(slot) {
-            fill(self.pending.entry(id).or_default());
-        }
-    }
-
-    /// Publishes the pending batch to the engine's shared tier. Called at
-    /// operation end and at commit; a warm session has nothing pending, so
-    /// the steady state performs zero shared-tier writes.
-    pub(crate) fn flush_shared(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.pending);
-        if let Some(handle) = &self.shared {
-            self.published += batch.len() as u64;
-            handle.cache.publish(batch);
-        }
-    }
-
-    fn entry_mut(&mut self, slot: Slot) -> &mut CacheEntry {
-        if !self.entries.contains(slot) {
-            self.entries.insert(slot, CacheEntry::default());
-        }
-        self.entries.get_mut(slot).expect("just inserted")
-    }
-
-    /// The cached graph (and its cost) for the node at `slot`, counting
-    /// the lookup. On a local miss, falls through to the shared tier and
-    /// promotes a hit into the local table.
-    pub(crate) fn graph(&mut self, slot: Slot) -> Option<(Arc<PropGraph>, u64)> {
-        if !self.enabled {
-            return None;
-        }
-        if let Some(hit) = self.entries.get(slot).and_then(|e| e.graph.clone()) {
-            self.hits += 1;
-            return Some(hit);
-        }
-        self.misses += 1;
-        if let Some(hit) = self.shared_lookup(slot, |e| e.graph.clone()) {
-            self.entry_mut(slot).graph = Some(hit.clone());
-            return Some(hit);
-        }
-        None
-    }
-
-    /// Stores the freshly built graph for the node at `slot`.
-    pub(crate) fn store_graph(&mut self, slot: Slot, graph: Arc<PropGraph>, cost: u64) {
-        if self.enabled {
-            self.entry_mut(slot).graph = Some((Arc::clone(&graph), cost));
-            self.pend(slot, |p| p.graph = Some((graph, cost)));
-        }
-    }
-
-    /// The memoised optimal subgraph for the node at `slot` (local first,
-    /// then the shared tier, promoting hits).
-    pub(crate) fn opt(&mut self, slot: Slot) -> Option<Arc<PropGraph>> {
-        if !self.enabled {
-            return None;
-        }
-        if let Some(hit) = self.entries.get(slot).and_then(|e| e.opt.clone()) {
-            return Some(hit);
-        }
-        if let Some(hit) = self.shared_lookup(slot, |e| e.opt.clone()) {
-            self.entry_mut(slot).opt = Some(Arc::clone(&hit));
-            return Some(hit);
-        }
-        None
-    }
-
-    /// Memoises the optimal subgraph for the node at `slot`.
-    pub(crate) fn store_opt(&mut self, slot: Slot, opt: Arc<PropGraph>) {
-        if self.enabled {
-            self.entry_mut(slot).opt = Some(Arc::clone(&opt));
-            self.pend(slot, |p| p.opt = Some(opt));
-        }
-    }
-
-    /// The memoised complement-preserving restriction for the node at
-    /// `slot` (local first, then the shared tier, promoting hits).
-    pub(crate) fn complement(&mut self, slot: Slot) -> Option<Arc<PropGraph>> {
-        if !self.enabled {
-            return None;
-        }
-        if let Some(hit) = self.entries.get(slot).and_then(|e| e.complement.clone()) {
-            return Some(hit);
-        }
-        if let Some(hit) = self.shared_lookup(slot, |e| e.complement.clone()) {
-            self.entry_mut(slot).complement = Some(Arc::clone(&hit));
-            return Some(hit);
-        }
-        None
-    }
-
-    /// Memoises the complement-preserving restriction for the node at
-    /// `slot`.
-    pub(crate) fn store_complement(&mut self, slot: Slot, g: Arc<PropGraph>) {
-        if self.enabled {
-            self.entry_mut(slot).complement = Some(Arc::clone(&g));
-            self.pend(slot, |p| p.complement = Some(g));
-        }
-    }
-
-    /// The memoised typing run for the node at `slot`, computing and
-    /// storing it on first use. With the cache disabled, just computes.
-    /// Runs depend only on the source child word, so the shared tier is
-    /// consulted (and fed) for dirty nodes too.
-    pub(crate) fn run_or_compute(
-        &mut self,
-        slot: Slot,
-        compute: impl FnOnce() -> Option<Vec<StateId>>,
-    ) -> TypingRun {
-        if !self.enabled {
-            return compute().map(Arc::from);
-        }
-        if let Some(run) = self.entries.get(slot).and_then(|e| e.run.clone()) {
-            return run;
-        }
-        if let Some(run) = self.shared_lookup(slot, |e| e.run.clone()) {
-            self.entry_mut(slot).run = Some(run.clone());
-            return run;
-        }
-        let run: TypingRun = compute().map(Arc::from);
-        self.entry_mut(slot).run = Some(run.clone());
-        self.pend(slot, |p| p.run = Some(run.clone()));
-        run
-    }
-
-    /// Commit support, step 1: removes every entry and returns it keyed by
-    /// node *identifier* (resolved against the pre-commit document), so
-    /// entries survive the slot relocations of the in-place commit.
-    pub(crate) fn drain_entries(&mut self, doc: &DocTree) -> Vec<(NodeId, CacheEntry)> {
-        let entries = std::mem::replace(&mut self.entries, SlotMap::new());
-        entries
-            .iter()
-            .map(|(slot, e)| (doc.id_at(slot), e.clone()))
-            .collect()
-    }
-
-    /// Commit support, step 2: re-inserts the drained entries against the
-    /// post-commit document, dropping entries whose node was deleted or
-    /// whose post-commit slot lies in `dirty` (the committed script's
-    /// dirty region: edited parents and all their ancestors).
-    pub(crate) fn restore_entries(
-        &mut self,
-        doc: &DocTree,
-        kept: Vec<(NodeId, CacheEntry)>,
-        dirty: &SlotSet,
-    ) {
-        for (id, entry) in kept {
-            match doc.slot(id) {
-                Some(slot) if !dirty.contains(slot) => {
-                    self.entries.insert(slot, entry);
-                }
-                _ => self.invalidated += 1,
-            }
-        }
-    }
-
-    /// Commit support for the intern-id map, step 1: removes every
-    /// structural id and returns it keyed by node identifier (resolved
-    /// against the pre-commit document). Empty in private mode.
-    pub(crate) fn drain_intern_ids(&mut self, doc: &DocTree) -> Vec<(NodeId, InternId)> {
-        let ids = std::mem::replace(&mut self.intern_ids, SlotMap::new());
-        ids.iter()
-            .map(|(slot, &id)| (doc.id_at(slot), id))
-            .collect()
-    }
-
-    /// Commit support for the intern-id map, step 2: re-keys the surviving
-    /// clean-region ids to post-commit slots, then re-interns the dirty
-    /// region and every freshly inserted subtree bottom-up from the root
-    /// (a node outside `dirty` with a surviving id has an unchanged
-    /// subtree, so the walk stops there).
-    pub(crate) fn restore_intern_ids(
-        &mut self,
+    /// Commit support: the post-commit id map. `kept` holds the
+    /// pre-commit ids keyed by node identifier (slots move during the
+    /// in-place apply); ids of deleted nodes and of the `dirty` region
+    /// (edited parents plus all their ancestors) are dropped, the rest are
+    /// re-keyed to `doc`'s slots, and everything missing is re-interned.
+    pub(crate) fn rekey(
+        &self,
         doc: &DocTree,
         kept: Vec<(NodeId, InternId)>,
-        dirty: &SlotSet,
-    ) {
-        let Some(handle) = &self.shared else {
-            return;
-        };
-        for (id, intern) in kept {
-            match doc.slot(id) {
-                Some(slot) if !dirty.contains(slot) => {
-                    self.intern_ids.insert(slot, intern);
+        dirty: &[NodeId],
+    ) -> SlotMap<InternId> {
+        let mut stale = SlotSet::with_capacity(doc.size());
+        for &n in dirty {
+            if let Some(slot) = doc.slot(n) {
+                stale.insert(slot);
+            }
+        }
+        let mut ids = SlotMap::with_capacity(doc.size());
+        for (n, id) in kept {
+            match doc.slot(n) {
+                Some(slot) if !stale.contains(slot) => {
+                    ids.insert(slot, id);
                 }
                 _ => {}
             }
         }
-        let interner = Arc::clone(&handle.interner);
-        refresh_intern(&interner, doc, doc.root(), &mut self.intern_ids);
+        reintern(&self.interner, doc, &mut ids);
+        ids
+    }
+
+    fn shard(&self, id: InternId) -> &RwLock<HashMap<InternId, Entry>> {
+        // Intern ids are dense allocation counters: low bits spread well.
+        &self.shards[id.get() as usize % SHARD_COUNT]
+    }
+
+    /// Clones one artefact of `id`'s entry, under the shard read lock.
+    fn get<T>(&self, id: InternId, pick: impl FnOnce(&Entry) -> Option<T>) -> Option<T> {
+        let shard = self
+            .shard(id)
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        shard.get(&id).and_then(pick)
+    }
+
+    /// Stores one artefact of `id`'s entry unless one is already there.
+    /// Every writer computes the same value for a key, so keeping the
+    /// incumbent is as good as replacing it.
+    fn put<T>(&self, id: InternId, field: impl FnOnce(&mut Entry) -> &mut Option<T>, value: T) {
+        let mut shard = self
+            .shard(id)
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        field(shard.entry(id).or_default()).get_or_insert(value);
+    }
+
+    /// The counters so far.
+    pub(crate) fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self
+                .shards
+                .iter()
+                .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
+                .sum(),
+        }
     }
 }
 
-/// Recomputes the structural id of `n`'s subtree, reusing surviving ids:
-/// a node that still has an entry kept its whole subtree, so recursion
-/// stops there.
-fn refresh_intern(
-    interner: &Interner,
-    doc: &DocTree,
-    n: NodeId,
-    ids: &mut SlotMap<InternId>,
-) -> InternId {
-    let slot = doc.slot(n).expect("refresh walks live nodes");
-    if let Some(&id) = ids.get(slot) {
-        return id;
+/// Interns every live node of `doc` that has no id in `ids`, bottom-up.
+/// A node that still has an id kept its whole subtree, so the walk does
+/// not descend below it. The postorder runs on an explicit stack: a deep
+/// document costs heap, not call stack.
+pub(crate) fn reintern(interner: &Interner, doc: &DocTree, ids: &mut SlotMap<InternId>) {
+    let slot = |n: NodeId| doc.slot(n).expect("the walk visits live nodes");
+    if ids.contains(slot(doc.root())) {
+        return;
     }
-    let mut kid_ids = Vec::with_capacity(doc.children(n).len());
-    for i in 0..doc.children(n).len() {
-        let child = doc.children(n)[i];
-        kid_ids.push(refresh_intern(interner, doc, child, ids));
+    // `(node, children pushed)`: a node is interned on its second pop,
+    // after every child below it on the stack.
+    let mut stack = vec![(doc.root(), false)];
+    let mut scratch = Vec::new();
+    while let Some((n, expanded)) = stack.pop() {
+        if expanded {
+            let id = interner.intern_node(doc, n, ids, &mut scratch);
+            ids.insert(slot(n), id);
+            continue;
+        }
+        stack.push((n, true));
+        for &c in doc.children(n).iter().rev() {
+            if !ids.contains(slot(c)) {
+                stack.push((c, false));
+            }
+        }
     }
-    let id = interner.intern(doc.label(n), &kid_ids);
-    ids.insert(slot, id);
-    id
+}
+
+/// One operation's view of the memo: the engine's table, the session's
+/// intern ids, and the operation's graph hit/miss tally, which is added
+/// to the engine's counters once, when the operation ends.
+pub(crate) struct Memo<'a> {
+    table: &'a MemoTable,
+    ids: &'a SlotMap<InternId>,
+    hits: u64,
+    misses: u64,
+}
+
+impl<'a> Memo<'a> {
+    /// Looks up through `table` for the document whose intern ids are
+    /// `ids`.
+    pub(crate) fn new(table: &'a MemoTable, ids: &'a SlotMap<InternId>) -> Memo<'a> {
+        Memo {
+            table,
+            ids,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    /// The structure of the document node at `slot` (every live node has
+    /// one).
+    fn id(&self, slot: Slot) -> InternId {
+        self.ids[slot]
+    }
+
+    /// The memoised graph (and its cost) of the node at `slot`, counting
+    /// the lookup.
+    pub(crate) fn graph(&mut self, slot: Slot) -> Option<(Arc<PropGraph>, u64)> {
+        let hit = self.table.get(self.id(slot), |e| e.graph.clone());
+        if hit.is_some() {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+        hit
+    }
+
+    /// Stores the freshly built graph of the clean node at `slot`.
+    pub(crate) fn store_graph(&self, slot: Slot, graph: Arc<PropGraph>, cost: u64) {
+        self.table
+            .put(self.id(slot), |e| &mut e.graph, (graph, cost));
+    }
+
+    /// The memoised complement restriction of the node at `slot`.
+    pub(crate) fn complement(&self, slot: Slot) -> Option<Arc<PropGraph>> {
+        self.table.get(self.id(slot), |e| e.complement.clone())
+    }
+
+    /// Stores the complement restriction of the clean node at `slot`.
+    pub(crate) fn store_complement(&self, slot: Slot, g: Arc<PropGraph>) {
+        self.table.put(self.id(slot), |e| &mut e.complement, g);
+    }
+
+    /// The memoised typing run of the node at `slot`, computed and stored
+    /// on first use.
+    pub(crate) fn run_or_compute(
+        &self,
+        slot: Slot,
+        compute: impl FnOnce() -> Option<Vec<StateId>>,
+    ) -> TypingRun {
+        let id = self.id(slot);
+        if let Some(run) = self.table.get(id, |e| e.run.clone()) {
+            return run;
+        }
+        let run: TypingRun = compute().map(Arc::from);
+        self.table.put(id, |e| &mut e.run, run.clone());
+        run
+    }
+}
+
+impl Drop for Memo<'_> {
+    fn drop(&mut self) {
+        self.table.hits.fetch_add(self.hits, Ordering::Relaxed);
+        self.table.misses.fetch_add(self.misses, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
@@ -470,59 +325,118 @@ mod tests {
         Arc::new(g)
     }
 
-    #[test]
-    fn disabled_cache_stores_nothing() {
-        let mut c = PropCache::new(false);
-        c.store_graph(Slot::new(0), stub_graph(), 0);
-        assert!(c.graph(Slot::new(0)).is_none());
-        assert_eq!(c.stats().entries, 0);
-        assert_eq!(c.stats().hits, 0);
-        // the miss counter is also idle while disabled
-        assert_eq!(c.stats().misses, 0);
+    /// A table plus the intern ids of `term`.
+    fn table_for(term: &str) -> (MemoTable, DocTree, SlotMap<InternId>) {
+        let mut alpha = Alphabet::new();
+        let mut gen = NodeIdGen::new();
+        let doc = parse_term_with_ids(&mut alpha, &mut gen, term).unwrap();
+        let table = MemoTable::new();
+        let ids = table.intern_doc(&doc);
+        (table, doc, ids)
     }
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let mut c = PropCache::new(true);
-        assert!(c.graph(Slot::new(3)).is_none());
-        c.store_graph(Slot::new(3), stub_graph(), 0);
-        assert!(c.graph(Slot::new(3)).is_some());
-        let s = c.stats();
+        // a#1 and a#2 share a structure: the graph stored for one serves
+        // the other.
+        let (table, doc, ids) = table_for("r#0(a#1, a#2)");
+        let slot = |n: u64| doc.slot(NodeId(n)).unwrap();
+        {
+            let mut memo = Memo::new(&table, &ids);
+            assert!(memo.graph(slot(1)).is_none());
+            memo.store_graph(slot(1), stub_graph(), 0);
+            assert!(memo.graph(slot(2)).is_some(), "equal structure hits");
+            assert_eq!(table.stats().hits, 0, "tallied until the operation ends");
+        }
+        let s = table.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert!((s.hit_rate() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn merge_is_first_writer_wins_per_field() {
+        let (table, doc, ids) = table_for("r#0(a#1)");
+        let a = doc.slot(NodeId(1)).unwrap();
+        let memo = Memo::new(&table, &ids);
+        memo.store_graph(a, stub_graph(), 7);
+        memo.store_graph(a, stub_graph(), 99);
+        memo.store_complement(a, stub_graph());
+        drop(memo);
+        let mut memo = Memo::new(&table, &ids);
+        assert_eq!(memo.graph(a).unwrap().1, 7, "the first store wins");
+        assert!(memo.complement(a).is_some(), "other artefacts fill in");
+        assert!(memo.complement(doc.slot(NodeId(0)).unwrap()).is_none());
+        assert_eq!(table.stats().entries, 1);
+    }
+
+    #[test]
+    fn disabled_cache_stores_nothing() {
+        // With the memo off the engine has no table: propagating, committing
+        // and searching for a complement-preserving propagation leave every
+        // counter idle, misses included.
+        let fx = crate::fixtures::paper_running_example();
+        let engine = crate::Engine::builder()
+            .alphabet(fx.alpha.clone())
+            .dtd(fx.dtd.clone())
+            .annotation(fx.ann.clone())
+            .prop_cache(false)
+            .build()
+            .unwrap();
+        let mut session = engine.open(&fx.t0).unwrap();
+        let prop = session.propagate(&fx.s0).unwrap();
+        session.commit(&prop).unwrap();
+        let identity = xvu_edit::nop_script(session.view());
+        session.propagate(&identity).unwrap();
+        session.complement_preserving(&identity).unwrap();
+        assert_eq!(engine.cache_stats(), CacheStats::default());
     }
 
     #[test]
     fn drain_restore_rekeys_by_identifier_and_drops_dirty() {
+        // Commit drains a session's ids keyed by identifier, applies the
+        // edit in place (slots move), and restores them through `rekey`.
         let mut alpha = Alphabet::new();
         let mut gen = NodeIdGen::new();
-        let before = parse_term_with_ids(&mut alpha, &mut gen, "r#0(a#1, b#2)").unwrap();
-        let mut c = PropCache::new(true);
-        for id in [0u64, 1, 2] {
-            c.store_graph(before.slot(NodeId(id)).unwrap(), stub_graph(), 0);
-        }
-        let kept = c.drain_entries(&before);
-        assert_eq!(c.stats().entries, 0);
-        // after "commit": b#2 deleted, a#1's slot moved, r#0 dirty
-        let mut after = parse_term_with_ids(&mut alpha, &mut gen, "r#0(a#1)").unwrap();
-        let _ = &mut after;
-        let mut dirty = SlotSet::new();
-        dirty.insert(after.slot(NodeId(0)).unwrap());
-        c.restore_entries(&after, kept, &dirty);
-        let s = c.stats();
-        assert_eq!(s.entries, 1, "only a#1 survives");
-        assert_eq!(s.invalidated, 2, "r#0 dirty, b#2 deleted");
-        assert!(c.graph(after.slot(NodeId(1)).unwrap()).is_some());
+        let before = parse_term_with_ids(&mut alpha, &mut gen, "r#0(b#2, a#1(c#3))").unwrap();
+        let table = MemoTable::new();
+        let old = table.intern_doc(&before);
+        let kept: Vec<(NodeId, InternId)> =
+            old.iter().map(|(s, &id)| (before.id_at(s), id)).collect();
+        let old_id = |n: u64| old[before.slot(NodeId(n)).unwrap()];
+        // after "commit": b#2 deleted, a#1 and c#3 moved to other slots,
+        // r#0 dirty
+        let after = parse_term_with_ids(&mut alpha, &mut gen, "r#0(a#1(c#3))").unwrap();
+        let slot = |n: u64| after.slot(NodeId(n)).unwrap();
+        assert_ne!(slot(1), before.slot(NodeId(1)).unwrap(), "a#1 moved");
+        let ids = table.rekey(&after, kept, &[NodeId(0)]);
+        assert_eq!(
+            ids.len(),
+            after.size(),
+            "b#2 is gone, every live node has an id"
+        );
+        // a#1 and c#3 carry their pre-commit ids to their new slots…
+        assert_eq!(ids[slot(1)], old_id(1));
+        assert_eq!(ids[slot(3)], old_id(3));
+        // …while the dirty r#0 is re-interned to its new structure
+        assert_ne!(ids[slot(0)], old_id(0));
+        let fresh = table.intern_doc(&after);
+        assert!(after.postorder().all(|n| {
+            let s = after.slot(n).unwrap();
+            ids.get(s) == fresh.get(s)
+        }));
     }
 
     #[test]
     fn run_memo_computes_once() {
-        let mut c = PropCache::new(true);
+        let (table, doc, ids) = table_for("r#0(a#1, b#2)");
+        let memo = Memo::new(&table, &ids);
+        let (a, b) = (doc.slot(NodeId(1)).unwrap(), doc.slot(NodeId(2)).unwrap());
         let mut calls = 0;
-        let r1 = c.run_or_compute(Slot::new(0), || {
+        let r1 = memo.run_or_compute(a, || {
             calls += 1;
             Some(vec![StateId(1), StateId(2)])
         });
-        let r2 = c.run_or_compute(Slot::new(0), || {
+        let r2 = memo.run_or_compute(a, || {
             calls += 1;
             None
         });
@@ -530,15 +444,87 @@ mod tests {
         assert_eq!(r1.as_deref(), Some(&[StateId(1), StateId(2)][..]));
         assert_eq!(r1, r2);
         // nondeterministic outcomes are memoised too
-        let r3 = c.run_or_compute(Slot::new(1), || {
+        let r3 = memo.run_or_compute(b, || {
             calls += 1;
             None
         });
-        let r4 = c.run_or_compute(Slot::new(1), || {
+        let r4 = memo.run_or_compute(b, || {
             calls += 1;
             Some(vec![])
         });
         assert_eq!(calls, 2);
         assert!(r3.is_none() && r4.is_none());
+    }
+
+    #[test]
+    fn concurrent_readers_and_writers_stay_coherent() {
+        // 64 distinct structures: a chain of 64 nested labels.
+        let mut term = String::new();
+        for i in 0..64 {
+            term.push_str(&format!("x{i}#{i}("));
+        }
+        term.push_str("y#64");
+        term.push_str(&")".repeat(64));
+        let (table, doc, ids) = table_for(&term);
+        let slots: Vec<Slot> = (0..64).map(|n| doc.slot(NodeId(n)).unwrap()).collect();
+        std::thread::scope(|scope| {
+            for w in 0..4usize {
+                let (table, ids, slots) = (&table, &ids, &slots);
+                scope.spawn(move || {
+                    let mut memo = Memo::new(table, ids);
+                    for (i, &s) in slots.iter().enumerate() {
+                        if i % 4 == w {
+                            memo.store_graph(s, stub_graph(), i as u64);
+                        } else {
+                            // readers interleave with writers
+                            let _ = memo.graph(s);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(table.stats().entries, 64, "every structure stored once");
+        let mut memo = Memo::new(&table, &ids);
+        for (i, &s) in slots.iter().enumerate() {
+            assert_eq!(memo.graph(s).expect("stored").1, i as u64);
+        }
+    }
+
+    #[test]
+    fn reintern_is_stack_safe_on_a_100k_level_chain() {
+        // a chain one node per level, a leaf edit at the bottom, and the
+        // commit-time re-intern walk on a thread with a 256 KiB stack
+        let mut alpha = Alphabet::new();
+        let (a, b) = (alpha.intern("a"), alpha.intern("b"));
+        let mut gen = NodeIdGen::new();
+        let mut doc = DocTree::leaf(&mut gen, a);
+        let mut leaf = doc.root();
+        for _ in 0..100_000 {
+            leaf = doc.add_child(leaf, &mut gen, a);
+        }
+        let interner = Interner::new();
+        let mut ids = interner.intern_doc(&doc);
+        doc.set_change_tracking(true);
+        doc.add_child(leaf, &mut gen, b);
+        // the edited leaf and every ancestor lose their ids, as at commit
+        for n in doc.drain_dirty_to_root() {
+            ids.remove(doc.slot(n).unwrap());
+        }
+        assert_eq!(ids.len(), 0, "the whole chain is dirty");
+        let (doc, ids) = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                reintern(&interner, &doc, &mut ids);
+                let expected = interner.intern_doc(&doc);
+                assert!(doc.postorder().all(|n| {
+                    let s = doc.slot(n).unwrap();
+                    ids.get(s) == expected.get(s)
+                }));
+                (doc, ids)
+            })
+            .unwrap()
+            .join()
+            .expect("re-interning must not overflow the stack");
+        assert_eq!(ids.len(), doc.size());
     }
 }

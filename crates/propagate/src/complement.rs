@@ -15,7 +15,7 @@
 //!   complement-preserving propagation iff one exists.
 
 use crate::algorithm::{build_script_from_path, Config};
-use crate::cache::PropCache;
+use crate::cache::Memo;
 use crate::cost::CostModel;
 use crate::error::PropagateError;
 use crate::forest::PropagationForest;
@@ -93,18 +93,18 @@ pub fn find_complement_preserving(
     find_complement_preserving_with(inst, forest, cost, cfg, None, None, &mut PropScratch::new())
 }
 
-/// Cache-aware [`find_complement_preserving`]: the filtered ("complement")
+/// Memo-aware [`find_complement_preserving`]: the filtered ("complement")
 /// subgraph of every node outside the update footprint is memoised in the
-/// session [`PropCache`]. A clean node's restriction is a pure function of
-/// its (unchanged) graph, and the identity path — all (iii)/(vi) `Nop`
-/// edges — always survives the filter, so clean nodes are feasible by
-/// construction.
+/// engine memo under the node's structure. A clean node's restriction is
+/// a pure function of its graph, and the identity path — all (iii)/(vi)
+/// `Nop` edges — always survives the filter, so clean nodes are feasible
+/// by construction.
 pub(crate) fn find_complement_preserving_with(
     inst: &Instance<'_>,
     forest: &PropagationForest,
     cost: &CostModel<'_>,
     cfg: &Config,
-    mut cache: Option<&mut PropCache>,
+    memo: Option<&Memo<'_>>,
     fp: Option<&ScriptFootprint>,
     scratch: &mut PropScratch,
 ) -> Result<Option<Script>, PropagateError> {
@@ -125,11 +125,11 @@ pub(crate) fn find_complement_preserving_with(
         let s_kids = update.children(n);
         let clean = fp.is_some_and(|f| f.is_clean(nslot));
         let src_slot = if clean { inst.source.slot(n) } else { None };
-        let memo = match (cache.as_deref_mut(), src_slot) {
-            (Some(c), Some(s)) => c.complement(s),
+        let hit = match (memo, src_slot) {
+            (Some(m), Some(s)) => m.complement(s),
             _ => None,
         };
-        let fg: Arc<PropGraph> = match memo {
+        let fg: Arc<PropGraph> = match hit {
             Some(fg) => {
                 // Memoised restrictions exist only for clean nodes, whose
                 // identity path survives the filter.
@@ -170,9 +170,9 @@ pub(crate) fn find_complement_preserving_with(
                     feasible.insert(nslot);
                 }
                 let fg = Arc::new(fg);
-                if let (Some(c), Some(s)) = (cache.as_deref_mut(), src_slot) {
+                if let (Some(m), Some(s)) = (memo, src_slot) {
                     debug_assert!(node_feasible, "clean nodes keep their identity path");
-                    c.store_complement(s, Arc::clone(&fg));
+                    m.store_complement(s, Arc::clone(&fg));
                 }
                 fg
             }
@@ -233,7 +233,6 @@ fn walk_filtered(
         &path,
         gen,
         opt_cache,
-        None,
         None,
         scratch,
     )?;

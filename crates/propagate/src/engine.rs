@@ -59,8 +59,8 @@
 //! assert_eq!(session.commits(), 1);
 //! ```
 
-use crate::algorithm::{propagate_with, propagate_with_cache, Config, PhaseBreakdown, Propagation};
-use crate::cache::{CacheStats, PropCache, SharedHandle};
+use crate::algorithm::{propagate_with, propagate_with_memo, Config, PhaseBreakdown, Propagation};
+use crate::cache::{CacheStats, Memo, MemoTable};
 use crate::complement::find_complement_preserving_with;
 use crate::cost::CostModel;
 use crate::count::count_optimal_propagations;
@@ -70,24 +70,22 @@ use crate::forest::PropagationForest;
 use crate::incremental::revalidate_with;
 use crate::instance::{Instance, Prepared};
 use crate::scratch::PropScratch;
-use crate::shared::{SharedCacheBackend, SharedCacheStats, SharedMemoCache};
 use crate::verify::verify_propagation;
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use xvu_dtd::{min_sizes, Dtd, InsertletPackage, MinSizes};
 use xvu_edit::{apply_in_place, script_footprint, EditError, Script};
-use xvu_tree::{Alphabet, DocTree, Interner, NodeIdGen, SlotSet};
+use xvu_tree::{Alphabet, DocTree, InternId, NodeId, NodeIdGen, SlotMap};
 use xvu_view::{derive_view_dtd, Annotation};
 
 /// A compiled `(Σ, D, A)` triple with every update-independent artefact
 /// precomputed. Build one with [`Engine::builder`]; open documents with
 /// [`Engine::open`].
 ///
-/// The engine also owns the fleet-wide state of the memo hierarchy: the
-/// [`Interner`] naming subtree structures and the [`SharedMemoCache`]
-/// serving structure-keyed memos to every session it opens (clones of an
-/// engine share both). See [`crate::shared`].
+/// The engine also owns the propagation memo: the interner naming subtree
+/// structures and the table of per-structure artefacts, serving every
+/// session it opens (clones of an engine share it). See [`crate::cache`].
 #[derive(Clone, Debug)]
 pub struct Engine {
     alpha: Alphabet,
@@ -97,10 +95,8 @@ pub struct Engine {
     sizes: MinSizes,
     insertlets: InsertletPackage,
     config: Config,
-    prop_cache: bool,
-    shared_cache: bool,
-    interner: Arc<Interner>,
-    shared: Arc<SharedMemoCache>,
+    /// `None` when [`EngineBuilder::prop_cache`] turned the memo off.
+    memo: Option<Arc<MemoTable>>,
 }
 
 /// Builder for [`Engine`]; see [`Engine::builder`].
@@ -113,8 +109,6 @@ pub struct EngineBuilder {
     config: Config,
     minimal_insertlets: bool,
     prop_cache: Option<bool>,
-    shared_cache: Option<bool>,
-    shared_backend: SharedCacheBackend,
 }
 
 impl EngineBuilder {
@@ -160,31 +154,13 @@ impl EngineBuilder {
         self
     }
 
-    /// Whether sessions opened by this engine keep a per-document
-    /// [`PropCache`] of propagation-graph state across updates (default:
-    /// `true`). Disable it to measure the uncached baseline or to trade
-    /// the memory for recomputation; results are identical either way.
+    /// Whether the engine keeps the structure-keyed propagation memo
+    /// shared by every session it opens (default: `true`; see
+    /// [`crate::cache`]). Disable it to measure the unmemoised baseline or
+    /// to trade the memory for recomputation; results are byte-identical
+    /// either way.
     pub fn prop_cache(mut self, on: bool) -> Self {
         self.prop_cache = Some(on);
-        self
-    }
-
-    /// Whether sessions take part in the engine-level [`SharedMemoCache`]
-    /// — structure-keyed memos shared across every session and document
-    /// this engine opens (default: `true`; see [`crate::shared`]).
-    /// Results are byte-identical with sharing on or off; only the work
-    /// performed differs. Has no effect while the session cache itself is
-    /// disabled.
-    pub fn shared_cache(mut self, on: bool) -> Self {
-        self.shared_cache = Some(on);
-        self
-    }
-
-    /// The concurrency backend of the shared memo cache (default:
-    /// [`SharedCacheBackend::Sharded`]; see [`crate::shared`] for the
-    /// head-to-head).
-    pub fn shared_cache_backend(mut self, backend: SharedCacheBackend) -> Self {
-        self.shared_backend = backend;
         self
     }
 
@@ -235,10 +211,10 @@ impl EngineBuilder {
             sizes,
             insertlets,
             config: self.config,
-            prop_cache: self.prop_cache.unwrap_or(true),
-            shared_cache: self.shared_cache.unwrap_or(true),
-            interner: Arc::new(Interner::new()),
-            shared: Arc::new(SharedMemoCache::new(self.shared_backend)),
+            memo: self
+                .prop_cache
+                .unwrap_or(true)
+                .then(|| Arc::new(MemoTable::new())),
         })
     }
 }
@@ -307,57 +283,44 @@ impl Engine {
         }
     }
 
-    /// Whether sessions of this engine take part in the shared memo
-    /// cache ([`EngineBuilder::shared_cache`]).
-    pub fn shared_cache_enabled(&self) -> bool {
-        self.shared_cache
+    /// Counters of the engine's propagation memo, summed over every
+    /// session this engine (and its clones) opened. All zeros with the
+    /// memo off ([`EngineBuilder::prop_cache`]).
+    pub fn cache_stats(&self) -> CacheStats {
+        self.memo
+            .as_deref()
+            .map_or_else(CacheStats::default, MemoTable::stats)
     }
 
-    /// Fleet-wide counters of the engine's [`SharedMemoCache`],
-    /// aggregated over every session this engine (and its clones) opened.
-    /// All zeros when sharing is disabled or nothing has been served yet.
-    pub fn shared_cache_stats(&self) -> SharedCacheStats {
-        self.shared.stats()
-    }
-
-    /// The concurrency backend the shared memo cache runs on.
-    pub fn shared_cache_backend(&self) -> SharedCacheBackend {
-        self.shared.backend()
+    /// Whether the engine keeps the propagation memo.
+    pub(crate) fn memo_enabled(&self) -> bool {
+        self.memo.is_some()
     }
 
     /// Validates `doc ∈ L(D)` once and opens a session serving repeated
     /// updates against it.
     ///
-    /// The session's copy of the document runs with change tracking on:
-    /// [`Session::commit`] applies propagations in place and drains the
-    /// dirty journal to invalidate exactly the changed region of the
-    /// session's [`PropCache`].
+    /// The session interns its document up front, so every node carries
+    /// its structural memo key from the first update on, and runs its copy
+    /// of the document with change tracking on: [`Session::commit`]
+    /// applies propagations in place and drains the dirty journal to
+    /// re-intern exactly the changed region.
     pub fn open(&self, doc: &DocTree) -> Result<Session<'_>, PropagateError> {
         self.dtd
             .validate(doc)
             .map_err(PropagateError::SourceNotValid)?;
         let mut doc = doc.clone();
         doc.set_change_tracking(true);
-        // Sessions of a sharing engine intern the document up front so
-        // every node carries its structural key from the first update on.
-        let cache = if self.shared_cache {
-            PropCache::with_shared(
-                self.prop_cache,
-                SharedHandle {
-                    interner: Arc::clone(&self.interner),
-                    cache: Arc::clone(&self.shared),
-                },
-                &doc,
-            )
-        } else {
-            PropCache::new(self.prop_cache)
-        };
+        let intern_ids = self
+            .memo
+            .as_deref()
+            .map_or_else(SlotMap::new, |m| m.intern_doc(&doc));
         Ok(Session {
             engine: self,
             prepared: Prepared::from_source(&self.ann, &doc),
             doc,
             commits: 0,
-            cache: Mutex::new(cache),
+            intern_ids,
             scratch: Mutex::new(PropScratch::new()),
         })
     }
@@ -406,32 +369,32 @@ impl Engine {
 ///
 /// # Incremental propagation
 ///
-/// The session additionally keeps a [`PropCache`]: per-node propagation
-/// graphs, optimal subgraphs, complement restrictions, and typing runs,
-/// keyed by the document's arena slots. [`Session::propagate`] (and
-/// [`Session::count_optimal`] / [`Session::enumerate_optimal`] /
-/// [`Session::complement_preserving`]) consult it for every node *outside*
-/// the update's footprint and recompute only inside it, so the cost of the
-/// Kth small update is proportional to the update's footprint rather than
-/// the document. [`Session::commit`] invalidates exactly the dirty region
-/// — the committed script's edited parents plus their ancestors — and
-/// carries everything else across. Cached results are byte-identical to
-/// uncached ones; see [`Session::cache_stats`] for observability and
-/// [`EngineBuilder::prop_cache`] to turn the cache off.
+/// The session keeps the structural intern id of every node of its
+/// document and looks up the engine memo by those ids:
+/// [`Session::propagate`] (and [`Session::count_optimal`] /
+/// [`Session::enumerate_optimal`] / [`Session::complement_preserving`])
+/// take every node *outside* the update's footprint from the memo and
+/// recompute only inside it, so the cost of the Kth small update is
+/// proportional to the update's footprint rather than the document.
+/// [`Session::commit`] re-interns exactly the dirty region — the
+/// committed script's edited parents plus their ancestors. Memoised
+/// results are byte-identical to unmemoised ones; see
+/// [`Engine::cache_stats`] for observability and
+/// [`EngineBuilder::prop_cache`] to turn the memo off.
 #[derive(Debug)]
 pub struct Session<'e> {
     engine: &'e Engine,
     prepared: Prepared,
     doc: DocTree,
     commits: u64,
-    /// Interior mutability keeps `propagate(&self)` ergonomic; the mutex
-    /// is uncontended (sessions are exclusively leased — see
-    /// [`crate::SessionPool`]) and keeps `Session: Sync`.
-    cache: Mutex<PropCache>,
+    /// The structural memo key of every live node's subtree (empty with
+    /// the memo off). Changes only in [`Session::commit`].
+    intern_ids: SlotMap<InternId>,
     /// The session's reusable kernel scratch ([`PropScratch`]): pooled
-    /// working memory for every propagation the session serves. Behind
-    /// its own (equally uncontended) mutex so cache and scratch borrows
-    /// never entangle.
+    /// working memory for every propagation the session serves. The mutex
+    /// keeps `propagate(&self)` ergonomic and `Session: Sync`; it is
+    /// uncontended (sessions are exclusively leased — see
+    /// [`crate::SessionPool`]).
     scratch: Mutex<PropScratch>,
 }
 
@@ -442,7 +405,7 @@ impl Clone for Session<'_> {
             prepared: self.prepared.clone(),
             doc: self.doc.clone(),
             commits: self.commits,
-            cache: Mutex::new(self.cache_guard().clone()),
+            intern_ids: self.intern_ids.clone(),
             // Scratch is pure working memory — a clone starts cold.
             scratch: Mutex::new(PropScratch::new()),
         }
@@ -455,37 +418,14 @@ impl<'e> Session<'e> {
         self.engine
     }
 
-    fn cache_guard(&self) -> MutexGuard<'_, PropCache> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     fn scratch_guard(&self) -> MutexGuard<'_, PropScratch> {
         self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Counters of the session's [`PropCache`]: graph hits/misses,
-    /// commit-time invalidations, and the current entry count.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache_guard().stats()
-    }
-
-    /// Enables or disables the propagation cache for this session,
-    /// dropping all entries either way. Results are identical with the
-    /// cache on or off; only the work performed differs.
-    pub fn set_cache_enabled(&mut self, on: bool) {
-        self.cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .set_enabled(on);
-    }
-
-    /// Drops every cached entry (the cache stays enabled and refills on
-    /// subsequent calls).
-    pub fn clear_cache(&mut self) {
-        self.cache
-            .get_mut()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clear();
+    /// One operation's view of the engine memo (`None` with the memo off).
+    fn memo(&self) -> Option<Memo<'_>> {
+        let table = self.engine.memo.as_deref()?;
+        Some(Memo::new(table, &self.intern_ids))
     }
 
     /// The current source document `t`.
@@ -545,31 +485,14 @@ impl<'e> Session<'e> {
     }
 
     /// Computes the optimal propagation of `update` to the current
-    /// document (the session-cached equivalent of [`crate::propagate`]).
+    /// document (the session equivalent of [`crate::propagate`]).
     ///
     /// Per-node dynamic-programming state for every node outside the
-    /// update's footprint is served from the session's [`PropCache`]
-    /// (recomputing only inside the footprint); the result is
-    /// byte-identical to an uncached computation.
+    /// update's footprint is served from the engine memo (recomputing only
+    /// inside the footprint); the result is byte-identical to an
+    /// unmemoised computation.
     pub fn propagate(&self, update: &Script) -> Result<Propagation, PropagateError> {
-        let inst = self.instance(update)?;
-        let cm = self.engine.cost_model();
-        let mut cache = self.cache_guard();
-        let mut scratch = self.scratch_guard();
-        let fp = cache.enabled().then(|| inst.footprint());
-        let result = propagate_with_cache(
-            &inst,
-            &cm,
-            &self.engine.config,
-            Some(&mut cache),
-            fp,
-            &mut scratch,
-            None,
-        );
-        // One batched publication of freshly built memos per operation;
-        // warm sessions have nothing pending and write nothing.
-        cache.flush_shared();
-        result
+        self.propagate_timed(update, None)
     }
 
     /// [`Session::propagate`] with a wall-clock [`PhaseBreakdown`]:
@@ -581,24 +504,34 @@ impl<'e> Session<'e> {
         update: &Script,
     ) -> Result<(Propagation, PhaseBreakdown), PropagateError> {
         let mut phases = PhaseBreakdown::default();
-        let t0 = Instant::now();
+        let prop = self.propagate_timed(update, Some(&mut phases))?;
+        Ok((prop, phases))
+    }
+
+    /// The one body of [`Session::propagate`] and
+    /// [`Session::propagate_phased`]: times the phases into `phases` when
+    /// given.
+    fn propagate_timed(
+        &self,
+        update: &Script,
+        mut phases: Option<&mut PhaseBreakdown>,
+    ) -> Result<Propagation, PropagateError> {
+        let t0 = phases.is_some().then(Instant::now);
         let inst = self.instance(update)?;
-        phases.instance_ns = t0.elapsed().as_nanos() as u64;
-        let cm = self.engine.cost_model();
-        let mut cache = self.cache_guard();
-        let mut scratch = self.scratch_guard();
-        let fp = cache.enabled().then(|| inst.footprint());
-        let result = propagate_with_cache(
+        if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
+            p.instance_ns = t0.elapsed().as_nanos() as u64;
+        }
+        let mut memo = self.memo();
+        let fp = memo.is_some().then(|| inst.footprint());
+        propagate_with_memo(
             &inst,
-            &cm,
+            &self.engine.cost_model(),
             &self.engine.config,
-            Some(&mut cache),
+            memo.as_mut(),
             fp,
-            &mut scratch,
-            Some(&mut phases),
-        );
-        cache.flush_shared();
-        result.map(|p| (p, phases))
+            &mut self.scratch_guard(),
+            phases,
+        )
     }
 
     /// Checks that `candidate` is a schema-compliant, side-effect-free
@@ -633,17 +566,18 @@ impl<'e> Session<'e> {
     }
 
     /// Builds the propagation forest for an already-validated instance,
-    /// routing clean-region graphs through the session cache (a disabled
-    /// cache is a pass-through).
+    /// routing clean-region graphs through the engine memo (when on).
     fn forest_for(&self, inst: &Instance<'_>) -> Result<PropagationForest, PropagateError> {
-        let cm = self.engine.cost_model();
-        let mut cache = self.cache_guard();
-        let mut scratch = self.scratch_guard();
-        let fp = cache.enabled().then(|| inst.footprint());
-        let forest =
-            PropagationForest::build_with(inst, &cm, Some(&mut cache), fp, &mut scratch, None);
-        cache.flush_shared();
-        forest
+        let mut memo = self.memo();
+        let fp = memo.is_some().then(|| inst.footprint());
+        PropagationForest::build_with(
+            inst,
+            &self.engine.cost_model(),
+            memo.as_mut(),
+            fp,
+            &mut self.scratch_guard(),
+            None,
+        )
     }
 
     /// Enumerates up to `cap` cost-minimal propagations of `update` (see
@@ -668,26 +602,24 @@ impl<'e> Session<'e> {
     /// that neither deletes nor inserts any invisible node (see
     /// [`crate::find_complement_preserving`]; `Ok(None)` when none
     /// exists). Complement-restricted subgraphs for nodes outside the
-    /// update footprint are memoised in the session's [`PropCache`].
+    /// update footprint are memoised in the engine memo.
     pub fn complement_preserving(&self, update: &Script) -> Result<Option<Script>, PropagateError> {
         let inst = self.instance(update)?;
         let cm = self.engine.cost_model();
-        let mut cache = self.cache_guard();
+        let mut memo = self.memo();
+        let fp = memo.is_some().then(|| inst.footprint());
         let mut scratch = self.scratch_guard();
-        let fp = cache.enabled().then(|| inst.footprint());
         let forest =
-            PropagationForest::build_with(&inst, &cm, Some(&mut cache), fp, &mut scratch, None)?;
-        let result = find_complement_preserving_with(
+            PropagationForest::build_with(&inst, &cm, memo.as_mut(), fp, &mut scratch, None)?;
+        find_complement_preserving_with(
             &inst,
             &forest,
             &cm,
             &self.engine.config,
-            Some(&mut cache),
+            memo.as_ref(),
             fp,
             &mut scratch,
-        );
-        cache.flush_shared();
-        result
+        )
     }
 
     /// Advances the session to the propagation's output document.
@@ -701,9 +633,9 @@ impl<'e> Session<'e> {
     /// rebuilt, and the document's dirty journal records exactly the
     /// parents whose child word changed. Draining that journal
     /// ([`xvu_tree::Tree::drain_dirty_to_root`]) yields the dirty region —
-    /// edited parents plus all their ancestors — and the session's
-    /// [`PropCache`] invalidates exactly those entries, carrying every
-    /// other memo across the commit.
+    /// edited parents plus all their ancestors — which is re-interned
+    /// together with every inserted subtree; every other node keeps its
+    /// structural memo key.
     ///
     /// The view is patched in place rather than extracted again: the
     /// propagation is side-effect free, so the view changes only under the
@@ -711,27 +643,22 @@ impl<'e> Session<'e> {
     /// visible children and gain the view of each inserted visible
     /// subtree. The identifier high-water mark is bumped past the inserted
     /// identifiers and never rewinds. Revalidation, the in-place apply and
-    /// the memo re-keying still walk the script or the document; the view
-    /// and generator cost only the footprint. A failed commit changes
+    /// the intern-id re-keying still walk the script or the document; the
+    /// view and generator cost only the footprint. A failed commit changes
     /// nothing.
     pub fn commit(&mut self, prop: &Propagation) -> Result<(), PropagateError> {
         let fp = script_footprint(&prop.script);
         revalidate_with(&self.engine.dtd, &prop.script, &fp)?;
-        // Drain cache entries (and structural intern ids) keyed by
-        // *identifier* before the in-place apply relocates arena slots.
-        let (kept, kept_interns) = {
-            let mut cache = self.cache_guard();
-            (
-                cache.drain_entries(&self.doc),
-                cache.drain_intern_ids(&self.doc),
-            )
-        };
+        // Intern ids keyed by *identifier*: the in-place apply relocates
+        // arena slots.
+        let kept: Vec<(NodeId, InternId)> = self
+            .intern_ids
+            .iter()
+            .map(|(slot, &id)| (self.doc.id_at(slot), id))
+            .collect();
         if let Err(e) = apply_in_place(&mut self.doc, &prop.script) {
             // `apply_in_place` validates fully before mutating: the
-            // document (and therefore every drained entry) is intact.
-            let mut cache = self.cache_guard();
-            cache.restore_entries(&self.doc, kept, &SlotSet::new());
-            cache.restore_intern_ids(&self.doc, kept_interns, &SlotSet::new());
+            // document and its intern ids are intact.
             return Err(match e {
                 EditError::EmptyInput => {
                     PropagateError::NotAPropagation("script input is empty".to_owned())
@@ -745,24 +672,11 @@ impl<'e> Session<'e> {
                 other => PropagateError::Edit(other),
             });
         }
-        // Commit-time invalidation: exactly the dirty region (the edited
-        // parents the journal recorded, plus their ancestors — every node
-        // whose subtree changed). Entries for deleted nodes lapse with
-        // their identifiers inside `restore_entries`.
-        let mut dirty = SlotSet::with_capacity(self.doc.size());
-        for id in self.doc.drain_dirty_to_root() {
-            if let Some(slot) = self.doc.slot(id) {
-                dirty.insert(slot);
-            }
-        }
-        {
-            let mut cache = self.cache_guard();
-            cache.restore_entries(&self.doc, kept, &dirty);
-            // Re-key surviving intern ids and re-intern the dirty region
-            // plus freshly inserted subtrees bottom-up; then publish any
-            // memos still pending from the last operation.
-            cache.restore_intern_ids(&self.doc, kept_interns, &dirty);
-            cache.flush_shared();
+        // The dirty region: the edited parents the journal recorded, plus
+        // their ancestors — every node whose subtree changed.
+        let dirty = self.doc.drain_dirty_to_root();
+        if let Some(memo) = self.engine.memo.as_deref() {
+            self.intern_ids = memo.rekey(&self.doc, kept, &dirty);
         }
         self.prepared.advance(&self.engine.ann, &prop.script, &fp);
         self.commits += 1;
@@ -1083,17 +997,17 @@ mod tests {
         let (engine, t0, s0) = paper_engine();
         let session = engine.open(&t0).unwrap();
         let p1 = session.propagate(&s0).unwrap();
-        let after_first = session.cache_stats();
+        let after_first = engine.cache_stats();
         // S0's clean region: a#4 and c#10 (whole subtrees Nop); their
-        // graphs were built once and cached. The other two preserved
+        // graphs were built once and stored. The other two preserved
         // nodes (r#0, d#6) sit inside the footprint: no graph memo, but
-        // their typing runs are memoised, so 4 entries in total.
+        // their typing runs are memoised, so 4 structures in total.
         assert_eq!(after_first.hits, 0);
         assert_eq!(after_first.misses, 2);
         assert_eq!(after_first.entries, 4);
         let p2 = session.propagate(&s0).unwrap();
-        let after_second = session.cache_stats();
-        assert_eq!(after_second.hits, 2, "warm graphs served from the cache");
+        let after_second = engine.cache_stats();
+        assert_eq!(after_second.hits, 2, "warm graphs served from the memo");
         assert_eq!(after_second.misses, 2, "no new misses");
         // and the warm result is byte-identical to the cold one
         assert_eq!(p1.cost, p2.cost);
@@ -1128,59 +1042,36 @@ mod tests {
             script_to_term(&pc.script, cached.alphabet()),
             script_to_term(&pu.script, uncached.alphabet())
         );
-        let stats = su.cache_stats();
-        assert_eq!((stats.hits, stats.misses, stats.entries), (0, 0, 0));
+        assert_eq!(uncached.cache_stats(), CacheStats::default());
     }
 
-    #[test]
-    fn set_cache_enabled_toggles_and_clears() {
-        let (engine, t0, s0) = paper_engine();
-        let mut session = engine.open(&t0).unwrap();
-        session.propagate(&s0).unwrap();
-        assert!(session.cache_stats().entries > 0);
-        session.set_cache_enabled(false);
-        assert_eq!(session.cache_stats().entries, 0);
-        session.propagate(&s0).unwrap();
-        assert_eq!(session.cache_stats().entries, 0, "disabled: stores nothing");
-        session.set_cache_enabled(true);
-        session.propagate(&s0).unwrap();
-        assert!(session.cache_stats().entries > 0, "re-enabled: refills");
-        session.clear_cache();
-        assert_eq!(session.cache_stats().entries, 0);
+    /// `r → d*`, `d → (a·h?)*` with `h` hidden: many independent sibling
+    /// groups of few distinct shapes.
+    fn groups_engine(alpha: &mut Alphabet) -> Engine {
+        let dtd = xvu_dtd::parse_dtd(alpha, "r -> d*\nd -> (a.h?)*").unwrap();
+        let ann = xvu_view::parse_annotation(alpha, "hide d h").unwrap();
+        Engine::new(alpha.clone(), dtd, ann)
     }
 
     #[test]
     fn commit_invalidates_only_the_dirty_region() {
-        // Hospital-shaped schema: many independent sibling groups, so a
-        // commit touching one group must keep every other group's memo.
-        use xvu_dtd::parse_dtd;
-        use xvu_tree::parse_term_with_ids;
-        use xvu_view::parse_annotation;
-
         let mut alpha = Alphabet::new();
-        let dtd = parse_dtd(&mut alpha, "r -> d*\nd -> (a.h?)*").unwrap();
-        let ann = parse_annotation(&mut alpha, "hide d h").unwrap();
+        let engine = groups_engine(&mut alpha);
         let mut gen = NodeIdGen::new();
-        let doc = parse_term_with_ids(
+        let doc = xvu_tree::parse_term_with_ids(
             &mut alpha,
             &mut gen,
             "r#0(d#1(a#2, h#3), d#4(a#5, h#6), d#7(a#8, h#9))",
         )
         .unwrap();
-        let engine = Engine::builder()
-            .alphabet(alpha.clone())
-            .dtd(dtd)
-            .annotation(ann)
-            .build()
-            .unwrap();
         let mut session = engine.open(&doc).unwrap();
 
-        // warm the cache with an identity update (everything clean)
+        // An identity update warms the memo: seven preserved nodes (r, the
+        // three d's, the three a's) of three distinct structures.
         let prop0 = session.propagate(&nop_script(session.view())).unwrap();
         assert_eq!(prop0.cost, 0);
-        let warm = session.cache_stats();
-        // every preserved node (r, 3 d's, 3 a's) was cached
-        assert_eq!(warm.entries, 7);
+        let warm = engine.cache_stats();
+        assert_eq!((warm.hits, warm.misses, warm.entries), (4, 3, 3));
 
         // admit a new a under d#1 and commit
         let u = parse_script(
@@ -1190,126 +1081,83 @@ mod tests {
         .unwrap();
         let prop = session.propagate(&u).unwrap();
         session.commit(&prop).unwrap();
-        let after = session.cache_stats();
-        // the dirty region is d#1 and its ancestor r#0; everything else
-        // (d#4, d#7, and all the a's — including the fresh state built for
-        // the new document) must carry across
-        assert!(
-            after.invalidated >= 2,
-            "dirty region invalidated: {after:?}"
-        );
-        assert!(after.entries >= 4, "clean region carried over: {after:?}");
+        let before = engine.cache_stats();
 
-        // a second identity propagate hits the carried entries and rebuilds
-        // only the invalidated region
-        let before_hits = session.cache_stats().hits;
+        // Only the dirty region (d#1 and its ancestor r#0) has a new
+        // structure; d#4, d#7 and all four a's keep their keys and hit.
         session.propagate(&nop_script(session.view())).unwrap();
-        let s = session.cache_stats();
-        assert!(
-            s.hits >= before_hits + 4,
-            "carried entries must serve hits: {s:?}"
-        );
+        let after = engine.cache_stats();
+        assert_eq!(after.misses - before.misses, 2, "{after:?}");
+        assert_eq!(after.hits - before.hits, 6, "{after:?}");
     }
 
     #[test]
     fn shared_cache_serves_structurally_equal_sessions() {
-        use xvu_dtd::parse_dtd;
-        use xvu_tree::parse_term_with_ids;
-        use xvu_view::parse_annotation;
-
         let mut alpha = Alphabet::new();
-        let dtd = parse_dtd(&mut alpha, "r -> d*\nd -> (a.h?)*").unwrap();
-        let ann = parse_annotation(&mut alpha, "hide d h").unwrap();
+        let engine = groups_engine(&mut alpha);
         let mut gen = NodeIdGen::new();
-        let d1 =
-            parse_term_with_ids(&mut alpha, &mut gen, "r#0(d#1(a#2, h#3), d#4(a#5, h#6))").unwrap();
+        let d1 = xvu_tree::parse_term_with_ids(
+            &mut alpha,
+            &mut gen,
+            "r#0(d#1(a#2, h#3), d#4(a#5, h#6))",
+        )
+        .unwrap();
         // The same *structure* under entirely different identifiers.
-        let d2 = parse_term_with_ids(
+        let d2 = xvu_tree::parse_term_with_ids(
             &mut alpha,
             &mut gen,
             "r#10(d#11(a#12, h#13), d#14(a#15, h#16))",
         )
         .unwrap();
-        let engine = Engine::builder()
-            .alphabet(alpha)
-            .dtd(dtd)
-            .annotation(ann)
-            .build()
-            .unwrap();
 
         let s1 = engine.open(&d1).unwrap();
         let p1 = s1.propagate(&nop_script(s1.view())).unwrap();
         assert_eq!(p1.cost, 0);
-        let st1 = s1.cache_stats();
-        assert!(st1.published > 0, "cold session publishes: {st1:?}");
-        assert!(engine.shared_cache_stats().published >= st1.published);
+        // five lookups, three structures: the second d and a hit at once
+        let st1 = engine.cache_stats();
+        assert_eq!((st1.hits, st1.misses), (2, 3));
 
         // A different document of the same family: every memo the first
-        // session built is served by structure, none is recomputed or
-        // republished.
+        // session built is served by structure, none is rebuilt.
         let s2 = engine.open(&d2).unwrap();
         let p2 = s2.propagate(&nop_script(s2.view())).unwrap();
         assert_eq!(p2.cost, 0);
-        let st2 = s2.cache_stats();
-        assert!(st2.shared_hits > 0, "served by structure: {st2:?}");
-        assert_eq!(st2.shared_misses, 0, "fully warm family: {st2:?}");
-        assert_eq!(st2.published, 0, "nothing new to publish: {st2:?}");
-        assert_eq!(st2.hits, 0, "the local tier was stone cold: {st2:?}");
-        let fleet = engine.shared_cache_stats();
-        assert!(fleet.hits >= st2.shared_hits);
-        assert!(fleet.entries > 0);
+        let st2 = engine.cache_stats();
+        assert_eq!((st2.hits, st2.misses, st2.entries), (7, 3, 3));
 
-        // With sharing disabled the second session recomputes everything
-        // — and the propagation is byte-identical either way.
-        let private = Engine::builder()
+        // With the memo off the second document rebuilds everything — and
+        // the propagation is byte-identical either way.
+        let off = Engine::builder()
             .alphabet(engine.alphabet().clone())
             .dtd(engine.dtd().clone())
             .annotation(engine.annotation().clone())
-            .shared_cache(false)
+            .prop_cache(false)
             .build()
             .unwrap();
-        let sp = private.open(&d2).unwrap();
-        let pp = sp.propagate(&nop_script(sp.view())).unwrap();
-        assert_eq!(pp.cost, p2.cost);
+        let so = off.open(&d2).unwrap();
+        let po = so.propagate(&nop_script(so.view())).unwrap();
         assert_eq!(
-            script_to_term(&pp.script, private.alphabet()),
+            script_to_term(&po.script, off.alphabet()),
             script_to_term(&p2.script, engine.alphabet())
         );
-        let stp = sp.cache_stats();
-        assert_eq!(
-            (stp.shared_hits, stp.shared_misses, stp.published),
-            (0, 0, 0)
-        );
-        assert_eq!(private.shared_cache_stats(), SharedCacheStats::default());
     }
 
     #[test]
     fn shared_cache_survives_commit_and_reinterns_dirty_region() {
-        use xvu_dtd::parse_dtd;
-        use xvu_tree::parse_term_with_ids;
-        use xvu_view::parse_annotation;
-
         let mut alpha = Alphabet::new();
-        let dtd = parse_dtd(&mut alpha, "r -> d*\nd -> (a.h?)*").unwrap();
-        let ann = parse_annotation(&mut alpha, "hide d h").unwrap();
+        let engine = groups_engine(&mut alpha);
         let mut gen = NodeIdGen::new();
-        let doc = parse_term_with_ids(
+        let doc = xvu_tree::parse_term_with_ids(
             &mut alpha,
             &mut gen,
             "r#0(d#1(a#2, h#3), d#4(a#5, h#6), d#7(a#8, h#9))",
         )
         .unwrap();
-        let engine = Engine::builder()
-            .alphabet(alpha.clone())
-            .dtd(dtd)
-            .annotation(ann)
-            .build()
-            .unwrap();
         let mut session = engine.open(&doc).unwrap();
         session.propagate(&nop_script(session.view())).unwrap();
 
-        // Commit an update: d#1 gains an a. The dirty region (d#1, r#0)
-        // is re-interned; d#4/d#7 keep their structural ids.
+        // Commit an update: d#1 gains an a; the dirty region (d#1, r#0)
+        // is re-interned, d#4/d#7 keep their structural ids.
         let u = parse_script(
             &mut alpha,
             "nop:r#0(nop:d#1(nop:a#2, ins:a#20), nop:d#4(nop:a#5), nop:d#7(nop:a#8))",
@@ -1317,24 +1165,21 @@ mod tests {
         .unwrap();
         let prop = session.propagate(&u).unwrap();
         session.commit(&prop).unwrap();
+        // The long-lived session stores the new structures under its
+        // re-interned ids…
+        session.propagate(&nop_script(session.view())).unwrap();
 
-        // A fresh session over a family sibling reuses the shared tier
-        // for the untouched d(a, h) groups; the commit re-interned the
-        // grown d#1 subtree without corrupting the survivors' keys.
-        let mut gen2 = NodeIdGen::starting_at(100);
-        let doc2 = parse_term_with_ids(
-            &mut alpha,
-            &mut gen2,
-            "r#100(d#101(a#102, h#103, a#110), d#104(a#105, h#106), d#107(a#108, h#109))",
-        )
-        .unwrap();
-        let s2 = engine.open(&doc2).unwrap();
-        let p2 = s2.propagate(&nop_script(s2.view())).unwrap();
-        assert_eq!(p2.cost, 0);
-        let st2 = s2.cache_stats();
-        assert!(
-            st2.shared_hits > 0,
-            "post-commit structures are shared: {st2:?}"
+        // …and a fresh session interns the committed document from
+        // scratch: a single re-interned id that disagreed would miss.
+        let before = engine.cache_stats();
+        let fresh = engine.open(session.document()).unwrap();
+        fresh.propagate(&nop_script(fresh.view())).unwrap();
+        let after = engine.cache_stats();
+        assert_eq!(after.misses, before.misses, "{after:?}");
+        assert_eq!(
+            after.hits - before.hits,
+            fresh.view().size() as u64,
+            "every preserved node hits: {after:?}"
         );
     }
 

@@ -7,7 +7,7 @@
 //! a parent graph is constructed. This single-pass memoisation is what
 //! makes the whole construction polynomial.
 
-use crate::cache::{PropCache, TypingRun};
+use crate::cache::{Memo, TypingRun};
 use crate::cost::CostModel;
 use crate::error::PropagateError;
 use crate::graph::{build_prop_graph, source_child_run, PropEdge, PropGraph};
@@ -24,8 +24,8 @@ use xvu_tree::{NodeId, SlotIndex, SlotMap};
 /// All per-node tables are dense [`SlotMap`]s keyed by the *update*
 /// tree's arena slots; a snapshot of the update's [`SlotIndex`] keeps the
 /// public identifier-based accessors O(1) after the instance is gone.
-/// Graphs are held behind [`Arc`] so session caches share them with the
-/// forests they populated at zero copy cost.
+/// Graphs are held behind [`Arc`] so the engine memo shares them with the
+/// forests it populated at zero copy cost.
 #[derive(Clone, Debug)]
 pub struct PropagationForest {
     /// Update-tree `NodeId → Slot` snapshot backing the accessors.
@@ -66,22 +66,23 @@ impl PropagationForest {
         Self::build_with(inst, cost, None, None, &mut PropScratch::new(), None)
     }
 
-    /// Cache-aware build: like [`PropagationForest::build`], but for every
+    /// Memo-aware build: like [`PropagationForest::build`], but for every
     /// preserved node that `fp` marks clean (subtree entirely `Nop`), the
     /// graph is taken from — or, on a miss, built once and stored into —
-    /// the session's [`PropCache`]. Nodes inside the footprint are always
-    /// rebuilt (their graphs depend on the update); their typing runs,
-    /// which depend only on the source, still go through the memo.
+    /// the engine memo under the node's structure. Nodes inside the
+    /// footprint are always rebuilt (their graphs depend on the update);
+    /// their typing runs, which depend only on the source, still go
+    /// through the memo.
     ///
-    /// The produced forest is structurally identical to an uncached
-    /// [`PropagationForest::build`] of the same instance: a cache hit
-    /// returns exactly the graph a fresh build would construct, because
-    /// construction is deterministic in the node's (unchanged) source
-    /// subtree.
+    /// The produced forest is structurally identical to an unmemoised
+    /// [`PropagationForest::build`] of the same instance: a hit returns
+    /// exactly the graph a fresh build would construct, because
+    /// construction is deterministic in the node's source subtree
+    /// structure.
     pub(crate) fn build_with(
         inst: &Instance<'_>,
         cost: &CostModel<'_>,
-        mut cache: Option<&mut PropCache>,
+        mut memo: Option<&mut Memo<'_>>,
         fp: Option<&ScriptFootprint>,
         scratch: &mut PropScratch,
         mut typing_ns: Option<&mut u64>,
@@ -132,11 +133,11 @@ impl PropagationForest {
             }
 
             // A preserved node is a visible source node, so it has a slot
-            // in the session document the cache is keyed by.
+            // (and an intern id) in the session document.
             let src_slot = inst.source.slot(n).expect("preserved node in source");
             let clean = fp.is_some_and(|f| f.is_clean(nslot));
             let cached = if clean {
-                cache.as_deref_mut().and_then(|c| c.graph(src_slot))
+                memo.as_deref_mut().and_then(|m| m.graph(src_slot))
             } else {
                 None
             };
@@ -144,8 +145,8 @@ impl PropagationForest {
                 Some((g, best)) => (g, best),
                 None => {
                     let t0 = typing_ns.is_some().then(std::time::Instant::now);
-                    let run: TypingRun = match cache.as_deref_mut() {
-                        Some(c) => c.run_or_compute(src_slot, || source_child_run(inst, n)),
+                    let run: TypingRun = match memo.as_deref() {
+                        Some(m) => m.run_or_compute(src_slot, || source_child_run(inst, n)),
                         None => source_child_run(inst, n).map(Arc::from),
                     };
                     if let (Some(acc), Some(t0)) = (typing_ns.as_deref_mut(), t0) {
@@ -165,8 +166,8 @@ impl PropagationForest {
                         .ok_or(PropagateError::NoPropagationPath(n))?;
                     let g = Arc::new(g);
                     if clean {
-                        if let Some(c) = cache.as_deref_mut() {
-                            c.store_graph(src_slot, Arc::clone(&g), best);
+                        if let Some(m) = memo.as_deref() {
+                            m.store_graph(src_slot, Arc::clone(&g), best);
                         }
                     }
                     (g, best)

@@ -57,13 +57,13 @@
 //! session.commit(&prop).unwrap(); // serve the next update from Out(S')
 //! ```
 //!
-//! Sessions are *incrementally cached*: per-node dynamic-programming
-//! state (graphs, optimal subgraphs, complement restrictions, typing
-//! runs) persists across updates in a [`PropCache`], consulted for every
-//! node outside an update's footprint and invalidated at
-//! [`Session::commit`] for exactly the dirty region — see the [`cache`
-//! module](PropCache) and `README.md`'s "Architecture: incremental
-//! propagation".
+//! Sessions are *incremental*: per-node dynamic-programming state
+//! (graphs, complement restrictions, typing runs) is memoised by subtree
+//! structure in one engine-owned table, consulted for every node outside
+//! an update's footprint. A session keeps only the structural id of each
+//! of its nodes, and [`Session::commit`] re-interns exactly the dirty
+//! region — see the [`cache`] module and `README.md`'s "Architecture: the
+//! propagation memo".
 //!
 //! The one-shot layer ([`Instance::new`] + [`propagate`] +
 //! [`verify_propagation`]) remains for single-update callers and is
@@ -77,7 +77,7 @@
 #![warn(missing_docs)]
 
 mod algorithm;
-mod cache;
+pub mod cache;
 mod complement;
 mod cost;
 mod count;
@@ -96,12 +96,11 @@ mod scratch;
 mod segments;
 mod selection;
 pub mod serve;
-pub mod shared;
 mod typing;
 mod verify;
 
 pub use algorithm::{propagate, propagate_view_edit, Config, PhaseBreakdown, Propagation};
-pub use cache::{CacheStats, PropCache};
+pub use cache::CacheStats;
 pub use complement::{find_complement_preserving, invisible_impact, InvisibleImpact};
 pub use cost::CostModel;
 pub use count::count_optimal_propagations;
@@ -120,6 +119,5 @@ pub use scratch::PropScratch;
 pub use segments::Segmentation;
 pub use selection::{Classify, EdgeClass, Selector};
 pub use serve::{EvictOutcome, SessionLease, SessionPool};
-pub use shared::{SharedCacheBackend, SharedCacheStats, SharedMemoCache};
 pub use typing::{typing_report, TypingReport};
 pub use verify::verify_propagation;

@@ -55,7 +55,7 @@
 //! }
 //! ```
 
-use crate::algorithm::{propagate_with_cache, Propagation};
+use crate::algorithm::{propagate_with_memo, Propagation};
 use crate::engine::{Engine, Session};
 use crate::error::PropagateError;
 use crate::scratch::PropScratch;
@@ -102,16 +102,16 @@ impl Engine {
         // it serves — scratch is pure working memory, so reuse cannot leak
         // state between requests (or change any result).
         let one = |(doc, update): &(DocTree, Script), scratch: &mut PropScratch| {
-            if self.shared_cache_enabled() {
+            if self.memo_enabled() {
                 // A short-lived session routes the request through the
-                // engine-owned shared memo tier: structurally repeated
-                // subtrees across the batch are solved once. Validation
-                // order (source, then update) and every propagation are
-                // byte-identical to the stateless path below.
+                // engine memo: structurally repeated subtrees across the
+                // batch are solved once. Validation order (source, then
+                // update) and every propagation are byte-identical to the
+                // stateless path below.
                 return self.open(doc)?.propagate(update);
             }
             let inst = self.instance(doc, update)?;
-            propagate_with_cache(
+            propagate_with_memo(
                 &inst,
                 &self.cost_model(),
                 self.config(),
@@ -334,7 +334,8 @@ impl<'e, K: Eq + Hash + Clone> SessionPool<'e, K> {
     /// Removes the **parked** session for `key` and hands it to the
     /// caller (inspect [`Session::commits`], write
     /// [`Session::document`] back to long-term storage, or just drop it —
-    /// dropping releases every propagation-cache memo the session held).
+    /// dropping releases the document copy and its intern ids; the memo
+    /// entries stay with the engine).
     ///
     /// Eviction never races a lease: a key whose session is currently
     /// checked out (or mid-open) reports [`EvictOutcome::Leased`] and the

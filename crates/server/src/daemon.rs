@@ -20,26 +20,26 @@
 //!   [`Server::preload_corpus`], the parse-free cold-start path.
 //!
 //! Request latencies (including queueing for writes), queue depth,
-//! admission rejects, pool evictions, and propagation-cache counters are
+//! admission rejects, pool evictions, and propagation-memo counters are
 //! all observable via the `stats` verb ([`crate::StatsSnapshot`]).
 //!
 //! ## Determinism across eviction
 //!
-//! Evicting an idle session drops only its *session-private* state — the
-//! slot-keyed propagation-cache memos and intern-id map: the committed
-//! document **and** its fresh-identifier high-water mark are written back
-//! to the store and restored on the next checkout
+//! Evicting an idle session drops only its *session-private* state — its
+//! document copy and the intern-id map over it: the committed document
+//! **and** its fresh-identifier high-water mark are written back to the
+//! store and restored on the next checkout
 //! ([`xvu_propagate::Session::merge_id_gen`]), so replies are
 //! byte-identical whether or not an eviction happened in between — the
 //! property the fleet differential driver ([`crate::run_fleet`]) checks
-//! end to end. Structure-keyed memos live in the engine-owned
-//! [`xvu_propagate::SharedMemoCache`] and **survive eviction**: a
+//! end to end. Every memo lives in the engine, keyed by subtree
+//! structure ([`xvu_propagate::cache`]), and **survives eviction**: a
 //! reopened session re-interns its document and warms straight from the
-//! shared tier instead of recomputing, and the `stats` verb reports that
-//! tier separately (`shared_cache` object) from the session-local
-//! counters (`cache` object). An explicit `close` resets the identifier floor instead:
-//! a closed document starts a fresh session history, exactly like a
-//! direct [`xvu_propagate::Engine::open`].
+//! engine's table instead of recomputing. The `stats` verb reports the
+//! table's counters summed over the server's families (`cache` object).
+//! An explicit `close` resets the identifier floor instead: a closed
+//! document starts a fresh session history, exactly like a direct
+//! [`xvu_propagate::Engine::open`].
 
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::pool::{Evicted, LruSessionPool};
@@ -53,7 +53,6 @@ use std::time::{Duration, Instant};
 use xvu_edit::{parse_script, script_to_term, Script};
 use xvu_propagate::{
     count_optimal_propagations, CacheStats, Engine, PropagateError, Propagation, SessionLease,
-    SharedCacheStats,
 };
 use xvu_tree::{
     parse_term_with_ids, to_term_with_ids, Alphabet, CorpusBuilder, DocTree, NodeIdGen,
@@ -135,7 +134,6 @@ pub struct Server<'e> {
     /// checkout (same-document isolation) cannot deadlock through it.
     coherence: Mutex<()>,
     pending: Mutex<HashMap<u64, Propagation>>,
-    live_cache: Mutex<HashMap<u64, CacheStats>>,
     metrics: Metrics,
     queue: Mutex<WorkQueue>,
     work_ready: Condvar,
@@ -161,7 +159,6 @@ impl<'e> Server<'e> {
             store: Mutex::new(HashMap::new()),
             coherence: Mutex::new(()),
             pending: Mutex::new(HashMap::new()),
-            live_cache: Mutex::new(HashMap::new()),
             metrics: Metrics::new(),
             queue: Mutex::new(WorkQueue {
                 jobs: VecDeque::new(),
@@ -182,34 +179,20 @@ impl<'e> Server<'e> {
 
     /// A current metrics snapshot (what the `stats` verb returns).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let live = {
-            let map = relock(self.live_cache.lock());
-            map.values().fold(CacheStats::default(), |mut acc, s| {
-                acc.hits += s.hits;
-                acc.misses += s.misses;
-                acc.invalidated += s.invalidated;
-                acc.entries += s.entries;
-                acc.shared_hits += s.shared_hits;
-                acc.shared_misses += s.shared_misses;
-                acc.published += s.published;
-                acc
-            })
-        };
-        // The shared tier is engine-owned: its counters need no retired /
-        // live split (eviction never touches it), just a sum over the
+        // The memo is engine-owned: its counters need no per-session
+        // bookkeeping (eviction never touches it), just a sum over the
         // server's families.
-        let shared = self.engines.iter().map(|e| e.shared_cache_stats()).fold(
-            SharedCacheStats::default(),
-            |mut acc, s| {
-                acc.hits += s.hits;
-                acc.misses += s.misses;
-                acc.published += s.published;
-                acc.entries += s.entries;
-                acc
-            },
-        );
+        let cache =
+            self.engines
+                .iter()
+                .map(Engine::cache_stats)
+                .fold(CacheStats::default(), |acc, s| CacheStats {
+                    hits: acc.hits + s.hits,
+                    misses: acc.misses + s.misses,
+                    entries: acc.entries + s.entries,
+                });
         self.metrics
-            .snapshot(live, shared, self.pool.resident(), self.pool.capacity())
+            .snapshot(cache, self.pool.resident(), self.pool.capacity())
     }
 
     /// Initiates shutdown from outside a connection (equivalent to the
@@ -478,11 +461,8 @@ impl<'e> Server<'e> {
         // propagation for its id; atomic with concurrent checkouts so a
         // racing lease never resurrects the replaced session's state
         let _atomic = relock(self.coherence.lock());
-        if let Some(session) = self.pool.remove(doc_id) {
-            self.metrics.retire_cache_stats(&session.cache_stats());
-        }
+        self.pool.remove(doc_id);
         relock(self.pending.lock()).remove(&doc_id);
-        relock(self.live_cache.lock()).remove(&doc_id);
         relock(self.store.lock()).insert(
             doc_id,
             StoredDoc {
@@ -503,7 +483,6 @@ impl<'e> Server<'e> {
             Err(resp) => return resp,
         };
         let view = to_term_with_ids(lease.view(), self.engines[family].alphabet());
-        self.note_cache(doc_id, &lease);
         Frame::ok(view)
     }
 
@@ -532,7 +511,6 @@ impl<'e> Server<'e> {
         };
         let script = script_to_term(&prop.script, alpha);
         let reply = format!("{}\n{}\n{}", prop.cost, count, script);
-        self.note_cache(doc_id, &lease);
         relock(self.pending.lock()).insert(doc_id, prop);
         Frame::ok(reply)
     }
@@ -554,10 +532,7 @@ impl<'e> Server<'e> {
             }
         };
         match lease.commit(&prop) {
-            Ok(()) => {
-                self.note_cache(doc_id, &lease);
-                Frame::ok("")
-            }
+            Ok(()) => Frame::ok(""),
             Err(e) => {
                 // leave the propagation pending so the client may retry
                 relock(self.pending.lock()).insert(doc_id, prop);
@@ -575,13 +550,11 @@ impl<'e> Server<'e> {
         let _atomic = relock(self.coherence.lock());
         let removed = self.pool.remove(doc_id);
         relock(self.pending.lock()).remove(&doc_id);
-        relock(self.live_cache.lock()).remove(&doc_id);
         let mut store = relock(self.store.lock());
         let Some(stored) = store.get_mut(&doc_id) else {
             return Frame::err(format!("unknown document {doc_id}"));
         };
         if let Some(session) = removed {
-            self.metrics.retire_cache_stats(&session.cache_stats());
             stored.doc = session.document().clone();
         }
         // a closed document starts a fresh identifier history on reopen —
@@ -629,10 +602,7 @@ impl<'e> Server<'e> {
             (Err(m), _) | (_, Err(m)) => return Frame::err(m),
         };
         match lease.verify(&update, &candidate) {
-            Ok(()) => {
-                self.note_cache(doc_id, &lease);
-                Frame::ok("")
-            }
+            Ok(()) => Frame::ok(""),
             Err(e) => Frame::err(e.to_string()),
         }
     }
@@ -653,10 +623,7 @@ impl<'e> Server<'e> {
             Err(m) => return Frame::err(m),
         };
         match lease.count_optimal(&update) {
-            Ok(n) => {
-                self.note_cache(doc_id, &lease);
-                Frame::ok(n.to_string())
-            }
+            Ok(n) => Frame::ok(n.to_string()),
             Err(e) => Frame::err(e.to_string()),
         }
     }
@@ -696,13 +663,10 @@ impl<'e> Server<'e> {
     }
 
     /// Persists evicted sessions: committed document plus identifier
-    /// high-water mark back into the store, cache counters into the
-    /// retired totals.
+    /// high-water mark back into the store.
     fn write_back(&self, evicted: Vec<Evicted<'e>>) {
         for ev in evicted {
             self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
-            self.metrics.retire_cache_stats(&ev.session.cache_stats());
-            relock(self.live_cache.lock()).remove(&ev.doc);
             let mut store = relock(self.store.lock());
             if let Some(stored) = store.get_mut(&ev.doc) {
                 stored.doc = ev.session.document().clone();
@@ -761,8 +725,8 @@ impl<'e> Server<'e> {
     /// Serializes the committed store as a snapshot corpus image.
     ///
     /// Resident sessions are flushed first with eviction semantics —
-    /// committed document and identifier high-water mark written back,
-    /// session-private memos retired — so the corpus captures exactly
+    /// committed document and identifier high-water mark written back —
+    /// so the corpus captures exactly
     /// what a cold restart would serve, and reopening after the flush is
     /// observationally invisible (same guarantee as LRU eviction).
     /// Documents are emitted sorted by id, so equal stores produce
@@ -771,8 +735,6 @@ impl<'e> Server<'e> {
         let _atomic = relock(self.coherence.lock());
         for doc_id in self.pool.resident_docs() {
             if let Some(session) = self.pool.remove(doc_id) {
-                self.metrics.retire_cache_stats(&session.cache_stats());
-                relock(self.live_cache.lock()).remove(&doc_id);
                 let mut store = relock(self.store.lock());
                 if let Some(stored) = store.get_mut(&doc_id) {
                     stored.doc = session.document().clone();
@@ -792,11 +754,6 @@ impl<'e> Server<'e> {
                 .expect("stored documents always encode");
         }
         builder.finish()
-    }
-
-    /// Records the session's latest cache counters for live aggregation.
-    fn note_cache(&self, doc_id: u64, lease: &SessionLease<'_, 'e, u64>) {
-        relock(self.live_cache.lock()).insert(doc_id, lease.cache_stats());
     }
 
     /// Parses a script term over the family alphabet, rejecting labels

@@ -19,7 +19,7 @@
 //!   read-only fast path for `verify`/`count`, and graceful
 //!   drain-on-shutdown;
 //! * [`metrics`] — latency histograms (p50/p90/p99), queue depth,
-//!   admission rejects, and propagation-cache counters, served by the
+//!   admission rejects, and propagation-memo counters, served by the
 //!   `stats` verb;
 //! * [`client`] — a typed client with handshake and retry-pushback
 //!   handling;

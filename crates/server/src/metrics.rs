@@ -121,13 +121,6 @@ pub struct Metrics {
     pub queue_max: AtomicU64,
     /// Sessions evicted by the LRU pool.
     pub evictions: AtomicU64,
-    /// Propagation-cache hits/misses/invalidated, accumulated from
-    /// retired (evicted or closed) sessions.
-    pub cache_hits: AtomicU64,
-    /// See [`Metrics::cache_hits`].
-    pub cache_misses: AtomicU64,
-    /// See [`Metrics::cache_hits`].
-    pub cache_invalidated: AtomicU64,
     /// Latency of write verbs (enqueue → reply ready: queueing included).
     pub write_latency: Histogram,
     /// Latency of the read-only fast path (verify/count).
@@ -159,23 +152,13 @@ impl Metrics {
         self.queue_max.fetch_max(depth, Ordering::Relaxed);
     }
 
-    /// Folds a retired session's cache counters into the totals.
-    pub fn retire_cache_stats(&self, stats: &xvu_propagate::CacheStats) {
-        self.cache_hits.fetch_add(stats.hits, Ordering::Relaxed);
-        self.cache_misses.fetch_add(stats.misses, Ordering::Relaxed);
-        self.cache_invalidated
-            .fetch_add(stats.invalidated, Ordering::Relaxed);
-    }
-
-    /// Freezes everything into a [`StatsSnapshot`]. `live_cache` is the
-    /// aggregate over still-resident sessions (the pool knows them);
-    /// `shared` the engine-level shared-memo-cache counters (aggregated
-    /// over the server's families — engine-owned, so they survive session
-    /// eviction); `resident`/`capacity` describe the pool.
+    /// Freezes everything into a [`StatsSnapshot`]. `cache` holds the
+    /// propagation-memo counters summed over the server's families (the
+    /// memo is engine-owned, so they survive session eviction);
+    /// `resident`/`capacity` describe the pool.
     pub fn snapshot(
         &self,
-        live_cache: xvu_propagate::CacheStats,
-        shared: xvu_propagate::SharedCacheStats,
+        cache: xvu_propagate::CacheStats,
         resident: usize,
         capacity: usize,
     ) -> StatsSnapshot {
@@ -192,15 +175,7 @@ impl Metrics {
             evictions: self.evictions.load(Ordering::Relaxed),
             pool_resident: resident,
             pool_capacity: capacity,
-            cache_hits: self.cache_hits.load(Ordering::Relaxed) + live_cache.hits,
-            cache_misses: self.cache_misses.load(Ordering::Relaxed) + live_cache.misses,
-            cache_invalidated: self.cache_invalidated.load(Ordering::Relaxed)
-                + live_cache.invalidated,
-            cache_live_entries: live_cache.entries,
-            shared_hits: shared.hits,
-            shared_misses: shared.misses,
-            shared_published: shared.published,
-            shared_entries: shared.entries,
+            cache,
             write_latency: self.write_latency.snapshot(),
             read_latency: self.read_latency.snapshot(),
         }
@@ -227,24 +202,8 @@ pub struct StatsSnapshot {
     pub pool_resident: usize,
     /// The pool's configured bound.
     pub pool_capacity: usize,
-    /// Propagation-cache hits (retired + live sessions).
-    pub cache_hits: u64,
-    /// Propagation-cache misses (retired + live sessions).
-    pub cache_misses: u64,
-    /// Propagation-cache invalidations (retired + live sessions).
-    pub cache_invalidated: u64,
-    /// Memo entries held by live sessions right now.
-    pub cache_live_entries: usize,
-    /// Shared-memo-cache lookups served by structure, fleet-wide
-    /// (engine-owned: unlike the session-local counters above these
-    /// survive session eviction).
-    pub shared_hits: u64,
-    /// Shared-memo-cache lookups that found nothing for the structure.
-    pub shared_misses: u64,
-    /// Entries published to the shared tier by session flush batches.
-    pub shared_published: u64,
-    /// Distinct interned structures the shared tier holds right now.
-    pub shared_entries: usize,
+    /// Propagation-memo counters, summed over the server's families.
+    pub cache: xvu_propagate::CacheStats,
     /// Write-path latency (includes queueing).
     pub write_latency: HistogramSnapshot,
     /// Read-only fast-path latency.
@@ -255,27 +214,6 @@ impl StatsSnapshot {
     /// Total requests across all verbs.
     pub fn total_requests(&self) -> u64 {
         self.requests.iter().map(|(_, n)| n).sum()
-    }
-
-    /// Session-local cache hit rate over hits+misses (0 when idle).
-    pub fn cache_hit_rate(&self) -> f64 {
-        let total = self.cache_hits + self.cache_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / total as f64
-        }
-    }
-
-    /// Shared-tier hit rate over the fleet-wide structure lookups (0
-    /// when idle or sharing is disabled).
-    pub fn shared_hit_rate(&self) -> f64 {
-        let total = self.shared_hits + self.shared_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.shared_hits as f64 / total as f64
-        }
     }
 
     /// Renders the snapshot as a JSON object (stable key order).
@@ -298,20 +236,11 @@ impl StatsSnapshot {
             self.evictions, self.pool_resident, self.pool_capacity
         ));
         s.push_str(&format!(
-            "\"cache\":{{\"hits\":{},\"misses\":{},\"invalidated\":{},\"live_entries\":{},\"hit_rate\":{:.4}}},",
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_invalidated,
-            self.cache_live_entries,
-            self.cache_hit_rate()
-        ));
-        s.push_str(&format!(
-            "\"shared_cache\":{{\"hits\":{},\"misses\":{},\"published\":{},\"entries\":{},\"hit_rate\":{:.4}}},",
-            self.shared_hits,
-            self.shared_misses,
-            self.shared_published,
-            self.shared_entries,
-            self.shared_hit_rate()
+            "\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"hit_rate\":{:.4}}},",
+            self.cache.hits,
+            self.cache.misses,
+            self.cache.entries,
+            self.cache.hit_rate()
         ));
         let lat = |h: &HistogramSnapshot| {
             format!(
@@ -372,16 +301,11 @@ mod tests {
         m.write_latency.record(Duration::from_micros(800));
         m.observe_queue_depth(3);
         let json = m
-            .snapshot(
-                xvu_propagate::CacheStats::default(),
-                xvu_propagate::SharedCacheStats::default(),
-                2,
-                8,
-            )
+            .snapshot(xvu_propagate::CacheStats::default(), 2, 8)
             .to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"propagate\":1"));
-        assert!(json.contains("\"shared_cache\""));
+        assert!(json.contains("\"cache\":{\"hits\":0,\"misses\":0,\"entries\":0,"));
         assert!(json.contains("\"queue_max\":3"));
         assert!(json.contains("\"pool_capacity\":8"));
         assert!(json.contains("\"write_latency\""));

@@ -13,7 +13,8 @@
 //!   the next victim), so a request never loses its session mid-flight;
 //! * the evicted session is handed back to the caller for write-back:
 //!   its committed document (and identifier high-water mark) persist in
-//!   the caller's store, only the propagation-cache memos die with it;
+//!   the caller's store, only its intern-id map dies with it (the memos
+//!   it used live in the engine);
 //! * if every resident session is leased (nothing evictable), a
 //!   checkout for a *new* document fails fast with
 //!   [`PropagateError::PoolAtCapacity`] — the daemon converts that into

@@ -15,7 +15,6 @@ use std::fmt;
 /// index is stable for the lifetime of the alphabet and suitable for `Vec`
 /// indexing.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Sym(u32);
 
 impl Sym {

@@ -2,8 +2,7 @@
 //!
 //! This is the historical serde representation of a document tree —
 //! `{"nodes": {"<id>": {"id": …, "label": …, "parent": …, "children":
-//! […]}, …}, "root": <id>}` — hand-rolled so it is available without the
-//! `serde` feature (the `serde` impls on [`Tree`] speak the same shape).
+//! […]}, …}, "root": <id>}` — hand-rolled, with no serde dependency.
 //! Historically the node map was collected into a `HashMap`, so the
 //! serialized bytes varied run-to-run with hash iteration order;
 //! [`to_legacy_json`] emits entries **sorted by [`NodeId`]**, making the

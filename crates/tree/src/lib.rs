@@ -51,10 +51,10 @@
 //! Every tree carries a mutation clock ([`Tree::epoch`]) and per-slot
 //! version stamps ([`Tree::version`]) bumped by structural mutations, plus
 //! an opt-in dirty journal ([`Tree::set_change_tracking`]) recording the
-//! nodes whose child word changed. Consumers holding per-subtree caches
-//! (the propagation engine's session cache) drain the journal —
+//! nodes whose child word changed. Consumers holding per-subtree state
+//! (a propagation session's structural intern ids) drain the journal —
 //! [`Tree::take_changed_parents`] / [`Tree::drain_dirty_to_root`] — to
-//! invalidate exactly the changed region. Stamps and journal never
+//! recompute exactly the changed region. Stamps and journal never
 //! participate in equality or serialization.
 //!
 //! The tree type is generic in its label type: documents are

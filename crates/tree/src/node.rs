@@ -11,7 +11,6 @@ use std::fmt;
 /// form a prefix-closed set (the paper explicitly drops that convention
 /// because updates insert and delete nodes).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeId(pub u64);
 
 impl fmt::Debug for NodeId {
@@ -86,7 +85,6 @@ impl NodeIdGen {
 
 /// A single tree node: identifier, label, parent link, ordered children.
 #[derive(Clone, Debug, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Node<L> {
     /// The node's persistent identifier.
     pub id: NodeId,

@@ -722,56 +722,6 @@ impl<L> Tree<L> {
     }
 }
 
-/// Serde support, wire-compatible with the historical representation
-/// (`{ nodes: map<NodeId, Node>, root: NodeId }`): the arena layout is an
-/// implementation detail and never leaks into serialized form, so
-/// round-trips are identity and old payloads keep deserializing.
-#[cfg(feature = "serde")]
-mod serde_impls {
-    use super::*;
-    use std::collections::BTreeMap;
-
-    /// A `BTreeMap` keeps the node map sorted by [`NodeId`], so equal
-    /// trees serialize to identical bytes regardless of arena order or
-    /// hash seeding (the historical `HashMap` here made the wire bytes
-    /// vary run-to-run). The map shape on the wire is unchanged.
-    #[derive(serde::Serialize, serde::Deserialize)]
-    struct TreeWire<V> {
-        nodes: BTreeMap<NodeId, V>,
-        root: NodeId,
-    }
-
-    impl<L: serde::Serialize> serde::Serialize for Tree<L> {
-        fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-            TreeWire {
-                nodes: self.slab.iter().map(|n| (n.id, n)).collect(),
-                root: self.root,
-            }
-            .serialize(serializer)
-        }
-    }
-
-    impl<'de, L: serde::Deserialize<'de>> serde::Deserialize<'de> for Tree<L> {
-        fn deserialize<D: serde::Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-            let wire: TreeWire<Node<L>> = TreeWire::deserialize(deserializer)?;
-            let mut tree = Tree::empty_with_root(wire.root);
-            tree.slab.reserve(wire.nodes.len());
-            for (id, node) in wire.nodes {
-                if id != node.id {
-                    return Err(serde::de::Error::custom(format!(
-                        "node map key {id} disagrees with node id {}",
-                        node.id
-                    )));
-                }
-                tree.push_node(node);
-            }
-            tree.validate()
-                .map_err(|e| serde::de::Error::custom(e.to_string()))?;
-            Ok(tree)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

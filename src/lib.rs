@@ -177,8 +177,7 @@ pub mod prelude {
         propagate_view_edit, revalidate_output, typing_report, verify_propagation, CacheStats,
         Config, CostModel, Engine, EngineBuilder, EvictOutcome, GraphScratch, Instance,
         InversionForest, InvisibleImpact, PhaseBreakdown, PropScratch, PropagateError, Propagation,
-        PropagationForest, Selector, Session, SessionLease, SessionPool, SharedCacheBackend,
-        SharedCacheStats, SharedMemoCache, TypingReport,
+        PropagationForest, Selector, Session, SessionLease, SessionPool, TypingReport,
     };
     pub use xvu_repair::{repair_based_update, tree_edit_distance, RepairConfig};
     pub use xvu_tree::{

@@ -170,37 +170,27 @@ fn batch_results_are_thread_count_invariant() {
     }
 }
 
-/// The shared memo tier is a pure cache: for the same randomized batch,
-/// engines with the shared tier on (both backends), private-only
-/// caching, and caching fully disabled return byte-identical
-/// propagations at every worker count. The shared-tier engines are
-/// exercised twice so the second pass reads memos the first pass
-/// published across documents.
+/// The engine memo is a pure cache: for the same randomized batch, an
+/// engine with the memo on and one with it off return byte-identical
+/// propagations at every worker count. The memo-on engine is exercised
+/// twice so the second pass reads memos the first pass stored across
+/// documents.
 #[test]
 fn shared_cache_modes_are_batch_invariant() {
     for seed in [1234u64, 77, 9001] {
+        // `random_requests` builds the default engine: memo on.
         let (engine, requests) = random_requests(32, 12, seed);
-        // `random_requests` builds the default engine: shared tier on,
-        // Sharded backend. Rebuild the other three modes from its parts.
-        let rebuild = |b: EngineBuilder| {
-            b.alphabet(engine.alphabet().clone())
-                .dtd(engine.dtd().clone())
-                .annotation(engine.annotation().clone())
-                .build()
-                .unwrap()
-        };
-        let snapshot =
-            rebuild(Engine::builder().shared_cache_backend(SharedCacheBackend::Snapshot));
-        let private = rebuild(Engine::builder().shared_cache(false));
-        let uncached = rebuild(Engine::builder().prop_cache(false));
-        let baseline = private.propagate_batch(&requests, 1);
+        let uncached = Engine::builder()
+            .alphabet(engine.alphabet().clone())
+            .dtd(engine.dtd().clone())
+            .annotation(engine.annotation().clone())
+            .prop_cache(false)
+            .build()
+            .unwrap();
+        let baseline = uncached.propagate_batch(&requests, 1);
         for jobs in [1usize, 2, 4, 8] {
-            for (name, eng) in [
-                ("sharded", &engine),
-                ("snapshot", &snapshot),
-                ("uncached", &uncached),
-            ] {
-                // two passes: the second reads what the first published
+            for (name, eng) in [("memo", &engine), ("uncached", &uncached)] {
+                // two passes: the second reads what the first stored
                 eng.propagate_batch(&requests, jobs);
                 let got = eng.propagate_batch(&requests, jobs);
                 assert_eq!(got.len(), baseline.len());
@@ -221,14 +211,11 @@ fn shared_cache_modes_are_batch_invariant() {
                 }
             }
         }
-        // the shared tiers actually participated: structurally repeated
-        // subtrees across the 12 documents produce cross-session traffic
-        for (name, eng) in [("sharded", &engine), ("snapshot", &snapshot)] {
-            let stats = eng.shared_cache_stats();
-            assert!(stats.published > 0, "{name}: nothing published: {stats:?}");
-            assert!(stats.hits > 0, "{name}: no shared hits: {stats:?}");
-        }
-        assert_eq!(private.shared_cache_stats(), SharedCacheStats::default());
+        // the memo actually participated: structurally repeated subtrees
+        // across the 12 documents produce cross-session hits
+        let stats = engine.cache_stats();
+        assert!(stats.entries > 0 && stats.hits > 0, "{stats:?}");
+        assert_eq!(uncached.cache_stats(), CacheStats::default());
     }
 }
 

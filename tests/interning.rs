@@ -1,7 +1,7 @@
 //! Hash-consing invariants of the subtree [`Interner`] and their
 //! session-level consequences.
 //!
-//! The shared memo tier keys every fleet-wide memo by [`InternId`], so
+//! The engine's propagation memo keys every memo by [`InternId`], so
 //! the whole design rests on two properties: ids coalesce **exactly**
 //! the structurally equal subtrees (identifiers ignored), and the ids a
 //! session maintains across clone / detach / attach / commit agree with
@@ -134,11 +134,11 @@ proptest! {
     }
 
     /// Commit-time id maintenance, observed end to end: a session of a
-    /// sharing engine propagates and commits random updates; at every
-    /// step it must stay byte-identical to a cache-disabled session, and
-    /// after the stream a fresh session over the committed document is
-    /// served from the shared tier. A single wrong re-interned id after
-    /// commit would leak one structure's memos to another and break the
+    /// memo-on engine propagates and commits random updates; at every
+    /// step it must stay byte-identical to a memo-off session, and after
+    /// the stream a fresh session over the committed document is served
+    /// entirely from the memo. A single wrong re-interned id after commit
+    /// would leak one structure's memos to another and break the
     /// byte-identity.
     #[test]
     fn commit_reinterning_keeps_sessions_byte_identical(seed in 0u64..600) {
@@ -155,7 +155,7 @@ proptest! {
             seed ^ 42,
             &mut gen,
         );
-        let shared = Engine::builder()
+        let memo = Engine::builder()
             .alphabet(alpha.clone())
             .dtd(dtd.clone())
             .annotation(ann.clone())
@@ -168,7 +168,7 @@ proptest! {
             .prop_cache(false)
             .build()
             .unwrap();
-        let mut s = shared.open(&doc).unwrap();
+        let mut s = memo.open(&doc).unwrap();
         let mut d = disabled.open(&doc).unwrap();
         for step in 0..3u64 {
             let mut g = s.id_gen();
@@ -191,25 +191,26 @@ proptest! {
             prop_assert_eq!(s.document(), d.document(), "seed {} step {}", seed, step);
         }
         // The sharp check on commit-time id maintenance: the long-lived
-        // session publishes memos for the *final* document under its
-        // re-interned (restored + refreshed) ids; a fresh session
+        // session stores memos for the *final* document under its
+        // re-interned (re-keyed + refreshed) ids; a fresh session
         // re-interns the same document from scratch and replays the same
-        // identity update. Every one of its shared lookups must hit — a
-        // single re-interned id that disagrees with from-scratch
-        // interning would surface as a shared miss.
+        // identity update. Every one of its lookups must hit — a single
+        // re-interned id that disagrees with from-scratch interning would
+        // surface as a miss.
         s.propagate(&nop_script(s.view())).unwrap();
-        let fresh = shared.open(s.document()).unwrap();
+        let before = memo.cache_stats();
+        let fresh = memo.open(s.document()).unwrap();
         fresh.propagate(&nop_script(fresh.view())).unwrap();
-        let st = fresh.cache_stats();
-        prop_assert!(
-            st.shared_hits > 0,
-            "seed {}: fresh session found none of the committed session's memos: {:?}",
-            seed, st
+        let after = memo.cache_stats();
+        prop_assert_eq!(
+            after.hits - before.hits, fresh.view().size() as u64,
+            "seed {}: fresh session missed the committed session's memos: {:?}",
+            seed, after
         );
         prop_assert_eq!(
-            st.shared_misses, 0,
+            after.misses, before.misses,
             "seed {}: post-commit re-interned ids disagree with from-scratch interning: {:?}",
-            seed, st
+            seed, after
         );
     }
 }

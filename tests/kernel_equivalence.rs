@@ -133,7 +133,7 @@ proptest! {
 }
 
 /// One `PropScratch` reused across propagations of *different documents*
-/// (the `propagate_batch` inline path with the shared tier off, so every
+/// (the `propagate_batch` inline path with the memo off, so every
 /// request runs statelessly through the same scratch) produces
 /// fingerprints byte-identical to fresh-scratch one-shot runs of the same
 /// requests.
@@ -149,7 +149,7 @@ fn scratch_reused_across_documents_never_leaks_state() {
         .alphabet(alpha.clone())
         .dtd(dtd.clone())
         .annotation(ann.clone())
-        .shared_cache(false)
+        .prop_cache(false)
         .build()
         .unwrap();
 
