@@ -11,11 +11,6 @@
 //!   construction, the embarrassingly parallel case.
 //! * `throughput_hospital` — the document-heavy workload (4×30 hospital):
 //!   larger documents per request, same sharing shape.
-//! * `throughput_hospital_pool` — the repeated-update path: worker
-//!   threads check distinct document keys out of a
-//!   [`xvu_propagate::SessionPool`] and commit one admission each, so
-//!   the pool's per-document isolation is exercised under contention-free
-//!   parallelism.
 //!
 //! Scaling beyond the machine's core count cannot help (the work is pure
 //! CPU); on a single-core host every thread count collapses to ~1× and
@@ -25,8 +20,6 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::hint::black_box;
 use std::time::Duration;
 use xvu_bench::{batch_requests, hospital_update_batch, random_update_batch};
-use xvu_propagate::SessionPool;
-use xvu_workload::scenario::{admit_patient, Hospital};
 
 /// Requests per batch — large enough that the per-thread share at 8 jobs
 /// is still several requests.
@@ -77,52 +70,5 @@ fn bench_batch_hospital(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_session_pool_hospital(c: &mut Criterion) {
-    let mut group = c.benchmark_group("throughput_hospital_pool");
-    group.measurement_time(Duration::from_secs(1));
-    group.sample_size(10);
-    let (oi, _) = hospital_update_batch(4, 30, 1);
-    let engine = oi.engine();
-    let h = Hospital {
-        alpha: oi.alpha.clone(),
-        dtd: oi.dtd.clone(),
-        ann: oi.ann.clone(),
-    };
-    const DOCS: usize = 8;
-    for jobs in JOBS {
-        group.throughput(Throughput::Elements(DOCS as u64));
-        group.bench_with_input(BenchmarkId::new("jobs", jobs), &jobs, |b, &jobs| {
-            b.iter(|| {
-                // Fresh pool per iteration: every worker strides over the
-                // document keys, opening the session on first touch and
-                // committing one admission through the lease.
-                let pool: SessionPool<'_, usize> = SessionPool::new(&engine);
-                std::thread::scope(|scope| {
-                    for w in 0..jobs {
-                        let (pool, h, doc) = (&pool, &h, &oi.doc);
-                        scope.spawn(move || {
-                            let mut key = w;
-                            while key < DOCS {
-                                let mut lease = pool.checkout(key, doc).expect("valid document");
-                                let mut gen = lease.id_gen();
-                                let u = admit_patient(h, lease.document(), key % 4, &mut gen);
-                                lease.apply(&u).expect("Theorem 5");
-                                key += jobs;
-                            }
-                        });
-                    }
-                });
-                black_box(pool.len())
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_batch_random32,
-    bench_batch_hospital,
-    bench_session_pool_hospital
-);
+criterion_group!(benches, bench_batch_random32, bench_batch_hospital);
 criterion_main!(benches);

@@ -292,9 +292,9 @@ impl Engine {
             .map_or_else(CacheStats::default, MemoTable::stats)
     }
 
-    /// Whether the engine keeps the propagation memo.
-    pub(crate) fn memo_enabled(&self) -> bool {
-        self.memo.is_some()
+    /// The engine's propagation memo (`None` with the memo off).
+    pub(crate) fn memo_table(&self) -> Option<&MemoTable> {
+        self.memo.as_deref()
     }
 
     /// Validates `doc ∈ L(D)` once and opens a session serving repeated
@@ -393,8 +393,7 @@ pub struct Session<'e> {
     /// The session's reusable kernel scratch ([`PropScratch`]): pooled
     /// working memory for every propagation the session serves. The mutex
     /// keeps `propagate(&self)` ergonomic and `Session: Sync`; it is
-    /// uncontended (sessions are exclusively leased — see
-    /// [`crate::SessionPool`]).
+    /// uncontended (a session belongs to one worker at a time).
     scratch: Mutex<PropScratch>,
 }
 
@@ -464,6 +463,16 @@ impl<'e> Session<'e> {
     /// mints exactly the identifiers the evicted one would have.
     pub fn merge_id_gen(&mut self, gen: &NodeIdGen) {
         self.prepared.gen.merge(gen);
+    }
+
+    /// Closes the session, handing back its current document (change
+    /// tracking off) without copying it — what a serving layer keeps when
+    /// it evicts the session. The intern ids go; the memo entries stay
+    /// with the engine.
+    pub fn into_document(self) -> DocTree {
+        let mut doc = self.doc;
+        doc.set_change_tracking(false);
+        doc
     }
 
     /// Assembles the validated [`Instance`] for `update` against the

@@ -31,13 +31,6 @@ pub enum PropagateError {
     Materialisation(DtdError),
     /// The candidate script failed verification as a propagation.
     NotAPropagation(String),
-    /// A bounded [`crate::SessionPool`] refused to open a session for a
-    /// new document key because it already tracks `capacity` documents.
-    /// Evict a parked session (or raise the bound) and retry.
-    PoolAtCapacity {
-        /// The pool's configured document capacity.
-        capacity: usize,
-    },
     /// Underlying editing-script error.
     Edit(EditError),
     /// Underlying tree error.
@@ -66,9 +59,6 @@ impl fmt::Display for PropagateError {
                 write!(f, "cannot materialise invisible fragment: {e}")
             }
             PropagateError::NotAPropagation(m) => write!(f, "not a valid propagation: {m}"),
-            PropagateError::PoolAtCapacity { capacity } => {
-                write!(f, "session pool at capacity ({capacity} documents)")
-            }
             PropagateError::Edit(e) => write!(f, "editing-script error: {e}"),
             PropagateError::Tree(e) => write!(f, "tree error: {e}"),
         }

@@ -71,7 +71,9 @@
 //!
 //! For serving many independent requests, the engine is `Send + Sync`
 //! and shares across OS threads behind one `Arc`: see the [`serve`]
-//! module ([`Engine::propagate_batch`] and [`SessionPool`]).
+//! module ([`Engine::propagate_batch`]). Repeated updates to one document
+//! go through its [`Session`], one worker at a time; the serving daemon
+//! (`xvu_server`) leases each document's session from one table.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -118,6 +120,5 @@ pub use pathgraph::GraphScratch;
 pub use scratch::PropScratch;
 pub use segments::Segmentation;
 pub use selection::{Classify, EdgeClass, Selector};
-pub use serve::{EvictOutcome, SessionLease, SessionPool};
 pub use typing::{typing_report, TypingReport};
 pub use verify::verify_propagation;

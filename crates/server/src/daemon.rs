@@ -1,10 +1,11 @@
-//! The serving daemon: document store, worker pool, admission control,
+//! The serving daemon: document table, worker pool, admission control,
 //! and graceful shutdown.
 //!
 //! A [`Server`] owns a corpus of documents (keyed by `u64` id, each
-//! belonging to one compiled [`Engine`] family), a bounded
-//! [`LruSessionPool`] of open sessions, and a fixed worker pool fed by a
-//! bounded work queue:
+//! belonging to one compiled [`Engine`] family) in one document table —
+//! committed document, pending propagation and open session of every
+//! document under one lock, with at most `pool_capacity` sessions open —
+//! and a fixed worker pool fed by a bounded work queue:
 //!
 //! * **write verbs** (`load`/`open`/`propagate`/`commit`/`close`) are
 //!   admitted into the queue — or pushed back with a `retry` frame when
@@ -14,9 +15,9 @@
 //! * `hello`/`stats` are answered inline; `shutdown` drains every queued
 //!   and in-flight request, replies with the final stats snapshot, and
 //!   stops the accept loop;
-//! * `snapshot` (a write verb) flushes every resident session into the
-//!   store with eviction semantics and writes the committed corpus out
-//!   as a flat snapshot file (`xvu_tree::snapshot`); the inverse is
+//! * `snapshot` (a write verb) parks every open session with eviction
+//!   semantics and writes the committed corpus out as a flat snapshot
+//!   file (`xvu_tree::snapshot`); the inverse is
 //!   [`Server::preload_corpus`], the parse-free cold-start path.
 //!
 //! Request latencies (including queueing for writes), queue depth,
@@ -25,35 +26,34 @@
 //!
 //! ## Determinism across eviction
 //!
-//! Evicting an idle session drops only its *session-private* state — its
-//! document copy and the intern-id map over it: the committed document
-//! **and** its fresh-identifier high-water mark are written back to the
-//! store and restored on the next checkout
-//! ([`xvu_propagate::Session::merge_id_gen`]), so replies are
-//! byte-identical whether or not an eviction happened in between — the
-//! property the fleet differential driver ([`crate::run_fleet`]) checks
-//! end to end. Every memo lives in the engine, keyed by subtree
-//! structure ([`xvu_propagate::cache`]), and **survives eviction**: a
-//! reopened session re-interns its document and warms straight from the
-//! engine's table instead of recomputing. The `stats` verb reports the
-//! table's counters summed over the server's families (`cache` object).
+//! Evicting an idle session drops only its *session-private* state — the
+//! intern-id map over its document. Eviction is one state change under
+//! the document table's lock: the entry keeps the session's committed
+//! document **and** its fresh-identifier high-water mark, and the next
+//! lease reopens from both ([`xvu_propagate::Session::merge_id_gen`]), so
+//! replies are byte-identical whether or not an eviction happened in
+//! between — the property the fleet differential driver
+//! ([`crate::run_fleet`]) checks end to end. Every memo lives in the
+//! engine, keyed by subtree structure ([`xvu_propagate::cache`]), and
+//! **survives eviction**: a reopened session re-interns its document and
+//! warms straight from the engine's memo instead of recomputing. The
+//! `stats` verb reports the memo's counters summed over the server's
+//! families (`cache` object).
 //! An explicit `close` resets the identifier floor instead: a closed
 //! document starts a fresh session history, exactly like a direct
 //! [`xvu_propagate::Engine::open`].
 
 use crate::metrics::{Metrics, StatsSnapshot};
-use crate::pool::{Evicted, LruSessionPool};
+use crate::pool::{DocTable, Lease, LeaseError};
 use crate::protocol::{check_hello, Frame, Recv, Verb, PROTOCOL_VERSION};
 use crate::transport::{StreamTransport, Transport};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 use xvu_edit::{parse_script, script_to_term, Script};
-use xvu_propagate::{
-    count_optimal_propagations, CacheStats, Engine, PropagateError, Propagation, SessionLease,
-};
+use xvu_propagate::{count_optimal_propagations, CacheStats, Engine};
 use xvu_tree::{
     parse_term_with_ids, to_term_with_ids, Alphabet, CorpusBuilder, DocTree, NodeIdGen,
     SnapshotFile,
@@ -67,7 +67,8 @@ pub struct ServerConfig {
     /// Bounded work-queue depth; writes beyond it are pushed back with
     /// `retry`.
     pub queue_capacity: usize,
-    /// [`LruSessionPool`] bound: resident sessions across all documents.
+    /// Open sessions across all documents; the least recently used idle
+    /// one is evicted to open another.
     pub pool_capacity: usize,
     /// Backoff suggested to pushed-back clients, in milliseconds.
     pub retry_after_ms: u64,
@@ -95,14 +96,6 @@ pub struct ServerReport {
     pub drained_clean: bool,
 }
 
-/// One stored document: its family, committed content, and — after an
-/// eviction — the identifier high-water mark to restore on reopen.
-struct StoredDoc {
-    family: usize,
-    doc: DocTree,
-    gen: Option<NodeIdGen>,
-}
-
 /// One queued write request.
 struct Job {
     frame: Frame,
@@ -123,17 +116,9 @@ struct WorkQueue {
 pub struct Server<'e> {
     engines: &'e [Engine],
     cfg: ServerConfig,
-    pool: LruSessionPool<'e>,
-    store: Mutex<HashMap<u64, StoredDoc>>,
-    /// Serializes the store↔pool critical sections (read-store →
-    /// checkout → write-back, and close/load's remove → store update).
-    /// Without it a concurrent eviction leaves a window — session gone
-    /// from the pool, write-back not yet in the store — in which a
-    /// checkout for the evicted document reopens a stale snapshot.
-    /// Lease *holders* never take this lock, so the blocking inner
-    /// checkout (same-document isolation) cannot deadlock through it.
-    coherence: Mutex<()>,
-    pending: Mutex<HashMap<u64, Propagation>>,
+    /// Every document's committed content, pending propagation and
+    /// session.
+    pub(crate) table: DocTable<'e>,
     metrics: Metrics,
     queue: Mutex<WorkQueue>,
     work_ready: Condvar,
@@ -151,14 +136,11 @@ impl<'e> Server<'e> {
     pub fn new(engines: &'e [Engine], cfg: ServerConfig) -> Server<'e> {
         assert!(!engines.is_empty(), "a server needs at least one family");
         let workers = cfg.workers.max(1);
-        let pool = LruSessionPool::new(engines, cfg.pool_capacity.max(1));
+        let table = DocTable::new(engines, cfg.pool_capacity.max(1));
         Server {
             engines,
             cfg: ServerConfig { workers, ..cfg },
-            pool,
-            store: Mutex::new(HashMap::new()),
-            coherence: Mutex::new(()),
-            pending: Mutex::new(HashMap::new()),
+            table,
             metrics: Metrics::new(),
             queue: Mutex::new(WorkQueue {
                 jobs: VecDeque::new(),
@@ -192,7 +174,7 @@ impl<'e> Server<'e> {
                     entries: acc.entries + s.entries,
                 });
         self.metrics
-            .snapshot(cache, self.pool.resident(), self.pool.capacity())
+            .snapshot(cache, self.table.resident(), self.table.capacity())
     }
 
     /// Initiates shutdown from outside a connection (equivalent to the
@@ -410,7 +392,7 @@ impl<'e> Server<'e> {
         }
     }
 
-    fn handle_write(&self, verb: Verb, payload: &str) -> Frame {
+    pub(crate) fn handle_write(&self, verb: Verb, payload: &str) -> Frame {
         match verb {
             Verb::Load => self.handle_load(payload),
             Verb::Open => self.handle_open(payload),
@@ -457,20 +439,9 @@ impl<'e> Server<'e> {
         if let Err(e) = self.engines[family].dtd().validate(&tree) {
             return Frame::err(format!("document violates the family DTD: {e}"));
         }
-        // replacing a document discards any resident session and pending
-        // propagation for its id; atomic with concurrent checkouts so a
-        // racing lease never resurrects the replaced session's state
-        let _atomic = relock(self.coherence.lock());
-        self.pool.remove(doc_id);
-        relock(self.pending.lock()).remove(&doc_id);
-        relock(self.store.lock()).insert(
-            doc_id,
-            StoredDoc {
-                family,
-                doc: tree,
-                gen: None,
-            },
-        );
+        // replacing a document discards its session and pending
+        // propagation, once any lease on it has returned
+        self.table.load(doc_id, family, tree);
         Frame::ok("")
     }
 
@@ -478,12 +449,11 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = payload.trim().parse::<u64>() else {
             return Frame::err(format!("bad document id {payload:?}"));
         };
-        let (lease, family) = match self.lease_for(doc_id) {
-            Ok(x) => x,
+        let lease = match self.lease(doc_id) {
+            Ok(lease) => lease,
             Err(resp) => return resp,
         };
-        let view = to_term_with_ids(lease.view(), self.engines[family].alphabet());
-        Frame::ok(view)
+        Frame::ok(to_term_with_ids(lease.view(), lease.engine().alphabet()))
     }
 
     fn handle_propagate(&self, payload: &str) -> Frame {
@@ -493,11 +463,11 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = id.parse::<u64>() else {
             return Frame::err(format!("bad document id {id:?}"));
         };
-        let (lease, family) = match self.lease_for(doc_id) {
-            Ok(x) => x,
+        let lease = match self.lease(doc_id) {
+            Ok(lease) => lease,
             Err(resp) => return resp,
         };
-        let alpha = self.engines[family].alphabet();
+        let alpha = lease.engine().alphabet();
         let update = match self.parse_update(alpha, term) {
             Ok(u) => u,
             Err(m) => return Frame::err(m),
@@ -511,7 +481,7 @@ impl<'e> Server<'e> {
         };
         let script = script_to_term(&prop.script, alpha);
         let reply = format!("{}\n{}\n{}", prop.cost, count, script);
-        relock(self.pending.lock()).insert(doc_id, prop);
+        self.table.set_pending(doc_id, prop);
         Frame::ok(reply)
     }
 
@@ -519,15 +489,15 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = payload.trim().parse::<u64>() else {
             return Frame::err(format!("bad document id {payload:?}"));
         };
-        let Some(prop) = relock(self.pending.lock()).remove(&doc_id) else {
+        let Some(prop) = self.table.take_pending(doc_id) else {
             return Frame::err(format!("document {doc_id} has no pending propagation"));
         };
-        let (mut lease, _) = match self.lease_for(doc_id) {
-            Ok(x) => x,
+        let mut lease = match self.lease(doc_id) {
+            Ok(lease) => lease,
             Err(resp) => {
-                // checkout pushback (e.g. a fully-leased pool) must not
+                // lease pushback (e.g. every session leased) must not
                 // consume the propagation: the client will retry
-                relock(self.pending.lock()).insert(doc_id, prop);
+                self.table.set_pending(doc_id, prop);
                 return resp;
             }
         };
@@ -535,7 +505,7 @@ impl<'e> Server<'e> {
             Ok(()) => Frame::ok(""),
             Err(e) => {
                 // leave the propagation pending so the client may retry
-                relock(self.pending.lock()).insert(doc_id, prop);
+                self.table.set_pending(doc_id, prop);
                 Frame::err(e.to_string())
             }
         }
@@ -545,22 +515,13 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = payload.trim().parse::<u64>() else {
             return Frame::err(format!("bad document id {payload:?}"));
         };
-        // atomic with concurrent checkouts: the removed session's state
-        // must land in the store before any lease can reopen the document
-        let _atomic = relock(self.coherence.lock());
-        let removed = self.pool.remove(doc_id);
-        relock(self.pending.lock()).remove(&doc_id);
-        let mut store = relock(self.store.lock());
-        let Some(stored) = store.get_mut(&doc_id) else {
-            return Frame::err(format!("unknown document {doc_id}"));
-        };
-        if let Some(session) = removed {
-            stored.doc = session.document().clone();
-        }
         // a closed document starts a fresh identifier history on reopen —
         // same as a direct Engine::open on the committed document
-        stored.gen = None;
-        Frame::ok("")
+        if self.table.close(doc_id) {
+            Frame::ok("")
+        } else {
+            Frame::err(format!("unknown document {doc_id}"))
+        }
     }
 
     fn handle_snapshot(&self, payload: &str) -> Frame {
@@ -568,11 +529,9 @@ impl<'e> Server<'e> {
         if path.is_empty() {
             return Frame::err("snapshot expects a destination path");
         }
-        let bytes = self.snapshot_store_bytes();
-        let docs = {
-            let store = relock(self.store.lock());
-            store.len()
-        };
+        let corpus = self.snapshot_corpus();
+        let docs = corpus.len();
+        let bytes = corpus.finish();
         match std::fs::write(path, &bytes) {
             Ok(()) => Frame::ok(format!("docs={docs} bytes={}", bytes.len())),
             Err(e) => Frame::err(format!("cannot write snapshot {path:?}: {e}")),
@@ -589,11 +548,11 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = id.parse::<u64>() else {
             return Frame::err(format!("bad document id {id:?}"));
         };
-        let (lease, family) = match self.lease_for(doc_id) {
-            Ok(x) => x,
+        let lease = match self.lease(doc_id) {
+            Ok(lease) => lease,
             Err(resp) => return resp,
         };
-        let alpha = self.engines[family].alphabet();
+        let alpha = lease.engine().alphabet();
         let (update, candidate) = match (
             self.parse_update(alpha, update),
             self.parse_update(alpha, candidate),
@@ -614,11 +573,11 @@ impl<'e> Server<'e> {
         let Ok(doc_id) = id.parse::<u64>() else {
             return Frame::err(format!("bad document id {id:?}"));
         };
-        let (lease, family) = match self.lease_for(doc_id) {
-            Ok(x) => x,
+        let lease = match self.lease(doc_id) {
+            Ok(lease) => lease,
             Err(resp) => return resp,
         };
-        let update = match self.parse_update(self.engines[family].alphabet(), term) {
+        let update = match self.parse_update(lease.engine().alphabet(), term) {
             Ok(u) => u,
             Err(m) => return Frame::err(m),
         };
@@ -630,58 +589,32 @@ impl<'e> Server<'e> {
 
     // ---- shared plumbing -------------------------------------------------
 
-    /// Checks out the document's session (opening or reopening as
-    /// needed), writing back any sessions the LRU pool evicted to make
-    /// room and restoring the identifier floor after a reopen.
-    fn lease_for(&self, doc_id: u64) -> Result<(SessionLease<'_, 'e, u64>, usize), Frame> {
-        // the store snapshot, the checkout it seeds, and the write-back
-        // of whatever that checkout evicted must be one atomic step: a
-        // concurrent eviction between the snapshot and the checkout
-        // would otherwise reopen this document from a stale store entry
-        let _atomic = relock(self.coherence.lock());
-        let (family, tree, saved_gen) = {
-            let store = relock(self.store.lock());
-            let Some(stored) = store.get(&doc_id) else {
-                return Err(Frame::err(format!("unknown document {doc_id}")));
-            };
-            (stored.family, stored.doc.clone(), stored.gen.clone())
-        };
-        match self.pool.checkout(doc_id, family, &tree) {
-            Ok((mut lease, evicted)) => {
-                self.write_back(evicted);
-                if let Some(gen) = saved_gen {
-                    lease.merge_id_gen(&gen);
+    /// Leases the document's session from the table, counting the
+    /// eviction that made room for it and turning a table whose every
+    /// session is leased into `retry` pushback.
+    fn lease(&self, doc_id: u64) -> Result<Lease<'_, 'e>, Frame> {
+        match self.table.lease(doc_id) {
+            Ok((lease, evicted)) => {
+                if evicted.is_some() {
+                    self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
                 }
-                Ok((lease, family))
+                Ok(lease)
             }
-            Err(PropagateError::PoolAtCapacity { .. }) => {
+            Err(LeaseError::Unknown) => Err(Frame::err(format!("unknown document {doc_id}"))),
+            Err(LeaseError::Full) => {
                 self.metrics.rejected_writes.fetch_add(1, Ordering::Relaxed);
                 Err(Frame::retry(self.cfg.retry_after_ms))
             }
-            Err(e) => Err(Frame::err(e.to_string())),
+            Err(LeaseError::Open(e)) => Err(Frame::err(e.to_string())),
         }
     }
 
-    /// Persists evicted sessions: committed document plus identifier
-    /// high-water mark back into the store.
-    fn write_back(&self, evicted: Vec<Evicted<'e>>) {
-        for ev in evicted {
-            self.metrics.evictions.fetch_add(1, Ordering::Relaxed);
-            let mut store = relock(self.store.lock());
-            if let Some(stored) = store.get_mut(&ev.doc) {
-                stored.doc = ev.session.document().clone();
-                stored.gen = Some(ev.session.id_gen());
-            }
-        }
-    }
-
-    /// Preloads the document store from a packed snapshot corpus — the
+    /// Preloads the document table from a packed snapshot corpus — the
     /// cold-start path: no term/XML parsing, one bulk decode per
     /// document. Every document is checked against its family's alphabet
     /// (foreign labels are rejected, like the `load` verb) and DTD.
     /// Returns the number of documents loaded.
     pub fn preload_corpus(&self, corpus: &SnapshotFile) -> Result<usize, String> {
-        let _atomic = relock(self.coherence.lock());
         let mut loaded = 0usize;
         for (i, entry) in corpus.entries().iter().enumerate() {
             let family = entry.family as usize;
@@ -709,51 +642,34 @@ impl<'e> Server<'e> {
                     entry.doc_id
                 ));
             }
-            relock(self.store.lock()).insert(
-                entry.doc_id,
-                StoredDoc {
-                    family,
-                    doc: tree,
-                    gen: None,
-                },
-            );
+            self.table.load(entry.doc_id, family, tree);
             loaded += 1;
         }
         Ok(loaded)
     }
 
-    /// Serializes the committed store as a snapshot corpus image.
+    /// Serializes the committed documents as a snapshot corpus image.
     ///
-    /// Resident sessions are flushed first with eviction semantics —
-    /// committed document and identifier high-water mark written back —
-    /// so the corpus captures exactly
-    /// what a cold restart would serve, and reopening after the flush is
-    /// observationally invisible (same guarantee as LRU eviction).
-    /// Documents are emitted sorted by id, so equal stores produce
-    /// byte-identical corpora.
+    /// Open sessions are parked first with eviction semantics — the entry
+    /// keeps the committed document and identifier high-water mark — so
+    /// the corpus captures exactly what a cold restart would serve, and
+    /// reopening after the flush is observationally invisible (same
+    /// guarantee as LRU eviction). A leased document is written once its
+    /// lease returns. Documents are emitted sorted by id, so equal
+    /// corpora produce byte-identical images.
     pub fn snapshot_store_bytes(&self) -> Vec<u8> {
-        let _atomic = relock(self.coherence.lock());
-        for doc_id in self.pool.resident_docs() {
-            if let Some(session) = self.pool.remove(doc_id) {
-                let mut store = relock(self.store.lock());
-                if let Some(stored) = store.get_mut(&doc_id) {
-                    stored.doc = session.document().clone();
-                    stored.gen = Some(session.id_gen());
-                }
-            }
-        }
-        let store = relock(self.store.lock());
-        let mut ids: Vec<u64> = store.keys().copied().collect();
-        ids.sort_unstable();
-        let mut builder = CorpusBuilder::new();
-        for id in ids {
-            let stored = &store[&id];
-            let alpha = self.engines[stored.family].alphabet();
-            builder
-                .push(id, stored.family as u32, &stored.doc, alpha)
+        self.snapshot_corpus().finish()
+    }
+
+    /// Every committed document, pushed in id order.
+    fn snapshot_corpus(&self) -> CorpusBuilder {
+        let mut corpus = CorpusBuilder::new();
+        self.table.park_all(|id, family, doc| {
+            corpus
+                .push(id, family as u32, doc, self.engines[family].alphabet())
                 .expect("stored documents always encode");
-        }
-        builder.finish()
+        });
+        corpus
     }
 
     /// Parses a script term over the family alphabet, rejecting labels

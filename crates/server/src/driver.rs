@@ -14,6 +14,7 @@ use crate::daemon::{Server, ServerConfig};
 use crate::metrics::StatsSnapshot;
 use std::collections::HashMap;
 use std::net::TcpListener;
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
 use xvu_edit::script_to_term;
 use xvu_propagate::Engine;
@@ -102,6 +103,7 @@ pub fn run_fleet_with(
     let addr = listener.local_addr()?.to_string();
     let family_of: HashMap<u64, usize> = plan.docs.iter().map(|d| (d.id, d.family)).collect();
     let clients = plan.ops.iter().map(|op| op.client + 1).max().unwrap_or(0);
+    let first_ops_done = Barrier::new(clients);
     let start = Instant::now();
 
     let mut outcomes: Vec<ClientOutcome> = Vec::new();
@@ -140,9 +142,9 @@ pub fn run_fleet_with(
         if loaded_clean {
             let handles: Vec<_> = (0..clients)
                 .map(|c| {
-                    let addr = &addr;
-                    let family_of = &family_of;
-                    scope.spawn(move || run_client(plan, family_of, addr, c))
+                    let (addr, family_of) = (&addr, &family_of);
+                    let first_ops_done = &first_ops_done;
+                    scope.spawn(move || run_client(plan, family_of, addr, c, first_ops_done))
                 })
                 .collect();
             for h in handles {
@@ -189,13 +191,37 @@ pub fn run_fleet_with(
     Ok(report)
 }
 
+/// A client's place at the barrier every client reaches once its first
+/// operation is done: the clients' first documents are then open at the
+/// same time, so a pool smaller than the client count evicts on every
+/// replay instead of only when thread scheduling overlaps the clients.
+/// Dropping it arrives too, so a client that returns or panics early
+/// never leaves the others waiting.
+struct FirstOpDone<'b>(Option<&'b Barrier>);
+
+impl FirstOpDone<'_> {
+    fn arrive(&mut self) {
+        if let Some(barrier) = self.0.take() {
+            barrier.wait();
+        }
+    }
+}
+
+impl Drop for FirstOpDone<'_> {
+    fn drop(&mut self) {
+        self.arrive();
+    }
+}
+
 /// Replays one fleet client's operation stream over its own connection.
 fn run_client(
     plan: &FleetPlan,
     family_of: &HashMap<u64, usize>,
     addr: &str,
     client_idx: usize,
+    first_ops_done: &Barrier,
 ) -> ClientOutcome {
+    let mut first_op = FirstOpDone(Some(first_ops_done));
     let mut out = ClientOutcome::default();
     let mut client = match Client::connect(addr) {
         Ok(c) => c,
@@ -207,6 +233,9 @@ fn run_client(
         }
     };
     for (i, op) in plan.client_ops(client_idx).enumerate() {
+        if i == 1 {
+            first_op.arrive();
+        }
         let alpha = &plan.families[family_of[&op.doc]].alpha;
         let tag = format!("client {client_idx} op {i} doc {}", op.doc);
         let fail = |out: &mut ClientOutcome, what: String| {

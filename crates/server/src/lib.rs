@@ -10,14 +10,15 @@
 //!   errors;
 //! * [`transport`] — TCP sockets and stdio pipes behind one
 //!   [`Transport`] trait;
-//! * [`pool`] — a bounded LRU layer over [`xvu_propagate::SessionPool`]
-//!   that evicts parked sessions (leased ones are exempt) and hands them
-//!   back for write-back, preserving document content and identifier
-//!   floors across eviction;
-//! * [`daemon`] — the [`Server`]: document store, fixed worker pool fed
-//!   by a bounded queue with admission control (`retry` pushback), a
+//! * [`daemon`] — the [`Server`]: one document table, fixed worker pool
+//!   fed by a bounded queue with admission control (`retry` pushback), a
 //!   read-only fast path for `verify`/`count`, and graceful
-//!   drain-on-shutdown;
+//!   drain-on-shutdown. The table (crate-private module `pool`) holds
+//!   each document's committed content, pending propagation and open
+//!   session under one lock and one condvar: a worker leases a
+//!   document's session, at most `pool_capacity` sessions stay open, and
+//!   evicting the least recently used idle one is a state change under
+//!   that lock that keeps its document and identifier floor;
 //! * [`metrics`] — latency histograms (p50/p90/p99), queue depth,
 //!   admission rejects, and propagation-memo counters, served by the
 //!   `stats` verb;
@@ -44,15 +45,16 @@ pub mod client;
 pub mod daemon;
 pub mod driver;
 pub mod metrics;
-pub mod pool;
+mod pool;
 pub mod protocol;
+#[cfg(test)]
+mod serve;
 pub mod transport;
 
 pub use client::{Client, ClientError, PropagateReply};
 pub use daemon::{Server, ServerConfig, ServerReport};
 pub use driver::{run_fleet, run_fleet_from_corpus, run_fleet_with, CorpusMode, FleetReport};
 pub use metrics::{Histogram, HistogramSnapshot, Metrics, StatsSnapshot};
-pub use pool::{Evicted, LruSessionPool};
 pub use protocol::{
     read_frame, write_frame, Frame, ProtocolError, Recv, Verb, MAX_FRAME, PROTOCOL_VERSION,
 };

@@ -119,7 +119,7 @@ pub struct Metrics {
     pub queue_depth: AtomicU64,
     /// High-water mark of the queue depth.
     pub queue_max: AtomicU64,
-    /// Sessions evicted by the LRU pool.
+    /// Sessions evicted (least recently used first) to open another.
     pub evictions: AtomicU64,
     /// Latency of write verbs (enqueue → reply ready: queueing included).
     pub write_latency: Histogram,
@@ -155,7 +155,7 @@ impl Metrics {
     /// Freezes everything into a [`StatsSnapshot`]. `cache` holds the
     /// propagation-memo counters summed over the server's families (the
     /// memo is engine-owned, so they survive session eviction);
-    /// `resident`/`capacity` describe the pool.
+    /// `resident`/`capacity` count the open sessions and their bound.
     pub fn snapshot(
         &self,
         cache: xvu_propagate::CacheStats,

@@ -1,220 +1,342 @@
-//! A bounded, multi-family LRU layer over [`SessionPool`].
+//! The daemon's document table: every document's state under one lock.
 //!
-//! The daemon serves documents from several grammar families (one
-//! compiled [`Engine`] each) but bounds the *total* number of resident
-//! sessions: [`LruSessionPool`] keeps one inner [`SessionPool`] per
-//! family plus a global recency list, and evicts the least-recently-used
-//! **parked** session when a checkout would exceed the bound.
+//! One mutex-guarded map from document id to entry holds everything the
+//! daemon knows about a document — its family, its pending propagation,
+//! an LRU stamp, and one of three states:
 //!
-//! Eviction policy (the serving contract, tested here and end-to-end):
+//! * **parked** — the committed [`DocTree`], plus the identifier floor to
+//!   restore on reopen after an eviction;
+//! * **resident** — an open [`Session`] between requests;
+//! * **leased** — one worker holds the session ([`Lease`]).
 //!
-//! * only parked sessions are evicted — a leased session is
-//!   eviction-exempt ([`xvu_propagate::EvictOutcome::Leased`] defers to
-//!   the next victim), so a request never loses its session mid-flight;
-//! * the evicted session is handed back to the caller for write-back:
-//!   its committed document (and identifier high-water mark) persist in
-//!   the caller's store, only its intern-id map dies with it (the memos
-//!   it used live in the engine);
-//! * if every resident session is leased (nothing evictable), a
-//!   checkout for a *new* document fails fast with
-//!   [`PropagateError::PoolAtCapacity`] — the daemon converts that into
-//!   admission pushback (`retry`) instead of growing without bound. The
-//!   inner pools carry the same capacity as a backstop against
-//!   bookkeeping drift.
+//! Leasing takes a resident session out of its entry, or marks a parked
+//! entry leased and opens its session outside the lock. At most
+//! `capacity` sessions (resident or leased) exist: opening one more
+//! first evicts the least-recently-leased resident entry, in one state
+//! change under the same lock — resident becomes parked, keeping the
+//! session's document and identifier floor — so there is no moment at
+//! which a document lives nowhere. Leased entries are never evicted; when
+//! every session is leased, leasing a parked document fails with
+//! [`LeaseError::Full`], which the daemon turns into `retry` pushback.
+//!
+//! Dropping a lease makes the entry resident again and wakes the one
+//! condvar. Leasing, [`DocTable::load`], [`DocTable::close`] and
+//! [`DocTable::park_all`] wait on it while an entry is leased, so none of
+//! them can overwrite or miss an edit committed through the lease.
 
 use std::collections::HashMap;
-use std::sync::{Mutex, MutexGuard};
-use xvu_propagate::{Engine, EvictOutcome, PropagateError, Session, SessionLease, SessionPool};
-use xvu_tree::DocTree;
+use std::ops::{Deref, DerefMut};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+use xvu_propagate::{Engine, PropagateError, Propagation, Session};
+use xvu_tree::{DocTree, NodeIdGen};
 
-/// A session evicted to make room, owed a write-back to long-term
-/// storage by the caller.
-pub struct Evicted<'e> {
-    /// The document key the session served.
-    pub doc: u64,
-    /// The session, parked at its last commit.
-    pub session: Box<Session<'e>>,
+/// Where a document's content lives right now.
+enum State<'e> {
+    /// No session: the committed document and, after an eviction, the
+    /// identifier floor its next session must restore.
+    Parked {
+        doc: DocTree,
+        gen: Option<NodeIdGen>,
+    },
+    /// An open session, not in use.
+    Resident(Box<Session<'e>>),
+    /// A worker holds the session.
+    Leased,
 }
 
-/// Bookkeeping shared by every checkout: global recency plus the
-/// resident-document → family map.
+/// One document's entry in the table.
+struct Entry<'e> {
+    family: usize,
+    /// The propagation a `commit` would apply.
+    pending: Option<Propagation>,
+    /// Clock value of the entry's last lease: the resident entry with the
+    /// smallest stamp is evicted first.
+    stamp: u64,
+    state: State<'e>,
+}
+
+impl Entry<'_> {
+    /// Turns a resident entry into a parked one, keeping the session's
+    /// document and identifier floor. Returns whether a session was
+    /// parked.
+    fn park(&mut self) -> bool {
+        match std::mem::replace(&mut self.state, State::Leased) {
+            State::Resident(session) => {
+                let gen = Some(session.id_gen());
+                self.state = State::Parked {
+                    doc: session.into_document(),
+                    gen,
+                };
+                true
+            }
+            other => {
+                self.state = other;
+                false
+            }
+        }
+    }
+}
+
+/// The state under the table's lock.
 #[derive(Default)]
-struct LruState {
-    /// Resident document keys, least recently used first.
-    recency: Vec<u64>,
-    /// Family index of each resident document.
-    family: HashMap<u64, usize>,
+struct Docs<'e> {
+    entries: HashMap<u64, Entry<'e>>,
+    /// Resident plus leased entries: the sessions that exist.
+    sessions: usize,
+    /// LRU clock, advanced by every lease.
+    clock: u64,
 }
 
-/// The bounded LRU session pool. See the module docs for the policy.
-pub struct LruSessionPool<'e> {
-    pools: Vec<SessionPool<'e, u64>>,
-    state: Mutex<LruState>,
+/// Why a lease was refused.
+#[derive(Debug)]
+pub(crate) enum LeaseError {
+    /// No document has this id.
+    Unknown,
+    /// Every session is leased: push back rather than grow.
+    Full,
+    /// The parked document failed to open.
+    Open(PropagateError),
+}
+
+/// The document table. See the module docs for the states and the
+/// eviction policy.
+pub(crate) struct DocTable<'e> {
+    engines: &'e [Engine],
     capacity: usize,
+    docs: Mutex<Docs<'e>>,
+    /// Signalled whenever a lease returns or a failed open gives its
+    /// entry back.
+    returned: Condvar,
 }
 
-impl<'e> LruSessionPool<'e> {
-    /// A pool over one engine per family, bounded to `capacity` resident
-    /// sessions in total. `capacity` must be ≥ 1.
-    pub fn new(engines: &'e [Engine], capacity: usize) -> LruSessionPool<'e> {
-        assert!(capacity >= 1, "LruSessionPool capacity must be ≥ 1");
-        LruSessionPool {
-            pools: engines
-                .iter()
-                .map(|e| SessionPool::with_capacity(e, capacity))
-                .collect(),
-            state: Mutex::new(LruState::default()),
+impl<'e> DocTable<'e> {
+    /// An empty table over one engine per family, holding at most
+    /// `capacity` sessions. `capacity` must be ≥ 1.
+    pub(crate) fn new(engines: &'e [Engine], capacity: usize) -> DocTable<'e> {
+        assert!(capacity >= 1, "DocTable capacity must be ≥ 1");
+        DocTable {
+            engines,
             capacity,
+            docs: Mutex::new(Docs::default()),
+            returned: Condvar::new(),
         }
     }
 
-    /// The configured bound.
-    pub fn capacity(&self) -> usize {
+    /// The session bound.
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Number of resident (parked or leased) sessions right now.
-    pub fn resident(&self) -> usize {
-        self.lock().family.len()
+    /// Sessions that exist right now, resident or leased.
+    pub(crate) fn resident(&self) -> usize {
+        self.lock().sessions
     }
 
-    /// The documents with a resident session right now (snapshot of the
-    /// tracking state; a concurrent checkout may change it immediately).
-    /// Used by the `snapshot` verb to flush every resident session's
-    /// committed state into the store before serializing it.
-    pub fn resident_docs(&self) -> Vec<u64> {
-        self.lock().family.keys().copied().collect()
+    fn lock(&self) -> MutexGuard<'_, Docs<'e>> {
+        self.docs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn lock(&self) -> MutexGuard<'_, LruState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// Waits until `doc`'s entry is not leased (or absent).
+    fn settled<'g>(&self, docs: MutexGuard<'g, Docs<'e>>, doc: u64) -> MutexGuard<'g, Docs<'e>> {
+        self.returned
+            .wait_while(docs, |d| {
+                matches!(d.entries.get(&doc).map(|e| &e.state), Some(State::Leased))
+            })
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Checks out the session for `doc` (family `family`), opening it
-    /// from `tree` on first touch and updating the recency order. Any
-    /// sessions evicted to make room are returned alongside the lease —
-    /// the caller must write their documents back before serving further
-    /// requests for those keys.
-    ///
-    /// Blocks while another worker holds the same document's lease
-    /// (per-document isolation, inherited from [`SessionPool`]).
-    pub fn checkout(
-        &self,
-        doc: u64,
-        family: usize,
-        tree: &DocTree,
-    ) -> Result<(SessionLease<'_, 'e, u64>, Vec<Evicted<'e>>), PropagateError> {
-        assert!(family < self.pools.len(), "unknown family index");
-        let mut evicted = Vec::new();
+    /// Stores `tree` as `doc`'s committed document, replacing any
+    /// previous entry with its session and pending propagation. Waits
+    /// while the old entry is leased.
+    pub(crate) fn load(&self, doc: u64, family: usize, tree: DocTree) {
+        let mut docs = self.settled(self.lock(), doc);
+        let entry = Entry {
+            family,
+            pending: None,
+            stamp: 0,
+            state: State::Parked {
+                doc: tree,
+                gen: None,
+            },
+        };
+        if let Some(Entry {
+            state: State::Resident(_),
+            ..
+        }) = docs.entries.insert(doc, entry)
         {
-            let mut state = self.lock();
-            if let Some(pos) = state.recency.iter().position(|&d| d == doc) {
-                // resident: touch
-                state.recency.remove(pos);
-                state.recency.push(doc);
-            } else {
-                // make room, oldest parked victim first; leased sessions
-                // are exempt
-                let mut scan = 0;
-                while state.family.len() >= self.capacity && scan < state.recency.len() {
-                    let victim = state.recency[scan];
-                    let vf = state.family[&victim];
-                    match self.pools[vf].evict(&victim) {
-                        EvictOutcome::Evicted(session) => {
-                            state.recency.remove(scan);
-                            state.family.remove(&victim);
-                            evicted.push(Evicted {
-                                doc: victim,
-                                session,
-                            });
-                        }
-                        EvictOutcome::Leased => scan += 1,
-                        EvictOutcome::Unknown => {
-                            // state said resident but the slot is gone (a
-                            // failed open cleaned up): drop the stale entry
-                            state.recency.remove(scan);
-                            state.family.remove(&victim);
-                        }
-                    }
-                }
-                if state.family.len() >= self.capacity {
-                    // every resident session is leased: push back rather
-                    // than grow past the bound
-                    return Err(PropagateError::PoolAtCapacity {
-                        capacity: self.capacity,
-                    });
-                }
-                state.recency.push(doc);
-                state.family.insert(doc, family);
-            }
+            docs.sessions -= 1;
         }
-        match self.pools[family].checkout(doc, tree) {
-            Ok(lease) => Ok((lease, evicted)),
-            Err(e) => {
-                // roll the reservation back: the inner pool holds no slot
-                // for a failed open, so the state map must not either
-                let mut state = self.lock();
-                if let Some(pos) = state.recency.iter().position(|&d| d == doc) {
-                    state.recency.remove(pos);
+    }
+
+    /// Leases `doc`'s session, opening it from the parked document if
+    /// needed, and returns the document an eviction parked to make room.
+    /// Waits while another worker holds the same document.
+    pub(crate) fn lease(&self, doc: u64) -> Result<(Lease<'_, 'e>, Option<u64>), LeaseError> {
+        let mut docs = self.settled(self.lock(), doc);
+        let Docs {
+            entries,
+            sessions,
+            clock,
+        } = &mut *docs;
+        let entry = entries.get_mut(&doc).ok_or(LeaseError::Unknown)?;
+        *clock += 1;
+        entry.stamp = *clock;
+        let family = entry.family;
+        let (tree, gen) = match std::mem::replace(&mut entry.state, State::Leased) {
+            State::Resident(session) => return Ok((self.lease_of(doc, session), None)),
+            State::Parked { doc: tree, gen } => (tree, gen),
+            State::Leased => unreachable!("settled() waited the lease out"),
+        };
+        let mut evicted = None;
+        if *sessions >= self.capacity {
+            let victim = entries
+                .iter()
+                .filter(|(_, e)| matches!(e.state, State::Resident(_)))
+                .min_by_key(|(_, e)| e.stamp)
+                .map(|(&id, _)| id);
+            let Some(victim) = victim else {
+                entries.get_mut(&doc).expect("looked up above").state =
+                    State::Parked { doc: tree, gen };
+                return Err(LeaseError::Full);
+            };
+            entries.get_mut(&victim).expect("victim listed").park();
+            *sessions -= 1;
+            evicted = Some(victim);
+        }
+        *sessions += 1;
+        drop(docs);
+        // Validation and interning are O(|doc|): open outside the lock.
+        match self.engines[family].open(&tree) {
+            Ok(mut session) => {
+                if let Some(gen) = gen {
+                    session.merge_id_gen(&gen);
                 }
-                state.family.remove(&doc);
-                Err(e)
+                Ok((self.lease_of(doc, Box::new(session)), evicted))
+            }
+            Err(e) => {
+                let mut docs = self.lock();
+                docs.sessions -= 1;
+                if let Some(entry) = docs.entries.get_mut(&doc) {
+                    entry.state = State::Parked { doc: tree, gen };
+                }
+                drop(docs);
+                self.returned.notify_all();
+                Err(LeaseError::Open(e))
             }
         }
     }
 
-    /// Removes `doc`'s session from the pool entirely (the `close` verb),
-    /// returning it for write-back. Spins briefly if the session is
-    /// momentarily leased by another worker; returns `None` for an
-    /// untracked document or if the lease never returns.
-    pub fn remove(&self, doc: u64) -> Option<Box<Session<'e>>> {
-        for _ in 0..10_000 {
-            let mut state = self.lock();
-            let &family = state.family.get(&doc)?;
-            match self.pools[family].evict(&doc) {
-                EvictOutcome::Evicted(session) => {
-                    if let Some(pos) = state.recency.iter().position(|&d| d == doc) {
-                        state.recency.remove(pos);
-                    }
-                    state.family.remove(&doc);
-                    return Some(session);
-                }
-                EvictOutcome::Unknown => {
-                    if let Some(pos) = state.recency.iter().position(|&d| d == doc) {
-                        state.recency.remove(pos);
-                    }
-                    state.family.remove(&doc);
-                    return None;
-                }
-                EvictOutcome::Leased => {
-                    drop(state);
-                    std::thread::yield_now();
-                }
+    fn lease_of(&self, doc: u64, session: Box<Session<'e>>) -> Lease<'_, 'e> {
+        Lease {
+            table: self,
+            doc,
+            session: Some(session),
+        }
+    }
+
+    /// Parks `doc`'s session and forgets its pending propagation and its
+    /// identifier floor (the `close` verb: the next session starts a fresh
+    /// identifier history). Waits while the entry is leased. Returns
+    /// whether the document exists.
+    pub(crate) fn close(&self, doc: u64) -> bool {
+        let mut docs = self.settled(self.lock(), doc);
+        let Docs {
+            entries, sessions, ..
+        } = &mut *docs;
+        let Some(entry) = entries.get_mut(&doc) else {
+            return false;
+        };
+        if entry.park() {
+            *sessions -= 1;
+        }
+        entry.pending = None;
+        if let State::Parked { gen, .. } = &mut entry.state {
+            *gen = None;
+        }
+        true
+    }
+
+    /// Parks every resident session — a flush, not counted as an
+    /// eviction — and hands each committed document to `visit` in id
+    /// order, waiting out any lease first.
+    pub(crate) fn park_all(&self, mut visit: impl FnMut(u64, usize, &DocTree)) {
+        let mut docs = self.lock();
+        let mut ids: Vec<u64> = docs.entries.keys().copied().collect();
+        ids.sort_unstable();
+        for id in ids {
+            docs = self.settled(docs, id);
+            let Docs {
+                entries, sessions, ..
+            } = &mut *docs;
+            let entry = entries.get_mut(&id).expect("entries are never removed");
+            if entry.park() {
+                *sessions -= 1;
+            }
+            if let State::Parked { doc, .. } = &entry.state {
+                visit(id, entry.family, doc);
             }
         }
-        None
+    }
+
+    /// Takes `doc`'s pending propagation.
+    pub(crate) fn take_pending(&self, doc: u64) -> Option<Propagation> {
+        self.lock().entries.get_mut(&doc)?.pending.take()
+    }
+
+    /// Records `prop` as `doc`'s pending propagation.
+    pub(crate) fn set_pending(&self, doc: u64, prop: Propagation) {
+        if let Some(entry) = self.lock().entries.get_mut(&doc) {
+            entry.pending = Some(prop);
+        }
     }
 }
 
-impl std::fmt::Debug for LruSessionPool<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LruSessionPool")
-            .field("capacity", &self.capacity)
-            .field("resident", &self.resident())
-            .finish_non_exhaustive()
+/// Exclusive use of one document's [`Session`], from
+/// [`DocTable::lease`]. Dereferences to the session; dropping it makes
+/// the entry resident again and wakes waiters.
+pub(crate) struct Lease<'t, 'e> {
+    table: &'t DocTable<'e>,
+    doc: u64,
+    session: Option<Box<Session<'e>>>,
+}
+
+impl<'e> Deref for Lease<'_, 'e> {
+    type Target = Session<'e>;
+    fn deref(&self) -> &Session<'e> {
+        self.session.as_ref().expect("session present until drop")
+    }
+}
+
+impl<'e> DerefMut for Lease<'_, 'e> {
+    fn deref_mut(&mut self) -> &mut Session<'e> {
+        self.session.as_mut().expect("session present until drop")
+    }
+}
+
+impl Drop for Lease<'_, '_> {
+    fn drop(&mut self) {
+        let session = self.session.take().expect("dropped once");
+        if let Some(entry) = self.table.lock().entries.get_mut(&self.doc) {
+            entry.state = State::Resident(session);
+        }
+        self.table.returned.notify_all();
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::daemon::{Server, ServerConfig};
+    use crate::protocol::{Frame, Verb};
+    use std::sync::mpsc;
+    use std::time::Duration;
     use xvu_dtd::parse_dtd;
-    use xvu_tree::{parse_term_with_ids, Alphabet, NodeIdGen};
+    use xvu_edit::{output_tree, parse_script, Script};
+    use xvu_tree::{parse_term_with_ids, Alphabet, NodeId, SnapshotFile};
     use xvu_view::parse_annotation;
 
-    fn engine_and_doc() -> (Engine, DocTree) {
+    /// The paper's running example: engine, `t0` and the Fig. 7 update.
+    pub(crate) fn engine_and_doc() -> (Engine, DocTree, Script) {
         let mut alpha = Alphabet::new();
         let mut gen = NodeIdGen::new();
         let dtd = parse_dtd(&mut alpha, "r -> (a.(b+c).d)*\nd -> ((a+b).c)*").unwrap();
@@ -225,106 +347,260 @@ mod tests {
             "r#0(a#1, b#2, d#3(a#7, c#8), a#4, c#5, d#6(b#9, c#10))",
         )
         .unwrap();
+        let s0 = parse_script(
+            &mut alpha,
+            "nop:r#0(del:a#1, del:d#3(del:c#8), nop:a#4, \
+             ins:d#11(ins:c#13, ins:c#14), ins:a#12, nop:d#6(nop:c#10, ins:c#15))",
+        )
+        .unwrap();
         let engine = Engine::builder()
             .alphabet(alpha)
             .dtd(dtd)
             .annotation(ann)
             .build()
             .unwrap();
-        (engine, t)
+        (engine, t, s0)
+    }
+
+    /// A table over `engines` holding `docs` copies of `t`, keyed 1.. .
+    pub(crate) fn table_with<'e>(
+        engines: &'e [Engine],
+        capacity: usize,
+        t: &DocTree,
+        docs: u64,
+    ) -> DocTable<'e> {
+        let table = DocTable::new(engines, capacity);
+        for doc in 1..=docs {
+            table.load(doc, 0, t.clone());
+        }
+        table
     }
 
     #[test]
     fn lru_evicts_oldest_parked_session_at_capacity() {
-        let (engine, t) = engine_and_doc();
+        let (engine, t, _) = engine_and_doc();
         let engines = [engine];
-        let pool = LruSessionPool::new(&engines, 2);
+        let table = table_with(&engines, 2, &t, 4);
         for doc in [1u64, 2, 3] {
-            let (lease, evicted) = pool.checkout(doc, 0, &t).unwrap();
+            let (lease, evicted) = table.lease(doc).unwrap();
             drop(lease);
-            match doc {
-                3 => {
-                    // inserting doc 3 must evict doc 1 (the LRU)
-                    assert_eq!(evicted.len(), 1);
-                    assert_eq!(evicted[0].doc, 1);
-                }
-                _ => assert!(evicted.is_empty()),
-            }
+            // leasing doc 3 must evict doc 1 (the LRU)
+            assert_eq!(evicted, (doc == 3).then_some(1));
         }
-        assert_eq!(pool.resident(), 2);
-        // touching doc 2 protects it: inserting doc 4 now evicts doc 3
-        drop(pool.checkout(2, 0, &t).unwrap());
-        let (_, evicted) = pool.checkout(4, 0, &t).unwrap();
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].doc, 3);
+        assert_eq!(table.resident(), 2);
+        // touching doc 2 protects it: leasing doc 4 now evicts doc 3
+        assert_eq!(table.lease(2).unwrap().1, None);
+        assert_eq!(table.lease(4).unwrap().1, Some(3));
     }
 
     #[test]
     fn leased_sessions_are_eviction_exempt() {
-        let (engine, t) = engine_and_doc();
+        let (engine, t, _) = engine_and_doc();
         let engines = [engine];
-        let pool = LruSessionPool::new(&engines, 2);
-        let (held_1, _) = pool.checkout(1, 0, &t).unwrap();
-        drop(pool.checkout(2, 0, &t).unwrap());
+        let table = table_with(&engines, 2, &t, 3);
+        let (held_1, _) = table.lease(1).unwrap();
+        drop(table.lease(2).unwrap());
         // doc 1 is LRU but leased: doc 2 is evicted instead
-        let (_, evicted) = pool.checkout(3, 0, &t).unwrap();
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].doc, 2);
+        assert_eq!(table.lease(3).unwrap().1, Some(2));
         drop(held_1);
     }
 
     #[test]
     fn fully_leased_pool_pushes_back_instead_of_growing() {
-        let (engine, t) = engine_and_doc();
+        let (engine, t, _) = engine_and_doc();
         let engines = [engine];
-        let pool = LruSessionPool::new(&engines, 2);
-        let (a, _) = pool.checkout(1, 0, &t).unwrap();
-        let (b, _) = pool.checkout(2, 0, &t).unwrap();
-        // both resident sessions are leased: a new document is refused
-        // with the retryable capacity error, never admitted past the bound
-        assert!(matches!(
-            pool.checkout(3, 0, &t),
-            Err(PropagateError::PoolAtCapacity { capacity: 2 })
-        ));
-        assert_eq!(pool.resident(), 2);
-        drop((a, b));
-        // with the leases returned the same checkout succeeds by eviction
-        let (_, evicted) = pool.checkout(3, 0, &t).unwrap();
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(pool.resident(), 2);
+        let table = table_with(&engines, 2, &t, 3);
+        let (a, _) = table.lease(1).unwrap();
+        let (b, _) = table.lease(2).unwrap();
+        // both sessions are leased: a parked document is refused with
+        // the retryable error, never opened past the bound
+        assert!(matches!(table.lease(3), Err(LeaseError::Full)));
+        assert_eq!(table.resident(), 2);
+        // an open document keeps serving at capacity
+        drop(b);
+        assert_eq!(table.lease(2).unwrap().1, None);
+        drop(a);
+        // with the leases returned the same lease succeeds by eviction
+        assert_eq!(table.lease(3).unwrap().1, Some(1));
+        assert_eq!(table.resident(), 2);
+        assert!(matches!(table.lease(9), Err(LeaseError::Unknown)));
     }
 
     #[test]
     fn remove_returns_the_session_for_write_back() {
-        let (engine, t) = engine_and_doc();
+        // `close` parks the session's committed document in its entry:
+        // the next lease reopens a fresh session from it.
+        let (engine, t, s0) = engine_and_doc();
         let engines = [engine];
-        let pool = LruSessionPool::new(&engines, 4);
-        drop(pool.checkout(7, 0, &t).unwrap());
-        let session = pool.remove(7).expect("parked session removed");
-        assert_eq!(session.commits(), 0);
-        assert_eq!(pool.resident(), 0);
-        assert!(pool.remove(7).is_none(), "already gone");
+        let table = table_with(&engines, 4, &t, 7);
+        let committed = {
+            let (mut lease, _) = table.lease(7).unwrap();
+            lease.apply(&s0).unwrap();
+            lease.document().clone()
+        };
+        assert!(table.close(7));
+        assert_eq!(table.resident(), 0);
+        assert!(table.close(7), "closing a parked document is a no-op");
+        assert!(!table.close(99), "unknown document");
+        let (lease, _) = table.lease(7).unwrap();
+        assert_eq!(lease.commits(), 0);
+        assert_eq!(lease.document(), &committed);
     }
 
     #[test]
     fn eviction_write_back_preserves_id_floor_via_merge() {
         // The serving invariant behind deterministic replay: evict a
-        // session, write back document + id_gen, reopen, merge — the
-        // reopened session mints the same fresh identifiers the evicted
-        // one would have.
-        let (engine, t) = engine_and_doc();
+        // session, reopen it — the reopened session mints the same fresh
+        // identifiers the evicted one would have.
+        let engines = [hidden_h_engine()];
+        let mut alpha = engines[0].alphabet().clone();
+        let t = parse_term_with_ids(&mut alpha, &mut NodeIdGen::new(), "r#0(a#1, h#2)").unwrap();
+        let table = table_with(&engines, 1, &t, 2);
+        let floor = {
+            let (mut lease, _) = table.lease(1).unwrap();
+            // insert a#9, then delete it: the document's largest id is 2
+            // again, but the session's floor stays past 9
+            for edit in ["nop:r#0(nop:a#1, ins:a#9)", "nop:r#0(nop:a#1, del:a#9)"] {
+                lease
+                    .apply(&parse_script(&mut alpha, edit).unwrap())
+                    .unwrap();
+            }
+            assert_eq!(
+                engines[0].open(lease.document()).unwrap().id_gen().peek(),
+                NodeId(3)
+            );
+            lease.id_gen().peek()
+        };
+        assert_eq!(floor, NodeId(10));
+        assert_eq!(table.lease(2).unwrap().1, Some(1));
+        let (lease, evicted) = table.lease(1).unwrap();
+        assert_eq!(evicted, Some(2));
+        assert_eq!(lease.commits(), 0, "reopened");
+        assert_eq!(lease.id_gen().peek(), floor);
+    }
+
+    #[test]
+    fn lease_resumes_the_committed_state() {
+        let (engine, t, s0) = engine_and_doc();
         let engines = [engine];
-        let pool = LruSessionPool::new(&engines, 1);
-        let (lease, _) = pool.checkout(1, 0, &t).unwrap();
-        let floor_before = lease.id_gen().peek();
-        drop(lease);
-        let evicted = pool.checkout(2, 0, &t).unwrap().1;
-        let saved_gen = evicted[0].session.id_gen();
-        let saved_doc = evicted[0].session.document().clone();
-        // reopen from the written-back document and restore the floor
-        let (mut lease, _) = pool.checkout(1, 0, &saved_doc).unwrap();
-        lease.merge_id_gen(&saved_gen);
-        assert!(lease.id_gen().peek() >= floor_before);
-        assert_eq!(lease.id_gen().peek(), saved_gen.peek());
+        let table = table_with(&engines, 4, &t, 7);
+        let expected = {
+            let (mut lease, _) = table.lease(7).unwrap();
+            let prop = lease.apply(&s0).unwrap();
+            assert_eq!(prop.cost, 14);
+            output_tree(&prop.script).unwrap()
+        }; // lease dropped: session resident
+        assert_eq!(table.resident(), 1);
+        let (lease, _) = table.lease(7).unwrap();
+        assert_eq!(lease.commits(), 1);
+        assert_eq!(lease.document(), &expected);
+    }
+
+    #[test]
+    fn failed_open_frees_the_key() {
+        let (engine, t, _) = engine_and_doc();
+        let mut alpha = engine.alphabet().clone();
+        let mut gen = NodeIdGen::starting_at(100);
+        let bad = parse_term_with_ids(&mut alpha, &mut gen, "r#100(a#101, b#102)").unwrap();
+        let engines = [engine];
+        let table = DocTable::new(&engines, 1);
+        table.load(9, 0, bad);
+        for _ in 0..2 {
+            // the entry goes back to parked: a retry fails again rather
+            // than waiting on a lease nobody holds
+            assert!(matches!(
+                table.lease(9),
+                Err(LeaseError::Open(PropagateError::SourceNotValid(_)))
+            ));
+            assert_eq!(table.resident(), 0);
+        }
+        table.load(9, 0, t.clone());
+        let (lease, _) = table.lease(9).unwrap();
+        assert_eq!(lease.document(), &t);
+    }
+
+    // ---- load / close / snapshot against a held lease --------------------
+
+    /// A daemon over [`hidden_h_engine`] serving document 1 =
+    /// `r#0(a#1, h#2)`.
+    fn daemon(engines: &[Engine]) -> Server<'_> {
+        let server = Server::new(engines, ServerConfig::default());
+        assert_eq!(
+            server.handle_write(Verb::Load, "1\n0\nr#0(a#1, h#2)"),
+            Frame::ok("")
+        );
+        server
+    }
+
+    /// `r -> (a.h?)*` with `h` hidden: the view of `r(a, h)` is `r(a)`.
+    fn hidden_h_engine() -> Engine {
+        let mut alpha = Alphabet::new();
+        let dtd = parse_dtd(&mut alpha, "r -> (a.h?)*").unwrap();
+        let ann = parse_annotation(&mut alpha, "hide r h").unwrap();
+        Engine::builder()
+            .alphabet(alpha)
+            .dtd(dtd)
+            .annotation(ann)
+            .build()
+            .unwrap()
+    }
+
+    /// Commits `a#9` through document 1's lease on one thread and holds
+    /// the lease 200 ms longer while the handler for `verb` runs on this
+    /// one. Returns the reply and the document the lease committed.
+    fn while_leased(server: &Server<'_>, verb: Verb, payload: &str) -> (Frame, DocTree) {
+        std::thread::scope(|scope| {
+            let (tx, rx) = mpsc::channel();
+            let holder = scope.spawn(move || {
+                let (mut lease, _) = server.table.lease(1).unwrap();
+                let mut alpha = lease.engine().alphabet().clone();
+                let edit = parse_script(&mut alpha, "nop:r#0(nop:a#1, ins:a#9)").unwrap();
+                lease.apply(&edit).unwrap();
+                tx.send(()).unwrap();
+                std::thread::sleep(Duration::from_millis(200));
+                lease.document().clone()
+            });
+            rx.recv().unwrap();
+            let reply = server.handle_write(verb, payload);
+            (reply, holder.join().unwrap())
+        })
+    }
+
+    #[test]
+    fn load_waits_for_the_lease_then_replaces_the_document() {
+        let engines = [hidden_h_engine()];
+        let server = daemon(&engines);
+        let (reply, _) = while_leased(&server, Verb::Load, "1\n0\nr#0(a#1, a#3)");
+        assert_eq!(reply, Frame::ok(""));
+        assert_eq!(
+            server.handle_write(Verb::Open, "1"),
+            Frame::ok("r#0(a#1, a#3)")
+        );
+    }
+
+    #[test]
+    fn close_waits_for_the_lease_and_keeps_its_commit() {
+        let engines = [hidden_h_engine()];
+        let server = daemon(&engines);
+        let (reply, committed) = while_leased(&server, Verb::CloseDoc, "1");
+        assert_eq!(reply, Frame::ok(""));
+        let (lease, _) = server.table.lease(1).unwrap();
+        assert_eq!(lease.commits(), 0, "close reopens a fresh session");
+        assert_eq!(lease.document(), &committed);
+    }
+
+    #[test]
+    fn snapshot_waits_for_the_lease_and_writes_its_commit() {
+        let engines = [hidden_h_engine()];
+        let server = daemon(&engines);
+        let path = std::env::temp_dir().join(format!("xvu-pool-test-{}.xvus", std::process::id()));
+        let (reply, committed) = while_leased(&server, Verb::Snapshot, path.to_str().unwrap());
+        let file = SnapshotFile::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(reply.verb, Verb::Ok, "{reply:?}");
+        let mut alpha = engines[0].alphabet().clone();
+        let doc = file.find(1).expect("document 1 in the snapshot");
+        assert_eq!(file.decode(doc, &mut alpha).unwrap(), committed);
+        assert_eq!(server.table.resident(), 0, "the flush parked the session");
     }
 }

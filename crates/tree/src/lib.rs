@@ -48,14 +48,12 @@
 //!
 //! # Change tracking
 //!
-//! Every tree carries a mutation clock ([`Tree::epoch`]) and per-slot
-//! version stamps ([`Tree::version`]) bumped by structural mutations, plus
-//! an opt-in dirty journal ([`Tree::set_change_tracking`]) recording the
+//! An opt-in dirty journal ([`Tree::set_change_tracking`]) records the
 //! nodes whose child word changed. Consumers holding per-subtree state
 //! (a propagation session's structural intern ids) drain the journal —
 //! [`Tree::take_changed_parents`] / [`Tree::drain_dirty_to_root`] — to
-//! recompute exactly the changed region. Stamps and journal never
-//! participate in equality or serialization.
+//! recompute exactly the changed region. The journal never participates
+//! in equality or serialization.
 //!
 //! The tree type is generic in its label type: documents are
 //! `Tree<Sym>` (see [`Sym`], interned via [`Alphabet`]) while editing

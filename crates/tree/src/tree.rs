@@ -38,26 +38,17 @@ pub type DocTree = Tree<Sym>;
 ///
 /// # Change tracking
 ///
-/// Every tree carries a cheap mutation clock: a global [`Tree::epoch`]
-/// bumped by each structural mutation, and a per-slot version stamp
-/// ([`Tree::version`]) recording the epoch at which a node's child list
-/// last changed (or the node was created). On top of the stamps, an
-/// opt-in *dirty journal* ([`Tree::set_change_tracking`]) records the
+/// An opt-in *dirty journal* ([`Tree::set_change_tracking`]) records the
 /// identifier of every node whose child word changed; consumers holding
 /// per-subtree caches drain it with [`Tree::take_changed_parents`] or
 /// [`Tree::drain_dirty_to_root`] to invalidate exactly the changed region
-/// instead of discarding everything. Neither stamps nor the journal
-/// participate in equality or the serialized form.
+/// instead of discarding everything. The journal participates in neither
+/// equality nor the serialized form.
 #[derive(Clone, Debug)]
 pub struct Tree<L> {
     slab: Vec<Node<L>>,
     index: SlotIndex,
     root: NodeId,
-    /// Mutation clock: bumped once per structural mutation.
-    epoch: u64,
-    /// `versions[slot]` = epoch at which that node's child list last
-    /// changed (or the node entered the arena). Parallel to `slab`.
-    versions: Vec<u64>,
     /// Whether structural mutations are journaled.
     track: bool,
     /// Identifiers of nodes whose child word changed since the last drain
@@ -100,8 +91,6 @@ impl<L> Tree<L> {
             slab: Vec::new(),
             index: SlotIndex::new(),
             root,
-            epoch: 0,
-            versions: Vec::new(),
             track: false,
             journal: Vec::new(),
         }
@@ -112,35 +101,28 @@ impl<L> Tree<L> {
     /// bulk snapshot decoder (`crate::snapshot`); the caller is expected
     /// to [`Tree::validate`] the result.
     pub(crate) fn from_raw_parts(slab: Vec<Node<L>>, index: SlotIndex, root: NodeId) -> Tree<L> {
-        let versions = vec![0; slab.len()];
         Tree {
             slab,
             index,
             root,
-            epoch: 0,
-            versions,
             track: false,
             journal: Vec::new(),
         }
     }
 
-    /// Appends a node to the arena, indexing its identifier and stamping
-    /// it with the current epoch.
+    /// Appends a node to the arena, indexing its identifier.
     #[inline]
     pub(crate) fn push_node(&mut self, node: Node<L>) -> Slot {
         let slot = Slot::new(u32::try_from(self.slab.len()).expect("tree larger than u32::MAX"));
         self.index.insert(node.id, slot);
         self.slab.push(node);
-        self.versions.push(self.epoch);
         slot
     }
 
-    /// Advances the mutation clock and stamps/journals the node at `slot`,
-    /// whose child word is about to change (or just changed).
+    /// Journals the node at `slot`, whose child word is about to change
+    /// (or just changed).
     #[inline]
     fn mark_children_changed(&mut self, slot: Slot) {
-        self.epoch += 1;
-        self.versions[slot.index()] = self.epoch;
         if self.track {
             self.journal.push(self.slab[slot.index()].id);
         }
@@ -187,24 +169,6 @@ impl<L> Tree<L> {
     #[inline]
     pub fn slot_index(&self) -> &SlotIndex {
         &self.index
-    }
-
-    /// The tree's mutation clock: bumped once per structural mutation
-    /// ([`Tree::add_child_with_id`], [`Tree::attach_subtree`],
-    /// [`Tree::detach_subtree`]). Two equal epochs on the *same* tree
-    /// value mean no structural change happened in between.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The epoch at which `id`'s child list last changed (or the node was
-    /// created), if `id` is a node of this tree. A node whose version is
-    /// older than another node's stamp has not had its child word touched
-    /// since.
-    #[inline]
-    pub fn version(&self, id: NodeId) -> Option<u64> {
-        self.index.slot(id).map(|s| self.versions[s.index()])
     }
 
     /// Enables or disables the dirty journal. Turning tracking on (or
@@ -465,7 +429,6 @@ impl<L> Tree<L> {
         for n in ids {
             let s = self.index.remove(n).expect("subtree node indexed");
             let mut node = self.slab.swap_remove(s.index());
-            self.versions.swap_remove(s.index());
             if s.index() < self.slab.len() {
                 // A tail node was swapped into the vacated slot; re-point
                 // its index entry.
@@ -571,8 +534,7 @@ impl<L> Tree<L> {
     }
 
     /// Maps the label of every node, preserving identifiers and structure.
-    /// The result is a fresh tree: its epoch starts at 0 and change
-    /// tracking is off.
+    /// The result is a fresh tree with change tracking off.
     pub fn map_labels<M>(&self, mut f: impl FnMut(NodeId, &L) -> M) -> Tree<M> {
         let slab: Vec<Node<M>> = self
             .slab
@@ -584,13 +546,10 @@ impl<L> Tree<L> {
                 children: node.children.clone(),
             })
             .collect();
-        let versions = vec![0; slab.len()];
         Tree {
             slab,
             index: self.index.clone(),
             root: self.root,
-            epoch: 0,
-            versions,
             track: false,
             journal: Vec::new(),
         }
@@ -675,13 +634,6 @@ impl<L> Tree<L> {
                 "{} nodes in arena, {} identifiers indexed",
                 self.slab.len(),
                 self.index.len()
-            )));
-        }
-        if self.versions.len() != self.slab.len() {
-            return Err(TreeError::Inconsistent(format!(
-                "{} nodes in arena, {} version stamps",
-                self.slab.len(),
-                self.versions.len()
             )));
         }
         if self.node(self.root).parent.is_some() {
@@ -873,7 +825,6 @@ mod tests {
             Err(TreeError::DuplicateNodeId(a))
         );
         assert_eq!(t, before);
-        assert_eq!(t.epoch(), before.epoch());
     }
 
     #[test]
@@ -974,27 +925,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_and_versions_advance_on_mutation() {
-        let mut gen = NodeIdGen::new();
-        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
-        let r = t.root();
-        let e0 = t.epoch();
-        let a = t.add_child(r, &mut gen, sym(1));
-        assert!(t.epoch() > e0);
-        assert_eq!(t.version(r), Some(t.epoch()));
-        let va = t.version(a).unwrap();
-        // growing elsewhere does not touch a's stamp
-        t.add_child(r, &mut gen, sym(2));
-        assert_eq!(t.version(a), Some(va));
-        assert_eq!(t.version(NodeId(99)), None);
-        // a mutation *under* a bumps a, not the root's newer stamp
-        let vr = t.version(r).unwrap();
-        t.add_child(a, &mut gen, sym(3));
-        assert!(t.version(a).unwrap() > va);
-        assert_eq!(t.version(r), Some(vr));
-    }
-
-    #[test]
     fn journal_records_changed_parents_only_when_tracking() {
         let mut gen = NodeIdGen::new();
         let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
@@ -1062,7 +992,6 @@ mod tests {
         let mut m = t.map_labels(|_, &l| l);
         assert!(!m.is_change_tracking());
         assert!(m.take_changed_parents().is_empty());
-        assert_eq!(m.epoch(), 0);
         let sub = t.subtree(r);
         assert!(!sub.is_change_tracking());
         sub.validate().unwrap();

@@ -2,15 +2,13 @@
 //!
 //! The compiled [`Engine`] is immutable and `Send + Sync`, so a server
 //! shares exactly one behind an `Arc` and fans requests across plain OS
-//! threads. Two serving shapes:
+//! threads: [`Engine::propagate_batch`] spreads a `(document, update)`
+//! batch over a worker pool, and results come back in request order,
+//! identical to a sequential run.
 //!
-//! 1. **Independent requests** — [`Engine::propagate_batch`] spreads a
-//!    `(document, update)` batch over a worker pool; results come back in
-//!    request order, identical to a sequential run.
-//! 2. **Repeated updates per document** — a [`SessionPool`] checks out
-//!    one exclusive [`Session`] per document key, so commits are
-//!    serialised per document while distinct documents proceed in
-//!    parallel.
+//! Repeated updates per document are the daemon's job: the
+//! `serving_daemon` example leases one session per document and commits
+//! through it.
 //!
 //! Run with: `cargo run --example concurrent_serving`
 
@@ -46,7 +44,7 @@ fn main() {
             .expect("engine"),
     );
 
-    // --- shape 1: a batch of independent requests over 4 workers -------
+    // a batch of independent requests over 4 workers
     let requests: Vec<(DocTree, Script)> = (0..8).map(|_| (t0.clone(), s0.clone())).collect();
     let results = engine.propagate_batch(&requests, 4);
     println!("batch of {} requests on 4 worker threads:", requests.len());
@@ -55,34 +53,4 @@ fn main() {
         println!("  request {i}: cost {}", prop.cost);
         assert_eq!(prop.cost, 14); // every result = the paper's Fig. 7 optimum
     }
-
-    // --- shape 2: per-document sessions under concurrent commits -------
-    let pool: SessionPool<'_, usize> = SessionPool::new(&engine);
-    std::thread::scope(|scope| {
-        for worker in 0..4usize {
-            let (pool, t0, s0) = (&pool, &t0, &s0);
-            scope.spawn(move || {
-                // all workers hit the same document key: the lease
-                // serialises them, so exactly one applies the real edit
-                // and the rest observe the already-advanced view
-                let mut lease = pool.checkout(0, t0).expect("valid document");
-                if lease.commits() == 0 {
-                    let prop = lease.apply(s0).expect("Theorem 5");
-                    println!("  worker {worker}: committed cost {}", prop.cost);
-                } else {
-                    let nop = nop_script(lease.view());
-                    lease.apply(&nop).expect("identity");
-                    println!("  worker {worker}: view already current");
-                }
-            });
-        }
-    });
-    let lease = pool.checkout(0, &t0).expect("valid document");
-    println!(
-        "document 0 served {} commits; final view = {}",
-        lease.commits(),
-        to_term_with_ids(lease.view(), engine.alphabet())
-    );
-    assert_eq!(lease.commits(), 4);
-    assert_eq!(lease.view(), &output_tree(&s0).expect("non-empty output"));
 }

@@ -91,9 +91,10 @@
 //!
 //! The compiled engine is immutable and `Send + Sync`: share one
 //! `Arc<Engine>` across OS worker threads and serve independent requests
-//! with [`Engine::propagate_batch`], or check out per-document sessions
-//! from a [`prelude::SessionPool`] for the repeated-update path — see
-//! [`propagate::serve`] for the sharing contract and examples.
+//! with [`Engine::propagate_batch`] — see [`propagate::serve`] for the
+//! sharing contract and examples. For repeated updates to many documents,
+//! run the daemon ([`server::Server`]): it keeps each document's session
+//! in one table and leases it to one worker per request.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -175,9 +176,9 @@ pub mod prelude {
         count_optimal_propagations, cross_view_effect, cross_view_touched,
         enumerate_optimal_propagations, find_complement_preserving, invisible_impact, propagate,
         propagate_view_edit, revalidate_output, typing_report, verify_propagation, CacheStats,
-        Config, CostModel, Engine, EngineBuilder, EvictOutcome, GraphScratch, Instance,
-        InversionForest, InvisibleImpact, PhaseBreakdown, PropScratch, PropagateError, Propagation,
-        PropagationForest, Selector, Session, SessionLease, SessionPool, TypingReport,
+        Config, CostModel, Engine, EngineBuilder, GraphScratch, Instance, InversionForest,
+        InvisibleImpact, PhaseBreakdown, PropScratch, PropagateError, Propagation,
+        PropagationForest, Selector, Session, TypingReport,
     };
     pub use xvu_repair::{repair_based_update, tree_edit_distance, RepairConfig};
     pub use xvu_tree::{

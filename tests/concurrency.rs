@@ -1,13 +1,15 @@
-//! Concurrent serving: the `Send + Sync` engine contract, batch
-//! determinism across thread counts, and `SessionPool` isolation.
+//! Concurrent serving: the `Send + Sync` engine contract and batch
+//! determinism across thread counts.
 //!
 //! The paper's Theorem 6 artefacts are compiled once into an immutable
 //! [`Engine`]; these tests pin down the serving consequences: one
-//! `Arc<Engine>` shared by plain OS threads, `propagate_batch` results
-//! that are byte-identical whatever the worker count, and per-document
-//! commit isolation through the session pool.
+//! `Arc<Engine>` shared by plain OS threads, and `propagate_batch`
+//! results that are byte-identical whatever the worker count, and sessions
+//! of different documents committing side by side over the engine's one
+//! shared memo. The daemon's document table has its own tests
+//! (`xvu_server`, `pool::tests` and `serve::tests`).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use xml_view_update::prelude::*;
 use xml_view_update::workload::scenario::{admit_patient, hospital, hospital_doc, Hospital};
 use xml_view_update::workload::{
@@ -26,8 +28,6 @@ fn engine_and_serving_types_are_send_sync() {
     assert_send_sync::<Propagation>();
     assert_send_sync::<PropagateError>();
     assert_send_sync::<Session<'static>>();
-    assert_send_sync::<SessionPool<'static, u64>>();
-    assert_send_sync::<SessionPool<'static, String>>();
 }
 
 fn paper_engine() -> (Engine, DocTree, Script) {
@@ -251,9 +251,11 @@ fn hospital_batch_is_deterministic_and_sound() {
     }
 }
 
-/// Session pool: distinct documents commit fully in parallel; the same
-/// document is serialised by its lease, so commits never interleave and
-/// the final state equals a sequential run.
+/// Sessions of one engine on many threads, one lock per document (the
+/// contract above: a session belongs to one worker at a time). The
+/// sessions share the engine's propagation memo, yet commits stay isolated
+/// per document: 8 workers × 3 rounds collide on 4 hospital documents and
+/// every admission lands exactly once, in its own document.
 #[test]
 fn session_pool_isolates_commits_per_document() {
     let Hospital { alpha, dtd, ann } = hospital();
@@ -270,35 +272,38 @@ fn session_pool_isolates_commits_per_document() {
         .annotation(ann)
         .build()
         .unwrap();
-    let pool: SessionPool<'_, usize> = SessionPool::new(&engine);
+    let pool: Vec<Mutex<Session<'_>>> = docs
+        .iter()
+        .map(|doc| Mutex::new(engine.open(doc).unwrap()))
+        .collect();
     let rounds = 3;
     std::thread::scope(|scope| {
         for worker in 0..8usize {
-            let (pool, h, docs) = (&pool, &h, &docs);
+            let (pool, h) = (&pool, &h);
             scope.spawn(move || {
                 for round in 0..rounds {
-                    // workers collide on document keys on purpose
-                    let key = (worker + round) % docs.len();
-                    let mut lease = pool.checkout(key, &docs[key]).unwrap();
-                    let mut g = lease.id_gen();
-                    let update = admit_patient(h, lease.document(), key % 2, &mut g);
-                    lease.apply(&update).unwrap();
+                    // workers collide on documents on purpose
+                    let key = (worker + round) % pool.len();
+                    let mut session = pool[key].lock().unwrap();
+                    let mut g = session.id_gen();
+                    let update = admit_patient(h, session.document(), key % 2, &mut g);
+                    session.apply(&update).unwrap();
                 }
             });
         }
     });
     // every admission committed exactly once, 8 workers × 3 rounds total
-    let total: u64 = (0..docs.len())
-        .map(|key| pool.checkout(key, &docs[key]).unwrap().commits())
-        .sum();
+    let sessions: Vec<Session<'_>> = pool.into_iter().map(|m| m.into_inner().unwrap()).collect();
+    let total: u64 = sessions.iter().map(Session::commits).sum();
     assert_eq!(total, 8 * rounds as u64);
-    // and each document is still schema-valid with a consistent view
-    for (key, doc) in docs.iter().enumerate() {
-        let lease = pool.checkout(key, doc).unwrap();
-        assert!(engine.dtd().is_valid(lease.document()));
+    for session in &sessions {
+        // two workers meet each document per round: 6 admissions apiece
+        assert_eq!(session.commits(), 6);
+        // and each document is still schema-valid with a consistent view
+        assert!(engine.dtd().is_valid(session.document()));
         assert_eq!(
-            lease.view(),
-            &extract_view(engine.annotation(), lease.document())
+            session.view(),
+            &extract_view(engine.annotation(), session.document())
         );
     }
 }
