@@ -25,6 +25,14 @@
 //! `engine_amortized` arm exactly: engine compilation + session open +
 //! one propagation per update. The churn rows pre-compile the engine and
 //! time session open + K × (propagate + commit).
+//!
+//! Since schema /7 an `admission` section times one hospital admission
+//! (a 3-node patient added to the view) at three document sizes — 1, 10
+//! and 100 departments of 125 patients, about 1k, 10k and 100k nodes —
+//! with `Session::propagate` and `Session::commit` timed per update and
+//! reported as min / median / max over the K updates, so the complexity
+//! curve in document size is a checked-in row, not only the constant.
+//! The file records `nproc` and the git revision it was measured at.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -35,6 +43,8 @@ use xvu_bench::{
 };
 use xvu_edit::Script;
 use xvu_propagate::{Engine, GraphScratch};
+use xvu_tree::NodeIdGen;
+use xvu_workload::scenario::{admit_patient, hospital, hospital_doc};
 
 /// Median engine-amortized wall time for one workload, in nanoseconds.
 fn engine_amortized_median_ns(oi: &OwnedInstance, updates: &[Script], runs: usize) -> u128 {
@@ -163,6 +173,85 @@ fn fresh_engine_churn_ns(
     samples[samples.len() / 2].as_nanos()
 }
 
+/// Min, median and max of a sample, in milliseconds.
+struct Spread {
+    min: f64,
+    median: f64,
+    max: f64,
+}
+
+impl Spread {
+    fn of(mut samples: Vec<Duration>) -> Spread {
+        samples.sort();
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        Spread {
+            min: ms(samples[0]),
+            median: ms(samples[samples.len() / 2]),
+            max: ms(samples[samples.len() - 1]),
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{ \"min\": {:.4}, \"median\": {:.4}, \"max\": {:.4} }}",
+            self.min, self.median, self.max
+        )
+    }
+}
+
+/// One document size of the admission arm.
+struct AdmissionRow {
+    departments: usize,
+    doc_nodes: usize,
+    propagate_ms: Spread,
+    commit_ms: Spread,
+}
+
+/// Admissions into department 0 of a `departments × 125` hospital
+/// through one session: `warmup` untimed ones fill the memo, then
+/// `updates` timed ones, `Session::propagate` and `Session::commit`
+/// timed separately. Building each update (a view extraction) is outside
+/// both timings.
+fn admission_row(departments: usize, warmup: usize, updates: usize) -> AdmissionRow {
+    let h = hospital();
+    let mut gen = NodeIdGen::new();
+    let doc = hospital_doc(&h, departments, 125, &mut gen);
+    let engine = Engine::new(h.alpha.clone(), h.dtd.clone(), h.ann.clone());
+    let mut session = engine.open(&doc).expect("hospital documents are valid");
+    let (mut propagate, mut commit) = (Vec::new(), Vec::new());
+    for i in 0..warmup + updates {
+        let mut ids = session.id_gen();
+        let update = admit_patient(&h, session.document(), 0, &mut ids);
+        let t0 = Instant::now();
+        let prop = session.propagate(&update).expect("admissions propagate");
+        let t1 = Instant::now();
+        session.commit(&prop).expect("admissions commit");
+        let t2 = Instant::now();
+        if i >= warmup {
+            propagate.push(t1 - t0);
+            commit.push(t2 - t1);
+        }
+    }
+    AdmissionRow {
+        departments,
+        doc_nodes: doc.size(),
+        propagate_ms: Spread::of(propagate),
+        commit_ms: Spread::of(commit),
+    }
+}
+
+/// The revision of the checkout the bench runs in, if `git` can tell
+/// (suffixed `-dirty` when the working tree has uncommitted changes).
+fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned())
+}
+
 fn main() {
     let out_path = std::env::args()
         .nth(1)
@@ -246,8 +335,20 @@ fn main() {
         kernel_row("churn", &churn, RUNS),
     ];
 
+    // Admission rows across document size (department width fixed).
+    const ADMISSIONS: usize = 15;
+    let admission_rows: Vec<AdmissionRow> = [1, 10, 100]
+        .into_iter()
+        .map(|departments| admission_row(departments, 3, ADMISSIONS))
+        .collect();
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-propagate/6\",\n");
+    json.push_str("  \"schema\": \"xvu-bench-propagate/7\",\n");
+    json.push_str(&format!(
+        "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
+        git_revision()
+    ));
     json.push_str("  \"timed_region\": \"engine compile + session open + K propagations\",\n");
     json.push_str(
         "  \"phases_note\": \"phases are per-phase ns summed over the K updates of one warm \
@@ -332,7 +433,29 @@ fn main() {
             if i + 1 == regime_rows.len() { "" } else { "," },
         ));
     }
-    json.push_str("    }\n  }\n}\n");
+    json.push_str("    }\n  },\n");
+    json.push_str(&format!(
+        "  \"admission\": {{\n    \"timed_region\": \"one admission (a patient with name and \
+         record, 3 view nodes) into department 0 of a hospital of 125-patient departments, \
+         Session::propagate and Session::commit timed separately; min / median / max ms over \
+         {ADMISSIONS} updates after 3 warm-up admissions\",\n    \"rows\": [\n"
+    ));
+    for (i, r) in admission_rows.iter().enumerate() {
+        json.push_str(&format!(
+            "      {{ \"departments\": {}, \"doc_nodes\": {}, \"updates\": {ADMISSIONS}, \
+             \"propagate_ms\": {}, \"commit_ms\": {} }}{}\n",
+            r.departments,
+            r.doc_nodes,
+            r.propagate_ms.json(),
+            r.commit_ms.json(),
+            if i + 1 == admission_rows.len() {
+                ""
+            } else {
+                ","
+            },
+        ));
+    }
+    json.push_str("    ]\n  }\n}\n");
 
     std::fs::write(&out_path, &json).expect("write BENCH_propagate.json");
     print!("{json}");

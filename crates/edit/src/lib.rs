@@ -21,6 +21,9 @@
 //!   analysis: the changed child-word region (for incremental
 //!   revalidation) and the entirely-`Nop` clean region (for propagation
 //!   caching);
+//! * [`check_script`] — the one walk of a script against a tree: the
+//!   closure rules, `In(S) = t` in lockstep, and the footprint, in a
+//!   single pre-order pass that every script-against-tree check shares;
 //! * [`ins_script`] / [`del_script`] / [`nop_script`] — the paper's
 //!   `Ins(t)`, `Del(t)`, `Nop(t)` lifts;
 //! * [`UpdateBuilder`] — positional *delete-subtree* / *insert-subtree*
@@ -60,11 +63,11 @@ pub use builder::UpdateBuilder;
 pub use compose::compose;
 pub use diff::diff;
 pub use error::EditError;
-pub use footprint::{script_footprint, ScriptFootprint};
+pub use footprint::{check_script, script_footprint, ScriptCheck, ScriptFootprint};
 pub use op::{ELabel, EditOp};
 pub use script::{
-    apply, apply_in_place, cost, del_script, input_tree, ins_script, nop_script, output_tree,
-    validate_script, Script,
+    apply, apply_checked, apply_in_place, cost, del_script, input_tree, ins_script, nop_script,
+    output_tree, validate_script, Script,
 };
 pub use term::{parse_script, parse_script_with_gen, script_to_term};
-pub use update::{check_is_update_of, check_no_hidden_ids};
+pub use update::{check_is_update_of, check_no_hidden_ids, update_footprint};

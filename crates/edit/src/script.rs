@@ -8,6 +8,7 @@
 //! the identifier correspondence between them.
 
 use crate::error::EditError;
+use crate::footprint::{check_script, ScriptCheck};
 use crate::op::{ELabel, EditOp};
 use xvu_tree::{DocTree, NodeId, Tree};
 
@@ -15,20 +16,11 @@ use xvu_tree::{DocTree, NodeId, Tree};
 pub type Script = Tree<ELabel>;
 
 /// Checks the paper's well-formedness requirements: all descendants of an
-/// `Ins` node are `Ins`, all descendants of a `Del` node are `Del`.
+/// `Ins` node are `Ins`, all descendants of a `Del` node are `Del`. The
+/// first violation is reported: parents in pre-order, each parent's
+/// children in sibling order.
 pub fn validate_script(s: &Script) -> Result<(), EditError> {
-    for n in s.preorder() {
-        let op = s.label(n).op;
-        for &c in s.children(n) {
-            let cop = s.label(c).op;
-            match op {
-                EditOp::Ins if cop != EditOp::Ins => return Err(EditError::InsClosureViolated(c)),
-                EditOp::Del if cop != EditOp::Del => return Err(EditError::DelClosureViolated(c)),
-                _ => {}
-            }
-        }
-    }
-    Ok(())
+    check_script(s, None).closure()
 }
 
 /// The cost of a script: the number of non-phantom (non-`Nop`) nodes.
@@ -74,52 +66,15 @@ fn project(s: &Script, keep: impl Fn(ELabel) -> bool) -> Option<DocTree> {
 /// Applies a script to a tree: checks `t = In(S)` (identifier-sensitive)
 /// and returns `Out(S)`.
 pub fn apply(s: &Script, t: &DocTree) -> Result<DocTree, EditError> {
-    validate_script(s)?;
+    let check = check_script(s, Some(t));
+    check.closure()?;
     if s.label(s.root()).op == EditOp::Ins {
         return Err(EditError::EmptyInput);
     }
-    if !input_matches(s, t) {
+    if !check.input_matches() {
         return Err(EditError::InputMismatch);
     }
     output_tree(s).ok_or(EditError::EmptyOutput)
-}
-
-/// Whether `In(s) = t` exactly — identifiers, labels and structure,
-/// including the contents of deleted subtrees — checked in lockstep
-/// without materialising the input projection. `s` must satisfy the
-/// closure discipline ([`validate_script`]); a script whose root inserts
-/// has an empty input and matches no tree.
-///
-/// Every non-`Ins` script node must occupy the corresponding position of
-/// `t` with the same identifier and label. Whole child lists are matched
-/// and walked from the shared root, so this covers all of `t` exactly.
-pub(crate) fn input_matches(s: &Script, t: &DocTree) -> bool {
-    let root = s.root();
-    let root_label = s.label(root);
-    if root_label.op == EditOp::Ins || root != t.root() || root_label.label != t.label(root) {
-        return false;
-    }
-    let mut stack = vec![root];
-    while let Some(n) = stack.pop() {
-        let t_children = t.children(n);
-        let mut i = 0usize;
-        for &c in s.children(n) {
-            let cl = s.label(c);
-            if cl.op == EditOp::Ins {
-                continue;
-            }
-            match t_children.get(i) {
-                Some(&tc) if tc == c && t.label(tc) == cl.label => {}
-                _ => return false,
-            }
-            i += 1;
-            stack.push(c);
-        }
-        if i != t_children.len() {
-            return false;
-        }
-    }
-    true
 }
 
 /// Applies a script to a tree **in place**: checks `t = In(S)` exactly
@@ -132,34 +87,44 @@ pub(crate) fn input_matches(s: &Script, t: &DocTree) -> bool {
 /// afterwards), but it never materialises the input or output tree, and —
 /// because only the edited regions are mutated — `t`'s change journal
 /// ([`xvu_tree::Tree::set_change_tracking`]) records exactly the nodes
-/// whose child word the script changed. Validation runs entirely before
+/// whose child word the script changed. The script is read once, by
+/// [`check_script`]; the mutation then visits only the footprint's
+/// changed parents ([`apply_checked`]). Validation runs entirely before
 /// the first mutation: on any `Err`, `t` is unchanged.
 pub fn apply_in_place(t: &mut DocTree, s: &Script) -> Result<(), EditError> {
-    validate_script(s)?;
-    let root_label = s.label(s.root());
-    match root_label.op {
+    let check = check_script(s, Some(t));
+    apply_checked(t, s, &check)
+}
+
+/// The mutation half of [`apply_in_place`], for a caller that already
+/// walked `s` against `t` with [`check_script`] (as `Session::commit`
+/// does, to revalidate from the same footprint). `check` must come from
+/// `check_script(s, Some(t))` with `t` unchanged since.
+///
+/// Reports the errors of [`apply_in_place`], in its order, before the
+/// first mutation; then rewrites the child list of each changed `Nop`
+/// parent of the footprint — in document order, each list left to right
+/// — and nothing else.
+pub fn apply_checked(t: &mut DocTree, s: &Script, check: &ScriptCheck) -> Result<(), EditError> {
+    check.closure()?;
+    match s.label(s.root()).op {
         EditOp::Ins => return Err(EditError::EmptyInput),
         EditOp::Del => return Err(EditError::EmptyOutput),
         EditOp::Nop => {}
     }
-    // Phase 1 (read-only): verify In(S) = t.
-    if !input_matches(s, t) {
+    if !check.input_matches() {
         return Err(EditError::InputMismatch);
     }
-
-    // Phase 2: mutate. Walk the Nop skeleton; at each node the invariant
-    // holds that `t`'s children processed so far are exactly the output
-    // children emitted so far, so `pos` tracks the attach position.
-    let mut stack = vec![s.root()];
-    while let Some(n) = stack.pop() {
+    // At each parent, `t`'s children processed so far are exactly the
+    // output children emitted so far, so `pos` is the attach position.
+    for &n in check.footprint().changed() {
+        if s.label(n).op == EditOp::Ins {
+            continue; // attached whole with its inserted root
+        }
         let mut pos = 0usize;
-        for ci in 0..s.children(n).len() {
-            let c = s.children(n)[ci];
+        for &c in s.children(n) {
             match s.label(c).op {
-                EditOp::Nop => {
-                    stack.push(c);
-                    pos += 1;
-                }
+                EditOp::Nop => pos += 1,
                 EditOp::Del => {
                     t.detach_subtree(c)?;
                 }
@@ -374,7 +339,7 @@ mod tests {
         for script in [&s, &del_root, &ins_root] {
             for t in &trees {
                 assert_eq!(
-                    input_matches(script, t),
+                    check_script(script, Some(t)).input_matches(),
                     input_tree(script).as_ref() == Some(t),
                     "{} vs {}",
                     crate::term::script_to_term(script, &alpha),

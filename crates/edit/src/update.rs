@@ -8,8 +8,9 @@
 //! problem instance.)
 
 use crate::error::EditError;
+use crate::footprint::{check_script, ScriptFootprint};
 use crate::op::EditOp;
-use crate::script::{input_matches, validate_script, Script};
+use crate::script::Script;
 use std::collections::HashSet;
 use xvu_tree::{DocTree, NodeId};
 
@@ -17,16 +18,23 @@ use xvu_tree::{DocTree, NodeId};
 /// (identifier-sensitive). The comparison walks `s` and `view` in
 /// lockstep; the input tree is never materialised.
 pub fn check_is_update_of(s: &Script, view: &DocTree) -> Result<(), EditError> {
-    validate_script(s)?;
+    update_footprint(s, view).map(drop)
+}
+
+/// [`check_is_update_of`], handing back the footprint its walk computed
+/// ([`check_script`]), so a caller that needs both reads the script once.
+pub fn update_footprint(s: &Script, view: &DocTree) -> Result<ScriptFootprint, EditError> {
+    let check = check_script(s, Some(view));
+    check.closure()?;
     if s.label(s.root()).op == EditOp::Ins {
         return Err(EditError::EmptyInput);
     }
-    if !input_matches(s, view) {
+    if !check.input_matches() {
         return Err(EditError::NotAnUpdateOf(
             "In(S) differs from the view".to_owned(),
         ));
     }
-    Ok(())
+    Ok(check.into_footprint())
 }
 
 /// Checks the hidden-identifier requirement: no node of the script may use

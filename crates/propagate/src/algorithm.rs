@@ -4,8 +4,10 @@
 //!    view update (plus inversion graphs for inserted fragments).
 //! 2. Choose exactly one propagation (inversion) path per graph with the
 //!    preference function `Φ` ([`crate::Selector`]).
-//! 3. Recursively assemble the propagation script from the chosen paths,
-//!    materialising insertlets for invisible inserts.
+//! 3. Assemble the propagation script from the chosen paths: copy the
+//!    source once as the identity script, then rewrite the child lists of
+//!    the nodes whose path is not the identity, materialising insertlets
+//!    for invisible inserts.
 //!
 //! With a polynomial `Φ` and an insertlet package `W`, the whole pipeline
 //! is polynomial in `|D| + |t| + |S| + |W|`.
@@ -14,15 +16,14 @@ use crate::cache::Memo;
 use crate::cost::CostModel;
 use crate::error::PropagateError;
 use crate::forest::PropagationForest;
-use crate::graph::{PropEdge, PropGraph};
+use crate::graph::PropEdge;
 use crate::instance::Instance;
 use crate::scratch::PropScratch;
 use crate::selection::Selector;
-use std::sync::Arc;
 use std::time::Instant;
 use xvu_dtd::{min_sizes, InsertletPackage};
 use xvu_edit::{ELabel, Script, ScriptFootprint};
-use xvu_tree::{NodeId, NodeIdGen, SlotMap, Tree};
+use xvu_tree::NodeId;
 
 /// Tuning knobs for [`propagate`].
 #[derive(Clone, Debug)]
@@ -135,21 +136,17 @@ pub(crate) fn propagate_with_memo(
         p.graph_build_ns = total.saturating_sub(typing_ns);
     }
     let t1 = phases.is_some().then(Instant::now);
-    let mut gen = inst.id_gen();
-    let root = forest.root;
-    let mut script: Script = Tree::leaf_with_id(root, ELabel::nop(inst.source.label(root)));
-    assemble(
-        &mut script,
-        inst,
-        &forest,
-        cost,
-        cfg,
-        root,
-        &mut gen,
-        &mut SlotMap::with_capacity(inst.update.size()),
-        fp,
-        scratch,
-    )?;
+    let script = assemble(inst, &forest, cost, cfg, |n| {
+        let opt = forest
+            .graph(n)
+            .ok_or(PropagateError::NoPropagationPath(n))?
+            .optimal_subgraph_with(scratch.graph_mut())
+            .ok_or(PropagateError::NoPropagationPath(n))?;
+        let path = opt
+            .walk(|g, outs| cfg.selector.pick(g, outs))
+            .ok_or(PropagateError::NoPropagationPath(n))?;
+        Ok(path.iter().map(|&e| opt.edge(e).payload.clone()).collect())
+    })?;
     if let (Some(p), Some(t1)) = (phases, t1) {
         p.assemble_ns = t1.elapsed().as_nanos() as u64;
     }
@@ -184,121 +181,100 @@ pub fn propagate_view_edit(
     propagate(&inst, insertlets, cfg)
 }
 
-/// Fills in the children of preserved node `n` — already in `out` as a
-/// `Nop` node — from its chosen optimal path.
+/// Assembles a propagation script from one chosen path per preserved
+/// node, read off `path_of` (the optimal walk under `Φ` here, the
+/// filtered-graph path in [`crate::find_complement_preserving`]).
 ///
-/// `opt_cache` memoises optimal subgraphs per update-tree slot within one
-/// assembly (a node's graph is walked once, but subgraph extraction is
-/// reused by enumeration callers).
-#[allow(clippy::too_many_arguments)]
-fn assemble(
-    out: &mut Script,
+/// The script starts as one bulk `Nop` copy of the source — the identity
+/// propagation — and only the child lists of nodes whose chosen path is
+/// not the identity are rewritten: a deleted child subtree is relabelled
+/// `Del`, an inserted fragment is appended (an insertlet for an
+/// invisible insert, a minimal inverse for a visible one), and the list
+/// is then put in the path's order. A node whose cheapest propagation
+/// costs 0 is never visited: every 0-weight edge of `G_n` is a `Nop` edge
+/// (deletions weigh the subtree size, inserts at least 1), so any such
+/// path reproduces the source subtree, which the copy already holds. A
+/// cost-0 node also keeps its identity path under the complement filter,
+/// which drops no `Nop` edge into a feasible child.
+///
+/// The walk is depth-first on an explicit stack, so no document depth can
+/// overflow the native stack. A frame descends into a kept visible child
+/// as soon as its path reaches it and resumes afterwards, which draws
+/// fresh identifiers in the same order as a recursive assembly would.
+pub(crate) fn assemble(
     inst: &Instance<'_>,
     forest: &PropagationForest,
     cost: &CostModel<'_>,
     cfg: &Config,
-    n: NodeId,
-    gen: &mut NodeIdGen,
-    opt_cache: &mut SlotMap<Arc<PropGraph>>,
-    fp: Option<&ScriptFootprint>,
-    scratch: &mut PropScratch,
-) -> Result<(), PropagateError> {
-    let nslot = inst.update.slot(n).expect("preserved node in update");
-    // Identity fast path: a clean node (subtree entirely `Nop`) whose
-    // cheapest propagation costs 0 keeps its source subtree verbatim —
-    // every 0-weight edge of `G_n` is a `Nop*` edge (deletions weigh the
-    // subtree size, inserts at least 1), so any optimal path reproduces
-    // the source child word unchanged, recursively. Copying the source
-    // children directly skips the walk and the per-node subgraph machinery.
-    // Every clean node costs 0 (its identity path weighs nothing), so an
-    // optimal subgraph is only ever extracted inside the footprint.
-    if fp.is_some_and(|f| f.is_clean(nslot)) && forest.cost(n) == Some(0) {
-        for &c in inst.source.children(n) {
-            out.append_mapped_subtree(n, inst.source, c, |&l| ELabel::nop(l))?;
-        }
-        return Ok(());
+    mut path_of: impl FnMut(NodeId) -> Result<Vec<PropEdge>, PropagateError>,
+) -> Result<Script, PropagateError> {
+    /// One node being rewritten: the rest of its path, and its new child
+    /// list so far.
+    struct Frame {
+        n: NodeId,
+        path: std::vec::IntoIter<PropEdge>,
+        order: Vec<NodeId>,
     }
-    let opt: Arc<PropGraph> = match opt_cache.get(nslot) {
-        Some(g) => Arc::clone(g),
-        None => {
-            let g = Arc::new(
-                forest
-                    .graph(n)
-                    .ok_or(PropagateError::NoPropagationPath(n))?
-                    .optimal_subgraph_with(scratch.graph_mut())
-                    .ok_or(PropagateError::NoPropagationPath(n))?,
-            );
-            opt_cache.insert(nslot, Arc::clone(&g));
-            g
+    // Cost-0 nodes get no frame: their copy is final.
+    let mut open = |n: NodeId| -> Result<Option<Frame>, PropagateError> {
+        if forest.cost(n) == Some(0) {
+            return Ok(None);
         }
+        let path = path_of(n)?.into_iter();
+        Ok(Some(Frame {
+            n,
+            path,
+            order: Vec::new(),
+        }))
     };
-    let path = opt
-        .walk(|g, outs| cfg.selector.pick(g, outs))
-        .ok_or(PropagateError::NoPropagationPath(n))?;
-    build_script_from_path(
-        out, inst, forest, cost, cfg, n, &opt, &path, gen, opt_cache, fp, scratch,
-    )
-}
-
-/// Appends the children of node `n` — already in `out` as a `Nop` node —
-/// read off an explicit edge path in (a subgraph of) `G_n`. Source
-/// subtrees the path keeps or deletes, and inserted fragments, are copied
-/// into `out` once, label-mapped on the way. Shared by the main algorithm
-/// and the complement search.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn build_script_from_path(
-    out: &mut Script,
-    inst: &Instance<'_>,
-    forest: &PropagationForest,
-    cost: &CostModel<'_>,
-    cfg: &Config,
-    n: NodeId,
-    graph: &PropGraph,
-    path: &[u32],
-    gen: &mut NodeIdGen,
-    opt_cache: &mut SlotMap<Arc<PropGraph>>,
-    fp: Option<&ScriptFootprint>,
-    scratch: &mut PropScratch,
-) -> Result<(), PropagateError> {
-    // Positional edges resolve against the node's child words — see
-    // `PropEdge`: for common children the source id serves both trees.
-    let t_kids = inst.source.children(n);
-    let s_kids = inst.update.children(n);
-    for &e in path {
-        match graph.edge(e).payload {
+    let mut gen = inst.id_gen();
+    let mut script: Script = inst.source.map_labels(|_, &l| ELabel::nop(l));
+    let mut stack: Vec<Frame> = open(forest.root)?.into_iter().collect();
+    while let Some(top) = stack.last_mut() {
+        let n = top.n;
+        let Some(edge) = top.path.next() else {
+            script.reorder_children(n, &top.order)?;
+            stack.pop();
+            continue;
+        };
+        // Positional edges resolve against the node's child words — see
+        // `PropEdge`: for common children the source id serves both trees.
+        let t_kids = inst.source.children(n);
+        let child = match edge {
             PropEdge::InsInvisible(y) => {
                 let frag = cost.insertlets.instantiate(
                     inst.dtd,
                     cost.sizes,
                     y,
-                    gen,
+                    &mut gen,
                     cfg.witness_budget,
                 )?;
-                out.append_mapped_subtree(n, &frag, frag.root(), |&l| ELabel::ins(l))?;
-            }
-            PropEdge::DelInvisible { tpos } | PropEdge::DelVisible { tpos } => {
-                let c = t_kids[tpos as usize];
-                out.append_mapped_subtree(n, inst.source, c, |&l| ELabel::del(l))?;
-            }
-            PropEdge::NopInvisible { tpos, .. } => {
-                let c = t_kids[tpos as usize];
-                out.append_mapped_subtree(n, inst.source, c, |&l| ELabel::nop(l))?;
+                script.append_mapped_subtree(n, &frag, frag.root(), |&l| ELabel::ins(l))?;
+                frag.root()
             }
             PropEdge::InsVisible { spos } => {
                 let inv = forest
-                    .inversion(s_kids[spos as usize])
+                    .inversion(inst.update.children(n)[spos as usize])
                     .expect("built forest has an inversion per Ins child")
-                    .materialize_min(inst.dtd, cost, cfg.selector, gen, cfg.witness_budget)?;
-                out.append_mapped_subtree(n, &inv, inv.root(), |&l| ELabel::ins(l))?;
+                    .materialize_min(inst.dtd, cost, cfg.selector, &mut gen, cfg.witness_budget)?;
+                script.append_mapped_subtree(n, &inv, inv.root(), |&l| ELabel::ins(l))?;
+                inv.root()
             }
-            PropEdge::NopVisible { tpos, .. } => {
+            PropEdge::DelInvisible { tpos } | PropEdge::DelVisible { tpos } => {
                 let c = t_kids[tpos as usize];
-                out.add_child_with_id(n, c, ELabel::nop(inst.source.label(c)))?;
-                assemble(out, inst, forest, cost, cfg, c, gen, opt_cache, fp, scratch)?;
+                script.relabel_subtree(c, |l| ELabel::del(l.label))?;
+                c
             }
+            PropEdge::NopInvisible { tpos, .. } | PropEdge::NopVisible { tpos, .. } => {
+                t_kids[tpos as usize]
+            }
+        };
+        top.order.push(child);
+        if matches!(edge, PropEdge::NopVisible { .. }) {
+            stack.extend(open(child)?);
         }
     }
-    Ok(())
+    Ok(script)
 }
 
 #[cfg(test)]

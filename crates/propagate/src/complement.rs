@@ -14,7 +14,7 @@
 //!   all invisible-mutation edges removed, returning a
 //!   complement-preserving propagation iff one exists.
 
-use crate::algorithm::{build_script_from_path, Config};
+use crate::algorithm::{assemble, Config};
 use crate::cache::Memo;
 use crate::cost::CostModel;
 use crate::error::PropagateError;
@@ -24,8 +24,8 @@ use crate::instance::Instance;
 use crate::pathgraph::PathGraph;
 use crate::scratch::PropScratch;
 use std::sync::Arc;
-use xvu_edit::{ELabel, EditOp, Script, ScriptFootprint};
-use xvu_tree::{NodeId, SlotMap, SlotSet, Tree};
+use xvu_edit::{EditOp, Script, ScriptFootprint};
+use xvu_tree::{SlotMap, SlotSet};
 
 /// How a propagation touches the invisible part of the document.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -185,82 +185,16 @@ pub(crate) fn find_complement_preserving_with(
         return Ok(None);
     }
 
-    // Walk the filtered graphs (all remaining edges are
+    // Assemble from the filtered graphs (all remaining edges are
     // complement-preserving; pick cheapest paths for determinism).
-    let mut gen = inst.id_gen();
-    let mut opt_cache = SlotMap::with_capacity(update.size());
-    let script = walk_filtered(
-        inst,
-        forest,
-        &filtered,
-        cost,
-        cfg,
-        forest.root,
-        &mut gen,
-        &mut opt_cache,
-        scratch,
-    )?;
+    let script = assemble(inst, forest, cost, cfg, |n| {
+        let g = &filtered[update.slot(n).expect("preserved node in update")];
+        let path = g
+            .shortest_path_with(scratch.graph_mut())
+            .ok_or(PropagateError::NoPropagationPath(n))?;
+        Ok(path.iter().map(|&e| g.edge(e).payload.clone()).collect())
+    })?;
     Ok(Some(script))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn walk_filtered(
-    inst: &Instance<'_>,
-    forest: &PropagationForest,
-    filtered: &SlotMap<Arc<PropGraph>>,
-    cost: &CostModel<'_>,
-    cfg: &Config,
-    n: NodeId,
-    gen: &mut xvu_tree::NodeIdGen,
-    opt_cache: &mut SlotMap<Arc<PropGraph>>,
-    scratch: &mut PropScratch,
-) -> Result<Script, PropagateError> {
-    let g = &filtered[inst.update.slot(n).expect("preserved node in update")];
-    let path = g
-        .shortest_path_with(scratch.graph_mut())
-        .ok_or(PropagateError::NoPropagationPath(n))?;
-    // Reuse the assembler, but recurse through the *filtered* graphs: we
-    // construct child scripts ourselves and splice via a custom walk.
-    let mut script: Script = Tree::leaf_with_id(n, ELabel::nop(inst.source.label(n)));
-    build_script_from_path(
-        &mut script,
-        inst,
-        forest,
-        cost,
-        cfg,
-        n,
-        g,
-        &path,
-        gen,
-        opt_cache,
-        None,
-        scratch,
-    )?;
-    // build_script_from_path recursed into the *optimal* child graphs for
-    // (vi)-edges, which may use invisible edits. Rebuild those children
-    // from the filtered graphs instead.
-    let t_kids = inst.source.children(n);
-    let child_ids: Vec<NodeId> = path
-        .iter()
-        .filter_map(|&e| match g.edge(e).payload {
-            PropEdge::NopVisible { tpos, .. } => Some(t_kids[tpos as usize]),
-            _ => None,
-        })
-        .collect();
-    for child in child_ids {
-        let sub = walk_filtered(
-            inst, forest, filtered, cost, cfg, child, gen, opt_cache, scratch,
-        )?;
-        let parent = script.parent(child).expect("child attached under the node");
-        let pos = script
-            .children(parent)
-            .iter()
-            .position(|&c| c == child)
-            .expect("child present");
-        script.detach_subtree(child)?;
-        script.attach_subtree(parent, pos, sub)?;
-    }
-    Ok(script)
 }
 
 #[cfg(test)]

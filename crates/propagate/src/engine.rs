@@ -67,7 +67,7 @@ use crate::count::count_optimal_propagations;
 use crate::enumerate::enumerate_optimal_propagations;
 use crate::error::PropagateError;
 use crate::forest::PropagationForest;
-use crate::incremental::revalidate_with;
+use crate::incremental::revalidate_changed;
 use crate::instance::{Instance, Prepared};
 use crate::scratch::PropScratch;
 use crate::verify::verify_propagation;
@@ -75,7 +75,7 @@ use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use xvu_dtd::{min_sizes, Dtd, InsertletPackage, MinSizes};
-use xvu_edit::{apply_in_place, script_footprint, EditError, Script};
+use xvu_edit::{apply_checked, check_script, EditError, Script};
 use xvu_tree::{Alphabet, DocTree, InternId, NodeId, NodeIdGen, SlotMap};
 use xvu_view::{derive_view_dtd, Annotation};
 
@@ -633,14 +633,16 @@ impl<'e> Session<'e> {
 
     /// Advances the session to the propagation's output document.
     ///
-    /// The output is schema-checked *incrementally* — only nodes whose
-    /// child word can have changed are re-validated
-    /// ([`crate::revalidate_output`]) — instead of the full validation a
-    /// fresh [`Engine::open`] would run. The propagation is then applied
-    /// to the session document **in place**
-    /// ([`xvu_edit::apply_in_place`]): untouched subtrees are not
-    /// rebuilt, and the document's dirty journal records exactly the
-    /// parents whose child word changed. Draining that journal
+    /// The script is read once: one walk against the session document
+    /// ([`xvu_edit::check_script`]) checks the closure rules and
+    /// `In(S) = t` and yields the script's footprint. Every later step
+    /// visits only that footprint. The output is schema-checked
+    /// *incrementally* — only the changed child words are re-validated,
+    /// as [`crate::revalidate_output`] does — instead of the full
+    /// validation a fresh [`Engine::open`] would run. The propagation is
+    /// then applied **in place** ([`xvu_edit::apply_checked`]): only the
+    /// changed parents' child lists are rewritten, and the document's
+    /// dirty journal records exactly those parents. Draining it
     /// ([`xvu_tree::Tree::drain_dirty_to_root`]) yields the dirty region —
     /// edited parents plus all their ancestors — which is re-interned
     /// together with every inserted subtree; every other node keeps its
@@ -651,13 +653,19 @@ impl<'e> Session<'e> {
     /// visible parents in the script's footprint, which lose their deleted
     /// visible children and gain the view of each inserted visible
     /// subtree. The identifier high-water mark is bumped past the inserted
-    /// identifiers and never rewinds. Revalidation, the in-place apply and
-    /// the intern-id re-keying still walk the script or the document; the
-    /// view and generator cost only the footprint. A failed commit changes
-    /// nothing.
+    /// identifiers and never rewinds.
+    ///
+    /// Besides the walk — the paper's propagation script spans the whole
+    /// source, so reading it once is the floor — the one remaining
+    /// document-sized step is the intern-id re-key, which carries every
+    /// node's memo key across the slots the in-place apply relocates. A
+    /// failed commit changes nothing.
     pub fn commit(&mut self, prop: &Propagation) -> Result<(), PropagateError> {
-        let fp = script_footprint(&prop.script);
-        revalidate_with(&self.engine.dtd, &prop.script, &fp)?;
+        // One walk of the script against the document: the closure rules,
+        // `In(S) = t`, and the footprint every later step reads.
+        let check = check_script(&prop.script, Some(&self.doc));
+        check.closure()?;
+        revalidate_changed(&self.engine.dtd, &prop.script, check.footprint())?;
         // Intern ids keyed by *identifier*: the in-place apply relocates
         // arena slots.
         let kept: Vec<(NodeId, InternId)> = self
@@ -665,8 +673,8 @@ impl<'e> Session<'e> {
             .iter()
             .map(|(slot, &id)| (self.doc.id_at(slot), id))
             .collect();
-        if let Err(e) = apply_in_place(&mut self.doc, &prop.script) {
-            // `apply_in_place` validates fully before mutating: the
+        if let Err(e) = apply_checked(&mut self.doc, &prop.script, &check) {
+            // `apply_checked` reports every error before mutating: the
             // document and its intern ids are intact.
             return Err(match e {
                 EditError::EmptyInput => {
@@ -687,7 +695,8 @@ impl<'e> Session<'e> {
         if let Some(memo) = self.engine.memo.as_deref() {
             self.intern_ids = memo.rekey(&self.doc, kept, &dirty);
         }
-        self.prepared.advance(&self.engine.ann, &prop.script, &fp);
+        self.prepared
+            .advance(&self.engine.ann, &prop.script, check.footprint());
         self.commits += 1;
         Ok(())
     }
@@ -881,6 +890,56 @@ mod tests {
             .join()
             .expect("open must not overflow the stack");
         assert_eq!(view_size, 20_001, "everything but the hidden b");
+    }
+
+    #[test]
+    fn edits_at_the_bottom_of_a_20k_level_chain_are_stack_safe() {
+        // The chain of `open_is_stack_safe_on_a_20k_level_chain`, with one
+        // `a` inserted under the deepest `a` (before its hidden `b`):
+        // propagate, complement search and commit all walk the whole
+        // spine, on a thread with a 256 KiB stack.
+        let mut alpha = Alphabet::new();
+        let dtd = xvu_dtd::parse_dtd(&mut alpha, "r -> a?\na -> a?.b?").unwrap();
+        let ann = xvu_view::parse_annotation(&mut alpha, "hide a b").unwrap();
+        let (r, a, b) = (
+            alpha.get("r").unwrap(),
+            alpha.get("a").unwrap(),
+            alpha.get("b").unwrap(),
+        );
+        let mut gen = NodeIdGen::new();
+        let mut doc = DocTree::leaf(&mut gen, r);
+        let mut parent = doc.root();
+        for _ in 0..20_000 {
+            parent = doc.add_child(parent, &mut gen, a);
+        }
+        doc.add_child(parent, &mut gen, b);
+        let engine = Engine::new(alpha, dtd, ann);
+        let (cost, size) = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                let mut session = engine.open(&doc).expect("the chain is valid");
+                let mut update = nop_script(session.view());
+                let fresh = session.id_gen().fresh();
+                update
+                    .add_child_with_id(parent, fresh, ELabel::ins(a))
+                    .unwrap();
+                let prop = session.propagate(&update).expect("the insert propagates");
+                let complement = session
+                    .complement_preserving(&update)
+                    .expect("the complement search completes")
+                    .expect("inserting an `a` needs no hidden padding");
+                assert!(
+                    complement == prop.script,
+                    "the optimum keeps the complement"
+                );
+                session.commit(&prop).expect("the propagation commits");
+                assert!(session.document().contains(fresh));
+                (prop.cost, session.document().size())
+            })
+            .unwrap()
+            .join()
+            .expect("propagate, complement search and commit must not overflow the stack");
+        assert_eq!((cost, size), (1, 20_003));
     }
 
     #[test]

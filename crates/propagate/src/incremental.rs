@@ -13,8 +13,7 @@
 use crate::error::PropagateError;
 use xvu_dtd::Dtd;
 use xvu_edit::{
-    diff, input_tree, output_tree, script_footprint, validate_script, EditOp, Script,
-    ScriptFootprint,
+    check_script, diff, input_tree, output_tree, script_footprint, EditOp, Script, ScriptFootprint,
 };
 use xvu_tree::{NodeId, Sym};
 use xvu_view::{extract_view, Annotation};
@@ -36,17 +35,19 @@ use xvu_view::{extract_view, Annotation};
 ///
 /// Returns the first offending node, like [`Dtd::validate`].
 pub fn revalidate_output(dtd: &Dtd, script: &Script) -> Result<(), PropagateError> {
-    revalidate_with(dtd, script, &script_footprint(script))
+    let check = check_script(script, None);
+    check.closure()?;
+    revalidate_changed(dtd, script, check.footprint())
 }
 
-/// [`revalidate_output`] over a footprint the caller already computed
-/// (`fp` must be `script`'s).
-pub(crate) fn revalidate_with(
+/// The schema half of [`revalidate_output`], for a caller that already
+/// walked `script` ([`xvu_edit::check_script`]) and found its closure
+/// rules intact: `fp` must be `script`'s footprint.
+pub(crate) fn revalidate_changed(
     dtd: &Dtd,
     script: &Script,
     fp: &ScriptFootprint,
 ) -> Result<(), PropagateError> {
-    validate_script(script).map_err(PropagateError::Edit)?;
     if script.label(script.root()).op == EditOp::Del {
         return Err(PropagateError::NotAPropagation(
             "script output is empty".to_owned(),
@@ -57,13 +58,17 @@ pub(crate) fn revalidate_with(
     // materialised. The footprint lists the changed nodes in document
     // order, so the *first* offending node is the one reported, like
     // `Dtd::validate`.
+    let mut word: Vec<Sym> = Vec::new();
     for &n in fp.changed() {
-        let word: Vec<Sym> = script
-            .children(n)
-            .iter()
-            .filter(|&&c| script.label(c).op != EditOp::Del)
-            .map(|&c| script.label(c).label)
-            .collect();
+        word.clear();
+        word.extend(
+            script
+                .children(n)
+                .iter()
+                .map(|&c| script.label(c))
+                .filter(|l| l.op != EditOp::Del)
+                .map(|l| l.label),
+        );
         if !dtd.content_model(script.label(n).label).accepts(&word) {
             return Err(PropagateError::NotAPropagation(format!(
                 "incremental validation failed at node {n}"

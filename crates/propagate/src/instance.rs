@@ -24,8 +24,8 @@
 use crate::error::PropagateError;
 use std::borrow::Cow;
 use xvu_dtd::Dtd;
-use xvu_edit::{check_is_update_of, script_footprint, EditError, EditOp, Script, ScriptFootprint};
-use xvu_tree::{DocTree, NodeId, NodeIdGen, Sym};
+use xvu_edit::{update_footprint, EditError, EditOp, Script, ScriptFootprint};
+use xvu_tree::{DocTree, NodeId, NodeIdGen, Slot, Sym};
 use xvu_view::{derive_view_dtd, extract_subtree_view, extract_view, Annotation};
 
 /// The update-independent artefacts derived from one source document
@@ -109,9 +109,11 @@ impl Prepared {
 /// A validated view-update problem instance.
 ///
 /// Given the source artefacts, validation costs time proportional to the
-/// update: `In(S)` is matched against the view in lockstep, and `Out(S)`
-/// is never materialised — the view-DTD check reads the changed child
-/// words straight off the script.
+/// update: one walk ([`xvu_edit::check_script`]) checks the closure rules,
+/// matches `In(S)` against the view in lockstep and yields the footprint;
+/// the hidden-identifier check then visits only the inserted nodes, and
+/// `Out(S)` is never materialised — the view-DTD check reads the changed
+/// child words straight off the script.
 #[derive(Clone, Debug)]
 pub struct Instance<'a> {
     /// The document schema `D`.
@@ -181,13 +183,29 @@ impl<'a> Instance<'a> {
         mut gen: NodeIdGen,
         view_dtd: Cow<'a, Dtd>,
     ) -> Result<Instance<'a>, PropagateError> {
-        check_is_update_of(update, &view)?;
+        // One walk of the update against the view: closure rules,
+        // `In(S) = A(t)`, and the footprint.
+        let footprint = update_footprint(update, &view)?;
 
-        for id in update.node_ids() {
+        // Every non-`Ins` node matched a view node, so only inserted nodes
+        // can reuse a hidden identifier or lie past the generator — and
+        // the footprint lists every inserted node. The offender reported
+        // is the one a scan of the whole update in slot order finds first.
+        let mut hidden: Option<(Slot, NodeId)> = None;
+        for &id in footprint.changed() {
+            if update.label(id).op != EditOp::Ins {
+                continue;
+            }
             if source.contains(id) && !view.contains(id) {
-                return Err(PropagateError::Edit(EditError::HiddenIdUsed(id)));
+                let slot = update.slot(id).expect("footprint node in update");
+                if hidden.is_none_or(|(first, _)| slot < first) {
+                    hidden = Some((slot, id));
+                }
             }
             gen.bump_past(id);
+        }
+        if let Some((_, id)) = hidden {
+            return Err(PropagateError::Edit(EditError::HiddenIdUsed(id)));
         }
 
         if update.label(update.root()).op == EditOp::Del {
@@ -199,7 +217,6 @@ impl<'a> Instance<'a> {
         // Only changed child words can leave the view language; the
         // footprint lists them in document order, so the first violation
         // found is the first in `Out(S)`.
-        let footprint = script_footprint(update);
         let mut word: Vec<Sym> = Vec::new();
         for &n in footprint.changed() {
             word.clear();

@@ -12,17 +12,20 @@
 
 use crate::error::PropagateError;
 use crate::instance::Instance;
-use xvu_edit::{input_tree, output_tree, validate_script, Script};
+use xvu_edit::{check_script, output_tree, EditOp, Script};
 use xvu_view::extract_view;
 
 /// Checks that `candidate` is a schema-compliant, side-effect-free
 /// propagation of the instance's update.
 pub fn verify_propagation(inst: &Instance<'_>, candidate: &Script) -> Result<(), PropagateError> {
-    validate_script(candidate)?;
-
-    let input = input_tree(candidate)
-        .ok_or_else(|| PropagateError::NotAPropagation("empty input tree".to_owned()))?;
-    if &input != inst.source {
+    let check = check_script(candidate, Some(inst.source));
+    check.closure()?;
+    if candidate.label(candidate.root()).op == EditOp::Ins {
+        return Err(PropagateError::NotAPropagation(
+            "empty input tree".to_owned(),
+        ));
+    }
+    if !check.input_matches() {
         return Err(PropagateError::NotAPropagation(
             "In(S') differs from the source document".to_owned(),
         ));

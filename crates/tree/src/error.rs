@@ -21,6 +21,9 @@ pub enum TreeError {
         /// The node's arity.
         arity: usize,
     },
+    /// A new child order for the node is not a permutation of its
+    /// children.
+    NotAPermutation(NodeId),
     /// Parse error in term syntax.
     Parse {
         /// Byte offset of the error in the input.
@@ -46,6 +49,12 @@ impl fmt::Display for TreeError {
                 f,
                 "position {position} out of bounds for node {node} with {arity} children"
             ),
+            TreeError::NotAPermutation(n) => {
+                write!(
+                    f,
+                    "new child order of node {n} is not a permutation of its children"
+                )
+            }
             TreeError::Parse { at, msg } => write!(f, "parse error at byte {at}: {msg}"),
             TreeError::Inconsistent(msg) => write!(f, "inconsistent tree: {msg}"),
         }

@@ -139,8 +139,14 @@ impl SlotIndex {
             }
             self.dense[raw as usize] = slot.0;
         } else if raw < self.dense_horizon() {
-            let was_sparse = self.sparse.remove(&raw).is_some();
-            self.dense.resize(raw as usize + 1, VACANT);
+            let was_sparse = !self.sparse.is_empty() && self.sparse.remove(&raw).is_some();
+            // Grow geometrically, capped at the horizon, so a run of
+            // monotone inserts takes this branch O(log n) times, not once
+            // per identifier.
+            let grown = (raw + 1)
+                .max(self.dense.len() as u64 * 2)
+                .min(self.dense_horizon());
+            self.dense.resize(grown as usize, VACANT);
             // Sparse entries are only for ids *beyond* the dense range;
             // growing the range must pull the newly covered ones in, or
             // the (vacant) dense entries would shadow them.
@@ -410,6 +416,66 @@ impl SlotSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// One step of the [`SlotIndex`] model test.
+    #[derive(Clone, Debug)]
+    enum IndexOp {
+        Insert(u64, u32),
+        Remove(u64),
+    }
+
+    /// Identifiers near a dense population, mid-range ones the horizon
+    /// only reaches after growth, and far outliers.
+    fn arb_id() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..2_000,
+            0u64..2_000,
+            2_000u64..20_000,
+            (0u64..4).prop_map(|k| u64::MAX - k),
+        ]
+    }
+
+    fn arb_index_op() -> impl Strategy<Value = IndexOp> {
+        prop_oneof![
+            (arb_id(), 0u32..1_000).prop_map(|(id, s)| IndexOp::Insert(id, s)),
+            (arb_id(), 0u32..1_000).prop_map(|(id, s)| IndexOp::Insert(id, s)),
+            arb_id().prop_map(IndexOp::Remove),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn index_agrees_with_a_hashmap_model(ops in prop::collection::vec(arb_index_op(), 0..400)) {
+            let mut ix = SlotIndex::new();
+            let mut model: HashMap<u64, u32> = HashMap::new();
+            for op in &ops {
+                match *op {
+                    IndexOp::Insert(id, s) => {
+                        ix.insert(NodeId(id), Slot(s));
+                        model.insert(id, s);
+                    }
+                    IndexOp::Remove(id) => {
+                        prop_assert_eq!(ix.remove(NodeId(id)), model.remove(&id).map(Slot));
+                    }
+                }
+                prop_assert_eq!(ix.len(), model.len());
+                // The dense table is authoritative for the ids it covers.
+                prop_assert!(ix.sparse.keys().all(|&k| k >= ix.dense.len() as u64));
+            }
+            for (&id, &s) in &model {
+                prop_assert_eq!(ix.slot(NodeId(id)), Some(Slot(s)));
+            }
+            for op in &ops {
+                let id = match *op {
+                    IndexOp::Insert(id, _) | IndexOp::Remove(id) => id,
+                };
+                prop_assert_eq!(ix.slot(NodeId(id)), model.get(&id).copied().map(Slot));
+            }
+        }
+    }
 
     #[test]
     fn index_dense_round_trip() {

@@ -506,6 +506,53 @@ impl<L> Tree<L> {
         Ok(())
     }
 
+    /// Rewrites the label of every node in the subtree rooted at `id` in
+    /// place. Identifiers and structure are untouched, so no invariant
+    /// can break.
+    pub fn relabel_subtree(
+        &mut self,
+        id: NodeId,
+        mut f: impl FnMut(&L) -> L,
+    ) -> Result<(), TreeError> {
+        let Some(slot) = self.slot(id) else {
+            return Err(TreeError::UnknownNode(id));
+        };
+        let mut stack = vec![slot];
+        while let Some(s) = stack.pop() {
+            let node = &mut self.slab[s.index()];
+            node.label = f(&node.label);
+            stack.extend(
+                node.children
+                    .iter()
+                    .map(|&c| self.index.slot(c).expect("child indexed")),
+            );
+        }
+        Ok(())
+    }
+
+    /// Puts the children of `parent` in the order `order`, which must be a
+    /// permutation of its current children (checked before anything
+    /// changes, so on `Err` the tree is unchanged).
+    pub fn reorder_children(&mut self, parent: NodeId, order: &[NodeId]) -> Result<(), TreeError> {
+        let Some(pslot) = self.slot(parent) else {
+            return Err(TreeError::UnknownNode(parent));
+        };
+        let children = &self.slab[pslot.index()].children;
+        if children.as_slice() == order {
+            return Ok(());
+        }
+        let mut want = order.to_vec();
+        let mut have = children.clone();
+        want.sort_unstable();
+        have.sort_unstable();
+        if want != have {
+            return Err(TreeError::NotAPermutation(parent));
+        }
+        self.mark_children_changed(pslot);
+        self.slab[pslot.index()].children.copy_from_slice(order);
+        Ok(())
+    }
+
     /// The number of nodes in the subtree rooted at `id`, `|t|_n|`.
     pub fn subtree_size(&self, id: NodeId) -> usize {
         let mut count = 0usize;
@@ -798,6 +845,49 @@ mod tests {
             t.attach_subtree(r, 0, dup),
             Err(TreeError::DuplicateNodeId(a))
         );
+    }
+
+    #[test]
+    fn relabel_subtree_touches_only_that_subtree() {
+        let (mut t, r, a, b) = chain3();
+        t.relabel_subtree(a, |l| sym(l.index() + 10)).unwrap();
+        assert_eq!(
+            (t.label(r), t.label(a), t.label(b)),
+            (sym(0), sym(11), sym(12))
+        );
+        t.validate().unwrap();
+        assert_eq!(
+            t.relabel_subtree(NodeId(99), |&l| l),
+            Err(TreeError::UnknownNode(NodeId(99)))
+        );
+    }
+
+    #[test]
+    fn reorder_children_accepts_only_permutations() {
+        let mut gen = NodeIdGen::new();
+        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
+        let r = t.root();
+        let c: Vec<NodeId> = (1..4).map(|i| t.add_child(r, &mut gen, sym(i))).collect();
+        t.set_change_tracking(true);
+        t.reorder_children(r, &[c[2], c[0], c[1]]).unwrap();
+        assert_eq!(t.children(r), &[c[2], c[0], c[1]]);
+        assert_eq!(t.take_changed_parents(), vec![r]);
+        t.validate().unwrap();
+        let before = t.clone();
+        for bad in [
+            &[c[0], c[0], c[1]][..],
+            &[c[0], c[1]],
+            &[c[0], c[1], c[2], r],
+        ] {
+            assert_eq!(
+                t.reorder_children(r, bad),
+                Err(TreeError::NotAPermutation(r))
+            );
+            assert_eq!(t, before);
+        }
+        // the current order is a no-op that journals nothing
+        t.reorder_children(r, &[c[2], c[0], c[1]]).unwrap();
+        assert!(t.take_changed_parents().is_empty());
     }
 
     #[test]
