@@ -6,10 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
-use xvu_tree::{
-    from_legacy_json, parse_term_with_ids, to_legacy_json, to_term_with_ids, Alphabet, NodeId,
-    NodeIdGen, Sym, Tree,
-};
+use xvu_tree::{parse_term_with_ids, to_term_with_ids, Alphabet, NodeId, NodeIdGen, Sym, Tree};
 
 /// Deterministic shape: node `i` attaches under a pseudo-random earlier
 /// node (a bushy, irregular tree), labels cycle over 16 symbols.
@@ -87,10 +84,9 @@ fn bench_random_access(c: &mut Criterion) {
 }
 
 /// The load path: serialized bytes to a usable tree, per format — the
-/// flat arena snapshot's bulk decode vs the legacy JSON wire format vs
-/// the identifier-annotated term parser (`BENCH_load.json` tracks the
-/// same comparison at release settings; these rows keep it visible in
-/// the criterion sweep).
+/// flat arena snapshot's bulk decode vs the identifier-annotated term
+/// parser (`BENCH_load.json` tracks the same comparison at release
+/// settings; these rows keep it visible in the criterion sweep).
 fn bench_load(c: &mut Criterion) {
     let mut group = c.benchmark_group("tree_ops_load");
     group.measurement_time(Duration::from_secs(1));
@@ -103,7 +99,6 @@ fn bench_load(c: &mut Criterion) {
     for n in [1_000usize, 10_000] {
         let tree = build_arena(n);
         let flat = tree.to_snapshot_bytes(&alpha).expect("encodable");
-        let json = to_legacy_json(&tree);
         let term = to_term_with_ids(&tree, &alpha);
         group.bench_with_input(BenchmarkId::new("flat_snapshot", n), &n, |b, _| {
             b.iter(|| {
@@ -114,9 +109,6 @@ fn bench_load(c: &mut Criterion) {
                         .size(),
                 )
             })
-        });
-        group.bench_with_input(BenchmarkId::new("legacy_json", n), &n, |b, _| {
-            b.iter(|| black_box(from_legacy_json(&json).expect("parses").size()))
         });
         group.bench_with_input(BenchmarkId::new("term", n), &n, |b, _| {
             b.iter(|| {

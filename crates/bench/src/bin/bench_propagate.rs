@@ -38,7 +38,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 use xvu_bench::kernel::{harvest_graphs, sum_csr_fresh, sum_csr_pooled};
 use xvu_bench::{
-    enumerated_regime_rows, hospital_churn_batch, hospital_update_batch, median_time,
+    enumerated_regime_rows, git_revision, hospital_churn_batch, hospital_update_batch, median_time,
     random_update_batch, run_churn_session, OwnedInstance,
 };
 use xvu_edit::Script;
@@ -238,18 +238,6 @@ fn admission_row(departments: usize, warmup: usize, updates: usize) -> Admission
         propagate_ms: Spread::of(propagate),
         commit_ms: Spread::of(commit),
     }
-}
-
-/// The revision of the checkout the bench runs in, if `git` can tell
-/// (suffixed `-dirty` when the working tree has uncommitted changes).
-fn git_revision() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned())
 }
 
 fn main() {

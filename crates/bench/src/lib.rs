@@ -519,6 +519,19 @@ pub fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
+/// The revision of the checkout a bench runs in, if `git` can tell
+/// (suffixed `-dirty` when the working tree has uncommitted changes);
+/// recorded in every `BENCH_*.json` next to `nproc`.
+pub fn git_revision() -> String {
+    std::process::Command::new("git")
+        .args(["describe", "--always", "--dirty"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,17 +49,22 @@ fn project(s: &Script, keep: impl Fn(ELabel) -> bool) -> Option<DocTree> {
         return None;
     }
     let mut out = Tree::leaf_with_id(root, s.label(root).label);
-    fn rec(s: &Script, n: NodeId, out: &mut DocTree, keep: &impl Fn(ELabel) -> bool) {
-        for &c in s.children(n) {
-            let l = s.label(c);
-            if keep(l) {
-                out.add_child_with_id(n, c, l.label)
-                    .expect("script node ids are unique");
-                rec(s, c, out, keep);
-            }
-        }
+    // Pre-order on an explicit stack of (node, parent) pairs: each kept
+    // node is appended under its parent, so the arena is in document
+    // order.
+    let kept = |n: NodeId| {
+        s.children(n)
+            .iter()
+            .rev()
+            .filter(|&&c| keep(s.label(c)))
+            .map(move |&c| (c, n))
+    };
+    let mut stack: Vec<(NodeId, NodeId)> = kept(root).collect();
+    while let Some((n, parent)) = stack.pop() {
+        out.add_child_with_id(parent, n, s.label(n).label)
+            .expect("script node ids are unique");
+        stack.extend(kept(n));
     }
-    rec(s, root, &mut out, &keep);
     Some(out)
 }
 

@@ -8,11 +8,18 @@
 //!
 //! The `#id` part is optional (fresh identifiers are allocated), but paper
 //! fixtures always pin identifiers. The printer emits the same syntax.
+//!
+//! This module only defines the head, `op:label#id` (whitespace may
+//! follow the `:`); the term structure around it is read and written by
+//! the document codec, [`xvu_tree::read_term`] and [`xvu_tree::write_term`],
+//! so scripts and documents share one reader, one writer and one
+//! grammar. Reading never recurses, and a repeated identifier is reported
+//! where its second occurrence is read.
 
 use crate::error::EditError;
 use crate::op::{ELabel, EditOp};
 use crate::script::Script;
-use xvu_tree::{Alphabet, NodeId, NodeIdGen, Tree};
+use xvu_tree::{read_term, write_term, Alphabet, NodeIdGen, TreeError};
 
 /// Parses the script term syntax, interning labels into `alpha`.
 /// Identifiers not given explicitly are allocated from an internal
@@ -29,148 +36,41 @@ pub fn parse_script_with_gen(
     gen: &mut NodeIdGen,
     input: &str,
 ) -> Result<Script, EditError> {
-    let mut p = Parser {
-        alpha,
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    let t = p.term(gen)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing input after script"));
-    }
-    Ok(t)
+    read_term(input, gen, "script", |cur| {
+        let op = match cur.label("expected an identifier")? {
+            "ins" => EditOp::Ins,
+            "del" => EditOp::Del,
+            "nop" => EditOp::Nop,
+            other => return Err(cur.error(format!("unknown operation {other:?}"))),
+        };
+        if !cur.eat(b':') {
+            return Err(cur.error("expected ':' after operation"));
+        }
+        cur.skip_ws();
+        let label = alpha.intern(cur.label("expected an identifier")?);
+        Ok((ELabel { op, label }, cur.id("identifier out of range")?))
+    })
+    .map_err(|e| match e {
+        TreeError::Parse { at, msg } => EditError::Parse { at, msg },
+        e => EditError::Tree(e),
+    })
 }
 
 /// Renders a script in the term syntax with identifiers.
 pub fn script_to_term(s: &Script, alpha: &Alphabet) -> String {
-    let mut out = String::new();
-    write_node(s, alpha, s.root(), &mut out);
-    out
-}
-
-fn write_node(s: &Script, alpha: &Alphabet, n: NodeId, out: &mut String) {
-    let l = s.label(n);
-    out.push_str(l.op.name());
-    out.push(':');
-    out.push_str(alpha.name(l.label));
-    out.push('#');
-    out.push_str(&n.0.to_string());
-    let children = s.children(n);
-    if !children.is_empty() {
-        out.push('(');
-        for (i, &c) in children.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            write_node(s, alpha, c, out);
-        }
-        out.push(')');
-    }
-}
-
-struct Parser<'a> {
-    alpha: &'a mut Alphabet,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn term(&mut self, gen: &mut NodeIdGen) -> Result<Script, EditError> {
-        self.skip_ws();
-        let op_name = self.ident()?;
-        let op = match op_name.as_str() {
-            "ins" => EditOp::Ins,
-            "del" => EditOp::Del,
-            "nop" => EditOp::Nop,
-            other => return Err(self.err(&format!("unknown operation {other:?}"))),
-        };
-        if self.peek() != Some(b':') {
-            return Err(self.err("expected ':' after operation"));
-        }
-        self.pos += 1;
-        let label_name = self.ident()?;
-        let label = self.alpha.intern(&label_name);
-        let id = if self.peek() == Some(b'#') {
-            self.pos += 1;
-            let start = self.pos;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if start == self.pos {
-                return Err(self.err("expected digits after '#'"));
-            }
-            let raw: u64 = std::str::from_utf8(&self.bytes[start..self.pos])
-                .expect("ascii")
-                .parse()
-                .map_err(|_| self.err("identifier out of range"))?;
-            let id = NodeId(raw);
-            gen.bump_past(id);
-            id
-        } else {
-            gen.fresh()
-        };
-        let mut tree = Tree::leaf_with_id(id, ELabel { op, label });
-        self.skip_ws();
-        if self.peek() == Some(b'(') {
-            self.pos += 1;
-            loop {
-                let child = self.term(gen)?;
-                let pos = tree.children(tree.root()).len();
-                tree.attach_subtree(tree.root(), pos, child)?;
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => self.pos += 1,
-                    Some(b')') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or ')'")),
-                }
-            }
-        }
-        Ok(tree)
-    }
-
-    fn ident(&mut self) -> Result<String, EditError> {
-        self.skip_ws();
-        let start = self.pos;
-        match self.peek() {
-            Some(b) if b.is_ascii_alphabetic() || b == b'_' => self.pos += 1,
-            _ => return Err(self.err("expected an identifier")),
-        }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
-        {
-            self.pos += 1;
-        }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii")
-            .to_owned())
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn err(&self, msg: &str) -> EditError {
-        EditError::Parse {
-            at: self.pos,
-            msg: msg.to_owned(),
-        }
-    }
+    write_term(s, |out, id, l| {
+        out.push_str(l.op.name());
+        out.push(':');
+        out.push_str(alpha.name(l.label));
+        out.push('#');
+        out.push_str(&id.0.to_string());
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xvu_tree::NodeId;
 
     #[test]
     fn parse_and_print_round_trip() {

@@ -303,3 +303,43 @@ fn concurrent_eviction_write_back_never_resurrects_stale_state() {
         );
     });
 }
+
+#[test]
+fn a_load_frame_holding_a_10k_level_chain_is_served() {
+    // A family whose `a` chain hides a `b` under each `a`; one `load`
+    // frame of about 30 KB holds a chain 10,000 levels deep. The daemon
+    // parses, validates and stores it, opens it, and keeps serving.
+    let mut alpha = Alphabet::new();
+    let dtd = parse_dtd(&mut alpha, "r -> a?\na -> a?.b?").unwrap();
+    let ann = parse_annotation(&mut alpha, "hide a b").unwrap();
+    let engines = [Engine::builder()
+        .alphabet(alpha)
+        .dtd(dtd)
+        .annotation(ann)
+        .build()
+        .unwrap()];
+    let server = Server::new(&engines, small_config());
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    const DEPTH: usize = 10_000;
+    let chain = format!("r({}b{})", "a(".repeat(DEPTH), ")".repeat(DEPTH));
+    assert!((29_000..31_000).contains(&chain.len()), "{}", chain.len());
+    std::thread::scope(|scope| {
+        let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
+        let mut c = Client::connect(&addr).unwrap();
+        c.load(1, 0, &chain).unwrap();
+        let view = c.open(1).unwrap();
+        assert_eq!(
+            view.matches("a#").count(),
+            DEPTH,
+            "the view is the `a` spine"
+        );
+        assert!(!view.contains('b'), "b is hidden");
+        let stats = c.stats().unwrap();
+        assert!(stats.contains("\"load\":1"), "{stats}");
+        c.shutdown().unwrap();
+        let report = daemon.join().unwrap();
+        assert!(report.drained_clean);
+        assert_eq!(report.stats.errors, 0);
+    });
+}

@@ -67,7 +67,7 @@
 //! | alphabet `Σ` | [`Alphabet`], [`Sym`] |
 //! | node identifiers `N_t` | [`NodeId`], allocated by [`NodeIdGen`] |
 //! | trees `(Σ, N_t, ↓_t, <_t, λ_t)` | [`Tree`]; documents are [`DocTree`] = `Tree<Sym>` |
-//! | term notation `r(a, b(c))` | [`parse_term`] / [`to_term`] (`#id`-annotated: [`parse_term_with_ids`] / [`to_term_with_ids`]) |
+//! | term notation `r(a, b(c))` | [`parse_term`] / [`to_term`] (`#id`-annotated: [`parse_term_with_ids`] / [`to_term_with_ids`]); one reader and writer for every head syntax: [`read_term`] / [`write_term`] |
 //! | identifier-sensitive equality vs isomorphism | `Tree == Tree` vs [`Tree::isomorphic`] |
 //!
 //! # Example
@@ -96,7 +96,6 @@ mod build;
 mod error;
 mod intern;
 mod iter;
-pub mod legacy;
 mod node;
 pub mod slot;
 pub mod snapshot;
@@ -108,9 +107,10 @@ pub use build::TreeBuilder;
 pub use error::TreeError;
 pub use intern::{InternId, Interner};
 pub use iter::{Postorder, Preorder};
-pub use legacy::{from_legacy_json, to_legacy_json};
 pub use node::{Node, NodeId, NodeIdGen};
 pub use slot::{Slot, SlotIndex, SlotMap, SlotSet};
 pub use snapshot::{CorpusBuilder, CorpusEntry, SnapshotError, SnapshotFile};
-pub use term::{parse_term, parse_term_with_ids, to_term, to_term_with_ids};
+pub use term::{
+    parse_term, parse_term_with_ids, read_term, to_term, to_term_with_ids, write_term, TermCursor,
+};
 pub use tree::{DocTree, Tree};

@@ -1,13 +1,11 @@
 //! Flat binary arena snapshots: a serialized form that **is** the arena.
 //!
-//! The historical wire formats rebuild a tree node by node: the term and
-//! XML readers intern labels and attach subtrees one at a time, and the
-//! legacy `{nodes: map, root}` shape ([`crate::legacy`]) hashes every
-//! identifier into a map and back out again. This module instead freezes
-//! the arena representation itself — slab, slot index, root — into a
-//! versioned little-endian byte image, so loading is a single
-//! bounds-checked bulk decode: no per-node hashing, no re-indexing, no
-//! intermediate `HashMap`.
+//! The text formats rebuild a tree node by node: the term and XML
+//! readers scan the text, intern every label and append each node to the
+//! arena. This module instead freezes the arena representation itself —
+//! slab, slot index, root — into a versioned little-endian byte image,
+//! so loading is a single bounds-checked bulk decode: no text scanning,
+//! no per-node label interning, no re-indexing.
 //!
 //! # Layout (format version 1)
 //!

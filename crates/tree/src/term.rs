@@ -1,19 +1,31 @@
-//! Term syntax for document trees.
+//! Term syntax for trees: one reader and one writer for every term
+//! language.
 //!
-//! The paper denotes trees as terms over `Σ` when node identifiers are
-//! irrelevant — e.g. `r(b, a, c)` — and as identifier-annotated pictures in
-//! figures. We support both:
+//! The paper writes documents as terms over `Σ` — `r(b, a, c)` — and
+//! editing scripts as terms over the edit alphabet `E(Σ)` (§2), with
+//! identifiers added in the figures. One reader ([`read_term`]) and one
+//! writer ([`write_term`]) serve every such language; they are generic
+//! over the *node head*, everything of a node before its child list:
 //!
-//! * `parse_term` reads plain terms, allocating fresh identifiers;
-//! * `parse_term_with_ids` additionally accepts `label#id` to pin explicit
-//!   identifiers (used to encode the paper's figures exactly).
+//! * documents write `label` or `label#id` — [`parse_term`] and
+//!   [`to_term`] omit identifiers (the reader allocates fresh ones),
+//!   [`parse_term_with_ids`] and [`to_term_with_ids`] pin them;
+//! * editing scripts (`xvu_edit`) write `op:label#id`.
 //!
-//! Grammar (whitespace-insensitive):
+//! Grammar (whitespace may surround every token except `#`):
 //!
 //! ```text
-//! term  ::= label ('#' nat)? ( '(' term (',' term)* ')' )?
+//! term  ::= head ( '(' term (',' term)* ')' )?
+//! head  ::= label ('#' nat)?                      -- documents
 //! label ::= [A-Za-z_][A-Za-z0-9_-]*
 //! ```
+//!
+//! The reader appends each node to one arena as soon as its head is read
+//! — so the arena is in document order — and keeps a stack of the nodes
+//! whose child list is open; the writer walks on an explicit stack.
+//! Neither recurses, so a deep term costs heap, not native stack, and
+//! reading is linear in the input. A repeated identifier is reported
+//! where its second occurrence is read.
 
 use crate::alphabet::Alphabet;
 use crate::error::TreeError;
@@ -27,9 +39,9 @@ pub fn parse_term(
     gen: &mut NodeIdGen,
     input: &str,
 ) -> Result<DocTree, TreeError> {
-    let mut p = Parser::new(alpha, input, false);
-    let t = p.parse(gen)?;
-    Ok(t)
+    read_term(input, gen, "term", |cur| {
+        Ok((alpha.intern(cur.label("expected a label")?), None))
+    })
 }
 
 /// Parses a term in which every node may carry an explicit identifier,
@@ -41,126 +53,168 @@ pub fn parse_term_with_ids(
     gen: &mut NodeIdGen,
     input: &str,
 ) -> Result<DocTree, TreeError> {
-    let mut p = Parser::new(alpha, input, true);
-    let t = p.parse(gen)?;
-    Ok(t)
+    read_term(input, gen, "term", |cur| {
+        let label = alpha.intern(cur.label("expected a label")?);
+        Ok((label, cur.id("node identifier out of range")?))
+    })
 }
 
 /// Renders a tree as a plain term (identifiers omitted).
 pub fn to_term(tree: &DocTree, alpha: &Alphabet) -> String {
-    let mut out = String::new();
-    write_node(tree, alpha, tree.root(), false, &mut out);
-    out
+    write_term(tree, |out, _, &label| out.push_str(alpha.name(label)))
 }
 
 /// Renders a tree as an identifier-annotated term (`label#id(...)`).
 pub fn to_term_with_ids(tree: &DocTree, alpha: &Alphabet) -> String {
-    let mut out = String::new();
-    write_node(tree, alpha, tree.root(), true, &mut out);
-    out
-}
-
-fn write_node(tree: &DocTree, alpha: &Alphabet, n: NodeId, ids: bool, out: &mut String) {
-    out.push_str(alpha.name(tree.label(n)));
-    if ids {
+    write_term(tree, |out, id, &label| {
+        out.push_str(alpha.name(label));
         out.push('#');
-        out.push_str(&n.0.to_string());
-    }
-    let children = tree.children(n);
-    if !children.is_empty() {
-        out.push('(');
-        for (i, &c) in children.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
+        out.push_str(&id.0.to_string());
+    })
+}
+
+/// Reads one term, with `head` reading each node head.
+///
+/// `head` starts at the first byte of a head (whitespace skipped) and
+/// returns the node's label and its explicit identifier, if the head
+/// carries one. Explicit identifiers bump `gen` past themselves; nodes
+/// without one get `gen.fresh()`, in document order. `what` names the
+/// language in the trailing-input error.
+///
+/// The tree's arena holds the nodes in document order. A repeated
+/// identifier fails with [`TreeError::DuplicateNodeId`] where its second
+/// occurrence is read; every syntax error is a [`TreeError::Parse`] at
+/// the byte where reading stopped.
+pub fn read_term<L>(
+    input: &str,
+    gen: &mut NodeIdGen,
+    what: &str,
+    mut head: impl FnMut(&mut TermCursor<'_>) -> Result<(L, Option<NodeId>), TreeError>,
+) -> Result<Tree<L>, TreeError> {
+    let mut cur = TermCursor {
+        bytes: input.as_bytes(),
+        pos: 0,
+    };
+    let mut node = |cur: &mut TermCursor<'_>, gen: &mut NodeIdGen| {
+        cur.skip_ws();
+        let (label, id) = head(cur)?;
+        let id = match id {
+            Some(id) => {
+                gen.bump_past(id);
+                id
             }
-            write_node(tree, alpha, c, ids, out);
+            None => gen.fresh(),
+        };
+        Ok::<_, TreeError>((id, label))
+    };
+    let (root, label) = node(&mut cur, gen)?;
+    let mut tree = Tree::leaf_with_id(root, label);
+    // `open` holds the nodes whose child list is open, innermost last;
+    // `last` is the node just read.
+    let mut open: Vec<NodeId> = Vec::new();
+    let mut last = root;
+    loop {
+        cur.skip_ws();
+        if cur.eat(b'(') {
+            open.push(last);
+        } else {
+            // `last` is complete: close every list that ends here, then
+            // go on to the next sibling or finish.
+            loop {
+                if open.is_empty() {
+                    if cur.pos != cur.bytes.len() {
+                        return Err(cur.error(format!("trailing input after {what}")));
+                    }
+                    return Ok(tree);
+                }
+                if cur.eat(b',') {
+                    break;
+                }
+                if !cur.eat(b')') {
+                    return Err(cur.error("expected ',' or ')'"));
+                }
+                open.pop();
+                cur.skip_ws();
+            }
         }
-        out.push(')');
+        let parent = *open.last().expect("a child list is open");
+        let (id, label) = node(&mut cur, gen)?;
+        tree.add_child_with_id(parent, id, label)?;
+        last = id;
     }
 }
 
-struct Parser<'a> {
-    alpha: &'a mut Alphabet,
+/// Writes `tree` as a term, with `head` writing each node head (the
+/// node's identifier and label) to the output.
+pub fn write_term<L>(tree: &Tree<L>, mut head: impl FnMut(&mut String, NodeId, &L)) -> String {
+    let mut out = String::new();
+    // Each frame is an open child list and the index of its next child.
+    let mut open: Vec<(&[NodeId], usize)> = Vec::new();
+    let mut next = Some(tree.root());
+    loop {
+        if let Some(n) = next.take() {
+            let node = tree.node(n);
+            head(&mut out, n, &node.label);
+            if !node.children.is_empty() {
+                out.push('(');
+                open.push((&node.children, 0));
+            }
+        }
+        let Some((children, i)) = open.last_mut() else {
+            return out;
+        };
+        match children.get(*i) {
+            Some(&c) => {
+                if *i > 0 {
+                    out.push_str(", ");
+                }
+                *i += 1;
+                next = Some(c);
+            }
+            None => {
+                out.push(')');
+                open.pop();
+            }
+        }
+    }
+}
+
+/// A position in term text, handed to a node-head reader by
+/// [`read_term`].
+#[derive(Debug)]
+pub struct TermCursor<'a> {
     bytes: &'a [u8],
     pos: usize,
-    allow_ids: bool,
 }
 
-impl<'a> Parser<'a> {
-    fn new(alpha: &'a mut Alphabet, input: &'a str, allow_ids: bool) -> Parser<'a> {
-        Parser {
-            alpha,
-            bytes: input.as_bytes(),
-            pos: 0,
-            allow_ids,
-        }
+impl<'a> TermCursor<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
     }
 
-    fn parse(&mut self, gen: &mut NodeIdGen) -> Result<DocTree, TreeError> {
-        let t = self.term(gen)?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.err("trailing input after term"));
+    /// Consumes the next byte if it is `b`.
+    pub fn eat(&mut self, b: u8) -> bool {
+        if self.peek() != Some(b) {
+            return false;
         }
-        Ok(t)
+        self.pos += 1;
+        true
     }
 
-    fn term(&mut self, gen: &mut NodeIdGen) -> Result<DocTree, TreeError> {
-        self.skip_ws();
-        let label = self.label()?;
-        let sym = self.alpha.intern(&label);
-        let id = self.explicit_id(gen)?;
-        let mut tree = Tree::leaf_with_id(id, sym);
-        self.skip_ws();
-        if self.peek() == Some(b'(') {
+    /// Skips ASCII whitespace.
+    pub fn skip_ws(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
-            loop {
-                let child = self.term(gen)?;
-                let pos = tree.children(tree.root()).len();
-                tree.attach_subtree(tree.root(), pos, child)?;
-                self.skip_ws();
-                match self.peek() {
-                    Some(b',') => {
-                        self.pos += 1;
-                    }
-                    Some(b')') => {
-                        self.pos += 1;
-                        break;
-                    }
-                    _ => return Err(self.err("expected ',' or ')'")),
-                }
-            }
-        }
-        Ok(tree)
-    }
-
-    fn explicit_id(&mut self, gen: &mut NodeIdGen) -> Result<NodeId, TreeError> {
-        if self.allow_ids && self.peek() == Some(b'#') {
-            self.pos += 1;
-            let start = self.pos;
-            while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-                self.pos += 1;
-            }
-            if self.pos == start {
-                return Err(self.err("expected digits after '#'"));
-            }
-            let digits = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-            let raw: u64 = digits
-                .parse()
-                .map_err(|_| self.err("node identifier out of range"))?;
-            let id = NodeId(raw);
-            gen.bump_past(id);
-            Ok(id)
-        } else {
-            Ok(gen.fresh())
         }
     }
 
-    fn label(&mut self) -> Result<String, TreeError> {
+    /// Reads a label, `[A-Za-z_][A-Za-z0-9_-]*`, failing with `msg` if
+    /// none starts here.
+    pub fn label(&mut self, msg: &str) -> Result<&'a str, TreeError> {
         let start = self.pos;
         match self.peek() {
             Some(b) if b.is_ascii_alphabetic() || b == b'_' => self.pos += 1,
-            _ => return Err(self.err("expected a label")),
+            _ => return Err(self.error(msg)),
         }
         while self
             .peek()
@@ -168,25 +222,32 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii")
-            .to_owned())
+        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii"))
     }
 
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while self.peek().is_some_and(|b| b.is_ascii_whitespace()) {
+    /// Reads an optional `#nat` identifier; `overflow` is the message for
+    /// digits beyond `u64`.
+    pub fn id(&mut self, overflow: &str) -> Result<Option<NodeId>, TreeError> {
+        if !self.eat(b'#') {
+            return Ok(None);
+        }
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
             self.pos += 1;
         }
+        if self.pos == start {
+            return Err(self.error("expected digits after '#'"));
+        }
+        let digits = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let raw: u64 = digits.parse().map_err(|_| self.error(overflow))?;
+        Ok(Some(NodeId(raw)))
     }
 
-    fn err(&self, msg: &str) -> TreeError {
+    /// A parse error at the current byte.
+    pub fn error(&self, msg: impl Into<String>) -> TreeError {
         TreeError::Parse {
             at: self.pos,
-            msg: msg.to_owned(),
+            msg: msg.into(),
         }
     }
 }

@@ -612,33 +612,30 @@ impl<L> Tree<L> {
     where
         L: Clone,
     {
-        fn rec<L: Clone>(
-            src: &Tree<L>,
-            n: NodeId,
-            parent: Option<NodeId>,
-            gen: &mut NodeIdGen,
-            out: &mut Tree<L>,
-        ) -> NodeId {
-            let id = gen.fresh();
-            let slot = out.push_node(Node {
-                id,
-                label: src.node(n).label.clone(),
-                parent,
-                children: Vec::new(),
-            });
-            let mut children = Vec::with_capacity(src.children(n).len());
-            for &c in src.children(n) {
-                children.push(rec(src, c, Some(id), gen, out));
-            }
-            // Slots are stable under insertion, so `slot` still addresses
-            // this node after the recursive pushes.
-            out.slab[slot.index()].children = children;
-            id
-        }
         let mut out = Tree::empty_with_root(self.root); // placeholder root; fixed below
         out.slab.reserve(self.size());
-        let root = rec(self, self.root, None, gen, &mut out);
-        out.root = root;
+        // Pre-order on an explicit stack, so fresh identifiers are drawn
+        // in document order: each entry is a source node and the slot of
+        // its copy's parent (`None` for the root).
+        let mut stack: Vec<(NodeId, Option<Slot>)> = vec![(self.root, None)];
+        while let Some((n, parent)) = stack.pop() {
+            let id = gen.fresh();
+            let node = self.node(n);
+            let parent_id = parent.map(|p| out.slab[p.index()].id);
+            let slot = out.push_node(Node {
+                id,
+                label: node.label.clone(),
+                parent: parent_id,
+                children: Vec::with_capacity(node.children.len()),
+            });
+            // Slots are stable under insertion, so `p` still addresses the
+            // parent's copy.
+            match parent {
+                Some(p) => out.slab[p.index()].children.push(id),
+                None => out.root = id,
+            }
+            stack.extend(node.children.iter().rev().map(|&c| (c, Some(slot))));
+        }
         out
     }
 
@@ -647,18 +644,15 @@ impl<L> Tree<L> {
     where
         L: PartialEq,
     {
-        fn rec<L: PartialEq>(a: &Tree<L>, an: NodeId, b: &Tree<L>, bn: NodeId) -> bool {
-            let na = a.node(an);
-            let nb = b.node(bn);
-            na.label == nb.label
-                && na.children.len() == nb.children.len()
-                && na
-                    .children
-                    .iter()
-                    .zip(nb.children.iter())
-                    .all(|(&ca, &cb)| rec(a, ca, b, cb))
+        let mut stack = vec![(self.root, other.root)];
+        while let Some((an, bn)) = stack.pop() {
+            let (na, nb) = (self.node(an), other.node(bn));
+            if na.label != nb.label || na.children.len() != nb.children.len() {
+                return false;
+            }
+            stack.extend(na.children.iter().copied().zip(nb.children.iter().copied()));
         }
-        rec(self, self.root, other, other.root)
+        true
     }
 
     /// Checks internal invariants: parent/child agreement, reachability of
@@ -1005,6 +999,12 @@ mod tests {
         let pre_t: Vec<_> = t.preorder().map(|n| t.label(n)).collect();
         let pre_u: Vec<_> = u.preorder().map(|n| u.label(n)).collect();
         assert_eq!(pre_t, pre_u);
+        // Fresh identifiers are drawn in document order: r(a(b), c).
+        let mut bushy = t.clone();
+        bushy.add_child(bushy.root(), &mut NodeIdGen::starting_at(50), sym(3));
+        let v = bushy.with_fresh_ids(&mut gen);
+        let ids: Vec<u64> = v.preorder().map(|n| n.0).collect();
+        assert_eq!(ids, vec![1003, 1004, 1005, 1006]);
     }
 
     #[test]

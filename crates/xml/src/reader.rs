@@ -6,9 +6,15 @@
 //! optional XML declaration. Text content that is not whitespace, CDATA,
 //! and entities are **rejected** (the formal model has no text nodes);
 //! other attributes are ignored.
+//!
+//! Like the term reader ([`xvu_tree::read_term`]), it appends each
+//! element to one arena when its start tag ends — so the arena is in
+//! document order — and keeps a stack of the open elements instead of
+//! recursing: depth costs heap, not native stack. A repeated `xvu:id` is
+//! reported at the end of the start tag that repeats it.
 
 use crate::error::XmlError;
-use xvu_tree::{Alphabet, DocTree, NodeId, NodeIdGen, Tree};
+use xvu_tree::{Alphabet, DocTree, NodeId, NodeIdGen, Sym, Tree};
 
 /// Parses an XML document into a tree. Elements with `xvu:id` attributes
 /// keep those identifiers; others get fresh ones from `gen`.
@@ -22,7 +28,47 @@ pub fn read_xml(
         pos: 0,
     };
     p.skip_misc()?;
-    let tree = p.element(alpha, gen)?;
+    let root = p.start_tag(alpha, gen)?;
+    let mut tree = Tree::leaf_with_id(root.id, root.label);
+    // the elements whose end tag is still to come, innermost last
+    let mut open: Vec<StartTag<'_>> = Vec::new();
+    if !root.empty {
+        open.push(root);
+    }
+    while let Some(parent) = open.last() {
+        p.skip_misc()?;
+        match (p.peek(), p.peek_at(1)) {
+            (Some(b'<'), Some(b'/')) => {
+                p.pos += 2;
+                let close = p.name()?;
+                if close != parent.name {
+                    return Err(p.err(&format!(
+                        "mismatched closing tag </{close}> for <{}>",
+                        parent.name
+                    )));
+                }
+                p.skip_ws();
+                if p.peek() != Some(b'>') {
+                    return Err(p.err("expected '>' in closing tag"));
+                }
+                p.pos += 1;
+                open.pop();
+            }
+            (Some(b'<'), _) => {
+                let parent = parent.id;
+                let child = p.start_tag(alpha, gen)?;
+                tree.add_child_with_id(parent, child.id, child.label)
+                    .map_err(|e| p.err(&format!("duplicate identifier: {e}")))?;
+                if !child.empty {
+                    open.push(child);
+                }
+            }
+            (Some(_), _) => {
+                return Err(p.err("text content is not supported (element-only data model)"))
+            }
+            (None, _) => return Err(p.err("unexpected end of input in element")),
+        }
+    }
     p.skip_misc()?;
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing content after the root element"));
@@ -30,19 +76,34 @@ pub fn read_xml(
     Ok(tree)
 }
 
+/// One element's start tag, read.
+struct StartTag<'a> {
+    name: &'a str,
+    label: Sym,
+    id: NodeId,
+    /// Self-closing (`<a/>`): the element has no children and no end tag.
+    empty: bool,
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
-    fn element(&mut self, alpha: &mut Alphabet, gen: &mut NodeIdGen) -> Result<DocTree, XmlError> {
+impl<'a> Parser<'a> {
+    /// Reads a start tag `<name attr="v" …>` or `<name …/>`, drawing the
+    /// element's identifier from its `xvu:id` or from `gen`.
+    fn start_tag(
+        &mut self,
+        alpha: &mut Alphabet,
+        gen: &mut NodeIdGen,
+    ) -> Result<StartTag<'a>, XmlError> {
         if self.peek() != Some(b'<') {
             return Err(self.err("expected '<'"));
         }
         self.pos += 1;
         let name = self.name()?;
-        let label = alpha.intern(&name);
+        let label = alpha.intern(name);
 
         // attributes (only xvu:id is interpreted)
         let mut explicit_id: Option<NodeId> = None;
@@ -76,51 +137,23 @@ impl Parser<'_> {
             }
             None => gen.fresh(),
         };
-        let mut tree = Tree::leaf_with_id(id, label);
-
-        if self.peek() == Some(b'/') {
+        let empty = self.peek() == Some(b'/');
+        if empty {
             self.pos += 1;
             if self.peek() != Some(b'>') {
                 return Err(self.err("expected '>' after '/'"));
             }
-            self.pos += 1;
-            return Ok(tree);
         }
         self.pos += 1; // '>'
-
-        loop {
-            self.skip_misc()?;
-            match (self.peek(), self.peek_at(1)) {
-                (Some(b'<'), Some(b'/')) => {
-                    self.pos += 2;
-                    let close = self.name()?;
-                    if close != name {
-                        return Err(
-                            self.err(&format!("mismatched closing tag </{close}> for <{name}>"))
-                        );
-                    }
-                    self.skip_ws();
-                    if self.peek() != Some(b'>') {
-                        return Err(self.err("expected '>' in closing tag"));
-                    }
-                    self.pos += 1;
-                    return Ok(tree);
-                }
-                (Some(b'<'), _) => {
-                    let child = self.element(alpha, gen)?;
-                    let pos = tree.children(tree.root()).len();
-                    tree.attach_subtree(tree.root(), pos, child)
-                        .map_err(|e| self.err(&format!("duplicate identifier: {e}")))?;
-                }
-                (Some(_), _) => {
-                    return Err(self.err("text content is not supported (element-only data model)"))
-                }
-                (None, _) => return Err(self.err("unexpected end of input in element")),
-            }
-        }
+        Ok(StartTag {
+            name,
+            label,
+            id,
+            empty,
+        })
     }
 
-    fn name(&mut self) -> Result<String, XmlError> {
+    fn name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         match self.peek() {
             Some(b) if b.is_ascii_alphabetic() || b == b'_' => self.pos += 1,
@@ -132,12 +165,10 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii")
-            .to_owned())
+        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii"))
     }
 
-    fn quoted(&mut self) -> Result<String, XmlError> {
+    fn quoted(&mut self) -> Result<&'a str, XmlError> {
         let quote = match self.peek() {
             Some(q @ (b'"' | b'\'')) => q,
             _ => return Err(self.err("expected a quoted attribute value")),
@@ -150,9 +181,8 @@ impl Parser<'_> {
         if self.peek() != Some(quote) {
             return Err(self.err("unterminated attribute value"));
         }
-        let v = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("checked utf8 via input &str")
-            .to_owned();
+        let v =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("checked utf8 via input &str");
         self.pos += 1;
         Ok(v)
     }

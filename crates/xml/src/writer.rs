@@ -1,5 +1,7 @@
 //! Serialising document trees as XML.
 
+use std::fmt::Write as _;
+
 use xvu_tree::{Alphabet, DocTree, NodeId};
 
 /// Serialisation options.
@@ -23,56 +25,60 @@ impl Default for WriteOptions {
 
 /// Writes a tree as an XML document (element-only; see the crate docs for
 /// the data-model note).
+///
+/// Walks on an explicit stack, so a deep tree costs heap, not native
+/// stack.
 pub fn write_xml(tree: &DocTree, alpha: &Alphabet, opts: &WriteOptions) -> String {
     let mut out = String::new();
-    write_node(tree, alpha, tree.root(), opts, 0, &mut out);
-    out
-}
-
-fn write_node(
-    tree: &DocTree,
-    alpha: &Alphabet,
-    n: NodeId,
-    opts: &WriteOptions,
-    depth: usize,
-    out: &mut String,
-) {
-    if opts.pretty {
-        for _ in 0..depth {
-            out.push_str("  ");
-        }
-    }
-    let name = alpha.name(tree.label(n));
-    out.push('<');
-    out.push_str(name);
-    if opts.with_ids {
-        out.push_str(&format!(" xvu:id=\"{}\"", n.0));
-    }
-    let children = tree.children(n);
-    if children.is_empty() {
-        out.push_str("/>");
+    let newline = |out: &mut String| {
         if opts.pretty {
             out.push('\n');
         }
-        return;
-    }
-    out.push('>');
-    if opts.pretty {
-        out.push('\n');
-    }
-    for &c in children {
-        write_node(tree, alpha, c, opts, depth + 1, out);
-    }
-    if opts.pretty {
-        for _ in 0..depth {
-            out.push_str("  ");
+    };
+    let indent = |out: &mut String, depth: usize| {
+        if opts.pretty {
+            for _ in 0..depth {
+                out.push_str("  ");
+            }
         }
-    }
-    out.push_str("</");
-    out.push_str(name);
-    out.push('>');
-    if opts.pretty {
-        out.push('\n');
+    };
+    // Each frame is an element whose end tag is still to come: its name,
+    // its children and the index of the next child to write.
+    let mut open: Vec<(&str, &[NodeId], usize)> = Vec::new();
+    let mut next = Some(tree.root());
+    loop {
+        if let Some(n) = next.take() {
+            indent(&mut out, open.len());
+            let node = tree.node(n);
+            let name = alpha.name(node.label);
+            out.push('<');
+            out.push_str(name);
+            if opts.with_ids {
+                write!(out, " xvu:id=\"{}\"", n.0).expect("writing to a String cannot fail");
+            }
+            if node.children.is_empty() {
+                out.push_str("/>");
+            } else {
+                out.push('>');
+                open.push((name, &node.children, 0));
+            }
+            newline(&mut out);
+        }
+        let Some((name, children, i)) = open.last_mut() else {
+            return out;
+        };
+        if let Some(&c) = children.get(*i) {
+            *i += 1;
+            next = Some(c);
+        } else {
+            let name = *name;
+            open.pop();
+            indent(&mut out, open.len());
+            out.push_str("</");
+            out.push_str(name);
+            out.push('>');
+            newline(&mut out);
+        }
     }
 }
 

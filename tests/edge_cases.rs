@@ -238,6 +238,50 @@ fn moderately_deep_documents_work_on_default_stacks() {
 }
 
 #[test]
+fn codecs_and_tree_walks_are_stack_safe_on_a_100k_level_chain() {
+    // The term and script codecs, the XML codec, the script projections
+    // and the whole-tree walks each handle a 100,000-level chain on a
+    // 256 KiB stack: none of them recurses per level.
+    std::thread::Builder::new()
+        .stack_size(256 * 1024)
+        .spawn(|| {
+            let mut alpha = Alphabet::new();
+            let (r, a) = (alpha.intern("r"), alpha.intern("a"));
+            let mut gen = NodeIdGen::new();
+            let mut chain = Tree::leaf(&mut gen, r);
+            let mut cur = chain.root();
+            for _ in 0..100_000 {
+                cur = chain.add_child(cur, &mut gen, a);
+            }
+
+            let term = to_term_with_ids(&chain, &alpha);
+            let back = parse_term_with_ids(&mut alpha, &mut NodeIdGen::new(), &term).unwrap();
+            assert!(back == chain, "term round trip");
+
+            let script = nop_script(&chain);
+            let text = script_to_term(&script, &alpha);
+            let back = parse_script(&mut alpha, &text).unwrap();
+            assert!(back == script, "script round trip");
+            assert!(input_tree(&script).unwrap() == chain, "In(S)");
+            assert!(output_tree(&script).unwrap() == chain, "Out(S)");
+
+            let opts = WriteOptions {
+                pretty: false,
+                with_ids: true,
+            };
+            let xml = write_xml(&chain, &alpha, &opts);
+            let back = read_xml(&mut alpha, &mut NodeIdGen::new(), &xml).unwrap();
+            assert!(back == chain, "XML round trip");
+
+            let copy = chain.with_fresh_ids(&mut gen);
+            assert!(copy.isomorphic(&chain) && copy != chain, "fresh-id copy");
+        })
+        .expect("spawn")
+        .join()
+        .expect("the codecs and walks must not overflow the stack");
+}
+
+#[test]
 fn wide_documents_are_fine() {
     let mut alpha = Alphabet::new();
     let dtd = parse_dtd(&mut alpha, "r -> a*").unwrap();

@@ -1,11 +1,9 @@
 //! Property-based tests for the flat arena snapshot format.
 //!
-//! Three contracts, each over arbitrary trees:
+//! Two contracts, each over arbitrary trees:
 //!
 //! * encode → decode is the identity, down to node identifiers and a
 //!   clean [`Tree::validate`] — the decoded arena really is the arena;
-//! * the flat snapshot and the legacy JSON wire format describe the
-//!   same tree (either encoding decodes to the same `DocTree`);
 //! * snapshots survive life: trees mutated by `detach`/`attach`
 //!   surgery (which scrambles slab order and leaves sparse slot
 //!   entries) and documents committed through a [`Session`] propagation
@@ -13,7 +11,7 @@
 
 use proptest::prelude::*;
 use xml_view_update::prelude::*;
-use xml_view_update::tree::{from_legacy_json, to_legacy_json, DocTree};
+use xml_view_update::tree::DocTree;
 use xml_view_update::workload::{
     generate_annotation, generate_doc, generate_dtd, generate_update, DocGenConfig, DtdGenConfig,
     UpdateGenConfig,
@@ -59,22 +57,6 @@ proptest! {
         let renamed = DocTree::from_snapshot_bytes(&bytes, &mut fresh).unwrap();
         renamed.validate().unwrap();
         prop_assert_eq!(to_term_with_ids(&renamed, &fresh), to_term_with_ids(&t, &alpha));
-    }
-
-    /// The flat snapshot and the legacy JSON format agree: both
-    /// encodings of a tree decode back to the same document.
-    #[test]
-    fn snapshot_agrees_with_legacy_json(src in arb_term()) {
-        let (alpha, t) = parse(&src);
-        let json = to_legacy_json(&t);
-        let bytes = t.to_snapshot_bytes(&alpha).unwrap();
-        let from_json = from_legacy_json(&json).unwrap();
-        let mut scratch = alpha.clone();
-        let from_snap = DocTree::from_snapshot_bytes(&bytes, &mut scratch).unwrap();
-        prop_assert_eq!(&from_json, &from_snap);
-        // and the round trip through either format re-encodes identically
-        prop_assert_eq!(to_legacy_json(&from_snap), json);
-        prop_assert_eq!(from_json.to_snapshot_bytes(&alpha).unwrap(), bytes);
     }
 
     /// Trees rearranged by detach/attach surgery — which permutes slab
