@@ -22,7 +22,7 @@ use crate::scratch::PropScratch;
 use crate::selection::Selector;
 use std::time::Instant;
 use xvu_dtd::{min_sizes, InsertletPackage};
-use xvu_edit::{ELabel, Script, ScriptFootprint};
+use xvu_edit::{ELabel, Script};
 use xvu_tree::NodeId;
 
 /// Tuning knobs for [`propagate`].
@@ -101,22 +101,19 @@ pub(crate) fn propagate_with(
     cost: &CostModel<'_>,
     cfg: &Config,
 ) -> Result<Propagation, PropagateError> {
-    propagate_with_memo(inst, cost, cfg, None, None, &mut PropScratch::new(), None)
+    propagate_with_memo(inst, cost, cfg, None, &mut PropScratch::new(), None)
 }
 
-/// The memo-aware propagation core: graphs of nodes outside the update
-/// footprint (`fp`'s clean region) are served from — and stored into —
-/// the engine memo, and their scripts are copied from the source. With
-/// `memo` / `fp` absent this is exactly [`propagate_with`]; with them
-/// present the result is byte-identical but the dynamic program is only
-/// recomputed inside the footprint.
-#[allow(clippy::too_many_arguments)]
+/// The memo-aware propagation core: with `memo` the forest is a skeleton
+/// ([`PropagationForest`]): graphs are built only inside the update's
+/// footprint, each clean child is the identity at cost 0, and the script
+/// copies it from the source. Without `memo` this is exactly
+/// [`propagate_with`]; with it the result is byte-identical.
 pub(crate) fn propagate_with_memo(
     inst: &Instance<'_>,
     cost: &CostModel<'_>,
     cfg: &Config,
     memo: Option<&mut Memo<'_>>,
-    fp: Option<&ScriptFootprint>,
     scratch: &mut PropScratch,
     mut phases: Option<&mut PhaseBreakdown>,
 ) -> Result<Propagation, PropagateError> {
@@ -126,7 +123,6 @@ pub(crate) fn propagate_with_memo(
         inst,
         cost,
         memo,
-        fp,
         scratch,
         phases.is_some().then_some(&mut typing_ns),
     )?;

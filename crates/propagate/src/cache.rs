@@ -1,16 +1,17 @@
 //! The engine-owned propagation memo: one table, keyed by subtree
 //! structure.
 //!
-//! [`crate::Session::propagate`] runs, per preserved node, a typing run
-//! over the node's source children and builds the propagation graph
-//! `G_n`; [`crate::Session::complement_preserving`] also restricts it to
-//! the complement-preserving edges. For a node whose whole subtree the
-//! update leaves alone — the *clean region* of
-//! [`xvu_edit::script_footprint`] — each of these is a pure function of
-//! the node's source subtree and the engine's `(Σ, D, A)`: the cheapest
-//! propagation is the identity, the child-cost rows feeding `G_n` are all
-//! zero, and no inserted fragment is in sight. A typing run depends on
-//! the source child word alone, so it qualifies for every node.
+//! For a preserved node whose whole subtree the update leaves alone — the
+//! *clean region* of [`xvu_edit::script_footprint`] — the cheapest
+//! propagation is the identity at cost 0, and the number of optimal
+//! propagations of the subtree (paper §4, "Further results") is a pure
+//! function of the node's source subtree and the engine's `(Σ, D, A)`. A
+//! typing run over a node's source child word depends on that word alone,
+//! so it qualifies for every node. An entry holds exactly these two: a
+//! clean shape's optimal count, which lets a session's skeleton forest
+//! ([`crate::PropagationForest`]) stop at every clean child without a
+//! graph, and a typing run, which the graph builds inside the footprint
+//! read. No entry holds a graph.
 //!
 //! # Keying contract
 //!
@@ -18,12 +19,10 @@
 //! [`InternId`] (equal ids ⟺ structurally equal subtrees, identifiers
 //! ignored), and the memo is keyed by that name. An entry is stored and
 //! served only for an artefact that depends on nothing but the interned
-//! subtree and the engine: graphs and complement restrictions of clean
-//! nodes, typing runs of any node. Graph edges name children by position
-//! ([`crate::PropEdge`]), so a hit is the very graph a fresh build would
-//! produce, for any node of any document with that shape. Propagations,
-//! counts and enumerations are byte-identical with the memo on or off
-//! ([`crate::EngineBuilder::prop_cache`]).
+//! subtree and the engine, so a hit is the very value a fresh computation
+//! would produce, for any node of any document with that shape.
+//! Propagations, counts and enumerations are byte-identical with the memo
+//! on or off ([`crate::EngineBuilder::prop_cache`]).
 //!
 //! # Sessions and commit
 //!
@@ -41,16 +40,16 @@
 //! Every session of an engine, and of its clones, shares the table, so
 //! lookups must not serialize the daemon's workers. The table is 16
 //! shards of `RwLock<HashMap>`: a lookup takes one shard read lock and
-//! clones only the artefact it asked for, and a miss stores straight
+//! copies only the artefact it asked for, and a miss stores straight
 //! into its shard under the write lock, so structurally equal nodes met
-//! in one operation are built once. Each operation tallies its graph
-//! hits and misses and adds them to the engine's counters once, when it
-//! ends. A snapshot-swap design (readers probe a frozen
+//! in one operation are computed once. Each operation tallies its
+//! clean-subtree lookups — one per clean child its skeleton walk stops
+//! at — as hits and misses and adds them to the engine's counters once,
+//! when it ends. A snapshot-swap design (readers probe a frozen
 //! `Arc<HashMap>`, writers clone, merge and swap it) tied this one on
 //! read throughput, but with a store on every miss it would clone the
 //! whole map per store.
 
-use crate::graph::PropGraph;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
@@ -65,12 +64,9 @@ pub(crate) type TypingRun = Option<Arc<[StateId]>>;
 /// One structure's memoised artefacts.
 #[derive(Debug, Default)]
 struct Entry {
-    /// `G_n` and its cheapest path cost (0 for a clean node: the
-    /// identity propagation).
-    graph: Option<(Arc<PropGraph>, u64)>,
-    /// The complement-preserving restriction of `G_n` (every
-    /// invisible-mutation edge removed).
-    complement: Option<Arc<PropGraph>>,
+    /// The number of optimal propagations of a clean subtree of this
+    /// shape (its cost is 0: the identity).
+    count: Option<u128>,
     /// The typing run over the structure's child word.
     run: Option<TypingRun>,
 }
@@ -78,18 +74,25 @@ struct Entry {
 /// Counters of an engine's memo table, returned by
 /// [`crate::Engine::cache_stats`] and summed over every session the engine
 /// (and its clones) opened.
+///
+/// Hits and misses count clean-subtree lookups: one per clean child a
+/// skeleton forest stops at (one in all for an identity update, whose
+/// root is clean). A miss fills the counts of the shapes below it without
+/// counting further lookups.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Graph lookups answered from the table.
+    /// Clean-subtree lookups answered from the table.
     pub hits: u64,
-    /// Graph lookups that had to build (the result was then stored).
+    /// Clean-subtree lookups that had to count the subtree (the counts
+    /// were then stored).
     pub misses: u64,
     /// Distinct structures the table holds.
     pub entries: usize,
 }
 
 impl CacheStats {
-    /// Fraction of graph lookups answered from the table (0 when idle).
+    /// Fraction of clean-subtree lookups answered from the table (0 when
+    /// idle).
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
@@ -163,7 +166,7 @@ impl MemoTable {
         &self.shards[id.get() as usize % SHARD_COUNT]
     }
 
-    /// Clones one artefact of `id`'s entry, under the shard read lock.
+    /// Copies one artefact of `id`'s entry, under the shard read lock.
     fn get<T>(&self, id: InternId, pick: impl FnOnce(&Entry) -> Option<T>) -> Option<T> {
         let shard = self
             .shard(id)
@@ -226,8 +229,8 @@ pub(crate) fn reintern(interner: &Interner, doc: &DocTree, ids: &mut SlotMap<Int
 }
 
 /// One operation's view of the memo: the engine's table, the session's
-/// intern ids, and the operation's graph hit/miss tally, which is added
-/// to the engine's counters once, when the operation ends.
+/// intern ids, and the operation's clean-subtree hit/miss tally, which is
+/// added to the engine's counters once, when the operation ends.
 pub(crate) struct Memo<'a> {
     table: &'a MemoTable,
     ids: &'a SlotMap<InternId>,
@@ -253,10 +256,10 @@ impl<'a> Memo<'a> {
         self.ids[slot]
     }
 
-    /// The memoised graph (and its cost) of the node at `slot`, counting
+    /// The memoised optimal count of the clean subtree at `slot`, counting
     /// the lookup.
-    pub(crate) fn graph(&mut self, slot: Slot) -> Option<(Arc<PropGraph>, u64)> {
-        let hit = self.table.get(self.id(slot), |e| e.graph.clone());
+    pub(crate) fn clean_count(&mut self, slot: Slot) -> Option<u128> {
+        let hit = self.known_count(slot);
         if hit.is_some() {
             self.hits += 1;
         } else {
@@ -265,20 +268,15 @@ impl<'a> Memo<'a> {
         hit
     }
 
-    /// Stores the freshly built graph of the clean node at `slot`.
-    pub(crate) fn store_graph(&self, slot: Slot, graph: Arc<PropGraph>, cost: u64) {
-        self.table
-            .put(self.id(slot), |e| &mut e.graph, (graph, cost));
+    /// [`Memo::clean_count`] without counting the lookup (the count fill's
+    /// reads).
+    pub(crate) fn known_count(&self, slot: Slot) -> Option<u128> {
+        self.table.get(self.id(slot), |e| e.count)
     }
 
-    /// The memoised complement restriction of the node at `slot`.
-    pub(crate) fn complement(&self, slot: Slot) -> Option<Arc<PropGraph>> {
-        self.table.get(self.id(slot), |e| e.complement.clone())
-    }
-
-    /// Stores the complement restriction of the clean node at `slot`.
-    pub(crate) fn store_complement(&self, slot: Slot, g: Arc<PropGraph>) {
-        self.table.put(self.id(slot), |e| &mut e.complement, g);
+    /// Stores the optimal count of the clean subtree at `slot`.
+    pub(crate) fn store_count(&self, slot: Slot, count: u128) {
+        self.table.put(self.id(slot), |e| &mut e.count, count);
     }
 
     /// The memoised typing run of the node at `slot`, computed and stored
@@ -308,22 +306,7 @@ impl Drop for Memo<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::PropVertex;
-    use crate::pathgraph::PathGraph;
     use xvu_tree::{parse_term_with_ids, Alphabet, NodeIdGen};
-
-    fn stub_graph() -> Arc<PropGraph> {
-        let mut g: PropGraph = PathGraph::new(
-            vec![PropVertex {
-                tpos: 0,
-                state: StateId(0),
-                spos: 0,
-            }],
-            0,
-        );
-        g.set_goal(0);
-        Arc::new(g)
-    }
 
     /// A table plus the intern ids of `term`.
     fn table_for(term: &str) -> (MemoTable, DocTree, SlotMap<InternId>) {
@@ -337,15 +320,16 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted() {
-        // a#1 and a#2 share a structure: the graph stored for one serves
+        // a#1 and a#2 share a structure: the count stored for one serves
         // the other.
         let (table, doc, ids) = table_for("r#0(a#1, a#2)");
         let slot = |n: u64| doc.slot(NodeId(n)).unwrap();
         {
             let mut memo = Memo::new(&table, &ids);
-            assert!(memo.graph(slot(1)).is_none());
-            memo.store_graph(slot(1), stub_graph(), 0);
-            assert!(memo.graph(slot(2)).is_some(), "equal structure hits");
+            assert!(memo.clean_count(slot(1)).is_none());
+            memo.store_count(slot(1), 3);
+            assert_eq!(memo.clean_count(slot(2)), Some(3), "equal structure hits");
+            assert_eq!(memo.known_count(slot(2)), Some(3), "an uncounted read");
             assert_eq!(table.stats().hits, 0, "tallied until the operation ends");
         }
         let s = table.stats();
@@ -358,14 +342,15 @@ mod tests {
         let (table, doc, ids) = table_for("r#0(a#1)");
         let a = doc.slot(NodeId(1)).unwrap();
         let memo = Memo::new(&table, &ids);
-        memo.store_graph(a, stub_graph(), 7);
-        memo.store_graph(a, stub_graph(), 99);
-        memo.store_complement(a, stub_graph());
+        memo.store_count(a, 7);
+        memo.store_count(a, 99);
+        memo.run_or_compute(a, || Some(vec![StateId(4)]));
         drop(memo);
         let mut memo = Memo::new(&table, &ids);
-        assert_eq!(memo.graph(a).unwrap().1, 7, "the first store wins");
-        assert!(memo.complement(a).is_some(), "other artefacts fill in");
-        assert!(memo.complement(doc.slot(NodeId(0)).unwrap()).is_none());
+        assert_eq!(memo.clean_count(a), Some(7), "the first store wins");
+        let run = memo.run_or_compute(a, || unreachable!("other artefacts fill in"));
+        assert_eq!(run.as_deref(), Some(&[StateId(4)][..]));
+        assert!(memo.known_count(doc.slot(NodeId(0)).unwrap()).is_none());
         assert_eq!(table.stats().entries, 1);
     }
 
@@ -474,10 +459,10 @@ mod tests {
                     let mut memo = Memo::new(table, ids);
                     for (i, &s) in slots.iter().enumerate() {
                         if i % 4 == w {
-                            memo.store_graph(s, stub_graph(), i as u64);
+                            memo.store_count(s, i as u128);
                         } else {
                             // readers interleave with writers
-                            let _ = memo.graph(s);
+                            let _ = memo.clean_count(s);
                         }
                     }
                 });
@@ -486,7 +471,7 @@ mod tests {
         assert_eq!(table.stats().entries, 64, "every structure stored once");
         let mut memo = Memo::new(&table, &ids);
         for (i, &s) in slots.iter().enumerate() {
-            assert_eq!(memo.graph(s).expect("stored").1, i as u64);
+            assert_eq!(memo.clean_count(s), Some(i as u128), "stored");
         }
     }
 

@@ -15,7 +15,6 @@
 //!   complement-preserving propagation iff one exists.
 
 use crate::algorithm::{assemble, Config};
-use crate::cache::Memo;
 use crate::cost::CostModel;
 use crate::error::PropagateError;
 use crate::forest::PropagationForest;
@@ -23,9 +22,7 @@ use crate::graph::{PropEdge, PropGraph};
 use crate::instance::Instance;
 use crate::pathgraph::PathGraph;
 use crate::scratch::PropScratch;
-use std::sync::Arc;
-use xvu_edit::{EditOp, Script, ScriptFootprint};
-use xvu_tree::{SlotMap, SlotSet};
+use xvu_edit::{EditOp, Script};
 
 /// How a propagation touches the invisible part of the document.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -90,105 +87,78 @@ pub fn find_complement_preserving(
     cost: &CostModel<'_>,
     cfg: &Config,
 ) -> Result<Option<Script>, PropagateError> {
-    find_complement_preserving_with(inst, forest, cost, cfg, None, None, &mut PropScratch::new())
+    find_complement_preserving_with(inst, forest, cost, cfg, &mut PropScratch::new())
 }
 
-/// Memo-aware [`find_complement_preserving`]: the filtered ("complement")
-/// subgraph of every node outside the update footprint is memoised in the
-/// engine memo under the node's structure. A clean node's restriction is
-/// a pure function of its graph, and the identity path — all (iii)/(vi)
-/// `Nop` edges — always survives the filter, so clean nodes are feasible
-/// by construction.
+/// [`find_complement_preserving`] over a session's pooled scratch, for a
+/// full or a skeleton forest. A clean node of a skeleton forest carries no
+/// graph and is feasible by construction: its identity path — all
+/// (iii)/(vi) `Nop` edges into clean children — survives the filter.
 pub(crate) fn find_complement_preserving_with(
     inst: &Instance<'_>,
     forest: &PropagationForest,
     cost: &CostModel<'_>,
     cfg: &Config,
-    memo: Option<&Memo<'_>>,
-    fp: Option<&ScriptFootprint>,
     scratch: &mut PropScratch,
 ) -> Result<Option<Script>, PropagateError> {
-    let update = inst.update;
-    let mut filtered: SlotMap<Arc<PropGraph>> = SlotMap::with_capacity(update.size());
     // Restrict graphs bottom-up; a node whose restricted graph has no path
-    // poisons its parents' (vi)-edges. Post-order over the update script
-    // visits children before parents, so no sorting is needed.
-    let mut feasible = SlotSet::with_capacity(update.size());
-
-    for n in update.postorder() {
-        let Some(g) = forest.graph(n) else {
+    // poisons its parents' (vi)-edges. The forest stores children before
+    // parents, so one pass in storage order suffices.
+    let nodes = forest.nodes();
+    let mut feasible: Vec<bool> = Vec::with_capacity(nodes.len());
+    let mut filtered: Vec<Option<PropGraph>> = Vec::with_capacity(nodes.len());
+    for node in nodes {
+        let Some(g) = node.graph() else {
+            feasible.push(true);
+            filtered.push(None);
             continue;
         };
-        let nslot = update.slot(n).expect("preserved node in update");
-        // Positional-edge resolution against this node's child words.
-        let t_kids = inst.source.children(n);
-        let s_kids = update.children(n);
-        let clean = fp.is_some_and(|f| f.is_clean(nslot));
-        let src_slot = if clean { inst.source.slot(n) } else { None };
-        let hit = match (memo, src_slot) {
-            (Some(m), Some(s)) => m.complement(s),
-            _ => None,
-        };
-        let fg: Arc<PropGraph> = match hit {
-            Some(fg) => {
-                // Memoised restrictions exist only for clean nodes, whose
-                // identity path survives the filter.
-                feasible.insert(nslot);
-                fg
+        let mut fg: PropGraph = PathGraph::new(
+            (0..g.n_vertices() as u32).map(|v| *g.vertex(v)).collect(),
+            g.start(),
+        );
+        for v in 0..g.n_vertices() as u32 {
+            if g.is_goal(v) {
+                fg.set_goal(v);
             }
-            None => {
-                let mut fg: PropGraph = PathGraph::new(
-                    (0..g.n_vertices() as u32).map(|v| *g.vertex(v)).collect(),
-                    g.start(),
-                );
-                for v in 0..g.n_vertices() as u32 {
-                    if g.is_goal(v) {
-                        fg.set_goal(v);
-                    }
+        }
+        for (_, e) in g.edges() {
+            let keep = match e.payload {
+                PropEdge::InsInvisible(_) | PropEdge::DelInvisible { .. } => false,
+                PropEdge::NopInvisible { .. } | PropEdge::DelVisible { .. } => true,
+                PropEdge::InsVisible { .. } => {
+                    forest
+                        .child_of(node, &e.payload)
+                        .and_then(|c| forest.inversion(c))
+                        .expect("built forest has an inversion per Ins child")
+                        .min_padding()
+                        == 0
                 }
-                for (_, e) in g.edges() {
-                    let keep = match e.payload {
-                        PropEdge::InsInvisible(_) | PropEdge::DelInvisible { .. } => false,
-                        PropEdge::NopInvisible { .. } | PropEdge::DelVisible { .. } => true,
-                        PropEdge::InsVisible { spos } => {
-                            forest
-                                .inversion(s_kids[spos as usize])
-                                .expect("built forest has an inversion per Ins child")
-                                .min_padding()
-                                == 0
-                        }
-                        PropEdge::NopVisible { tpos, .. } => update
-                            .slot(t_kids[tpos as usize])
-                            .is_some_and(|cs| feasible.contains(cs)),
-                    };
-                    if keep {
-                        fg.add_edge(e.from, e.to, e.weight, e.payload.clone());
-                    }
-                }
-                let node_feasible = fg.best_cost_with(scratch.graph_mut()).is_some();
-                if node_feasible {
-                    feasible.insert(nslot);
-                }
-                let fg = Arc::new(fg);
-                if let (Some(m), Some(s)) = (memo, src_slot) {
-                    debug_assert!(node_feasible, "clean nodes keep their identity path");
-                    m.store_complement(s, Arc::clone(&fg));
-                }
-                fg
+                PropEdge::NopVisible { .. } => forest
+                    .child_of(node, &e.payload)
+                    .and_then(|c| forest.position(c))
+                    .is_some_and(|p| feasible.get(p) == Some(&true)),
+            };
+            if keep {
+                fg.add_edge(e.from, e.to, e.weight, e.payload.clone());
             }
-        };
-        filtered.insert(nslot, fg);
+        }
+        feasible.push(fg.best_cost_with(scratch.graph_mut()).is_some());
+        filtered.push(Some(fg));
     }
 
-    let root_slot = update.slot(forest.root).expect("root in update");
-    if !feasible.contains(root_slot) {
+    let root = forest.position(forest.root).expect("root in forest");
+    if !feasible[root] {
         return Ok(None);
     }
 
     // Assemble from the filtered graphs (all remaining edges are
     // complement-preserving; pick cheapest paths for determinism).
     let script = assemble(inst, forest, cost, cfg, |n| {
-        let g = &filtered[update.slot(n).expect("preserved node in update")];
+        let g = forest
+            .position(n)
+            .and_then(|p| filtered[p].as_ref())
+            .ok_or(PropagateError::NoPropagationPath(n))?;
         let path = g
             .shortest_path_with(scratch.graph_mut())
             .ok_or(PropagateError::NoPropagationPath(n))?;

@@ -13,10 +13,9 @@
 //! correspond one-to-one with propagations up to the choice of concrete
 //! minimal fragments.
 
-use crate::forest::PropagationForest;
-use crate::graph::PropEdge;
+use crate::forest::{Body, PropagationForest};
+use crate::graph::{PropEdge, PropGraph};
 use crate::pathgraph::GraphScratch;
-use xvu_tree::NodeId;
 
 /// Counts the cost-minimal propagations captured by `G*` (saturating
 /// `u128`).
@@ -28,52 +27,70 @@ use xvu_tree::NodeId;
 /// (Theorem 5), so `None` only arises for hand-assembled or corrupted
 /// forests; every `Some` count is ≥ 1. Callers must not conflate `None`
 /// with a zero count: `0` is never returned inside `Some`.
+///
+/// The forest stores its nodes children first, so one pass in storage
+/// order is a post-order: each node is counted after every child its
+/// (vi)-edges multiply in, with no recursion, so no document depth can
+/// overflow the native stack. A clean node of a skeleton forest brings its
+/// stored count.
 pub fn count_optimal_propagations(forest: &PropagationForest) -> Option<u128> {
-    // One pooled Dijkstra scratch serves every subgraph extraction of the
-    // recursive count.
-    count_node(forest, forest.root, &mut GraphScratch::default())
+    // One pooled Dijkstra scratch serves every subgraph extraction.
+    let mut scratch = GraphScratch::default();
+    let mut counts: Vec<Option<u128>> = Vec::with_capacity(forest.nodes().len());
+    for node in forest.nodes() {
+        let count = match &node.body {
+            Body::Clean(count) => Some(*count),
+            Body::Graph { graph, .. } => count_graph(graph, &mut scratch, |e| {
+                // Positional edges resolve through the forest's child-word
+                // snapshots (no instance here).
+                let child = forest.child_of(node, e)?;
+                match e {
+                    PropEdge::InsVisible { .. } => {
+                        forest.inversion(child).map(|i| i.count_min_inverses())
+                    }
+                    // A child counted after its parent (only in corrupted
+                    // forests) is missing.
+                    _ => forest
+                        .position(child)
+                        .and_then(|p| counts.get(p).copied().flatten()),
+                }
+            }),
+        };
+        counts.push(count);
+    }
+    counts[forest.position(forest.root)?]
 }
 
-fn count_node(forest: &PropagationForest, n: NodeId, scratch: &mut GraphScratch) -> Option<u128> {
-    // No optimal subgraph ⇔ no start→goal path ⇔ no propagation of this
-    // node's fragment — propagate the absence instead of counting it as 0.
-    let opt = forest.graph(n)?.optimal_subgraph_with(scratch)?;
+/// The count of one node from its graph: the start→goal paths of `G*_n`,
+/// each weighted by its edges' factors — the kept child's count for a
+/// (vi)-edge, the number of minimal inverses of the inserted fragment for
+/// a (iv)-edge, 1 for every other edge. `child` answers the first two.
+///
+/// No optimal subgraph ⇔ no start→goal path ⇔ no propagation of this
+/// node's fragment, and `count_paths` fails only on cyclic graphs, which
+/// optimal subgraphs of well-formed forests never are: both give `None`,
+/// as does a child `child` cannot count (`None` or 0) — never a count of
+/// 0 that callers could mistake for a genuine tally.
+pub(crate) fn count_graph(
+    graph: &PropGraph,
+    scratch: &mut GraphScratch,
+    mut child: impl FnMut(&PropEdge) -> Option<u128>,
+) -> Option<u128> {
+    let opt = graph.optimal_subgraph_with(scratch)?;
     let mut missing_child = false;
-    // `count_paths` is `None` only on cyclic graphs, which optimal
-    // subgraphs of well-formed forests never are; surface that as `None`
-    // too rather than panicking on corrupted inputs. Positional edges
-    // resolve through the forest's child-word snapshots (no instance
-    // here); an unresolvable position counts as a missing child, not 0.
-    let n_paths = opt.count_paths(|e| match *e {
-        // A built forest has ≥ 1 minimal inverse per inserted fragment
-        // (`InversionForest::build` errors otherwise); a missing entry or
-        // a zero count means the fragment has no inverse, not "0 ways".
-        PropEdge::InsVisible { .. } => {
-            let inverses = forest
-                .resolve_child(n, e)
-                .and_then(|child| forest.inversion(child))
-                .map(|i| i.count_min_inverses());
-            match inverses {
-                Some(c) if c > 0 => c,
-                _ => {
+    let n_paths = opt.count_paths(|e| match e {
+        PropEdge::InsVisible { .. } | PropEdge::NopVisible { .. } => {
+            match child(e).filter(|&c| c > 0) {
+                Some(c) => c,
+                None => {
                     missing_child = true;
                     0
                 }
             }
         }
-        PropEdge::NopVisible { .. } => forest
-            .resolve_child(n, e)
-            .and_then(|child| count_node(forest, child, scratch))
-            .unwrap_or_else(|| {
-                missing_child = true;
-                0
-            }),
         _ => 1,
     })?;
-    if missing_child {
-        return None;
-    }
-    Some(n_paths)
+    (!missing_child).then_some(n_paths)
 }
 
 #[cfg(test)]

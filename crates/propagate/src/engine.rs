@@ -156,9 +156,10 @@ impl EngineBuilder {
 
     /// Whether the engine keeps the structure-keyed propagation memo
     /// shared by every session it opens (default: `true`; see
-    /// [`crate::cache`]). Disable it to measure the unmemoised baseline or
-    /// to trade the memory for recomputation; results are byte-identical
-    /// either way.
+    /// [`crate::cache`]). Without it, sessions build the full forest —
+    /// every preserved node's graph — instead of the skeleton. Disable it
+    /// to measure the unmemoised baseline or to trade the memory for
+    /// recomputation; results are byte-identical either way.
     pub fn prop_cache(mut self, on: bool) -> Self {
         self.prop_cache = Some(on);
         self
@@ -373,9 +374,11 @@ impl Engine {
 /// document and looks up the engine memo by those ids:
 /// [`Session::propagate`] (and [`Session::count_optimal`] /
 /// [`Session::enumerate_optimal`] / [`Session::complement_preserving`])
-/// take every node *outside* the update's footprint from the memo and
-/// recompute only inside it, so the cost of the Kth small update is
-/// proportional to the update's footprint rather than the document.
+/// build a skeleton forest ([`PropagationForest`]): graphs only inside
+/// the update's footprint, and for each clean child one memo lookup of
+/// its optimal-propagation count. Past the assembled script, which spans
+/// the document, the cost of the Kth small update is proportional to the
+/// update's footprint rather than the document.
 /// [`Session::commit`] re-interns exactly the dirty region — the
 /// committed script's edited parents plus their ancestors. Memoised
 /// results are byte-identical to unmemoised ones; see
@@ -496,10 +499,9 @@ impl<'e> Session<'e> {
     /// Computes the optimal propagation of `update` to the current
     /// document (the session equivalent of [`crate::propagate`]).
     ///
-    /// Per-node dynamic-programming state for every node outside the
-    /// update's footprint is served from the engine memo (recomputing only
-    /// inside the footprint); the result is byte-identical to an
-    /// unmemoised computation.
+    /// With the memo on, graphs are built only inside the update's
+    /// footprint, and every clean node outside it is the identity at cost
+    /// 0; the result is byte-identical to an unmemoised computation.
     pub fn propagate(&self, update: &Script) -> Result<Propagation, PropagateError> {
         self.propagate_timed(update, None)
     }
@@ -530,14 +532,11 @@ impl<'e> Session<'e> {
         if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
             p.instance_ns = t0.elapsed().as_nanos() as u64;
         }
-        let mut memo = self.memo();
-        let fp = memo.is_some().then(|| inst.footprint());
         propagate_with_memo(
             &inst,
             &self.engine.cost_model(),
             &self.engine.config,
-            memo.as_mut(),
-            fp,
+            self.memo().as_mut(),
             &mut self.scratch_guard(),
             phases,
         )
@@ -570,21 +569,23 @@ impl<'e> Session<'e> {
     /// (never a silent count of 0).
     pub fn count_optimal(&self, update: &Script) -> Result<u128, PropagateError> {
         let inst = self.instance(update)?;
-        let forest = self.forest_for(&inst)?;
+        let forest = self.forest_for(&inst, &mut self.scratch_guard())?;
         count_optimal_propagations(&forest).ok_or(PropagateError::NoPropagationPath(forest.root))
     }
 
-    /// Builds the propagation forest for an already-validated instance,
-    /// routing clean-region graphs through the engine memo (when on).
-    fn forest_for(&self, inst: &Instance<'_>) -> Result<PropagationForest, PropagateError> {
-        let mut memo = self.memo();
-        let fp = memo.is_some().then(|| inst.footprint());
+    /// Builds the propagation forest for an already-validated instance: a
+    /// skeleton forest counting clean subtrees through the engine memo
+    /// when it is on, the full forest otherwise.
+    fn forest_for(
+        &self,
+        inst: &Instance<'_>,
+        scratch: &mut PropScratch,
+    ) -> Result<PropagationForest, PropagateError> {
         PropagationForest::build_with(
             inst,
             &self.engine.cost_model(),
-            memo.as_mut(),
-            fp,
-            &mut self.scratch_guard(),
+            self.memo().as_mut(),
+            scratch,
             None,
         )
     }
@@ -603,30 +604,25 @@ impl<'e> Session<'e> {
     ) -> Result<Vec<Script>, PropagateError> {
         let inst = self.instance(update)?;
         let cm = self.engine.cost_model();
-        let forest = self.forest_for(&inst)?;
+        let forest = self.forest_for(&inst, &mut self.scratch_guard())?;
         enumerate_optimal_propagations(&inst, &cm, &forest, &self.engine.config, cap)
     }
 
     /// Searches for a constant-complement propagation of `update` — one
     /// that neither deletes nor inserts any invisible node (see
     /// [`crate::find_complement_preserving`]; `Ok(None)` when none
-    /// exists). Complement-restricted subgraphs for nodes outside the
-    /// update footprint are memoised in the engine memo.
+    /// exists). With the memo on, only the graphs inside the update's
+    /// footprint are built and restricted: every clean node keeps its
+    /// identity path.
     pub fn complement_preserving(&self, update: &Script) -> Result<Option<Script>, PropagateError> {
         let inst = self.instance(update)?;
-        let cm = self.engine.cost_model();
-        let mut memo = self.memo();
-        let fp = memo.is_some().then(|| inst.footprint());
         let mut scratch = self.scratch_guard();
-        let forest =
-            PropagationForest::build_with(&inst, &cm, memo.as_mut(), fp, &mut scratch, None)?;
+        let forest = self.forest_for(&inst, &mut scratch)?;
         find_complement_preserving_with(
             &inst,
             &forest,
-            &cm,
+            &self.engine.cost_model(),
             &self.engine.config,
-            memo.as_ref(),
-            fp,
             &mut scratch,
         )
     }
@@ -861,7 +857,9 @@ mod tests {
     fn open_is_stack_safe_on_a_20k_level_chain() {
         // r → a?, a → a?·b?: a chain one node per level, opened on a
         // thread with a 256 KiB stack. The view extraction and the
-        // lockstep `In(S)` check both walk the whole chain.
+        // lockstep `In(S)` check both walk the whole chain, and so does
+        // the identity update's count fill: its one lookup, at the clean
+        // root, misses and counts every level.
         let mut alpha = Alphabet::new();
         let dtd = xvu_dtd::parse_dtd(&mut alpha, "r -> a?\na -> a?.b?").unwrap();
         let ann = xvu_view::parse_annotation(&mut alpha, "hide a b").unwrap();
@@ -884,6 +882,9 @@ mod tests {
                 let session = engine.open(&doc).expect("the chain is valid");
                 let identity = nop_script(session.view());
                 session.instance(&identity).expect("identity is an update");
+                let prop = session.propagate(&identity).expect("identity propagates");
+                assert_eq!(prop.cost, 0);
+                assert_eq!(count_optimal_propagations(&prop.forest), Some(1));
                 session.view().size()
             })
             .unwrap()
@@ -896,8 +897,10 @@ mod tests {
     fn edits_at_the_bottom_of_a_20k_level_chain_are_stack_safe() {
         // The chain of `open_is_stack_safe_on_a_20k_level_chain`, with one
         // `a` inserted under the deepest `a` (before its hidden `b`):
-        // propagate, complement search and commit all walk the whole
-        // spine, on a thread with a 256 KiB stack.
+        // propagate, both counts, complement search and commit all walk
+        // the whole spine — the skeleton is the whole spine with the memo
+        // on, the forest is the whole chain with it off — on a thread
+        // with a 256 KiB stack.
         let mut alpha = Alphabet::new();
         let dtd = xvu_dtd::parse_dtd(&mut alpha, "r -> a?\na -> a?.b?").unwrap();
         let ann = xvu_view::parse_annotation(&mut alpha, "hide a b").unwrap();
@@ -913,33 +916,44 @@ mod tests {
             parent = doc.add_child(parent, &mut gen, a);
         }
         doc.add_child(parent, &mut gen, b);
-        let engine = Engine::new(alpha, dtd, ann);
-        let (cost, size) = std::thread::Builder::new()
-            .stack_size(256 * 1024)
-            .spawn(move || {
-                let mut session = engine.open(&doc).expect("the chain is valid");
-                let mut update = nop_script(session.view());
-                let fresh = session.id_gen().fresh();
-                update
-                    .add_child_with_id(parent, fresh, ELabel::ins(a))
-                    .unwrap();
-                let prop = session.propagate(&update).expect("the insert propagates");
-                let complement = session
-                    .complement_preserving(&update)
-                    .expect("the complement search completes")
-                    .expect("inserting an `a` needs no hidden padding");
-                assert!(
-                    complement == prop.script,
-                    "the optimum keeps the complement"
-                );
-                session.commit(&prop).expect("the propagation commits");
-                assert!(session.document().contains(fresh));
-                (prop.cost, session.document().size())
-            })
-            .unwrap()
-            .join()
-            .expect("propagate, complement search and commit must not overflow the stack");
-        assert_eq!((cost, size), (1, 20_003));
+        for memo in [true, false] {
+            let engine = Engine::builder()
+                .alphabet(alpha.clone())
+                .dtd(dtd.clone())
+                .annotation(ann.clone())
+                .prop_cache(memo)
+                .build()
+                .unwrap();
+            let doc = doc.clone();
+            let (cost, size) = std::thread::Builder::new()
+                .stack_size(256 * 1024)
+                .spawn(move || {
+                    let mut session = engine.open(&doc).expect("the chain is valid");
+                    let mut update = nop_script(session.view());
+                    let fresh = session.id_gen().fresh();
+                    update
+                        .add_child_with_id(parent, fresh, ELabel::ins(a))
+                        .unwrap();
+                    let prop = session.propagate(&update).expect("the insert propagates");
+                    assert_eq!(count_optimal_propagations(&prop.forest), Some(1));
+                    assert_eq!(session.count_optimal(&update).expect("it counts"), 1);
+                    let complement = session
+                        .complement_preserving(&update)
+                        .expect("the complement search completes")
+                        .expect("inserting an `a` needs no hidden padding");
+                    assert!(
+                        complement == prop.script,
+                        "the optimum keeps the complement"
+                    );
+                    session.commit(&prop).expect("the propagation commits");
+                    assert!(session.document().contains(fresh));
+                    (prop.cost, session.document().size())
+                })
+                .unwrap()
+                .join()
+                .expect("propagate, count, complement search and commit must not overflow");
+            assert_eq!((cost, size), (1, 20_003), "memo {memo}");
+        }
     }
 
     #[test]
@@ -1066,16 +1080,17 @@ mod tests {
         let session = engine.open(&t0).unwrap();
         let p1 = session.propagate(&s0).unwrap();
         let after_first = engine.cache_stats();
-        // S0's clean region: a#4 and c#10 (whole subtrees Nop); their
-        // graphs were built once and stored. The other two preserved
-        // nodes (r#0, d#6) sit inside the footprint: no graph memo, but
-        // their typing runs are memoised, so 4 structures in total.
+        // S0's clean region: a#4 and c#10 (whole subtrees Nop), one
+        // lookup each; their counts were filled once and stored. The other
+        // two preserved nodes (r#0, d#6) sit inside the footprint: their
+        // graphs are built, and their typing runs memoised, so 4
+        // structures in total.
         assert_eq!(after_first.hits, 0);
         assert_eq!(after_first.misses, 2);
         assert_eq!(after_first.entries, 4);
         let p2 = session.propagate(&s0).unwrap();
         let after_second = engine.cache_stats();
-        assert_eq!(after_second.hits, 2, "warm graphs served from the memo");
+        assert_eq!(after_second.hits, 2, "warm counts served from the memo");
         assert_eq!(after_second.misses, 2, "no new misses");
         // and the warm result is byte-identical to the cold one
         assert_eq!(p1.cost, p2.cost);
@@ -1134,12 +1149,13 @@ mod tests {
         .unwrap();
         let mut session = engine.open(&doc).unwrap();
 
-        // An identity update warms the memo: seven preserved nodes (r, the
-        // three d's, the three a's) of three distinct structures.
+        // An identity update warms the memo: one lookup, at the clean
+        // root, whose miss counts the three distinct structures (r, d, a)
+        // of the seven preserved nodes.
         let prop0 = session.propagate(&nop_script(session.view())).unwrap();
         assert_eq!(prop0.cost, 0);
         let warm = engine.cache_stats();
-        assert_eq!((warm.hits, warm.misses, warm.entries), (4, 3, 3));
+        assert_eq!((warm.hits, warm.misses, warm.entries), (0, 1, 3));
 
         // admit a new a under d#1 and commit
         let u = parse_script(
@@ -1152,11 +1168,14 @@ mod tests {
         let before = engine.cache_stats();
 
         // Only the dirty region (d#1 and its ancestor r#0) has a new
-        // structure; d#4, d#7 and all four a's keep their keys and hit.
+        // structure: the one lookup at the clean root misses, and its fill
+        // counts exactly those two, finding d#4, d#7 and all four a's by
+        // their kept keys.
         session.propagate(&nop_script(session.view())).unwrap();
         let after = engine.cache_stats();
-        assert_eq!(after.misses - before.misses, 2, "{after:?}");
-        assert_eq!(after.hits - before.hits, 6, "{after:?}");
+        assert_eq!(after.misses - before.misses, 1, "{after:?}");
+        assert_eq!(after.hits - before.hits, 0, "{after:?}");
+        assert_eq!(after.entries - before.entries, 2, "{after:?}");
     }
 
     #[test]
@@ -1181,17 +1200,18 @@ mod tests {
         let s1 = engine.open(&d1).unwrap();
         let p1 = s1.propagate(&nop_script(s1.view())).unwrap();
         assert_eq!(p1.cost, 0);
-        // five lookups, three structures: the second d and a hit at once
+        // one lookup, at the clean root; its miss counts three structures
+        // (the second d and a are found at once)
         let st1 = engine.cache_stats();
-        assert_eq!((st1.hits, st1.misses), (2, 3));
+        assert_eq!((st1.hits, st1.misses, st1.entries), (0, 1, 3));
 
-        // A different document of the same family: every memo the first
-        // session built is served by structure, none is rebuilt.
+        // A different document of the same family: the count the first
+        // session stored is served by structure, nothing is rebuilt.
         let s2 = engine.open(&d2).unwrap();
         let p2 = s2.propagate(&nop_script(s2.view())).unwrap();
         assert_eq!(p2.cost, 0);
         let st2 = engine.cache_stats();
-        assert_eq!((st2.hits, st2.misses, st2.entries), (7, 3, 3));
+        assert_eq!((st2.hits, st2.misses, st2.entries), (1, 1, 3));
 
         // With the memo off the second document rebuilds everything — and
         // the propagation is byte-identical either way.
@@ -1238,17 +1258,85 @@ mod tests {
         session.propagate(&nop_script(session.view())).unwrap();
 
         // …and a fresh session interns the committed document from
-        // scratch: a single re-interned id that disagreed would miss.
+        // scratch: its identity update looks up the clean root once, and
+        // hits the count the long-lived session stored under its
+        // re-interned root id. (`commit_keeps_every_intern_id_fresh`
+        // compares every other id.)
         let before = engine.cache_stats();
         let fresh = engine.open(session.document()).unwrap();
         fresh.propagate(&nop_script(fresh.view())).unwrap();
         let after = engine.cache_stats();
         assert_eq!(after.misses, before.misses, "{after:?}");
-        assert_eq!(
-            after.hits - before.hits,
-            fresh.view().size() as u64,
-            "every preserved node hits: {after:?}"
-        );
+        assert_eq!(after.hits - before.hits, 1, "the root hits: {after:?}");
+        assert_eq!(after.entries, before.entries, "{after:?}");
+    }
+
+    #[test]
+    fn commit_keeps_every_intern_id_fresh() {
+        // A churn stream — inserts and deletes of leaves and of whole
+        // groups, spread over the document — committed one edit at a
+        // time. After every commit the session's id map must equal a
+        // fresh interning of its document, slot by slot: a dirty ancestor
+        // left with its old id would differ here even where no lookup
+        // reads it.
+        let mut alpha = Alphabet::new();
+        let engine = groups_engine(&mut alpha);
+        let (d, a) = (alpha.get("d").unwrap(), alpha.get("a").unwrap());
+        let mut gen = NodeIdGen::new();
+        let doc = xvu_tree::parse_term_with_ids(
+            &mut alpha,
+            &mut gen,
+            "r#0(d#1(a#2, h#3, a#4), d#5(a#6), d#7(a#8, h#9), d#10)",
+        )
+        .unwrap();
+        let table = engine.memo_table().unwrap();
+        let mut session = engine.open(&doc).unwrap();
+        for step in 0..24usize {
+            let view = session.view();
+            let mut update = nop_script(view);
+            let mut ids = session.id_gen();
+            let groups = view.children(view.root()).to_vec();
+            let group = groups[step * 7 % groups.len()];
+            let leaves = view.children(group).to_vec();
+            match step % 4 {
+                0 => {
+                    let at = ids.fresh();
+                    update.add_child_with_id(group, at, ELabel::ins(a)).unwrap();
+                }
+                1 if !leaves.is_empty() => {
+                    let leaf = leaves[step % leaves.len()];
+                    update
+                        .relabel_subtree(leaf, |l| ELabel::del(l.label))
+                        .unwrap();
+                }
+                2 => {
+                    let (g, leaf) = (ids.fresh(), ids.fresh());
+                    update
+                        .add_child_with_id(view.root(), g, ELabel::ins(d))
+                        .unwrap();
+                    update.add_child_with_id(g, leaf, ELabel::ins(a)).unwrap();
+                }
+                _ if groups.len() > 2 => {
+                    update
+                        .relabel_subtree(group, |l| ELabel::del(l.label))
+                        .unwrap();
+                }
+                _ => {}
+            }
+            let prop = session.propagate(&update).unwrap();
+            session.commit(&prop).unwrap();
+            let fresh = table.intern_doc(session.document());
+            let doc = session.document();
+            assert_eq!(session.intern_ids.len(), doc.size(), "step {step}");
+            for n in doc.postorder() {
+                let slot = doc.slot(n).unwrap();
+                assert_eq!(
+                    session.intern_ids.get(slot),
+                    fresh.get(slot),
+                    "step {step}: node {n}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -14,13 +14,17 @@
 //! bounds) and is capped by count and path length. Inverse fragments for
 //! (iv)-edges use the canonical minimal inverse rather than enumerating
 //! inverse choices; path-level variety is exhaustive.
+//!
+//! Both enumerators accept a skeleton forest ([`PropagationForest`]): a
+//! clean node's graph, which such a forest does not hold, is built from
+//! the instance when the enumeration reaches it.
 
 use crate::algorithm::Config;
 use crate::cost::CostModel;
 use crate::error::PropagateError;
 use crate::forest::PropagationForest;
 use crate::instance::Instance;
-use crate::pathgraph::GraphScratch;
+use crate::scratch::PropScratch;
 use xvu_edit::Script;
 use xvu_tree::{NodeId, NodeIdGen};
 
@@ -44,7 +48,7 @@ pub fn enumerate_optimal_propagations(
         usize::MAX,
         true,
         &mut gen,
-        &mut GraphScratch::default(),
+        &mut PropScratch::new(),
     )
 }
 
@@ -71,7 +75,7 @@ pub fn enumerate_propagations_bounded(
         max_len,
         false,
         &mut gen,
-        &mut GraphScratch::default(),
+        &mut PropScratch::new(),
     )
 }
 
@@ -86,16 +90,14 @@ fn enumerate_node(
     max_len: usize,
     optimal: bool,
     gen: &mut NodeIdGen,
-    scratch: &mut GraphScratch,
+    scratch: &mut PropScratch,
 ) -> Result<Vec<Script>, PropagateError> {
-    let full = forest
-        .graph(n)
-        .ok_or(PropagateError::NoPropagationPath(n))?;
+    let full = forest.graph_or_build(inst, cost, n, scratch)?;
     let graph = if optimal {
-        full.optimal_subgraph_with(scratch)
+        full.optimal_subgraph_with(scratch.graph_mut())
             .ok_or(PropagateError::NoPropagationPath(n))?
     } else {
-        full.clone()
+        full.into_owned()
     };
     let path_len_bound = if optimal {
         graph.n_edges() + 1
@@ -137,7 +139,7 @@ fn expand_path(
     max_len: usize,
     optimal: bool,
     gen: &mut NodeIdGen,
-    scratch: &mut GraphScratch,
+    scratch: &mut PropScratch,
 ) -> Result<Vec<Script>, PropagateError> {
     use crate::graph::PropEdge;
     use xvu_edit::{del_script, ins_script, nop_script, ELabel};

@@ -30,7 +30,7 @@ use crate::segments::Segmentation;
 use crate::selection::{Classify, EdgeClass};
 use xvu_automata::{Nfa, StateId};
 use xvu_edit::EditOp;
-use xvu_tree::{NodeId, SlotMap, Sym};
+use xvu_tree::{NodeId, Sym};
 
 /// A vertex `(m_i, q, m'_j)` of a propagation graph.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -126,13 +126,14 @@ pub type PropGraph = PathGraph<PropVertex, PropEdge>;
 
 /// Builds `G_n` for preserved node `n`.
 ///
-/// `child_costs` maps already-processed preserved children to their
-/// cheapest propagation cost ((vi)-weights); `inverse_sizes` maps inserting
-/// script children to their minimal inverse size ((iv)-weights). Both are
-/// dense tables keyed by the *update* tree's slots. `orig_states` is the
-/// typing run over `n`'s source child word ([`source_child_run`]) —
-/// callers holding a session cache pass their memoised copy; `None` means
-/// the content model is nondeterministic and typing is unavailable.
+/// `child_costs[i]` is the cheapest propagation cost of the kept visible
+/// child at source position `i` ((vi)-weights); `inverse_sizes[j]` is the
+/// minimal inverse size of the inserting child at script position `j`
+/// ((iv)-weights); entries at other positions are never read.
+/// `orig_states` is the typing run over `n`'s source child word
+/// ([`source_child_run`]) — callers holding a session cache pass their
+/// memoised copy; `None` means the content model is nondeterministic and
+/// typing is unavailable.
 /// `scratch` pools the segmentation and interning buffers (clear-not-free)
 /// — a warm scratch leaves the returned graph as the only fresh
 /// allocation.
@@ -140,15 +141,14 @@ pub fn build_prop_graph(
     inst: &Instance<'_>,
     n: NodeId,
     cost: &CostModel<'_>,
-    child_costs: &SlotMap<u64>,
-    inverse_sizes: &SlotMap<u64>,
+    child_costs: &[u64],
+    inverse_sizes: &[u64],
     orig_states: Option<&[StateId]>,
     scratch: &mut PropScratch,
 ) -> Result<PropGraph, PropagateError> {
     let x = inst.source.label(n);
     let model = inst.dtd.content_model(x);
     let nq = model.num_states() as u32;
-    let update_slot = |id: NodeId| inst.update.slot(id).expect("script child in update tree");
 
     let seg = Segmentation::new_with(
         inst.source.children(n),
@@ -251,7 +251,7 @@ pub fn build_prop_graph(
                 debug_assert_eq!(el.op, EditOp::Ins, "non-common script child must insert");
                 let y = el.label;
                 if inst.ann.is_visible(x, y) {
-                    let w = inverse_sizes[update_slot(child)];
+                    let w = inverse_sizes[j as usize];
                     for &(s, q2) in model.transitions_from(q) {
                         if s == y {
                             g.add_edge(v, vid(i, q2, j + 1), w, PropEdge::InsVisible { spos: j });
@@ -283,7 +283,7 @@ pub fn build_prop_graph(
                     EditOp::Nop => {
                         // (vi) visible nop — recurse.
                         let y = el.label;
-                        let w = child_costs[update_slot(tchild)];
+                        let w = child_costs[i as usize];
                         for &(s, q2) in model.transitions_from(q) {
                             if s == y {
                                 let preserves_type =

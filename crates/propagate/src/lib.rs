@@ -57,13 +57,14 @@
 //! session.commit(&prop).unwrap(); // serve the next update from Out(S')
 //! ```
 //!
-//! Sessions are *incremental*: per-node dynamic-programming state
-//! (graphs, complement restrictions, typing runs) is memoised by subtree
-//! structure in one engine-owned table, consulted for every node outside
-//! an update's footprint. A session keeps only the structural id of each
-//! of its nodes, and [`Session::commit`] re-interns exactly the dirty
-//! region — see the [`cache`] module and `README.md`'s "Architecture: the
-//! propagation memo".
+//! Sessions are *incremental*: a session's propagation forest covers
+//! only the update's dirty skeleton ([`PropagationForest`]), and every
+//! clean child it stops at brings its optimal-propagation count from one
+//! engine-owned table keyed by subtree structure, which also holds typing
+//! runs. A session keeps only the structural id of each of its nodes, and
+//! [`Session::commit`] re-interns exactly the dirty region — see the
+//! [`cache`] module and `README.md`'s "Architecture: the propagation
+//! memo".
 //!
 //! The one-shot layer ([`Instance::new`] + [`propagate`] +
 //! [`verify_propagation`]) remains for single-update callers and is

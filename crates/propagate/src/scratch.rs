@@ -40,6 +40,10 @@ pub struct PropScratch {
     pub(crate) row_base: Vec<u32>,
     pub(crate) row_j0: Vec<u32>,
     pub(crate) row_seen: Vec<bool>,
+    /// The (vi)-weights (by source position) and (iv)-weights (by script
+    /// position) of the graph under construction.
+    pub(crate) child_costs: Vec<u64>,
+    pub(crate) inverse_sizes: Vec<u64>,
 }
 
 impl PropScratch {

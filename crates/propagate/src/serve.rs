@@ -97,20 +97,18 @@ impl Engine {
         // it serves — scratch is pure working memory, so reuse cannot leak
         // state between requests (or change any result). With the memo on,
         // the document is interned as `Engine::open` does and clean nodes
-        // are served from the engine memo as in `Session::propagate`:
+        // are counted through the engine memo as in `Session::propagate`:
         // structurally repeated subtrees across the batch are solved once,
         // and every propagation is byte-identical to the memo-off run.
         let one = |(doc, update): &(DocTree, Script), scratch: &mut PropScratch| {
             let inst = self.instance(doc, update)?;
             let interned = self.memo_table().map(|t| (t, t.intern_doc(doc)));
             let mut memo = interned.as_ref().map(|(t, ids)| Memo::new(t, ids));
-            let fp = memo.is_some().then(|| inst.footprint());
             propagate_with_memo(
                 &inst,
                 &self.cost_model(),
                 self.config(),
                 memo.as_mut(),
-                fp,
                 scratch,
                 None,
             )

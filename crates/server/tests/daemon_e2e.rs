@@ -2,11 +2,12 @@
 //! error replies that keep the connection alive, and drain-on-shutdown.
 
 use std::net::TcpListener;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 use xvu_dtd::parse_dtd;
 use xvu_propagate::Engine;
-use xvu_server::{Client, ClientError, Server, ServerConfig};
+use xvu_server::{Client, ClientError, Server, ServerConfig, ServerReport};
 use xvu_tree::Alphabet;
 use xvu_view::parse_annotation;
 
@@ -32,16 +33,31 @@ fn small_config() -> ServerConfig {
     }
 }
 
-#[test]
-fn daemon_serves_a_full_document_lifecycle_over_tcp() {
-    let engines = [engine()];
-    let server = Server::new(&engines, small_config());
+/// Serves `server` on a fresh loopback listener while `client` runs with
+/// its address, and returns the daemon's final report. The client ends by
+/// sending `shutdown`. If it panics instead — a failed assertion — the
+/// daemon is told to stop before the panic is raised again, so the test
+/// fails at once instead of waiting forever for a daemon nobody stops.
+fn serve_while(server: &Server<'_>, client: impl FnOnce(&str)) -> ServerReport {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::scope(|scope| {
         let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
+        if let Err(panic) = catch_unwind(AssertUnwindSafe(|| client(&addr))) {
+            server.request_shutdown();
+            let _ = daemon.join();
+            resume_unwind(panic);
+        }
+        daemon.join().unwrap()
+    })
+}
 
-        let mut c = Client::connect(&addr).unwrap();
+#[test]
+fn daemon_serves_a_full_document_lifecycle_over_tcp() {
+    let engines = [engine()];
+    let server = Server::new(&engines, small_config());
+    let report = serve_while(&server, |addr| {
+        let mut c = Client::connect(addr).unwrap();
         c.load(7, 0, "r#0(a#1, h#2)").unwrap();
         assert_eq!(c.open(7).unwrap(), "r#0(a#1)");
 
@@ -71,22 +87,17 @@ fn daemon_serves_a_full_document_lifecycle_over_tcp() {
 
         let finale = c.shutdown().unwrap();
         assert!(finale.contains("\"requests\""), "{finale}");
-        let report = daemon.join().unwrap();
-        assert!(report.drained_clean);
-        assert!(report.stats.total_requests() >= 9);
     });
+    assert!(report.drained_clean);
+    assert!(report.stats.total_requests() >= 9);
 }
 
 #[test]
 fn error_replies_keep_the_connection_usable() {
     let engines = [engine()];
     let server = Server::new(&engines, small_config());
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
-
-        let mut c = Client::connect(&addr).unwrap();
+    let report = serve_while(&server, |addr| {
+        let mut c = Client::connect(addr).unwrap();
         // every malformed or out-of-contract request earns a typed error…
         assert!(
             matches!(c.open(99), Err(ClientError::Server(_))),
@@ -123,10 +134,9 @@ fn error_replies_keep_the_connection_usable() {
         assert_eq!(reply.cost, 0, "identity update costs nothing");
 
         c.shutdown().unwrap();
-        let report = daemon.join().unwrap();
-        assert!(report.drained_clean);
-        assert!(report.stats.errors >= 6);
     });
+    assert!(report.drained_clean);
+    assert!(report.stats.errors >= 6);
 }
 
 #[test]
@@ -135,11 +145,8 @@ fn lru_pool_of_one_evicts_transparently_between_documents() {
     // replies must be indistinguishable from a large pool
     let engines = [engine()];
     let server = Server::new(&engines, small_config());
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
-        let mut c = Client::connect(&addr).unwrap();
+    let report = serve_while(&server, |addr| {
+        let mut c = Client::connect(addr).unwrap();
         c.load(1, 0, "r#0(a#1, h#2)").unwrap();
         c.load(2, 0, "r#0(a#1)").unwrap();
         for round in 0..3 {
@@ -150,14 +157,13 @@ fn lru_pool_of_one_evicts_transparently_between_documents() {
             assert_eq!(r2.cost, 0, "round {round}");
         }
         c.shutdown().unwrap();
-        let report = daemon.join().unwrap();
-        assert!(
-            report.stats.evictions >= 4,
-            "expected steady eviction churn, saw {}",
-            report.stats.evictions
-        );
-        assert!(report.drained_clean);
     });
+    assert!(
+        report.stats.evictions >= 4,
+        "expected steady eviction churn, saw {}",
+        report.stats.evictions
+    );
+    assert!(report.drained_clean);
 }
 
 #[test]
@@ -166,18 +172,16 @@ fn shared_memo_cache_survives_eviction_and_spans_documents() {
     // and drops its intern-id map. The engine-owned memo must keep serving
     // by structure regardless — the second document has the same shape
     // under different identifiers, so its cold session warms straight
-    // from memos the first session stored.
+    // from the counts the first session stored.
     let engines = [engine()];
     let server = Server::new(&engines, small_config());
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
-        let mut c = Client::connect(&addr).unwrap();
+    let report = serve_while(&server, |addr| {
+        let mut c = Client::connect(addr).unwrap();
         c.load(1, 0, "r#0(a#1, h#2, a#3)").unwrap();
         c.load(2, 0, "r#10(a#11, h#12, a#13)").unwrap();
-        // doc 1 builds r(a,h,a) and a (a#3 already hits a#1's memo);
-        // checking out doc 2 evicts doc 1's session
+        // doc 1's identity update looks up its clean root and misses,
+        // filling r(a,h,a) and a (a#3 finds a#1's count); checking out
+        // doc 2 evicts doc 1's session
         assert_eq!(c.propagate(1, "nop:r#0(nop:a#1, nop:a#3)").unwrap().cost, 0);
         assert_eq!(
             c.propagate(2, "nop:r#10(nop:a#11, nop:a#13)").unwrap().cost,
@@ -186,19 +190,18 @@ fn shared_memo_cache_survives_eviction_and_spans_documents() {
         // …and coming back to doc 1 after ITS eviction re-warms from the
         // engine memo too
         assert_eq!(c.propagate(1, "nop:r#0(nop:a#1, nop:a#3)").unwrap().cost, 0);
-        // nine graph lookups, two structures: only the first r and a miss
+        // three root lookups, two structures: only the first misses
         let stats = c.stats().unwrap();
         assert!(
-            stats.contains("\"cache\":{\"hits\":7,\"misses\":2,\"entries\":2,"),
+            stats.contains("\"cache\":{\"hits\":2,\"misses\":1,\"entries\":2,"),
             "{stats}"
         );
         assert!(!stats.contains("shared"), "one memo tier: {stats}");
         c.shutdown().unwrap();
-        let report = daemon.join().unwrap();
-        assert!(report.drained_clean);
-        assert!(report.stats.evictions >= 2, "{:?}", report.stats.evictions);
-        assert_eq!(report.stats.cache.hits, 7, "{:?}", report.stats.cache);
     });
+    assert!(report.drained_clean);
+    assert!(report.stats.evictions >= 2, "{:?}", report.stats.evictions);
+    assert_eq!(report.stats.cache.hits, 2, "{:?}", report.stats.cache);
 }
 
 #[test]
@@ -219,8 +222,6 @@ fn concurrent_eviction_write_back_never_resurrects_stale_state() {
             retry_after_ms: 1,
         },
     );
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
     const ROUNDS: usize = 12;
     // Lockstep: a client starts round r only once the other has finished
     // round r-1, so the two clients overlap and the pool of one churns at
@@ -228,18 +229,16 @@ fn concurrent_eviction_write_back_never_resurrects_stale_state() {
     // inside a round still race freely. A client that panicked stops
     // counting; the deadline turns the wait into a failure, not a hang.
     let done = [AtomicUsize::new(0), AtomicUsize::new(0)];
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
+    let report = serve_while(&server, |addr| {
         {
-            let mut c = Client::connect(&addr).unwrap();
+            let mut c = Client::connect(addr).unwrap();
             c.load(1, 0, "r#0(a#1, h#2)").unwrap();
             c.load(2, 0, "r#0(a#1)").unwrap();
         }
         let worker = |doc: u64| {
-            let addr = addr.clone();
             let (mine, other) = (&done[doc as usize - 1], &done[2 - doc as usize]);
             move || {
-                let mut c = Client::connect(&addr).unwrap();
+                let mut c = Client::connect(addr).unwrap();
                 for round in 0..ROUNDS {
                     let deadline = Instant::now() + Duration::from_secs(30);
                     while other.load(Ordering::Acquire) < round {
@@ -271,20 +270,15 @@ fn concurrent_eviction_write_back_never_resurrects_stale_state() {
                 }
             }
         };
-        let a = scope.spawn(worker(1));
-        let b = scope.spawn(worker(2));
-        let (ra, rb) = (a.join(), b.join());
-        if let Err(panic) = ra.and(rb) {
-            // release the daemon thread before propagating the failure,
-            // or the scope hangs joining the still-serving daemon
-            if let Ok(mut c) = Client::connect(&addr) {
-                let _ = c.shutdown();
-            }
-            std::panic::resume_unwind(panic);
-        }
+        // a panicking client panics this scope, and `serve_while` stops
+        // the daemon
+        std::thread::scope(|clients| {
+            clients.spawn(worker(1));
+            clients.spawn(worker(2));
+        });
 
         // every committed insert survived the eviction churn
-        let mut c = Client::connect(&addr).unwrap();
+        let mut c = Client::connect(addr).unwrap();
         for (doc, seed_a) in [(1u64, 1), (2u64, 1)] {
             let view = c.open(doc).unwrap();
             assert_eq!(
@@ -294,21 +288,22 @@ fn concurrent_eviction_write_back_never_resurrects_stale_state() {
             );
         }
         c.shutdown().unwrap();
-        let report = daemon.join().unwrap();
-        assert!(report.drained_clean);
-        assert!(
-            report.stats.evictions >= ROUNDS as u64,
-            "pool of one under two clients must churn: {} evictions",
-            report.stats.evictions
-        );
     });
+    assert!(report.drained_clean);
+    assert!(
+        report.stats.evictions >= ROUNDS as u64,
+        "pool of one under two clients must churn: {} evictions",
+        report.stats.evictions
+    );
 }
 
 #[test]
 fn a_load_frame_holding_a_10k_level_chain_is_served() {
     // A family whose `a` chain hides a `b` under each `a`; one `load`
     // frame of about 30 KB holds a chain 10,000 levels deep. The daemon
-    // parses, validates and stores it, opens it, and keeps serving.
+    // parses, validates and stores it, opens it, propagates and commits
+    // an insert at the bottom — whose skeleton is the whole spine — and
+    // keeps serving.
     let mut alpha = Alphabet::new();
     let dtd = parse_dtd(&mut alpha, "r -> a?\na -> a?.b?").unwrap();
     let ann = parse_annotation(&mut alpha, "hide a b").unwrap();
@@ -319,14 +314,11 @@ fn a_load_frame_holding_a_10k_level_chain_is_served() {
         .build()
         .unwrap()];
     let server = Server::new(&engines, small_config());
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
     const DEPTH: usize = 10_000;
     let chain = format!("r({}b{})", "a(".repeat(DEPTH), ")".repeat(DEPTH));
     assert!((29_000..31_000).contains(&chain.len()), "{}", chain.len());
-    std::thread::scope(|scope| {
-        let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
-        let mut c = Client::connect(&addr).unwrap();
+    let report = serve_while(&server, |addr| {
+        let mut c = Client::connect(addr).unwrap();
         c.load(1, 0, &chain).unwrap();
         let view = c.open(1).unwrap();
         assert_eq!(
@@ -335,11 +327,20 @@ fn a_load_frame_holding_a_10k_level_chain_is_served() {
             "the view is the `a` spine"
         );
         assert!(!view.contains('b'), "b is hidden");
+        // the view as an identity script, plus a fresh `a` under the
+        // deepest `a` (a leaf of the view: its `b` is hidden)
+        let mut update = view.replace("a#", "nop:a#").replacen("r#", "nop:r#", 1);
+        let deepest = update.rfind("nop:a#").unwrap() + "nop:a#".len();
+        let id_end = deepest + update[deepest..].find(')').unwrap();
+        update.insert_str(id_end, "(ins:a#999999)");
+        let reply = c.propagate(1, &update).unwrap();
+        assert_eq!((reply.cost, reply.count), (1, 1));
+        c.commit(1).unwrap();
+        assert_eq!(c.open(1).unwrap().matches("a#").count(), DEPTH + 1);
         let stats = c.stats().unwrap();
         assert!(stats.contains("\"load\":1"), "{stats}");
         c.shutdown().unwrap();
-        let report = daemon.join().unwrap();
-        assert!(report.drained_clean);
-        assert_eq!(report.stats.errors, 0);
     });
+    assert!(report.drained_clean);
+    assert_eq!(report.stats.errors, 0);
 }

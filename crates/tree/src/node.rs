@@ -13,6 +13,13 @@ use std::fmt;
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u64);
 
+impl NodeId {
+    /// The largest identifier. `u64::MAX` is kept out of the identifier
+    /// space, so every identifier has a successor a [`NodeIdGen`] can move
+    /// past it to; every reader rejects it.
+    pub const MAX: NodeId = NodeId(u64::MAX - 1);
+}
+
 impl fmt::Debug for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "n{}", self.0)
@@ -47,12 +54,16 @@ impl NodeIdGen {
     }
 
     /// Allocates a fresh identifier.
+    ///
+    /// # Panics
+    /// Panics once [`NodeId::MAX`] has been handed out or bumped past.
     pub fn fresh(&mut self) -> NodeId {
+        assert!(
+            self.next <= NodeId::MAX.0,
+            "node identifier space exhausted"
+        );
         let id = NodeId(self.next);
-        self.next = self
-            .next
-            .checked_add(1)
-            .expect("node identifier space exhausted");
+        self.next += 1;
         id
     }
 
@@ -60,10 +71,11 @@ impl NodeIdGen {
     ///
     /// Used after constructing trees with explicit identifiers (paper
     /// fixtures, parsed `label#id` terms) so fresh nodes never collide.
+    /// Never wraps: bumped past [`NodeId::MAX`] (or `u64::MAX`), the
+    /// generator is exhausted, and [`NodeIdGen::fresh`] panics rather than
+    /// hand out a used identifier.
     pub fn bump_past(&mut self, id: NodeId) {
-        if id.0 >= self.next {
-            self.next = id.0 + 1;
-        }
+        self.next = self.next.max(id.0.saturating_add(1));
     }
 
     /// The next identifier that would be allocated (without allocating it).
@@ -117,6 +129,10 @@ mod tests {
         // bump below the current frontier is a no-op
         g.bump_past(NodeId(3));
         assert_eq!(g.fresh(), NodeId(43));
+        // the last identifier leaves the generator exhausted, not wrapped
+        g.bump_past(NodeId(u64::MAX));
+        assert_eq!(g.peek(), NodeId(u64::MAX));
+        assert!(std::panic::catch_unwind(move || g.fresh()).is_err());
     }
 
     #[test]

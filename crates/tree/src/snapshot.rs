@@ -485,6 +485,14 @@ fn decode_tree(bytes: &[u8], alpha: &mut Alphabet) -> Result<DocTree, SnapshotEr
     let mut sparse: HashMap<u64, u32> = HashMap::with_capacity(sparse_len);
     for b in sparse_bytes.chunks_exact(12) {
         let id = u64::from_le_bytes(b[0..8].try_into().expect("sparse id"));
+        // Identifiers past the dense table are indexed here, so this is
+        // where an out-of-range one surfaces; a node left unindexed fails
+        // `validate` below.
+        if id > NodeId::MAX.0 {
+            return Err(SnapshotError::Malformed(format!(
+                "identifier {id} is out of range"
+            )));
+        }
         let s = u32::from_le_bytes(b[8..12].try_into().expect("sparse slot"));
         if (id as usize) < dense.len() || s == VACANT || u64::from(s) >= node_count {
             return Err(SnapshotError::SlotOutOfRange {

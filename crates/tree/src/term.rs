@@ -226,7 +226,7 @@ impl<'a> TermCursor<'a> {
     }
 
     /// Reads an optional `#nat` identifier; `overflow` is the message for
-    /// digits beyond `u64`.
+    /// digits beyond [`NodeId::MAX`].
     pub fn id(&mut self, overflow: &str) -> Result<Option<NodeId>, TreeError> {
         if !self.eat(b'#') {
             return Ok(None);
@@ -239,8 +239,10 @@ impl<'a> TermCursor<'a> {
             return Err(self.error("expected digits after '#'"));
         }
         let digits = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        let raw: u64 = digits.parse().map_err(|_| self.error(overflow))?;
-        Ok(Some(NodeId(raw)))
+        match digits.parse() {
+            Ok(raw) if raw <= NodeId::MAX.0 => Ok(Some(NodeId(raw))),
+            _ => Err(self.error(overflow)),
+        }
     }
 
     /// A parse error at the current byte.

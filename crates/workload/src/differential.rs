@@ -10,6 +10,11 @@
 //! | one-shot | the `Instance`/`propagate` compatibility layer |
 //! | repair baseline | `xvu_repair` minimal-TED re-materialisation (§6.2) |
 //!
+//! The constant-complement search is held to the same matrix: the
+//! memo-on session (a skeleton forest), the memo-off session and the
+//! one-shot `find_complement_preserving` over the full forest must find
+//! the same script, or agree that none exists.
+//!
 //! plus the counting×enumeration cross-check: when `count_optimal` is
 //! small enough to enumerate, it must equal the number of *distinct*
 //! scripts produced by `enumerate_optimal`, each of which must verify at
@@ -24,10 +29,11 @@
 use crate::enumo::{enumerate_instances, EnumBudget, EnumeratedInstance};
 use crate::replay::instance_dump;
 use std::collections::BTreeMap;
-use xvu_dtd::InsertletPackage;
-use xvu_edit::{cost, output_tree, script_to_term};
+use xvu_dtd::{min_sizes, InsertletPackage};
+use xvu_edit::{cost, output_tree, script_to_term, Script};
 use xvu_propagate::{
-    count_optimal_propagations, propagate, Config, Engine, Instance, Propagation, Session,
+    count_optimal_propagations, find_complement_preserving, propagate, Config, CostModel, Engine,
+    Instance, Propagation, Session,
 };
 use xvu_repair::{repair_based_update, RepairConfig};
 use xvu_tree::{Alphabet, NodeIdGen};
@@ -210,6 +216,34 @@ pub fn differential_check(
         return Err(fail(format!(
             "session/one-shot disagreement: session {fp_cold:?} vs one-shot {:?}",
             fingerprint(&one_shot, &inst.alpha)
+        )));
+    }
+
+    // The constant-complement search: memo-on ≡ memo-off ≡ one-shot.
+    let term = |s: Option<Script>| s.map(|s| script_to_term(&s, &inst.alpha));
+    let complement_on = cached
+        .complement_preserving(&inst.update)
+        .map_err(|e| fail(format!("complement search failed (cached): {e}")))?;
+    let complement_off = uncached
+        .complement_preserving(&inst.update)
+        .map_err(|e| fail(format!("complement search failed (uncached): {e}")))?;
+    let sizes = min_sizes(&inst.dtd, inst.alpha.len());
+    let insertlets = InsertletPackage::new();
+    let cm = CostModel {
+        sizes: &sizes,
+        insertlets: &insertlets,
+    };
+    let complement_one_shot =
+        find_complement_preserving(&one_shot_inst, &one_shot.forest, &cm, &Config::default())
+            .map_err(|e| fail(format!("complement search failed (one-shot): {e}")))?;
+    let (on, off, one) = (
+        term(complement_on),
+        term(complement_off),
+        term(complement_one_shot),
+    );
+    if on != off || on != one {
+        return Err(fail(format!(
+            "complement disagreement: cached {on:?} vs uncached {off:?} vs one-shot {one:?}"
         )));
     }
 

@@ -124,6 +124,9 @@ impl<'a> Parser<'a> {
                         let raw: u64 = value
                             .parse()
                             .map_err(|_| self.err("xvu:id must be a non-negative integer"))?;
+                        if raw > NodeId::MAX.0 {
+                            return Err(self.err("xvu:id out of range"));
+                        }
                         explicit_id = Some(NodeId(raw));
                     }
                 }

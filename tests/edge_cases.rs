@@ -6,6 +6,7 @@
 //! simplest harness for failure injection.
 
 use xml_view_update::prelude::*;
+use xml_view_update::tree::{SnapshotError, TreeError};
 
 fn d0(alpha: &mut Alphabet) -> Dtd {
     parse_dtd(alpha, "r -> (a.(b+c).d)*\nd -> ((a+b).c)*").unwrap()
@@ -279,6 +280,94 @@ fn codecs_and_tree_walks_are_stack_safe_on_a_100k_level_chain() {
         .expect("spawn")
         .join()
         .expect("the codecs and walks must not overflow the stack");
+}
+
+/// `u64::MAX` is not an identifier: a generator bumped past it would
+/// wrap, and fresh identifiers would collide with the document's own.
+const RESERVED_ID: &str = "18446744073709551615";
+
+#[test]
+fn document_term_reader_rejects_the_reserved_identifier() {
+    let mut alpha = Alphabet::new();
+    let mut gen = NodeIdGen::new();
+    let term = format!("r#5(a#{RESERVED_ID})");
+    let err = parse_term_with_ids(&mut alpha, &mut gen, &term).unwrap_err();
+    assert!(
+        matches!(&err, TreeError::Parse { msg, .. } if msg.contains("out of range")),
+        "{err:?}"
+    );
+    // the largest identifier is still read, and exhausts the generator
+    // instead of wrapping it
+    let term = format!("r#5(a#{})", NodeId::MAX.0);
+    let t = parse_term_with_ids(&mut alpha, &mut gen, &term).unwrap();
+    assert!(t.contains(NodeId::MAX));
+    assert_eq!(gen.peek(), NodeId(u64::MAX));
+}
+
+#[test]
+fn script_term_reader_rejects_the_reserved_identifier() {
+    let mut alpha = Alphabet::new();
+    let term = format!("nop:r#5(ins:a#{RESERVED_ID})");
+    let err = parse_script(&mut alpha, &term).unwrap_err();
+    assert!(err.to_string().contains("out of range"), "{err}");
+}
+
+#[test]
+fn xml_reader_rejects_the_reserved_identifier() {
+    let mut alpha = Alphabet::new();
+    let mut gen = NodeIdGen::new();
+    let xml = format!(r#"<r xvu:id="5"><a xvu:id="{RESERVED_ID}"/></r>"#);
+    let err = read_xml(&mut alpha, &mut gen, &xml).unwrap_err();
+    assert!(err.to_string().contains("out of range"), "{err}");
+    assert_eq!(gen.peek(), NodeId(6), "the generator never wrapped");
+}
+
+#[test]
+fn snapshot_reader_rejects_the_reserved_identifier() {
+    // `r#0(a#M)` with `M` the largest identifier, an outlier the snapshot
+    // indexes sparsely. Every occurrence of `M` — the record, the child
+    // reference and the sparse index entry — is forged to `u64::MAX` and
+    // the trailing checksum recomputed: a consistent snapshot whose tree
+    // would otherwise load.
+    let mut alpha = Alphabet::new();
+    let mut gen = NodeIdGen::new();
+    let term = format!("r#0(a#{})", NodeId::MAX.0);
+    let t = parse_term_with_ids(&mut alpha, &mut gen, &term).unwrap();
+    let mut bytes = t.to_snapshot_bytes(&alpha).unwrap();
+    let n = bytes.len();
+    let (from, to) = (NodeId::MAX.0.to_le_bytes(), u64::MAX.to_le_bytes());
+    let mut forged = 0;
+    let mut i = 0;
+    while i + 8 <= n - 8 {
+        if bytes[i..i + 8] == from {
+            bytes[i..i + 8].copy_from_slice(&to);
+            forged += 1;
+            i += 8;
+        } else {
+            i += 1;
+        }
+    }
+    assert_eq!(forged, 3, "record, child reference and index entry");
+    let sum = snapshot_checksum(&bytes[..n - 8]);
+    bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    let err = DocTree::from_snapshot_bytes(&bytes, &mut alpha).unwrap_err();
+    assert!(
+        matches!(&err, SnapshotError::Malformed(m) if m.contains("out of range")),
+        "{err:?}"
+    );
+}
+
+/// The snapshot trailer: FNV-1a 64 folded over little-endian 8-byte
+/// words, the tail zero-padded, the length mixed in last.
+fn snapshot_checksum(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in bytes.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..w.len()].copy_from_slice(w);
+        h = (h ^ u64::from_le_bytes(word)).wrapping_mul(PRIME);
+    }
+    (h ^ bytes.len() as u64).wrapping_mul(PRIME)
 }
 
 #[test]
