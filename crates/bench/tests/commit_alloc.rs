@@ -1,17 +1,16 @@
 //! Allocation gate for `Session::commit` alone, across document size.
 //!
-//! A commit reads the script once — one walk against the document
-//! checks it and yields its footprint — and then rewrites only the
-//! changed parents' child lists and patches the view under them instead
-//! of extracting it again, so its allocation count must not grow with
-//! the document: one admission committed into a 10,011-node hospital may
-//! allocate only a small constant more than the same admission committed
-//! into a ~1k-node one, and never more than a fixed per-commit bound. The
-//! walk and the memo re-keying (the one remaining document-sized step)
-//! still visit every node, but into a fixed number of buffers (growing
-//! ones reallocate a few more times on a larger document); a view
-//! rebuilt from scratch allocates per view node and fails this gate by
-//! thousands.
+//! A commit reads the script once — one check against the document
+//! yields its footprint — and then rewrites only the changed parents'
+//! child lists and patches the view under them instead of extracting it
+//! again, so its allocation count must not grow with the document: one
+//! admission committed into a 10,011-node hospital may allocate only a
+//! small constant more than the same admission committed into a ~1k-node
+//! one, and never more than a fixed per-commit bound. The check's arena
+//! scans and the memo re-keying still visit every node, but into a fixed
+//! number of buffers (growing ones reallocate a few more times on a
+//! larger document); a view rebuilt from scratch allocates per view node
+//! and fails this gate by thousands.
 //!
 //! This file holds exactly one `#[test]`: the counter is process-global,
 //! so a second concurrently running test would pollute the tally.

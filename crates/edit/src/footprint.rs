@@ -1,4 +1,4 @@
-//! Script footprints and the one-walk script check.
+//! Script footprints and the slot-order script check.
 //!
 //! Incremental machinery on both sides of the pipeline needs the same
 //! analysis of an editing script `S`:
@@ -13,11 +13,16 @@
 //!
 //! [`ScriptFootprint`] holds both views of the footprint and is the single
 //! source of truth for "what did this script touch". [`check_script`]
-//! computes it in one pre-order walk that also checks the `Ins`/`Del`
-//! closure rules and, in lockstep with a tree `t`, whether `In(S) = t`.
+//! computes it together with the `Ins`/`Del` closure rules and, against a
+//! tree `t`, whether `In(S) = t`. It reads the script's arena in slot
+//! order, once to find the non-`Nop` nodes and once more to match the
+//! input nodes against `t` by identifier, and walks only the dirty region
+//! (the non-`Nop` nodes and their ancestors) in document order. Its cost
+//! is one arena scan per pass plus the dirty region, and the arena scan
+//! is a plain read of a contiguous slab, not a pointer chase.
 //! [`crate::apply_in_place`], [`crate::check_is_update_of`], and the
-//! instance, commit and verification checks of `xvu_propagate` are all
-//! that one walk, so a script is read once however many of these facts a
+//! instance, commit and verification checks of `xvu_propagate` all share
+//! that one check, so a script is read once however many of these facts a
 //! caller needs.
 
 use crate::error::EditError;
@@ -77,9 +82,9 @@ pub fn script_footprint(s: &Script) -> ScriptFootprint {
     check_script(s, None).into_footprint()
 }
 
-/// What one [`check_script`] walk learned about a script: its footprint,
-/// its first closure violation, and whether its input tree is the tree it
-/// was walked against.
+/// What one [`check_script`] learned about a script: its footprint, its
+/// first closure violation, and whether its input tree is the tree it was
+/// checked against.
 #[derive(Clone, Debug)]
 pub struct ScriptCheck {
     footprint: ScriptFootprint,
@@ -107,7 +112,7 @@ impl ScriptCheck {
 
     /// Whether `In(S) = t` exactly — identifiers, labels and structure,
     /// including the contents of deleted subtrees — for the tree `t` the
-    /// walk ran against. `false` without a tree, and when the root
+    /// check ran against. `false` without a tree, and when the root
     /// inserts (the input is empty). Meaningful only when
     /// [`ScriptCheck::closure`] holds.
     pub fn input_matches(&self) -> bool {
@@ -115,92 +120,115 @@ impl ScriptCheck {
     }
 }
 
-/// One pre-order walk of `s`, in lockstep with `t` when given: checks the
-/// closure rules, matches `In(S)` against `t`, and computes the
-/// footprint, in time linear in `|S|`.
+/// Checks `s` against `t` when given: the closure rules, whether
+/// `In(S) = t`, and the footprint, in time linear in `|S|` with a small
+/// constant — two scans of the script's arena in slot order plus a walk of
+/// the dirty region.
 ///
-/// Every script node is visited once, children pushed reversed so the
-/// stack pops them in document order. At each node the walk reads the
-/// child list once: each child is checked against the node's op (the
-/// closure rules), each non-`Ins` child against `t`'s child at the same
-/// input position (the lockstep), and a non-`Nop` child puts the node in
-/// the changed list and marks it and its ancestors dirty (up to the first
-/// ancestor already marked, so marking costs the dirty region once).
-/// Lockstep stops at the first mismatch; the walk goes on, so the
-/// footprint and the closure result always cover the whole script.
+/// * **Pass 1** visits the non-`Nop` nodes: each marks its parent
+///   *edited* and itself and its ancestors dirty, up to the first ancestor
+///   already marked, so marking costs the dirty region once.
+/// * **Pass 2**, only with a tree, matches each input (non-`Ins`) node
+///   with `t`'s node of the same identifier: the label, then the child
+///   list — one slice compare, or, for an edited node, its non-`Ins`
+///   children in order. With equal roots, every input node found in place
+///   means `In(S) = t`: the matched child lists reach every input node
+///   from the root, and a node of `t` outside `In(S)` would hang under an
+///   input node whose child list then differs. The size test
+///   `|S| − #Ins = |t|` follows from that; it runs first, so a tree of the
+///   wrong size costs no scan. The pass stops at the first mismatch.
+/// * **The walk** visits the dirty nodes in document order, children
+///   pushed reversed, and lists the changed nodes. Every closure violation
+///   sits at a non-`Nop` parent, which is dirty, so the walk also finds
+///   the first violation in [`crate::validate_script`]'s order.
+///
+/// The footprint and the closure result always cover the whole script.
 pub fn check_script(s: &Script, t: Option<&DocTree>) -> ScriptCheck {
-    let resolve = |id: NodeId| s.slot(id).expect("script child in script");
-    let root = s.root();
-    let root_label = s.label(root);
-    // Whether every input node walked so far sits at the same place of
-    // `t`, with the same identifier and label.
-    let mut matching = t.is_some_and(|t| {
-        root_label.op != EditOp::Ins && t.root() == root && t.label(root) == root_label.label
+    let resolve = |id: NodeId| s.slot(id).expect("script node in script");
+    let size = s.size();
+    let mut dirty = SlotSet::with_capacity(size);
+    let mut edited = SlotSet::with_capacity(size);
+    let mut inserted = 0usize;
+    for slot in s.slots() {
+        let node = s.node_at(slot);
+        match node.label.op {
+            EditOp::Nop => continue,
+            EditOp::Ins => inserted += 1,
+            EditOp::Del => {}
+        }
+        if let Some(p) = node.parent {
+            edited.insert(resolve(p));
+        }
+        let mut cur = Some(slot);
+        while let Some(cs) = cur {
+            if !dirty.insert(cs) {
+                break;
+            }
+            cur = s.node_at(cs).parent.map(resolve);
+        }
+    }
+    let input_matches = t.is_some_and(|t| {
+        let root = s.root();
+        s.label(root).op != EditOp::Ins
+            && t.root() == root
+            && size - inserted == t.size()
+            && s.slots().all(|slot| {
+                let node = s.node_at(slot);
+                node.label.op == EditOp::Ins
+                    || t.slot(node.id).is_some_and(|ts| {
+                        let tn = t.node_at(ts);
+                        tn.label == node.label.label
+                            && if edited.contains(slot) {
+                                node.children
+                                    .iter()
+                                    .filter(|&&c| s.node_at(resolve(c)).label.op != EditOp::Ins)
+                                    .eq(&tn.children)
+                            } else {
+                                node.children == tn.children
+                            }
+                    })
+            })
     });
     let mut changed = Vec::new();
-    let mut dirty = SlotSet::with_capacity(s.size());
     let mut closure = None;
-    // (slot, inside a deleted subtree, inside an inserted subtree)
-    let mut stack = vec![(resolve(root), false, false)];
-    while let Some((slot, in_del, in_ins)) = stack.pop() {
+    let root = resolve(s.root());
+    // (slot, inside a deleted subtree)
+    let mut stack = Vec::new();
+    if dirty.contains(root) {
+        stack.push((root, false));
+    }
+    while let Some((slot, in_del)) = stack.pop() {
         let node = s.node_at(slot);
         let op = node.label.op;
         let in_del = in_del || op == EditOp::Del;
-        let in_ins = in_ins || op == EditOp::Ins;
-        // An input node reached while matching is in `t`.
-        let t_kids = match t {
-            Some(t) if matching && !in_ins => Some((t, t.children(node.id))),
-            _ => None,
-        };
-        let mut ti = 0usize;
-        let mut edited_child = false;
+        if !in_del && (op == EditOp::Ins || edited.contains(slot)) {
+            changed.push(node.id);
+        }
         let first = stack.len();
         for &c in &node.children {
             let cslot = resolve(c);
-            let cl = s.node_at(cslot).label;
-            if closure.is_none() {
+            if closure.is_none() && op != EditOp::Nop {
+                let cop = s.node_at(cslot).label.op;
                 closure = match op {
-                    EditOp::Ins if cl.op != EditOp::Ins => Some(EditError::InsClosureViolated(c)),
-                    EditOp::Del if cl.op != EditOp::Del => Some(EditError::DelClosureViolated(c)),
+                    EditOp::Ins if cop != EditOp::Ins => Some(EditError::InsClosureViolated(c)),
+                    EditOp::Del if cop != EditOp::Del => Some(EditError::DelClosureViolated(c)),
                     _ => None,
                 };
             }
-            edited_child |= cl.op != EditOp::Nop;
-            if let Some((t, kids)) = t_kids {
-                if cl.op != EditOp::Ins {
-                    matching &= kids
-                        .get(ti)
-                        .is_some_and(|&tc| tc == c && t.label(tc) == cl.label);
-                    ti += 1;
-                }
+            if dirty.contains(cslot) {
+                stack.push((cslot, in_del));
             }
-            stack.push((cslot, in_del, in_ins));
         }
         stack[first..].reverse();
-        if let Some((_, kids)) = t_kids {
-            matching &= ti == kids.len();
-        }
-        if !in_del && (op == EditOp::Ins || edited_child) {
-            changed.push(node.id);
-        }
-        if op != EditOp::Nop || edited_child {
-            let mut cur = Some(slot);
-            while let Some(cs) = cur {
-                if !dirty.insert(cs) {
-                    break;
-                }
-                cur = s.node_at(cs).parent.map(resolve);
-            }
-        }
     }
     ScriptCheck {
         footprint: ScriptFootprint {
             changed,
             dirty,
-            size: s.size(),
+            size,
         },
         closure,
-        input_matches: matching,
+        input_matches,
     }
 }
 

@@ -21,9 +21,10 @@
 //!   analysis: the changed child-word region (for incremental
 //!   revalidation) and the entirely-`Nop` clean region (for propagation
 //!   caching);
-//! * [`check_script`] — the one walk of a script against a tree: the
-//!   closure rules, `In(S) = t` in lockstep, and the footprint, in a
-//!   single pre-order pass that every script-against-tree check shares;
+//! * [`check_script`] — the one check of a script against a tree: the
+//!   closure rules, `In(S) = t` and the footprint, from two slot-order
+//!   scans of the script's arena plus a walk of its dirty region, shared
+//!   by every script-against-tree check;
 //! * [`ins_script`] / [`del_script`] / [`nop_script`] — the paper's
 //!   `Ins(t)`, `Del(t)`, `Nop(t)` lifts;
 //! * [`UpdateBuilder`] — positional *delete-subtree* / *insert-subtree*

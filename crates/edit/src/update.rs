@@ -15,8 +15,9 @@ use std::collections::HashSet;
 use xvu_tree::{DocTree, NodeId};
 
 /// Checks that `s` is well-formed and `In(s)` equals `view`
-/// (identifier-sensitive). The comparison walks `s` and `view` in
-/// lockstep; the input tree is never materialised.
+/// (identifier-sensitive). Each input node of `s` is matched with the
+/// view's node of the same identifier ([`check_script`]); the input tree
+/// is never materialised.
 pub fn check_is_update_of(s: &Script, view: &DocTree) -> Result<(), EditError> {
     update_footprint(s, view).map(drop)
 }

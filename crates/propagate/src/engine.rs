@@ -629,10 +629,11 @@ impl<'e> Session<'e> {
 
     /// Advances the session to the propagation's output document.
     ///
-    /// The script is read once: one walk against the session document
-    /// ([`xvu_edit::check_script`]) checks the closure rules and
-    /// `In(S) = t` and yields the script's footprint. Every later step
-    /// visits only that footprint. The output is schema-checked
+    /// The script is read once: one check against the session document
+    /// ([`xvu_edit::check_script`]: two scans of the script's arena in
+    /// slot order plus a walk of its dirty region) checks the closure
+    /// rules and `In(S) = t` and yields the script's footprint. Every
+    /// later step visits only that footprint. The output is schema-checked
     /// *incrementally* — only the changed child words are re-validated,
     /// as [`crate::revalidate_output`] does — instead of the full
     /// validation a fresh [`Engine::open`] would run. The propagation is
@@ -651,14 +652,15 @@ impl<'e> Session<'e> {
     /// subtree. The identifier high-water mark is bumped past the inserted
     /// identifiers and never rewinds.
     ///
-    /// Besides the walk — the paper's propagation script spans the whole
-    /// source, so reading it once is the floor — the one remaining
-    /// document-sized step is the intern-id re-key, which carries every
-    /// node's memo key across the slots the in-place apply relocates. A
-    /// failed commit changes nothing.
+    /// Two steps still read every node. The check scans the whole script,
+    /// because the paper's propagation script spans the whole source; a
+    /// sparse script would let it read only the dirty skeleton. The
+    /// intern-id re-key carries every node's memo key across the slots
+    /// the in-place apply relocates; slots that never move would remove
+    /// it. A failed commit changes nothing.
     pub fn commit(&mut self, prop: &Propagation) -> Result<(), PropagateError> {
-        // One walk of the script against the document: the closure rules,
-        // `In(S) = t`, and the footprint every later step reads.
+        // One check of the script against the document: the closure
+        // rules, `In(S) = t`, and the footprint every later step reads.
         let check = check_script(&prop.script, Some(&self.doc));
         check.closure()?;
         revalidate_changed(&self.engine.dtd, &prop.script, check.footprint())?;
@@ -857,7 +859,7 @@ mod tests {
     fn open_is_stack_safe_on_a_20k_level_chain() {
         // r → a?, a → a?·b?: a chain one node per level, opened on a
         // thread with a 256 KiB stack. The view extraction and the
-        // lockstep `In(S)` check both walk the whole chain, and so does
+        // `In(S)` check both read the whole chain, and so does
         // the identity update's count fill: its one lookup, at the clean
         // root, misses and counts every level.
         let mut alpha = Alphabet::new();
@@ -953,6 +955,57 @@ mod tests {
                 .join()
                 .expect("propagate, count, complement search and commit must not overflow");
             assert_eq!((cost, size), (1, 20_003), "memo {memo}");
+        }
+    }
+
+    #[test]
+    fn inserting_a_20k_level_chain_is_stack_safe() {
+        // r → a?, a → a?·b?, hide a b: an update inserts a chain of
+        // 20,000 `a`s under the document's one `a`. Propagation inverts
+        // the inserted fragment level by level, counting multiplies its
+        // minimal inverses level by level, and commit attaches it whole —
+        // on a thread with a 256 KiB stack.
+        const DEPTH: usize = 20_000;
+        let mut alpha = Alphabet::new();
+        let dtd = xvu_dtd::parse_dtd(&mut alpha, "r -> a?\na -> a?.b?").unwrap();
+        let ann = xvu_view::parse_annotation(&mut alpha, "hide a b").unwrap();
+        let a = alpha.get("a").unwrap();
+        let mut gen = NodeIdGen::new();
+        let doc = xvu_tree::parse_term_with_ids(&mut alpha, &mut gen, "r#0(a#1(b#2))").unwrap();
+        for memo in [true, false] {
+            let engine = Engine::builder()
+                .alphabet(alpha.clone())
+                .dtd(dtd.clone())
+                .annotation(ann.clone())
+                .prop_cache(memo)
+                .build()
+                .unwrap();
+            let doc = doc.clone();
+            let (cost, size) = std::thread::Builder::new()
+                .stack_size(256 * 1024)
+                .spawn(move || {
+                    let mut session = engine.open(&doc).expect("the document is valid");
+                    let mut update = nop_script(session.view());
+                    let mut ids = session.id_gen();
+                    let mut parent = NodeId(1);
+                    for _ in 0..DEPTH {
+                        let id = ids.fresh();
+                        update
+                            .add_child_with_id(parent, id, ELabel::ins(a))
+                            .unwrap();
+                        parent = id;
+                    }
+                    let prop = session.propagate(&update).expect("the insert propagates");
+                    assert_eq!(count_optimal_propagations(&prop.forest), Some(1));
+                    assert_eq!(session.count_optimal(&update).expect("it counts"), 1);
+                    session.commit(&prop).expect("the propagation commits");
+                    assert!(session.document().contains(parent));
+                    (prop.cost, session.document().size())
+                })
+                .unwrap()
+                .join()
+                .expect("propagate, count and commit must not overflow");
+            assert_eq!((cost, size), (DEPTH as u64, DEPTH + 3), "memo {memo}");
         }
     }
 

@@ -109,8 +109,8 @@ impl Prepared {
 /// A validated view-update problem instance.
 ///
 /// Given the source artefacts, validation costs time proportional to the
-/// update: one walk ([`xvu_edit::check_script`]) checks the closure rules,
-/// matches `In(S)` against the view in lockstep and yields the footprint;
+/// update: one check ([`xvu_edit::check_script`]) checks the closure
+/// rules, matches `In(S)` against the view and yields the footprint;
 /// the hidden-identifier check then visits only the inserted nodes, and
 /// `Out(S)` is never materialised — the view-DTD check reads the changed
 /// child words straight off the script.

@@ -25,6 +25,7 @@ use crate::error::PropagateError;
 use crate::pathgraph::PathGraph;
 use crate::scratch::PropScratch;
 use crate::selection::{Classify, EdgeClass, Selector};
+use std::borrow::Cow;
 use xvu_automata::StateId;
 use xvu_dtd::Dtd;
 use xvu_tree::{DocTree, NodeId, NodeIdGen, Slot, SlotMap, Sym, Tree};
@@ -176,37 +177,35 @@ impl InversionForest {
         gen: &mut NodeIdGen,
         witness_budget: u64,
     ) -> Result<DocTree, PropagateError> {
-        self.materialize_node(
-            self.fragment.root(),
-            dtd,
-            cost,
-            selector,
-            gen,
-            witness_budget,
-        )
+        let root = self.fragment.root();
+        let (opt, path) = self.optimal_path(root, selector)?;
+        self.materialize_path(root, &opt, &path, dtd, cost, selector, gen, witness_budget)
     }
 
-    fn materialize_node(
+    /// The optimal subgraph of `H_n` and the path `selector` picks in it.
+    fn optimal_path(
         &self,
         n: NodeId,
-        dtd: &Dtd,
-        cost: &CostModel<'_>,
         selector: Selector,
-        gen: &mut NodeIdGen,
-        witness_budget: u64,
-    ) -> Result<DocTree, PropagateError> {
-        let g = &self.graphs[self.slot_of(n)];
-        let opt = g
+    ) -> Result<(InvGraph, Vec<u32>), PropagateError> {
+        let opt = self.graphs[self.slot_of(n)]
             .optimal_subgraph()
             .ok_or(PropagateError::InversionImpossible(n))?;
         let path = opt
             .walk(|g, outs| selector.pick(g, outs))
             .ok_or(PropagateError::InversionImpossible(n))?;
-        self.materialize_path(n, &opt, &path, dtd, cost, selector, gen, witness_budget)
+        Ok((opt, path))
     }
 
     /// Builds the inverse tree for node `n` from an explicit edge path in
-    /// (a subgraph of) its inversion graph.
+    /// (a subgraph of) its inversion graph; each kept child below it is
+    /// inverted along the path `selector` picks in its optimal subgraph.
+    ///
+    /// One output tree is built in document order on an explicit stack of
+    /// frames — a node, its path and the next edge — so no fragment depth
+    /// can overflow the native stack and no subtree is copied twice. A kept
+    /// child's frame runs to the end before its parent's next edge, so
+    /// padding identifiers are drawn from `gen` in document order.
     #[allow(clippy::too_many_arguments)]
     pub fn materialize_path(
         &self,
@@ -220,21 +219,27 @@ impl InversionForest {
         witness_budget: u64,
     ) -> Result<DocTree, PropagateError> {
         let mut tree = Tree::leaf_with_id(n, self.fragment.label(n));
-        let root = tree.root();
-        for &e in path {
+        let mut frames = vec![(n, Cow::Borrowed(graph), Cow::Borrowed(path), 0usize)];
+        while let Some((node, graph, path, next)) = frames.last_mut() {
+            let Some(&e) = path.get(*next) else {
+                frames.pop();
+                continue;
+            };
+            *next += 1;
+            let node = *node;
             match &graph.edge(e).payload {
                 InvEdge::Ins(y) => {
                     let frag =
                         cost.insertlets
                             .instantiate(dtd, cost.sizes, *y, gen, witness_budget)?;
-                    let pos = tree.children(root).len();
-                    tree.attach_subtree(root, pos, frag)?;
+                    let pos = tree.children(node).len();
+                    tree.attach_subtree(node, pos, frag)?;
                 }
                 InvEdge::Rec { child, .. } => {
-                    let sub =
-                        self.materialize_node(*child, dtd, cost, selector, gen, witness_budget)?;
-                    let pos = tree.children(root).len();
-                    tree.attach_subtree(root, pos, sub)?;
+                    let child = *child;
+                    let (opt, path) = self.optimal_path(child, selector)?;
+                    tree.add_child_with_id(node, child, self.fragment.label(child))?;
+                    frames.push((child, Cow::Owned(opt), Cow::Owned(path), 0));
                 }
             }
         }
@@ -348,23 +353,27 @@ impl InversionForest {
     }
 
     /// Counts size-minimal inverses — the number of cheapest inversion
-    /// paths, multiplied recursively through `Rec` edges (saturating
-    /// `u128`). Distinct counts correspond to distinct inverses when
-    /// content models are deterministic.
+    /// paths, multiplied through `Rec` edges (saturating `u128`). Distinct
+    /// counts correspond to distinct inverses when content models are
+    /// deterministic.
+    ///
+    /// One post-order pass over the fragment: each node is counted after
+    /// the children its `Rec` edges multiply in, with no recursion.
     pub fn count_min_inverses(&self) -> u128 {
-        self.count_node(self.fragment.root())
-    }
-
-    fn count_node(&self, n: NodeId) -> u128 {
-        let g = &self.graphs[self.slot_of(n)];
-        let Some(opt) = g.optimal_subgraph() else {
-            return 0;
-        };
-        opt.count_paths(|e| match e {
-            InvEdge::Ins(_) => 1,
-            InvEdge::Rec { child, .. } => self.count_node(*child),
-        })
-        .expect("optimal subgraphs are acyclic (paper, Further results)")
+        let mut counts: SlotMap<u128> = SlotMap::with_capacity(self.fragment.size());
+        for n in self.fragment.postorder() {
+            let count = match self.graphs[self.slot_of(n)].optimal_subgraph() {
+                None => 0,
+                Some(opt) => opt
+                    .count_paths(|e| match e {
+                        InvEdge::Ins(_) => 1,
+                        InvEdge::Rec { child, .. } => counts[self.slot_of(*child)],
+                    })
+                    .expect("optimal subgraphs are acyclic (paper, Further results)"),
+            };
+            counts.insert(self.slot_of(n), count);
+        }
+        counts[self.slot_of(self.fragment.root())]
     }
 }
 
@@ -616,6 +625,84 @@ mod tests {
         };
         let err = InversionForest::build(&fx.dtd, &fx.ann, &frag, &cm).unwrap_err();
         assert_eq!(err, PropagateError::InversionImpossible(NodeId(90)));
+    }
+
+    /// `materialize_min` as it was: one tree per node, each kept child
+    /// materialised recursively and attached to its parent's tree.
+    fn recursive_materialize(
+        forest: &InversionForest,
+        n: NodeId,
+        dtd: &Dtd,
+        cost: &CostModel<'_>,
+        gen: &mut NodeIdGen,
+    ) -> DocTree {
+        let opt = forest.graph(n).unwrap().optimal_subgraph().unwrap();
+        let path = opt
+            .walk(|g, outs| Selector::PreferNop.pick(g, outs))
+            .unwrap();
+        let mut tree = Tree::leaf_with_id(n, forest.fragment.label(n));
+        let root = tree.root();
+        for e in path {
+            let sub = match &opt.edge(e).payload {
+                InvEdge::Ins(y) => cost
+                    .insertlets
+                    .instantiate(dtd, cost.sizes, *y, gen, 1_000)
+                    .unwrap(),
+                InvEdge::Rec { child, .. } => recursive_materialize(forest, *child, dtd, cost, gen),
+            };
+            let pos = tree.children(root).len();
+            tree.attach_subtree(root, pos, sub).unwrap();
+        }
+        tree
+    }
+
+    #[test]
+    fn materialization_matches_the_recursive_one_exactly() {
+        // Identifiers, structure, arena order and the generator state after
+        // it: padding identifiers are drawn in the same order. The chain
+        // needs a hidden `h` at every level, so fresh identifiers are drawn
+        // at every depth.
+        use xvu_dtd::parse_dtd;
+        use xvu_view::parse_annotation;
+        let fx = fixtures::paper_running_example();
+        let (_, fig6_frag) = fig6();
+        let mut alpha = xvu_tree::Alphabet::new();
+        let chain_dtd = parse_dtd(&mut alpha, "r -> a\na -> h.a?").unwrap();
+        let chain_ann = parse_annotation(&mut alpha, "hide a h").unwrap();
+        let mut chain_term = String::from("r");
+        for _ in 0..300 {
+            chain_term.push_str("(a");
+        }
+        chain_term.push_str(&")".repeat(300));
+        let chain = parse_term_with_ids(&mut alpha, &mut NodeIdGen::new(), &chain_term).unwrap();
+        let cases = [
+            (&fx.dtd, &fx.ann, fig6_frag, fx.alpha.len()),
+            (
+                &fx.dtd,
+                &fx.ann,
+                extract_view(&fx.ann, &fx.t0),
+                fx.alpha.len(),
+            ),
+            (&chain_dtd, &chain_ann, chain, alpha.len()),
+        ];
+        for (dtd, ann, frag, alphabet_len) in cases {
+            let sizes = min_sizes(dtd, alphabet_len);
+            let pkg = InsertletPackage::new();
+            let cm = CostModel {
+                sizes: &sizes,
+                insertlets: &pkg,
+            };
+            let forest = InversionForest::build(dtd, ann, &frag, &cm).unwrap();
+            let mut gen = NodeIdGen::starting_at(10_000);
+            let mut ref_gen = gen.clone();
+            let got = forest
+                .materialize_min(dtd, &cm, Selector::PreferNop, &mut gen, 1_000)
+                .unwrap();
+            let want = recursive_materialize(&forest, frag.root(), dtd, &cm, &mut ref_gen);
+            assert!(got == want);
+            assert!(got.node_ids().eq(want.node_ids()), "arena order");
+            assert_eq!(gen.fresh(), ref_gen.fresh());
+        }
     }
 
     #[test]

@@ -302,8 +302,9 @@ fn a_load_frame_holding_a_10k_level_chain_is_served() {
     // A family whose `a` chain hides a `b` under each `a`; one `load`
     // frame of about 30 KB holds a chain 10,000 levels deep. The daemon
     // parses, validates and stores it, opens it, propagates and commits
-    // an insert at the bottom — whose skeleton is the whole spine — and
-    // keeps serving.
+    // an insert at the bottom — whose skeleton is the whole spine —
+    // propagates an insert of another 10,000-level chain there, and keeps
+    // serving.
     let mut alpha = Alphabet::new();
     let dtd = parse_dtd(&mut alpha, "r -> a?\na -> a?.b?").unwrap();
     let ann = parse_annotation(&mut alpha, "hide a b").unwrap();
@@ -336,7 +337,22 @@ fn a_load_frame_holding_a_10k_level_chain_is_served() {
         let reply = c.propagate(1, &update).unwrap();
         assert_eq!((reply.cost, reply.count), (1, 1));
         c.commit(1).unwrap();
-        assert_eq!(c.open(1).unwrap().matches("a#").count(), DEPTH + 1);
+        let view = c.open(1).unwrap();
+        assert_eq!(view.matches("a#").count(), DEPTH + 1);
+        // one `propagate` frame inserting a chain of DEPTH more `a`s under
+        // the new bottom `a`: the inserted fragment is inverted, counted
+        // and printed level by level
+        let mut update = view.replace("a#", "nop:a#").replacen("r#", "nop:r#", 1);
+        let bottom = update.find("nop:a#999999").unwrap() + "nop:a#999999".len();
+        let mut chain = String::from("(");
+        for i in 0..DEPTH {
+            let sep = if i + 1 < DEPTH { "(" } else { "" };
+            chain.push_str(&format!("ins:a#{}{sep}", 2_000_000 + i));
+        }
+        chain.push_str(&")".repeat(DEPTH));
+        update.insert_str(bottom, &chain);
+        let reply = c.propagate(1, &update).unwrap();
+        assert_eq!((reply.cost, reply.count), (DEPTH as u64, 1));
         let stats = c.stats().unwrap();
         assert!(stats.contains("\"load\":1"), "{stats}");
         c.shutdown().unwrap();

@@ -5,6 +5,7 @@
 //! both entry points must keep working, and the one-shot path is the
 //! simplest harness for failure injection.
 
+use xml_view_update::edit::check_script;
 use xml_view_update::prelude::*;
 use xml_view_update::tree::{SnapshotError, TreeError};
 
@@ -240,9 +241,10 @@ fn moderately_deep_documents_work_on_default_stacks() {
 
 #[test]
 fn codecs_and_tree_walks_are_stack_safe_on_a_100k_level_chain() {
-    // The term and script codecs, the XML codec, the script projections
-    // and the whole-tree walks each handle a 100,000-level chain on a
-    // 256 KiB stack: none of them recurses per level.
+    // The term and script codecs, the XML codec, the script projections,
+    // the whole-tree walks and the script check each handle a
+    // 100,000-level chain on a 256 KiB stack: none of them recurses per
+    // level.
     std::thread::Builder::new()
         .stack_size(256 * 1024)
         .spawn(|| {
@@ -276,6 +278,18 @@ fn codecs_and_tree_walks_are_stack_safe_on_a_100k_level_chain() {
 
             let copy = chain.with_fresh_ids(&mut gen);
             assert!(copy.isomorphic(&chain) && copy != chain, "fresh-id copy");
+
+            // an insert at the bottom dirties the whole spine
+            let mut edit = nop_script(&chain);
+            let fresh = gen.fresh();
+            edit.add_child_with_id(cur, fresh, ELabel::ins(a)).unwrap();
+            let check = check_script(&edit, Some(&chain));
+            assert!(check.closure().is_ok() && check.input_matches(), "check");
+            assert_eq!(check.footprint().changed(), &[cur, fresh]);
+            assert_eq!(check.footprint().clean_len(), 0);
+            let fp = script_footprint(&edit);
+            assert_eq!(fp.changed(), &[cur, fresh]);
+            assert_eq!(fp.clean_len(), 0);
         })
         .expect("spawn")
         .join()
