@@ -33,6 +33,13 @@
 //! reported as min / median / max over the K updates, so the complexity
 //! curve in document size is a checked-in row, not only the constant.
 //! The file records `nproc` and the git revision it was measured at.
+//!
+//! Since schema /8 a `worst_case` section times the documented worst
+//! shapes with the admission rows' timed region: a `star` (one root with
+//! 1k, 10k or 100k children, `r → a*`, a 1-node insert under the root)
+//! and a `chain` (1k, 10k or 100k levels, `r → a?`, `a → a?·b?` with `b`
+//! hidden, a 1-node insert at the bottom, so the whole spine is dirty),
+//! and the admission section records the 100k/1k ratio of its medians.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -41,9 +48,11 @@ use xvu_bench::{
     enumerated_regime_rows, git_revision, hospital_churn_batch, hospital_update_batch, median_time,
     random_update_batch, run_churn_session, OwnedInstance,
 };
-use xvu_edit::Script;
-use xvu_propagate::{Engine, GraphScratch};
-use xvu_tree::NodeIdGen;
+use xvu_dtd::parse_dtd;
+use xvu_edit::{nop_script, ELabel, Script};
+use xvu_propagate::{Engine, GraphScratch, Session};
+use xvu_tree::{Alphabet, DocTree, NodeIdGen};
+use xvu_view::parse_annotation;
 use xvu_workload::scenario::{admit_patient, hospital, hospital_doc};
 
 /// Median engine-amortized wall time for one workload, in nanoseconds.
@@ -207,6 +216,31 @@ struct AdmissionRow {
     commit_ms: Spread,
 }
 
+/// Times `warmup + updates` edits through `session`, each built by
+/// `next` outside the timed region: `Session::propagate` and
+/// `Session::commit` timed separately, the first `warmup` edits untimed.
+fn timed_edits(
+    session: &mut Session<'_>,
+    warmup: usize,
+    updates: usize,
+    mut next: impl FnMut(&Session<'_>) -> Script,
+) -> (Spread, Spread) {
+    let (mut propagate, mut commit) = (Vec::new(), Vec::new());
+    for i in 0..warmup + updates {
+        let update = next(session);
+        let t0 = Instant::now();
+        let prop = session.propagate(&update).expect("the edit propagates");
+        let t1 = Instant::now();
+        session.commit(&prop).expect("the edit commits");
+        let t2 = Instant::now();
+        if i >= warmup {
+            propagate.push(t1 - t0);
+            commit.push(t2 - t1);
+        }
+    }
+    (Spread::of(propagate), Spread::of(commit))
+}
+
 /// Admissions into department 0 of a `departments × 125` hospital
 /// through one session: `warmup` untimed ones fill the memo, then
 /// `updates` timed ones, `Session::propagate` and `Session::commit`
@@ -218,26 +252,113 @@ fn admission_row(departments: usize, warmup: usize, updates: usize) -> Admission
     let doc = hospital_doc(&h, departments, 125, &mut gen);
     let engine = Engine::new(h.alpha.clone(), h.dtd.clone(), h.ann.clone());
     let mut session = engine.open(&doc).expect("hospital documents are valid");
-    let (mut propagate, mut commit) = (Vec::new(), Vec::new());
-    for i in 0..warmup + updates {
+    let (propagate_ms, commit_ms) = timed_edits(&mut session, warmup, updates, |session| {
         let mut ids = session.id_gen();
-        let update = admit_patient(&h, session.document(), 0, &mut ids);
-        let t0 = Instant::now();
-        let prop = session.propagate(&update).expect("admissions propagate");
-        let t1 = Instant::now();
-        session.commit(&prop).expect("admissions commit");
-        let t2 = Instant::now();
-        if i >= warmup {
-            propagate.push(t1 - t0);
-            commit.push(t2 - t1);
-        }
-    }
+        admit_patient(&h, session.document(), 0, &mut ids)
+    });
     AdmissionRow {
         departments,
         doc_nodes: doc.size(),
-        propagate_ms: Spread::of(propagate),
-        commit_ms: Spread::of(commit),
+        propagate_ms,
+        commit_ms,
     }
+}
+
+/// One size of a worst-case shape.
+struct ShapeRow {
+    size: usize,
+    doc_nodes: usize,
+    propagate_ms: Spread,
+    commit_ms: Spread,
+}
+
+/// 1-node inserts into a star: one root with `children` `a` children
+/// under `r → a*`, nothing hidden, each insert appended under the root.
+fn star_row(children: usize, warmup: usize, updates: usize) -> ShapeRow {
+    let mut alpha = Alphabet::new();
+    let dtd = parse_dtd(&mut alpha, "r -> a*").expect("star DTD");
+    let ann = parse_annotation(&mut alpha, "").expect("empty annotation");
+    let (r, a) = (alpha.get("r").unwrap(), alpha.get("a").unwrap());
+    let mut gen = NodeIdGen::new();
+    let mut doc = DocTree::leaf(&mut gen, r);
+    let root = doc.root();
+    for _ in 0..children {
+        doc.add_child(root, &mut gen, a);
+    }
+    let engine = Engine::new(alpha, dtd, ann);
+    let mut session = engine.open(&doc).expect("the star is valid");
+    let (propagate_ms, commit_ms) = timed_edits(&mut session, warmup, updates, |session| {
+        let mut update = nop_script(session.view());
+        let fresh = session.id_gen().fresh();
+        update
+            .add_child_with_id(root, fresh, ELabel::ins(a))
+            .expect("the root is in the view");
+        update
+    });
+    ShapeRow {
+        size: children,
+        doc_nodes: doc.size(),
+        propagate_ms,
+        commit_ms,
+    }
+}
+
+/// 1-node inserts at the bottom of a chain of `levels` `a` nodes under
+/// `r → a?`, `a → a?·b?` with `b` hidden (the deepest `a` holds the one
+/// `b`): each insert puts an `a` under the deepest `a` of the view, so
+/// the whole spine is dirty.
+fn chain_row(levels: usize, warmup: usize, updates: usize) -> ShapeRow {
+    let mut alpha = Alphabet::new();
+    let dtd = parse_dtd(&mut alpha, "r -> a?\na -> a?.b?").expect("chain DTD");
+    let ann = parse_annotation(&mut alpha, "hide a b").expect("chain annotation");
+    let (r, a, b) = (
+        alpha.get("r").unwrap(),
+        alpha.get("a").unwrap(),
+        alpha.get("b").unwrap(),
+    );
+    let mut gen = NodeIdGen::new();
+    let mut doc = DocTree::leaf(&mut gen, r);
+    let mut bottom = doc.root();
+    for _ in 0..levels {
+        bottom = doc.add_child(bottom, &mut gen, a);
+    }
+    doc.add_child(bottom, &mut gen, b);
+    let engine = Engine::new(alpha, dtd, ann);
+    let mut session = engine.open(&doc).expect("the chain is valid");
+    let (propagate_ms, commit_ms) = timed_edits(&mut session, warmup, updates, |session| {
+        let mut update = nop_script(session.view());
+        let fresh = session.id_gen().fresh();
+        update
+            .add_child_with_id(bottom, fresh, ELabel::ins(a))
+            .expect("the bottom is in the view");
+        bottom = fresh;
+        update
+    });
+    ShapeRow {
+        size: levels,
+        doc_nodes: doc.size(),
+        propagate_ms,
+        commit_ms,
+    }
+}
+
+/// The rows of one worst-case shape as a JSON array, each size under
+/// `key`.
+fn shape_rows_json(rows: &[ShapeRow], key: &str, updates: usize) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "      {{ \"{key}\": {}, \"doc_nodes\": {}, \"updates\": {updates}, \
+                 \"propagate_ms\": {}, \"commit_ms\": {} }}",
+                r.size,
+                r.doc_nodes,
+                r.propagate_ms.json(),
+                r.commit_ms.json(),
+            )
+        })
+        .collect();
+    format!("[\n{}\n    ]", rows.join(",\n"))
 }
 
 fn main() {
@@ -329,10 +450,30 @@ fn main() {
         .into_iter()
         .map(|departments| admission_row(departments, 3, ADMISSIONS))
         .collect();
+    let (first, last) = (
+        &admission_rows[0],
+        &admission_rows[admission_rows.len() - 1],
+    );
+    let ratio = (last.propagate_ms.median + last.commit_ms.median)
+        / (first.propagate_ms.median + first.commit_ms.median);
+
+    // Worst-case shapes, same timed region: the star's root and the
+    // chain's whole spine are dirty on every edit.
+    const SHAPE_WARMUP: usize = 1;
+    const SHAPE_UPDATES: usize = 7;
+    let sizes = [1_000, 10_000, 100_000];
+    let star_rows: Vec<ShapeRow> = sizes
+        .iter()
+        .map(|&n| star_row(n, SHAPE_WARMUP, SHAPE_UPDATES))
+        .collect();
+    let chain_rows: Vec<ShapeRow> = sizes
+        .iter()
+        .map(|&n| chain_row(n, SHAPE_WARMUP, SHAPE_UPDATES))
+        .collect();
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-propagate/7\",\n");
+    json.push_str("  \"schema\": \"xvu-bench-propagate/8\",\n");
     json.push_str(&format!(
         "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
         git_revision()
@@ -443,7 +584,17 @@ fn main() {
             },
         ));
     }
-    json.push_str("    ]\n  }\n}\n");
+    json.push_str(&format!(
+        "    ],\n    \"median_ratio_100k_over_1k\": {ratio:.1}\n  }},\n"
+    ));
+    json.push_str(&format!(
+        "  \"worst_case\": {{\n    \"timed_region\": \"as in admission: Session::propagate and \
+         Session::commit of one 1-node insert timed separately; min / median / max ms over \
+         {SHAPE_UPDATES} updates after {SHAPE_WARMUP} warm-up insert\",\n    \"star\": {},\n    \
+         \"chain\": {}\n  }}\n}}\n",
+        shape_rows_json(&star_rows, "children", SHAPE_UPDATES),
+        shape_rows_json(&chain_rows, "levels", SHAPE_UPDATES),
+    ));
 
     std::fs::write(&out_path, &json).expect("write BENCH_propagate.json");
     print!("{json}");

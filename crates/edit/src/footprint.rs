@@ -46,6 +46,8 @@ pub struct ScriptFootprint {
     /// Script slots whose subtree holds a non-`Nop` node: the non-`Nop`
     /// nodes and their ancestors. Every other slot is clean.
     dirty: SlotSet,
+    /// The script's slot bound: every live script slot is below it.
+    bound: usize,
     /// Number of script nodes.
     size: usize,
 }
@@ -62,7 +64,7 @@ impl ScriptFootprint {
     /// Whether the subtree rooted at the script node occupying `slot` is
     /// entirely `Nop` — i.e. the script provably does not touch it.
     pub fn is_clean(&self, slot: Slot) -> bool {
-        slot.index() < self.size && !self.dirty.contains(slot)
+        slot.index() < self.bound && !self.dirty.contains(slot)
     }
 
     /// Number of clean (entirely-`Nop`) subtree roots.
@@ -145,9 +147,9 @@ impl ScriptCheck {
 /// The footprint and the closure result always cover the whole script.
 pub fn check_script(s: &Script, t: Option<&DocTree>) -> ScriptCheck {
     let resolve = |id: NodeId| s.slot(id).expect("script node in script");
-    let size = s.size();
-    let mut dirty = SlotSet::with_capacity(size);
-    let mut edited = SlotSet::with_capacity(size);
+    let (size, bound) = (s.size(), s.slot_bound());
+    let mut dirty = SlotSet::with_capacity(bound);
+    let mut edited = SlotSet::with_capacity(bound);
     let mut inserted = 0usize;
     for slot in s.slots() {
         let node = s.node_at(slot);
@@ -176,15 +178,14 @@ pub fn check_script(s: &Script, t: Option<&DocTree>) -> ScriptCheck {
                 let node = s.node_at(slot);
                 node.label.op == EditOp::Ins
                     || t.slot(node.id).is_some_and(|ts| {
-                        let tn = t.node_at(ts);
-                        tn.label == node.label.label
+                        let (list, t_list) = (s.children_at(slot), t.children_at(ts));
+                        t.node_at(ts).label == node.label.label
                             && if edited.contains(slot) {
-                                node.children
-                                    .iter()
+                                list.iter()
                                     .filter(|&&c| s.node_at(resolve(c)).label.op != EditOp::Ins)
-                                    .eq(&tn.children)
+                                    .eq(t_list)
                             } else {
-                                node.children == tn.children
+                                list == t_list
                             }
                     })
             })
@@ -205,7 +206,7 @@ pub fn check_script(s: &Script, t: Option<&DocTree>) -> ScriptCheck {
             changed.push(node.id);
         }
         let first = stack.len();
-        for &c in &node.children {
+        for &c in s.children_at(slot) {
             let cslot = resolve(c);
             if closure.is_none() && op != EditOp::Nop {
                 let cop = s.node_at(cslot).label.op;
@@ -225,6 +226,7 @@ pub fn check_script(s: &Script, t: Option<&DocTree>) -> ScriptCheck {
         footprint: ScriptFootprint {
             changed,
             dirty,
+            bound,
             size,
         },
         closure,

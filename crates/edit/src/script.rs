@@ -10,7 +10,7 @@
 use crate::error::EditError;
 use crate::footprint::{check_script, ScriptCheck};
 use crate::op::{ELabel, EditOp};
-use xvu_tree::{DocTree, NodeId, Tree};
+use xvu_tree::{DocTree, NodeId, PreorderBuilder, Tree};
 
 /// An editing script: a tree labeled with editing operations.
 pub type Script = Tree<ELabel>;
@@ -48,10 +48,10 @@ fn project(s: &Script, keep: impl Fn(ELabel) -> bool) -> Option<DocTree> {
     if !keep(s.label(root)) {
         return None;
     }
-    let mut out = Tree::leaf_with_id(root, s.label(root).label);
+    let mut out = PreorderBuilder::new(root, s.label(root).label);
     // Pre-order on an explicit stack of (node, parent) pairs: each kept
     // node is appended under its parent, so the arena is in document
-    // order.
+    // order and each child list is written once.
     let kept = |n: NodeId| {
         s.children(n)
             .iter()
@@ -61,11 +61,11 @@ fn project(s: &Script, keep: impl Fn(ELabel) -> bool) -> Option<DocTree> {
     };
     let mut stack: Vec<(NodeId, NodeId)> = kept(root).collect();
     while let Some((n, parent)) = stack.pop() {
-        out.add_child_with_id(parent, n, s.label(n).label)
+        out.child(parent, n, s.label(n).label)
             .expect("script node ids are unique");
         stack.extend(kept(n));
     }
-    Some(out)
+    Some(out.finish())
 }
 
 /// Applies a script to a tree: checks `t = In(S)` (identifier-sensitive)

@@ -30,10 +30,12 @@
 //! [`SlotMap`] over its document's arena slots computed at
 //! [`crate::Engine::open`]. Structural keys cannot go stale — an edited
 //! subtree has a *different* id — so nothing is ever invalidated.
-//! [`crate::Session::commit`] maintains the id map alone: surviving ids
-//! are re-keyed to the post-commit slots, and the dirty region (the
-//! edited parents and their ancestors) plus every freshly inserted
-//! subtree is re-interned bottom-up, on an explicit stack.
+//! [`crate::Session::commit`] maintains the id map alone, in place: a
+//! live node's slot never moves, so every untouched entry stays put. The
+//! commit drops the ids of the slots it deleted, inserted (an insert may
+//! reuse a vacated slot) or left in the dirty region (the edited parents
+//! and their ancestors), and re-interns exactly those bottom-up, on an
+//! explicit stack.
 //!
 //! # One backend
 //!
@@ -54,7 +56,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 use xvu_automata::StateId;
-use xvu_tree::{DocTree, InternId, Interner, NodeId, Slot, SlotMap, SlotSet};
+use xvu_tree::{DocTree, InternId, Interner, NodeId, Slot, SlotMap};
 
 /// A memoised typing run: the states of the deterministic content-model
 /// run over a node's source child word, or `None` when the model is
@@ -131,34 +133,16 @@ impl MemoTable {
         self.interner.intern_doc(doc)
     }
 
-    /// Commit support: the post-commit id map. `kept` holds the
-    /// pre-commit ids keyed by node identifier (slots move during the
-    /// in-place apply); ids of deleted nodes and of the `dirty` region
-    /// (edited parents plus all their ancestors) are dropped, the rest are
-    /// re-keyed to `doc`'s slots, and everything missing is re-interned.
-    pub(crate) fn rekey(
-        &self,
-        doc: &DocTree,
-        kept: Vec<(NodeId, InternId)>,
-        dirty: &[NodeId],
-    ) -> SlotMap<InternId> {
-        let mut stale = SlotSet::with_capacity(doc.size());
-        for &n in dirty {
-            if let Some(slot) = doc.slot(n) {
-                stale.insert(slot);
-            }
+    /// Commit support: drops the ids of the `stale` slots — the nodes a
+    /// commit deleted, inserted or left in its dirty region (edited
+    /// parents plus all their ancestors) — and re-interns every live node
+    /// of `doc` left without one. Every other entry stays where it is:
+    /// slots never move.
+    pub(crate) fn refresh(&self, doc: &DocTree, ids: &mut SlotMap<InternId>, stale: &[Slot]) {
+        for &slot in stale {
+            ids.remove(slot);
         }
-        let mut ids = SlotMap::with_capacity(doc.size());
-        for (n, id) in kept {
-            match doc.slot(n) {
-                Some(slot) if !stale.contains(slot) => {
-                    ids.insert(slot, id);
-                }
-                _ => {}
-            }
-        }
-        reintern(&self.interner, doc, &mut ids);
-        ids
+        reintern(&self.interner, doc, ids);
     }
 
     fn shard(&self, id: InternId) -> &RwLock<HashMap<InternId, Entry>> {
@@ -378,37 +362,42 @@ mod tests {
 
     #[test]
     fn drain_restore_rekeys_by_identifier_and_drops_dirty() {
-        // Commit drains a session's ids keyed by identifier, applies the
-        // edit in place (slots move), and restores them through `rekey`.
+        // Commit keeps the session's intern ids in place: a delete vacates
+        // slots and drops their ids, the next commit's insert reuses a
+        // vacated slot, and the dirty root is re-interned each time. After
+        // every commit the ids equal a fresh interning of the document,
+        // slot for slot — a reused slot that kept its old occupant's id
+        // (a `c` leaf where an `a` leaf now sits) fails here.
         let mut alpha = Alphabet::new();
+        let dtd = xvu_dtd::parse_dtd(&mut alpha, "r -> (a+b)*\na -> c*").unwrap();
+        let ann = xvu_view::parse_annotation(&mut alpha, "").unwrap();
+        let engine = crate::Engine::new(alpha.clone(), dtd, ann);
         let mut gen = NodeIdGen::new();
-        let before = parse_term_with_ids(&mut alpha, &mut gen, "r#0(b#2, a#1(c#3))").unwrap();
-        let table = MemoTable::new();
-        let old = table.intern_doc(&before);
-        let kept: Vec<(NodeId, InternId)> =
-            old.iter().map(|(s, &id)| (before.id_at(s), id)).collect();
-        let old_id = |n: u64| old[before.slot(NodeId(n)).unwrap()];
-        // after "commit": b#2 deleted, a#1 and c#3 moved to other slots,
-        // r#0 dirty
-        let after = parse_term_with_ids(&mut alpha, &mut gen, "r#0(a#1(c#3))").unwrap();
-        let slot = |n: u64| after.slot(NodeId(n)).unwrap();
-        assert_ne!(slot(1), before.slot(NodeId(1)).unwrap(), "a#1 moved");
-        let ids = table.rekey(&after, kept, &[NodeId(0)]);
-        assert_eq!(
-            ids.len(),
-            after.size(),
-            "b#2 is gone, every live node has an id"
-        );
-        // a#1 and c#3 carry their pre-commit ids to their new slots…
-        assert_eq!(ids[slot(1)], old_id(1));
-        assert_eq!(ids[slot(3)], old_id(3));
-        // …while the dirty r#0 is re-interned to its new structure
-        assert_ne!(ids[slot(0)], old_id(0));
-        let fresh = table.intern_doc(&after);
-        assert!(after.postorder().all(|n| {
-            let s = after.slot(n).unwrap();
-            ids.get(s) == fresh.get(s)
-        }));
+        let doc = parse_term_with_ids(&mut alpha, &mut gen, "r#0(a#1(c#2), b#3)").unwrap();
+        let table = engine.memo_table().unwrap();
+        let mut session = engine.open(&doc).unwrap();
+        let slots = |session: &crate::Session<'_>| {
+            let d = session.document();
+            [1, 2].map(|n| d.slot(NodeId(n)))
+        };
+        let freed = slots(&session).map(Option::unwrap);
+        let same_as_fresh = |session: &crate::Session<'_>| {
+            let fresh = table.intern_doc(session.document());
+            session.intern_ids.iter().eq(fresh.iter())
+        };
+        let delete =
+            xvu_edit::parse_script(&mut alpha, "nop:r#0(del:a#1(del:c#2), nop:b#3)").unwrap();
+        let prop = session.propagate(&delete).unwrap();
+        session.commit(&prop).unwrap();
+        assert_eq!(slots(&session), [None, None], "a#1 and c#2 are gone");
+        assert!(same_as_fresh(&session), "after the delete");
+        let insert = xvu_edit::parse_script(&mut alpha, "nop:r#0(nop:b#3, ins:a#10)").unwrap();
+        let prop = session.propagate(&insert).unwrap();
+        session.commit(&prop).unwrap();
+        let reused = session.document().slot(NodeId(10)).unwrap();
+        assert!(freed.contains(&reused), "the insert reuses a vacated slot");
+        assert!(same_as_fresh(&session), "after the insert");
+        assert_eq!(session.intern_ids.len(), session.document().size());
     }
 
     #[test]

@@ -75,8 +75,8 @@ use std::borrow::Cow;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use xvu_dtd::{min_sizes, Dtd, InsertletPackage, MinSizes};
-use xvu_edit::{apply_checked, check_script, EditError, Script};
-use xvu_tree::{Alphabet, DocTree, InternId, NodeId, NodeIdGen, SlotMap};
+use xvu_edit::{apply_checked, check_script, EditError, EditOp, Script};
+use xvu_tree::{Alphabet, DocTree, InternId, NodeIdGen, Slot, SlotMap};
 use xvu_view::{derive_view_dtd, Annotation};
 
 /// A compiled `(Σ, D, A)` triple with every update-independent artefact
@@ -392,7 +392,7 @@ pub struct Session<'e> {
     commits: u64,
     /// The structural memo key of every live node's subtree (empty with
     /// the memo off). Changes only in [`Session::commit`].
-    intern_ids: SlotMap<InternId>,
+    pub(crate) intern_ids: SlotMap<InternId>,
     /// The session's reusable kernel scratch ([`PropScratch`]): pooled
     /// working memory for every propagation the session serves. The mutex
     /// keeps `propagate(&self)` ergonomic and `Session: Sync`; it is
@@ -652,26 +652,39 @@ impl<'e> Session<'e> {
     /// subtree. The identifier high-water mark is bumped past the inserted
     /// identifiers and never rewinds.
     ///
-    /// Two steps still read every node. The check scans the whole script,
-    /// because the paper's propagation script spans the whole source; a
-    /// sparse script would let it read only the dirty skeleton. The
-    /// intern-id re-key carries every node's memo key across the slots
-    /// the in-place apply relocates; slots that never move would remove
-    /// it. A failed commit changes nothing.
+    /// The intern ids are updated in place. A live node's arena slot never
+    /// moves, so every node outside the commit's reach keeps its slot and
+    /// its id; the slots of the deleted nodes (resolved before the apply
+    /// vacates them), of the inserted nodes (which may reuse vacated
+    /// slots) and of the dirty region lose theirs, and exactly those are
+    /// re-interned. Only the check's arena scans still read every node: the
+    /// paper's propagation script spans the whole source, and a sparse
+    /// script would let them read only the dirty skeleton. A failed commit
+    /// changes nothing.
     pub fn commit(&mut self, prop: &Propagation) -> Result<(), PropagateError> {
         // One check of the script against the document: the closure
         // rules, `In(S) = t`, and the footprint every later step reads.
-        let check = check_script(&prop.script, Some(&self.doc));
+        let script = &prop.script;
+        let check = check_script(script, Some(&self.doc));
         check.closure()?;
-        revalidate_changed(&self.engine.dtd, &prop.script, check.footprint())?;
-        // Intern ids keyed by *identifier*: the in-place apply relocates
-        // arena slots.
-        let kept: Vec<(NodeId, InternId)> = self
-            .intern_ids
-            .iter()
-            .map(|(slot, &id)| (self.doc.id_at(slot), id))
-            .collect();
-        if let Err(e) = apply_checked(&mut self.doc, &prop.script, &check) {
+        revalidate_changed(&self.engine.dtd, script, check.footprint())?;
+        let memo = self.engine.memo.as_deref();
+        // The deleted nodes' slots, while the document still holds them:
+        // each deleted subtree hangs under a changed `Nop` parent.
+        let mut stale: Vec<Slot> = Vec::new();
+        if memo.is_some() {
+            for &n in check.footprint().changed() {
+                if script.label(n).op == EditOp::Ins {
+                    continue;
+                }
+                for &c in script.children(n) {
+                    if script.label(c).op == EditOp::Del {
+                        stale.extend(script.preorder_from(c).filter_map(|d| self.doc.slot(d)));
+                    }
+                }
+            }
+        }
+        if let Err(e) = apply_checked(&mut self.doc, script, &check) {
             // `apply_checked` reports every error before mutating: the
             // document and its intern ids are intact.
             return Err(match e {
@@ -690,11 +703,22 @@ impl<'e> Session<'e> {
         // The dirty region: the edited parents the journal recorded, plus
         // their ancestors — every node whose subtree changed.
         let dirty = self.doc.drain_dirty_to_root();
-        if let Some(memo) = self.engine.memo.as_deref() {
-            self.intern_ids = memo.rekey(&self.doc, kept, &dirty);
+        if let Some(memo) = memo {
+            // Every inserted node is in the footprint's changed list.
+            let inserted = check
+                .footprint()
+                .changed()
+                .iter()
+                .filter(|&&n| script.label(n).op == EditOp::Ins);
+            stale.extend(
+                inserted
+                    .chain(&dirty)
+                    .map(|&n| self.doc.slot(n).expect("inserted and dirty nodes are live")),
+            );
+            memo.refresh(&self.doc, &mut self.intern_ids, &stale);
         }
         self.prepared
-            .advance(&self.engine.ann, &prop.script, check.footprint());
+            .advance(&self.engine.ann, script, check.footprint());
         self.commits += 1;
         Ok(())
     }

@@ -224,15 +224,13 @@ mod tests {
                 if node.label.op == EditOp::Del {
                     continue;
                 }
+                let children = script.children_at(s);
                 if node.label.op == EditOp::Ins
-                    || node
-                        .children
-                        .iter()
-                        .any(|&c| script.label(c).op != EditOp::Nop)
+                    || children.iter().any(|&c| script.label(c).op != EditOp::Nop)
                 {
                     checked.push(node.id);
                 }
-                stack.extend(node.children.iter().rev().map(|&c| resolve(c)));
+                stack.extend(children.iter().rev().map(|&c| resolve(c)));
             }
             checked
         }

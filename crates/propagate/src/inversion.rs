@@ -117,8 +117,8 @@ impl InversionForest {
         cost: &CostModel<'_>,
         scratch: &mut PropScratch,
     ) -> Result<InversionForest, PropagateError> {
-        let mut graphs = SlotMap::with_capacity(fragment.size());
-        let mut costs = SlotMap::with_capacity(fragment.size());
+        let mut graphs = SlotMap::with_capacity(fragment.slot_bound());
+        let mut costs = SlotMap::with_capacity(fragment.slot_bound());
         for n in fragment.postorder() {
             let slot = fragment.slot(n).expect("traversed node in fragment");
             let g = build_graph(dtd, ann, fragment, n, cost, &costs);
@@ -360,7 +360,7 @@ impl InversionForest {
     /// One post-order pass over the fragment: each node is counted after
     /// the children its `Rec` edges multiply in, with no recursion.
     pub fn count_min_inverses(&self) -> u128 {
-        let mut counts: SlotMap<u128> = SlotMap::with_capacity(self.fragment.size());
+        let mut counts: SlotMap<u128> = SlotMap::with_capacity(self.fragment.slot_bound());
         for n in self.fragment.postorder() {
             let count = match self.graphs[self.slot_of(n)].optimal_subgraph() {
                 None => 0,

@@ -74,7 +74,7 @@ pub fn typing_report(dtd: &Dtd, alphabet_len: usize, script: &Script) -> TypingR
 /// the node's slot in `t`. Nodes whose run dies (invalid trees) are left
 /// untyped.
 fn type_map(dtd: &Dtd, alphabet_len: usize, t: &DocTree, dfas: &mut [Option<Dfa>]) -> SlotMap<u32> {
-    let mut map = SlotMap::with_capacity(t.size());
+    let mut map = SlotMap::with_capacity(t.slot_bound());
     for p in t.preorder() {
         let label = t.label(p);
         let dfa = dfas[label.index()].get_or_insert_with(|| {

@@ -32,10 +32,11 @@ use xvu_tree::{DocTree, NodeIdGen};
 
 /// Where a document's content lives right now.
 enum State<'e> {
-    /// No session: the committed document and, after an eviction, the
-    /// identifier floor its next session must restore.
+    /// No session: the committed document (boxed, so a parked entry is
+    /// no larger than the others) and, after an eviction, the identifier
+    /// floor its next session must restore.
     Parked {
-        doc: DocTree,
+        doc: Box<DocTree>,
         gen: Option<NodeIdGen>,
     },
     /// An open session, not in use.
@@ -64,7 +65,7 @@ impl Entry<'_> {
             State::Resident(session) => {
                 let gen = Some(session.id_gen());
                 self.state = State::Parked {
-                    doc: session.into_document(),
+                    doc: Box::new(session.into_document()),
                     gen,
                 };
                 true
@@ -155,7 +156,7 @@ impl<'e> DocTable<'e> {
             pending: None,
             stamp: 0,
             state: State::Parked {
-                doc: tree,
+                doc: Box::new(tree),
                 gen: None,
             },
         };

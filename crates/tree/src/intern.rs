@@ -158,7 +158,7 @@ impl Interner {
     /// Interns every subtree of `doc` bottom-up, returning the id of
     /// each node's subtree keyed by the node's arena slot.
     pub fn intern_doc(&self, doc: &DocTree) -> SlotMap<InternId> {
-        let mut ids = SlotMap::with_capacity(doc.size());
+        let mut ids = SlotMap::with_capacity(doc.slot_bound());
         let mut scratch = Vec::new();
         for n in doc.postorder() {
             let id = self.intern_node(doc, n, &ids, &mut scratch);

@@ -34,11 +34,15 @@ impl<L> Iterator for Preorder<'_, L> {
 
     fn next(&mut self) -> Option<NodeId> {
         let s = self.stack.pop()?;
-        let node = self.tree.node_at(s);
         // Push children reversed so the leftmost child is visited first.
-        self.stack
-            .extend(node.children.iter().rev().map(|&c| resolve(self.tree, c)));
-        Some(node.id)
+        self.stack.extend(
+            self.tree
+                .children_at(s)
+                .iter()
+                .rev()
+                .map(|&c| resolve(self.tree, c)),
+        );
+        Some(self.tree.id_at(s))
     }
 }
 
@@ -70,8 +74,7 @@ impl<L> Iterator for Postorder<'_, L> {
             self.stack.push((s, true));
             self.stack.extend(
                 self.tree
-                    .node_at(s)
-                    .children
+                    .children_at(s)
                     .iter()
                     .rev()
                     .map(|&c| (resolve(self.tree, c), false)),

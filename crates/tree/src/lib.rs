@@ -18,33 +18,45 @@
 //!   sequence of children of arbitrary length; sibling order is semantically
 //!   meaningful (it is what DTD content models constrain).
 //!
-//! # Storage: arena + slots + persistent identifiers
+//! # Storage: one flat arena + stable slots + persistent identifiers
 //!
 //! Persistent identifiers are the *identity* of a node; they are **not**
-//! its address. Nodes are stored in a contiguous arena (`Vec<Node<L>>`)
-//! addressed by dense [`Slot`]s, with a [`SlotIndex`] resolving
+//! its address. A tree is one flat arena: node records in one slab
+//! addressed by dense [`Slot`]s, every child list in one child buffer
+//! (each record names its range), and a [`SlotIndex`] resolving
 //! identifiers to slots — a direct `Vec`-backed table for the (monotone,
 //! near-dense) identifiers a [`NodeIdGen`] mints, with a hash fallback
 //! only for pathological outliers. Algorithms that keep per-node state
-//! (the propagation stack's dynamic-programming tables) resolve ids to
-//! slots once and then use [`SlotMap`]/[`SlotSet`] side tables: plain
-//! `Vec`/bitset indexing instead of `HashMap<NodeId, _>` probes.
+//! (the propagation stack's dynamic-programming tables, a session's
+//! intern ids) resolve ids to slots once and then use
+//! [`SlotMap`]/[`SlotSet`] side tables: plain `Vec`/bitset indexing
+//! instead of `HashMap<NodeId, _>` probes.
+//!
+//! No record owns an allocation, so copying a tree — [`Tree::clone`],
+//! [`Tree::map_labels`], a snapshot decode — is a few bulk copies, not
+//! one child list per node. Readers write each child list once, when it
+//! is complete ([`PreorderBuilder`]). An append to a full list grows it in
+//! place at the end of the buffer or moves it there with doubled room, and
+//! the buffer compacts itself once abandoned ranges outnumber live
+//! entries; no setting controls either.
 //!
 //! Amortized per-step cost of the core operations:
 //!
 //! | operation | cost |
 //! |-----------|------|
 //! | [`Tree::node`] / [`Tree::label`] / [`Tree::children`] / [`Tree::parent`] (by id) | O(1) |
-//! | [`Tree::node_at`] / [`Tree::id_at`] (by slot) | O(1), no id resolution |
+//! | [`Tree::node_at`] / [`Tree::id_at`] / [`Tree::children_at`] (by slot) | O(1), no id resolution |
 //! | [`Tree::slot`] / [`Tree::contains`] | O(1) |
 //! | [`Tree::add_child`] / [`Tree::add_child_with_id`] | O(1) amortized |
 //! | [`Tree::preorder`] / [`Tree::postorder`] (per step) | O(1) amortized |
-//! | [`Tree::attach_subtree`] | O(&#124;sub&#124;) |
-//! | [`Tree::detach_subtree`] | O(&#124;sub&#124;) |
+//! | [`Tree::attach_subtree`] | O(&#124;sub&#124; + arity) |
+//! | [`Tree::detach_subtree`] | O(&#124;sub&#124; + arity) |
+//! | [`Tree::clone`] / [`Tree::map_labels`] | O(&#124;t&#124;), a few bulk copies |
 //! | [`SlotMap`]/[`SlotSet`] access | O(1) |
 //!
-//! Slots are stable while the tree only grows; removing nodes relocates
-//! slots (never identifiers) — see [`slot`] for the exact contract.
+//! A live node's slot never moves: removing a subtree leaves its slots
+//! vacant, and insertions reuse them — see [`slot`] for the exact
+//! contract.
 //!
 //! # Change tracking
 //!
@@ -103,7 +115,7 @@ mod term;
 mod tree;
 
 pub use alphabet::{Alphabet, Sym};
-pub use build::TreeBuilder;
+pub use build::{PreorderBuilder, TreeBuilder};
 pub use error::TreeError;
 pub use intern::{InternId, Interner};
 pub use iter::{Postorder, Preorder};

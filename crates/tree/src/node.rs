@@ -95,8 +95,17 @@ impl NodeIdGen {
     }
 }
 
-/// A single tree node: identifier, label, parent link, ordered children.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// Marks a vacant slot in a node record's `cap` field: no live list has
+/// `u32::MAX` entries of room, since the child buffer stays below that.
+pub(crate) const VACANT: u32 = u32::MAX;
+
+/// A single tree node: identifier, label, parent link, and where its
+/// ordered children sit in the tree's child buffer.
+///
+/// The children themselves are read through the owning tree:
+/// [`Tree::children`](crate::Tree::children) by identifier,
+/// [`Tree::children_at`](crate::Tree::children_at) by slot.
+#[derive(Clone, Debug)]
 pub struct Node<L> {
     /// The node's persistent identifier.
     pub id: NodeId,
@@ -104,8 +113,47 @@ pub struct Node<L> {
     pub label: L,
     /// Parent identifier; `None` for the root.
     pub parent: Option<NodeId>,
-    /// Ordered children (the `<_t` sibling order).
-    pub children: Vec<NodeId>,
+    /// First entry of the child list in the tree's child buffer.
+    pub(crate) start: u32,
+    /// Number of children (the `<_t` sibling order is buffer order).
+    pub(crate) len: u32,
+    /// Entries the list may fill in place, from `start`; [`VACANT`] in a
+    /// vacant slot's record.
+    pub(crate) cap: u32,
+}
+
+impl<L> Node<L> {
+    /// A record whose list is `len` entries from `start`, with no spare
+    /// room.
+    #[inline]
+    pub(crate) fn new(
+        id: NodeId,
+        label: L,
+        parent: Option<NodeId>,
+        start: u32,
+        len: u32,
+    ) -> Node<L> {
+        Node {
+            id,
+            label,
+            parent,
+            start,
+            len,
+            cap: len,
+        }
+    }
+
+    /// Whether this record fills a vacant slot.
+    #[inline]
+    pub(crate) fn is_vacant(&self) -> bool {
+        self.cap == VACANT
+    }
+
+    /// The buffer positions of the child list.
+    #[inline]
+    pub(crate) fn list(&self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
-//! Dense arena positions and slot-indexed side tables.
+//! Arena positions and slot-indexed side tables.
 //!
-//! A [`Tree`](crate::Tree) stores its nodes in a contiguous slab; a
+//! A [`Tree`](crate::Tree) stores its node records in one slab; a
 //! [`Slot`] is a position in that slab. Slots exist so that per-node side
-//! tables — the dynamic-programming tables of the propagation algorithm —
-//! can be plain `Vec`s instead of `HashMap<NodeId, _>`s: resolve an
-//! identifier to a slot once, then every table access is an array index.
+//! tables — the dynamic-programming tables of the propagation algorithm,
+//! a session's intern ids — can be plain `Vec`s instead of
+//! `HashMap<NodeId, _>`s: resolve an identifier to a slot once, then every
+//! table access is an array index.
 //!
 //! * [`SlotIndex`] maps persistent [`NodeId`]s to slots. Identifiers are
 //!   allocated monotonically from a [`crate::NodeIdGen`], so in practice
@@ -14,12 +15,22 @@
 //! * [`SlotMap<T>`] is a `Vec<Option<T>>` keyed by slot.
 //! * [`SlotSet`] is a bitset keyed by slot.
 //!
-//! **Stability:** a node's slot is stable while the tree is only *read* or
-//! *grown* (`add_child*`, `attach_subtree`). Removing nodes
-//! (`detach_subtree`) may relocate other nodes' slots; side tables built
-//! before a removal must not be used after it. [`NodeId`]s, by contrast,
-//! are persistent across all mutations — they are the identity, slots are
-//! the address.
+//! **Stability:** a live node's slot never changes. Reads, insertions
+//! and removals leave every other node where it is: removing a subtree
+//! (`detach_subtree`) turns its slots *vacant*, and later insertions
+//! (`add_child*`, `attach_subtree`, `append_mapped_subtree`) reuse vacant
+//! slots before they extend the slab. So a side table keyed by slot stays
+//! valid across any mutation for every node that survives it; only the
+//! entries of removed nodes go stale, and a reused slot then names a
+//! different node — a consumer drops those entries (a session drops the
+//! intern ids of the slots a commit deleted or inserted). A label-mapped
+//! copy or a clone keeps every slot of its source, vacancies included.
+//!
+//! Live slots are below [`Tree::slot_bound`](crate::Tree::slot_bound),
+//! which equals the node count until a removal leaves a slot vacant;
+//! [`Tree::slots`](crate::Tree::slots) yields the live ones.
+//! [`NodeId`]s are persistent across all mutations — they are the
+//! identity, slots are the address.
 
 use crate::node::NodeId;
 use std::collections::HashMap;
@@ -27,10 +38,10 @@ use std::fmt;
 
 /// A position in a tree's node slab.
 ///
-/// Slots are dense (`0..tree.size()`), suitable for direct `Vec` indexing,
-/// and only meaningful for the tree that handed them out — and only until
-/// that tree's next node removal. Obtain one with
-/// [`Tree::slot`](crate::Tree::slot).
+/// Slots are dense (`0..tree.slot_bound()`), suitable for direct `Vec`
+/// indexing, and only meaningful for the tree that handed them out. A
+/// node keeps its slot until it is removed; the slot may then be reused by
+/// a later insertion. Obtain one with [`Tree::slot`](crate::Tree::slot).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Slot(u32);
 
@@ -246,7 +257,7 @@ impl<T> SlotMap<T> {
     }
 
     /// An empty table pre-sized for slots `0..n` (typically
-    /// `tree.size()`), so inserts never reallocate.
+    /// `tree.slot_bound()`), so inserts never reallocate.
     pub fn with_capacity(n: usize) -> SlotMap<T> {
         let mut data = Vec::new();
         data.resize_with(n, || None);

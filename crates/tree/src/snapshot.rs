@@ -21,9 +21,9 @@
 //! 16      8     child total C (= N - 1)
 //! 24      8     root identifier
 //! 32      8     label count L
-//! 40      24·N  node records in slab order:
+//! 40      24·N  node records in slot order:
 //!                 id u64 · parent u64 (u64::MAX = none) · label u32 · child count u32
-//! …       8·C   child identifiers, concatenated in slab order
+//! …       8·C   child identifiers, concatenated in slot order
 //! …       8     dense slot-table length D
 //! …       4·D   dense slot table (u32; u32::MAX = vacant)
 //! …       8     sparse entry count S
@@ -32,8 +32,15 @@
 //! last    8     FNV-1a 64 checksum of every preceding byte
 //! ```
 //!
-//! The node records and child array are bulk-copied into the slab; the
-//! slot table is bulk-copied into the [`crate::SlotIndex`]; the decoded
+//! Slots are numbered densely: a tree whose removals left vacant slots
+//! encodes as its compacted image — its live records in slot order, each
+//! slot renumbered past the vacancies below it. The image of a tree
+//! without vacancies is its arena verbatim.
+//!
+//! The child array is bulk-copied into the tree's child buffer and the
+//! node records into the slab, each record naming its run of the buffer,
+//! so decoding allocates per array, never per node; the slot table is
+//! bulk-copied into the [`crate::SlotIndex`]; the decoded
 //! tree is then checked with [`Tree::validate`] so corrupt bytes surface
 //! as a typed [`SnapshotError`], never a panic. Every section length is
 //! bounds-checked against the remaining input **before** any allocation,
@@ -49,7 +56,7 @@
 
 use crate::alphabet::{Alphabet, Sym};
 use crate::node::{Node, NodeId};
-use crate::slot::SlotIndex;
+use crate::slot::{Slot, SlotIndex};
 use crate::tree::{DocTree, Tree};
 use crate::TreeError;
 use std::collections::HashMap;
@@ -282,17 +289,32 @@ fn encode_tree(tree: &DocTree, alpha: &Alphabet) -> Result<Vec<u8>, SnapshotErro
     out.extend_from_slice(&tree.root().0.to_le_bytes());
     out.extend_from_slice(&(labels as u64).to_le_bytes());
 
-    // node records in slab order
+    // A tree with vacant slots encodes as its compacted image: live
+    // records in slot order, each slot renumbered past the vacancies
+    // below it. Without vacancies the renumbering is the identity.
+    let compact: Option<Vec<u32>> = (n != tree.slot_bound()).then(|| {
+        let mut next = 0u32;
+        (0..tree.slot_bound() as u32)
+            .map(|i| {
+                let at = next;
+                next += u32::from(!tree.node_at(Slot::new(i)).is_vacant());
+                at
+            })
+            .collect()
+    });
+    let renumber = |s: u32| compact.as_ref().map_or(s, |c| c[s as usize]);
+
+    // node records in slot order
     for slot in tree.slots() {
         let node = tree.node_at(slot);
         out.extend_from_slice(&node.id.0.to_le_bytes());
         out.extend_from_slice(&node.parent.map_or(NO_PARENT, |p| p.0).to_le_bytes());
         out.extend_from_slice(&(node.label.index() as u32).to_le_bytes());
-        out.extend_from_slice(&(node.children.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(tree.children_at(slot).len() as u32).to_le_bytes());
     }
-    // child identifiers, concatenated in slab order
+    // child identifiers, concatenated in slot order
     for slot in tree.slots() {
-        for c in &tree.node_at(slot).children {
+        for c in tree.children_at(slot) {
             out.extend_from_slice(&c.0.to_le_bytes());
         }
     }
@@ -303,13 +325,14 @@ fn encode_tree(tree: &DocTree, alpha: &Alphabet) -> Result<Vec<u8>, SnapshotErro
     let dense_used = dense.len() - dense.iter().rev().take_while(|&&s| s == VACANT).count();
     out.extend_from_slice(&(dense_used as u64).to_le_bytes());
     for &s in &dense[..dense_used] {
+        let s = if s == VACANT { s } else { renumber(s) };
         out.extend_from_slice(&s.to_le_bytes());
     }
     let mut sparse: Vec<(u64, u32)> = tree
         .slot_index()
         .sparse_raw()
         .iter()
-        .map(|(&id, &s)| (id, s))
+        .map(|(&id, &s)| (id, renumber(s)))
         .collect();
     sparse.sort_unstable();
     out.extend_from_slice(&(sparse.len() as u64).to_le_bytes());
@@ -425,10 +448,14 @@ fn decode_tree(bytes: &[u8], alpha: &mut Alphabet) -> Result<DocTree, SnapshotEr
         )));
     }
 
-    // bulk slab decode: one pass over the fixed-width records, children
-    // carved sequentially out of the child array
+    // bulk arena decode: the child array becomes the child buffer in one
+    // pass, and each fixed-width record takes the next run of it
+    let kids: Vec<NodeId> = child_bytes
+        .chunks_exact(8)
+        .map(|c| NodeId(u64::from_le_bytes(c.try_into().expect("child id"))))
+        .collect();
     let mut slab: Vec<Node<Sym>> = Vec::with_capacity(node_count as usize);
-    let mut child_pos = 0usize;
+    let mut child_pos = 0u64;
     for rec in records.chunks_exact(NODE_RECORD_LEN) {
         let id = u64::from_le_bytes(rec[0..8].try_into().expect("record id"));
         let parent = u64::from_le_bytes(rec[8..16].try_into().expect("record parent"));
@@ -440,28 +467,24 @@ fn decode_tree(bytes: &[u8], alpha: &mut Alphabet) -> Result<DocTree, SnapshotEr
                 label,
                 labels: label_count,
             })?;
-        let end = child_pos + n_children as usize * 8;
-        if end > child_bytes.len() {
+        if child_pos + u64::from(n_children) > child_total {
             return Err(SnapshotError::Malformed(format!(
                 "node {id} declares {n_children} children past the child array"
             )));
         }
-        let children: Vec<NodeId> = child_bytes[child_pos..end]
-            .chunks_exact(8)
-            .map(|c| NodeId(u64::from_le_bytes(c.try_into().expect("child id"))))
-            .collect();
-        child_pos = end;
-        slab.push(Node {
-            id: NodeId(id),
+        slab.push(Node::new(
+            NodeId(id),
             label,
-            parent: (parent != NO_PARENT).then_some(NodeId(parent)),
-            children,
-        });
+            (parent != NO_PARENT).then_some(NodeId(parent)),
+            child_pos as u32,
+            n_children,
+        ));
+        child_pos += u64::from(n_children);
     }
-    if child_pos != child_bytes.len() {
+    if child_pos != child_total {
         return Err(SnapshotError::Malformed(format!(
             "{} child references unclaimed by any node",
-            (child_bytes.len() - child_pos) / 8
+            child_total - child_pos
         )));
     }
 
@@ -509,7 +532,7 @@ fn decode_tree(bytes: &[u8], alpha: &mut Alphabet) -> Result<DocTree, SnapshotEr
     }
     let index = SlotIndex::from_raw_parts(dense, sparse, indexed);
 
-    let tree = Tree::from_raw_parts(slab, index, root);
+    let tree = Tree::from_raw_parts(slab, kids, index, root);
     // `validate` resolves the root unconditionally; check it exists first
     if !tree.contains(root) {
         return Err(SnapshotError::Invalid(format!(
@@ -963,6 +986,23 @@ mod tests {
         let u = Tree::from_snapshot_bytes(&bytes, &mut alpha2).unwrap();
         assert_eq!(t, u);
         u.validate().unwrap();
+    }
+
+    #[test]
+    fn vacant_slots_encode_as_the_compacted_image() {
+        // r(a(b), c) without a(b) holds slots r, _, _, c: its image is the
+        // one of r(c) built directly, whose slots are r, c
+        let (mut t, alpha) = doc("r#0(a#1(b#2), c#3)");
+        t.detach_subtree(NodeId(1)).unwrap();
+        assert_eq!((t.size(), t.slot_bound()), (2, 4));
+        let mut gen = NodeIdGen::new();
+        let u = parse_term_with_ids(&mut alpha.clone(), &mut gen, "r#0(c#3)").unwrap();
+        let bytes = t.to_snapshot_bytes(&alpha).unwrap();
+        assert_eq!(bytes, u.to_snapshot_bytes(&alpha).unwrap());
+        let back = Tree::from_snapshot_bytes(&bytes, &mut alpha.clone()).unwrap();
+        back.validate().unwrap();
+        assert_eq!(back, t);
+        assert_eq!(back.slot_bound(), 2);
     }
 
     #[test]

@@ -21,13 +21,15 @@
 //! ```
 //!
 //! The reader appends each node to one arena as soon as its head is read
-//! — so the arena is in document order — and keeps a stack of the nodes
-//! whose child list is open; the writer walks on an explicit stack.
+//! — so the arena is in document order — keeps a stack of the nodes whose
+//! child list is open, and writes each child list once, when it closes
+//! ([`crate::PreorderBuilder`]); the writer walks on an explicit stack.
 //! Neither recurses, so a deep term costs heap, not native stack, and
 //! reading is linear in the input. A repeated identifier is reported
 //! where its second occurrence is read.
 
 use crate::alphabet::Alphabet;
+use crate::build::PreorderBuilder;
 use crate::error::TreeError;
 use crate::node::{NodeId, NodeIdGen};
 use crate::tree::{DocTree, Tree};
@@ -108,7 +110,11 @@ pub fn read_term<L>(
         Ok::<_, TreeError>((id, label))
     };
     let (root, label) = node(&mut cur, gen)?;
-    let mut tree = Tree::leaf_with_id(root, label);
+    // A term of n nodes has one '(' per child list and a ',' between
+    // siblings: n = 1 + #'(' + #','. Every node but the root takes at
+    // least two bytes, which bounds the count on malformed input.
+    let marks = input.bytes().filter(|&b| b == b'(' || b == b',').count();
+    let mut tree = PreorderBuilder::with_capacity(root, label, 1 + marks.min(input.len() / 2));
     // `open` holds the nodes whose child list is open, innermost last;
     // `last` is the node just read.
     let mut open: Vec<NodeId> = Vec::new();
@@ -125,7 +131,7 @@ pub fn read_term<L>(
                     if cur.pos != cur.bytes.len() {
                         return Err(cur.error(format!("trailing input after {what}")));
                     }
-                    return Ok(tree);
+                    return Ok(tree.finish());
                 }
                 if cur.eat(b',') {
                     break;
@@ -139,7 +145,7 @@ pub fn read_term<L>(
         }
         let parent = *open.last().expect("a child list is open");
         let (id, label) = node(&mut cur, gen)?;
-        tree.add_child_with_id(parent, id, label)?;
+        tree.child(parent, id, label)?;
         last = id;
     }
 }
@@ -153,11 +159,11 @@ pub fn write_term<L>(tree: &Tree<L>, mut head: impl FnMut(&mut String, NodeId, &
     let mut next = Some(tree.root());
     loop {
         if let Some(n) = next.take() {
-            let node = tree.node(n);
-            head(&mut out, n, &node.label);
-            if !node.children.is_empty() {
+            head(&mut out, n, &tree.node(n).label);
+            let children = tree.children(n);
+            if !children.is_empty() {
                 out.push('(');
-                open.push((&node.children, 0));
+                open.push((children, 0));
             }
         }
         let Some((children, i)) = open.last_mut() else {

@@ -1,13 +1,25 @@
 //! The tree structure itself.
 
 use crate::alphabet::Sym;
+use crate::build::PreorderBuilder;
 use crate::error::TreeError;
 use crate::iter::{Postorder, Preorder};
-use crate::node::{Node, NodeId, NodeIdGen};
+use crate::node::{Node, NodeId, NodeIdGen, VACANT};
 use crate::slot::{Slot, SlotIndex, SlotSet};
 
 /// A document tree: labels are interned alphabet symbols.
 pub type DocTree = Tree<Sym>;
+
+/// Filler for child-buffer entries no list holds yet (spare room).
+const HOLE: NodeId = NodeId(u64::MAX);
+
+/// Records and child-buffer entries a label-mapped copy reserves beyond
+/// its source. The copy is usually edited next — a propagation script
+/// gains its inserted fragments, an update its user's edits — and a small
+/// edit then fits without moving either array: a grown array lands in
+/// fresh memory, and at 10k nodes the page faults of that move cost a
+/// propagation more than the copy itself.
+const COPY_ROOM: usize = 64;
 
 /// An ordered, labeled, non-empty tree with persistent node identifiers.
 ///
@@ -24,14 +36,28 @@ pub type DocTree = Tree<Sym>;
 ///
 /// # Storage
 ///
-/// Nodes live in a contiguous arena (`Vec<Node<L>>`) addressed by dense
-/// [`Slot`]s; a [`SlotIndex`] resolves persistent [`NodeId`]s to slots.
-/// Identifier semantics are exactly those of a node map — ids are the
-/// identity, slots are the address — but lookups are array indexing
-/// instead of hashing, and per-node side tables can be dense
-/// ([`crate::SlotMap`], [`crate::SlotSet`]). Slots are stable under reads
-/// and node insertion; removing nodes may relocate slots (see
-/// [`crate::slot`] for the stability contract).
+/// One flat arena per tree, in three arrays:
+///
+/// * **node records** (`Vec<Node<L>>`), addressed by [`Slot`]s — the
+///   identifier, label and parent of each node, and the range of its
+///   child list;
+/// * **one child buffer** (`Vec<NodeId>`) holding every child list. A
+///   reader writes each list once, when it is complete. An append to a
+///   list with no room left grows it in place at the end of the buffer,
+///   or else moves it there with twice its length as room; the buffer
+///   compacts itself when the ranges so abandoned outnumber the live
+///   entries;
+/// * a [`SlotIndex`] resolving persistent [`NodeId`]s to slots.
+///
+/// A live node's slot **never moves**: removing a subtree leaves its slots
+/// vacant on a free list, and later insertions reuse them (see
+/// [`crate::slot`] for the contract). Identifier semantics are exactly
+/// those of a node map — ids are the identity, slots are the address — but
+/// lookups are array indexing instead of hashing, and per-node side tables
+/// can be dense ([`crate::SlotMap`], [`crate::SlotSet`]) over
+/// `0..`[`Tree::slot_bound`]. No record owns a heap allocation, so
+/// cloning, [`Tree::map_labels`] and snapshot decoding are a few bulk
+/// copies.
 ///
 /// The label type `L` is generic: documents use [`Sym`], editing scripts use
 /// an edit alphabet (`xvu_edit`).
@@ -47,6 +73,12 @@ pub type DocTree = Tree<Sym>;
 #[derive(Clone, Debug)]
 pub struct Tree<L> {
     slab: Vec<Node<L>>,
+    /// Every child list, at the ranges the records name.
+    kids: Vec<NodeId>,
+    /// Entries of `kids` that no record's range covers any more.
+    dead: usize,
+    /// Vacant slots, the most recently vacated last (reused first).
+    free: Vec<Slot>,
     index: SlotIndex,
     root: NodeId,
     /// Whether structural mutations are journaled.
@@ -59,8 +91,14 @@ pub struct Tree<L> {
 impl<L: PartialEq> PartialEq for Tree<L> {
     fn eq(&self, other: &Tree<L>) -> bool {
         self.root == other.root
-            && self.slab.len() == other.slab.len()
-            && self.slab.iter().all(|n| other.get(n.id) == Some(n))
+            && self.size() == other.size()
+            && self.live().all(|(_, n)| {
+                other.get(n.id).is_some_and(|m| {
+                    m.label == n.label
+                        && m.parent == n.parent
+                        && other.kids[m.list()] == self.kids[n.list()]
+                })
+            })
     }
 }
 
@@ -75,34 +113,42 @@ impl<L> Tree<L> {
     /// Creates a single-node tree with an explicit identifier.
     pub fn leaf_with_id(id: NodeId, label: L) -> Tree<L> {
         let mut tree = Tree::empty_with_root(id);
-        tree.push_node(Node {
-            id,
-            label,
-            parent: None,
-            children: Vec::new(),
-        });
+        tree.push_node(Node::new(id, label, None, 0, 0));
         tree
     }
 
     /// An arena-less shell with the given root identifier (internal
     /// constructor backing every tree-building code path).
     pub(crate) fn empty_with_root(root: NodeId) -> Tree<L> {
-        Tree {
-            slab: Vec::new(),
-            index: SlotIndex::new(),
-            root,
-            track: false,
-            journal: Vec::new(),
-        }
+        Tree::from_raw_parts(Vec::new(), Vec::new(), SlotIndex::new(), root)
     }
 
-    /// Assembles a tree directly from a decoded arena image: slab in
-    /// slot order, a matching identifier index, and the root. Backs the
-    /// bulk snapshot decoder (`crate::snapshot`); the caller is expected
-    /// to [`Tree::validate`] the result.
-    pub(crate) fn from_raw_parts(slab: Vec<Node<L>>, index: SlotIndex, root: NodeId) -> Tree<L> {
+    /// An arena-less shell with room for `nodes` records.
+    pub(crate) fn with_capacity(root: NodeId, nodes: usize) -> Tree<L> {
+        Tree::from_raw_parts(
+            Vec::with_capacity(nodes),
+            Vec::new(),
+            SlotIndex::new(),
+            root,
+        )
+    }
+
+    /// Assembles a tree directly from a decoded arena image: records in
+    /// slot order (none vacant, lists tiling `kids`), the child buffer, a
+    /// matching identifier index, and the root. Backs the bulk snapshot
+    /// decoder (`crate::snapshot`); the caller is expected to
+    /// [`Tree::validate`] the result.
+    pub(crate) fn from_raw_parts(
+        slab: Vec<Node<L>>,
+        kids: Vec<NodeId>,
+        index: SlotIndex,
+        root: NodeId,
+    ) -> Tree<L> {
         Tree {
             slab,
+            kids,
+            dead: 0,
+            free: Vec::new(),
             index,
             root,
             track: false,
@@ -110,13 +156,115 @@ impl<L> Tree<L> {
         }
     }
 
-    /// Appends a node to the arena, indexing its identifier.
+    /// Puts a record into a vacant slot, or a new one at the end of the
+    /// arena, indexing its identifier.
     #[inline]
     pub(crate) fn push_node(&mut self, node: Node<L>) -> Slot {
-        let slot = Slot::new(u32::try_from(self.slab.len()).expect("tree larger than u32::MAX"));
-        self.index.insert(node.id, slot);
-        self.slab.push(node);
+        let id = node.id;
+        let slot = match self.free.pop() {
+            Some(s) => {
+                self.slab[s.index()] = node;
+                s
+            }
+            None => {
+                let s =
+                    Slot::new(u32::try_from(self.slab.len()).expect("tree larger than u32::MAX"));
+                self.slab.push(node);
+                s
+            }
+        };
+        self.index.insert(id, slot);
         slot
+    }
+
+    /// Appends `list` to the child buffer, returning where it starts.
+    #[inline]
+    pub(crate) fn push_list(&mut self, list: &[NodeId]) -> u32 {
+        let start = self.buffer_end();
+        self.kids.extend_from_slice(list);
+        start
+    }
+
+    /// The end of the child buffer, as a list start.
+    #[inline]
+    fn buffer_end(&self) -> u32 {
+        u32::try_from(self.kids.len())
+            .ok()
+            .filter(|&n| n < VACANT)
+            .expect("child buffer larger than u32::MAX")
+    }
+
+    /// Points the list of the node at `slot`, which has none yet, at the
+    /// `len` entries from `start` (no room).
+    #[inline]
+    pub(crate) fn set_list(&mut self, slot: Slot, start: u32, len: u32) {
+        let node = &mut self.slab[slot.index()];
+        node.start = start;
+        node.len = len;
+        node.cap = len;
+    }
+
+    /// The live records with their slots, in slot order.
+    fn live(&self) -> impl Iterator<Item = (Slot, &Node<L>)> {
+        self.slab
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| !n.is_vacant())
+            .map(|(i, n)| (Slot::new(i as u32), n))
+    }
+
+    /// Makes room for one more child in the list of the node at `slot`:
+    /// in place while the list has room or ends the buffer, otherwise by
+    /// moving it to the end with twice its length as room (its old range
+    /// turns dead).
+    fn reserve_child(&mut self, slot: Slot) {
+        let end = self.buffer_end();
+        let node = &mut self.slab[slot.index()];
+        if node.len < node.cap {
+            return;
+        }
+        if node.start + node.len == end {
+            self.kids.push(HOLE);
+            node.cap += 1;
+            return;
+        }
+        let room = (2 * node.len).max(1);
+        self.kids.extend_from_within(node.list());
+        self.kids.resize(end as usize + room as usize, HOLE);
+        self.dead += node.cap as usize;
+        node.start = end;
+        node.cap = room;
+        self.buffer_end(); // the buffer stays addressable
+    }
+
+    /// Inserts `child` at `position` of the list of the node at `slot`.
+    fn insert_child(&mut self, slot: Slot, position: usize, child: NodeId) {
+        self.reserve_child(slot);
+        let node = &mut self.slab[slot.index()];
+        let list = node.list();
+        let at = list.start + position;
+        self.kids.copy_within(at..list.end, at + 1);
+        self.kids[at] = child;
+        node.len += 1;
+    }
+
+    /// Rewrites the child buffer with every live list packed in slot
+    /// order, without room, once abandoned ranges outnumber the live
+    /// entries. A list only moves when it is full, so the ranges it leaves
+    /// pay for the rewrite.
+    fn compact_if_sparse(&mut self) {
+        if self.dead < self.size() {
+            return;
+        }
+        let mut kids = Vec::with_capacity(self.size() - 1);
+        for node in self.slab.iter_mut().filter(|n| !n.is_vacant()) {
+            let list = node.list();
+            node.start = kids.len() as u32;
+            node.cap = node.len;
+            kids.extend_from_slice(&self.kids[list]);
+        }
+        self.kids = kids;
+        self.dead = 0;
     }
 
     /// Journals the node at `slot`, whose child word is about to change
@@ -137,6 +285,14 @@ impl<L> Tree<L> {
     /// The number of nodes, `|t|`.
     #[inline]
     pub fn size(&self) -> usize {
+        self.slab.len() - self.free.len()
+    }
+
+    /// One past the highest slot in use: every live slot is below it, so
+    /// a slot-keyed side table of this length covers the tree. Equal to
+    /// [`Tree::size`] while no slot is vacant.
+    #[inline]
+    pub fn slot_bound(&self) -> usize {
         self.slab.len()
     }
 
@@ -155,10 +311,10 @@ impl<L> Tree<L> {
         self.index.slot(id)
     }
 
-    /// All arena slots, `0..size()`, in arena order.
+    /// The live arena slots, in slot order (vacant slots skipped).
     #[inline]
-    pub fn slots(&self) -> impl Iterator<Item = Slot> {
-        (0..self.slab.len() as u32).map(Slot::new)
+    pub fn slots(&self) -> impl Iterator<Item = Slot> + '_ {
+        self.live().map(|(s, _)| s)
     }
 
     /// The identifier→slot index itself.
@@ -194,7 +350,7 @@ impl<L> Tree<L> {
     /// changed since the last drain (deduplicated, in first-touched
     /// order). Empty unless [`Tree::set_change_tracking`] is on.
     pub fn take_changed_parents(&mut self) -> Vec<NodeId> {
-        let mut seen = SlotSet::with_capacity(self.size());
+        let mut seen = SlotSet::with_capacity(self.slot_bound());
         let mut out = Vec::new();
         for id in self.journal.drain(..) {
             match self.index.slot(id) {
@@ -217,7 +373,7 @@ impl<L> Tree<L> {
     /// changed — the region a subtree-keyed cache must invalidate.
     pub fn drain_dirty_to_root(&mut self) -> Vec<NodeId> {
         let touched = self.take_changed_parents();
-        let mut seen = SlotSet::with_capacity(self.size());
+        let mut seen = SlotSet::with_capacity(self.slot_bound());
         let mut out = Vec::new();
         for id in touched {
             let mut cur = Some(id);
@@ -252,7 +408,7 @@ impl<L> Tree<L> {
         self.index.slot(id).map(|s| &self.slab[s.index()])
     }
 
-    /// Borrow the node at an arena slot.
+    /// Borrow the node at a live arena slot.
     ///
     /// # Panics
     /// Panics if `slot` is out of range for this tree.
@@ -261,13 +417,23 @@ impl<L> Tree<L> {
         &self.slab[slot.index()]
     }
 
-    /// The identifier of the node at an arena slot.
+    /// The identifier of the node at a live arena slot.
     ///
     /// # Panics
     /// Panics if `slot` is out of range for this tree.
     #[inline]
     pub fn id_at(&self, slot: Slot) -> NodeId {
         self.slab[slot.index()].id
+    }
+
+    /// The ordered children of the node at a live arena slot (empty for a
+    /// vacant one).
+    ///
+    /// # Panics
+    /// Panics if `slot` is out of range for this tree.
+    #[inline]
+    pub fn children_at(&self, slot: Slot) -> &[NodeId] {
+        &self.kids[self.slab[slot.index()].list()]
     }
 
     /// The label of a node.
@@ -282,7 +448,7 @@ impl<L> Tree<L> {
     /// The ordered children of a node.
     #[inline]
     pub fn children(&self, id: NodeId) -> &[NodeId] {
-        &self.node(id).children
+        &self.kids[self.node(id).list()]
     }
 
     /// The parent of a node (`None` for the root).
@@ -297,16 +463,15 @@ impl<L> Tree<L> {
     where
         L: Copy,
     {
-        self.node(id)
-            .children
+        self.children(id)
             .iter()
             .map(|&c| self.node(c).label)
             .collect()
     }
 
-    /// All node identifiers, in unspecified order.
+    /// All node identifiers, in slot order.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.slab.iter().map(|n| n.id)
+        self.live().map(|(_, n)| n.id)
     }
 
     /// Pre-order (document-order) traversal from the root.
@@ -346,15 +511,13 @@ impl<L> Tree<L> {
             return Err(TreeError::DuplicateNodeId(id));
         }
         self.mark_children_changed(pslot);
-        self.push_node(Node {
-            id,
-            label,
-            parent: Some(parent),
-            children: Vec::new(),
-        });
-        // Slots are stable under insertion, so `pslot` still addresses the
-        // parent after the push.
-        self.slab[pslot.index()].children.push(id);
+        let arity = self.slab[pslot.index()].len as usize;
+        self.insert_child(pslot, arity, id);
+        // The leaf's empty list starts at the end of the buffer, so its
+        // own first children append in place.
+        let start = self.buffer_end();
+        self.push_node(Node::new(id, label, Some(parent), start, 0));
+        self.compact_if_sparse();
         Ok(())
     }
 
@@ -371,7 +534,7 @@ impl<L> Tree<L> {
         let Some(pslot) = self.slot(parent) else {
             return Err(TreeError::UnknownNode(parent));
         };
-        let arity = self.slab[pslot.index()].children.len();
+        let arity = self.slab[pslot.index()].len as usize;
         if position > arity {
             return Err(TreeError::PositionOutOfBounds {
                 node: parent,
@@ -386,18 +549,28 @@ impl<L> Tree<L> {
         }
         let sub_root = sub.root;
         self.mark_children_changed(pslot);
-        for mut node in sub.slab {
+        self.insert_child(pslot, position, sub_root);
+        let Tree { slab, kids, .. } = sub;
+        for mut node in slab.into_iter().filter(|n| !n.is_vacant()) {
             if node.id == sub_root {
                 node.parent = Some(parent);
             }
+            node.start = self.push_list(&kids[node.list()]);
+            node.cap = node.len;
             self.push_node(node);
         }
-        self.slab[pslot.index()].children.insert(position, sub_root);
+        self.compact_if_sparse();
         Ok(())
     }
 
-    /// Removes and returns the subtree rooted at `id`.
-    pub fn detach_subtree(&mut self, id: NodeId) -> Result<Tree<L>, TreeError> {
+    /// Removes and returns the subtree rooted at `id`. Its slots turn
+    /// vacant and every other node keeps its slot. Insertions reuse the
+    /// vacated slots first, in the subtree's document order, so attaching
+    /// the subtree straight back restores every slot.
+    pub fn detach_subtree(&mut self, id: NodeId) -> Result<Tree<L>, TreeError>
+    where
+        L: Clone,
+    {
         if !self.contains(id) {
             return Err(TreeError::UnknownNode(id));
         }
@@ -406,40 +579,49 @@ impl<L> Tree<L> {
         }
         let parent = self.node(id).parent.expect("non-root has a parent");
         let pslot = self.slot(parent).expect("parent indexed");
-        let p = &mut self.slab[pslot.index()];
-        let pos = p
-            .children
+        let plist = self.slab[pslot.index()].list();
+        let pos = self.kids[plist.clone()]
             .iter()
             .position(|&c| c == id)
             .expect("child listed in parent");
-        p.children.remove(pos);
+        self.kids
+            .copy_within(plist.start + pos + 1..plist.end, plist.start + pos);
+        self.slab[pslot.index()].len -= 1;
         self.mark_children_changed(pslot);
 
-        // Collect the subtree's identifiers before removing anything:
-        // removal relocates slots (swap-remove), identifiers never move.
-        let mut ids = Vec::new();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            ids.push(n);
-            stack.extend(self.node(n).children.iter().copied());
-        }
-
+        // Copy the subtree out in document order, vacating each slot once
+        // its record is copied.
+        let freed = self.free.len();
         let mut sub = Tree::empty_with_root(id);
-        sub.slab.reserve(ids.len());
-        for n in ids {
-            let s = self.index.remove(n).expect("subtree node indexed");
-            let mut node = self.slab.swap_remove(s.index());
-            if s.index() < self.slab.len() {
-                // A tail node was swapped into the vacated slot; re-point
-                // its index entry.
-                let moved = self.slab[s.index()].id;
-                self.index.insert(moved, s);
-            }
-            if node.id == id {
-                node.parent = None;
-            }
-            sub.push_node(node);
+        let mut stack = vec![self.slot(id).expect("subtree root indexed")];
+        while let Some(s) = stack.pop() {
+            let node = &self.slab[s.index()];
+            let list = &self.kids[node.list()];
+            let parent = if node.id == id { None } else { node.parent };
+            let start = sub.push_list(list);
+            sub.push_node(Node::new(
+                node.id,
+                node.label.clone(),
+                parent,
+                start,
+                node.len,
+            ));
+            stack.extend(
+                list.iter()
+                    .rev()
+                    .map(|&c| self.index.slot(c).expect("child indexed")),
+            );
+            let node = &mut self.slab[s.index()];
+            self.index.remove(node.id);
+            self.dead += node.cap as usize;
+            node.start = 0;
+            node.len = 0;
+            node.cap = VACANT;
+            self.free.push(s);
         }
+        // The free list pops from its end: the subtree root's slot first.
+        self.free[freed..].reverse();
+        self.compact_if_sparse();
         Ok(sub)
     }
 
@@ -450,16 +632,34 @@ impl<L> Tree<L> {
         L: Clone,
     {
         let mut out = Tree::empty_with_root(id);
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            let mut node = self.node(n).clone();
-            if n == id {
-                node.parent = None;
-            }
-            stack.extend(node.children.iter().copied());
-            out.push_node(node);
-        }
+        out.copy_subtree(self, id, None, L::clone);
         out
+    }
+
+    /// Copies `src`'s subtree rooted at `root` into this arena in document
+    /// order, labels mapped by `f`, identifiers preserved, each child list
+    /// copied whole; the copy's root gets `parent`. Indexes the copied
+    /// identifiers but links the copy's root into no list.
+    fn copy_subtree<M>(
+        &mut self,
+        src: &Tree<M>,
+        root: NodeId,
+        parent: Option<NodeId>,
+        mut f: impl FnMut(&M) -> L,
+    ) {
+        let mut stack = vec![src.slot(root).expect("copied subtree root in source")];
+        while let Some(s) = stack.pop() {
+            let node = src.node_at(s);
+            let list = src.children_at(s);
+            let start = self.push_list(list);
+            let p = if node.id == root { parent } else { node.parent };
+            self.push_node(Node::new(node.id, f(&node.label), p, start, node.len));
+            stack.extend(
+                list.iter()
+                    .rev()
+                    .map(|&c| src.slot(c).expect("child indexed")),
+            );
+        }
     }
 
     /// Appends a label-mapped copy of `src`'s subtree rooted at `root` as
@@ -475,7 +675,7 @@ impl<L> Tree<L> {
         parent: NodeId,
         src: &Tree<M>,
         root: NodeId,
-        mut f: impl FnMut(&M) -> L,
+        f: impl FnMut(&M) -> L,
     ) -> Result<(), TreeError> {
         let Some(pslot) = self.slot(parent) else {
             return Err(TreeError::UnknownNode(parent));
@@ -491,18 +691,10 @@ impl<L> Tree<L> {
             stack.extend_from_slice(src.children(n));
         }
         self.mark_children_changed(pslot);
-        self.slab[pslot.index()].children.push(root);
-        stack.push(root);
-        while let Some(n) = stack.pop() {
-            let node = src.node(n);
-            self.push_node(Node {
-                id: n,
-                label: f(&node.label),
-                parent: if n == root { Some(parent) } else { node.parent },
-                children: node.children.clone(),
-            });
-            stack.extend_from_slice(&node.children);
-        }
+        let arity = self.slab[pslot.index()].len as usize;
+        self.insert_child(pslot, arity, root);
+        self.copy_subtree(src, root, Some(parent), f);
+        self.compact_if_sparse();
         Ok(())
     }
 
@@ -522,7 +714,7 @@ impl<L> Tree<L> {
             let node = &mut self.slab[s.index()];
             node.label = f(&node.label);
             stack.extend(
-                node.children
+                self.kids[node.list()]
                     .iter()
                     .map(|&c| self.index.slot(c).expect("child indexed")),
             );
@@ -537,19 +729,20 @@ impl<L> Tree<L> {
         let Some(pslot) = self.slot(parent) else {
             return Err(TreeError::UnknownNode(parent));
         };
-        let children = &self.slab[pslot.index()].children;
-        if children.as_slice() == order {
+        let list = self.slab[pslot.index()].list();
+        let children = &self.kids[list.clone()];
+        if children == order {
             return Ok(());
         }
         let mut want = order.to_vec();
-        let mut have = children.clone();
+        let mut have = children.to_vec();
         want.sort_unstable();
         have.sort_unstable();
         if want != have {
             return Err(TreeError::NotAPermutation(parent));
         }
         self.mark_children_changed(pslot);
-        self.slab[pslot.index()].children.copy_from_slice(order);
+        self.kids[list].copy_from_slice(order);
         Ok(())
     }
 
@@ -559,7 +752,7 @@ impl<L> Tree<L> {
         let mut stack = vec![id];
         while let Some(n) = stack.pop() {
             count += 1;
-            stack.extend(self.node(n).children.iter().copied());
+            stack.extend_from_slice(self.children(n));
         }
         count
     }
@@ -575,26 +768,50 @@ impl<L> Tree<L> {
         d
     }
 
-    /// Height of the tree (a leaf-only tree has height 0).
+    /// Height of the tree (a leaf-only tree has height 0), in one pass on
+    /// an explicit stack of (slot, depth) pairs.
     pub fn height(&self) -> usize {
-        self.preorder().map(|n| self.depth(n)).max().unwrap_or(0)
+        let resolve = |c: &NodeId| self.slot(*c).expect("child indexed");
+        let mut height = 0;
+        let mut stack = vec![(resolve(&self.root), 0usize)];
+        while let Some((s, d)) = stack.pop() {
+            height = height.max(d);
+            stack.extend(self.children_at(s).iter().map(|c| (resolve(c), d + 1)));
+        }
+        height
     }
 
-    /// Maps the label of every node, preserving identifiers and structure.
-    /// The result is a fresh tree with change tracking off.
-    pub fn map_labels<M>(&self, mut f: impl FnMut(NodeId, &L) -> M) -> Tree<M> {
-        let slab: Vec<Node<M>> = self
-            .slab
-            .iter()
-            .map(|node| Node {
-                id: node.id,
-                label: f(node.id, &node.label),
-                parent: node.parent,
-                children: node.children.clone(),
-            })
-            .collect();
+    /// Maps the label of every node, preserving identifiers, structure and
+    /// slots. The result is a fresh tree with change tracking off.
+    ///
+    /// `f` runs once per node, the root first. The arena is copied in
+    /// bulk: the child buffer, the free list and the identifier index
+    /// whole, and one record per slot (a vacant slot's record takes a copy
+    /// of the root's mapped label), with room for a small edit of the
+    /// copy.
+    pub fn map_labels<M: Clone>(&self, mut f: impl FnMut(NodeId, &L) -> M) -> Tree<M> {
+        let root_slot = self.slot(self.root).expect("root indexed");
+        let root_label = f(self.root, &self.slab[root_slot.index()].label);
+        let mut slab: Vec<Node<M>> = Vec::with_capacity(self.slab.len() + COPY_ROOM);
+        let mut kids = Vec::with_capacity(self.kids.len() + COPY_ROOM);
+        kids.extend_from_slice(&self.kids);
+        slab.extend(self.slab.iter().enumerate().map(|(i, node)| Node {
+            id: node.id,
+            label: if node.is_vacant() || i == root_slot.index() {
+                root_label.clone()
+            } else {
+                f(node.id, &node.label)
+            },
+            parent: node.parent,
+            start: node.start,
+            len: node.len,
+            cap: node.cap,
+        }));
         Tree {
             slab,
+            kids,
+            dead: self.dead,
+            free: self.free.clone(),
             index: self.index.clone(),
             root: self.root,
             track: false,
@@ -612,31 +829,23 @@ impl<L> Tree<L> {
     where
         L: Clone,
     {
-        let mut out = Tree::empty_with_root(self.root); // placeholder root; fixed below
-        out.slab.reserve(self.size());
+        let root = self.node(self.root);
+        let mut out = PreorderBuilder::with_capacity(gen.fresh(), root.label.clone(), self.size());
         // Pre-order on an explicit stack, so fresh identifiers are drawn
-        // in document order: each entry is a source node and the slot of
-        // its copy's parent (`None` for the root).
-        let mut stack: Vec<(NodeId, Option<Slot>)> = vec![(self.root, None)];
+        // in document order: each entry is a source node and its copy's
+        // parent.
+        let mut stack: Vec<(NodeId, NodeId)> = Vec::new();
+        let push = |stack: &mut Vec<(NodeId, NodeId)>, n: NodeId, copy: NodeId| {
+            stack.extend(self.children(n).iter().rev().map(|&c| (c, copy)));
+        };
+        push(&mut stack, self.root, out.root());
         while let Some((n, parent)) = stack.pop() {
             let id = gen.fresh();
-            let node = self.node(n);
-            let parent_id = parent.map(|p| out.slab[p.index()].id);
-            let slot = out.push_node(Node {
-                id,
-                label: node.label.clone(),
-                parent: parent_id,
-                children: Vec::with_capacity(node.children.len()),
-            });
-            // Slots are stable under insertion, so `p` still addresses the
-            // parent's copy.
-            match parent {
-                Some(p) => out.slab[p.index()].children.push(id),
-                None => out.root = id,
-            }
-            stack.extend(node.children.iter().rev().map(|&c| (c, Some(slot))));
+            out.child(parent, id, self.node(n).label.clone())
+                .expect("fresh ids are unique");
+            push(&mut stack, n, id);
         }
-        out
+        out.finish()
     }
 
     /// Identifier-oblivious structural equality (same shape, same labels).
@@ -646,41 +855,73 @@ impl<L> Tree<L> {
     {
         let mut stack = vec![(self.root, other.root)];
         while let Some((an, bn)) = stack.pop() {
-            let (na, nb) = (self.node(an), other.node(bn));
-            if na.label != nb.label || na.children.len() != nb.children.len() {
+            let (ka, kb) = (self.children(an), other.children(bn));
+            if self.node(an).label != other.node(bn).label || ka.len() != kb.len() {
                 return false;
             }
-            stack.extend(na.children.iter().copied().zip(nb.children.iter().copied()));
+            stack.extend(ka.iter().copied().zip(kb.iter().copied()));
         }
         true
     }
 
     /// Checks internal invariants: parent/child agreement, reachability of
-    /// exactly the arena from the root, no duplicate children, and
-    /// arena/index agreement.
+    /// exactly the live nodes from the root, no duplicate children,
+    /// arena/index agreement, a free list of exactly the vacant slots, and
+    /// child-list ranges that are disjoint, inside the buffer and account
+    /// for it with the dead entries.
     ///
     /// Intended for tests and debug assertions; all public mutators maintain
     /// these invariants.
     pub fn validate(&self) -> Result<(), TreeError> {
+        let bad = |msg: String| Err(TreeError::Inconsistent(msg));
+        let mut vacant = SlotSet::with_capacity(self.slot_bound());
+        let mut claimed = vec![0u64; self.kids.len().div_ceil(64)];
+        let mut covered = 0usize;
         for (i, node) in self.slab.iter().enumerate() {
+            if node.is_vacant() {
+                vacant.insert(Slot::new(i as u32));
+                continue;
+            }
             if self.index.slot(node.id).map(Slot::index) != Some(i) {
-                return Err(TreeError::Inconsistent(format!(
+                return bad(format!(
                     "arena slot {i} holds {} but the index disagrees",
                     node.id
-                )));
+                ));
             }
+            let room = node.start as usize..node.start as usize + node.cap as usize;
+            if node.len > node.cap || room.end > self.kids.len() {
+                return bad(format!("child list of {} leaves the buffer", node.id));
+            }
+            for e in room {
+                let (w, b) = (e / 64, 1u64 << (e % 64));
+                if claimed[w] & b != 0 {
+                    return bad(format!("child list of {} overlaps another", node.id));
+                }
+                claimed[w] |= b;
+            }
+            covered += node.cap as usize;
         }
-        if self.index.len() != self.slab.len() {
-            return Err(TreeError::Inconsistent(format!(
+        if covered + self.dead != self.kids.len() {
+            return bad(format!(
+                "{} buffer entries, {covered} in lists and {} dead",
+                self.kids.len(),
+                self.dead
+            ));
+        }
+        if vacant.len() != self.free.len() || !self.free.iter().all(|&s| vacant.remove(s)) {
+            return bad("the free list is not the set of vacant slots".into());
+        }
+        if self.index.len() != self.size() {
+            return bad(format!(
                 "{} nodes in arena, {} identifiers indexed",
-                self.slab.len(),
+                self.size(),
                 self.index.len()
-            )));
+            ));
         }
         if self.node(self.root).parent.is_some() {
-            return Err(TreeError::Inconsistent("root has a parent".into()));
+            return bad("root has a parent".into());
         }
-        let mut seen = SlotSet::with_capacity(self.size());
+        let mut seen = SlotSet::with_capacity(self.slot_bound());
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
             let slot = self
@@ -688,28 +929,24 @@ impl<L> Tree<L> {
                 .slot(n)
                 .ok_or_else(|| TreeError::Inconsistent(format!("dangling child {n}")))?;
             if !seen.insert(slot) {
-                return Err(TreeError::Inconsistent(format!(
-                    "node {n} reachable twice (cycle or shared child)"
-                )));
+                return bad(format!("node {n} reachable twice (cycle or shared child)"));
             }
-            for &c in &self.slab[slot.index()].children {
+            for &c in self.children_at(slot) {
                 let child = self
                     .get(c)
                     .ok_or_else(|| TreeError::Inconsistent(format!("dangling child {c}")))?;
                 if child.parent != Some(n) {
-                    return Err(TreeError::Inconsistent(format!(
-                        "child {c} does not point back to parent {n}"
-                    )));
+                    return bad(format!("child {c} does not point back to parent {n}"));
                 }
                 stack.push(c);
             }
         }
-        if seen.len() != self.slab.len() {
-            return Err(TreeError::Inconsistent(format!(
+        if seen.len() != self.size() {
+            return bad(format!(
                 "{} nodes in arena, {} reachable from root",
-                self.slab.len(),
+                self.size(),
                 seen.len()
-            )));
+            ));
         }
         Ok(())
     }
@@ -770,9 +1007,76 @@ mod tests {
     }
 
     #[test]
-    fn detach_relocates_slots_but_not_ids() {
-        // after detaching a middle subtree, every surviving id still
-        // resolves and the arena stays dense
+    fn detach_leaves_every_other_slot_in_place() {
+        // detaching a middle subtree vacates its slots: every surviving
+        // node keeps its slot, and later insertions reuse the vacated
+        // ones in the detached subtree's document order
+        let mut gen = NodeIdGen::new();
+        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
+        let r = t.root();
+        let a = t.add_child(r, &mut gen, sym(1));
+        let b = t.add_child(a, &mut gen, sym(2));
+        let c = t.add_child(r, &mut gen, sym(3));
+        let slot = |t: &DocTree, n| t.slot(n).unwrap();
+        let (sr, sa, sb, sc) = (slot(&t, r), slot(&t, a), slot(&t, b), slot(&t, c));
+        t.detach_subtree(a).unwrap();
+        t.validate().unwrap();
+        assert_eq!((t.size(), t.slot_bound()), (2, 4));
+        assert_eq!(t.slots().collect::<Vec<_>>(), vec![sr, sc]);
+        assert_eq!((slot(&t, r), slot(&t, c)), (sr, sc));
+        assert_eq!(t.children(r), &[c]);
+        assert_eq!(t.label(c), sym(3));
+        let d = t.add_child(r, &mut gen, sym(4));
+        let e = t.add_child(d, &mut gen, sym(5));
+        t.validate().unwrap();
+        assert_eq!((slot(&t, d), slot(&t, e)), (sa, sb));
+        assert_eq!((t.size(), t.slot_bound()), (4, 4));
+        assert_eq!(t.children(r), &[c, d]);
+    }
+
+    #[test]
+    fn appends_move_full_lists_and_the_buffer_compacts() {
+        // every root child gets a child of its own, so each append to the
+        // root finds its list away from the end of the buffer
+        let mut gen = NodeIdGen::new();
+        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
+        let r = t.root();
+        let mut kids = Vec::new();
+        for i in 0..200 {
+            let c = t.add_child(r, &mut gen, sym(i % 7));
+            t.add_child(c, &mut gen, sym(9));
+            kids.push(c);
+            t.validate().unwrap();
+        }
+        assert_eq!(t.children(r), kids.as_slice());
+        // the root's list moved with doubled room each time it filled up,
+        // so the abandoned ranges stay below the live entries
+        assert!(t.dead < t.size(), "{} dead, {} nodes", t.dead, t.size());
+        // removing most nodes abandons their ranges; the buffer compacts
+        for &c in &kids[..150] {
+            t.detach_subtree(c).unwrap();
+        }
+        t.validate().unwrap();
+        assert!(t.dead < t.size());
+        assert!(t.kids.len() < 3 * t.size(), "{} entries", t.kids.len());
+        assert_eq!(t.children(r), &kids[150..]);
+    }
+
+    #[test]
+    fn height_is_one_pass_over_a_deep_chain() {
+        let mut gen = NodeIdGen::new();
+        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
+        let mut leaf = t.root();
+        for _ in 0..20_000 {
+            leaf = t.add_child(leaf, &mut gen, sym(1));
+        }
+        t.add_child(t.root(), &mut gen, sym(2));
+        assert_eq!(t.height(), 20_000);
+        assert_eq!(Tree::leaf_with_id(NodeId(0), sym(0)).height(), 0);
+    }
+
+    #[test]
+    fn map_labels_and_clone_keep_slots_and_vacancies() {
         let mut gen = NodeIdGen::new();
         let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
         let r = t.root();
@@ -780,11 +1084,15 @@ mod tests {
         t.add_child(a, &mut gen, sym(2));
         let c = t.add_child(r, &mut gen, sym(3));
         t.detach_subtree(a).unwrap();
-        t.validate().unwrap();
-        assert_eq!(t.size(), 2);
-        assert_eq!(t.slots().count(), 2);
-        assert_eq!(t.children(r), &[c]);
-        assert_eq!(t.label(c), sym(3));
+        let m = t.map_labels(|_, l| l.index() + 10);
+        m.validate().unwrap();
+        assert_eq!((m.size(), m.slot_bound()), (2, 4));
+        assert_eq!(m.slot(c), t.slot(c));
+        assert_eq!(m.label(c), 13);
+        let u = t.clone();
+        u.validate().unwrap();
+        assert_eq!(u, t);
+        assert_eq!(u.slots().collect::<Vec<_>>(), t.slots().collect::<Vec<_>>());
     }
 
     #[test]

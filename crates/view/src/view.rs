@@ -2,7 +2,7 @@
 
 use crate::annotation::Annotation;
 use std::collections::HashSet;
-use xvu_tree::{DocTree, NodeId, Sym, Tree};
+use xvu_tree::{DocTree, NodeId, PreorderBuilder, Sym, Tree};
 
 /// Computes the set of visible nodes `⟦A⟧_t` of `t` (paper §2):
 ///
@@ -41,33 +41,35 @@ pub fn extract_view(ann: &Annotation, t: &DocTree) -> DocTree {
 /// subtree is extracted without projecting the script first.
 ///
 /// The walk keeps its own stack, so a deep tree costs heap, not call
-/// stack; nodes enter the result in document order.
+/// stack; nodes enter the result in document order, and each child list
+/// is written once ([`PreorderBuilder`]).
 pub fn extract_subtree_view<L>(
     ann: &Annotation,
     t: &Tree<L>,
     root: NodeId,
     label: impl Fn(&L) -> Sym,
 ) -> DocTree {
-    let mut out = Tree::leaf_with_id(root, label(&t.node(root).label));
+    let mut out = PreorderBuilder::new(root, label(&t.node(root).label));
     let mut stack = vec![root];
     while let Some(n) = stack.pop() {
-        let node = t.node(n);
+        let slot = t.slot(n).expect("the walk visits nodes of t");
+        let node = t.node_at(slot);
         let node_label = label(&node.label);
         if n != root {
             let parent = node.parent.expect("a non-root node has a parent");
-            out.add_child_with_id(parent, n, node_label)
+            out.child(parent, n, node_label)
                 .expect("view ids are a subset of source ids, hence unique");
         }
         // Reversed, so the leftmost visible child is popped (and
         // appended to its parent) first.
         stack.extend(
-            node.children
+            t.children_at(slot)
                 .iter()
                 .rev()
                 .filter(|&&c| ann.is_visible(node_label, label(&t.node(c).label))),
         );
     }
-    out
+    out.finish()
 }
 
 /// The number of nodes of `t` hidden by `ann` — `|t| − |A(t)|`.

@@ -9,12 +9,14 @@
 //!
 //! Like the term reader ([`xvu_tree::read_term`]), it appends each
 //! element to one arena when its start tag ends — so the arena is in
-//! document order — and keeps a stack of the open elements instead of
-//! recursing: depth costs heap, not native stack. A repeated `xvu:id` is
-//! reported at the end of the start tag that repeats it.
+//! document order — writes each child list once, when its element closes
+//! ([`xvu_tree::PreorderBuilder`]), and keeps a stack of the open
+//! elements instead of recursing: depth costs heap, not native stack. A
+//! repeated `xvu:id` is reported at the end of the start tag that repeats
+//! it.
 
 use crate::error::XmlError;
-use xvu_tree::{Alphabet, DocTree, NodeId, NodeIdGen, Sym, Tree};
+use xvu_tree::{Alphabet, DocTree, NodeId, NodeIdGen, PreorderBuilder, Sym};
 
 /// Parses an XML document into a tree. Elements with `xvu:id` attributes
 /// keep those identifiers; others get fresh ones from `gen`.
@@ -29,7 +31,10 @@ pub fn read_xml(
     };
     p.skip_misc()?;
     let root = p.start_tag(alpha, gen)?;
-    let mut tree = Tree::leaf_with_id(root.id, root.label);
+    // Every element opens with a '<' and takes at least four bytes
+    // (`<a/>`): room for that many nodes, so reading grows no array.
+    let tags = input.bytes().filter(|&b| b == b'<').count();
+    let mut tree = PreorderBuilder::with_capacity(root.id, root.label, tags.min(input.len() / 4));
     // the elements whose end tag is still to come, innermost last
     let mut open: Vec<StartTag<'_>> = Vec::new();
     if !root.empty {
@@ -57,7 +62,7 @@ pub fn read_xml(
             (Some(b'<'), _) => {
                 let parent = parent.id;
                 let child = p.start_tag(alpha, gen)?;
-                tree.add_child_with_id(parent, child.id, child.label)
+                tree.child(parent, child.id, child.label)
                     .map_err(|e| p.err(&format!("duplicate identifier: {e}")))?;
                 if !child.empty {
                     open.push(child);
@@ -73,7 +78,7 @@ pub fn read_xml(
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing content after the root element"));
     }
-    Ok(tree)
+    Ok(tree.finish())
 }
 
 /// One element's start tag, read.

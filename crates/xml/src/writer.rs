@@ -49,18 +49,18 @@ pub fn write_xml(tree: &DocTree, alpha: &Alphabet, opts: &WriteOptions) -> Strin
     loop {
         if let Some(n) = next.take() {
             indent(&mut out, open.len());
-            let node = tree.node(n);
-            let name = alpha.name(node.label);
+            let name = alpha.name(tree.label(n));
+            let children = tree.children(n);
             out.push('<');
             out.push_str(name);
             if opts.with_ids {
                 write!(out, " xvu:id=\"{}\"", n.0).expect("writing to a String cannot fail");
             }
-            if node.children.is_empty() {
+            if children.is_empty() {
                 out.push_str("/>");
             } else {
                 out.push('>');
-                open.push((name, &node.children, 0));
+                open.push((name, children, 0));
             }
             newline(&mut out);
         }

@@ -11,7 +11,7 @@
 //! edits, the other tree, and no tree), single corruptions of each
 //! script and of each tree,
 //! generated scripts, and scripts whose arena order is not their document
-//! order — after committed churn, whose detaches move slots, and with
+//! order — after committed churn, whose inserts reuse vacated slots, and with
 //! fresh-id subtree copies grafted in. On every input the two must agree
 //! on the first closure violation, the changed list, whether each slot is
 //! clean, and — whenever the closure rules hold, the only case the flag is
@@ -44,7 +44,7 @@ fn ref_check_script(s: &Script, t: Option<&DocTree>) -> RefCheck {
         root_label.op != EditOp::Ins && t.root() == root && t.label(root) == root_label.label
     });
     let mut changed = Vec::new();
-    let mut dirty = SlotSet::with_capacity(s.size());
+    let mut dirty = SlotSet::with_capacity(s.slot_bound());
     let mut closure = None;
     // (slot, inside a deleted subtree, inside an inserted subtree)
     let mut stack = vec![(resolve(root), false, false)];
@@ -60,7 +60,7 @@ fn ref_check_script(s: &Script, t: Option<&DocTree>) -> RefCheck {
         let mut ti = 0usize;
         let mut edited_child = false;
         let first = stack.len();
-        for &c in &node.children {
+        for &c in s.children_at(slot) {
             let cslot = resolve(c);
             let cl = s.node_at(cslot).label;
             if closure.is_none() {
@@ -129,9 +129,9 @@ fn same(s: &Script, t: Option<&DocTree>, what: &str, tally: &mut Tally) {
     let fp = new.footprint();
     assert_eq!(new.closure().err(), old.closure, "closure: {what}");
     assert_eq!(fp.changed(), &old.changed[..], "changed: {what}");
-    for i in 0..s.size() + 64 {
+    for i in 0..s.slot_bound() + 64 {
         let slot = Slot::new(i as u32);
-        let clean = i < s.size() && !old.dirty.contains(slot);
+        let clean = i < s.slot_bound() && !old.dirty.contains(slot);
         assert_eq!(fp.is_clean(slot), clean, "slot {i}: {what}");
     }
     assert_eq!(fp.clean_len(), s.size() - old.dirty.len(), "{what}");
@@ -486,9 +486,9 @@ fn corpus_scripts_check_as_the_pre_order_walk_checked_them() {
 }
 
 /// Scripts whose arena order is not their document order: churn streams
-/// committed edit by edit (a detach moves the arena's last slots into the
-/// vacated ones, and the propagation script copies the document's
-/// arena), and fresh-id subtree copies grafted into script and tree.
+/// committed edit by edit (a detach leaves vacant slots that later inserts
+/// reuse, and the propagation script copies the document's arena), and
+/// fresh-id subtree copies grafted into script and tree.
 #[test]
 fn shuffled_arenas_check_as_the_pre_order_walk_checked_them() {
     let instances = enumerate_instances(&EnumBudget::default());

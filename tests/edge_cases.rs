@@ -242,9 +242,9 @@ fn moderately_deep_documents_work_on_default_stacks() {
 #[test]
 fn codecs_and_tree_walks_are_stack_safe_on_a_100k_level_chain() {
     // The term and script codecs, the XML codec, the script projections,
-    // the whole-tree walks and the script check each handle a
-    // 100,000-level chain on a 256 KiB stack: none of them recurses per
-    // level.
+    // the whole-tree walks (height included) and the script check each
+    // handle a 100,000-level chain on a 256 KiB stack: none of them
+    // recurses per level.
     std::thread::Builder::new()
         .stack_size(256 * 1024)
         .spawn(|| {
@@ -278,6 +278,8 @@ fn codecs_and_tree_walks_are_stack_safe_on_a_100k_level_chain() {
 
             let copy = chain.with_fresh_ids(&mut gen);
             assert!(copy.isomorphic(&chain) && copy != chain, "fresh-id copy");
+            // one pass, not a parent walk per node (quadratic in depth)
+            assert_eq!(chain.height(), 100_000, "height");
 
             // an insert at the bottom dirties the whole spine
             let mut edit = nop_script(&chain);

@@ -83,10 +83,10 @@ proptest! {
         }
     }
 
-    /// Stability across clone and a detach/attach round-trip: node ids
-    /// and arena slots may be reshuffled by `detach_subtree`'s
-    /// swap-remove, but every node's structural id must come back
-    /// unchanged once the subtree is grafted back where it was.
+    /// Stability across clone and a detach/attach round-trip: the
+    /// detached subtree's slots turn vacant and the re-attach refills
+    /// them, and every node's structural id must come back unchanged once
+    /// the subtree is grafted back where it was.
     #[test]
     fn intern_ids_survive_clone_and_detach_attach(seed in 0u64..2000) {
         let (_alpha, _dtd, doc) = random_doc(seed);
@@ -192,7 +192,7 @@ proptest! {
         }
         // Commit-time id maintenance, seen through the memo: the
         // long-lived session stores the *final* document's root count
-        // under its re-interned (re-keyed + refreshed) root id; a fresh
+        // under its re-interned (refreshed in place) root id; a fresh
         // session re-interns the same document from scratch and replays
         // the same identity update, whose one lookup — at the clean root —
         // must hit. (`engine::tests::commit_keeps_every_intern_id_fresh`

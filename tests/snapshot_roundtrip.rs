@@ -72,7 +72,7 @@ proptest! {
             let Some(victim) = victim else { break };
             let sub = t.detach_subtree(victim).unwrap();
             let root = t.root();
-            let arity = t.node(root).children.len();
+            let arity = t.children(root).len();
             t.attach_subtree(root, arity.min(round), sub).unwrap();
         }
         t.validate().unwrap();
