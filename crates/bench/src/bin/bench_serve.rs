@@ -2,13 +2,18 @@
 //!
 //! Generates one fleet workload (≥ 1000 requests over ≥ 32 documents
 //! with Zipf popularity and open/churn/idle/close lifecycles), then
-//! replays it through the daemon — real TCP, worker pool, admission
-//! queue — at several session-pool sizes. Each row reports sustained
-//! throughput, write/read latency quantiles from the daemon's own
-//! histograms, and the hit rate of the engines' propagation memo (the
+//! replays it through the daemon — real TCP, one thread per connection,
+//! write admission — at several session-pool sizes. Each row reports
+//! sustained throughput, write/read latency quantiles from the daemon's
+//! own histograms, and the hit rate of the engines' propagation memo (the
 //! memo is engine-owned, so eviction does not empty it and the starved
 //! pools keep hitting), so the serving-stack perf trajectory is tracked
 //! by a checked-in artifact.
+//!
+//! Every row is replayed [`RUNS`] times, the pool sizes taking turns so
+//! that a slow phase of the host lands on every row alike, and each
+//! figure is recorded as `{ "min", "median", "max" }` over those runs.
+//! The file records `nproc` and the git revision it was measured at.
 //!
 //! Every replay is also a correctness gate: the daemon's replies are
 //! diffed against the fingerprints the generator recorded from direct
@@ -25,10 +30,14 @@
 //! restored), a pool above it never evicts.
 
 use std::time::{Duration, Instant};
+use xvu_bench::git_revision;
 use xvu_propagate::Engine;
 use xvu_server::{run_fleet, Client, FleetReport, Server, ServerConfig};
 use xvu_tree::{to_term_with_ids, SnapshotFile};
 use xvu_workload::fleet::{generate_fleet, FleetConfig, FleetPlan};
+
+/// Replays per pool row (and cold starts per mode).
+const RUNS: usize = 5;
 
 fn plan(updates: usize, docs: usize, clients: usize) -> FleetPlan {
     generate_fleet(&FleetConfig {
@@ -41,32 +50,52 @@ fn plan(updates: usize, docs: usize, clients: usize) -> FleetPlan {
     })
 }
 
-fn row_json(pool: usize, plan: &FleetPlan, r: &FleetReport) -> String {
-    let secs = r.wall.as_secs_f64().max(1e-9);
-    format!(
-        "    \"{pool}\": {{ \"requests\": {}, \"wall_ms\": {:.1}, \
-         \"updates_per_sec\": {:.1}, \"requests_per_sec\": {:.1}, \
-         \"write_p50_ms\": {:.3}, \"write_p99_ms\": {:.3}, \
-         \"read_p50_ms\": {:.3}, \"read_p99_ms\": {:.3}, \
-         \"cache_hit_rate\": {:.4}, \"cache_hits\": {}, \"cache_entries\": {}, \
-         \"evictions\": {}, \"retries\": {}, \
-         \"rejected_writes\": {}, \"queue_max\": {} }}",
-        r.requests,
-        r.wall.as_secs_f64() * 1e3,
-        plan.updates as f64 / secs,
-        r.requests as f64 / secs,
-        r.stats.write_latency.quantile_ms(0.50),
-        r.stats.write_latency.quantile_ms(0.99),
-        r.stats.read_latency.quantile_ms(0.50),
-        r.stats.read_latency.quantile_ms(0.99),
-        r.stats.cache.hit_rate(),
-        r.stats.cache.hits,
-        r.stats.cache.entries,
-        r.stats.evictions,
-        r.retries,
-        r.stats.rejected_writes,
-        r.stats.queue_max,
-    )
+/// Min, median and max of one figure over the runs of a row.
+fn spread(mut samples: Vec<f64>, decimals: usize) -> String {
+    samples.sort_by(f64::total_cmp);
+    let [min, median, max] = [0, samples.len() / 2, samples.len() - 1].map(|i| samples[i]);
+    format!("{{ \"min\": {min:.decimals$}, \"median\": {median:.decimals$}, \"max\": {max:.decimals$} }}")
+}
+
+/// One pool row: every figure as a spread over the row's runs.
+fn row_json(pool: usize, plan: &FleetPlan, runs: &[FleetReport]) -> String {
+    let per_sec = |n: f64, r: &FleetReport| n / r.wall.as_secs_f64().max(1e-9);
+    let mut row = format!(
+        "    \"{pool}\": {{ \"runs\": {}, \"requests\": {}, \"cache_entries\": {}",
+        runs.len(),
+        runs[0].requests,
+        runs[0].stats.cache.entries
+    );
+    let mut figure = |name: &str, decimals: usize, f: &dyn Fn(&FleetReport) -> f64| {
+        let samples = runs.iter().map(f).collect();
+        row.push_str(&format!(
+            ",\n      \"{name}\": {}",
+            spread(samples, decimals)
+        ));
+    };
+    figure("wall_ms", 1, &|r| r.wall.as_secs_f64() * 1e3);
+    figure("updates_per_sec", 1, &|r| per_sec(plan.updates as f64, r));
+    figure("requests_per_sec", 1, &|r| per_sec(r.requests as f64, r));
+    figure("write_p50_ms", 3, &|r| {
+        r.stats.write_latency.quantile_ms(0.50)
+    });
+    figure("write_p99_ms", 3, &|r| {
+        r.stats.write_latency.quantile_ms(0.99)
+    });
+    figure("read_p50_ms", 3, &|r| {
+        r.stats.read_latency.quantile_ms(0.50)
+    });
+    figure("read_p99_ms", 3, &|r| {
+        r.stats.read_latency.quantile_ms(0.99)
+    });
+    figure("cache_hit_rate", 4, &|r| r.stats.cache.hit_rate());
+    figure("cache_hits", 0, &|r| r.stats.cache.hits as f64);
+    figure("evictions", 0, &|r| r.stats.evictions as f64);
+    figure("retries", 0, &|r| r.retries as f64);
+    figure("rejected_writes", 0, &|r| r.stats.rejected_writes as f64);
+    figure("queue_max", 0, &|r| r.stats.queue_max as f64);
+    row.push_str(" }");
+    row
 }
 
 /// One cold start: the clock runs from daemon construction, through
@@ -117,28 +146,34 @@ fn cold_start_once(
     (elapsed, first.expect("first reply captured"))
 }
 
-/// Best-of-`reps` cold start per mode, checking that the first reply is
-/// byte-identical between them.
-fn cold_start(plan: &FleetPlan, reps: usize) -> (Duration, Duration) {
+/// `reps` cold starts per mode, the modes taking turns, checking that
+/// the first reply is byte-identical between them. Returns each mode's
+/// samples in milliseconds.
+fn cold_start(plan: &FleetPlan, reps: usize) -> (Vec<f64>, Vec<f64>) {
     let engines: Vec<Engine> = plan.families.iter().map(|f| f.engine()).collect();
     let corpus = plan.corpus_snapshot_bytes();
-    let mut term_best = Duration::MAX;
-    let mut snap_best = Duration::MAX;
+    let (mut term_ms, mut snap_ms) = (Vec::new(), Vec::new());
     let mut term_reply = None;
     let mut snap_reply = None;
     for _ in 0..reps {
         let (t, reply) = cold_start_once(plan, &engines, &corpus, false);
-        term_best = term_best.min(t);
+        term_ms.push(t.as_secs_f64() * 1e3);
         term_reply.get_or_insert(reply);
         let (t, reply) = cold_start_once(plan, &engines, &corpus, true);
-        snap_best = snap_best.min(t);
+        snap_ms.push(t.as_secs_f64() * 1e3);
         snap_reply.get_or_insert(reply);
     }
     assert_eq!(
         term_reply, snap_reply,
         "first reply differs between term and snapshot boot"
     );
-    (term_best, snap_best)
+    (term_ms, snap_ms)
+}
+
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 fn main() {
@@ -159,44 +194,49 @@ fn main() {
         requests
     );
 
-    let mut rows = Vec::new();
-    for &pool in &pools {
-        let report = run_fleet(
-            &plan,
-            ServerConfig {
-                workers: 2,
-                queue_capacity: 32,
-                pool_capacity: pool,
-                retry_after_ms: 1,
-            },
-        )
-        .expect("daemon runs");
-        assert!(
-            report.mismatches.is_empty(),
-            "pool={pool}: daemon diverged from direct sessions:\n{}",
-            report.mismatches.join("\n")
-        );
-        assert_eq!(report.protocol_errors, 0, "pool={pool}: protocol errors");
-        assert!(report.drained_clean, "pool={pool}: dirty drain");
-        eprintln!(
-            "  pool {pool:>3}: {:.1} updates/s, write p99 {:.2} ms, hit rate {:.3}, \
-             {} evictions",
-            plan.updates as f64 / report.wall.as_secs_f64().max(1e-9),
-            report.stats.write_latency.quantile_ms(0.99),
-            report.stats.cache.hit_rate(),
-            report.stats.evictions
-        );
-        rows.push((pool, report));
+    // the pool sizes take turns, run by run
+    let runs = if smoke { 1 } else { RUNS };
+    let mut rows: Vec<(usize, Vec<FleetReport>)> = pools.iter().map(|&p| (p, Vec::new())).collect();
+    for _ in 0..runs {
+        for (pool, reports) in &mut rows {
+            let pool = *pool;
+            let report = run_fleet(
+                &plan,
+                ServerConfig {
+                    workers: 2,
+                    queue_capacity: 32,
+                    pool_capacity: pool,
+                    retry_after_ms: 1,
+                },
+            )
+            .expect("daemon runs");
+            assert!(
+                report.mismatches.is_empty(),
+                "pool={pool}: daemon diverged from direct sessions:\n{}",
+                report.mismatches.join("\n")
+            );
+            assert_eq!(report.protocol_errors, 0, "pool={pool}: protocol errors");
+            assert!(report.drained_clean, "pool={pool}: dirty drain");
+            eprintln!(
+                "  pool {pool:>3}: {:.1} updates/s, write p99 {:.2} ms, hit rate {:.3}, \
+                 {} evictions",
+                plan.updates as f64 / report.wall.as_secs_f64().max(1e-9),
+                report.stats.write_latency.quantile_ms(0.99),
+                report.stats.cache.hit_rate(),
+                report.stats.evictions
+            );
+            reports.push(report);
+        }
     }
 
     // cold start: daemon construction → first served reply, with the
     // corpus installed by term `load` verbs vs a packed-snapshot preload
-    let (term_cold, snap_cold) = cold_start(&plan, if smoke { 1 } else { 5 });
+    let (term_cold, snap_cold) = cold_start(&plan, runs);
+    let speedup = median(&term_cold) / median(&snap_cold).max(1e-9);
     eprintln!(
-        "  cold start: term-corpus {:.1} ms, snapshot-corpus {:.1} ms ({:.1}× faster)",
-        term_cold.as_secs_f64() * 1e3,
-        snap_cold.as_secs_f64() * 1e3,
-        term_cold.as_secs_f64() / snap_cold.as_secs_f64().max(1e-9),
+        "  cold start: term-corpus {:.1} ms, snapshot-corpus {:.1} ms ({speedup:.1}× faster)",
+        median(&term_cold),
+        median(&snap_cold),
     );
 
     if smoke {
@@ -205,8 +245,13 @@ fn main() {
     }
 
     let out_path = arg.unwrap_or_else(|| "BENCH_serve.json".to_owned());
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-serve/4\",\n");
+    json.push_str("  \"schema\": \"xvu-bench-serve/5\",\n");
+    json.push_str(&format!(
+        "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
+        git_revision()
+    ));
     json.push_str(
         "  \"timed_region\": \"TCP replay of the full fleet plan: corpus load + every client op + drain\",\n",
     );
@@ -219,14 +264,13 @@ fn main() {
     ));
     json.push_str(&format!(
         "  \"cold_start\": {{ \"timed_region\": \"daemon construction + corpus install to first open reply\", \
-         \"term_corpus_ms\": {:.2}, \"snapshot_corpus_ms\": {:.2}, \"speedup\": {:.1} }},\n",
-        term_cold.as_secs_f64() * 1e3,
-        snap_cold.as_secs_f64() * 1e3,
-        term_cold.as_secs_f64() / snap_cold.as_secs_f64().max(1e-9),
+         \"runs\": {runs}, \"term_corpus_ms\": {}, \"snapshot_corpus_ms\": {}, \"median_speedup\": {speedup:.1} }},\n",
+        spread(term_cold, 2),
+        spread(snap_cold, 2),
     ));
     json.push_str("  \"pools\": {\n");
-    for (i, (pool, report)) in rows.iter().enumerate() {
-        json.push_str(&row_json(*pool, &plan, report));
+    for (i, (pool, reports)) in rows.iter().enumerate() {
+        json.push_str(&row_json(*pool, &plan, reports));
         json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
     json.push_str("  }\n}\n");

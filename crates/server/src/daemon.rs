@@ -1,28 +1,32 @@
-//! The serving daemon: document table, worker pool, admission control,
-//! and graceful shutdown.
+//! The serving daemon: document table, write admission, and graceful
+//! shutdown.
 //!
 //! A [`Server`] owns a corpus of documents (keyed by `u64` id, each
 //! belonging to one compiled [`Engine`] family) in one document table —
 //! committed document, pending propagation and open session of every
-//! document under one lock, with at most `pool_capacity` sessions open —
-//! and a fixed worker pool fed by a bounded work queue:
+//! document under one lock, with at most `pool_capacity` sessions open.
+//! Every connection gets its own thread, and every request runs to its
+//! reply on the thread that read it:
 //!
-//! * **write verbs** (`load`/`open`/`propagate`/`commit`/`close`) are
-//!   admitted into the queue — or pushed back with a `retry` frame when
-//!   the queue is at capacity — and executed by worker threads;
-//! * **read-only verbs** (`verify`/`count`) take a fast path on the
-//!   connection thread, never queueing behind writes;
-//! * `hello`/`stats` are answered inline; `shutdown` drains every queued
-//!   and in-flight request, replies with the final stats snapshot, and
-//!   stops the accept loop;
-//! * `snapshot` (a write verb) parks every open session with eviction
-//!   semantics and writes the committed corpus out as a flat snapshot
-//!   file (`xvu_tree::snapshot`); the inverse is
-//!   [`Server::preload_corpus`], the parse-free cold-start path.
+//! * **write verbs** (`load`/`open`/`propagate`/`commit`/`close`/
+//!   `snapshot`) first pass the admission gate: at most `workers` of them
+//!   execute at once and at most `queue_capacity` more wait for a slot,
+//!   admitted in arrival order; the next write past that bound is pushed
+//!   back with a `retry` frame;
+//! * **read-only verbs** (`verify`/`count`) skip the gate, never waiting
+//!   behind writes;
+//! * `hello`/`stats` are answered at once; `shutdown` closes the gate,
+//!   waits for every admitted and waiting write to finish, replies with
+//!   the final stats snapshot, and stops the accept loop;
+//! * `snapshot` parks every open session with eviction semantics and
+//!   writes the committed corpus out as a flat snapshot file
+//!   (`xvu_tree::snapshot`); the inverse is [`Server::preload_corpus`],
+//!   the parse-free cold-start path.
 //!
-//! Request latencies (including queueing for writes), queue depth,
-//! admission rejects, pool evictions, and propagation-memo counters are
-//! all observable via the `stats` verb ([`crate::StatsSnapshot`]).
+//! Request latencies (including the admission wait for writes), the
+//! number of writes waiting for admission, admission rejects, pool
+//! evictions, and propagation-memo counters are all observable via the
+//! `stats` verb ([`crate::StatsSnapshot`]).
 //!
 //! ## Determinism across eviction
 //!
@@ -47,10 +51,9 @@ use crate::metrics::{Metrics, StatsSnapshot};
 use crate::pool::{DocTable, Lease, LeaseError};
 use crate::protocol::{check_hello, Frame, Recv, Verb, PROTOCOL_VERSION};
 use crate::transport::{StreamTransport, Transport};
-use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use xvu_edit::{parse_script, script_to_term, Script};
 use xvu_propagate::{count_optimal_propagations, CacheStats, Engine};
@@ -62,10 +65,11 @@ use xvu_tree::{
 /// Daemon sizing and admission knobs.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads executing write verbs.
+    /// Write verbs that may execute at once, each on its connection's
+    /// thread (at least 1).
     pub workers: usize,
-    /// Bounded work-queue depth; writes beyond it are pushed back with
-    /// `retry`.
+    /// Writes that may wait for one of those slots; the next write past
+    /// them is pushed back with `retry`.
     pub queue_capacity: usize,
     /// Open sessions across all documents; the least recently used idle
     /// one is evicted to open another.
@@ -91,23 +95,109 @@ impl Default for ServerConfig {
 pub struct ServerReport {
     /// The final metrics snapshot (also sent as the `shutdown` reply).
     pub stats: StatsSnapshot,
-    /// Whether every queued and in-flight request completed within the
+    /// Whether every admitted and waiting write completed within the
     /// drain window.
     pub drained_clean: bool,
 }
 
-/// One queued write request.
-struct Job {
-    frame: Frame,
-    enqueued: Instant,
-    reply: mpsc::Sender<Frame>,
+/// Write admission: at most `slots` writes run at once and at most
+/// `queue` more wait, admitted in arrival order; the next is pushed back.
+struct Gate {
+    slots: usize,
+    queue: usize,
+    retry_after_ms: u64,
+    state: Mutex<GateState>,
+    /// Wakes the waiting writes and a drain.
+    changed: Condvar,
 }
 
-/// Queue state under one mutex: jobs, in-flight count, shutdown flag.
-struct WorkQueue {
-    jobs: VecDeque<Job>,
-    in_flight: usize,
-    shutdown: bool,
+/// Writes holding a slot, the tickets `admitted..issued` of the waiting
+/// ones (oldest first), and whether a drain refuses new writes.
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    issued: u64,
+    admitted: u64,
+    closed: bool,
+}
+
+impl GateState {
+    fn waiting(&self) -> u64 {
+        self.issued - self.admitted
+    }
+}
+
+/// An admitted write's slot, given back on drop (also when the write
+/// unwinds).
+struct Slot<'g>(&'g Gate);
+
+impl Gate {
+    fn new(cfg: &ServerConfig) -> Gate {
+        Gate {
+            slots: cfg.workers.max(1),
+            queue: cfg.queue_capacity,
+            retry_after_ms: cfg.retry_after_ms,
+            state: Mutex::default(),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        relock(self.state.lock())
+    }
+
+    /// Takes a slot, waiting behind earlier writes while none is free.
+    /// A refusal comes back as the reply; `metrics` counts rejects and
+    /// waiting writes.
+    fn admit(&self, metrics: &Metrics) -> Result<Slot<'_>, Frame> {
+        let mut s = self.lock();
+        if s.closed {
+            return Err(Frame::err("shutting down"));
+        }
+        if s.waiting() == 0 && s.running < self.slots {
+            s.running += 1;
+            return Ok(Slot(self));
+        }
+        if s.waiting() >= self.queue as u64 {
+            metrics.rejected_writes.fetch_add(1, Ordering::Relaxed);
+            return Err(Frame::retry(self.retry_after_ms));
+        }
+        let ticket = s.issued;
+        s.issued += 1;
+        metrics.observe_queue_depth(s.waiting());
+        let turn = |s: &mut GateState| s.admitted != ticket || s.running >= self.slots;
+        let mut s = relock(self.changed.wait_while(s, turn));
+        s.admitted += 1;
+        s.running += 1;
+        metrics.observe_queue_depth(s.waiting());
+        if s.waiting() > 0 {
+            // the next waiter may find another free slot
+            self.changed.notify_all();
+        }
+        Ok(Slot(self))
+    }
+
+    /// Refuses new writes, then waits (bounded) until none runs or
+    /// waits; returns whether that happened within `window`.
+    fn close(&self, window: Duration) -> bool {
+        let mut s = self.lock();
+        s.closed = true;
+        let busy = |s: &mut GateState| s.running > 0 || s.waiting() > 0;
+        s = relock(self.changed.wait_timeout_while(s, window, busy)).0;
+        !busy(&mut s)
+    }
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut s = self.0.lock();
+        s.running -= 1;
+        let wake = s.waiting() > 0 || s.closed;
+        drop(s);
+        if wake {
+            self.0.changed.notify_all();
+        }
+    }
 }
 
 /// The long-lived serving daemon. Construct once over the compiled
@@ -120,9 +210,7 @@ pub struct Server<'e> {
     /// session.
     pub(crate) table: DocTable<'e>,
     metrics: Metrics,
-    queue: Mutex<WorkQueue>,
-    work_ready: Condvar,
-    drained: Condvar,
+    gate: Gate,
     stopped: AtomicBool,
     drained_clean: AtomicBool,
 }
@@ -131,24 +219,37 @@ fn relock<T>(r: Result<T, PoisonError<T>>) -> T {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A request handler's reply: `Err` holds the error or pushback reply
+/// that cut the request short.
+type Reply = Result<Frame, Frame>;
+
+/// Parses a document id field.
+fn doc_id(field: &str) -> Result<u64, Frame> {
+    field
+        .parse()
+        .map_err(|_| Frame::err(format!("bad document id {field:?}")))
+}
+
+/// An error reply carrying `e`'s message.
+fn error(e: impl std::fmt::Display) -> Frame {
+    Frame::err(e.to_string())
+}
+
 impl<'e> Server<'e> {
     /// A daemon serving documents of the given families.
     pub fn new(engines: &'e [Engine], cfg: ServerConfig) -> Server<'e> {
         assert!(!engines.is_empty(), "a server needs at least one family");
-        let workers = cfg.workers.max(1);
+        let gate = Gate::new(&cfg);
         let table = DocTable::new(engines, cfg.pool_capacity.max(1));
         Server {
             engines,
-            cfg: ServerConfig { workers, ..cfg },
+            cfg: ServerConfig {
+                workers: gate.slots,
+                ..cfg
+            },
+            gate,
             table,
             metrics: Metrics::new(),
-            queue: Mutex::new(WorkQueue {
-                jobs: VecDeque::new(),
-                in_flight: 0,
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            drained: Condvar::new(),
             stopped: AtomicBool::new(false),
             drained_clean: AtomicBool::new(true),
         }
@@ -189,14 +290,12 @@ impl<'e> Server<'e> {
     }
 
     /// Serves TCP connections until a `shutdown` request completes.
-    /// Every connection gets its own thread; write verbs funnel into the
-    /// shared worker pool.
+    /// Every connection gets its own thread, which runs each of its
+    /// requests to the reply; write verbs first take an admission slot
+    /// (at most `workers` at once).
     pub fn serve_listener(&self, listener: TcpListener) -> std::io::Result<ServerReport> {
         listener.set_nonblocking(true)?;
         std::thread::scope(|scope| {
-            for _ in 0..self.cfg.workers {
-                scope.spawn(|| self.worker_loop());
-            }
             loop {
                 if self.stopped() {
                     break;
@@ -213,24 +312,19 @@ impl<'e> Server<'e> {
                     Err(_) => break,
                 }
             }
-            // belt and braces: if the accept loop exited abnormally, make
-            // sure the workers can drain and terminate
+            // belt and braces: if the accept loop exited abnormally, close
+            // the gate so the connection threads finish their writes
             self.drain(Duration::from_secs(30));
         });
         Ok(self.final_report())
     }
 
     /// Serves one transport (the `--stdio` mode) until the peer sends
-    /// `shutdown` or closes the stream; either way the queue is drained
+    /// `shutdown` or closes the stream; either way the daemon is drained
     /// before returning.
     pub fn serve_transport<T: Transport>(&self, transport: T) -> ServerReport {
-        std::thread::scope(|scope| {
-            for _ in 0..self.cfg.workers {
-                scope.spawn(|| self.worker_loop());
-            }
-            self.conn_loop(transport);
-            self.drain(Duration::from_secs(30));
-        });
+        self.conn_loop(transport);
+        self.drain(Duration::from_secs(30));
         self.final_report()
     }
 
@@ -271,30 +365,38 @@ impl<'e> Server<'e> {
     /// Routes one request frame to its handler and produces the reply.
     fn dispatch(&self, req: Frame) -> Frame {
         self.metrics.count_request(req.verb);
+        let start = Instant::now();
         let resp = match req.verb {
             Verb::Hello => match check_hello(&req.payload) {
                 Ok(()) => Frame::ok(format!("xvu {PROTOCOL_VERSION}")),
                 Err(e) => Frame::err(e.to_string()),
             },
             Verb::Stats => Frame::ok(self.stats_snapshot().to_json()),
+            Verb::Verify | Verb::Count if self.gate.lock().closed => Frame::err("shutting down"),
             Verb::Verify | Verb::Count => {
-                if self.shutting_down() {
-                    Frame::err("shutting down")
+                let reply = if req.verb == Verb::Verify {
+                    self.handle_verify(&req.payload)
                 } else {
-                    let start = Instant::now();
-                    let resp = self.handle_read(req.verb, &req.payload);
-                    self.metrics.read_latency.record(start.elapsed());
+                    self.handle_count(&req.payload)
+                };
+                self.metrics.read_latency.record(start.elapsed());
+                reply.unwrap_or_else(|refusal| refusal)
+            }
+            // a write runs here, on its connection's thread, holding its
+            // slot until the reply is ready
+            verb if verb.is_write() => match self.gate.admit(&self.metrics) {
+                Ok(_slot) => {
+                    let resp = self.handle_write(verb, &req.payload);
+                    self.metrics.write_latency.record(start.elapsed());
                     resp
                 }
+                Err(refusal) => refusal,
+            },
+            Verb::Shutdown => {
+                self.drain(Duration::from_secs(30));
+                Frame::ok(self.stats_snapshot().to_json())
             }
-            Verb::Load
-            | Verb::Open
-            | Verb::Propagate
-            | Verb::Commit
-            | Verb::CloseDoc
-            | Verb::Snapshot => self.enqueue_write(req),
-            Verb::Shutdown => self.do_shutdown(),
-            Verb::Ok | Verb::Err | Verb::Retry => Frame::err("not a request verb"),
+            _ => Frame::err("not a request verb"),
         };
         if resp.verb == Verb::Err {
             self.metrics.count_error();
@@ -302,289 +404,152 @@ impl<'e> Server<'e> {
         resp
     }
 
-    fn shutting_down(&self) -> bool {
-        relock(self.queue.lock()).shutdown
-    }
-
-    /// Admission control: bounded queue, reject-with-retry-after when
-    /// deep. Blocks the connection thread until a worker replies.
-    fn enqueue_write(&self, frame: Frame) -> Frame {
-        let (tx, rx) = mpsc::channel();
-        {
-            let mut q = relock(self.queue.lock());
-            if q.shutdown {
-                return Frame::err("shutting down");
-            }
-            if q.jobs.len() >= self.cfg.queue_capacity {
-                self.metrics.rejected_writes.fetch_add(1, Ordering::Relaxed);
-                return Frame::retry(self.cfg.retry_after_ms);
-            }
-            q.jobs.push_back(Job {
-                frame,
-                enqueued: Instant::now(),
-                reply: tx,
-            });
-            self.metrics.observe_queue_depth(q.jobs.len() as u64);
-            self.work_ready.notify_one();
-        }
-        rx.recv()
-            .unwrap_or_else(|_| Frame::err("worker dropped the request"))
-    }
-
-    fn do_shutdown(&self) -> Frame {
-        self.drain(Duration::from_secs(30));
-        Frame::ok(self.stats_snapshot().to_json())
-    }
-
-    /// Sets the shutdown flag and waits (bounded) for queued plus
-    /// in-flight work to finish; then stops the accept loop.
+    /// Closes the gate and waits (bounded) for admitted and waiting writes
+    /// to finish; then stops the accept loop.
     fn drain(&self, window: Duration) {
-        let clean = {
-            let mut q = relock(self.queue.lock());
-            q.shutdown = true;
-            self.work_ready.notify_all();
-            let deadline = Instant::now() + window;
-            while !(q.jobs.is_empty() && q.in_flight == 0) {
-                let left = deadline.saturating_duration_since(Instant::now());
-                if left.is_zero() {
-                    break;
-                }
-                q = relock(self.drained.wait_timeout(q, left)).0;
-            }
-            q.jobs.is_empty() && q.in_flight == 0
-        };
-        if !clean {
+        if !self.gate.close(window) {
             self.drained_clean.store(false, Ordering::Release);
         }
         self.stopped.store(true, Ordering::Release);
     }
 
-    // ---- worker side ----------------------------------------------------
-
-    fn worker_loop(&self) {
-        loop {
-            let job = {
-                let mut q = relock(self.queue.lock());
-                loop {
-                    if let Some(job) = q.jobs.pop_front() {
-                        q.in_flight += 1;
-                        self.metrics.observe_queue_depth(q.jobs.len() as u64);
-                        break Some(job);
-                    }
-                    if q.shutdown {
-                        break None;
-                    }
-                    q = relock(self.work_ready.wait_timeout(q, Duration::from_millis(100))).0;
-                }
-            };
-            let Some(job) = job else { return };
-            let resp = self.handle_write(job.frame.verb, &job.frame.payload);
-            if resp.verb == Verb::Err {
-                self.metrics.count_error();
-            }
-            self.metrics.write_latency.record(job.enqueued.elapsed());
-            let _ = job.reply.send(resp);
-            let mut q = relock(self.queue.lock());
-            q.in_flight -= 1;
-            if q.shutdown && q.jobs.is_empty() && q.in_flight == 0 {
-                self.drained.notify_all();
-            }
-        }
-    }
-
     pub(crate) fn handle_write(&self, verb: Verb, payload: &str) -> Frame {
-        match verb {
+        let reply = match verb {
             Verb::Load => self.handle_load(payload),
             Verb::Open => self.handle_open(payload),
             Verb::Propagate => self.handle_propagate(payload),
             Verb::Commit => self.handle_commit(payload),
             Verb::CloseDoc => self.handle_close(payload),
             Verb::Snapshot => self.handle_snapshot(payload),
-            other => Frame::err(format!("{} is not a write verb", other.name())),
-        }
-    }
-
-    fn handle_read(&self, verb: Verb, payload: &str) -> Frame {
-        match verb {
-            Verb::Verify => self.handle_verify(payload),
-            Verb::Count => self.handle_count(payload),
-            other => Frame::err(format!("{} is not a read verb", other.name())),
-        }
+            other => Err(Frame::err(format!("{} is not a write verb", other.name()))),
+        };
+        reply.unwrap_or_else(|refusal| refusal)
     }
 
     // ---- request handlers -----------------------------------------------
 
-    fn handle_load(&self, payload: &str) -> Frame {
+    fn handle_load(&self, payload: &str) -> Reply {
         let mut fields = payload.splitn(3, '\n');
         let (Some(id), Some(family), Some(term)) = (fields.next(), fields.next(), fields.next())
         else {
-            return Frame::err("load expects doc_id\\nfamily\\nterm");
+            return Err(Frame::err("load expects doc_id\\nfamily\\nterm"));
         };
-        let Ok(doc_id) = id.parse::<u64>() else {
-            return Frame::err(format!("bad document id {id:?}"));
-        };
+        let doc_id = doc_id(id)?;
         let Ok(family) = family.parse::<usize>() else {
-            return Frame::err(format!("bad family index {family:?}"));
+            return Err(Frame::err(format!("bad family index {family:?}")));
         };
-        if family >= self.engines.len() {
-            return Frame::err(format!(
+        let Some(engine) = self.engines.get(family) else {
+            return Err(Frame::err(format!(
                 "family {family} out of range (server has {})",
                 self.engines.len()
-            ));
-        }
-        let tree = match self.parse_doc(self.engines[family].alphabet(), term) {
-            Ok(t) => t,
-            Err(m) => return Frame::err(m),
+            )));
         };
-        if let Err(e) = self.engines[family].dtd().validate(&tree) {
-            return Frame::err(format!("document violates the family DTD: {e}"));
+        let tree = self.parse_doc(engine.alphabet(), term)?;
+        if let Err(e) = engine.dtd().validate(&tree) {
+            return Err(Frame::err(format!("document violates the family DTD: {e}")));
         }
         // replacing a document discards its session and pending
         // propagation, once any lease on it has returned
         self.table.load(doc_id, family, tree);
-        Frame::ok("")
+        Ok(Frame::ok(""))
     }
 
-    fn handle_open(&self, payload: &str) -> Frame {
-        let Ok(doc_id) = payload.trim().parse::<u64>() else {
-            return Frame::err(format!("bad document id {payload:?}"));
-        };
-        let lease = match self.lease(doc_id) {
-            Ok(lease) => lease,
-            Err(resp) => return resp,
-        };
-        Frame::ok(to_term_with_ids(lease.view(), lease.engine().alphabet()))
+    fn handle_open(&self, payload: &str) -> Reply {
+        let lease = self.lease(doc_id(payload.trim())?)?;
+        Ok(Frame::ok(to_term_with_ids(
+            lease.view(),
+            lease.engine().alphabet(),
+        )))
     }
 
-    fn handle_propagate(&self, payload: &str) -> Frame {
+    fn handle_propagate(&self, payload: &str) -> Reply {
         let Some((id, term)) = payload.split_once('\n') else {
-            return Frame::err("propagate expects doc_id\\nupdate-term");
+            return Err(Frame::err("propagate expects doc_id\\nupdate-term"));
         };
-        let Ok(doc_id) = id.parse::<u64>() else {
-            return Frame::err(format!("bad document id {id:?}"));
-        };
-        let lease = match self.lease(doc_id) {
-            Ok(lease) => lease,
-            Err(resp) => return resp,
-        };
+        let doc_id = doc_id(id)?;
+        let lease = self.lease(doc_id)?;
         let alpha = lease.engine().alphabet();
-        let update = match self.parse_update(alpha, term) {
-            Ok(u) => u,
-            Err(m) => return Frame::err(m),
-        };
-        let prop = match lease.propagate(&update) {
-            Ok(p) => p,
-            Err(e) => return Frame::err(e.to_string()),
-        };
+        let update = self.parse_update(alpha, term)?;
+        let prop = lease.propagate(&update).map_err(error)?;
         let Some(count) = count_optimal_propagations(&prop.forest) else {
-            return Frame::err("optimal count overflows u128".to_owned());
+            return Err(Frame::err("optimal count overflows u128"));
         };
         let script = script_to_term(&prop.script, alpha);
         let reply = format!("{}\n{}\n{}", prop.cost, count, script);
         self.table.set_pending(doc_id, prop);
-        Frame::ok(reply)
+        Ok(Frame::ok(reply))
     }
 
-    fn handle_commit(&self, payload: &str) -> Frame {
-        let Ok(doc_id) = payload.trim().parse::<u64>() else {
-            return Frame::err(format!("bad document id {payload:?}"));
-        };
+    fn handle_commit(&self, payload: &str) -> Reply {
+        let doc_id = doc_id(payload.trim())?;
         let Some(prop) = self.table.take_pending(doc_id) else {
-            return Frame::err(format!("document {doc_id} has no pending propagation"));
+            return Err(Frame::err(format!(
+                "document {doc_id} has no pending propagation"
+            )));
         };
+        // a pushback (e.g. every session leased) or a failed commit leaves
+        // the propagation pending, so the client may retry; a failed
+        // commit restores it before its lease returns
         let mut lease = match self.lease(doc_id) {
             Ok(lease) => lease,
             Err(resp) => {
-                // lease pushback (e.g. every session leased) must not
-                // consume the propagation: the client will retry
                 self.table.set_pending(doc_id, prop);
-                return resp;
+                return Err(resp);
             }
         };
-        match lease.commit(&prop) {
-            Ok(()) => Frame::ok(""),
-            Err(e) => {
-                // leave the propagation pending so the client may retry
-                self.table.set_pending(doc_id, prop);
-                Frame::err(e.to_string())
-            }
+        if let Err(e) = lease.commit(&prop) {
+            self.table.set_pending(doc_id, prop);
+            return Err(error(e));
         }
+        Ok(Frame::ok(""))
     }
 
-    fn handle_close(&self, payload: &str) -> Frame {
-        let Ok(doc_id) = payload.trim().parse::<u64>() else {
-            return Frame::err(format!("bad document id {payload:?}"));
-        };
+    fn handle_close(&self, payload: &str) -> Reply {
+        let doc_id = doc_id(payload.trim())?;
         // a closed document starts a fresh identifier history on reopen —
         // same as a direct Engine::open on the committed document
-        if self.table.close(doc_id) {
-            Frame::ok("")
-        } else {
-            Frame::err(format!("unknown document {doc_id}"))
+        if !self.table.close(doc_id) {
+            return Err(Frame::err(format!("unknown document {doc_id}")));
         }
+        Ok(Frame::ok(""))
     }
 
-    fn handle_snapshot(&self, payload: &str) -> Frame {
+    fn handle_snapshot(&self, payload: &str) -> Reply {
         let path = payload.trim();
         if path.is_empty() {
-            return Frame::err("snapshot expects a destination path");
+            return Err(Frame::err("snapshot expects a destination path"));
         }
         let corpus = self.snapshot_corpus();
         let docs = corpus.len();
         let bytes = corpus.finish();
-        match std::fs::write(path, &bytes) {
-            Ok(()) => Frame::ok(format!("docs={docs} bytes={}", bytes.len())),
-            Err(e) => Frame::err(format!("cannot write snapshot {path:?}: {e}")),
-        }
+        std::fs::write(path, &bytes)
+            .map_err(|e| Frame::err(format!("cannot write snapshot {path:?}: {e}")))?;
+        Ok(Frame::ok(format!("docs={docs} bytes={}", bytes.len())))
     }
 
-    fn handle_verify(&self, payload: &str) -> Frame {
+    fn handle_verify(&self, payload: &str) -> Reply {
         let mut fields = payload.splitn(3, '\n');
         let (Some(id), Some(update), Some(candidate)) =
             (fields.next(), fields.next(), fields.next())
         else {
-            return Frame::err("verify expects doc_id\\nupdate\\ncandidate");
+            return Err(Frame::err("verify expects doc_id\\nupdate\\ncandidate"));
         };
-        let Ok(doc_id) = id.parse::<u64>() else {
-            return Frame::err(format!("bad document id {id:?}"));
-        };
-        let lease = match self.lease(doc_id) {
-            Ok(lease) => lease,
-            Err(resp) => return resp,
-        };
+        let lease = self.lease(doc_id(id)?)?;
         let alpha = lease.engine().alphabet();
-        let (update, candidate) = match (
-            self.parse_update(alpha, update),
-            self.parse_update(alpha, candidate),
-        ) {
-            (Ok(u), Ok(c)) => (u, c),
-            (Err(m), _) | (_, Err(m)) => return Frame::err(m),
-        };
-        match lease.verify(&update, &candidate) {
-            Ok(()) => Frame::ok(""),
-            Err(e) => Frame::err(e.to_string()),
-        }
+        let update = self.parse_update(alpha, update)?;
+        let candidate = self.parse_update(alpha, candidate)?;
+        lease.verify(&update, &candidate).map_err(error)?;
+        Ok(Frame::ok(""))
     }
 
-    fn handle_count(&self, payload: &str) -> Frame {
+    fn handle_count(&self, payload: &str) -> Reply {
         let Some((id, term)) = payload.split_once('\n') else {
-            return Frame::err("count expects doc_id\\nupdate-term");
+            return Err(Frame::err("count expects doc_id\\nupdate-term"));
         };
-        let Ok(doc_id) = id.parse::<u64>() else {
-            return Frame::err(format!("bad document id {id:?}"));
-        };
-        let lease = match self.lease(doc_id) {
-            Ok(lease) => lease,
-            Err(resp) => return resp,
-        };
-        let update = match self.parse_update(lease.engine().alphabet(), term) {
-            Ok(u) => u,
-            Err(m) => return Frame::err(m),
-        };
-        match lease.count_optimal(&update) {
-            Ok(n) => Frame::ok(n.to_string()),
-            Err(e) => Frame::err(e.to_string()),
-        }
+        let lease = self.lease(doc_id(id)?)?;
+        let update = self.parse_update(lease.engine().alphabet(), term)?;
+        let n = lease.count_optimal(&update).map_err(error)?;
+        Ok(Frame::ok(n.to_string()))
     }
 
     // ---- shared plumbing -------------------------------------------------
@@ -674,25 +639,27 @@ impl<'e> Server<'e> {
 
     /// Parses a script term over the family alphabet, rejecting labels
     /// the alphabet does not know.
-    fn parse_update(&self, alpha: &Alphabet, term: &str) -> Result<Script, String> {
+    fn parse_update(&self, alpha: &Alphabet, term: &str) -> Result<Script, Frame> {
         let mut scratch = alpha.clone();
-        let script =
-            parse_script(&mut scratch, term).map_err(|e| format!("bad script term: {e}"))?;
+        let script = parse_script(&mut scratch, term)
+            .map_err(|e| Frame::err(format!("bad script term: {e}")))?;
         if scratch.len() != alpha.len() {
-            return Err("script uses labels outside the family alphabet".to_owned());
+            return Err(Frame::err("script uses labels outside the family alphabet"));
         }
         Ok(script)
     }
 
     /// Parses a document term (identifiers come from the wire), rejecting
     /// unknown labels.
-    fn parse_doc(&self, alpha: &Alphabet, term: &str) -> Result<DocTree, String> {
+    fn parse_doc(&self, alpha: &Alphabet, term: &str) -> Result<DocTree, Frame> {
         let mut scratch = alpha.clone();
         let mut gen = NodeIdGen::new();
         let tree = parse_term_with_ids(&mut scratch, &mut gen, term)
-            .map_err(|e| format!("bad document term: {e}"))?;
+            .map_err(|e| Frame::err(format!("bad document term: {e}")))?;
         if scratch.len() != alpha.len() {
-            return Err("document uses labels outside the family alphabet".to_owned());
+            return Err(Frame::err(
+                "document uses labels outside the family alphabet",
+            ));
         }
         Ok(tree)
     }
@@ -704,5 +671,159 @@ impl std::fmt::Debug for Server<'_> {
             .field("families", &self.engines.len())
             .field("config", &self.cfg)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::pool::tests::engine_and_doc;
+    use std::net::TcpStream;
+    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+
+    /// Reads one counter out of a `stats` reply (`key` may be nested,
+    /// e.g. `"open"` inside `requests`: keys are unique).
+    fn stat(json: &str, key: &str) -> u64 {
+        let at = json.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+        let end = json[at..].find([',', '}']).map_or(json.len(), |n| at + n);
+        json[at..end].parse().expect("a counter")
+    }
+
+    /// Polls `stats` until `done` holds, failing after 10 s.
+    fn poll_stats(ctl: &mut Client<StreamTransport<TcpStream>>, done: impl Fn(&str) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let json = ctl.stats().unwrap();
+            if done(&json) {
+                return;
+            }
+            assert!(Instant::now() < deadline, "stats never got there: {json}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    #[test]
+    fn writes_past_the_admission_bound_get_retry() {
+        // Document 1's lease is held here, so every write on it blocks in
+        // `lease`: the first `workers` hold their slots, the next
+        // `queue_capacity` wait for one, and the write after them is
+        // pushed back.
+        let (engine, t, _) = engine_and_doc();
+        let engines = [engine];
+        let (workers, queue) = (2, 3);
+        let server = Server::new(
+            &engines,
+            ServerConfig {
+                workers,
+                queue_capacity: queue,
+                pool_capacity: 4,
+                retry_after_ms: 1,
+            },
+        );
+        server.table.load(1, 0, t);
+        let view = server.handle_write(Verb::Open, "1").payload;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let report = std::thread::scope(|scope| {
+            let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let (lease, _) = server.table.lease(1).unwrap();
+                let mut ctl = Client::connect(&addr).unwrap();
+                let mut writers = Vec::new();
+                for k in 1..=(workers + queue) as u64 {
+                    let addr = &addr;
+                    writers.push(scope.spawn(move || Client::connect(addr).unwrap().open(1)));
+                    // one write at a time, so each arrives after the last
+                    // has been admitted or started waiting
+                    let waiting = k.saturating_sub(workers as u64);
+                    poll_stats(&mut ctl, |json| {
+                        stat(json, "open") == k && stat(json, "queue_depth") == waiting
+                    });
+                }
+                // every slot and waiting place is taken: one write more is
+                // pushed back, not queued
+                let mut raw = StreamTransport::new(TcpStream::connect(&addr).unwrap());
+                raw.send(&Frame::new(Verb::Open, "1")).unwrap();
+                assert!(matches!(raw.recv().unwrap(), Recv::Frame(f) if f == Frame::retry(1)));
+                let json = ctl.stats().unwrap();
+                assert_eq!(stat(&json, "rejected_writes"), 1, "{json}");
+                assert_eq!(stat(&json, "queue_max"), queue as u64, "{json}");
+                // the lease returns: every admitted write completes
+                drop(lease);
+                for w in writers {
+                    assert_eq!(w.join().unwrap().unwrap(), view);
+                }
+                ctl.shutdown().unwrap();
+            }));
+            if outcome.is_err() {
+                server.request_shutdown();
+            }
+            let report = daemon.join().unwrap();
+            if let Err(panic) = outcome {
+                resume_unwind(panic);
+            }
+            report
+        });
+        assert!(report.drained_clean);
+        assert_eq!(report.stats.rejected_writes, 1);
+        assert_eq!(report.stats.queue_depth, 0);
+        assert_eq!(report.stats.write_latency.count(), (workers + queue) as u64);
+    }
+
+    #[test]
+    fn the_gate_admits_waiting_writes_in_arrival_order() {
+        let metrics = Metrics::new();
+        let gate = Gate::new(&ServerConfig {
+            workers: 1,
+            queue_capacity: 5,
+            ..ServerConfig::default()
+        });
+        let order = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            let held = gate.admit(&metrics).expect("a free slot");
+            for i in 0..5u64 {
+                let (gate, metrics, order) = (&gate, &metrics, &order);
+                scope.spawn(move || {
+                    let _slot = gate.admit(metrics).expect("a place to wait");
+                    order.lock().unwrap().push(i);
+                });
+                // the next write arrives only once this one waits
+                while gate.lock().waiting() <= i {
+                    std::thread::yield_now();
+                }
+            }
+            assert_eq!(metrics.queue_max.load(Ordering::Relaxed), 5);
+            assert_eq!(gate.admit(&metrics).err(), Some(Frame::retry(2)));
+            drop(held);
+        });
+        assert_eq!(*order.lock().unwrap(), [0, 1, 2, 3, 4]);
+        assert_eq!(metrics.queue_depth.load(Ordering::Relaxed), 0);
+        assert!(gate.close(Duration::ZERO), "every slot came back");
+    }
+
+    #[test]
+    fn a_panicking_write_returns_its_slot() {
+        // one slot and no waiting room: a leaked slot would refuse the
+        // next write at once
+        let metrics = Metrics::new();
+        let gate = Gate::new(&ServerConfig {
+            workers: 1,
+            queue_capacity: 0,
+            ..ServerConfig::default()
+        });
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            let _slot = gate.admit(&metrics).expect("a free slot");
+            panic!("the write fails");
+        }));
+        assert!(panicked.is_err());
+        let slot = gate.admit(&metrics).expect("the slot came back");
+        assert_eq!(gate.admit(&metrics).err(), Some(Frame::retry(2)));
+        drop(slot);
+        assert!(gate.close(Duration::ZERO));
+        assert_eq!(
+            gate.admit(&metrics).err(),
+            Some(Frame::err("shutting down"))
+        );
     }
 }

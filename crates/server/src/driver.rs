@@ -4,7 +4,7 @@
 //! sessions.
 //!
 //! This is the end-to-end determinism oracle for the serving stack: the
-//! daemon (framing, queueing, admission, LRU eviction, write-back,
+//! daemon (framing, write admission, LRU eviction, write-back,
 //! identifier-floor restoration) must be observationally identical to a
 //! long-lived in-process session per document. Any divergence surfaces
 //! as a [`FleetReport::mismatches`] entry naming the op.
@@ -38,7 +38,8 @@ pub struct FleetReport {
     pub wall: Duration,
     /// The daemon's final stats snapshot.
     pub stats: StatsSnapshot,
-    /// Whether the daemon drained every in-flight request on shutdown.
+    /// Whether the daemon drained every admitted and waiting write on
+    /// shutdown.
     pub drained_clean: bool,
 }
 

@@ -10,18 +10,20 @@
 //!   errors;
 //! * [`transport`] — TCP sockets and stdio pipes behind one
 //!   [`Transport`] trait;
-//! * [`daemon`] — the [`Server`]: one document table, fixed worker pool
-//!   fed by a bounded queue with admission control (`retry` pushback), a
-//!   read-only fast path for `verify`/`count`, and graceful
-//!   drain-on-shutdown. The table (crate-private module `pool`) holds
-//!   each document's committed content, pending propagation and open
-//!   session under one lock and one condvar: a worker leases a
-//!   document's session, at most `pool_capacity` sessions stay open, and
-//!   evicting the least recently used idle one is a state change under
-//!   that lock that keeps its document and identifier floor;
-//! * [`metrics`] — latency histograms (p50/p90/p99), queue depth,
-//!   admission rejects, and propagation-memo counters, served by the
-//!   `stats` verb;
+//! * [`daemon`] — the [`Server`]: one document table, one thread per
+//!   connection running each request to its reply, write admission (at
+//!   most `workers` writes at once, `retry` pushback past the waiting
+//!   room), a read-only path for `verify`/`count` that never waits
+//!   behind writes, and graceful drain-on-shutdown. The table
+//!   (crate-private module `pool`) holds each document's committed
+//!   content, pending propagation and open session under one lock and
+//!   one condvar: a request leases a document's session, at most
+//!   `pool_capacity` sessions stay open, and evicting the least recently
+//!   used idle one is a state change under that lock that keeps its
+//!   document and identifier floor;
+//! * [`metrics`] — latency histograms (p50/p90/p99), writes waiting for
+//!   admission, admission rejects, and propagation-memo counters, served
+//!   by the `stats` verb;
 //! * [`client`] — a typed client with handshake and retry-pushback
 //!   handling;
 //! * [`driver`] — [`run_fleet`]: replay an [`xvu_workload::fleet`] plan

@@ -108,20 +108,21 @@ pub(crate) const COUNTED_VERBS: [Verb; 11] = [
 ];
 
 /// Live daemon metrics. One instance per [`crate::Server`], shared by
-/// every worker and connection thread.
+/// every connection thread.
 #[derive(Debug, Default)]
 pub struct Metrics {
     requests: [AtomicU64; COUNTED_VERBS.len()],
     errors: AtomicU64,
     /// Writes pushed back by admission control.
     pub rejected_writes: AtomicU64,
-    /// Current queued (not yet started) write requests.
+    /// Writes waiting for admission (every slot taken) right now.
     pub queue_depth: AtomicU64,
-    /// High-water mark of the queue depth.
+    /// High-water mark of the writes waiting for admission.
     pub queue_max: AtomicU64,
     /// Sessions evicted (least recently used first) to open another.
     pub evictions: AtomicU64,
-    /// Latency of write verbs (enqueue → reply ready: queueing included).
+    /// Latency of write verbs (admission request → reply ready: the
+    /// admission wait included).
     pub write_latency: Histogram,
     /// Latency of the read-only fast path (verify/count).
     pub read_latency: Histogram,
@@ -145,8 +146,8 @@ impl Metrics {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a queue depth observation, maintaining the high-water
-    /// mark.
+    /// Records how many writes wait for admission, maintaining the
+    /// high-water mark.
     pub fn observe_queue_depth(&self, depth: u64) {
         self.queue_depth.store(depth, Ordering::Relaxed);
         self.queue_max.fetch_max(depth, Ordering::Relaxed);
@@ -192,9 +193,9 @@ pub struct StatsSnapshot {
     pub errors: u64,
     /// Writes pushed back with `retry`.
     pub rejected_writes: u64,
-    /// Queue depth when the snapshot was taken.
+    /// Writes waiting for admission when the snapshot was taken.
     pub queue_depth: u64,
-    /// Queue depth high-water mark.
+    /// High-water mark of the writes waiting for admission.
     pub queue_max: u64,
     /// LRU pool evictions.
     pub evictions: u64,
@@ -204,7 +205,7 @@ pub struct StatsSnapshot {
     pub pool_capacity: usize,
     /// Propagation-memo counters, summed over the server's families.
     pub cache: xvu_propagate::CacheStats,
-    /// Write-path latency (includes queueing).
+    /// Write-path latency (includes the admission wait).
     pub write_latency: HistogramSnapshot,
     /// Read-only fast-path latency.
     pub read_latency: HistogramSnapshot,

@@ -7,7 +7,7 @@
 //! * **parked** — the committed [`DocTree`], plus the identifier floor to
 //!   restore on reopen after an eviction;
 //! * **resident** — an open [`Session`] between requests;
-//! * **leased** — one worker holds the session ([`Lease`]).
+//! * **leased** — one request holds the session ([`Lease`]).
 //!
 //! Leasing takes a resident session out of its entry, or marks a parked
 //! entry leased and opens its session outside the lock. At most
@@ -41,7 +41,7 @@ enum State<'e> {
     },
     /// An open session, not in use.
     Resident(Box<Session<'e>>),
-    /// A worker holds the session.
+    /// A request holds the session.
     Leased,
 }
 
@@ -171,7 +171,7 @@ impl<'e> DocTable<'e> {
 
     /// Leases `doc`'s session, opening it from the parked document if
     /// needed, and returns the document an eviction parked to make room.
-    /// Waits while another worker holds the same document.
+    /// Waits while another request holds the same document.
     pub(crate) fn lease(&self, doc: u64) -> Result<(Lease<'_, 'e>, Option<u64>), LeaseError> {
         let mut docs = self.settled(self.lock(), doc);
         let Docs {

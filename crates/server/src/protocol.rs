@@ -74,7 +74,8 @@ pub enum Verb {
     CloseDoc = 7,
     /// Observability snapshot.
     Stats = 8,
-    /// Graceful shutdown: drain in-flight work, reply with final stats.
+    /// Graceful shutdown: drain admitted and waiting writes, reply with
+    /// final stats.
     Shutdown = 9,
     /// Write the committed store out as a flat snapshot corpus file
     /// (payload: destination path).
@@ -266,6 +267,12 @@ fn read_exact_persistent(r: &mut impl Read, buf: &mut [u8]) -> Result<(), Protoc
 /// Reads one frame. Returns [`Recv::Eof`] on a clean close before any
 /// byte of a frame, [`Recv::Idle`] when a configured read timeout fires
 /// between frames, and a [`ProtocolError`] for every malformed input.
+///
+/// The verb byte is read and checked on its own, so an unknown verb is
+/// rejected before its payload is allocated; the payload is then read
+/// straight into the buffer the returned [`Frame`] owns. `r` is read in
+/// small pieces: give it a buffered reader (as [`crate::StreamTransport`]
+/// does) unless it buffers itself.
 pub fn read_frame(r: &mut impl Read) -> Result<Recv, ProtocolError> {
     let mut len_buf = [0u8; 4];
     let mut got = 0;
@@ -295,24 +302,30 @@ pub fn read_frame(r: &mut impl Read) -> Result<Recv, ProtocolError> {
     if len > MAX_FRAME {
         return Err(ProtocolError::Oversized(len));
     }
-    let mut body = vec![0u8; len as usize];
-    read_exact_persistent(r, &mut body)?;
-    let verb = Verb::from_u8(body[0]).ok_or(ProtocolError::UnknownVerb(body[0]))?;
-    let payload = String::from_utf8(body.split_off(1))
+    let mut verb = [0u8; 1];
+    read_exact_persistent(r, &mut verb)?;
+    let verb = Verb::from_u8(verb[0]).ok_or(ProtocolError::UnknownVerb(verb[0]))?;
+    let mut payload = vec![0u8; len as usize - 1];
+    read_exact_persistent(r, &mut payload)?;
+    let payload = String::from_utf8(payload)
         .map_err(|e| ProtocolError::BadPayload(format!("payload is not UTF-8: {e}")))?;
     Ok(Recv::Frame(Frame { verb, payload }))
 }
 
-/// Writes one frame (length prefix, verb, payload) and flushes.
+/// Writes one frame (length prefix, verb, payload) with one `write_all`
+/// of one buffer, then flushes: on a socket with `TCP_NODELAY` a frame is
+/// one syscall and one segment, not three.
 pub fn write_frame(w: &mut impl Write, frame: &Frame) -> Result<(), ProtocolError> {
     let payload = frame.payload.as_bytes();
     let len = 1u64 + payload.len() as u64;
     if len > u64::from(MAX_FRAME) {
         return Err(ProtocolError::Oversized(u32::MAX));
     }
-    w.write_all(&(len as u32).to_be_bytes())?;
-    w.write_all(&[frame.verb as u8])?;
-    w.write_all(payload)?;
+    let mut buf = Vec::with_capacity(4 + len as usize);
+    buf.extend_from_slice(&(len as u32).to_be_bytes());
+    buf.push(frame.verb as u8);
+    buf.extend_from_slice(payload);
+    w.write_all(&buf)?;
     w.flush()?;
     Ok(())
 }
@@ -355,6 +368,48 @@ mod tests {
         ] {
             assert_eq!(round_trip(&frame), frame);
         }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_call() {
+        /// Accepts every byte, counting `write` calls and flushes.
+        #[derive(Default)]
+        struct Counting {
+            bytes: Vec<u8>,
+            writes: usize,
+            flushes: usize,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                self.flushes += 1;
+                Ok(())
+            }
+        }
+        let frames = [
+            Frame::new(Verb::Propagate, "7\nnop:r#0(del:a#1)"),
+            Frame::ok(""),
+            Frame::ok("x".repeat(100_000)),
+        ];
+        let mut w = Counting::default();
+        for (i, frame) in frames.iter().enumerate() {
+            write_frame(&mut w, frame).unwrap();
+            assert_eq!((w.writes, w.flushes), (i + 1, i + 1), "frame {i}");
+        }
+        // the bytes are the length-prefixed frames back to back
+        let mut r = Cursor::new(w.bytes);
+        for frame in &frames {
+            assert!(matches!(read_frame(&mut r).unwrap(), Recv::Frame(f) if &f == frame));
+        }
+        assert!(matches!(read_frame(&mut r).unwrap(), Recv::Eof));
+        // the wire layout: length of verb plus payload (u32 BE), verb, payload
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::new(Verb::Open, "12")).unwrap();
+        assert_eq!(wire, [0, 0, 0, 3, Verb::Open as u8, b'1', b'2']);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! used by process supervisors and tests).
 
 use crate::protocol::{read_frame, write_frame, Frame, ProtocolError, Recv};
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 
 /// One bidirectional frame channel. Implementations should return
 /// [`Recv::Idle`] from a configured read timeout so servers can poll
@@ -19,21 +19,26 @@ pub trait Transport {
 }
 
 /// A transport over one full-duplex byte stream (e.g.
-/// [`std::net::TcpStream`]).
+/// [`std::net::TcpStream`]). Reads go through a buffer, so a frame that
+/// arrives whole costs one `read` call and a second frame that arrived
+/// with it stays buffered for the next [`Transport::recv`]; writes go
+/// straight to the stream, one `write` per frame.
 #[derive(Debug)]
 pub struct StreamTransport<S> {
-    stream: S,
+    stream: BufReader<S>,
 }
 
 impl<S: Read + Write> StreamTransport<S> {
     /// Wraps the stream.
     pub fn new(stream: S) -> StreamTransport<S> {
-        StreamTransport { stream }
+        StreamTransport {
+            stream: BufReader::new(stream),
+        }
     }
 
     /// The underlying stream (e.g. to set socket timeouts).
     pub fn get_ref(&self) -> &S {
-        &self.stream
+        self.stream.get_ref()
     }
 }
 
@@ -43,7 +48,7 @@ impl<S: Read + Write> Transport for StreamTransport<S> {
     }
 
     fn send(&mut self, frame: &Frame) -> Result<(), ProtocolError> {
-        write_frame(&mut self.stream, frame)
+        write_frame(self.stream.get_mut(), frame)
     }
 }
 
@@ -69,5 +74,135 @@ impl<R: Read, W: Write> Transport for DuplexTransport<R, W> {
 
     fn send(&mut self, frame: &Frame) -> Result<(), ProtocolError> {
         write_frame(&mut self.writer, frame)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::Verb;
+    use std::io::ErrorKind;
+
+    /// A scripted byte stream: each `read` returns the next chunk of
+    /// `input` (or a `WouldBlock` for an empty chunk) and is counted;
+    /// writes are kept.
+    struct Scripted {
+        input: Vec<u8>,
+        pos: usize,
+        chunks: Vec<usize>,
+        reads: usize,
+        output: Vec<u8>,
+    }
+
+    impl Scripted {
+        /// Serves `frames`' bytes in reads of the given chunk sizes, in a
+        /// cycle.
+        fn new(frames: &[Frame], chunks: Vec<usize>) -> Scripted {
+            let mut input = Vec::new();
+            for frame in frames {
+                write_frame(&mut input, frame).unwrap();
+            }
+            Scripted {
+                input,
+                pos: 0,
+                chunks,
+                reads: 0,
+                output: Vec::new(),
+            }
+        }
+
+        /// The byte offsets at which each frame ends (and the next starts).
+        fn boundaries(frames: &[Frame]) -> Vec<usize> {
+            let mut at = vec![0];
+            for frame in frames {
+                at.push(at[at.len() - 1] + 5 + frame.payload.len());
+            }
+            at
+        }
+    }
+
+    impl Read for Scripted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let chunk = self.chunks[self.reads % self.chunks.len()];
+            self.reads += 1;
+            if chunk == 0 {
+                return Err(ErrorKind::WouldBlock.into());
+            }
+            let n = chunk.min(buf.len()).min(self.input.len() - self.pos);
+            buf[..n].copy_from_slice(&self.input[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Scripted {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.output.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn frames() -> Vec<Frame> {
+        vec![
+            Frame::hello(),
+            Frame::new(Verb::Propagate, "7\nnop:r#0(del:a#1)"),
+            Frame::ok(""),
+            Frame::retry(5),
+        ]
+    }
+
+    #[test]
+    fn byte_at_a_time_reads_with_timeouts_decode_every_frame() {
+        // one byte per read, a timeout between any two bytes: through the
+        // buffered stream transport and through a bare reader alike, every
+        // frame decodes and `Idle` is reported only between frames
+        let sent = frames();
+        let boundaries = Scripted::boundaries(&sent);
+        for buffered in [true, false] {
+            let mut stream = StreamTransport::new(Scripted::new(&sent, vec![0, 1]));
+            let mut bare = DuplexTransport::new(Scripted::new(&sent, vec![0, 1]), Vec::new());
+            let mut got = Vec::new();
+            let mut idles = 0;
+            loop {
+                let (recv, pos) = if buffered {
+                    (stream.recv().unwrap(), stream.get_ref().pos)
+                } else {
+                    (bare.recv().unwrap(), bare.reader.pos)
+                };
+                match recv {
+                    Recv::Frame(f) => got.push(f),
+                    Recv::Idle => {
+                        idles += 1;
+                        assert!(
+                            boundaries.contains(&pos),
+                            "idle mid-frame at byte {pos} (buffered: {buffered})"
+                        );
+                    }
+                    Recv::Eof => break,
+                }
+            }
+            assert_eq!(got, sent, "buffered: {buffered}");
+            assert!(idles > sent.len(), "timeouts reached the reader");
+        }
+    }
+
+    #[test]
+    fn frames_that_arrive_in_one_read_decode_in_order() {
+        // both frames come in the first read: the buffer keeps the second
+        let sent = frames();
+        let mut t = StreamTransport::new(Scripted::new(&sent, vec![usize::MAX]));
+        for frame in &sent {
+            assert!(matches!(t.recv().unwrap(), Recv::Frame(f) if &f == frame));
+        }
+        assert_eq!(t.get_ref().reads, 1, "one read served every frame");
+        assert!(matches!(t.recv().unwrap(), Recv::Eof));
+        // sends bypass the read buffer: one frame, written whole
+        t.send(&Frame::ok("done")).unwrap();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::ok("done")).unwrap();
+        assert_eq!(t.get_ref().output, wire);
     }
 }

@@ -87,7 +87,8 @@ fn usage() -> XvuError {
          \n\
          repeating --doc in `propagate` pairs each document with the --update\n\
          at the same position and serves the batch on N worker threads;\n\
-         `serve` runs the long-lived daemon and `client` speaks its protocol;\n\
+         `serve` runs the long-lived daemon, running at most --workers writes\n\
+         at once with --queue more waiting, and `client` speaks its protocol;\n\
          `snapshot` converts term/XML documents to and from the flat binary\n\
          corpus format that `serve --corpus` preloads without parsing\n"
             .to_owned(),

@@ -94,7 +94,7 @@
 //! with [`Engine::propagate_batch`] — see [`propagate::serve`] for the
 //! sharing contract and examples. For repeated updates to many documents,
 //! run the daemon ([`server::Server`]): it keeps each document's session
-//! in one table and leases it to one worker per request.
+//! in one table and leases it to one request at a time.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -5,7 +5,7 @@
 //! [`xml_view_update::Session`] per document while recording `(cost,
 //! script-term, count, view-term)` fingerprints; [`run_fleet`] then
 //! replays the identical operation streams over real TCP connections
-//! against the daemon — admission queue, worker pool, LRU eviction,
+//! against the daemon — connection threads, write admission, LRU eviction,
 //! write-back, identifier-floor restoration and all — and diffs every
 //! reply. Any nondeterminism in the serving stack shows up as a
 //! mismatch naming the exact operation.
