@@ -43,5 +43,5 @@ pub use dfa::Dfa;
 pub use error::AutomatonError;
 pub use glushkov::glushkov;
 pub use mincost::{min_cost_word, MinCostWord, INFINITE};
-pub use nfa::{Nfa, StateId};
+pub use nfa::{Nfa, StateId, StateSets};
 pub use regex::{parse_regex, Regex};

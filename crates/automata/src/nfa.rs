@@ -20,6 +20,14 @@ impl StateId {
     }
 }
 
+/// The two state sets of [`Nfa::accepts_with`]'s subset simulation, kept
+/// between calls so that checking many words allocates once.
+#[derive(Clone, Debug, Default)]
+pub struct StateSets {
+    current: Vec<bool>,
+    next: Vec<bool>,
+}
+
 /// A nondeterministic finite automaton `M = (Σ, Q, q0, δ, F)` without
 /// ε-transitions.
 ///
@@ -127,12 +135,26 @@ impl Nfa {
 
     /// Word membership by subset simulation: `w ∈ L(M)`?
     pub fn accepts(&self, word: &[Sym]) -> bool {
-        // Two state sets, swapped per symbol: the cost of a call does not
-        // include an allocation per letter.
-        let mut current = vec![false; self.num_states()];
-        let mut next = vec![false; self.num_states()];
+        self.accepts_with(word.iter().copied(), &mut StateSets::default())
+    }
+
+    /// [`Nfa::accepts`] over the symbols `word` yields, simulated in the
+    /// caller's `sets`: a caller checking many words keeps one
+    /// [`StateSets`], and once it has grown to the largest automaton no
+    /// check allocates. The empty word touches no set.
+    pub fn accepts_with(&self, word: impl IntoIterator<Item = Sym>, sets: &mut StateSets) -> bool {
+        let mut word = word.into_iter();
+        let Some(first) = word.next() else {
+            return self.is_accepting(self.start);
+        };
+        // Two state sets, swapped per symbol.
+        let StateSets { current, next } = sets;
+        current.clear();
+        current.resize(self.num_states(), false);
+        next.clear();
+        next.resize(self.num_states(), false);
         current[self.start.index()] = true;
-        for &y in word {
+        for y in std::iter::once(first).chain(word) {
             next.fill(false);
             let mut any = false;
             for (q, &live) in current.iter().enumerate() {
@@ -149,7 +171,7 @@ impl Nfa {
             if !any {
                 return false;
             }
-            std::mem::swap(&mut current, &mut next);
+            std::mem::swap(current, next);
         }
         current
             .iter()
@@ -352,6 +374,27 @@ mod tests {
         assert!(!m.accepts(&word(&alpha, "a b")));
         assert!(!m.accepts(&word(&alpha, "b")));
         assert_eq!(m.size(), 3 + 4 + 1);
+    }
+
+    #[test]
+    fn reused_state_sets_agree_with_fresh_ones_across_automata() {
+        // one pair of sets serves automata of different sizes, the words a
+        // rejected simulation left behind included
+        let mut alpha = Alphabet::new();
+        let automata = ["(a.(b+c).d)*", "a*", "a.b?.c", "eps"]
+            .map(|src| glushkov(&parse_regex(&mut alpha, src).unwrap()));
+        let words = "|a|a b d|a a a|a c|a b c|b|a b d a c d";
+        let mut sets = StateSets::default();
+        for m in automata.iter().cycle().take(8) {
+            for w in words.split('|') {
+                let w = word(&alpha, w);
+                assert_eq!(
+                    m.accepts_with(w.iter().copied(), &mut sets),
+                    m.accepts(&w),
+                    "{w:?}"
+                );
+            }
+        }
     }
 
     #[test]

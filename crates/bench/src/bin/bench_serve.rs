@@ -19,6 +19,10 @@
 //! diffed against the fingerprints the generator recorded from direct
 //! library sessions, and any mismatch aborts the benchmark.
 //!
+//! Next to the cold start, the `connect` row times a TCP connect plus
+//! `hello` to an idle daemon that is already serving, one connection
+//! after another ([`CONNECTS`] of them, after one untimed).
+//!
 //! ```text
 //! cargo run --release -p xvu_bench --bin bench_serve [-- OUT_PATH]
 //! cargo run --release -p xvu_bench --bin bench_serve -- --test   # CI smoke
@@ -38,6 +42,9 @@ use xvu_workload::fleet::{generate_fleet, FleetConfig, FleetPlan};
 
 /// Replays per pool row (and cold starts per mode).
 const RUNS: usize = 5;
+
+/// Timed connections of the `connect` row.
+const CONNECTS: usize = 40;
 
 fn plan(updates: usize, docs: usize, clients: usize) -> FleetPlan {
     generate_fleet(&FleetConfig {
@@ -149,17 +156,16 @@ fn cold_start_once(
 /// `reps` cold starts per mode, the modes taking turns, checking that
 /// the first reply is byte-identical between them. Returns each mode's
 /// samples in milliseconds.
-fn cold_start(plan: &FleetPlan, reps: usize) -> (Vec<f64>, Vec<f64>) {
-    let engines: Vec<Engine> = plan.families.iter().map(|f| f.engine()).collect();
+fn cold_start(plan: &FleetPlan, engines: &[Engine], reps: usize) -> (Vec<f64>, Vec<f64>) {
     let corpus = plan.corpus_snapshot_bytes();
     let (mut term_ms, mut snap_ms) = (Vec::new(), Vec::new());
     let mut term_reply = None;
     let mut snap_reply = None;
     for _ in 0..reps {
-        let (t, reply) = cold_start_once(plan, &engines, &corpus, false);
+        let (t, reply) = cold_start_once(plan, engines, &corpus, false);
         term_ms.push(t.as_secs_f64() * 1e3);
         term_reply.get_or_insert(reply);
-        let (t, reply) = cold_start_once(plan, &engines, &corpus, true);
+        let (t, reply) = cold_start_once(plan, engines, &corpus, true);
         snap_ms.push(t.as_secs_f64() * 1e3);
         snap_reply.get_or_insert(reply);
     }
@@ -168,6 +174,29 @@ fn cold_start(plan: &FleetPlan, reps: usize) -> (Vec<f64>, Vec<f64>) {
         "first reply differs between term and snapshot boot"
     );
     (term_ms, snap_ms)
+}
+
+/// `connects` sequential connect + `hello` round trips to an idle daemon
+/// that is already serving (one untimed connection first), in
+/// milliseconds. Each client closes before the next connects.
+fn connect_ms(engines: &[Engine], connects: usize) -> Vec<f64> {
+    let server = Server::new(engines, ServerConfig::default());
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr").to_string();
+    let mut samples = Vec::with_capacity(connects);
+    std::thread::scope(|scope| {
+        let handle = scope.spawn(|| server.serve_listener(listener));
+        drop(Client::connect(&addr).expect("first connect"));
+        for _ in 0..connects {
+            let start = Instant::now();
+            let client = Client::connect(&addr).expect("connect");
+            samples.push(start.elapsed().as_secs_f64() * 1e3);
+            drop(client);
+        }
+        let _ = Client::connect(&addr).expect("connect").shutdown();
+        handle.join().expect("server thread").expect("serve ok");
+    });
+    samples
 }
 
 fn median(samples: &[f64]) -> f64 {
@@ -231,12 +260,20 @@ fn main() {
 
     // cold start: daemon construction → first served reply, with the
     // corpus installed by term `load` verbs vs a packed-snapshot preload
-    let (term_cold, snap_cold) = cold_start(&plan, runs);
+    let engines: Vec<Engine> = plan.families.iter().map(|f| f.engine()).collect();
+    let (term_cold, snap_cold) = cold_start(&plan, &engines, runs);
     let speedup = median(&term_cold) / median(&snap_cold).max(1e-9);
     eprintln!(
         "  cold start: term-corpus {:.1} ms, snapshot-corpus {:.1} ms ({speedup:.1}× faster)",
         median(&term_cold),
         median(&snap_cold),
+    );
+
+    let connect = connect_ms(&engines, if smoke { 5 } else { CONNECTS });
+    eprintln!(
+        "  connect + hello to a running daemon: median {:.3} ms over {} connections",
+        median(&connect),
+        connect.len()
     );
 
     if smoke {
@@ -247,7 +284,7 @@ fn main() {
     let out_path = arg.unwrap_or_else(|| "BENCH_serve.json".to_owned());
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-serve/5\",\n");
+    json.push_str("  \"schema\": \"xvu-bench-serve/6\",\n");
     json.push_str(&format!(
         "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
         git_revision()
@@ -267,6 +304,12 @@ fn main() {
          \"runs\": {runs}, \"term_corpus_ms\": {}, \"snapshot_corpus_ms\": {}, \"median_speedup\": {speedup:.1} }},\n",
         spread(term_cold, 2),
         spread(snap_cold, 2),
+    ));
+    json.push_str(&format!(
+        "  \"connect\": {{ \"timed_region\": \"TCP connect + hello to an idle daemon already serving, one connection at a time\", \
+         \"connects\": {}, \"ms\": {} }},\n",
+        connect.len(),
+        spread(connect, 3),
     ));
     json.push_str("  \"pools\": {\n");
     for (i, (pool, reports)) in rows.iter().enumerate() {

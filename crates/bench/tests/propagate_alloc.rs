@@ -50,16 +50,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Extra allocations a 10× larger document may cost one propagation:
-/// ~1.5× the measured difference (178 at 974 nodes, 193 at 10,020 in a
-/// release build; 182 and 197 in a debug build), which comes from
+/// ~1.5× the measured difference (168 at 974 nodes, 181 at 10,020 in a
+/// release build; 172 and 185 in a debug build), which comes from
 /// buffers that grow with the document reallocating a few more times.
 /// A copy allocating one child list per internal node measures 423 and
 /// 2,703.
 const SLACK: u64 = 21;
 
 /// Allocations any one admission propagation may cost, at either size:
-/// the measured 197 plus a margin of ~1.5×.
-const PER_PROPAGATE: u64 = 300;
+/// the measured 185 plus a margin of ~1.5×.
+const PER_PROPAGATE: u64 = 280;
 
 /// The document size and the allocations of one warm `Session::propagate`
 /// of an admission into the first department of a hospital with

@@ -1,8 +1,7 @@
 //! The DTD type and tree validation.
 
 use crate::error::DtdError;
-use std::collections::HashMap;
-use xvu_automata::{glushkov, Nfa, Regex, StateId};
+use xvu_automata::{glushkov, Nfa, Regex, StateId, StateSets};
 use xvu_tree::{DocTree, NodeId, Sym};
 
 /// A Document Type Definition: `D : Σ → NFA`.
@@ -13,7 +12,9 @@ use xvu_tree::{DocTree, NodeId, Sym};
 /// tree fragments can be validated.
 #[derive(Clone, Debug)]
 pub struct Dtd {
-    rules: HashMap<Sym, Nfa>,
+    /// `rules[a.index()]` is `a`'s content model, if it has an explicit
+    /// rule (a dense table: validation looks one up per node).
+    rules: Vec<Option<Nfa>>,
     /// Shared default automaton accepting exactly the empty word.
     eps: Nfa,
 }
@@ -42,7 +43,7 @@ impl Dtd {
         let mut eps = Nfa::new(1, StateId(0));
         eps.set_accepting(StateId(0), true);
         Dtd {
-            rules: HashMap::new(),
+            rules: Vec::new(),
             eps,
         }
     }
@@ -55,28 +56,42 @@ impl Dtd {
 
     /// Sets the content model of `label` directly as an automaton.
     pub fn set_rule_nfa(&mut self, label: Sym, nfa: Nfa) {
-        self.rules.insert(label, nfa);
+        if self.rules.len() <= label.index() {
+            self.rules.resize(label.index() + 1, None);
+        }
+        self.rules[label.index()] = Some(nfa);
     }
 
     /// Whether `label` has an explicit rule.
     pub fn has_rule(&self, label: Sym) -> bool {
-        self.rules.contains_key(&label)
+        self.rules.get(label.index()).is_some_and(Option::is_some)
     }
 
     /// The content model of `label` — the automaton `D(a)`. Labels without
     /// an explicit rule yield the `ε` automaton.
     pub fn content_model(&self, label: Sym) -> &Nfa {
-        self.rules.get(&label).unwrap_or(&self.eps)
+        match self.rules.get(label.index()) {
+            Some(Some(nfa)) => nfa,
+            _ => &self.eps,
+        }
     }
 
-    /// Iterates over labels with explicit rules.
+    /// Iterates over labels with explicit rules, in symbol order.
     pub fn ruled_labels(&self) -> impl Iterator<Item = Sym> + '_ {
-        self.rules.keys().copied()
+        self.explicit_rules().map(|(label, _)| label)
+    }
+
+    /// The explicit rules, in symbol order.
+    fn explicit_rules(&self) -> impl Iterator<Item = (Sym, &Nfa)> {
+        self.rules
+            .iter()
+            .enumerate()
+            .filter_map(|(i, nfa)| Some((Sym::from_index(i), nfa.as_ref()?)))
     }
 
     /// The paper's size measure: sum of the sizes of all automata used.
     pub fn size(&self) -> usize {
-        self.rules.values().map(Nfa::size).sum()
+        self.explicit_rules().map(|(_, nfa)| nfa.size()).sum()
     }
 
     /// Labels whose content-model automaton is nondeterministic.
@@ -87,27 +102,25 @@ impl Dtd {
     /// diagnostics — the propagation machinery itself works for arbitrary
     /// NFAs.
     pub fn nondeterministic_labels(&self) -> Vec<Sym> {
-        let mut labels: Vec<Sym> = self
-            .rules
-            .iter()
+        self.explicit_rules()
             .filter(|(_, nfa)| !nfa.is_deterministic())
-            .map(|(&l, _)| l)
-            .collect();
-        labels.sort();
-        labels
-    }
-
-    /// Checks whether a single node's children satisfy its content model.
-    pub fn node_is_valid(&self, t: &DocTree, n: NodeId) -> bool {
-        let word = t.child_word(n);
-        self.content_model(t.label(n)).accepts(&word)
+            .map(|(label, _)| label)
+            .collect()
     }
 
     /// Whether `t ∈ L(D)` (every node's child word is in its content
     /// model). `L(D)` contains only non-empty trees, which the tree type
     /// guarantees structurally.
+    ///
+    /// One scan of the arena in slot order, reading each child word in
+    /// place and reusing one pair of state sets: no allocation per node.
     pub fn is_valid(&self, t: &DocTree) -> bool {
-        t.preorder().all(|n| self.node_is_valid(t, n))
+        let mut sets = StateSets::default();
+        t.slots().all(|s| {
+            let word = t.children_at(s).iter().map(|&c| t.label(c));
+            self.content_model(t.node_at(s).label)
+                .accepts_with(word, &mut sets)
+        })
     }
 
     /// Validates `t`, returning the first violation in document order.
@@ -121,9 +134,23 @@ impl Dtd {
         }
     }
 
-    /// The first violation in document order, if any.
+    /// The first violation in document order, if any. The slot-order
+    /// scan of [`Dtd::is_valid`] decides; only an invalid tree is walked
+    /// in document order, to find the violation to report.
     pub fn first_violation(&self, t: &DocTree) -> Option<Violation> {
-        t.preorder().find_map(|n| {
+        if self.is_valid(t) {
+            return None;
+        }
+        self.violations_in_order(t).next()
+    }
+
+    /// All violations in document order (diagnostics).
+    pub fn violations(&self, t: &DocTree) -> Vec<Violation> {
+        self.violations_in_order(t).collect()
+    }
+
+    fn violations_in_order<'a>(&'a self, t: &'a DocTree) -> impl Iterator<Item = Violation> + 'a {
+        t.preorder().filter_map(move |n| {
             let word = t.child_word(n);
             if self.content_model(t.label(n)).accepts(&word) {
                 None
@@ -135,24 +162,6 @@ impl Dtd {
                 })
             }
         })
-    }
-
-    /// All violations in document order (diagnostics).
-    pub fn violations(&self, t: &DocTree) -> Vec<Violation> {
-        t.preorder()
-            .filter_map(|n| {
-                let word = t.child_word(n);
-                if self.content_model(t.label(n)).accepts(&word) {
-                    None
-                } else {
-                    Some(Violation {
-                        node: n,
-                        label: t.label(n),
-                        child_word: word,
-                    })
-                }
-            })
-            .collect()
     }
 }
 
@@ -226,6 +235,34 @@ mod tests {
         let t = parse_term(&mut alpha, &mut gen, "r(d(a), d(b))").unwrap();
         // root bad (word d d), both d children bad (words a and b).
         assert_eq!(dtd.violations(&t).len(), 3);
+    }
+
+    #[test]
+    fn the_first_violation_is_first_in_document_order_not_slot_order() {
+        // r(a, b, dy(b), a, c, dx(a)) with dx in an earlier slot than dy:
+        // the slot-order scan meets dx first, but dy comes first in the
+        // document
+        let mut alpha = Alphabet::new();
+        let dtd = d0(&mut alpha);
+        let [r, a, b, c, d] = ["r", "a", "b", "c", "d"].map(|l| alpha.get(l).unwrap());
+        let mut gen = NodeIdGen::new();
+        let mut t = DocTree::leaf(&mut gen, r);
+        let root = t.root();
+        let kids = [a, b, d, a, c, d].map(|l| t.add_child(root, &mut gen, l));
+        let (dx, dy) = (kids[2], kids[5]);
+        t.add_child(dx, &mut gen, a);
+        t.add_child(dy, &mut gen, b);
+        let order = [kids[0], kids[1], dy, kids[3], kids[4], dx];
+        t.reorder_children(root, &order).unwrap();
+        assert!(t.slot(dx) < t.slot(dy));
+        assert!(!dtd.is_valid(&t));
+        assert_eq!(dtd.first_violation(&t).unwrap().node, dy);
+        assert_eq!(
+            dtd.validate(&t),
+            Err(DtdError::Invalid { node: dy, label: d })
+        );
+        let all: Vec<NodeId> = dtd.violations(&t).iter().map(|v| v.node).collect();
+        assert_eq!(all, [dy, dx]);
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::selection::Selector;
 use std::time::Instant;
 use xvu_dtd::{min_sizes, InsertletPackage};
 use xvu_edit::{ELabel, Script};
-use xvu_tree::NodeId;
+use xvu_tree::{NodeId, NodeIdGen};
 
 /// Tuning knobs for [`propagate`].
 #[derive(Clone, Debug)]
@@ -197,6 +197,10 @@ pub fn propagate_view_edit(
 /// overflow the native stack. A frame descends into a kept visible child
 /// as soon as its path reaches it and resumes afterwards, which draws
 /// fresh identifiers in the same order as a recursive assembly would.
+/// Before each inserted fragment draws its fresh identifiers, the
+/// generator is checked for room ([`PropagateError::IdentifiersExhausted`]
+/// otherwise): a fragment needs exactly its charge, an inverse its
+/// padding.
 pub(crate) fn assemble(
     inst: &Instance<'_>,
     forest: &PropagationForest,
@@ -238,6 +242,7 @@ pub(crate) fn assemble(
         let t_kids = inst.source.children(n);
         let child = match edge {
             PropEdge::InsInvisible(y) => {
+                reserve(&gen, cost.charge(y))?;
                 let frag = cost.insertlets.instantiate(
                     inst.dtd,
                     cost.sizes,
@@ -251,8 +256,15 @@ pub(crate) fn assemble(
             PropEdge::InsVisible { spos } => {
                 let inv = forest
                     .inversion(inst.update.children(n)[spos as usize])
-                    .expect("built forest has an inversion per Ins child")
-                    .materialize_min(inst.dtd, cost, cfg.selector, &mut gen, cfg.witness_budget)?;
+                    .expect("built forest has an inversion per Ins child");
+                reserve(&gen, inv.min_padding())?;
+                let inv = inv.materialize_min(
+                    inst.dtd,
+                    cost,
+                    cfg.selector,
+                    &mut gen,
+                    cfg.witness_budget,
+                )?;
                 script.append_mapped_subtree(n, &inv, inv.root(), |&l| ELabel::ins(l))?;
                 inv.root()
             }
@@ -271,6 +283,15 @@ pub(crate) fn assemble(
         }
     }
     Ok(script)
+}
+
+/// Fails unless `gen` can still hand out `needed` fresh identifiers.
+fn reserve(gen: &NodeIdGen, needed: u64) -> Result<(), PropagateError> {
+    let available = gen.remaining();
+    if needed > available {
+        return Err(PropagateError::IdentifiersExhausted { needed, available });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -31,6 +31,15 @@ pub enum PropagateError {
     Materialisation(DtdError),
     /// The candidate script failed verification as a propagation.
     NotAPropagation(String),
+    /// The propagation must insert more fresh nodes than the session's
+    /// identifier generator has identifiers left (a document may use
+    /// identifiers up to [`NodeId::MAX`]).
+    IdentifiersExhausted {
+        /// Fresh identifiers the next inserted fragment needs.
+        needed: u64,
+        /// Identifiers the generator can still hand out.
+        available: u64,
+    },
     /// Underlying editing-script error.
     Edit(EditError),
     /// Underlying tree error.
@@ -59,6 +68,11 @@ impl fmt::Display for PropagateError {
                 write!(f, "cannot materialise invisible fragment: {e}")
             }
             PropagateError::NotAPropagation(m) => write!(f, "not a valid propagation: {m}"),
+            PropagateError::IdentifiersExhausted { needed, available } => write!(
+                f,
+                "node identifier space exhausted: {needed} fresh identifiers needed, \
+                 {available} left"
+            ),
             PropagateError::Edit(e) => write!(f, "editing-script error: {e}"),
             PropagateError::Tree(e) => write!(f, "tree error: {e}"),
         }

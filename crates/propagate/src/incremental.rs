@@ -11,11 +11,12 @@
 //!   identifiers make this an exact diff.
 
 use crate::error::PropagateError;
+use xvu_automata::StateSets;
 use xvu_dtd::Dtd;
 use xvu_edit::{
     check_script, diff, input_tree, output_tree, script_footprint, EditOp, Script, ScriptFootprint,
 };
-use xvu_tree::{NodeId, Sym};
+use xvu_tree::NodeId;
 use xvu_view::{extract_view, Annotation};
 
 /// Validates `Out(script)` against `dtd`, assuming `In(script)` is valid.
@@ -58,18 +59,18 @@ pub(crate) fn revalidate_changed(
     // materialised. The footprint lists the changed nodes in document
     // order, so the *first* offending node is the one reported, like
     // `Dtd::validate`.
-    let mut word: Vec<Sym> = Vec::new();
+    let mut sets = StateSets::default();
     for &n in fp.changed() {
-        word.clear();
-        word.extend(
-            script
-                .children(n)
-                .iter()
-                .map(|&c| script.label(c))
-                .filter(|l| l.op != EditOp::Del)
-                .map(|l| l.label),
-        );
-        if !dtd.content_model(script.label(n).label).accepts(&word) {
+        let word = script
+            .children(n)
+            .iter()
+            .map(|&c| script.label(c))
+            .filter(|l| l.op != EditOp::Del)
+            .map(|l| l.label);
+        if !dtd
+            .content_model(script.label(n).label)
+            .accepts_with(word, &mut sets)
+        {
             return Err(PropagateError::NotAPropagation(format!(
                 "incremental validation failed at node {n}"
             )));

@@ -23,9 +23,10 @@
 
 use crate::error::PropagateError;
 use std::borrow::Cow;
+use xvu_automata::StateSets;
 use xvu_dtd::Dtd;
 use xvu_edit::{update_footprint, EditError, EditOp, Script, ScriptFootprint};
-use xvu_tree::{DocTree, NodeId, NodeIdGen, Slot, Sym};
+use xvu_tree::{DocTree, NodeId, NodeIdGen, Slot};
 use xvu_view::{derive_view_dtd, extract_subtree_view, extract_view, Annotation};
 
 /// The update-independent artefacts derived from one source document
@@ -217,18 +218,18 @@ impl<'a> Instance<'a> {
         // Only changed child words can leave the view language; the
         // footprint lists them in document order, so the first violation
         // found is the first in `Out(S)`.
-        let mut word: Vec<Sym> = Vec::new();
+        let mut sets = StateSets::default();
         for &n in footprint.changed() {
-            word.clear();
-            word.extend(
-                update
-                    .children(n)
-                    .iter()
-                    .map(|&c| update.label(c))
-                    .filter(|l| l.op != EditOp::Del)
-                    .map(|l| l.label),
-            );
-            if !view_dtd.content_model(update.label(n).label).accepts(&word) {
+            let word = update
+                .children(n)
+                .iter()
+                .map(|&c| update.label(c))
+                .filter(|l| l.op != EditOp::Del)
+                .map(|l| l.label);
+            if !view_dtd
+                .content_model(update.label(n).label)
+                .accepts_with(word, &mut sets)
+            {
                 return Err(PropagateError::OutputNotAView(format!(
                     "node {n} (child word not derivable in any view)"
                 )));

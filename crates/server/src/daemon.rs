@@ -23,10 +23,25 @@
 //!   (`xvu_tree::snapshot`); the inverse is [`Server::preload_corpus`],
 //!   the parse-free cold-start path.
 //!
+//! The accept loop blocks in `accept`, so a connection is taken on the
+//! moment it arrives; a drain wakes it by connecting to the listener
+//! once. At most [`MAX_CONNECTIONS`] connections are open at once: the
+//! next one is answered `retry` and closed. A failed `accept` (say
+//! `EMFILE` at the descriptor limit) is retried after a short backoff;
+//! only a drain ends the loop.
+//!
+//! Every request runs behind an unwind boundary. A request whose handler
+//! panics is answered `err` and counted in `errors` and `panics`, and its
+//! connection keeps serving. Its admission slot and lease come back on
+//! unwind; if it had changed the document's session (a `commit`), the
+//! session is dropped rather than trusted, and requests on that document
+//! get an `err` asking for a reload until a `load` replaces it.
+//!
 //! Request latencies (including the admission wait for writes), the
-//! number of writes waiting for admission, admission rejects, pool
-//! evictions, and propagation-memo counters are all observable via the
-//! `stats` verb ([`crate::StatsSnapshot`]).
+//! number of writes waiting for admission, admission rejects, open and
+//! refused connections, panics, pool evictions, and propagation-memo
+//! counters are all observable via the `stats` verb
+//! ([`crate::StatsSnapshot`]).
 //!
 //! ## Determinism across eviction
 //!
@@ -49,9 +64,11 @@
 
 use crate::metrics::{Metrics, StatsSnapshot};
 use crate::pool::{DocTable, Lease, LeaseError};
-use crate::protocol::{check_hello, Frame, Recv, Verb, PROTOCOL_VERSION};
+use crate::protocol::{check_hello, write_frame, Frame, Recv, Verb, PROTOCOL_VERSION};
 use crate::transport::{StreamTransport, Transport};
-use std::net::TcpListener;
+use std::any::Any;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -61,6 +78,19 @@ use xvu_tree::{
     parse_term_with_ids, to_term_with_ids, Alphabet, CorpusBuilder, DocTree, NodeIdGen,
     SnapshotFile,
 };
+
+/// Connections that may be open at once; the next one is answered
+/// `retry` and closed.
+pub const MAX_CONNECTIONS: usize = 256;
+
+/// The pause after a failed `accept` before the loop tries again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How long a drain waits for admitted and waiting writes.
+const DRAIN_WINDOW: Duration = Duration::from_secs(30);
+
+/// How long a drain's wake-up connection may take to be established.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Daemon sizing and admission knobs.
 #[derive(Clone, Debug)]
@@ -213,6 +243,46 @@ pub struct Server<'e> {
     gate: Gate,
     stopped: AtomicBool,
     drained_clean: AtomicBool,
+    /// Where a drain connects to wake the blocked accept loop; set by
+    /// [`Server::serve_listener`] before it first reads `stopped`.
+    wake: Mutex<Option<SocketAddr>>,
+    /// The verb whose next request panics (test builds only).
+    #[cfg(test)]
+    fault: Mutex<Option<Verb>>,
+}
+
+/// A live connection's place under [`MAX_CONNECTIONS`], given back when
+/// its thread ends (also when it unwinds).
+struct Live<'m>(&'m Metrics);
+
+impl Drop for Live<'_> {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Where a drain connects to wake an accept loop on a listener bound to
+/// `bound`: the same address, with an unspecified IP replaced by the
+/// loopback address of its family.
+fn wake_address(bound: SocketAddr) -> SocketAddr {
+    let mut addr = bound;
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => addr.set_ip(Ipv4Addr::LOCALHOST.into()),
+        IpAddr::V6(ip) if ip.is_unspecified() => addr.set_ip(Ipv6Addr::LOCALHOST.into()),
+        _ => {}
+    }
+    addr
+}
+
+/// The message a panic carried, if it was a string.
+fn panic_message(panic: &(dyn Any + Send)) -> &str {
+    if let Some(s) = panic.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = panic.downcast_ref::<String>() {
+        s
+    } else {
+        "no message"
+    }
 }
 
 fn relock<T>(r: Result<T, PoisonError<T>>) -> T {
@@ -252,6 +322,9 @@ impl<'e> Server<'e> {
             metrics: Metrics::new(),
             stopped: AtomicBool::new(false),
             drained_clean: AtomicBool::new(true),
+            wake: Mutex::new(None),
+            #[cfg(test)]
+            fault: Mutex::new(None),
         }
     }
 
@@ -281,7 +354,7 @@ impl<'e> Server<'e> {
     /// Initiates shutdown from outside a connection (equivalent to the
     /// `shutdown` verb, minus the reply).
     pub fn request_shutdown(&self) {
-        self.drain(Duration::from_secs(30));
+        self.drain(DRAIN_WINDOW);
     }
 
     /// Whether the daemon has fully stopped accepting work.
@@ -289,32 +362,42 @@ impl<'e> Server<'e> {
         self.stopped.load(Ordering::Acquire)
     }
 
-    /// Serves TCP connections until a `shutdown` request completes.
-    /// Every connection gets its own thread, which runs each of its
-    /// requests to the reply; write verbs first take an admission slot
-    /// (at most `workers` at once).
+    /// Serves TCP connections until the daemon is drained, by a
+    /// `shutdown` request or [`Server::request_shutdown`]. Every
+    /// connection gets its own thread, which runs each of its requests to
+    /// the reply; write verbs first take an admission slot (at most
+    /// `workers` at once).
+    ///
+    /// The loop blocks in `accept`, so a connection is taken on as soon
+    /// as it arrives. The drain wakes it by connecting once to the
+    /// listener's address (the loopback address of the same family if the
+    /// listener is bound to an unspecified one); the loop drops that
+    /// connection, and any other that arrives after the drain. Past
+    /// [`MAX_CONNECTIONS`] open connections, a new one gets one `retry`
+    /// frame and is closed. A failed `accept` is retried after a short
+    /// backoff, the loop's only sleep. Returns once every connection's
+    /// thread has ended.
     pub fn serve_listener(&self, listener: TcpListener) -> std::io::Result<ServerReport> {
-        listener.set_nonblocking(true)?;
+        // published before the first read of `stopped`: a drain either
+        // comes early enough for that read to see it, or finds the
+        // address and wakes the `accept` below
+        *relock(self.wake.lock()) = Some(wake_address(listener.local_addr()?));
         std::thread::scope(|scope| {
-            loop {
-                if self.stopped() {
-                    break;
-                }
+            while !self.stopped() {
                 match listener.accept() {
+                    // the drain's wake-up, or a peer that came too late
+                    Ok(_) if self.stopped() => break,
                     Ok((stream, _peer)) => {
-                        let _ = stream.set_nodelay(true);
-                        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-                        scope.spawn(move || self.conn_loop(StreamTransport::new(stream)));
+                        if let Some((live, transport)) = self.take_on(stream, MAX_CONNECTIONS) {
+                            scope.spawn(move || {
+                                let _live = live;
+                                self.conn_loop(transport);
+                            });
+                        }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Err(_) => break,
+                    Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
                 }
             }
-            // belt and braces: if the accept loop exited abnormally, close
-            // the gate so the connection threads finish their writes
-            self.drain(Duration::from_secs(30));
         });
         Ok(self.final_report())
     }
@@ -324,8 +407,33 @@ impl<'e> Server<'e> {
     /// before returning.
     pub fn serve_transport<T: Transport>(&self, transport: T) -> ServerReport {
         self.conn_loop(transport);
-        self.drain(Duration::from_secs(30));
+        self.drain(DRAIN_WINDOW);
         self.final_report()
+    }
+
+    /// Takes an accepted connection on while fewer than `cap` are open,
+    /// returning its transport and its place under the cap; past the cap
+    /// the peer gets one `retry` frame and the connection is closed.
+    fn take_on(
+        &self,
+        stream: TcpStream,
+        cap: usize,
+    ) -> Option<(Live<'_>, StreamTransport<TcpStream>)> {
+        let open = &self.metrics.connections;
+        let room = |n: u64| (n < cap as u64).then_some(n + 1);
+        if open
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, room)
+            .is_err()
+        {
+            self.metrics
+                .refused_connections
+                .fetch_add(1, Ordering::Relaxed);
+            let _ = write_frame(&mut &stream, &Frame::retry(self.cfg.retry_after_ms));
+            return None;
+        }
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+        Some((Live(&self.metrics), StreamTransport::new(stream)))
     }
 
     fn final_report(&self) -> ServerReport {
@@ -347,7 +455,15 @@ impl<'e> Server<'e> {
                 }
                 Ok(Recv::Eof) => break,
                 Ok(Recv::Frame(req)) => {
-                    let resp = self.dispatch(req);
+                    let resp = catch_unwind(AssertUnwindSafe(|| self.dispatch(req)))
+                        .unwrap_or_else(|panic| {
+                            self.metrics.count_panic();
+                            self.metrics.count_error();
+                            Frame::err(format!(
+                                "internal error: the request panicked: {}",
+                                panic_message(&*panic)
+                            ))
+                        });
                     if t.send(&resp).is_err() {
                         break;
                     }
@@ -393,7 +509,7 @@ impl<'e> Server<'e> {
                 Err(refusal) => refusal,
             },
             Verb::Shutdown => {
-                self.drain(Duration::from_secs(30));
+                self.drain(DRAIN_WINDOW);
                 Frame::ok(self.stats_snapshot().to_json())
             }
             _ => Frame::err("not a request verb"),
@@ -405,13 +521,38 @@ impl<'e> Server<'e> {
     }
 
     /// Closes the gate and waits (bounded) for admitted and waiting writes
-    /// to finish; then stops the accept loop.
+    /// to finish; then stops the accept loop, waking it if it is blocked
+    /// in `accept`.
     fn drain(&self, window: Duration) {
         if !self.gate.close(window) {
             self.drained_clean.store(false, Ordering::Release);
         }
-        self.stopped.store(true, Ordering::Release);
+        if self.stopped.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // `stopped` is set before `wake` is read, and the loop sets `wake`
+        // before it reads `stopped`; the lock orders the two
+        let wake = *relock(self.wake.lock());
+        if let Some(addr) = wake {
+            // the loop drops this connection once it sees `stopped`
+            let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+        }
     }
+
+    /// Panics if a test armed a fault for `verb`.
+    #[cfg(test)]
+    fn fault_point(&self, verb: Verb) {
+        let mut armed = relock(self.fault.lock());
+        if *armed == Some(verb) {
+            *armed = None;
+            drop(armed);
+            panic!("fault injected into {}", verb.name());
+        }
+    }
+
+    /// Where a test build may inject a panic: nothing outside tests.
+    #[cfg(not(test))]
+    fn fault_point(&self, _verb: Verb) {}
 
     pub(crate) fn handle_write(&self, verb: Verb, payload: &str) -> Frame {
         let reply = match verb {
@@ -448,6 +589,7 @@ impl<'e> Server<'e> {
         if let Err(e) = engine.dtd().validate(&tree) {
             return Err(Frame::err(format!("document violates the family DTD: {e}")));
         }
+        self.fault_point(Verb::Load);
         // replacing a document discards its session and pending
         // propagation, once any lease on it has returned
         self.table.load(doc_id, family, tree);
@@ -456,6 +598,7 @@ impl<'e> Server<'e> {
 
     fn handle_open(&self, payload: &str) -> Reply {
         let lease = self.lease(doc_id(payload.trim())?)?;
+        self.fault_point(Verb::Open);
         Ok(Frame::ok(to_term_with_ids(
             lease.view(),
             lease.engine().alphabet(),
@@ -471,6 +614,7 @@ impl<'e> Server<'e> {
         let alpha = lease.engine().alphabet();
         let update = self.parse_update(alpha, term)?;
         let prop = lease.propagate(&update).map_err(error)?;
+        self.fault_point(Verb::Propagate);
         let Some(count) = count_optimal_propagations(&prop.forest) else {
             return Err(Frame::err("optimal count overflows u128"));
         };
@@ -501,11 +645,14 @@ impl<'e> Server<'e> {
             self.table.set_pending(doc_id, prop);
             return Err(error(e));
         }
+        // a panic here, with the commit applied, loses the session
+        self.fault_point(Verb::Commit);
         Ok(Frame::ok(""))
     }
 
     fn handle_close(&self, payload: &str) -> Reply {
         let doc_id = doc_id(payload.trim())?;
+        self.fault_point(Verb::CloseDoc);
         // a closed document starts a fresh identifier history on reopen —
         // same as a direct Engine::open on the committed document
         if !self.table.close(doc_id) {
@@ -519,6 +666,7 @@ impl<'e> Server<'e> {
         if path.is_empty() {
             return Err(Frame::err("snapshot expects a destination path"));
         }
+        self.fault_point(Verb::Snapshot);
         let corpus = self.snapshot_corpus();
         let docs = corpus.len();
         let bytes = corpus.finish();
@@ -548,6 +696,7 @@ impl<'e> Server<'e> {
         };
         let lease = self.lease(doc_id(id)?)?;
         let update = self.parse_update(lease.engine().alphabet(), term)?;
+        self.fault_point(Verb::Count);
         let n = lease.count_optimal(&update).map_err(error)?;
         Ok(Frame::ok(n.to_string()))
     }
@@ -571,6 +720,9 @@ impl<'e> Server<'e> {
                 Err(Frame::retry(self.cfg.retry_after_ms))
             }
             Err(LeaseError::Open(e)) => Err(Frame::err(e.to_string())),
+            Err(LeaseError::Lost) => Err(Frame::err(format!(
+                "document {doc_id} was lost when a request on it panicked; load it again"
+            ))),
         }
     }
 
@@ -678,9 +830,8 @@ impl std::fmt::Debug for Server<'_> {
 mod tests {
     use super::*;
     use crate::client::Client;
-    use crate::pool::tests::engine_and_doc;
-    use std::net::TcpStream;
-    use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+    use crate::pool::tests::{engine_and_doc, hidden_h_engine};
+    use std::panic::resume_unwind;
 
     /// Reads one counter out of a `stats` reply (`key` may be nested,
     /// e.g. `"open"` inside `requests`: keys are unique).
@@ -700,6 +851,35 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "stats never got there: {json}");
             std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Serves `server` on a loopback listener while `client` runs with its
+    /// address, and returns the daemon's report. A panicking client stops
+    /// the daemon before its panic is raised again.
+    fn serve_while(server: &Server<'_>, client: impl FnOnce(&str)) -> ServerReport {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        std::thread::scope(|scope| {
+            let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
+            if let Err(panic) = catch_unwind(AssertUnwindSafe(|| client(&addr))) {
+                server.request_shutdown();
+                let _ = daemon.join();
+                resume_unwind(panic);
+            }
+            daemon.join().unwrap()
+        })
+    }
+
+    /// Sends one request and waits for its reply.
+    fn ask(t: &mut StreamTransport<TcpStream>, verb: Verb, payload: &str) -> Frame {
+        t.send(&Frame::new(verb, payload)).unwrap();
+        loop {
+            match t.recv().unwrap() {
+                Recv::Frame(reply) => return reply,
+                Recv::Idle => continue,
+                Recv::Eof => panic!("the daemon closed the connection"),
+            }
         }
     }
 
@@ -723,16 +903,12 @@ mod tests {
         );
         server.table.load(1, 0, t);
         let view = server.handle_write(Verb::Open, "1").payload;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap().to_string();
-        let report = std::thread::scope(|scope| {
-            let daemon = scope.spawn(|| server.serve_listener(listener).unwrap());
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let report = serve_while(&server, |addr| {
+            std::thread::scope(|scope| {
                 let (lease, _) = server.table.lease(1).unwrap();
-                let mut ctl = Client::connect(&addr).unwrap();
+                let mut ctl = Client::connect(addr).unwrap();
                 let mut writers = Vec::new();
                 for k in 1..=(workers + queue) as u64 {
-                    let addr = &addr;
                     writers.push(scope.spawn(move || Client::connect(addr).unwrap().open(1)));
                     // one write at a time, so each arrives after the last
                     // has been admitted or started waiting
@@ -743,9 +919,8 @@ mod tests {
                 }
                 // every slot and waiting place is taken: one write more is
                 // pushed back, not queued
-                let mut raw = StreamTransport::new(TcpStream::connect(&addr).unwrap());
-                raw.send(&Frame::new(Verb::Open, "1")).unwrap();
-                assert!(matches!(raw.recv().unwrap(), Recv::Frame(f) if f == Frame::retry(1)));
+                let mut raw = StreamTransport::new(TcpStream::connect(addr).unwrap());
+                assert_eq!(ask(&mut raw, Verb::Open, "1"), Frame::retry(1));
                 let json = ctl.stats().unwrap();
                 assert_eq!(stat(&json, "rejected_writes"), 1, "{json}");
                 assert_eq!(stat(&json, "queue_max"), queue as u64, "{json}");
@@ -755,15 +930,7 @@ mod tests {
                     assert_eq!(w.join().unwrap().unwrap(), view);
                 }
                 ctl.shutdown().unwrap();
-            }));
-            if outcome.is_err() {
-                server.request_shutdown();
-            }
-            let report = daemon.join().unwrap();
-            if let Err(panic) = outcome {
-                resume_unwind(panic);
-            }
-            report
+            });
         });
         assert!(report.drained_clean);
         assert_eq!(report.stats.rejected_writes, 1);
@@ -825,5 +992,125 @@ mod tests {
             gate.admit(&metrics).err(),
             Some(Frame::err("shutting down"))
         );
+    }
+
+    #[test]
+    fn connections_past_the_cap_get_retry_and_are_closed() {
+        let engines = [hidden_h_engine()];
+        let server = Server::new(
+            &engines,
+            ServerConfig {
+                retry_after_ms: 7,
+                ..ServerConfig::default()
+            },
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let connect = || {
+            let peer = TcpStream::connect(addr).unwrap();
+            (peer, listener.accept().unwrap().0)
+        };
+        let (_peer, accepted) = connect();
+        let first = server.take_on(accepted, 1).expect("room for one");
+        let (peer, accepted) = connect();
+        assert!(server.take_on(accepted, 1).is_none(), "the cap is reached");
+        // the refused peer reads one `retry` frame, then the close
+        let mut refused = StreamTransport::new(peer);
+        assert!(matches!(refused.recv().unwrap(), Recv::Frame(f) if f == Frame::retry(7)));
+        assert!(matches!(refused.recv().unwrap(), Recv::Eof));
+        let stats = server.stats_snapshot();
+        assert_eq!((stats.connections, stats.refused_connections), (1, 1));
+        // the first connection's place comes back when its thread ends
+        drop(first);
+        assert_eq!(server.stats_snapshot().connections, 0);
+        let (_peer, accepted) = connect();
+        let again = server.take_on(accepted, 1);
+        assert!(again.is_some(), "the place came back");
+        assert_eq!(server.stats_snapshot().refused_connections, 1);
+    }
+
+    /// Arms a fault in `verb` and sends `verb payload` over TCP. Checks
+    /// that the reply is an `err` naming the panic, that `stats` counts
+    /// it in `panics` and `errors`, that document 2 is still served on
+    /// the same connection, and that document 1 is served again — after a
+    /// reload if the panic `lost` its session — and that the drain is
+    /// clean.
+    fn a_panic_in(verb: Verb, payload: &str, lost: bool) {
+        let engines = [hidden_h_engine()];
+        let server = Server::new(&engines, ServerConfig::default());
+        let load = |doc: u64| format!("{doc}\n0\nr#0(a#1, h#2)");
+        for doc in [1, 2] {
+            assert_eq!(server.handle_write(Verb::Load, &load(doc)), Frame::ok(""));
+        }
+        // document 1 has a propagation pending, for `commit`
+        let insert = |doc: u64| format!("{doc}\nnop:r#0(nop:a#1, ins:a#9)");
+        assert_eq!(
+            server.handle_write(Verb::Propagate, &insert(1)).verb,
+            Verb::Ok
+        );
+        *server.fault.lock().unwrap() = Some(verb);
+        let report = serve_while(&server, |addr| {
+            let mut c = StreamTransport::new(TcpStream::connect(addr).unwrap());
+            let reply = ask(&mut c, verb, payload);
+            assert_eq!(reply.verb, Verb::Err, "{reply:?}");
+            let injected = format!("panicked: fault injected into {}", verb.name());
+            assert!(reply.payload.ends_with(&injected), "{reply:?}");
+            let json = ask(&mut c, Verb::Stats, "").payload;
+            assert_eq!(stat(&json, "panics"), 1, "{json}");
+            assert_eq!(stat(&json, "errors"), 1, "{json}");
+            assert_eq!(stat(&json, "connections"), 1, "{json}");
+            // the connection keeps serving another document
+            assert_eq!(ask(&mut c, Verb::Open, "2"), Frame::ok("r#0(a#1)"));
+            assert_eq!(ask(&mut c, Verb::Propagate, &insert(2)).verb, Verb::Ok);
+            assert_eq!(ask(&mut c, Verb::Commit, "2"), Frame::ok(""));
+            assert_eq!(ask(&mut c, Verb::Open, "2"), Frame::ok("r#0(a#1, a#9)"));
+            if lost {
+                let reply = ask(&mut c, Verb::Open, "1");
+                assert_eq!(reply.verb, Verb::Err);
+                assert!(reply.payload.contains("load it again"), "{reply:?}");
+                assert_eq!(ask(&mut c, Verb::Load, &load(1)), Frame::ok(""));
+            }
+            assert_eq!(ask(&mut c, Verb::Open, "1").verb, Verb::Ok);
+            assert_eq!(ask(&mut c, Verb::Shutdown, "").verb, Verb::Ok);
+        });
+        assert!(report.drained_clean);
+        assert_eq!(report.stats.panics, 1);
+        assert_eq!(report.stats.errors, 1 + u64::from(lost));
+    }
+
+    #[test]
+    fn a_panic_in_load_is_answered_err() {
+        a_panic_in(Verb::Load, "3\n0\nr#0(a#1)", false);
+    }
+
+    #[test]
+    fn a_panic_in_open_is_answered_err() {
+        a_panic_in(Verb::Open, "1", false);
+    }
+
+    #[test]
+    fn a_panic_in_propagate_keeps_the_session() {
+        a_panic_in(Verb::Propagate, "1\nnop:r#0(nop:a#1)", false);
+    }
+
+    #[test]
+    fn a_panic_in_commit_loses_the_session_until_a_reload() {
+        a_panic_in(Verb::Commit, "1", true);
+    }
+
+    #[test]
+    fn a_panic_in_close_is_answered_err() {
+        a_panic_in(Verb::CloseDoc, "1", false);
+    }
+
+    #[test]
+    fn a_panic_in_snapshot_is_answered_err() {
+        // the fault comes before the file is written
+        a_panic_in(Verb::Snapshot, "never-written.xvus", false);
+    }
+
+    #[test]
+    fn a_panic_in_count_keeps_the_session() {
+        a_panic_in(Verb::Count, "1\nnop:r#0(nop:a#1)", false);
     }
 }

@@ -10,11 +10,16 @@
 //!   errors;
 //! * [`transport`] — TCP sockets and stdio pipes behind one
 //!   [`Transport`] trait;
-//! * [`daemon`] — the [`Server`]: one document table, one thread per
-//!   connection running each request to its reply, write admission (at
-//!   most `workers` writes at once, `retry` pushback past the waiting
-//!   room), a read-only path for `verify`/`count` that never waits
-//!   behind writes, and graceful drain-on-shutdown. The table
+//! * [`daemon`] — the [`Server`]: one document table, an accept loop
+//!   that blocks in `accept` (a drain wakes it with one connection to
+//!   the listener) and caps open connections at
+//!   [`daemon::MAX_CONNECTIONS`], one thread per connection running each
+//!   request to its reply behind an unwind boundary (a panicking request
+//!   is answered `err`; a session it may have half-changed is dropped
+//!   and its document must be reloaded), write admission (at most
+//!   `workers` writes at once, `retry` pushback past the waiting room), a
+//!   read-only path for `verify`/`count` that never waits behind writes,
+//!   and graceful drain-on-shutdown. The table
 //!   (crate-private module `pool`) holds each document's committed
 //!   content, pending propagation and open session under one lock and
 //!   one condvar: a request leases a document's session, at most
@@ -22,8 +27,8 @@
 //!   used idle one is a state change under that lock that keeps its
 //!   document and identifier floor;
 //! * [`metrics`] — latency histograms (p50/p90/p99), writes waiting for
-//!   admission, admission rejects, and propagation-memo counters, served
-//!   by the `stats` verb;
+//!   admission, admission rejects, open and refused connections, panics,
+//!   and propagation-memo counters, served by the `stats` verb;
 //! * [`client`] — a typed client with handshake and retry-pushback
 //!   handling;
 //! * [`driver`] — [`run_fleet`]: replay an [`xvu_workload::fleet`] plan

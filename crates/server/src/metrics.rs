@@ -113,6 +113,12 @@ pub(crate) const COUNTED_VERBS: [Verb; 11] = [
 pub struct Metrics {
     requests: [AtomicU64; COUNTED_VERBS.len()],
     errors: AtomicU64,
+    panics: AtomicU64,
+    /// Connections open right now.
+    pub connections: AtomicU64,
+    /// Connections answered `retry` and closed because the connection cap
+    /// was reached.
+    pub refused_connections: AtomicU64,
     /// Writes pushed back by admission control.
     pub rejected_writes: AtomicU64,
     /// Writes waiting for admission (every slot taken) right now.
@@ -146,6 +152,12 @@ impl Metrics {
         self.errors.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one request whose handler panicked (its `err` reply is
+    /// counted by [`Metrics::count_error`]).
+    pub fn count_panic(&self) {
+        self.panics.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records how many writes wait for admission, maintaining the
     /// high-water mark.
     pub fn observe_queue_depth(&self, depth: u64) {
@@ -170,6 +182,9 @@ impl Metrics {
                 .map(|(i, &v)| (v.name(), self.requests[i].load(Ordering::Relaxed)))
                 .collect(),
             errors: self.errors.load(Ordering::Relaxed),
+            panics: self.panics.load(Ordering::Relaxed),
+            connections: self.connections.load(Ordering::Relaxed),
+            refused_connections: self.refused_connections.load(Ordering::Relaxed),
             rejected_writes: self.rejected_writes.load(Ordering::Relaxed),
             queue_depth: self.queue_depth.load(Ordering::Relaxed),
             queue_max: self.queue_max.load(Ordering::Relaxed),
@@ -189,8 +204,14 @@ impl Metrics {
 pub struct StatsSnapshot {
     /// Request counts per verb name.
     pub requests: Vec<(&'static str, u64)>,
-    /// Error replies sent.
+    /// Error replies sent (requests that panicked included).
     pub errors: u64,
+    /// Requests whose handler panicked; each was answered `err`.
+    pub panics: u64,
+    /// Connections open when the snapshot was taken.
+    pub connections: u64,
+    /// Connections refused at the connection cap.
+    pub refused_connections: u64,
     /// Writes pushed back with `retry`.
     pub rejected_writes: u64,
     /// Writes waiting for admission when the snapshot was taken.
@@ -229,8 +250,12 @@ impl StatsSnapshot {
         }
         s.push_str("},");
         s.push_str(&format!(
-            "\"errors\":{},\"rejected_writes\":{},\"queue_depth\":{},\"queue_max\":{},",
-            self.errors, self.rejected_writes, self.queue_depth, self.queue_max
+            "\"errors\":{},\"panics\":{},\"connections\":{},\"refused_connections\":{},",
+            self.errors, self.panics, self.connections, self.refused_connections
+        ));
+        s.push_str(&format!(
+            "\"rejected_writes\":{},\"queue_depth\":{},\"queue_max\":{},",
+            self.rejected_writes, self.queue_depth, self.queue_max
         ));
         s.push_str(&format!(
             "\"evictions\":{},\"pool_resident\":{},\"pool_capacity\":{},",

@@ -23,6 +23,14 @@
 //! condvar. Leasing, [`DocTable::load`], [`DocTable::close`] and
 //! [`DocTable::park_all`] wait on it while an entry is leased, so none of
 //! them can overwrite or miss an edit committed through the lease.
+//!
+//! A lease dropped while its request unwinds from a panic, after the
+//! session was borrowed mutably (only `commit` does), cannot vouch for the
+//! session: a commit may have stopped half-applied. The entry becomes
+//! **lost** instead of resident — its session is dropped, leasing it fails
+//! with [`LeaseError::Lost`], and the next [`DocTable::load`] replaces it.
+//! A panic under a shared borrow (`propagate`, `count`, `verify`, `open`)
+//! returns the session resident as usual.
 
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
@@ -43,6 +51,9 @@ enum State<'e> {
     Resident(Box<Session<'e>>),
     /// A request holds the session.
     Leased,
+    /// A request panicked while changing the session: the content is
+    /// unknown until a `load` replaces it.
+    Lost,
 }
 
 /// One document's entry in the table.
@@ -97,6 +108,8 @@ pub(crate) enum LeaseError {
     Full,
     /// The parked document failed to open.
     Open(PropagateError),
+    /// A request panicked while changing the document's session.
+    Lost,
 }
 
 /// The document table. See the module docs for the states and the
@@ -180,13 +193,18 @@ impl<'e> DocTable<'e> {
             clock,
         } = &mut *docs;
         let entry = entries.get_mut(&doc).ok_or(LeaseError::Unknown)?;
+        if matches!(entry.state, State::Lost) {
+            return Err(LeaseError::Lost);
+        }
         *clock += 1;
         entry.stamp = *clock;
         let family = entry.family;
         let (tree, gen) = match std::mem::replace(&mut entry.state, State::Leased) {
             State::Resident(session) => return Ok((self.lease_of(doc, session), None)),
             State::Parked { doc: tree, gen } => (tree, gen),
-            State::Leased => unreachable!("settled() waited the lease out"),
+            State::Leased | State::Lost => {
+                unreachable!("settled() waited the lease out; lost entries returned above")
+            }
         };
         let mut evicted = None;
         if *sessions >= self.capacity {
@@ -232,6 +250,7 @@ impl<'e> DocTable<'e> {
             table: self,
             doc,
             session: Some(session),
+            changed: false,
         }
     }
 
@@ -259,7 +278,7 @@ impl<'e> DocTable<'e> {
 
     /// Parks every resident session — a flush, not counted as an
     /// eviction — and hands each committed document to `visit` in id
-    /// order, waiting out any lease first.
+    /// order, waiting out any lease first. Lost documents are skipped.
     pub(crate) fn park_all(&self, mut visit: impl FnMut(u64, usize, &DocTree)) {
         let mut docs = self.lock();
         let mut ids: Vec<u64> = docs.entries.keys().copied().collect();
@@ -294,11 +313,14 @@ impl<'e> DocTable<'e> {
 
 /// Exclusive use of one document's [`Session`], from
 /// [`DocTable::lease`]. Dereferences to the session; dropping it makes
-/// the entry resident again and wakes waiters.
+/// the entry resident again (or lost, see the module docs) and wakes
+/// waiters.
 pub(crate) struct Lease<'t, 'e> {
     table: &'t DocTable<'e>,
     doc: u64,
     session: Option<Box<Session<'e>>>,
+    /// Whether the session was borrowed mutably.
+    changed: bool,
 }
 
 impl<'e> Deref for Lease<'_, 'e> {
@@ -310,6 +332,7 @@ impl<'e> Deref for Lease<'_, 'e> {
 
 impl<'e> DerefMut for Lease<'_, 'e> {
     fn deref_mut(&mut self) -> &mut Session<'e> {
+        self.changed = true;
         self.session.as_mut().expect("session present until drop")
     }
 }
@@ -317,9 +340,20 @@ impl<'e> DerefMut for Lease<'_, 'e> {
 impl Drop for Lease<'_, '_> {
     fn drop(&mut self) {
         let session = self.session.take().expect("dropped once");
-        if let Some(entry) = self.table.lock().entries.get_mut(&self.doc) {
-            entry.state = State::Resident(session);
+        let lost = self.changed && std::thread::panicking();
+        let mut docs = self.table.lock();
+        if let Some(entry) = docs.entries.get_mut(&self.doc) {
+            if lost {
+                entry.state = State::Lost;
+                entry.pending = None;
+            } else {
+                entry.state = State::Resident(session);
+            }
         }
+        if lost {
+            docs.sessions -= 1;
+        }
+        drop(docs);
         self.table.returned.notify_all();
     }
 }
@@ -534,7 +568,7 @@ pub(crate) mod tests {
     }
 
     /// `r -> (a.h?)*` with `h` hidden: the view of `r(a, h)` is `r(a)`.
-    fn hidden_h_engine() -> Engine {
+    pub(crate) fn hidden_h_engine() -> Engine {
         let mut alpha = Alphabet::new();
         let dtd = parse_dtd(&mut alpha, "r -> (a.h?)*").unwrap();
         let ann = parse_annotation(&mut alpha, "hide r h").unwrap();

@@ -1,9 +1,11 @@
 //! End-to-end daemon tests over real TCP: full document lifecycle,
-//! error replies that keep the connection alive, and drain-on-shutdown.
+//! error replies that keep the connection alive, drain-on-shutdown, and
+//! how fast a new connection is taken on.
 
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use xvu_dtd::parse_dtd;
 use xvu_propagate::Engine;
@@ -359,4 +361,139 @@ fn a_load_frame_holding_a_10k_level_chain_is_served() {
     });
     assert!(report.drained_clean);
     assert_eq!(report.stats.errors, 0);
+}
+
+/// Serves `server` on a listener bound to `bind`, runs `stop` with a
+/// loopback address of the listener, and returns how long
+/// `serve_listener` took to return after `stop` did. Fails, rather than
+/// hangs, if it has not returned 5 s later.
+fn time_to_return(server: &Server<'_>, bind: &str, stop: impl FnOnce(&str)) -> Duration {
+    let listener = TcpListener::bind(bind).unwrap();
+    let addr = format!("127.0.0.1:{}", listener.local_addr().unwrap().port());
+    std::thread::scope(|scope| {
+        let (returned, wait) = mpsc::channel();
+        let daemon = scope.spawn(move || {
+            let report = server.serve_listener(listener);
+            returned.send(()).unwrap();
+            report
+        });
+        stop(&addr);
+        let stopped = Instant::now();
+        let on_time = wait.recv_timeout(Duration::from_secs(5)).is_ok();
+        let took = stopped.elapsed();
+        if !on_time {
+            // wake the loop by hand, so the test fails instead of hanging
+            let _ = TcpStream::connect(&addr);
+        }
+        let report = daemon.join().unwrap().unwrap();
+        assert!(
+            on_time,
+            "serve_listener on {bind} still running 5 s after the drain"
+        );
+        assert!(report.drained_clean);
+        took
+    })
+}
+
+#[test]
+fn the_accept_loop_returns_promptly_after_every_kind_of_drain() {
+    // the `shutdown` verb, `request_shutdown` while the loop waits in
+    // `accept`, `request_shutdown` before the loop starts, and ten racing
+    // its start; on a loopback and on an unspecified address
+    let engines = [engine()];
+    let daemon = || Server::new(&engines, small_config());
+    for bind in ["127.0.0.1:0", "0.0.0.0:0"] {
+        let mut took = vec![time_to_return(&daemon(), bind, |addr| {
+            Client::connect(addr).unwrap().shutdown().unwrap();
+        })];
+        let server = daemon();
+        took.push(time_to_return(&server, bind, |addr| {
+            // a served connection shows the loop is up
+            drop(Client::connect(addr).unwrap());
+            server.request_shutdown();
+        }));
+        let server = daemon();
+        server.request_shutdown();
+        took.push(time_to_return(&server, bind, |_| {}));
+        for _ in 0..10 {
+            let server = daemon();
+            took.push(time_to_return(&server, bind, |_| server.request_shutdown()));
+        }
+        // a connection's thread notices the drain within its 50 ms read
+        // timeout
+        let slowest = took.iter().max().unwrap();
+        assert!(*slowest < Duration::from_secs(1), "{bind}: {took:?}");
+    }
+}
+
+#[test]
+fn a_new_connection_is_answered_within_a_round_trip() {
+    // 40 sequential connect + `hello` round trips to an idle daemon: the
+    // acceptor takes each connection on as it arrives, so none waits for
+    // a polling interval. A polling acceptor makes nearly every one wait
+    // its whole sleep (about 2 ms at 2 ms), so even the lower quartile
+    // shows it, while a busy host's scheduling delays, which inflate some
+    // round trips, leave the lower quartile alone.
+    let engines = [engine()];
+    let server = Server::new(&engines, small_config());
+    let mut took = Vec::new();
+    let report = serve_while(&server, |addr| {
+        drop(Client::connect(addr).unwrap());
+        for _ in 0..40 {
+            let start = Instant::now();
+            let client = Client::connect(addr).unwrap();
+            took.push(start.elapsed());
+            drop(client);
+        }
+        Client::connect(addr).unwrap().shutdown().unwrap();
+    });
+    assert!(report.drained_clean);
+    took.sort();
+    let lower_quartile = took[took.len() / 4];
+    assert!(
+        lower_quartile < Duration::from_millis(1),
+        "connect + hello over {} connections: {took:?}",
+        took.len()
+    );
+}
+
+#[test]
+fn an_exhausted_identifier_space_is_a_typed_error() {
+    // A document using identifier `NodeId::MAX` leaves its session's
+    // generator exhausted; an insert whose new `a` must be padded with a
+    // hidden `b` then has no identifier to give the `b`.
+    let mut alpha = Alphabet::new();
+    let dtd = parse_dtd(&mut alpha, "r -> a*\na -> b").unwrap();
+    let ann = parse_annotation(&mut alpha, "hide a b").unwrap();
+    let engines = [Engine::builder()
+        .alphabet(alpha)
+        .dtd(dtd)
+        .annotation(ann)
+        .build()
+        .unwrap()];
+    let server = Server::new(&engines, small_config());
+    let mut shutdown_sent = None;
+    let report = serve_while(&server, |addr| {
+        let mut c = Client::connect(addr).unwrap();
+        c.load(1, 0, "r#0(a#18446744073709551614(b#1))").unwrap();
+        let err = c
+            .propagate(1, "nop:r#0(nop:a#18446744073709551614, ins:a#2)")
+            .unwrap_err();
+        assert!(
+            matches!(&err, ClientError::Server(m) if m.ends_with("exhausted: 1 fresh identifiers needed, 0 left")),
+            "{err:?}"
+        );
+        // another document is still served
+        c.load(2, 0, "r#0(a#1(b#2))").unwrap();
+        let reply = c.propagate(2, "nop:r#0(nop:a#1, ins:a#3)").unwrap();
+        assert_eq!((reply.cost, reply.count), (2, 1));
+        c.commit(2).unwrap();
+        assert_eq!(c.open(2).unwrap(), "r#0(a#1, a#3)");
+        shutdown_sent = Some(Instant::now());
+        c.shutdown().unwrap();
+    });
+    let drain = shutdown_sent.unwrap().elapsed();
+    assert!(report.drained_clean);
+    assert!(drain < Duration::from_millis(500), "drain took {drain:?}");
+    assert_eq!((report.stats.errors, report.stats.panics), (1, 0));
 }

@@ -83,6 +83,13 @@ impl NodeIdGen {
         NodeId(self.next)
     }
 
+    /// How many more identifiers [`NodeIdGen::fresh`] can hand out: 0
+    /// once the generator is exhausted.
+    pub fn remaining(&self) -> u64 {
+        // `next` never passes `u64::MAX`, one past `NodeId::MAX`
+        u64::MAX - self.next
+    }
+
     /// Advances this generator to at least `other`'s frontier, so every
     /// future identifier is fresh with respect to *both* histories.
     ///
@@ -180,6 +187,7 @@ mod tests {
         // the last identifier leaves the generator exhausted, not wrapped
         g.bump_past(NodeId(u64::MAX));
         assert_eq!(g.peek(), NodeId(u64::MAX));
+        assert_eq!(g.remaining(), 0);
         assert!(std::panic::catch_unwind(move || g.fresh()).is_err());
     }
 
