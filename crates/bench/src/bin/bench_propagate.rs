@@ -40,6 +40,10 @@
 //! and a `chain` (1k, 10k or 100k levels, `r → a?`, `a → a?·b?` with `b`
 //! hidden, a 1-node insert at the bottom, so the whole spine is dirty),
 //! and the admission section records the 100k/1k ratio of its medians.
+//! Since schema /9 each `worst_case` row records the memo entries its
+//! session still holds after its edits (`memo_entries`), and the
+//! `churn_cross_document` row is gone: each session owns its memo, so no
+//! session starts warm from another's.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -270,6 +274,8 @@ struct ShapeRow {
     doc_nodes: usize,
     propagate_ms: Spread,
     commit_ms: Spread,
+    /// Memo entries the session holds after its edits.
+    memo_entries: usize,
 }
 
 /// 1-node inserts into a star: one root with `children` `a` children
@@ -300,6 +306,7 @@ fn star_row(children: usize, warmup: usize, updates: usize) -> ShapeRow {
         doc_nodes: doc.size(),
         propagate_ms,
         commit_ms,
+        memo_entries: engine.cache_stats().entries,
     }
 }
 
@@ -339,6 +346,7 @@ fn chain_row(levels: usize, warmup: usize, updates: usize) -> ShapeRow {
         doc_nodes: doc.size(),
         propagate_ms,
         commit_ms,
+        memo_entries: engine.cache_stats().entries,
     }
 }
 
@@ -350,11 +358,12 @@ fn shape_rows_json(rows: &[ShapeRow], key: &str, updates: usize) -> String {
         .map(|r| {
             format!(
                 "      {{ \"{key}\": {}, \"doc_nodes\": {}, \"updates\": {updates}, \
-                 \"propagate_ms\": {}, \"commit_ms\": {} }}",
+                 \"propagate_ms\": {}, \"commit_ms\": {}, \"memo_entries\": {} }}",
                 r.size,
                 r.doc_nodes,
                 r.propagate_ms.json(),
                 r.commit_ms.json(),
+                r.memo_entries,
             )
         })
         .collect();
@@ -407,24 +416,6 @@ fn main() {
     let improvement_pct = 100.0 * (1.0 - churn_cached_ns as f64 / churn_uncached_ns.max(1) as f64);
     let churn_phases = phase_medians(RUNS, || phased_pass(&churn, &churn_updates, true));
 
-    // Cross-document reuse: warm one engine's memo with an untimed churn
-    // replay, then measure the identical replay through *fresh* sessions
-    // of that engine (run_churn_session opens a new session per call; the
-    // only carry-over is the structure-keyed memo). Baseline = the same
-    // replay on a fresh engine (churn_cached_ns).
-    let warm_engine = churn.engine();
-    run_churn_session(&warm_engine, &churn.doc, &churn_updates);
-    let warm_ns = median_time(RUNS, || {
-        black_box(run_churn_session(&warm_engine, &churn.doc, &churn_updates));
-    })
-    .as_nanos();
-    let warm_stats = warm_engine.cache_stats();
-    assert!(
-        warm_stats.hits > 0,
-        "fresh sessions never hit the warm memo: {warm_stats:?}"
-    );
-    let warm_improvement_pct = 100.0 * (1.0 - warm_ns as f64 / churn_cached_ns.max(1) as f64);
-
     // Enumerated coverage arm: the whole default-budget grammar space,
     // one-shot, grouped by regime; amplification = propagation cost /
     // view-update cost, the per-regime blowup figure.
@@ -473,7 +464,7 @@ fn main() {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-propagate/8\",\n");
+    json.push_str("  \"schema\": \"xvu-bench-propagate/9\",\n");
     json.push_str(&format!(
         "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
         git_revision()
@@ -502,7 +493,7 @@ fn main() {
          \"timed_region\": \"session open + K x (propagate + commit), a fresh engine compiled outside the timed region per run\", \
          \"cached_median_ns\": {}, \"uncached_median_ns\": {}, \
          \"cached_us_per_update\": {:.3}, \"uncached_us_per_update\": {:.3}, \
-         \"cache_improvement_pct\": {:.1}, {} }},\n",
+         \"cache_improvement_pct\": {:.1}, {} }}\n",
         K,
         churn.doc.size(),
         churn_cached_ns,
@@ -511,20 +502,6 @@ fn main() {
         churn_uncached_ns as f64 / 1e3 / K as f64,
         improvement_pct,
         phases_json(&churn_phases),
-    ));
-    json.push_str(&format!(
-        "    \"churn_cross_document\": {{ \"updates\": {}, \"doc_nodes\": {}, \
-         \"timed_region\": \"fresh session per run over a warm engine memo; baseline = churn cached_median_ns (a fresh engine per run)\", \
-         \"warm_median_ns\": {}, \"warm_us_per_update\": {:.3}, \
-         \"warm_improvement_pct\": {:.1}, \"hit_rate\": {:.4}, \
-         \"entries\": {} }}\n",
-        K,
-        churn.doc.size(),
-        warm_ns,
-        warm_ns as f64 / 1e3 / K as f64,
-        warm_improvement_pct,
-        warm_stats.hit_rate(),
-        warm_stats.entries,
     ));
     json.push_str("  },\n");
     json.push_str(
@@ -590,7 +567,8 @@ fn main() {
     json.push_str(&format!(
         "  \"worst_case\": {{\n    \"timed_region\": \"as in admission: Session::propagate and \
          Session::commit of one 1-node insert timed separately; min / median / max ms over \
-         {SHAPE_UPDATES} updates after {SHAPE_WARMUP} warm-up insert\",\n    \"star\": {},\n    \
+         {SHAPE_UPDATES} updates after {SHAPE_WARMUP} warm-up insert; memo_entries: the entries \
+         the session's memo holds after them\",\n    \"star\": {},\n    \
          \"chain\": {}\n  }}\n}}\n",
         shape_rows_json(&star_rows, "children", SHAPE_UPDATES),
         shape_rows_json(&chain_rows, "levels", SHAPE_UPDATES),

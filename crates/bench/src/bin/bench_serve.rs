@@ -5,10 +5,11 @@
 //! replays it through the daemon — real TCP, one thread per connection,
 //! write admission — at several session-pool sizes. Each row reports
 //! sustained throughput, write/read latency quantiles from the daemon's
-//! own histograms, and the hit rate of the engines' propagation memo (the
-//! memo is engine-owned, so eviction does not empty it and the starved
-//! pools keep hitting), so the serving-stack perf trajectory is tracked
-//! by a checked-in artifact.
+//! own histograms, and the propagation memo's counters (each session owns
+//! its memo and eviction drops it, so the starved pools recount the
+//! documents they reopen; `cache_entries` is what the sessions still open
+//! at the end of a run hold), so the serving-stack perf trajectory is
+//! tracked by a checked-in artifact.
 //!
 //! Every row is replayed [`RUNS`] times, the pool sizes taking turns so
 //! that a slow phase of the host lands on every row alike, and each
@@ -284,7 +285,7 @@ fn main() {
     let out_path = arg.unwrap_or_else(|| "BENCH_serve.json".to_owned());
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-serve/6\",\n");
+    json.push_str("  \"schema\": \"xvu-bench-serve/7\",\n");
     json.push_str(&format!(
         "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
         git_revision()

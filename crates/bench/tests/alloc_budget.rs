@@ -71,7 +71,7 @@ fn warm_churn_update_stays_under_allocation_budget() {
     let engine = oi.engine();
     let mut session = engine.open(&oi.doc).expect("hospital doc is valid");
 
-    // Warm pass: everything but the last update fills the engine memo
+    // Warm pass: everything but the last update fills the session memo
     // and grows the pooled scratch to its steady-state footprint.
     let (last, warmup) = updates.split_last().expect("non-empty churn stream");
     for u in warmup {

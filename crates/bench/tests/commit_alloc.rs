@@ -71,7 +71,7 @@ fn commit_allocs(departments: usize, patients: usize) -> (usize, u64) {
     let doc = hospital_doc(&h, departments, patients, &mut gen);
     let engine = Engine::new(h.alpha.clone(), h.dtd.clone(), h.ann.clone());
     let mut session = engine.open(&doc).expect("hospital documents are valid");
-    // Warm-up admissions fill the engine memo and grow commit's buffers to
+    // Warm-up admissions fill the session memo and grow commit's buffers to
     // their steady-state size.
     for _ in 0..3 {
         let mut ids = session.id_gen();

@@ -70,7 +70,7 @@ fn propagate_allocs(departments: usize, patients: usize) -> (usize, u64) {
     let doc = hospital_doc(&h, departments, patients, &mut gen);
     let engine = Engine::new(h.alpha.clone(), h.dtd.clone(), h.ann.clone());
     let mut session = engine.open(&doc).expect("hospital documents are valid");
-    // Warm-up admissions fill the engine memo and the session's pooled
+    // Warm-up admissions fill the session memo and the session's pooled
     // scratch, and leave the document with edited child lists.
     for _ in 0..3 {
         let mut ids = session.id_gen();

@@ -12,7 +12,7 @@
 //! With a polynomial `Φ` and an insertlet package `W`, the whole pipeline
 //! is polynomial in `|D| + |t| + |S| + |W|`.
 
-use crate::cache::Memo;
+use crate::cache::MemoTable;
 use crate::cost::CostModel;
 use crate::error::PropagateError;
 use crate::forest::PropagationForest;
@@ -113,7 +113,7 @@ pub(crate) fn propagate_with_memo(
     inst: &Instance<'_>,
     cost: &CostModel<'_>,
     cfg: &Config,
-    memo: Option<&mut Memo<'_>>,
+    memo: Option<&mut MemoTable>,
     scratch: &mut PropScratch,
     mut phases: Option<&mut PhaseBreakdown>,
 ) -> Result<Propagation, PropagateError> {

@@ -1,5 +1,5 @@
-//! The engine-owned propagation memo: one table, keyed by subtree
-//! structure.
+//! The session-owned propagation memo: one table per session, keyed by
+//! subtree structure.
 //!
 //! For a preserved node whose whole subtree the update leaves alone — the
 //! *clean region* of [`xvu_edit::script_footprint`] — the cheapest
@@ -15,65 +15,72 @@
 //!
 //! # Keying contract
 //!
-//! The engine's [`Interner`] names every subtree shape with an
-//! [`InternId`] (equal ids ⟺ structurally equal subtrees, identifiers
+//! A session's [`Interner`] names every subtree shape of its document with
+//! an [`InternId`] (equal ids ⟺ structurally equal subtrees, identifiers
 //! ignored), and the memo is keyed by that name. An entry is stored and
 //! served only for an artefact that depends on nothing but the interned
 //! subtree and the engine, so a hit is the very value a fresh computation
-//! would produce, for any node of any document with that shape.
-//! Propagations, counts and enumerations are byte-identical with the memo
-//! on or off ([`crate::EngineBuilder::prop_cache`]).
+//! would produce, for any node with that shape. Propagations, counts and
+//! enumerations are byte-identical with the memo on or off
+//! ([`crate::EngineBuilder::prop_cache`]).
 //!
-//! # Sessions and commit
+//! # One owner
 //!
-//! A session keeps only the intern id of every live node's subtree, a
-//! [`SlotMap`] over its document's arena slots computed at
-//! [`crate::Engine::open`]. Structural keys cannot go stale — an edited
-//! subtree has a *different* id — so nothing is ever invalidated.
-//! [`crate::Session::commit`] maintains the id map alone, in place: a
-//! live node's slot never moves, so every untouched entry stays put. The
-//! commit drops the ids of the slots it deleted, inserted (an insert may
-//! reuse a vacated slot) or left in the dirty region (the edited parents
-//! and their ancestors), and re-interns exactly those bottom-up, on an
+//! Each [`crate::Session`] owns its memo — the interner, the entries, and
+//! the intern id of every live node's subtree (a [`SlotMap`] over its
+//! arena slots) — behind the mutex that guards its scratch: no lock is
+//! shared between sessions. The memo dies with its session (a batch
+//! request's with the request), and a document opened again is counted
+//! again. A cloned session copies the table with its id map, since ids
+//! mean something only to their interner.
+//!
+//! # Commit and sweep
+//!
+//! Structural keys cannot go stale — an edited subtree has a *different*
+//! id — so nothing is ever invalidated. [`crate::Session::commit`]
+//! updates the id map in place (a live node's slot never moves): it drops
+//! the ids of the slots it deleted, inserted (an insert may reuse a
+//! vacated slot) or left in the dirty region (the edited parents and
+//! their ancestors), and re-interns exactly those bottom-up, on an
 //! explicit stack.
 //!
-//! # One backend
+//! Replaced shapes stay until a sweep: once the interner holds more than
+//! twice the shapes the last sweep kept, and more than [`SWEEP_FLOOR`],
+//! the commit keeps only the shapes the id map names — the document's
+//! distinct shapes — and their entries. After every commit a session so
+//! holds at most `max(2 × kept, SWEEP_FLOOR)` shapes, and no more entries
+//! than shapes. The id counter never goes back, so a swept id is never
+//! minted again: an id names one shape for the table's whole life, and no
+//! entry is read for a shape it was not stored for.
 //!
-//! Every session of an engine, and of its clones, shares the table, so
-//! lookups must not serialize the daemon's workers. The table is 16
-//! shards of `RwLock<HashMap>`: a lookup takes one shard read lock and
-//! copies only the artefact it asked for, and a miss stores straight
-//! into its shard under the write lock, so structurally equal nodes met
-//! in one operation are computed once. Each operation tallies its
-//! clean-subtree lookups — one per clean child its skeleton walk stops
-//! at — as hits and misses and adds them to the engine's counters once,
-//! when it ends. A snapshot-swap design (readers probe a frozen
-//! `Arc<HashMap>`, writers clone, merge and swap it) tied this one on
-//! read throughput, but with a store on every miss it would clone the
-//! whole map per store.
+//! Each operation adds its clean-subtree hits and misses (one lookup per
+//! clean child its skeleton walk stops at) and its new entries to the
+//! engine's counters once, when it ends; the engine's `entries` are those
+//! its live sessions hold.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::collections::{HashMap, HashSet};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use xvu_automata::StateId;
-use xvu_tree::{DocTree, InternId, Interner, NodeId, Slot, SlotMap};
+use xvu_tree::{DocTree, InternId, Interner, Slot, SlotMap};
 
-/// A memoised typing run: the states of the deterministic content-model
-/// run over a node's source child word, or `None` when the model is
-/// nondeterministic (that outcome is memoised too).
-pub(crate) type TypingRun = Option<Arc<[StateId]>>;
+/// The fewest shapes a session holds before a commit may sweep its memo
+/// (see the [module docs](self)).
+pub const SWEEP_FLOOR: usize = 256;
 
 /// One structure's memoised artefacts.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default)]
 struct Entry {
     /// The number of optimal propagations of a clean subtree of this
     /// shape (its cost is 0: the identity).
     count: Option<u128>,
-    /// The typing run over the structure's child word.
-    run: Option<TypingRun>,
+    /// The typing run over the structure's child word: the states of the
+    /// deterministic content-model run, or `None` when the model is
+    /// nondeterministic (that outcome is memoised too).
+    run: Option<Option<Box<[StateId]>>>,
 }
 
-/// Counters of an engine's memo table, returned by
+/// Counters of an engine's propagation memo, returned by
 /// [`crate::Engine::cache_stats`] and summed over every session the engine
 /// (and its clones) opened.
 ///
@@ -83,13 +90,16 @@ struct Entry {
 /// counting further lookups.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Clean-subtree lookups answered from the table.
+    /// Clean-subtree lookups answered from a session's table.
     pub hits: u64,
     /// Clean-subtree lookups that had to count the subtree (the counts
     /// were then stored).
     pub misses: u64,
-    /// Distinct structures the table holds.
+    /// Distinct structures with an entry, summed over the live sessions'
+    /// tables.
     pub entries: usize,
+    /// Sweeps the sessions' commits ran.
+    pub sweeps: u64,
 }
 
 impl CacheStats {
@@ -105,139 +115,136 @@ impl CacheStats {
     }
 }
 
-const SHARD_COUNT: usize = 16;
-
-/// The engine-owned memo: the interner that names subtree structures and
-/// the sharded table keyed by those names. See the [module docs](self).
-#[derive(Debug)]
-pub(crate) struct MemoTable {
-    interner: Interner,
-    shards: [RwLock<HashMap<InternId, Entry>>; SHARD_COUNT],
+/// The engine's counters, which its sessions add to once per operation.
+#[derive(Debug, Default)]
+pub(crate) struct Tallies {
     hits: AtomicU64,
     misses: AtomicU64,
+    entries: AtomicUsize,
+    sweeps: AtomicU64,
 }
 
-impl MemoTable {
-    /// An empty table over a fresh interner.
-    pub(crate) fn new() -> MemoTable {
-        MemoTable {
-            interner: Interner::new(),
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The intern id of every node's subtree, keyed by arena slot.
-    pub(crate) fn intern_doc(&self, doc: &DocTree) -> SlotMap<InternId> {
-        self.interner.intern_doc(doc)
-    }
-
-    /// Commit support: drops the ids of the `stale` slots — the nodes a
-    /// commit deleted, inserted or left in its dirty region (edited
-    /// parents plus all their ancestors) — and re-interns every live node
-    /// of `doc` left without one. Every other entry stays where it is:
-    /// slots never move.
-    pub(crate) fn refresh(&self, doc: &DocTree, ids: &mut SlotMap<InternId>, stale: &[Slot]) {
-        for &slot in stale {
-            ids.remove(slot);
-        }
-        reintern(&self.interner, doc, ids);
-    }
-
-    fn shard(&self, id: InternId) -> &RwLock<HashMap<InternId, Entry>> {
-        // Intern ids are dense allocation counters: low bits spread well.
-        &self.shards[id.get() as usize % SHARD_COUNT]
-    }
-
-    /// Copies one artefact of `id`'s entry, under the shard read lock.
-    fn get<T>(&self, id: InternId, pick: impl FnOnce(&Entry) -> Option<T>) -> Option<T> {
-        let shard = self
-            .shard(id)
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.get(&id).and_then(pick)
-    }
-
-    /// Stores one artefact of `id`'s entry unless one is already there.
-    /// Every writer computes the same value for a key, so keeping the
-    /// incumbent is as good as replacing it.
-    fn put<T>(&self, id: InternId, field: impl FnOnce(&mut Entry) -> &mut Option<T>, value: T) {
-        let mut shard = self
-            .shard(id)
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        field(shard.entry(id).or_default()).get_or_insert(value);
-    }
-
+impl Tallies {
     /// The counters so far.
     pub(crate) fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-                .sum(),
+            entries: self.entries.load(Ordering::Relaxed),
+            sweeps: self.sweeps.load(Ordering::Relaxed),
         }
     }
 }
 
-/// Interns every live node of `doc` that has no id in `ids`, bottom-up.
-/// A node that still has an id kept its whole subtree, so the walk does
-/// not descend below it. The postorder runs on an explicit stack: a deep
-/// document costs heap, not call stack.
-pub(crate) fn reintern(interner: &Interner, doc: &DocTree, ids: &mut SlotMap<InternId>) {
-    let slot = |n: NodeId| doc.slot(n).expect("the walk visits live nodes");
-    if ids.contains(slot(doc.root())) {
-        return;
-    }
-    // `(node, children pushed)`: a node is interned on its second pop,
-    // after every child below it on the stack.
-    let mut stack = vec![(doc.root(), false)];
-    let mut scratch = Vec::new();
-    while let Some((n, expanded)) = stack.pop() {
-        if expanded {
-            let id = interner.intern_node(doc, n, ids, &mut scratch);
-            ids.insert(slot(n), id);
-            continue;
+/// One session's memo: the interner that names its subtree structures,
+/// the entries keyed by those names, and the name of every live node of
+/// its document. See the [module docs](self).
+#[derive(Debug)]
+pub(crate) struct MemoTable {
+    tallies: Arc<Tallies>,
+    pub(crate) interner: Interner,
+    entries: HashMap<InternId, Entry>,
+    /// The intern id of every live node's subtree, keyed by arena slot.
+    pub(crate) ids: SlotMap<InternId>,
+    /// Shapes the last sweep kept (0 before the first).
+    kept: usize,
+}
+
+impl MemoTable {
+    /// A table over `doc`, every subtree interned, reporting to
+    /// `tallies`.
+    pub(crate) fn new(tallies: &Arc<Tallies>, doc: &DocTree) -> MemoTable {
+        let mut interner = Interner::new();
+        let ids = interner.intern_doc(doc);
+        MemoTable {
+            tallies: Arc::clone(tallies),
+            interner,
+            entries: HashMap::new(),
+            ids,
+            kept: 0,
         }
-        stack.push((n, true));
-        for &c in doc.children(n).iter().rev() {
-            if !ids.contains(slot(c)) {
-                stack.push((c, false));
-            }
+    }
+
+    /// Commit support: drops the ids of the `stale` slots — the nodes a
+    /// commit deleted, inserted or left in its dirty region (edited
+    /// parents plus all their ancestors) — re-interns every live node of
+    /// `doc` left without one, and sweeps when the interner has grown past
+    /// its bound. Every other id stays where it is: slots never move.
+    pub(crate) fn refresh(&mut self, doc: &DocTree, stale: &[Slot]) {
+        for &slot in stale {
+            self.ids.remove(slot);
+        }
+        self.interner.intern_missing(doc, &mut self.ids);
+        if self.interner.len() > SWEEP_FLOOR.max(2 * self.kept) {
+            self.sweep();
+        }
+    }
+
+    /// Keeps only the shapes the id map names, and their entries.
+    fn sweep(&mut self) {
+        let live: HashSet<InternId> = self.ids.values().copied().collect();
+        let before = self.entries.len();
+        self.interner.retain(|id| live.contains(&id));
+        self.entries.retain(|id, _| live.contains(id));
+        self.kept = self.interner.len();
+        let t = &self.tallies;
+        t.sweeps.fetch_add(1, Ordering::Relaxed);
+        t.entries
+            .fetch_sub(before - self.entries.len(), Ordering::Relaxed);
+    }
+}
+
+// Between operations the engine's `entries` counts every entry of every
+// live table: a memo operation adds the entries it stored when it ends, a
+// sweep subtracts the ones it dropped, and so do a clone and a drop.
+impl Clone for MemoTable {
+    fn clone(&self) -> MemoTable {
+        let t = &self.tallies;
+        t.entries.fetch_add(self.entries.len(), Ordering::Relaxed);
+        MemoTable {
+            tallies: Arc::clone(t),
+            interner: self.interner.clone(),
+            entries: self.entries.clone(),
+            ids: self.ids.clone(),
+            kept: self.kept,
         }
     }
 }
 
-/// One operation's view of the memo: the engine's table, the session's
-/// intern ids, and the operation's clean-subtree hit/miss tally, which is
-/// added to the engine's counters once, when the operation ends.
+impl Drop for MemoTable {
+    fn drop(&mut self) {
+        let t = &self.tallies;
+        t.entries.fetch_sub(self.entries.len(), Ordering::Relaxed);
+    }
+}
+
+/// One operation's view of a session's memo, with the operation's
+/// clean-subtree hit/miss tally, which is added to the engine's counters
+/// once, when the operation ends.
 pub(crate) struct Memo<'a> {
-    table: &'a MemoTable,
-    ids: &'a SlotMap<InternId>,
+    table: &'a mut MemoTable,
     hits: u64,
     misses: u64,
+    /// The table's entries when the operation began.
+    entries: usize,
 }
 
 impl<'a> Memo<'a> {
-    /// Looks up through `table` for the document whose intern ids are
-    /// `ids`.
-    pub(crate) fn new(table: &'a MemoTable, ids: &'a SlotMap<InternId>) -> Memo<'a> {
+    /// Looks up through `table`.
+    pub(crate) fn new(table: &'a mut MemoTable) -> Memo<'a> {
+        let entries = table.entries.len();
         Memo {
             table,
-            ids,
             hits: 0,
             misses: 0,
+            entries,
         }
     }
 
     /// The structure of the document node at `slot` (every live node has
     /// one).
     fn id(&self, slot: Slot) -> InternId {
-        self.ids[slot]
+        self.table.ids[slot]
     }
 
     /// The memoised optimal count of the clean subtree at `slot`, counting
@@ -255,94 +262,99 @@ impl<'a> Memo<'a> {
     /// [`Memo::clean_count`] without counting the lookup (the count fill's
     /// reads).
     pub(crate) fn known_count(&self, slot: Slot) -> Option<u128> {
-        self.table.get(self.id(slot), |e| e.count)
+        self.table.entries.get(&self.id(slot))?.count
     }
 
-    /// Stores the optimal count of the clean subtree at `slot`.
-    pub(crate) fn store_count(&self, slot: Slot, count: u128) {
-        self.table.put(self.id(slot), |e| &mut e.count, count);
+    /// Stores the optimal count of the clean subtree at `slot`. Every
+    /// store for a shape computes the same count, so the first one stays.
+    pub(crate) fn store_count(&mut self, slot: Slot, count: u128) {
+        let id = self.id(slot);
+        let entry = self.table.entries.entry(id).or_default();
+        entry.count.get_or_insert(count);
     }
 
     /// The memoised typing run of the node at `slot`, computed and stored
     /// on first use.
     pub(crate) fn run_or_compute(
-        &self,
+        &mut self,
         slot: Slot,
         compute: impl FnOnce() -> Option<Vec<StateId>>,
-    ) -> TypingRun {
+    ) -> Option<&[StateId]> {
         let id = self.id(slot);
-        if let Some(run) = self.table.get(id, |e| e.run.clone()) {
-            return run;
-        }
-        let run: TypingRun = compute().map(Arc::from);
-        self.table.put(id, |e| &mut e.run, run.clone());
-        run
+        let entry = self.table.entries.entry(id).or_default();
+        entry
+            .run
+            .get_or_insert_with(|| compute().map(Vec::into_boxed_slice))
+            .as_deref()
     }
 }
 
 impl Drop for Memo<'_> {
     fn drop(&mut self) {
-        self.table.hits.fetch_add(self.hits, Ordering::Relaxed);
-        self.table.misses.fetch_add(self.misses, Ordering::Relaxed);
+        let t = &self.table.tallies;
+        t.hits.fetch_add(self.hits, Ordering::Relaxed);
+        t.misses.fetch_add(self.misses, Ordering::Relaxed);
+        let stored = self.table.entries.len() - self.entries;
+        t.entries.fetch_add(stored, Ordering::Relaxed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xvu_tree::{parse_term_with_ids, Alphabet, NodeIdGen};
+    use xvu_tree::{parse_term_with_ids, Alphabet, NodeId, NodeIdGen};
 
-    /// A table plus the intern ids of `term`.
-    fn table_for(term: &str) -> (MemoTable, DocTree, SlotMap<InternId>) {
+    /// A table over `term`, with the counters it reports to.
+    fn table_for(term: &str) -> (MemoTable, DocTree, Arc<Tallies>) {
         let mut alpha = Alphabet::new();
         let mut gen = NodeIdGen::new();
         let doc = parse_term_with_ids(&mut alpha, &mut gen, term).unwrap();
-        let table = MemoTable::new();
-        let ids = table.intern_doc(&doc);
-        (table, doc, ids)
+        let tallies = Arc::new(Tallies::default());
+        (MemoTable::new(&tallies, &doc), doc, tallies)
     }
 
     #[test]
     fn hits_and_misses_are_counted() {
         // a#1 and a#2 share a structure: the count stored for one serves
         // the other.
-        let (table, doc, ids) = table_for("r#0(a#1, a#2)");
+        let (mut table, doc, tallies) = table_for("r#0(a#1, a#2)");
         let slot = |n: u64| doc.slot(NodeId(n)).unwrap();
         {
-            let mut memo = Memo::new(&table, &ids);
+            let mut memo = Memo::new(&mut table);
             assert!(memo.clean_count(slot(1)).is_none());
             memo.store_count(slot(1), 3);
             assert_eq!(memo.clean_count(slot(2)), Some(3), "equal structure hits");
             assert_eq!(memo.known_count(slot(2)), Some(3), "an uncounted read");
-            assert_eq!(table.stats().hits, 0, "tallied until the operation ends");
+            assert_eq!(tallies.stats().hits, 0, "tallied until the operation ends");
         }
-        let s = table.stats();
+        let s = tallies.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert!((s.hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]
     fn merge_is_first_writer_wins_per_field() {
-        let (table, doc, ids) = table_for("r#0(a#1)");
+        let (mut table, doc, tallies) = table_for("r#0(a#1)");
         let a = doc.slot(NodeId(1)).unwrap();
-        let memo = Memo::new(&table, &ids);
+        let mut memo = Memo::new(&mut table);
         memo.store_count(a, 7);
         memo.store_count(a, 99);
         memo.run_or_compute(a, || Some(vec![StateId(4)]));
         drop(memo);
-        let mut memo = Memo::new(&table, &ids);
+        let mut memo = Memo::new(&mut table);
         assert_eq!(memo.clean_count(a), Some(7), "the first store wins");
         let run = memo.run_or_compute(a, || unreachable!("other artefacts fill in"));
-        assert_eq!(run.as_deref(), Some(&[StateId(4)][..]));
+        assert_eq!(run, Some(&[StateId(4)][..]));
         assert!(memo.known_count(doc.slot(NodeId(0)).unwrap()).is_none());
-        assert_eq!(table.stats().entries, 1);
+        drop(memo);
+        assert_eq!(tallies.stats().entries, 1);
     }
 
     #[test]
     fn disabled_cache_stores_nothing() {
-        // With the memo off the engine has no table: propagating, committing
-        // and searching for a complement-preserving propagation leave every
-        // counter idle, misses included.
+        // With the memo off a session has no table: propagating,
+        // committing and searching for a complement-preserving propagation
+        // leave every counter idle, misses included.
         let fx = crate::fixtures::paper_running_example();
         let engine = crate::Engine::builder()
             .alphabet(fx.alpha.clone())
@@ -374,7 +386,6 @@ mod tests {
         let engine = crate::Engine::new(alpha.clone(), dtd, ann);
         let mut gen = NodeIdGen::new();
         let doc = parse_term_with_ids(&mut alpha, &mut gen, "r#0(a#1(c#2), b#3)").unwrap();
-        let table = engine.memo_table().unwrap();
         let mut session = engine.open(&doc).unwrap();
         let slots = |session: &crate::Session<'_>| {
             let d = session.document();
@@ -382,8 +393,10 @@ mod tests {
         };
         let freed = slots(&session).map(Option::unwrap);
         let same_as_fresh = |session: &crate::Session<'_>| {
-            let fresh = table.intern_doc(session.document());
-            session.intern_ids.iter().eq(fresh.iter())
+            session.with_memo_table(|table| {
+                let fresh = table.interner.intern_doc(session.document());
+                table.ids.iter().eq(fresh.iter())
+            })
         };
         let delete =
             xvu_edit::parse_script(&mut alpha, "nop:r#0(del:a#1(del:c#2), nop:b#3)").unwrap();
@@ -397,71 +410,125 @@ mod tests {
         let reused = session.document().slot(NodeId(10)).unwrap();
         assert!(freed.contains(&reused), "the insert reuses a vacated slot");
         assert!(same_as_fresh(&session), "after the insert");
-        assert_eq!(session.intern_ids.len(), session.document().size());
+        let ids = session.with_memo_table(|table| table.ids.len());
+        assert_eq!(ids, session.document().size());
     }
 
     #[test]
     fn run_memo_computes_once() {
-        let (table, doc, ids) = table_for("r#0(a#1, b#2)");
-        let memo = Memo::new(&table, &ids);
+        let (mut table, doc, _) = table_for("r#0(a#1, b#2)");
+        let mut memo = Memo::new(&mut table);
         let (a, b) = (doc.slot(NodeId(1)).unwrap(), doc.slot(NodeId(2)).unwrap());
         let mut calls = 0;
-        let r1 = memo.run_or_compute(a, || {
-            calls += 1;
-            Some(vec![StateId(1), StateId(2)])
-        });
-        let r2 = memo.run_or_compute(a, || {
-            calls += 1;
-            None
-        });
+        let r1 = memo
+            .run_or_compute(a, || {
+                calls += 1;
+                Some(vec![StateId(1), StateId(2)])
+            })
+            .map(<[StateId]>::to_vec);
+        let r2 = memo
+            .run_or_compute(a, || {
+                calls += 1;
+                None
+            })
+            .map(<[StateId]>::to_vec);
         assert_eq!(calls, 1);
         assert_eq!(r1.as_deref(), Some(&[StateId(1), StateId(2)][..]));
         assert_eq!(r1, r2);
         // nondeterministic outcomes are memoised too
-        let r3 = memo.run_or_compute(b, || {
-            calls += 1;
-            None
-        });
-        let r4 = memo.run_or_compute(b, || {
-            calls += 1;
-            Some(vec![])
-        });
+        let r3 = memo
+            .run_or_compute(b, || {
+                calls += 1;
+                None
+            })
+            .is_none();
+        let r4 = memo
+            .run_or_compute(b, || {
+                calls += 1;
+                Some(vec![])
+            })
+            .is_none();
         assert_eq!(calls, 2);
-        assert!(r3.is_none() && r4.is_none());
+        assert!(r3 && r4);
     }
 
     #[test]
-    fn concurrent_readers_and_writers_stay_coherent() {
-        // 64 distinct structures: a chain of 64 nested labels.
-        let mut term = String::new();
-        for i in 0..64 {
-            term.push_str(&format!("x{i}#{i}("));
+    fn commits_sweep_to_the_shapes_the_document_names() {
+        // r → a?, a → a?·b?, hide a b: each insert at the bottom of a
+        // 60-level chain gives every level a new shape. After every
+        // commit the interner holds at most max(2 × kept, SWEEP_FLOOR)
+        // shapes, a sweep keeps exactly the document's distinct shapes,
+        // and the engine's entry count follows the table.
+        let mut alpha = Alphabet::new();
+        let dtd = xvu_dtd::parse_dtd(&mut alpha, "r -> a?\na -> a?.b?").unwrap();
+        let ann = xvu_view::parse_annotation(&mut alpha, "hide a b").unwrap();
+        let (r, a, b) = (
+            alpha.get("r").unwrap(),
+            alpha.get("a").unwrap(),
+            alpha.get("b").unwrap(),
+        );
+        let mut gen = NodeIdGen::new();
+        let mut doc = DocTree::leaf(&mut gen, r);
+        let mut bottom = doc.root();
+        for _ in 0..60 {
+            bottom = doc.add_child(bottom, &mut gen, a);
         }
-        term.push_str("y#64");
-        term.push_str(&")".repeat(64));
-        let (table, doc, ids) = table_for(&term);
-        let slots: Vec<Slot> = (0..64).map(|n| doc.slot(NodeId(n)).unwrap()).collect();
-        std::thread::scope(|scope| {
-            for w in 0..4usize {
-                let (table, ids, slots) = (&table, &ids, &slots);
-                scope.spawn(move || {
-                    let mut memo = Memo::new(table, ids);
-                    for (i, &s) in slots.iter().enumerate() {
-                        if i % 4 == w {
-                            memo.store_count(s, i as u128);
-                        } else {
-                            // readers interleave with writers
-                            let _ = memo.clean_count(s);
-                        }
-                    }
-                });
+        doc.add_child(bottom, &mut gen, b);
+        let engine = crate::Engine::new(alpha, dtd, ann);
+        let mut session = engine.open(&doc).unwrap();
+        for step in 0..40 {
+            let mut update = xvu_edit::nop_script(session.view());
+            let fresh = session.id_gen().fresh();
+            update
+                .add_child_with_id(bottom, fresh, xvu_edit::ELabel::ins(a))
+                .unwrap();
+            bottom = fresh;
+            let prop = session.propagate(&update).unwrap();
+            let sweeps = engine.cache_stats().sweeps;
+            session.commit(&prop).unwrap();
+            let distinct = Interner::new().intern_doc(session.document());
+            let distinct: HashSet<InternId> = distinct.values().copied().collect();
+            let (shapes, kept) = session.with_memo_table(|t| (t.interner.len(), t.kept));
+            assert!(shapes <= SWEEP_FLOOR.max(2 * kept), "step {step}: {shapes}");
+            if engine.cache_stats().sweeps > sweeps {
+                assert_eq!(
+                    shapes,
+                    distinct.len(),
+                    "step {step}: a sweep keeps the document's"
+                );
             }
-        });
-        assert_eq!(table.stats().entries, 64, "every structure stored once");
-        let mut memo = Memo::new(&table, &ids);
-        for (i, &s) in slots.iter().enumerate() {
-            assert_eq!(memo.clean_count(s), Some(i as u128), "stored");
+            assert!(engine.cache_stats().entries <= shapes, "step {step}");
         }
+        let stats = engine.cache_stats();
+        assert!(stats.sweeps >= 5, "{stats:?}");
+        drop(session);
+        assert_eq!(
+            engine.cache_stats().entries,
+            0,
+            "the memo died with its session"
+        );
+    }
+
+    #[test]
+    fn a_clone_copies_the_table_and_counts_its_entries() {
+        let fx = crate::fixtures::paper_running_example();
+        let engine = crate::Engine::new(fx.alpha.clone(), fx.dtd.clone(), fx.ann.clone());
+        let session = engine.open(&fx.t0).unwrap();
+        session.propagate(&fx.s0).unwrap();
+        let entries = engine.cache_stats().entries;
+        assert!(entries > 0);
+        let clone = session.clone();
+        assert_eq!(engine.cache_stats().entries, 2 * entries);
+        // the clone's ids and entries are its own, and warm
+        let before = engine.cache_stats();
+        clone.propagate(&fx.s0).unwrap();
+        let after = engine.cache_stats();
+        assert_eq!(after.misses, before.misses, "{after:?}");
+        assert!(after.hits > before.hits, "{after:?}");
+        drop(session);
+        assert_eq!(engine.cache_stats().entries, entries);
+        drop(clone);
+        assert_eq!(engine.cache_stats().entries, 0);
     }
 
     #[test]
@@ -476,7 +543,7 @@ mod tests {
         for _ in 0..100_000 {
             leaf = doc.add_child(leaf, &mut gen, a);
         }
-        let interner = Interner::new();
+        let mut interner = Interner::new();
         let mut ids = interner.intern_doc(&doc);
         doc.set_change_tracking(true);
         doc.add_child(leaf, &mut gen, b);
@@ -488,7 +555,7 @@ mod tests {
         let (doc, ids) = std::thread::Builder::new()
             .stack_size(256 * 1024)
             .spawn(move || {
-                reintern(&interner, &doc, &mut ids);
+                interner.intern_missing(&doc, &mut ids);
                 let expected = interner.intern_doc(&doc);
                 assert!(doc.postorder().all(|n| {
                     let s = doc.slot(n).unwrap();

@@ -60,7 +60,7 @@
 //! ```
 
 use crate::algorithm::{propagate_with, propagate_with_memo, Config, PhaseBreakdown, Propagation};
-use crate::cache::{CacheStats, Memo, MemoTable};
+use crate::cache::{CacheStats, MemoTable, Tallies};
 use crate::complement::find_complement_preserving_with;
 use crate::cost::CostModel;
 use crate::count::count_optimal_propagations;
@@ -68,7 +68,7 @@ use crate::enumerate::enumerate_optimal_propagations;
 use crate::error::PropagateError;
 use crate::forest::PropagationForest;
 use crate::incremental::revalidate_changed;
-use crate::instance::{Instance, Prepared};
+use crate::instance::{Instance, Prepared, SourceParts};
 use crate::scratch::PropScratch;
 use crate::verify::verify_propagation;
 use std::borrow::Cow;
@@ -76,16 +76,16 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use xvu_dtd::{min_sizes, Dtd, InsertletPackage, MinSizes};
 use xvu_edit::{apply_checked, check_script, EditError, EditOp, Script};
-use xvu_tree::{Alphabet, DocTree, InternId, NodeIdGen, Slot, SlotMap};
+use xvu_tree::{Alphabet, DocTree, NodeIdGen, Slot};
 use xvu_view::{derive_view_dtd, Annotation};
 
 /// A compiled `(Σ, D, A)` triple with every update-independent artefact
 /// precomputed. Build one with [`Engine::builder`]; open documents with
 /// [`Engine::open`].
 ///
-/// The engine also owns the propagation memo: the interner naming subtree
-/// structures and the table of per-structure artefacts, serving every
-/// session it opens (clones of an engine share it). See [`crate::cache`].
+/// The engine holds no memo: each session it opens owns one (see
+/// [`crate::cache`]). It keeps the memo's counters, which its sessions add
+/// to and clones of the engine share.
 #[derive(Clone, Debug)]
 pub struct Engine {
     alpha: Alphabet,
@@ -95,8 +95,9 @@ pub struct Engine {
     sizes: MinSizes,
     insertlets: InsertletPackage,
     config: Config,
-    /// `None` when [`EngineBuilder::prop_cache`] turned the memo off.
-    memo: Option<Arc<MemoTable>>,
+    /// `false` when [`EngineBuilder::prop_cache`] turned the memo off.
+    prop_cache: bool,
+    tallies: Arc<Tallies>,
 }
 
 /// Builder for [`Engine`]; see [`Engine::builder`].
@@ -154,12 +155,12 @@ impl EngineBuilder {
         self
     }
 
-    /// Whether the engine keeps the structure-keyed propagation memo
-    /// shared by every session it opens (default: `true`; see
-    /// [`crate::cache`]). Without it, sessions build the full forest —
-    /// every preserved node's graph — instead of the skeleton. Disable it
-    /// to measure the unmemoised baseline or to trade the memory for
-    /// recomputation; results are byte-identical either way.
+    /// Whether every session the engine opens keeps a structure-keyed
+    /// propagation memo (default: `true`; see [`crate::cache`]). Without
+    /// it, sessions build the full forest — every preserved node's graph —
+    /// instead of the skeleton. Disable it to measure the unmemoised
+    /// baseline or to trade the memory for recomputation; results are
+    /// byte-identical either way.
     pub fn prop_cache(mut self, on: bool) -> Self {
         self.prop_cache = Some(on);
         self
@@ -212,10 +213,8 @@ impl EngineBuilder {
             sizes,
             insertlets,
             config: self.config,
-            memo: self
-                .prop_cache
-                .unwrap_or(true)
-                .then(|| Arc::new(MemoTable::new())),
+            prop_cache: self.prop_cache.unwrap_or(true),
+            tallies: Arc::default(),
         })
     }
 }
@@ -284,45 +283,44 @@ impl Engine {
         }
     }
 
-    /// Counters of the engine's propagation memo, summed over every
-    /// session this engine (and its clones) opened. All zeros with the
+    /// Counters of the sessions' propagation memos: hits, misses and
+    /// sweeps summed over every session this engine (and its clones)
+    /// opened, and the entries its live sessions hold. All zeros with the
     /// memo off ([`EngineBuilder::prop_cache`]).
     pub fn cache_stats(&self) -> CacheStats {
-        self.memo
-            .as_deref()
-            .map_or_else(CacheStats::default, MemoTable::stats)
+        self.tallies.stats()
     }
 
-    /// The engine's propagation memo (`None` with the memo off).
-    pub(crate) fn memo_table(&self) -> Option<&MemoTable> {
-        self.memo.as_deref()
+    /// A memo table over `doc`, reporting to this engine's counters
+    /// (`None` with the memo off).
+    pub(crate) fn memo_for(&self, doc: &DocTree) -> Option<MemoTable> {
+        self.prop_cache.then(|| MemoTable::new(&self.tallies, doc))
     }
 
     /// Validates `doc ∈ L(D)` once and opens a session serving repeated
     /// updates against it.
     ///
-    /// The session interns its document up front, so every node carries
-    /// its structural memo key from the first update on, and runs its copy
-    /// of the document with change tracking on: [`Session::commit`]
-    /// applies propagations in place and drains the dirty journal to
-    /// re-intern exactly the changed region.
+    /// The session interns its document into its own memo up front, so
+    /// every node carries its structural memo key from the first update
+    /// on, and runs its copy of the document with change tracking on:
+    /// [`Session::commit`] applies propagations in place and drains the
+    /// dirty journal to re-intern exactly the changed region.
     pub fn open(&self, doc: &DocTree) -> Result<Session<'_>, PropagateError> {
         self.dtd
             .validate(doc)
             .map_err(PropagateError::SourceNotValid)?;
         let mut doc = doc.clone();
         doc.set_change_tracking(true);
-        let intern_ids = self
-            .memo
-            .as_deref()
-            .map_or_else(SlotMap::new, |m| m.intern_doc(&doc));
+        let memo = self.memo_for(&doc);
         Ok(Session {
             engine: self,
             prepared: Prepared::from_source(&self.ann, &doc),
             doc,
             commits: 0,
-            intern_ids,
-            scratch: Mutex::new(PropScratch::new()),
+            work: Mutex::new(Work {
+                scratch: PropScratch::new(),
+                memo,
+            }),
         })
     }
 
@@ -336,20 +334,9 @@ impl Engine {
         source: &'e DocTree,
         update: &'e Script,
     ) -> Result<Instance<'e>, PropagateError> {
-        self.dtd
-            .validate(source)
-            .map_err(PropagateError::SourceNotValid)?;
-        let Prepared { view, gen } = Prepared::from_source(&self.ann, source);
-        Instance::from_parts(
-            &self.dtd,
-            &self.ann,
-            source,
-            update,
-            self.alpha.len(),
-            Cow::Owned(view),
-            gen,
-            Cow::Borrowed(&self.view_dtd),
-        )
+        let view_dtd = Cow::Borrowed(&self.view_dtd);
+        let parts = SourceParts::prepare(&self.dtd, &self.ann, source, self.alpha.len(), view_dtd)?;
+        Instance::from_parts(parts, update)
     }
 
     /// Propagates a prebuilt instance under the engine's cached cost
@@ -370,8 +357,9 @@ impl Engine {
 ///
 /// # Incremental propagation
 ///
-/// The session keeps the structural intern id of every node of its
-/// document and looks up the engine memo by those ids:
+/// The session owns a propagation memo ([`crate::cache`]): it keeps the
+/// structural intern id of every node of its document and looks up its
+/// own table by those ids:
 /// [`Session::propagate`] (and [`Session::count_optimal`] /
 /// [`Session::enumerate_optimal`] / [`Session::complement_preserving`])
 /// build a skeleton forest ([`PropagationForest`]): graphs only inside
@@ -380,9 +368,10 @@ impl Engine {
 /// the document, the cost of the Kth small update is proportional to the
 /// update's footprint rather than the document.
 /// [`Session::commit`] re-interns exactly the dirty region — the
-/// committed script's edited parents plus their ancestors. Memoised
-/// results are byte-identical to unmemoised ones; see
-/// [`Engine::cache_stats`] for observability and
+/// committed script's edited parents plus their ancestors — and sweeps
+/// the shapes the document no longer names once they outgrow it. The memo
+/// dies with the session. Memoised results are byte-identical to
+/// unmemoised ones; see [`Engine::cache_stats`] for observability and
 /// [`EngineBuilder::prop_cache`] to turn the memo off.
 #[derive(Debug)]
 pub struct Session<'e> {
@@ -390,14 +379,21 @@ pub struct Session<'e> {
     prepared: Prepared,
     doc: DocTree,
     commits: u64,
-    /// The structural memo key of every live node's subtree (empty with
-    /// the memo off). Changes only in [`Session::commit`].
-    pub(crate) intern_ids: SlotMap<InternId>,
-    /// The session's reusable kernel scratch ([`PropScratch`]): pooled
-    /// working memory for every propagation the session serves. The mutex
-    /// keeps `propagate(&self)` ergonomic and `Session: Sync`; it is
+    /// The session's kernel scratch and memo. The mutex keeps
+    /// `propagate(&self)` ergonomic and `Session: Sync`; it is
     /// uncontended (a session belongs to one worker at a time).
-    scratch: Mutex<PropScratch>,
+    work: Mutex<Work>,
+}
+
+/// What a session's operations work in.
+#[derive(Debug)]
+struct Work {
+    /// Pooled working memory for every propagation the session serves
+    /// ([`PropScratch`]).
+    scratch: PropScratch,
+    /// The session's memo (`None` with the memo off). Its id map changes
+    /// only in [`Session::commit`].
+    memo: Option<MemoTable>,
 }
 
 impl Clone for Session<'_> {
@@ -407,9 +403,13 @@ impl Clone for Session<'_> {
             prepared: self.prepared.clone(),
             doc: self.doc.clone(),
             commits: self.commits,
-            intern_ids: self.intern_ids.clone(),
-            // Scratch is pure working memory — a clone starts cold.
-            scratch: Mutex::new(PropScratch::new()),
+            work: Mutex::new(Work {
+                // Scratch is pure working memory — a clone starts cold.
+                scratch: PropScratch::new(),
+                // The ids only mean something to the interner that minted
+                // them: the clone copies the whole table.
+                memo: self.work().memo.clone(),
+            }),
         }
     }
 }
@@ -420,14 +420,15 @@ impl<'e> Session<'e> {
         self.engine
     }
 
-    fn scratch_guard(&self) -> MutexGuard<'_, PropScratch> {
-        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
+    fn work(&self) -> MutexGuard<'_, Work> {
+        self.work.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// One operation's view of the engine memo (`None` with the memo off).
-    fn memo(&self) -> Option<Memo<'_>> {
-        let table = self.engine.memo.as_deref()?;
-        Some(Memo::new(table, &self.intern_ids))
+    /// Runs `f` on the session's memo table (tests only; the memo must be
+    /// on).
+    #[cfg(test)]
+    pub(crate) fn with_memo_table<T>(&self, f: impl FnOnce(&mut MemoTable) -> T) -> T {
+        f(self.work().memo.as_mut().expect("the memo is on"))
     }
 
     /// The current source document `t`.
@@ -470,8 +471,7 @@ impl<'e> Session<'e> {
 
     /// Closes the session, handing back its current document (change
     /// tracking off) without copying it — what a serving layer keeps when
-    /// it evicts the session. The intern ids go; the memo entries stay
-    /// with the engine.
+    /// it evicts the session. The session's memo goes with it.
     pub fn into_document(self) -> DocTree {
         let mut doc = self.doc;
         doc.set_change_tracking(false);
@@ -484,16 +484,16 @@ impl<'e> Session<'e> {
     /// checks of [`Instance::new`] run, in time proportional to the
     /// update; the source-side work does not.
     pub fn instance<'s>(&'s self, update: &'s Script) -> Result<Instance<'s>, PropagateError> {
-        Instance::from_parts(
-            &self.engine.dtd,
-            &self.engine.ann,
-            &self.doc,
-            update,
-            self.engine.alpha.len(),
-            Cow::Borrowed(&self.prepared.view),
-            self.prepared.gen.clone(),
-            Cow::Borrowed(&self.engine.view_dtd),
-        )
+        let parts = SourceParts {
+            dtd: &self.engine.dtd,
+            ann: &self.engine.ann,
+            source: &self.doc,
+            alphabet_len: self.engine.alpha.len(),
+            view: Cow::Borrowed(&self.prepared.view),
+            view_dtd: Cow::Borrowed(&self.engine.view_dtd),
+            gen: self.prepared.gen.clone(),
+        };
+        Instance::from_parts(parts, update)
     }
 
     /// Computes the optimal propagation of `update` to the current
@@ -532,12 +532,13 @@ impl<'e> Session<'e> {
         if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
             p.instance_ns = t0.elapsed().as_nanos() as u64;
         }
+        let work = &mut *self.work();
         propagate_with_memo(
             &inst,
             &self.engine.cost_model(),
             &self.engine.config,
-            self.memo().as_mut(),
-            &mut self.scratch_guard(),
+            work.memo.as_mut(),
+            &mut work.scratch,
             phases,
         )
     }
@@ -569,25 +570,20 @@ impl<'e> Session<'e> {
     /// (never a silent count of 0).
     pub fn count_optimal(&self, update: &Script) -> Result<u128, PropagateError> {
         let inst = self.instance(update)?;
-        let forest = self.forest_for(&inst, &mut self.scratch_guard())?;
+        let forest = self.forest_for(&inst, &mut self.work())?;
         count_optimal_propagations(&forest).ok_or(PropagateError::NoPropagationPath(forest.root))
     }
 
     /// Builds the propagation forest for an already-validated instance: a
-    /// skeleton forest counting clean subtrees through the engine memo
+    /// skeleton forest counting clean subtrees through the session memo
     /// when it is on, the full forest otherwise.
     fn forest_for(
         &self,
         inst: &Instance<'_>,
-        scratch: &mut PropScratch,
+        work: &mut Work,
     ) -> Result<PropagationForest, PropagateError> {
-        PropagationForest::build_with(
-            inst,
-            &self.engine.cost_model(),
-            self.memo().as_mut(),
-            scratch,
-            None,
-        )
+        let cm = self.engine.cost_model();
+        PropagationForest::build_with(inst, &cm, work.memo.as_mut(), &mut work.scratch, None)
     }
 
     /// Enumerates up to `cap` cost-minimal propagations of `update` (see
@@ -604,7 +600,7 @@ impl<'e> Session<'e> {
     ) -> Result<Vec<Script>, PropagateError> {
         let inst = self.instance(update)?;
         let cm = self.engine.cost_model();
-        let forest = self.forest_for(&inst, &mut self.scratch_guard())?;
+        let forest = self.forest_for(&inst, &mut self.work())?;
         enumerate_optimal_propagations(&inst, &cm, &forest, &self.engine.config, cap)
     }
 
@@ -616,14 +612,14 @@ impl<'e> Session<'e> {
     /// identity path.
     pub fn complement_preserving(&self, update: &Script) -> Result<Option<Script>, PropagateError> {
         let inst = self.instance(update)?;
-        let mut scratch = self.scratch_guard();
-        let forest = self.forest_for(&inst, &mut scratch)?;
+        let mut work = self.work();
+        let forest = self.forest_for(&inst, &mut work)?;
         find_complement_preserving_with(
             &inst,
             &forest,
             &self.engine.cost_model(),
             &self.engine.config,
-            &mut scratch,
+            &mut work.scratch,
         )
     }
 
@@ -657,10 +653,12 @@ impl<'e> Session<'e> {
     /// its id; the slots of the deleted nodes (resolved before the apply
     /// vacates them), of the inserted nodes (which may reuse vacated
     /// slots) and of the dirty region lose theirs, and exactly those are
-    /// re-interned. Only the check's arena scans still read every node: the
-    /// paper's propagation script spans the whole source, and a sparse
-    /// script would let them read only the dirty skeleton. A failed commit
-    /// changes nothing.
+    /// re-interned. Once the memo has outgrown the document, the commit
+    /// also sweeps it to the shapes the document still names
+    /// ([`crate::cache`]). Only the check's arena scans still read every
+    /// node: the paper's propagation script spans the whole source, and a
+    /// sparse script would let them read only the dirty skeleton. A failed
+    /// commit changes nothing.
     pub fn commit(&mut self, prop: &Propagation) -> Result<(), PropagateError> {
         // One check of the script against the document: the closure
         // rules, `In(S) = t`, and the footprint every later step reads.
@@ -668,7 +666,8 @@ impl<'e> Session<'e> {
         let check = check_script(script, Some(&self.doc));
         check.closure()?;
         revalidate_changed(&self.engine.dtd, script, check.footprint())?;
-        let memo = self.engine.memo.as_deref();
+        let work = self.work.get_mut().unwrap_or_else(PoisonError::into_inner);
+        let memo = work.memo.as_mut();
         // The deleted nodes' slots, while the document still holds them:
         // each deleted subtree hangs under a changed `Nop` parent.
         let mut stale: Vec<Slot> = Vec::new();
@@ -715,7 +714,7 @@ impl<'e> Session<'e> {
                     .chain(&dirty)
                     .map(|&n| self.doc.slot(n).expect("inserted and dirty nodes are live")),
             );
-            memo.refresh(&self.doc, &mut self.intern_ids, &stale);
+            memo.refresh(&self.doc, &stale);
         }
         self.prepared
             .advance(&self.engine.ann, script, check.footprint());
@@ -1256,7 +1255,7 @@ mod tests {
     }
 
     #[test]
-    fn shared_cache_serves_structurally_equal_sessions() {
+    fn sessions_of_equal_structure_count_separately() {
         let mut alpha = Alphabet::new();
         let engine = groups_engine(&mut alpha);
         let mut gen = NodeIdGen::new();
@@ -1282,33 +1281,23 @@ mod tests {
         let st1 = engine.cache_stats();
         assert_eq!((st1.hits, st1.misses, st1.entries), (0, 1, 3));
 
-        // A different document of the same family: the count the first
-        // session stored is served by structure, nothing is rebuilt.
+        // A different document of the same family: its session owns its
+        // memo, so it counts the same three structures again, and the
+        // engine's entries are both sessions'.
         let s2 = engine.open(&d2).unwrap();
         let p2 = s2.propagate(&nop_script(s2.view())).unwrap();
         assert_eq!(p2.cost, 0);
         let st2 = engine.cache_stats();
-        assert_eq!((st2.hits, st2.misses, st2.entries), (1, 1, 3));
-
-        // With the memo off the second document rebuilds everything — and
-        // the propagation is byte-identical either way.
-        let off = Engine::builder()
-            .alphabet(engine.alphabet().clone())
-            .dtd(engine.dtd().clone())
-            .annotation(engine.annotation().clone())
-            .prop_cache(false)
-            .build()
-            .unwrap();
-        let so = off.open(&d2).unwrap();
-        let po = so.propagate(&nop_script(so.view())).unwrap();
-        assert_eq!(
-            script_to_term(&po.script, off.alphabet()),
-            script_to_term(&p2.script, engine.alphabet())
-        );
+        assert_eq!((st2.hits, st2.misses, st2.entries), (0, 2, 6));
+        // Each memo dies with its session.
+        drop(s1);
+        assert_eq!(engine.cache_stats().entries, 3);
+        drop(s2);
+        assert_eq!(engine.cache_stats().entries, 0);
     }
 
     #[test]
-    fn shared_cache_survives_commit_and_reinterns_dirty_region() {
+    fn a_fresh_session_recounts_a_committed_document() {
         let mut alpha = Alphabet::new();
         let engine = groups_engine(&mut alpha);
         let mut gen = NodeIdGen::new();
@@ -1322,7 +1311,9 @@ mod tests {
         session.propagate(&nop_script(session.view())).unwrap();
 
         // Commit an update: d#1 gains an a; the dirty region (d#1, r#0)
-        // is re-interned, d#4/d#7 keep their structural ids.
+        // is re-interned, d#4/d#7 keep their structural ids, and the
+        // long-lived session's identity update hits nothing but misses
+        // once, at the clean root.
         let u = parse_script(
             &mut alpha,
             "nop:r#0(nop:d#1(nop:a#2, ins:a#20), nop:d#4(nop:a#5), nop:d#7(nop:a#8))",
@@ -1330,22 +1321,23 @@ mod tests {
         .unwrap();
         let prop = session.propagate(&u).unwrap();
         session.commit(&prop).unwrap();
-        // The long-lived session stores the new structures under its
-        // re-interned ids…
-        session.propagate(&nop_script(session.view())).unwrap();
+        let identity = nop_script(session.view());
+        let kept = session.propagate(&identity).unwrap();
 
-        // …and a fresh session interns the committed document from
-        // scratch: its identity update looks up the clean root once, and
-        // hits the count the long-lived session stored under its
-        // re-interned root id. (`commit_keeps_every_intern_id_fresh`
-        // compares every other id.)
+        // A fresh session over the committed document interns it from
+        // scratch into a memo of its own: its identity update looks the
+        // clean root up once and misses — it recounts — and propagates
+        // exactly as the long-lived session did.
         let before = engine.cache_stats();
         let fresh = engine.open(session.document()).unwrap();
-        fresh.propagate(&nop_script(fresh.view())).unwrap();
+        let recounted = fresh.propagate(&identity).unwrap();
         let after = engine.cache_stats();
-        assert_eq!(after.misses, before.misses, "{after:?}");
-        assert_eq!(after.hits - before.hits, 1, "the root hits: {after:?}");
-        assert_eq!(after.entries, before.entries, "{after:?}");
+        assert_eq!(after.misses - before.misses, 1, "{after:?}");
+        assert_eq!(after.hits, before.hits, "{after:?}");
+        assert_eq!(
+            script_to_term(&kept.script, engine.alphabet()),
+            script_to_term(&recounted.script, engine.alphabet())
+        );
     }
 
     #[test]
@@ -1366,7 +1358,6 @@ mod tests {
             "r#0(d#1(a#2, h#3, a#4), d#5(a#6), d#7(a#8, h#9), d#10)",
         )
         .unwrap();
-        let table = engine.memo_table().unwrap();
         let mut session = engine.open(&doc).unwrap();
         for step in 0..24usize {
             let view = session.view();
@@ -1402,17 +1393,19 @@ mod tests {
             }
             let prop = session.propagate(&update).unwrap();
             session.commit(&prop).unwrap();
-            let fresh = table.intern_doc(session.document());
             let doc = session.document();
-            assert_eq!(session.intern_ids.len(), doc.size(), "step {step}");
-            for n in doc.postorder() {
-                let slot = doc.slot(n).unwrap();
-                assert_eq!(
-                    session.intern_ids.get(slot),
-                    fresh.get(slot),
-                    "step {step}: node {n}"
-                );
-            }
+            session.with_memo_table(|table| {
+                let fresh = table.interner.intern_doc(doc);
+                assert_eq!(table.ids.len(), doc.size(), "step {step}");
+                for n in doc.postorder() {
+                    let slot = doc.slot(n).unwrap();
+                    assert_eq!(
+                        table.ids.get(slot),
+                        fresh.get(slot),
+                        "step {step}: node {n}"
+                    );
+                }
+            });
         }
     }
 

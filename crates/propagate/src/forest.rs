@@ -5,10 +5,10 @@
 //! propagation cost of the child — and every (iv)-edge weight — the
 //! minimal inverse size of an inserted fragment — is already memoised when
 //! a parent graph is constructed. This single-pass memoisation is what
-//! makes the whole construction polynomial. With the engine memo on, the
+//! makes the whole construction polynomial. With the session memo on, the
 //! walk stops at the update's clean region: see [`PropagationForest`].
 
-use crate::cache::{Memo, TypingRun};
+use crate::cache::{Memo, MemoTable};
 use crate::cost::CostModel;
 use crate::count::count_graph;
 use crate::error::PropagateError;
@@ -18,7 +18,6 @@ use crate::inversion::InversionForest;
 use crate::scratch::PropScratch;
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::Instant;
 use xvu_automata::StateId;
 use xvu_edit::{output_tree, EditOp};
@@ -35,7 +34,7 @@ use xvu_tree::NodeId;
 /// cheapest propagation is the identity at cost 0, and the number of
 /// optimal propagations below it depends on its subtree's shape alone:
 /// each clean child of a skeleton node is held with cost 0 and that
-/// count, taken from the engine memo ([`crate::cache`]), without a graph,
+/// count, taken from the session memo ([`crate::cache`]), without a graph,
 /// and the nodes below it are not held at all. The forest's tables are
 /// sized to what it holds, not to the update, and are keyed by node
 /// identifier, so the accessors work after the instance is gone.
@@ -127,11 +126,12 @@ impl PropagationForest {
     pub(crate) fn build_with(
         inst: &Instance<'_>,
         cost: &CostModel<'_>,
-        mut memo: Option<&mut Memo<'_>>,
+        memo: Option<&mut MemoTable>,
         scratch: &mut PropScratch,
         mut typing_ns: Option<&mut u64>,
     ) -> Result<PropagationForest, PropagateError> {
         let update = inst.update;
+        let mut memo = memo.map(Memo::new);
         let fp = memo.is_some().then(|| inst.footprint());
         // Whether the walk stops at preserved node `n`: only with a memo,
         // which can count the clean subtree below it.
@@ -147,7 +147,7 @@ impl PropagationForest {
             root: update.root(),
         };
         if stops(forest.root) {
-            if let Some(m) = memo.as_deref_mut() {
+            if let Some(m) = memo.as_mut() {
                 let count = clean_count(inst, cost, m, forest.root, scratch)?;
                 forest.push(forest.root, 0, Body::Clean(count));
                 return Ok(forest);
@@ -200,7 +200,7 @@ impl PropagationForest {
                         size
                     }
                     EditOp::Nop if stops(c) => {
-                        if let Some(m) = memo.as_deref_mut() {
+                        if let Some(m) = memo.as_mut() {
                             let count = clean_count(inst, cost, m, c, scratch)?;
                             forest.push(c, 0, Body::Clean(count));
                         }
@@ -224,22 +224,16 @@ impl PropagationForest {
             // (and an intern id) in the session document.
             let src_slot = inst.source.slot(n).expect("preserved node in source");
             let t0 = typing_ns.is_some().then(Instant::now);
-            let run: TypingRun = match memo.as_deref() {
+            let mut computed = None;
+            let run = match memo.as_mut() {
                 Some(m) => m.run_or_compute(src_slot, || source_child_run(inst, n)),
-                None => source_child_run(inst, n).map(Arc::from),
+                None => computed.insert(source_child_run(inst, n)).as_deref(),
             };
             if let (Some(acc), Some(t0)) = (typing_ns.as_deref_mut(), t0) {
                 *acc += t0.elapsed().as_nanos() as u64;
             }
-            let graph = build_prop_graph(
-                inst,
-                n,
-                cost,
-                &child_costs,
-                &inverse_sizes,
-                run.as_deref(),
-                scratch,
-            )?;
+            let graph =
+                build_prop_graph(inst, n, cost, &child_costs, &inverse_sizes, run, scratch)?;
             let best = graph
                 .best_cost_with(&mut scratch.graph)
                 .ok_or(PropagateError::NoPropagationPath(n))?;
@@ -462,7 +456,7 @@ fn clean_count(
             continue;
         }
         let run = memo.run_or_compute(slot(m), || source_child_run(inst, m));
-        let graph = clean_graph(inst, cost, m, run.as_deref(), scratch)?;
+        let graph = clean_graph(inst, cost, m, run, scratch)?;
         let kids = inst.source.children(m);
         count = count_graph(&graph, &mut scratch.graph, |e| match *e {
             PropEdge::NopVisible { tpos, .. } => memo.known_count(slot(kids[tpos as usize])),

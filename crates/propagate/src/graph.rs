@@ -50,9 +50,9 @@ pub struct PropVertex {
 /// over) or script child word (`spos`, the `m'_{j+1}`) — never by
 /// [`NodeId`]. A graph therefore mentions no document-specific
 /// identifiers at all: two structurally equal subtrees yield *identical*
-/// graphs, which is what lets the engine's shared memo cache serve one
-/// graph to every document of a family (keyed by
-/// [`xvu_tree::InternId`]). Consumers resolve positions against the node
+/// graphs, so whatever is derived from one (an optimal count, say) can be
+/// memoised by the subtree's [`xvu_tree::InternId`]. Consumers resolve
+/// positions against the node
 /// they are walking: `inst.source.children(n)[tpos]` /
 /// `inst.update.children(n)[spos]`, or
 /// [`crate::PropagationForest::resolve_child`] when no instance is at

@@ -107,6 +107,43 @@ impl Prepared {
     }
 }
 
+/// The source side of an [`Instance`]: its fields of the same names, and
+/// a generator past every identifier of `source`. A session lends its
+/// caches, so assembly copies nothing document-sized.
+pub(crate) struct SourceParts<'a> {
+    pub dtd: &'a Dtd,
+    pub ann: &'a Annotation,
+    pub source: &'a DocTree,
+    pub alphabet_len: usize,
+    pub view: Cow<'a, DocTree>,
+    pub view_dtd: Cow<'a, Dtd>,
+    pub gen: NodeIdGen,
+}
+
+impl<'a> SourceParts<'a> {
+    /// Validates `source ∈ L(D)` and derives its view and generator.
+    pub(crate) fn prepare(
+        dtd: &'a Dtd,
+        ann: &'a Annotation,
+        source: &'a DocTree,
+        alphabet_len: usize,
+        view_dtd: Cow<'a, Dtd>,
+    ) -> Result<SourceParts<'a>, PropagateError> {
+        dtd.validate(source)
+            .map_err(PropagateError::SourceNotValid)?;
+        let Prepared { view, gen } = Prepared::from_source(ann, source);
+        Ok(SourceParts {
+            dtd,
+            ann,
+            source,
+            alphabet_len,
+            view: Cow::Owned(view),
+            view_dtd,
+            gen,
+        })
+    }
+}
+
 /// A validated view-update problem instance.
 ///
 /// Given the source artefacts, validation costs time proportional to the
@@ -151,42 +188,23 @@ impl<'a> Instance<'a> {
         update: &'a Script,
         alphabet_len: usize,
     ) -> Result<Instance<'a>, PropagateError> {
-        dtd.validate(source)
-            .map_err(PropagateError::SourceNotValid)?;
-        let Prepared { view, gen } = Prepared::from_source(ann, source);
         let view_dtd = Cow::Owned(derive_view_dtd(dtd, ann, alphabet_len));
-        Instance::from_parts(
-            dtd,
-            ann,
-            source,
-            update,
-            alphabet_len,
-            Cow::Owned(view),
-            gen,
-            view_dtd,
-        )
+        let parts = SourceParts::prepare(dtd, ann, source, alphabet_len, view_dtd)?;
+        Instance::from_parts(parts, update)
     }
 
     /// Assembles an instance from precomputed source artefacts, running
     /// only the *update-dependent* checks (requirements 2–5 of the module
     /// docs), in time proportional to the update. The caller guarantees
     /// requirement 1 (`t ∈ L(D)`) and that the artefacts genuinely belong
-    /// to `(dtd, ann, source)`; sessions pass their caches borrowed so
-    /// assembly copies nothing document-sized.
-    #[allow(clippy::too_many_arguments)]
+    /// to `(dtd, ann, source)`.
     pub(crate) fn from_parts(
-        dtd: &'a Dtd,
-        ann: &'a Annotation,
-        source: &'a DocTree,
+        mut parts: SourceParts<'a>,
         update: &'a Script,
-        alphabet_len: usize,
-        view: Cow<'a, DocTree>,
-        mut gen: NodeIdGen,
-        view_dtd: Cow<'a, Dtd>,
     ) -> Result<Instance<'a>, PropagateError> {
         // One walk of the update against the view: closure rules,
         // `In(S) = A(t)`, and the footprint.
-        let footprint = update_footprint(update, &view)?;
+        let footprint = update_footprint(update, &parts.view)?;
 
         // Every non-`Ins` node matched a view node, so only inserted nodes
         // can reuse a hidden identifier or lie past the generator — and
@@ -197,13 +215,13 @@ impl<'a> Instance<'a> {
             if update.label(id).op != EditOp::Ins {
                 continue;
             }
-            if source.contains(id) && !view.contains(id) {
+            if parts.source.contains(id) && !parts.view.contains(id) {
                 let slot = update.slot(id).expect("footprint node in update");
                 if hidden.is_none_or(|(first, _)| slot < first) {
                     hidden = Some((slot, id));
                 }
             }
-            gen.bump_past(id);
+            parts.gen.bump_past(id);
         }
         if let Some((_, id)) = hidden {
             return Err(PropagateError::Edit(EditError::HiddenIdUsed(id)));
@@ -226,7 +244,8 @@ impl<'a> Instance<'a> {
                 .map(|&c| update.label(c))
                 .filter(|l| l.op != EditOp::Del)
                 .map(|l| l.label);
-            if !view_dtd
+            if !parts
+                .view_dtd
                 .content_model(update.label(n).label)
                 .accepts_with(word, &mut sets)
             {
@@ -245,22 +264,22 @@ impl<'a> Instance<'a> {
             }
             for &c in update.children(n) {
                 let cl = update.label(c);
-                if cl.op == EditOp::Ins && !ann.is_visible(parent.label, cl.label) {
+                if cl.op == EditOp::Ins && !parts.ann.is_visible(parent.label, cl.label) {
                     return Err(PropagateError::InsertedInvisibleLabel { node: c });
                 }
             }
         }
 
         Ok(Instance {
-            dtd,
-            ann,
-            source,
+            dtd: parts.dtd,
+            ann: parts.ann,
+            source: parts.source,
             update,
-            alphabet_len,
-            view,
-            view_dtd,
+            alphabet_len: parts.alphabet_len,
+            view: parts.view,
+            view_dtd: parts.view_dtd,
             footprint,
-            gen0: gen,
+            gen0: parts.gen,
         })
     }
 

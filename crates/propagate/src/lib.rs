@@ -59,12 +59,12 @@
 //!
 //! Sessions are *incremental*: a session's propagation forest covers
 //! only the update's dirty skeleton ([`PropagationForest`]), and every
-//! clean child it stops at brings its optimal-propagation count from one
-//! engine-owned table keyed by subtree structure, which also holds typing
-//! runs. A session keeps only the structural id of each of its nodes, and
-//! [`Session::commit`] re-interns exactly the dirty region — see the
-//! [`cache`] module and `README.md`'s "Architecture: the propagation
-//! memo".
+//! clean child it stops at brings its optimal-propagation count from the
+//! session's own table keyed by subtree structure, which also holds typing
+//! runs. [`Session::commit`] re-interns exactly the dirty region and
+//! sweeps the shapes the document no longer names, and the table dies
+//! with the session — see the [`cache`] module and `README.md`'s
+//! "Architecture: the propagation memo".
 //!
 //! The one-shot layer ([`Instance::new`] + [`propagate`] +
 //! [`verify_propagation`]) remains for single-update callers and is

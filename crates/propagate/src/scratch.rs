@@ -10,8 +10,8 @@
 //!
 //! # Ownership and threading rules
 //!
-//! * One `PropScratch` per [`crate::Session`] (behind its own mutex,
-//!   disjoint from the memo cache), reused across all propagations of the
+//! * One `PropScratch` per [`crate::Session`] (behind the mutex it shares
+//!   with the session's memo), reused across all propagations of the
 //!   session and across all nodes within one propagation.
 //! * One per worker thread in [`crate::Engine::propagate_batch`] — scratch
 //!   is never shared between threads; it is `Send` but deliberately not

@@ -2,8 +2,9 @@
 //!
 //! A compiled engine is immutable after [`crate::EngineBuilder::build`]: the view
 //! DTD, min-size tables, cost model, and insertlet package are Theorem 6's
-//! precompiled artefacts, read-only for the rest of their life. That makes
-//! the engine exactly the shape that shares cheaply across OS threads —
+//! precompiled artefacts, read-only for the rest of their life, and memos
+//! belong to sessions and requests ([`crate::cache`]). That makes the
+//! engine exactly the shape that shares cheaply across OS threads —
 //! `Engine: Send + Sync` is asserted at compile time below, so one
 //! `Arc<Engine>` (or a plain `&Engine` under [`std::thread::scope`])
 //! serves any number of workers with **zero** per-request locking.
@@ -16,9 +17,9 @@
 //! propagation.
 //!
 //! Repeated updates to one document go through a [`Session`], which
-//! belongs to one worker at a time. The serving daemon (`xvu_server`)
-//! keeps one session per document in its document table and leases it
-//! to one worker per request.
+//! belongs to one worker at a time and owns that document's memo. The
+//! serving daemon (`xvu_server`) keeps one session per document in its
+//! document table and leases it to one worker per request.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -55,7 +56,6 @@
 //! ```
 
 use crate::algorithm::{propagate_with_memo, Propagation};
-use crate::cache::Memo;
 use crate::engine::{Engine, Session};
 use crate::error::PropagateError;
 use crate::scratch::PropScratch;
@@ -96,19 +96,17 @@ impl Engine {
         // Each worker owns one `PropScratch`, reused across every request
         // it serves — scratch is pure working memory, so reuse cannot leak
         // state between requests (or change any result). With the memo on,
-        // the document is interned as `Engine::open` does and clean nodes
-        // are counted through the engine memo as in `Session::propagate`:
-        // structurally repeated subtrees across the batch are solved once,
-        // and every propagation is byte-identical to the memo-off run.
+        // each request gets a table of its own, which ends with it, and
+        // clean nodes are counted through it as in `Session::propagate`:
+        // every propagation is byte-identical to the memo-off run.
         let one = |(doc, update): &(DocTree, Script), scratch: &mut PropScratch| {
             let inst = self.instance(doc, update)?;
-            let interned = self.memo_table().map(|t| (t, t.intern_doc(doc)));
-            let mut memo = interned.as_ref().map(|(t, ids)| Memo::new(t, ids));
+            let mut table = self.memo_for(doc);
             propagate_with_memo(
                 &inst,
                 &self.cost_model(),
                 self.config(),
-                memo.as_mut(),
+                table.as_mut(),
                 scratch,
                 None,
             )

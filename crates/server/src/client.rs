@@ -1,8 +1,9 @@
 //! A typed client for the xvu serving protocol.
 //!
 //! Wraps any [`Transport`] with per-verb helpers that perform the hello
-//! handshake, retry `retry` pushback with the server-suggested backoff,
-//! and turn `err` frames into [`ClientError`]. Used by the fleet
+//! handshake, retry `retry` pushback with the server-suggested backoff
+//! (at [`Client::connect`], the connection cap's too), and turn `err`
+//! frames into [`ClientError`]. Used by the fleet
 //! differential driver, the `xvu client` CLI mode, and the serving
 //! benchmarks.
 
@@ -54,6 +55,25 @@ pub struct PropagateReply {
     pub script: String,
 }
 
+/// How many `retry` pushbacks a client absorbs per request (and
+/// [`Client::connect`] per connection) before reporting
+/// [`ClientError::Saturated`].
+const RETRY_BUDGET: u32 = 10_000;
+
+/// The pause a `retry` frame's payload suggests, clamped to 1–50 ms.
+fn backoff(payload: &str) -> Duration {
+    let after_ms = payload.parse::<u64>().unwrap_or(1);
+    Duration::from_millis(after_ms.clamp(1, 50))
+}
+
+/// What a `hello` came back as.
+enum Hello<T> {
+    Ready(Client<T>),
+    /// The daemon is at its connection cap: it answered `retry` with this
+    /// backoff and closed the connection.
+    Retry(Duration),
+}
+
 /// A protocol client over any transport. Retries `retry` pushback up to
 /// [`Client::retry_budget`] times before reporting
 /// [`ClientError::Saturated`].
@@ -65,26 +85,56 @@ pub struct Client<T> {
 }
 
 impl Client<StreamTransport<TcpStream>> {
-    /// Connects over TCP and performs the hello handshake.
+    /// Connects over TCP and performs the hello handshake. A daemon at its
+    /// connection cap answers `retry` and closes the connection; `connect`
+    /// then connects again after the suggested backoff, and reports
+    /// [`ClientError::Saturated`] once the retry budget is spent. The
+    /// reconnects count in [`Client::retries`].
     pub fn connect(addr: &str) -> Result<Client<StreamTransport<TcpStream>>, ClientError> {
-        let stream =
-            TcpStream::connect(addr).map_err(|e| ClientError::Protocol(ProtocolError::from(e)))?;
-        let _ = stream.set_nodelay(true);
-        Client::handshake(StreamTransport::new(stream))
+        let mut retries = 0;
+        loop {
+            let stream = TcpStream::connect(addr)
+                .map_err(|e| ClientError::Protocol(ProtocolError::from(e)))?;
+            let _ = stream.set_nodelay(true);
+            match Client::hello(StreamTransport::new(stream))? {
+                Hello::Ready(mut c) => {
+                    c.retries = retries;
+                    return Ok(c);
+                }
+                Hello::Retry(_) if retries >= u64::from(RETRY_BUDGET) => {
+                    return Err(ClientError::Saturated)
+                }
+                Hello::Retry(pause) => {
+                    retries += 1;
+                    std::thread::sleep(pause);
+                }
+            }
+        }
     }
 }
 
 impl<T: Transport> Client<T> {
     /// Wraps an already-open transport and performs the hello handshake.
+    /// It cannot reconnect, so a daemon at its connection cap makes it
+    /// report [`ClientError::Saturated`].
     pub fn handshake(transport: T) -> Result<Client<T>, ClientError> {
+        match Client::hello(transport)? {
+            Hello::Ready(c) => Ok(c),
+            Hello::Retry(_) => Err(ClientError::Saturated),
+        }
+    }
+
+    /// Sends `hello` over `transport`.
+    fn hello(transport: T) -> Result<Hello<T>, ClientError> {
         let mut c = Client {
             transport,
-            retry_budget: 10_000,
+            retry_budget: RETRY_BUDGET,
             retries: 0,
         };
         let reply = c.roundtrip(Frame::hello())?;
         match reply.verb {
-            Verb::Ok => Ok(c),
+            Verb::Ok => Ok(Hello::Ready(c)),
+            Verb::Retry => Ok(Hello::Retry(backoff(&reply.payload))),
             Verb::Err => Err(ClientError::Server(reply.payload)),
             _ => Err(ClientError::Server(format!(
                 "unexpected hello reply verb {}",
@@ -126,8 +176,7 @@ impl<T: Transport> Client<T> {
                 Verb::Err => return Err(ClientError::Server(reply.payload)),
                 Verb::Retry => {
                     self.retries += 1;
-                    let after_ms = reply.payload.parse::<u64>().unwrap_or(1);
-                    std::thread::sleep(Duration::from_millis(after_ms.clamp(1, 50)));
+                    std::thread::sleep(backoff(&reply.payload));
                 }
                 other => {
                     return Err(ClientError::Server(format!(

@@ -28,7 +28,10 @@
 //! once. At most [`MAX_CONNECTIONS`] connections are open at once: the
 //! next one is answered `retry` and closed. A failed `accept` (say
 //! `EMFILE` at the descriptor limit) is retried after a short backoff;
-//! only a drain ends the loop.
+//! only a drain ends the loop. A connection's thread blocks in `read`
+//! with no timeout, so an idle connection costs no wake-ups; a drain
+//! shuts every open connection down for reading, and each thread sees
+//! the end of its stream at once.
 //!
 //! Every request runs behind an unwind boundary. A request whose handler
 //! panics is answered `err` and counted in `errors` and `panics`, and its
@@ -45,19 +48,20 @@
 //!
 //! ## Determinism across eviction
 //!
-//! Evicting an idle session drops only its *session-private* state — the
-//! intern-id map over its document. Eviction is one state change under
-//! the document table's lock: the entry keeps the session's committed
-//! document **and** its fresh-identifier high-water mark, and the next
-//! lease reopens from both ([`xvu_propagate::Session::merge_id_gen`]), so
-//! replies are byte-identical whether or not an eviction happened in
-//! between — the property the fleet differential driver
-//! ([`crate::run_fleet`]) checks end to end. Every memo lives in the
-//! engine, keyed by subtree structure ([`xvu_propagate::cache`]), and
-//! **survives eviction**: a reopened session re-interns its document and
-//! warms straight from the engine's memo instead of recomputing. The
-//! `stats` verb reports the memo's counters summed over the server's
-//! families (`cache` object).
+//! Evicting an idle session drops the session and with it its memo: the
+//! interner, the memoised counts and typing runs, and the intern-id map
+//! over its document ([`xvu_propagate::cache`]). Eviction is one state
+//! change under the document table's lock: the entry keeps the session's
+//! committed document **and** its fresh-identifier high-water mark, and
+//! the next lease reopens from both
+//! ([`xvu_propagate::Session::merge_id_gen`]), so replies are
+//! byte-identical whether or not an eviction happened in between — the
+//! property the fleet differential driver ([`crate::run_fleet`]) checks
+//! end to end. The memo does **not** survive eviction: a reopened
+//! session interns its document into a fresh memo and recounts what it
+//! needs, which changes the work done, never a reply. The `stats` verb
+//! reports the memo's counters summed over the server's families (`cache`
+//! object); its `entries` are those of the sessions open right now.
 //! An explicit `close` resets the identifier floor instead: a closed
 //! document starts a fresh session history, exactly like a direct
 //! [`xvu_propagate::Engine::open`].
@@ -67,7 +71,8 @@ use crate::pool::{DocTable, Lease, LeaseError};
 use crate::protocol::{check_hello, write_frame, Frame, Recv, Verb, PROTOCOL_VERSION};
 use crate::transport::{StreamTransport, Transport};
 use std::any::Any;
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
@@ -243,21 +248,42 @@ pub struct Server<'e> {
     gate: Gate,
     stopped: AtomicBool,
     drained_clean: AtomicBool,
-    /// Where a drain connects to wake the blocked accept loop; set by
-    /// [`Server::serve_listener`] before it first reads `stopped`.
-    wake: Mutex<Option<SocketAddr>>,
+    /// What a drain must reach: the accept loop and every open
+    /// connection.
+    conns: Mutex<Conns>,
     /// The verb whose next request panics (test builds only).
     #[cfg(test)]
     fault: Mutex<Option<Verb>>,
 }
 
-/// A live connection's place under [`MAX_CONNECTIONS`], given back when
-/// its thread ends (also when it unwinds).
-struct Live<'m>(&'m Metrics);
+/// What a drain must reach, under one lock: a drain sets `stopped`, then
+/// takes the lock, so whoever reads `stopped` under it after publishing
+/// here is either seen by the drain or sees the drain.
+#[derive(Default)]
+struct Conns {
+    /// Where a drain connects to wake the blocked accept loop; set by
+    /// [`Server::serve_listener`] before it first reads `stopped`.
+    wake: Option<SocketAddr>,
+    /// A handle on each open connection's stream, which a drain shuts
+    /// down for reading.
+    open: HashMap<u64, TcpStream>,
+    /// The key of the next connection taken on.
+    next: u64,
+}
+
+/// A live connection's place under [`MAX_CONNECTIONS`] and among the
+/// streams a drain shuts down, given back when its thread ends (also when
+/// it unwinds).
+struct Live<'s> {
+    conns: &'s Mutex<Conns>,
+    metrics: &'s Metrics,
+    key: u64,
+}
 
 impl Drop for Live<'_> {
     fn drop(&mut self) {
-        self.0.connections.fetch_sub(1, Ordering::Relaxed);
+        relock(self.conns.lock()).open.remove(&self.key);
+        self.metrics.connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -322,7 +348,7 @@ impl<'e> Server<'e> {
             metrics: Metrics::new(),
             stopped: AtomicBool::new(false),
             drained_clean: AtomicBool::new(true),
-            wake: Mutex::new(None),
+            conns: Mutex::default(),
             #[cfg(test)]
             fault: Mutex::new(None),
         }
@@ -335,9 +361,8 @@ impl<'e> Server<'e> {
 
     /// A current metrics snapshot (what the `stats` verb returns).
     pub fn stats_snapshot(&self) -> StatsSnapshot {
-        // The memo is engine-owned: its counters need no per-session
-        // bookkeeping (eviction never touches it), just a sum over the
-        // server's families.
+        // Each session owns its memo and adds to its engine's counters:
+        // the snapshot sums them over the server's families.
         let cache =
             self.engines
                 .iter()
@@ -346,6 +371,7 @@ impl<'e> Server<'e> {
                     hits: acc.hits + s.hits,
                     misses: acc.misses + s.misses,
                     entries: acc.entries + s.entries,
+                    sweeps: acc.sweeps + s.sweeps,
                 });
         self.metrics
             .snapshot(cache, self.table.resident(), self.table.capacity())
@@ -375,13 +401,14 @@ impl<'e> Server<'e> {
     /// connection, and any other that arrives after the drain. Past
     /// [`MAX_CONNECTIONS`] open connections, a new one gets one `retry`
     /// frame and is closed. A failed `accept` is retried after a short
-    /// backoff, the loop's only sleep. Returns once every connection's
-    /// thread has ended.
+    /// backoff, the loop's only sleep. The drain also shuts every open
+    /// connection down for reading, so an idle one ends at once. Returns
+    /// once every connection's thread has ended.
     pub fn serve_listener(&self, listener: TcpListener) -> std::io::Result<ServerReport> {
         // published before the first read of `stopped`: a drain either
         // comes early enough for that read to see it, or finds the
         // address and wakes the `accept` below
-        *relock(self.wake.lock()) = Some(wake_address(listener.local_addr()?));
+        relock(self.conns.lock()).wake = Some(wake_address(listener.local_addr()?));
         std::thread::scope(|scope| {
             while !self.stopped() {
                 match listener.accept() {
@@ -413,27 +440,40 @@ impl<'e> Server<'e> {
 
     /// Takes an accepted connection on while fewer than `cap` are open,
     /// returning its transport and its place under the cap; past the cap
-    /// the peer gets one `retry` frame and the connection is closed.
+    /// the peer gets one `retry` frame and the connection is closed. A
+    /// connection that arrives once a drain has begun is closed.
     fn take_on(
         &self,
         stream: TcpStream,
         cap: usize,
     ) -> Option<(Live<'_>, StreamTransport<TcpStream>)> {
-        let open = &self.metrics.connections;
-        let room = |n: u64| (n < cap as u64).then_some(n + 1);
-        if open
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, room)
-            .is_err()
-        {
+        let mut conns = relock(self.conns.lock());
+        if conns.open.len() >= cap {
+            drop(conns);
             self.metrics
                 .refused_connections
                 .fetch_add(1, Ordering::Relaxed);
             let _ = write_frame(&mut &stream, &Frame::retry(self.cfg.retry_after_ms));
             return None;
         }
+        // read under the lock: a drain that began earlier is seen here,
+        // one that begins later finds this stream in `open`
+        if self.stopped() {
+            return None;
+        }
+        let handle = stream.try_clone().ok()?;
+        let key = conns.next;
+        conns.next += 1;
+        conns.open.insert(key, handle);
+        self.metrics.connections.fetch_add(1, Ordering::Relaxed);
+        drop(conns);
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        Some((Live(&self.metrics), StreamTransport::new(stream)))
+        let live = Live {
+            conns: &self.conns,
+            metrics: &self.metrics,
+            key,
+        };
+        Some((live, StreamTransport::new(stream)))
     }
 
     fn final_report(&self) -> ServerReport {
@@ -448,11 +488,7 @@ impl<'e> Server<'e> {
     fn conn_loop<T: Transport>(&self, mut t: T) {
         loop {
             match t.recv() {
-                Ok(Recv::Idle) => {
-                    if self.stopped() {
-                        break;
-                    }
-                }
+                Ok(Recv::Idle) => {}
                 Ok(Recv::Eof) => break,
                 Ok(Recv::Frame(req)) => {
                     let resp = catch_unwind(AssertUnwindSafe(|| self.dispatch(req)))
@@ -521,8 +557,8 @@ impl<'e> Server<'e> {
     }
 
     /// Closes the gate and waits (bounded) for admitted and waiting writes
-    /// to finish; then stops the accept loop, waking it if it is blocked
-    /// in `accept`.
+    /// to finish; then shuts every open connection down for reading and
+    /// stops the accept loop, waking it if it is blocked in `accept`.
     fn drain(&self, window: Duration) {
         if !self.gate.close(window) {
             self.drained_clean.store(false, Ordering::Release);
@@ -530,9 +566,18 @@ impl<'e> Server<'e> {
         if self.stopped.swap(true, Ordering::AcqRel) {
             return;
         }
-        // `stopped` is set before `wake` is read, and the loop sets `wake`
-        // before it reads `stopped`; the lock orders the two
-        let wake = *relock(self.wake.lock());
+        // `stopped` is set before the lock is taken; the loop publishes
+        // `wake`, and `take_on` a connection, before reading `stopped`
+        // under it
+        let wake = {
+            let conns = relock(self.conns.lock());
+            for stream in conns.open.values() {
+                // its thread reads the end of the stream and ends; a
+                // reply in progress still goes out
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+            conns.wake
+        };
         if let Some(addr) = wake {
             // the loop drops this connection once it sees `stopped`
             let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
@@ -829,7 +874,7 @@ impl std::fmt::Debug for Server<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Client;
+    use crate::client::{Client, ClientError};
     use crate::pool::tests::{engine_and_doc, hidden_h_engine};
     use std::panic::resume_unwind;
 
@@ -1027,6 +1072,73 @@ mod tests {
         let again = server.take_on(accepted, 1);
         assert!(again.is_some(), "the place came back");
         assert_eq!(server.stats_snapshot().refused_connections, 1);
+    }
+
+    #[test]
+    fn a_drain_ends_idle_connections_at_once() {
+        // Four idle clients, and connections have no read timeout: only
+        // the drain's shutdown of each stream ends their threads, so
+        // without it `serve_listener` would never return. A 5 s watchdog
+        // turns that hang into a failure.
+        let engines = [hidden_h_engine()];
+        let server = Server::new(&engines, ServerConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let daemon = scope.spawn(|| {
+                let report = server.serve_listener(listener).unwrap();
+                done.send(()).unwrap();
+                report
+            });
+            let clients: Vec<_> = (0..4).map(|_| Client::connect(&addr).unwrap()).collect();
+            assert_eq!(server.stats_snapshot().connections, 4);
+            server.request_shutdown();
+            let returned = finished.recv_timeout(Duration::from_secs(5));
+            // closing the clients ends their connections if the drain did
+            // not, so a failure does not hang the test
+            drop(clients);
+            let report = daemon.join().unwrap();
+            assert!(returned.is_ok(), "serve_listener waited on idle clients");
+            assert!(report.drained_clean);
+            assert_eq!(report.stats.connections, 0);
+        });
+    }
+
+    #[test]
+    fn a_client_absorbs_the_connection_caps_retry() {
+        let engines = [hidden_h_engine()];
+        let server = Server::new(
+            &engines,
+            ServerConfig {
+                retry_after_ms: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        // `handshake` cannot reconnect: refused at a cap of 0, it reports
+        // `Saturated`
+        let peer = TcpStream::connect(&addr).unwrap();
+        assert!(server.take_on(listener.accept().unwrap().0, 0).is_none());
+        let refused = Client::handshake(StreamTransport::new(peer));
+        assert_eq!(refused.unwrap_err(), ClientError::Saturated);
+        // `connect` is refused at a cap of 0, connects again after the
+        // backoff, and is served at a cap of 1
+        std::thread::scope(|scope| {
+            let daemon = scope.spawn(|| {
+                assert!(server.take_on(listener.accept().unwrap().0, 0).is_none());
+                let (accepted, _) = listener.accept().unwrap();
+                let (_live, transport) = server.take_on(accepted, 1).expect("room for one");
+                server.conn_loop(transport);
+            });
+            let mut client = Client::connect(&addr).unwrap();
+            assert_eq!(client.retries(), 1);
+            assert!(client.stats().is_ok());
+            drop(client);
+            daemon.join().unwrap();
+        });
+        assert_eq!(server.stats_snapshot().refused_connections, 2);
     }
 
     /// Arms a fault in `verb` and sends `verb payload` over TCP. Checks

@@ -166,9 +166,10 @@ impl Metrics {
     }
 
     /// Freezes everything into a [`StatsSnapshot`]. `cache` holds the
-    /// propagation-memo counters summed over the server's families (the
-    /// memo is engine-owned, so they survive session eviction);
-    /// `resident`/`capacity` count the open sessions and their bound.
+    /// propagation-memo counters summed over the server's families (each
+    /// session owns its memo, so `entries` are those of the sessions
+    /// open now); `resident`/`capacity` count the open sessions and their
+    /// bound.
     pub fn snapshot(
         &self,
         cache: xvu_propagate::CacheStats,
@@ -224,7 +225,9 @@ pub struct StatsSnapshot {
     pub pool_resident: usize,
     /// The pool's configured bound.
     pub pool_capacity: usize,
-    /// Propagation-memo counters, summed over the server's families.
+    /// Propagation-memo counters, summed over the server's families:
+    /// hits, misses and sweeps since start, entries held by the open
+    /// sessions.
     pub cache: xvu_propagate::CacheStats,
     /// Write-path latency (includes the admission wait).
     pub write_latency: HistogramSnapshot,
@@ -262,10 +265,11 @@ impl StatsSnapshot {
             self.evictions, self.pool_resident, self.pool_capacity
         ));
         s.push_str(&format!(
-            "\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"hit_rate\":{:.4}}},",
+            "\"cache\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"sweeps\":{},\"hit_rate\":{:.4}}},",
             self.cache.hits,
             self.cache.misses,
             self.cache.entries,
+            self.cache.sweeps,
             self.cache.hit_rate()
         ));
         let lat = |h: &HistogramSnapshot| {

@@ -8,9 +8,10 @@
 use crate::protocol::{read_frame, write_frame, Frame, ProtocolError, Recv};
 use std::io::{BufReader, Read, Write};
 
-/// One bidirectional frame channel. Implementations should return
-/// [`Recv::Idle`] from a configured read timeout so servers can poll
-/// their shutdown flag between frames.
+/// One bidirectional frame channel. A stream with a read timeout returns
+/// [`Recv::Idle`] when it fires between frames; the daemon sets none, and
+/// a drain ends its connections by shutting their streams down for
+/// reading.
 pub trait Transport {
     /// Receives the next frame (or [`Recv::Eof`]/[`Recv::Idle`]).
     fn recv(&mut self) -> Result<Recv, ProtocolError>;

@@ -5,33 +5,29 @@
 //! subtrees receive the same id **iff** they are structurally equal
 //! (same labels in the same tree shape, node identifiers ignored), so
 //! structural equality becomes one integer comparison and any
-//! pure-function-of-structure memo can be keyed by `InternId` and shared
-//! across documents.
+//! pure-function-of-structure memo can be keyed by `InternId`.
 //!
 //! # Keying contract
 //!
 //! `InternId = intern(label, [InternId of child₁, …, InternId of childₖ])`
 //!
 //! computed bottom-up (postorder). Ids are allocated from a private
-//! counter in first-come order: they are **stable for the lifetime of
-//! the `Interner`** and meaningless outside it. Nothing about an id's
-//! numeric value is structural — only *equality within one interner*
-//! carries meaning, which is why engine-level caches that key by
-//! `InternId` must live next to the interner that minted the ids.
+//! counter in first-come order and are meaningless outside the
+//! `Interner` that minted them: nothing about an id's numeric value is
+//! structural, only *equality within one interner* carries meaning, which
+//! is why a memo keyed by `InternId` lives next to the interner that
+//! minted its ids.
 //!
-//! # Concurrency
+//! # One owner
 //!
-//! The table is sharded: a lookup takes one shard read lock on the hit
-//! path and one shard write lock only when inserting a never-seen shape.
-//! Concurrent interning of the same shape races benignly — the write
-//! path re-checks under the exclusive lock, so all callers still agree
-//! on a single id.
+//! An interner belongs to one owner and takes no lock: interning takes
+//! `&mut self`. The propagation memo of `xvu_propagate` gives each
+//! session its own, so no interner is shared between documents or
+//! threads. [`Interner::retain`] drops the shapes its owner no longer
+//! names. The counter never goes back, so a dropped id is never minted
+//! again: an id names one shape for the interner's whole life.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::alphabet::Sym;
 use crate::slot::SlotMap;
@@ -61,127 +57,109 @@ impl std::fmt::Display for InternId {
     }
 }
 
-/// One subtree shape: the node label plus the interned children, in
-/// order.
-type ShapeKey = (u32, Box<[InternId]>);
-
-const SHARD_COUNT: usize = 16;
-
-/// A thread-safe hash-consing table mapping subtree shapes to
-/// [`InternId`]s.
+/// A hash-consing table mapping subtree shapes to [`InternId`]s.
 ///
-/// The module docs spell out the keying contract. The interner
-/// only ever grows — retiring a document does not retire its shapes,
-/// which is exactly what lets memos keyed by `InternId` outlive the
-/// session that created them.
-#[derive(Debug)]
+/// The module docs spell out the keying contract. A shape is keyed by
+/// its label's index followed by its children's ids, so a lookup reads a
+/// slice built in the interner's own buffer and allocates nothing; only
+/// a never-seen shape stores a key.
+#[derive(Clone, Debug, Default)]
 pub struct Interner {
-    shards: [RwLock<HashMap<ShapeKey, InternId>>; SHARD_COUNT],
-    next: AtomicU64,
-}
-
-impl Default for Interner {
-    fn default() -> Interner {
-        Interner::new()
-    }
+    shapes: HashMap<Box<[u64]>, InternId>,
+    next: u64,
+    /// The key being looked up: the label's index, then the children's
+    /// ids.
+    key: Vec<u64>,
 }
 
 impl Interner {
     /// An empty interner.
     pub fn new() -> Interner {
-        Interner {
-            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-            next: AtomicU64::new(0),
-        }
-    }
-
-    fn shard_of(label: Sym, children: &[InternId]) -> usize {
-        let mut h = DefaultHasher::new();
-        label.index().hash(&mut h);
-        children.hash(&mut h);
-        (h.finish() as usize) % SHARD_COUNT
-    }
-
-    fn read_shard(&self, i: usize) -> RwLockReadGuard<'_, HashMap<ShapeKey, InternId>> {
-        self.shards[i]
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    fn write_shard(&self, i: usize) -> RwLockWriteGuard<'_, HashMap<ShapeKey, InternId>> {
-        self.shards[i]
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+        Interner::default()
     }
 
     /// The id of the shape `label(children…)`, allocating one on first
     /// sight. Children must already be interned (bottom-up order).
-    pub fn intern(&self, label: Sym, children: &[InternId]) -> InternId {
-        let shard = Self::shard_of(label, children);
-        let key: ShapeKey = (label.index() as u32, children.into());
-        if let Some(&id) = self.read_shard(shard).get(&key) {
+    pub fn intern(&mut self, label: Sym, children: &[InternId]) -> InternId {
+        self.key.clear();
+        self.key.push(label.index() as u64);
+        self.key.extend(children.iter().map(|c| c.0));
+        self.intern_key()
+    }
+
+    /// [`Interner::intern`] of the shape in `self.key`.
+    fn intern_key(&mut self) -> InternId {
+        if let Some(&id) = self.shapes.get(self.key.as_slice()) {
             return id;
         }
-        let mut map = self.write_shard(shard);
-        // Re-check: another thread may have inserted between the locks.
-        if let Some(&id) = map.get(&key) {
-            return id;
-        }
-        let id = InternId(self.next.fetch_add(1, Ordering::Relaxed));
-        map.insert(key, id);
+        let id = InternId(self.next);
+        self.next += 1;
+        self.shapes.insert(self.key.as_slice().into(), id);
         id
     }
 
     /// Looks up the shape `label(children…)` without allocating an id.
     pub fn lookup(&self, label: Sym, children: &[InternId]) -> Option<InternId> {
-        let shard = Self::shard_of(label, children);
-        let key: ShapeKey = (label.index() as u32, children.into());
-        self.read_shard(shard).get(&key).copied()
+        let key: Vec<u64> = std::iter::once(label.index() as u64)
+            .chain(children.iter().map(|c| c.0))
+            .collect();
+        self.shapes.get(key.as_slice()).copied()
     }
 
-    /// Number of distinct shapes interned so far.
+    /// Number of distinct shapes held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| self.read_len(s)).sum()
+        self.shapes.len()
     }
 
-    fn read_len(&self, s: &RwLock<HashMap<ShapeKey, InternId>>) -> usize {
-        s.read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
-    }
-
-    /// Whether no shape has been interned.
+    /// Whether no shape is held.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.shapes.is_empty()
+    }
+
+    /// Keeps only the shapes whose id `keep` accepts. A dropped shape
+    /// interned again gets a new id: ids are never reused.
+    pub fn retain(&mut self, mut keep: impl FnMut(InternId) -> bool) {
+        self.shapes.retain(|_, id| keep(*id));
     }
 
     /// Interns every subtree of `doc` bottom-up, returning the id of
     /// each node's subtree keyed by the node's arena slot.
-    pub fn intern_doc(&self, doc: &DocTree) -> SlotMap<InternId> {
+    pub fn intern_doc(&mut self, doc: &DocTree) -> SlotMap<InternId> {
         let mut ids = SlotMap::with_capacity(doc.slot_bound());
-        let mut scratch = Vec::new();
-        for n in doc.postorder() {
-            let id = self.intern_node(doc, n, &ids, &mut scratch);
-            ids.insert(doc.slot(n).expect("postorder yields live nodes"), id);
-        }
+        self.intern_missing(doc, &mut ids);
         ids
     }
 
-    /// Interns the subtree rooted at `n`, reading the children's ids
-    /// from `ids` (they must already be present — postorder discipline).
-    pub fn intern_node(
-        &self,
-        doc: &DocTree,
-        n: NodeId,
-        ids: &SlotMap<InternId>,
-        scratch: &mut Vec<InternId>,
-    ) -> InternId {
-        scratch.clear();
-        for &c in doc.children(n) {
-            let cslot = doc.slot(c).expect("child of a live node is live");
-            scratch.push(*ids.get(cslot).expect("children interned first"));
+    /// Interns every live node of `doc` that has no id in `ids`,
+    /// bottom-up, and records its id there. A node that has an id names
+    /// its whole subtree, so the walk does not descend below it. The
+    /// postorder runs on an explicit stack: a deep document costs heap,
+    /// not call stack.
+    pub fn intern_missing(&mut self, doc: &DocTree, ids: &mut SlotMap<InternId>) {
+        let slot = |n: NodeId| doc.slot(n).expect("the walk visits live nodes");
+        if ids.contains(slot(doc.root())) {
+            return;
         }
-        self.intern(doc.label(n), scratch)
+        // `(node, children pushed)`: a node is interned on its second pop,
+        // after every child below it on the stack.
+        let mut stack = vec![(doc.root(), false)];
+        while let Some((n, expanded)) = stack.pop() {
+            if !expanded {
+                stack.push((n, true));
+                let kids = doc.children(n).iter().rev();
+                stack.extend(
+                    kids.filter(|&&c| !ids.contains(slot(c)))
+                        .map(|&c| (c, false)),
+                );
+                continue;
+            }
+            self.key.clear();
+            self.key.push(doc.label(n).index() as u64);
+            self.key
+                .extend(doc.children(n).iter().map(|&c| ids[slot(c)].0));
+            let id = self.intern_key();
+            ids.insert(slot(n), id);
+        }
     }
 }
 
@@ -199,7 +177,7 @@ mod tests {
     #[test]
     fn structurally_equal_subtrees_coalesce() {
         let mut alpha = Alphabet::new();
-        let interner = Interner::new();
+        let mut interner = Interner::new();
         // same shape, disjoint node identifiers
         let t1 = doc(&mut alpha, 0, "r#0(a#1, d#2(c#3), a#4)");
         let t2 = doc(&mut alpha, 100, "r#100(a#101, d#102(c#103), a#104)");
@@ -221,7 +199,7 @@ mod tests {
     #[test]
     fn distinct_shapes_get_distinct_ids() {
         let mut alpha = Alphabet::new();
-        let interner = Interner::new();
+        let mut interner = Interner::new();
         let t = doc(&mut alpha, 0, "r#0(a#1, b#2, a#3(b#4))");
         let m = interner.intern_doc(&t);
         let slot = |id: u64| t.slot(crate::NodeId(id)).unwrap();
@@ -236,7 +214,7 @@ mod tests {
     #[test]
     fn lookup_never_allocates() {
         let mut alpha = Alphabet::new();
-        let interner = Interner::new();
+        let mut interner = Interner::new();
         let a = alpha.intern("a");
         assert_eq!(interner.lookup(a, &[]), None);
         let id = interner.intern(a, &[]);
@@ -245,30 +223,19 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_interning_agrees_on_ids() {
-        use std::sync::Arc;
+    fn retain_drops_shapes_and_never_reuses_their_ids() {
         let mut alpha = Alphabet::new();
-        let syms: Vec<Sym> = (0..8).map(|i| alpha.intern(&format!("s{i}"))).collect();
-        let interner = Arc::new(Interner::new());
-        let handles: Vec<_> = (0..4)
-            .map(|_| {
-                let interner = Arc::clone(&interner);
-                let syms = syms.clone();
-                std::thread::spawn(move || {
-                    let mut ids = Vec::new();
-                    for &s in &syms {
-                        let leaf = interner.intern(s, &[]);
-                        let pair = interner.intern(s, &[leaf, leaf]);
-                        ids.push((leaf, pair));
-                    }
-                    ids
-                })
-            })
-            .collect();
-        let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for w in results.windows(2) {
-            assert_eq!(w[0], w[1], "every thread sees the same ids");
-        }
-        assert_eq!(interner.len(), 16, "8 leaves + 8 pairs, no duplicates");
+        let mut interner = Interner::new();
+        let (a, b) = (alpha.intern("a"), alpha.intern("b"));
+        let leaf_a = interner.intern(a, &[]);
+        let leaf_b = interner.intern(b, &[]);
+        let pair = interner.intern(a, &[leaf_b, leaf_b]);
+        interner.retain(|id| id != leaf_b);
+        assert_eq!(interner.len(), 2);
+        assert_eq!(interner.lookup(b, &[]), None, "dropped");
+        assert_eq!(interner.lookup(a, &[leaf_b, leaf_b]), Some(pair), "kept");
+        let again = interner.intern(b, &[]);
+        assert!(![leaf_a, leaf_b, pair].contains(&again), "a fresh id");
+        assert_eq!(interner.intern(a, &[]), leaf_a);
     }
 }

@@ -4,9 +4,9 @@
 //!
 //! | oracle | implementation |
 //! |--------|----------------|
-//! | memo-on session (cold + warm) | `Engine` + `Session` over the engine's structure-keyed memo |
+//! | memo-on session (cold + warm) | `Engine` + `Session` over the session's structure-keyed memo |
 //! | memo-off session | same engine stack, `prop_cache(false)` |
-//! | sibling session | a second session of the memo-on engine, served from what the first one stored |
+//! | sibling session | a second session of the memo-on engine, which counts the document again in its own memo |
 //! | one-shot | the `Instance`/`propagate` compatibility layer |
 //! | repair baseline | `xvu_repair` minimal-TED re-materialisation (§6.2) |
 //!
@@ -94,9 +94,6 @@ pub struct OracleOutcome {
     pub repair_distance: Option<usize>,
     /// Memo hits observed by the warm propagation.
     pub cache_hits: u64,
-    /// Memo hits observed by the sibling session (memos stored by the
-    /// first session, found again under independently interned keys).
-    pub sibling_hits: u64,
 }
 
 /// Whether every hidden label roots exactly one tree (no rule, or the
@@ -183,10 +180,9 @@ pub fn differential_check(
     }
     let cache_hits = cached_engine.cache_stats().hits - hits_before_warm;
 
-    // Oracle: the memo across sessions. A sibling session of the same
-    // engine interns the document independently and is served from what
-    // the first session stored — it must be byte-identical.
-    let hits_before_sibling = cached_engine.cache_stats().hits;
+    // Oracle: a sibling session of the same engine interns the document
+    // into a memo of its own and counts it again — it must be
+    // byte-identical.
     let sibling = cached_engine
         .open(&inst.doc)
         .map_err(|e| fail(format!("sibling open failed: {e}")))?;
@@ -199,7 +195,6 @@ pub fn differential_check(
             fingerprint(&ps, &inst.alpha)
         )));
     }
-    let sibling_hits = cached_engine.cache_stats().hits - hits_before_sibling;
 
     // Oracle 3: the one-shot compatibility layer.
     let one_shot_inst = Instance::new(
@@ -386,7 +381,6 @@ pub fn differential_check(
         enumerated,
         repair_distance,
         cache_hits,
-        sibling_hits,
     })
 }
 
@@ -437,9 +431,6 @@ pub struct SweepReport {
     pub repair_checked: usize,
     /// Total warm-path memo hits across all instances.
     pub cache_hits: u64,
-    /// Total memo hits observed by sibling sessions across all instances
-    /// — the interner running under the whole sweep.
-    pub sibling_hits: u64,
     /// Largest optimal-propagation count observed.
     pub max_count: u128,
 }
@@ -458,7 +449,6 @@ pub fn run_sweep(budget: &EnumBudget, cfg: &OracleConfig) -> SweepReport {
         match differential_check(&inst, cfg) {
             Ok(out) => {
                 report.cache_hits += out.cache_hits;
-                report.sibling_hits += out.sibling_hits;
                 report.max_count = report.max_count.max(out.count);
                 if out.enumerated.is_some() {
                     report.enumeration_checked += 1;

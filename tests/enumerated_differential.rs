@@ -73,10 +73,6 @@ fn default_budget_sweep_has_zero_disagreements() {
         report.cache_hits > 0,
         "warm propagations never hit the cache"
     );
-    assert!(
-        report.sibling_hits > 0,
-        "sibling sessions never hit the engine memo"
-    );
     assert!(report.max_count >= 1);
 }
 

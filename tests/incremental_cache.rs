@@ -226,7 +226,7 @@ fn identity_warm_up_misses_once_per_distinct_structure() {
     let view = session.view();
     // Ground truth from an independent interner: the distinct subtree
     // structures of the preserved (visible) source nodes.
-    let interner = Interner::new();
+    let mut interner = Interner::new();
     let ids = interner.intern_doc(&doc);
     let distinct: HashSet<InternId> = view
         .postorder()
