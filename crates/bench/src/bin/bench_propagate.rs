@@ -13,9 +13,10 @@
 //! perf trajectory across PRs is tracked by a checked-in artifact instead
 //! of scraped bench logs. Since schema /5 every workload also carries a
 //! per-phase breakdown (`phases`: instance validation, graph build,
-//! typing, assembly, commit — via `Session::propagate_phased`) and a
-//! `kernel` section times the pooled CSR kernel of
-//! `benches/kernel_layouts.rs` over each workload's harvested graph set.
+//! typing, assembly, commit — read off the session's phase clock,
+//! `Session::phases`) and a `kernel` section times the pooled CSR kernel
+//! of `benches/kernel_layouts.rs` over each workload's harvested graph
+//! set.
 //!
 //! ```text
 //! cargo run --release -p xvu_bench --bin bench_propagate [-- OUT_PATH]
@@ -44,6 +45,12 @@
 //! session still holds after its edits (`memo_entries`), and the
 //! `churn_cross_document` row is gone: each session owns its memo, so no
 //! session starts warm from another's.
+//!
+//! Since schema /10 every `phases` object comes from the session's
+//! always-on phase clock, `commit_ns` included (it was timed from outside
+//! before), and each `admission` and `worst_case` row carries `phases`:
+//! what its median edit by propagate time added to the clock, so the four
+//! propagate phases add up to about `propagate_ms`' median.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -54,7 +61,7 @@ use xvu_bench::{
 };
 use xvu_dtd::parse_dtd;
 use xvu_edit::{nop_script, ELabel, Script};
-use xvu_propagate::{Engine, GraphScratch, Session};
+use xvu_propagate::{Engine, GraphScratch, PhaseBreakdown, Session};
 use xvu_tree::{Alphabet, DocTree, NodeIdGen};
 use xvu_view::parse_annotation;
 use xvu_workload::scenario::{admit_patient, hospital, hospital_doc};
@@ -73,57 +80,53 @@ fn engine_amortized_median_ns(oi: &OwnedInstance, updates: &[Script], runs: usiz
     .as_nanos()
 }
 
-/// Per-phase nanoseconds summed over one workload pass (K updates).
-#[derive(Clone, Copy, Default)]
-struct PhaseSums {
-    instance_ns: u64,
-    graph_build_ns: u64,
-    typing_ns: u64,
-    assemble_ns: u64,
-    commit_ns: u64,
-}
-
 fn median_u64(mut v: Vec<u64>) -> u64 {
     v.sort_unstable();
     v[v.len() / 2]
 }
 
 /// Runs `pass` `runs` times and takes the per-phase median across runs.
-fn phase_medians(runs: usize, mut pass: impl FnMut() -> PhaseSums) -> PhaseSums {
-    let samples: Vec<PhaseSums> = (0..runs.max(1)).map(|_| pass()).collect();
-    PhaseSums {
-        instance_ns: median_u64(samples.iter().map(|s| s.instance_ns).collect()),
-        graph_build_ns: median_u64(samples.iter().map(|s| s.graph_build_ns).collect()),
-        typing_ns: median_u64(samples.iter().map(|s| s.typing_ns).collect()),
-        assemble_ns: median_u64(samples.iter().map(|s| s.assemble_ns).collect()),
-        commit_ns: median_u64(samples.iter().map(|s| s.commit_ns).collect()),
+fn phase_medians(runs: usize, mut pass: impl FnMut() -> PhaseBreakdown) -> PhaseBreakdown {
+    let samples: Vec<PhaseBreakdown> = (0..runs.max(1)).map(|_| pass()).collect();
+    let median =
+        |phase: fn(&PhaseBreakdown) -> u64| median_u64(samples.iter().map(phase).collect());
+    PhaseBreakdown {
+        instance_ns: median(|p| p.instance_ns),
+        graph_build_ns: median(|p| p.graph_build_ns),
+        typing_ns: median(|p| p.typing_ns),
+        assemble_ns: median(|p| p.assemble_ns),
+        commit_ns: median(|p| p.commit_ns),
     }
 }
 
-/// One phased pass over a workload: `Session::propagate_phased` per
-/// update, plus an externally timed `commit` when `commit` is set (the
-/// churn regime). Sums are per pass; medians are taken across passes.
-fn phased_pass(oi: &OwnedInstance, updates: &[Script], commit: bool) -> PhaseSums {
+/// What the phase clock gained from `before` to `after`.
+fn phase_delta(after: PhaseBreakdown, before: PhaseBreakdown) -> PhaseBreakdown {
+    PhaseBreakdown {
+        instance_ns: after.instance_ns - before.instance_ns,
+        graph_build_ns: after.graph_build_ns - before.graph_build_ns,
+        typing_ns: after.typing_ns - before.typing_ns,
+        assemble_ns: after.assemble_ns - before.assemble_ns,
+        commit_ns: after.commit_ns - before.commit_ns,
+    }
+}
+
+/// One pass over a workload through a fresh session: `Session::propagate`
+/// per update, each committed when `commit` is set (the churn regime).
+/// Returns the session's phase clock: per-phase sums over the pass.
+fn phased_pass(oi: &OwnedInstance, updates: &[Script], commit: bool) -> PhaseBreakdown {
     let engine = oi.engine();
     let mut session = engine.open(&oi.doc).expect("valid document");
-    let mut sums = PhaseSums::default();
     for u in updates {
-        let (prop, phases) = session.propagate_phased(u).expect("Theorem 5");
-        sums.instance_ns += phases.instance_ns;
-        sums.graph_build_ns += phases.graph_build_ns;
-        sums.typing_ns += phases.typing_ns;
-        sums.assemble_ns += phases.assemble_ns;
+        let prop = session.propagate(u).expect("Theorem 5");
         if commit {
-            let t0 = Instant::now();
             session.commit(&prop).expect("propagation commits");
-            sums.commit_ns += t0.elapsed().as_nanos() as u64;
         }
         black_box(prop.cost);
     }
-    sums
+    session.phases()
 }
 
-fn phases_json(p: &PhaseSums) -> String {
+fn phases_json(p: &PhaseBreakdown) -> String {
     format!(
         "\"phases\": {{ \"instance_ns\": {}, \"graph_build_ns\": {}, \"typing_ns\": {}, \
          \"assemble_ns\": {}, \"commit_ns\": {} }}",
@@ -136,7 +139,7 @@ struct Row {
     updates: usize,
     doc_nodes: usize,
     median_ns: u128,
-    phases: PhaseSums,
+    phases: PhaseBreakdown,
 }
 
 /// One workload's kernel row: median ns for one pooled best-cost sweep
@@ -212,37 +215,63 @@ impl Spread {
     }
 }
 
+/// The timings of one row's edits.
+struct Timed {
+    propagate_ms: Spread,
+    commit_ms: Spread,
+    /// What the median edit by propagate time added to the phase clock:
+    /// its four propagate phases add up to about `propagate_ms.median`.
+    phases: PhaseBreakdown,
+}
+
 /// One document size of the admission arm.
 struct AdmissionRow {
     departments: usize,
     doc_nodes: usize,
-    propagate_ms: Spread,
-    commit_ms: Spread,
+    timed: Timed,
 }
 
 /// Times `warmup + updates` edits through `session`, each built by
 /// `next` outside the timed region: `Session::propagate` and
-/// `Session::commit` timed separately, the first `warmup` edits untimed.
+/// `Session::commit` timed separately, the first `warmup` edits untimed,
+/// and what each timed edit added to the session's phase clock.
 fn timed_edits(
     session: &mut Session<'_>,
     warmup: usize,
     updates: usize,
     mut next: impl FnMut(&Session<'_>) -> Script,
-) -> (Spread, Spread) {
-    let (mut propagate, mut commit) = (Vec::new(), Vec::new());
+) -> Timed {
+    let mut edits = Vec::new();
     for i in 0..warmup + updates {
         let update = next(session);
+        let before = session.phases();
         let t0 = Instant::now();
         let prop = session.propagate(&update).expect("the edit propagates");
         let t1 = Instant::now();
         session.commit(&prop).expect("the edit commits");
         let t2 = Instant::now();
         if i >= warmup {
-            propagate.push(t1 - t0);
-            commit.push(t2 - t1);
+            edits.push((t1 - t0, t2 - t1, phase_delta(session.phases(), before)));
         }
     }
-    (Spread::of(propagate), Spread::of(commit))
+    edits.sort_by_key(|&(propagate, ..)| propagate);
+    Timed {
+        propagate_ms: Spread::of(edits.iter().map(|e| e.0).collect()),
+        commit_ms: Spread::of(edits.iter().map(|e| e.1).collect()),
+        phases: edits[edits.len() / 2].2,
+    }
+}
+
+impl Timed {
+    /// The row's timing fields, as JSON members.
+    fn json(&self) -> String {
+        format!(
+            "\"propagate_ms\": {}, \"commit_ms\": {}, {}",
+            self.propagate_ms.json(),
+            self.commit_ms.json(),
+            phases_json(&self.phases),
+        )
+    }
 }
 
 /// Admissions into department 0 of a `departments × 125` hospital
@@ -256,15 +285,14 @@ fn admission_row(departments: usize, warmup: usize, updates: usize) -> Admission
     let doc = hospital_doc(&h, departments, 125, &mut gen);
     let engine = Engine::new(h.alpha.clone(), h.dtd.clone(), h.ann.clone());
     let mut session = engine.open(&doc).expect("hospital documents are valid");
-    let (propagate_ms, commit_ms) = timed_edits(&mut session, warmup, updates, |session| {
+    let timed = timed_edits(&mut session, warmup, updates, |session| {
         let mut ids = session.id_gen();
         admit_patient(&h, session.document(), 0, &mut ids)
     });
     AdmissionRow {
         departments,
         doc_nodes: doc.size(),
-        propagate_ms,
-        commit_ms,
+        timed,
     }
 }
 
@@ -272,8 +300,7 @@ fn admission_row(departments: usize, warmup: usize, updates: usize) -> Admission
 struct ShapeRow {
     size: usize,
     doc_nodes: usize,
-    propagate_ms: Spread,
-    commit_ms: Spread,
+    timed: Timed,
     /// Memo entries the session holds after its edits.
     memo_entries: usize,
 }
@@ -293,7 +320,7 @@ fn star_row(children: usize, warmup: usize, updates: usize) -> ShapeRow {
     }
     let engine = Engine::new(alpha, dtd, ann);
     let mut session = engine.open(&doc).expect("the star is valid");
-    let (propagate_ms, commit_ms) = timed_edits(&mut session, warmup, updates, |session| {
+    let timed = timed_edits(&mut session, warmup, updates, |session| {
         let mut update = nop_script(session.view());
         let fresh = session.id_gen().fresh();
         update
@@ -304,8 +331,7 @@ fn star_row(children: usize, warmup: usize, updates: usize) -> ShapeRow {
     ShapeRow {
         size: children,
         doc_nodes: doc.size(),
-        propagate_ms,
-        commit_ms,
+        timed,
         memo_entries: engine.cache_stats().entries,
     }
 }
@@ -332,7 +358,7 @@ fn chain_row(levels: usize, warmup: usize, updates: usize) -> ShapeRow {
     doc.add_child(bottom, &mut gen, b);
     let engine = Engine::new(alpha, dtd, ann);
     let mut session = engine.open(&doc).expect("the chain is valid");
-    let (propagate_ms, commit_ms) = timed_edits(&mut session, warmup, updates, |session| {
+    let timed = timed_edits(&mut session, warmup, updates, |session| {
         let mut update = nop_script(session.view());
         let fresh = session.id_gen().fresh();
         update
@@ -344,8 +370,7 @@ fn chain_row(levels: usize, warmup: usize, updates: usize) -> ShapeRow {
     ShapeRow {
         size: levels,
         doc_nodes: doc.size(),
-        propagate_ms,
-        commit_ms,
+        timed,
         memo_entries: engine.cache_stats().entries,
     }
 }
@@ -358,11 +383,10 @@ fn shape_rows_json(rows: &[ShapeRow], key: &str, updates: usize) -> String {
         .map(|r| {
             format!(
                 "      {{ \"{key}\": {}, \"doc_nodes\": {}, \"updates\": {updates}, \
-                 \"propagate_ms\": {}, \"commit_ms\": {}, \"memo_entries\": {} }}",
+                 {}, \"memo_entries\": {} }}",
                 r.size,
                 r.doc_nodes,
-                r.propagate_ms.json(),
-                r.commit_ms.json(),
+                r.timed.json(),
                 r.memo_entries,
             )
         })
@@ -445,8 +469,8 @@ fn main() {
         &admission_rows[0],
         &admission_rows[admission_rows.len() - 1],
     );
-    let ratio = (last.propagate_ms.median + last.commit_ms.median)
-        / (first.propagate_ms.median + first.commit_ms.median);
+    let ratio = (last.timed.propagate_ms.median + last.timed.commit_ms.median)
+        / (first.timed.propagate_ms.median + first.timed.commit_ms.median);
 
     // Worst-case shapes, same timed region: the star's root and the
     // chain's whole spine are dirty on every edit.
@@ -464,16 +488,17 @@ fn main() {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-propagate/9\",\n");
+    json.push_str("  \"schema\": \"xvu-bench-propagate/10\",\n");
     json.push_str(&format!(
         "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
         git_revision()
     ));
     json.push_str("  \"timed_region\": \"engine compile + session open + K propagations\",\n");
     json.push_str(
-        "  \"phases_note\": \"phases are per-phase ns summed over the K updates of one warm \
-         pass (Session::propagate_phased + externally timed commit), medians across runs, \
-         measured outside the median_ns region\",\n",
+        "  \"phases_note\": \"workload phases are per-phase ns summed over the K updates of one \
+         pass, read off the session's phase clock (Session::phases), medians across runs, \
+         measured outside the median_ns region; admission and worst_case phases are those of \
+         the median edit by propagate time\",\n",
     );
     json.push_str(&format!("  \"runs_per_median\": {RUNS},\n"));
     json.push_str("  \"workloads\": {\n");
@@ -548,12 +573,10 @@ fn main() {
     ));
     for (i, r) in admission_rows.iter().enumerate() {
         json.push_str(&format!(
-            "      {{ \"departments\": {}, \"doc_nodes\": {}, \"updates\": {ADMISSIONS}, \
-             \"propagate_ms\": {}, \"commit_ms\": {} }}{}\n",
+            "      {{ \"departments\": {}, \"doc_nodes\": {}, \"updates\": {ADMISSIONS}, {} }}{}\n",
             r.departments,
             r.doc_nodes,
-            r.propagate_ms.json(),
-            r.commit_ms.json(),
+            r.timed.json(),
             if i + 1 == admission_rows.len() {
                 ""
             } else {

@@ -237,6 +237,7 @@ pub fn check_script(s: &Script, t: Option<&DocTree>) -> ScriptCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::script::{input_tree, output_tree};
     use crate::term::parse_script;
     use xvu_tree::Alphabet;
 
@@ -302,5 +303,41 @@ mod tests {
         .unwrap();
         let fp = script_footprint(&s);
         assert_eq!(fp.changed(), &[NodeId(1), NodeId(2), NodeId(6)]);
+    }
+
+    #[test]
+    fn changed_nop_parents_and_their_ancestors_are_the_changed_subtrees() {
+        // What a commit re-interns: each changed `Nop` node of the
+        // footprint and its ancestors, all `Nop`, are exactly the nodes of
+        // both `In(S)` and `Out(S)` whose subtree differs between the two.
+        let mut alpha = Alphabet::new();
+        for term in [
+            "nop:r#0(del:a#1, del:d#3(del:c#8), nop:a#4, \
+             ins:d#11(ins:c#13, ins:c#14), ins:a#12, nop:d#6(nop:c#10, ins:c#15))",
+            "nop:r#0(nop:a#1(nop:b#2(del:c#3), nop:d#4), nop:e#5(nop:f#6))",
+            "nop:r#0(nop:a#1(nop:b#2, ins:x#9(ins:y#10)), nop:c#3(nop:d#4(del:e#5)))",
+            "nop:r#0(nop:a#1, nop:b#2)",
+        ] {
+            let s = parse_script(&mut alpha, term).unwrap();
+            let mut region = Vec::new();
+            for &n in script_footprint(&s).changed() {
+                let mut cur = Some(n).filter(|&n| s.label(n).op == EditOp::Nop);
+                while let Some(a) = cur {
+                    assert_eq!(s.label(a).op, EditOp::Nop, "{term}");
+                    if !region.contains(&a) {
+                        region.push(a);
+                    }
+                    cur = s.parent(a);
+                }
+            }
+            region.sort();
+            let (input, output) = (input_tree(&s).unwrap(), output_tree(&s).unwrap());
+            let mut differ: Vec<NodeId> = input
+                .node_ids()
+                .filter(|&n| output.contains(n) && input.subtree(n) != output.subtree(n))
+                .collect();
+            differ.sort();
+            assert_eq!(region, differ, "{term}");
+        }
     }
 }

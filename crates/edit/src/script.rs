@@ -89,13 +89,13 @@ pub fn apply(s: &Script, t: &DocTree) -> Result<DocTree, EditError> {
 /// untouched regions of `t` alone.
 ///
 /// Semantically equivalent to [`apply`] (`*t == apply(s, &t_before)?`
-/// afterwards), but it never materialises the input or output tree, and —
-/// because only the edited regions are mutated — `t`'s change journal
-/// ([`xvu_tree::Tree::set_change_tracking`]) records exactly the nodes
-/// whose child word the script changed. The script is read once, by
-/// [`check_script`]; the mutation then visits only the footprint's
-/// changed parents ([`apply_checked`]). Validation runs entirely before
-/// the first mutation: on any `Err`, `t` is unchanged.
+/// afterwards), but it never materialises the input or output tree, and
+/// only the edited regions are mutated: the child lists of the changed
+/// `Nop` parents of the script's footprint
+/// ([`crate::ScriptFootprint::changed`]), and no other node's. The script
+/// is read once, by [`check_script`]; the mutation then visits only those
+/// parents ([`apply_checked`]). Validation runs entirely before the first
+/// mutation: on any `Err`, `t` is unchanged.
 pub fn apply_in_place(t: &mut DocTree, s: &Script) -> Result<(), EditError> {
     let check = check_script(s, Some(t));
     apply_checked(t, s, &check)
@@ -355,19 +355,32 @@ mod tests {
     }
 
     #[test]
-    fn apply_in_place_journals_exactly_the_edited_parents() {
+    fn apply_in_place_changes_only_the_edited_parents_lists() {
         let mut alpha = Alphabet::new();
         let s = s0(&mut alpha);
         let mut gen = NodeIdGen::new();
-        let mut t = parse_term_with_ids(&mut alpha, &mut gen, "r#0(a#1, d#3(c#8), a#4, d#6(c#10))")
-            .unwrap();
-        t.set_change_tracking(true);
+        let before =
+            parse_term_with_ids(&mut alpha, &mut gen, "r#0(a#1, d#3(c#8), a#4, d#6(c#10))")
+                .unwrap();
+        let mut t = before.clone();
         apply_in_place(&mut t, &s).unwrap();
-        let mut changed = t.take_changed_parents();
-        changed.sort();
         // S0 edits the child lists of r#0 (dels + inserts) and d#6 (ins
-        // c#15); d#3 is deleted whole so it no longer journals.
-        assert_eq!(changed, vec![NodeId(0), NodeId(6)]);
+        // c#15), the changed `Nop` parents of its footprint; d#3 is
+        // deleted whole, and every other surviving node keeps its list.
+        let edited: Vec<NodeId> = before
+            .preorder()
+            .filter(|&n| t.contains(n) && t.children(n) != before.children(n))
+            .collect();
+        assert_eq!(edited, vec![NodeId(0), NodeId(6)]);
+        let changed = check_script(&s, Some(&before));
+        let nop_parents: Vec<NodeId> = changed
+            .footprint()
+            .changed()
+            .iter()
+            .copied()
+            .filter(|&n| s.label(n).op == EditOp::Nop)
+            .collect();
+        assert_eq!(nop_parents, edited);
     }
 
     #[test]

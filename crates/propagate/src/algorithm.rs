@@ -45,12 +45,12 @@ impl Default for Config {
     }
 }
 
-/// Wall-clock decomposition of one propagation. All values are
-/// nanoseconds. The kernel fills the graph/typing/assembly phases;
-/// `instance_ns` belongs to the caller that constructs (or diffs) the
-/// instance — [`crate::Session::propagate_phased`] fills it, and the bench
-/// harness times the commit phase externally.
-#[derive(Clone, Copy, Debug, Default)]
+/// Wall-clock time by phase, in nanoseconds: a session's phase clock
+/// ([`crate::Session::phases`]), which every [`crate::Session::propagate`]
+/// and every successful [`crate::Session::commit`] adds to. The kernel
+/// adds the graph, typing and assembly phases of each propagation; the
+/// session adds instance assembly and commit.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseBreakdown {
     /// Instance construction and validation.
     pub instance_ns: u64,
@@ -60,6 +60,9 @@ pub struct PhaseBreakdown {
     pub typing_ns: u64,
     /// Path selection and script assembly.
     pub assemble_ns: u64,
+    /// Committing a propagation: the script check, revalidation, the
+    /// in-place apply, re-interning and the view patch.
+    pub commit_ns: u64,
 }
 
 /// The result of a propagation: the script, its cost, and the graphs it
@@ -101,37 +104,31 @@ pub(crate) fn propagate_with(
     cost: &CostModel<'_>,
     cfg: &Config,
 ) -> Result<Propagation, PropagateError> {
-    propagate_with_memo(inst, cost, cfg, None, &mut PropScratch::new(), None)
+    let mut phases = PhaseBreakdown::default();
+    propagate_with_memo(inst, cost, cfg, None, &mut PropScratch::new(), &mut phases)
 }
 
 /// The memo-aware propagation core: with `memo` the forest is a skeleton
 /// ([`PropagationForest`]): graphs are built only inside the update's
 /// footprint, each clean child is the identity at cost 0, and the script
 /// copies it from the source. Without `memo` this is exactly
-/// [`propagate_with`]; with it the result is byte-identical.
+/// [`propagate_with`]; with it the result is byte-identical. The graph,
+/// typing and assembly time is added to `phases`.
 pub(crate) fn propagate_with_memo(
     inst: &Instance<'_>,
     cost: &CostModel<'_>,
     cfg: &Config,
     memo: Option<&mut MemoTable>,
     scratch: &mut PropScratch,
-    mut phases: Option<&mut PhaseBreakdown>,
+    phases: &mut PhaseBreakdown,
 ) -> Result<Propagation, PropagateError> {
-    let t0 = phases.is_some().then(Instant::now);
-    let mut typing_ns = 0u64;
-    let forest = PropagationForest::build_with(
-        inst,
-        cost,
-        memo,
-        scratch,
-        phases.is_some().then_some(&mut typing_ns),
-    )?;
-    if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
-        let total = t0.elapsed().as_nanos() as u64;
-        p.typing_ns = typing_ns;
-        p.graph_build_ns = total.saturating_sub(typing_ns);
-    }
-    let t1 = phases.is_some().then(Instant::now);
+    let t0 = Instant::now();
+    let mut typing_ns = 0;
+    let forest = PropagationForest::build_with(inst, cost, memo, scratch, &mut typing_ns);
+    phases.typing_ns += typing_ns;
+    phases.graph_build_ns += nanos_since(t0).saturating_sub(typing_ns);
+    let forest = forest?;
+    let t1 = Instant::now();
     let script = assemble(inst, &forest, cost, cfg, |n| {
         let opt = forest
             .graph(n)
@@ -142,10 +139,9 @@ pub(crate) fn propagate_with_memo(
             .walk(|g, outs| cfg.selector.pick(g, outs))
             .ok_or(PropagateError::NoPropagationPath(n))?;
         Ok(path.iter().map(|&e| opt.edge(e).payload.clone()).collect())
-    })?;
-    if let (Some(p), Some(t1)) = (phases, t1) {
-        p.assemble_ns = t1.elapsed().as_nanos() as u64;
-    }
+    });
+    phases.assemble_ns += nanos_since(t1);
+    let script = script?;
     let cost_total = forest.optimal_cost();
     debug_assert_eq!(xvu_edit::cost(&script) as u64, cost_total);
     Ok(Propagation {
@@ -153,6 +149,11 @@ pub(crate) fn propagate_with_memo(
         cost: cost_total,
         forest,
     })
+}
+
+/// The nanoseconds since `t0`.
+pub(crate) fn nanos_since(t0: Instant) -> u64 {
+    t0.elapsed().as_nanos() as u64
 }
 
 /// Convenience entry point for applications that edit the *view tree*

@@ -40,18 +40,23 @@
 //! id — so nothing is ever invalidated. [`crate::Session::commit`]
 //! updates the id map in place (a live node's slot never moves): it drops
 //! the ids of the slots it deleted, inserted (an insert may reuse a
-//! vacated slot) or left in the dirty region (the edited parents and
-//! their ancestors), and re-interns exactly those bottom-up, on an
-//! explicit stack.
+//! vacated slot) or left in the dirty region (the edited parents of the
+//! committed script's footprint and their ancestors), and re-interns
+//! exactly those bottom-up, on an explicit stack.
 //!
-//! Replaced shapes stay until a sweep: once the interner holds more than
-//! twice the shapes the last sweep kept, and more than [`SWEEP_FLOOR`],
-//! the commit keeps only the shapes the id map names — the document's
-//! distinct shapes — and their entries. After every commit a session so
-//! holds at most `max(2 × kept, SWEEP_FLOOR)` shapes, and no more entries
-//! than shapes. The id counter never goes back, so a swept id is never
-//! minted again: an id names one shape for the table's whole life, and no
-//! entry is read for a shape it was not stored for.
+//! Replaced shapes stay until a sweep, which keeps only the shapes the id
+//! map names — the document's distinct shapes — and their entries. A
+//! commit sweeps once the interner holds more than twice the shapes the
+//! last sweep kept and more than [`SWEEP_FLOOR`], or more than twice the
+//! key words the last sweep kept and more than [`SWEEP_FLOOR_WORDS`]: a
+//! shape's key has a word per child, so a wide node's replaced shapes
+//! weigh their width. After every commit a session so holds at most
+//! `max(2 × kept, SWEEP_FLOOR)` shapes of at most
+//! `max(2 × kept words, SWEEP_FLOOR_WORDS)` key words, and no more entries
+//! than shapes; an entry's typing run has a state per child, so the runs
+//! are bounded with the keys. The id counter never goes back, so a swept
+//! id is never minted again: an id names one shape for the table's whole
+//! life, and no entry is read for a shape it was not stored for.
 //!
 //! Each operation adds its clean-subtree hits and misses (one lookup per
 //! clean child its skeleton walk stops at) and its new entries to the
@@ -67,6 +72,11 @@ use xvu_tree::{DocTree, InternId, Interner, Slot, SlotMap};
 /// The fewest shapes a session holds before a commit may sweep its memo
 /// (see the [module docs](self)).
 pub const SWEEP_FLOOR: usize = 256;
+
+/// The fewest key words (8 bytes each) a session's interner holds before
+/// a commit may sweep its memo for their sake (see the
+/// [module docs](self)).
+pub const SWEEP_FLOOR_WORDS: usize = 1 << 16;
 
 /// One structure's memoised artefacts.
 #[derive(Clone, Debug, Default)]
@@ -148,6 +158,8 @@ pub(crate) struct MemoTable {
     pub(crate) ids: SlotMap<InternId>,
     /// Shapes the last sweep kept (0 before the first).
     kept: usize,
+    /// Key words the last sweep kept (0 before the first).
+    kept_words: usize,
 }
 
 impl MemoTable {
@@ -162,20 +174,39 @@ impl MemoTable {
             entries: HashMap::new(),
             ids,
             kept: 0,
+            kept_words: 0,
         }
     }
 
     /// Commit support: drops the ids of the `stale` slots — the nodes a
-    /// commit deleted, inserted or left in its dirty region (edited
-    /// parents plus all their ancestors) — re-interns every live node of
-    /// `doc` left without one, and sweeps when the interner has grown past
-    /// its bound. Every other id stays where it is: slots never move.
-    pub(crate) fn refresh(&mut self, doc: &DocTree, stale: &[Slot]) {
+    /// commit deleted or inserted — and of its dirty region: each `edited`
+    /// parent and all its ancestors. Then re-interns every live node of
+    /// `doc` left without an id, and sweeps when the interner has grown
+    /// past its bound. Every other id stays where it is: slots never move.
+    pub(crate) fn refresh(
+        &mut self,
+        doc: &DocTree,
+        stale: &[Slot],
+        edited: impl IntoIterator<Item = Slot>,
+    ) {
         for &slot in stale {
             self.ids.remove(slot);
         }
+        // An edited parent or ancestor is a node the commit kept, so it
+        // had an id until a walk from an earlier parent dropped it, and
+        // the ids above it with it.
+        for slot in edited {
+            let mut cur = Some(slot);
+            while let Some(s) = cur.filter(|&s| self.ids.remove(s).is_some()) {
+                let parent = doc.node_at(s).parent;
+                cur = parent.map(|p| doc.slot(p).expect("ancestors are live"));
+            }
+        }
         self.interner.intern_missing(doc, &mut self.ids);
-        if self.interner.len() > SWEEP_FLOOR.max(2 * self.kept) {
+        let (shapes, words) = (self.interner.len(), self.interner.key_words());
+        if shapes > SWEEP_FLOOR.max(2 * self.kept)
+            || words > SWEEP_FLOOR_WORDS.max(2 * self.kept_words)
+        {
             self.sweep();
         }
     }
@@ -187,6 +218,7 @@ impl MemoTable {
         self.interner.retain(|id| live.contains(&id));
         self.entries.retain(|id, _| live.contains(id));
         self.kept = self.interner.len();
+        self.kept_words = self.interner.key_words();
         let t = &self.tallies;
         t.sweeps.fetch_add(1, Ordering::Relaxed);
         t.entries
@@ -207,6 +239,7 @@ impl Clone for MemoTable {
             entries: self.entries.clone(),
             ids: self.ids.clone(),
             kept: self.kept,
+            kept_words: self.kept_words,
         }
     }
 }
@@ -510,6 +543,60 @@ mod tests {
     }
 
     #[test]
+    fn wide_shapes_are_swept_by_their_key_words() {
+        // r → (a+b)*, nothing hidden: a star of 2,000 alternating `a`/`b`
+        // children. Every other edit inserts an `a` at a new position and
+        // the next one deletes it, so each insert gives the root a new
+        // 2,001-word shape while the document keeps its size and the
+        // shape count stays far below `SWEEP_FLOOR`. After every commit the
+        // interner holds at most max(2 × kept words, SWEEP_FLOOR_WORDS) key
+        // words, and a sweep keeps exactly the document's.
+        const WIDTH: usize = 2_000;
+        let mut alpha = Alphabet::new();
+        let dtd = xvu_dtd::parse_dtd(&mut alpha, "r -> (a+b)*").unwrap();
+        let ann = xvu_view::parse_annotation(&mut alpha, "").unwrap();
+        let [r, a, b] = ["r", "a", "b"].map(|l| alpha.get(l).unwrap());
+        let mut gen = NodeIdGen::new();
+        let mut doc = DocTree::leaf(&mut gen, r);
+        let root = doc.root();
+        for i in 0..WIDTH {
+            doc.add_child(root, &mut gen, if i % 2 == 0 { a } else { b });
+        }
+        let engine = crate::Engine::new(alpha, dtd, ann);
+        let mut session = engine.open(&doc).unwrap();
+        let mut inserted = None;
+        for step in 0..300 {
+            let mut update = xvu_edit::nop_script(session.view());
+            match inserted.take() {
+                None => {
+                    let fresh = session.id_gen().fresh();
+                    let leaf = xvu_edit::Script::leaf_with_id(fresh, xvu_edit::ELabel::ins(a));
+                    update.attach_subtree(root, step * 7 % WIDTH, leaf).unwrap();
+                    inserted = Some(fresh);
+                }
+                Some(n) => update
+                    .relabel_subtree(n, |l| xvu_edit::ELabel::del(l.label))
+                    .unwrap(),
+            }
+            let prop = session.propagate(&update).unwrap();
+            let sweeps = engine.cache_stats().sweeps;
+            session.commit(&prop).unwrap();
+            let (words, kept) = session.with_memo_table(|t| (t.interner.key_words(), t.kept_words));
+            assert!(
+                words <= SWEEP_FLOOR_WORDS.max(2 * kept),
+                "step {step}: {words} key words"
+            );
+            if engine.cache_stats().sweeps > sweeps {
+                let mut distinct = Interner::new();
+                distinct.intern_doc(session.document());
+                assert_eq!(words, distinct.key_words(), "step {step}");
+            }
+        }
+        let stats = engine.cache_stats();
+        assert!(stats.sweeps >= 3, "{stats:?}");
+    }
+
+    #[test]
     fn a_clone_copies_the_table_and_counts_its_entries() {
         let fx = crate::fixtures::paper_running_example();
         let engine = crate::Engine::new(fx.alpha.clone(), fx.dtd.clone(), fx.ann.clone());
@@ -545,11 +632,12 @@ mod tests {
         }
         let mut interner = Interner::new();
         let mut ids = interner.intern_doc(&doc);
-        doc.set_change_tracking(true);
         doc.add_child(leaf, &mut gen, b);
         // the edited leaf and every ancestor lose their ids, as at commit
-        for n in doc.drain_dirty_to_root() {
+        let mut dirty = Some(leaf);
+        while let Some(n) = dirty {
             ids.remove(doc.slot(n).unwrap());
+            dirty = doc.parent(n);
         }
         assert_eq!(ids.len(), 0, "the whole chain is dirty");
         let (doc, ids) = std::thread::Builder::new()

@@ -59,7 +59,9 @@
 //! assert_eq!(session.commits(), 1);
 //! ```
 
-use crate::algorithm::{propagate_with, propagate_with_memo, Config, PhaseBreakdown, Propagation};
+use crate::algorithm::{
+    nanos_since, propagate_with, propagate_with_memo, Config, PhaseBreakdown, Propagation,
+};
 use crate::cache::{CacheStats, MemoTable, Tallies};
 use crate::complement::find_complement_preserving_with;
 use crate::cost::CostModel;
@@ -76,7 +78,7 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 use xvu_dtd::{min_sizes, Dtd, InsertletPackage, MinSizes};
 use xvu_edit::{apply_checked, check_script, EditError, EditOp, Script};
-use xvu_tree::{Alphabet, DocTree, NodeIdGen, Slot};
+use xvu_tree::{Alphabet, DocTree, NodeId, NodeIdGen, Slot};
 use xvu_view::{derive_view_dtd, Annotation};
 
 /// A compiled `(Σ, D, A)` triple with every update-independent artefact
@@ -300,17 +302,15 @@ impl Engine {
     /// Validates `doc ∈ L(D)` once and opens a session serving repeated
     /// updates against it.
     ///
-    /// The session interns its document into its own memo up front, so
-    /// every node carries its structural memo key from the first update
-    /// on, and runs its copy of the document with change tracking on:
-    /// [`Session::commit`] applies propagations in place and drains the
-    /// dirty journal to re-intern exactly the changed region.
+    /// The session interns its copy of the document into its own memo up
+    /// front, so every node carries its structural memo key from the first
+    /// update on: [`Session::commit`] applies propagations in place and
+    /// re-interns exactly the region each one changed.
     pub fn open(&self, doc: &DocTree) -> Result<Session<'_>, PropagateError> {
         self.dtd
             .validate(doc)
             .map_err(PropagateError::SourceNotValid)?;
-        let mut doc = doc.clone();
-        doc.set_change_tracking(true);
+        let doc = doc.clone();
         let memo = self.memo_for(&doc);
         Ok(Session {
             engine: self,
@@ -320,6 +320,7 @@ impl Engine {
             work: Mutex::new(Work {
                 scratch: PropScratch::new(),
                 memo,
+                phases: PhaseBreakdown::default(),
             }),
         })
     }
@@ -379,7 +380,7 @@ pub struct Session<'e> {
     prepared: Prepared,
     doc: DocTree,
     commits: u64,
-    /// The session's kernel scratch and memo. The mutex keeps
+    /// The session's kernel scratch, memo and phase clock. The mutex keeps
     /// `propagate(&self)` ergonomic and `Session: Sync`; it is
     /// uncontended (a session belongs to one worker at a time).
     work: Mutex<Work>,
@@ -394,6 +395,8 @@ struct Work {
     /// The session's memo (`None` with the memo off). Its id map changes
     /// only in [`Session::commit`].
     memo: Option<MemoTable>,
+    /// The session's phase clock ([`Session::phases`]).
+    phases: PhaseBreakdown,
 }
 
 impl Clone for Session<'_> {
@@ -409,6 +412,8 @@ impl Clone for Session<'_> {
                 // The ids only mean something to the interner that minted
                 // them: the clone copies the whole table.
                 memo: self.work().memo.clone(),
+                // The clone's clock counts its own operations.
+                phases: PhaseBreakdown::default(),
             }),
         }
     }
@@ -447,6 +452,17 @@ impl<'e> Session<'e> {
         self.commits
     }
 
+    /// The session's phase clock: the wall-clock time it has spent in each
+    /// phase since it opened. Every [`Session::propagate`], a failed one
+    /// included, adds its instance assembly, graph build, typing and
+    /// script assembly, and every successful [`Session::commit`] its whole
+    /// time; nothing else adds to it, so it only grows. The clock is always
+    /// on, at a few clock reads per operation and two per node whose graph
+    /// is built.
+    pub fn phases(&self) -> PhaseBreakdown {
+        self.work().phases
+    }
+
     /// A fresh-identifier generator positioned past every identifier of
     /// the current document — hand it to update builders and parsers so
     /// new view nodes never collide with hidden source nodes.
@@ -469,13 +485,11 @@ impl<'e> Session<'e> {
         self.prepared.gen.merge(gen);
     }
 
-    /// Closes the session, handing back its current document (change
-    /// tracking off) without copying it — what a serving layer keeps when
-    /// it evicts the session. The session's memo goes with it.
+    /// Closes the session, handing back its current document without
+    /// copying it — what a serving layer keeps when it evicts the session.
+    /// The session's memo goes with it.
     pub fn into_document(self) -> DocTree {
-        let mut doc = self.doc;
-        doc.set_change_tracking(false);
-        doc
+        self.doc
     }
 
     /// Assembles the validated [`Instance`] for `update` against the
@@ -501,45 +515,20 @@ impl<'e> Session<'e> {
     ///
     /// With the memo on, graphs are built only inside the update's
     /// footprint, and every clean node outside it is the identity at cost
-    /// 0; the result is byte-identical to an unmemoised computation.
+    /// 0; the result is byte-identical to an unmemoised computation. Its
+    /// time goes on the session's phase clock.
     pub fn propagate(&self, update: &Script) -> Result<Propagation, PropagateError> {
-        self.propagate_timed(update, None)
-    }
-
-    /// [`Session::propagate`] with a wall-clock [`PhaseBreakdown`]:
-    /// instance assembly, graph construction, typing, and script assembly
-    /// are timed individually (the bench harness's per-phase rows). The
-    /// propagation itself is exactly what [`Session::propagate`] returns.
-    pub fn propagate_phased(
-        &self,
-        update: &Script,
-    ) -> Result<(Propagation, PhaseBreakdown), PropagateError> {
-        let mut phases = PhaseBreakdown::default();
-        let prop = self.propagate_timed(update, Some(&mut phases))?;
-        Ok((prop, phases))
-    }
-
-    /// The one body of [`Session::propagate`] and
-    /// [`Session::propagate_phased`]: times the phases into `phases` when
-    /// given.
-    fn propagate_timed(
-        &self,
-        update: &Script,
-        mut phases: Option<&mut PhaseBreakdown>,
-    ) -> Result<Propagation, PropagateError> {
-        let t0 = phases.is_some().then(Instant::now);
-        let inst = self.instance(update)?;
-        if let (Some(p), Some(t0)) = (phases.as_deref_mut(), t0) {
-            p.instance_ns = t0.elapsed().as_nanos() as u64;
-        }
+        let t0 = Instant::now();
+        let inst = self.instance(update);
         let work = &mut *self.work();
+        work.phases.instance_ns += nanos_since(t0);
         propagate_with_memo(
-            &inst,
+            &inst?,
             &self.engine.cost_model(),
             &self.engine.config,
             work.memo.as_mut(),
             &mut work.scratch,
-            phases,
+            &mut work.phases,
         )
     }
 
@@ -576,14 +565,15 @@ impl<'e> Session<'e> {
 
     /// Builds the propagation forest for an already-validated instance: a
     /// skeleton forest counting clean subtrees through the session memo
-    /// when it is on, the full forest otherwise.
+    /// when it is on, the full forest otherwise. The queries that build
+    /// one on their own leave the phase clock alone.
     fn forest_for(
         &self,
         inst: &Instance<'_>,
         work: &mut Work,
     ) -> Result<PropagationForest, PropagateError> {
         let cm = self.engine.cost_model();
-        PropagationForest::build_with(inst, &cm, work.memo.as_mut(), &mut work.scratch, None)
+        PropagationForest::build_with(inst, &cm, work.memo.as_mut(), &mut work.scratch, &mut 0)
     }
 
     /// Enumerates up to `cap` cost-minimal propagations of `update` (see
@@ -634,12 +624,12 @@ impl<'e> Session<'e> {
     /// as [`crate::revalidate_output`] does — instead of the full
     /// validation a fresh [`Engine::open`] would run. The propagation is
     /// then applied **in place** ([`xvu_edit::apply_checked`]): only the
-    /// changed parents' child lists are rewritten, and the document's
-    /// dirty journal records exactly those parents. Draining it
-    /// ([`xvu_tree::Tree::drain_dirty_to_root`]) yields the dirty region —
-    /// edited parents plus all their ancestors — which is re-interned
-    /// together with every inserted subtree; every other node keeps its
-    /// structural memo key.
+    /// child lists of the footprint's changed `Nop` parents are rewritten.
+    /// Those parents and their ancestors are the dirty region, every node
+    /// whose subtree changed (an ancestor of a `Nop` node is `Nop`, so the
+    /// region lies in the document); it is re-interned together with every
+    /// inserted subtree, and every other node keeps its structural memo
+    /// key.
     ///
     /// The view is patched in place rather than extracted again: the
     /// propagation is side-effect free, so the view changes only under the
@@ -657,9 +647,11 @@ impl<'e> Session<'e> {
     /// also sweeps it to the shapes the document still names
     /// ([`crate::cache`]). Only the check's arena scans still read every
     /// node: the paper's propagation script spans the whole source, and a
-    /// sparse script would let them read only the dirty skeleton. A failed
-    /// commit changes nothing.
+    /// sparse script would let them read only the dirty skeleton. A
+    /// successful commit adds its time to the phase clock as `commit_ns`;
+    /// a failed commit changes nothing, the clock included.
     pub fn commit(&mut self, prop: &Propagation) -> Result<(), PropagateError> {
+        let t0 = Instant::now();
         // One check of the script against the document: the closure
         // rules, `In(S) = t`, and the footprint every later step reads.
         let script = &prop.script;
@@ -668,14 +660,13 @@ impl<'e> Session<'e> {
         revalidate_changed(&self.engine.dtd, script, check.footprint())?;
         let work = self.work.get_mut().unwrap_or_else(PoisonError::into_inner);
         let memo = work.memo.as_mut();
+        let changed = check.footprint().changed();
+        let is_ins = |n: &&NodeId| script.label(**n).op == EditOp::Ins;
         // The deleted nodes' slots, while the document still holds them:
         // each deleted subtree hangs under a changed `Nop` parent.
         let mut stale: Vec<Slot> = Vec::new();
         if memo.is_some() {
-            for &n in check.footprint().changed() {
-                if script.label(n).op == EditOp::Ins {
-                    continue;
-                }
+            for &n in changed.iter().filter(|n| !is_ins(n)) {
                 for &c in script.children(n) {
                     if script.label(c).op == EditOp::Del {
                         stale.extend(script.preorder_from(c).filter_map(|d| self.doc.slot(d)));
@@ -699,26 +690,18 @@ impl<'e> Session<'e> {
                 other => PropagateError::Edit(other),
             });
         }
-        // The dirty region: the edited parents the journal recorded, plus
-        // their ancestors — every node whose subtree changed.
-        let dirty = self.doc.drain_dirty_to_root();
         if let Some(memo) = memo {
-            // Every inserted node is in the footprint's changed list.
-            let inserted = check
-                .footprint()
-                .changed()
-                .iter()
-                .filter(|&&n| script.label(n).op == EditOp::Ins);
-            stale.extend(
-                inserted
-                    .chain(&dirty)
-                    .map(|&n| self.doc.slot(n).expect("inserted and dirty nodes are live")),
-            );
-            memo.refresh(&self.doc, &stale);
+            // Every changed node is live now: an inserted one is stale, and
+            // a changed `Nop` parent heads the dirty region.
+            let slot = |n: &NodeId| self.doc.slot(*n).expect("changed nodes are live");
+            stale.extend(changed.iter().filter(is_ins).map(slot));
+            let edited = changed.iter().filter(|n| !is_ins(n)).map(slot);
+            memo.refresh(&self.doc, &stale, edited);
         }
         self.prepared
             .advance(&self.engine.ann, script, check.footprint());
         self.commits += 1;
+        work.phases.commit_ns += nanos_since(t0);
         Ok(())
     }
 
@@ -737,7 +720,6 @@ mod tests {
     use crate::fixtures;
     use crate::propagate;
     use xvu_edit::{nop_script, output_tree, parse_script, script_to_term, ELabel};
-    use xvu_tree::NodeId;
     use xvu_view::extract_view;
 
     fn paper_engine() -> (Engine, DocTree, Script) {
@@ -1030,6 +1012,71 @@ mod tests {
                 .expect("propagate, count and commit must not overflow");
             assert_eq!((cost, size), (DEPTH as u64, DEPTH + 3), "memo {memo}");
         }
+    }
+
+    #[test]
+    fn the_phase_clock_only_grows_and_commit_ns_moves_on_commit_alone() {
+        let (engine, t0, s0) = paper_engine();
+        let mut session = engine.open(&t0).unwrap();
+        assert_eq!(session.phases(), PhaseBreakdown::default());
+        let propagate_ns =
+            |p: PhaseBreakdown| p.instance_ns + p.graph_build_ns + p.typing_ns + p.assemble_ns;
+        let grows = |before: PhaseBreakdown, after: PhaseBreakdown| {
+            let pairs = [
+                (before.instance_ns, after.instance_ns),
+                (before.graph_build_ns, after.graph_build_ns),
+                (before.typing_ns, after.typing_ns),
+                (before.assemble_ns, after.assemble_ns),
+                (before.commit_ns, after.commit_ns),
+            ];
+            assert!(pairs.iter().all(|(b, a)| a >= b), "{before:?} → {after:?}");
+        };
+
+        // Propagations, failed ones included, and the read-only queries
+        // never move commit_ns: a session that only propagated has none.
+        let mut last = session.phases();
+        let prop = session.propagate(&s0).unwrap();
+        let mut alpha = engine.alphabet().clone();
+        let wrong_input = parse_script(&mut alpha, "nop:r#0(nop:a#1)").unwrap();
+        for op in 0..6 {
+            match op {
+                0 => drop(session.propagate(&s0).unwrap()),
+                1 => assert!(session.propagate(&wrong_input).is_err()),
+                2 => session.verify(&s0, &prop.script).unwrap(),
+                3 => assert!(session.count_optimal(&s0).unwrap() >= 1),
+                4 => assert!(!session.enumerate_optimal(&s0, 2).unwrap().is_empty()),
+                _ => assert!(session.complement_preserving(&s0).unwrap().is_none()),
+            }
+            let now = session.phases();
+            grows(last, now);
+            assert_eq!(now.commit_ns, 0, "op {op}");
+            last = now;
+        }
+        assert!(propagate_ns(last) > 0, "{last:?}");
+
+        // A commit moves commit_ns and nothing else; a failed one (the
+        // same propagation again) moves nothing.
+        let before = session.phases();
+        session.commit(&prop).unwrap();
+        let after = session.phases();
+        grows(before, after);
+        assert!(after.commit_ns > before.commit_ns);
+        let commit_ns = after.commit_ns;
+        assert_eq!(
+            PhaseBreakdown {
+                commit_ns,
+                ..before
+            },
+            after
+        );
+        assert!(session.commit(&prop).is_err());
+        assert_eq!(session.phases(), after);
+        let before = session.phases();
+        session.propagate(&nop_script(session.view())).unwrap();
+        let after = session.phases();
+        grows(before, after);
+        assert_eq!(after.commit_ns, before.commit_ns);
+        assert!(propagate_ns(after) > propagate_ns(before));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! makes the whole construction polynomial. With the session memo on, the
 //! walk stops at the update's clean region: see [`PropagationForest`].
 
+use crate::algorithm::nanos_since;
 use crate::cache::{Memo, MemoTable};
 use crate::cost::CostModel;
 use crate::count::count_graph;
@@ -108,7 +109,7 @@ impl PropagationForest {
         inst: &Instance<'_>,
         cost: &CostModel<'_>,
     ) -> Result<PropagationForest, PropagateError> {
-        Self::build_with(inst, cost, None, &mut PropScratch::new(), None)
+        Self::build_with(inst, cost, None, &mut PropScratch::new(), &mut 0)
     }
 
     /// Builds the forest of `inst`: the full forest without a memo, the
@@ -121,14 +122,15 @@ impl PropagationForest {
     /// after the inversion forests of `n`'s inserted children (their
     /// minimal inverse sizes weigh `G_n`'s (iv)-edges) and the records of
     /// `n`'s clean children (cost 0 on their (vi)-edges). Typing runs go
-    /// through the memo when there is one. Both kinds of forest yield the
-    /// same costs, counts and scripts.
+    /// through the memo when there is one, and their time is added to
+    /// `typing_ns`. Both kinds of forest yield the same costs, counts and
+    /// scripts.
     pub(crate) fn build_with(
         inst: &Instance<'_>,
         cost: &CostModel<'_>,
         memo: Option<&mut MemoTable>,
         scratch: &mut PropScratch,
-        mut typing_ns: Option<&mut u64>,
+        typing_ns: &mut u64,
     ) -> Result<PropagationForest, PropagateError> {
         let update = inst.update;
         let mut memo = memo.map(Memo::new);
@@ -223,15 +225,13 @@ impl PropagationForest {
             // A preserved node is a visible source node, so it has a slot
             // (and an intern id) in the session document.
             let src_slot = inst.source.slot(n).expect("preserved node in source");
-            let t0 = typing_ns.is_some().then(Instant::now);
+            let t0 = Instant::now();
             let mut computed = None;
             let run = match memo.as_mut() {
                 Some(m) => m.run_or_compute(src_slot, || source_child_run(inst, n)),
                 None => computed.insert(source_child_run(inst, n)).as_deref(),
             };
-            if let (Some(acc), Some(t0)) = (typing_ns.as_deref_mut(), t0) {
-                *acc += t0.elapsed().as_nanos() as u64;
-            }
+            *typing_ns += nanos_since(t0);
             let graph =
                 build_prop_graph(inst, n, cost, &child_costs, &inverse_sizes, run, scratch)?;
             let best = graph

@@ -55,7 +55,7 @@
 //! }
 //! ```
 
-use crate::algorithm::{propagate_with_memo, Propagation};
+use crate::algorithm::{propagate_with_memo, PhaseBreakdown, Propagation};
 use crate::engine::{Engine, Session};
 use crate::error::PropagateError;
 use crate::scratch::PropScratch;
@@ -98,7 +98,8 @@ impl Engine {
         // state between requests (or change any result). With the memo on,
         // each request gets a table of its own, which ends with it, and
         // clean nodes are counted through it as in `Session::propagate`:
-        // every propagation is byte-identical to the memo-off run.
+        // every propagation is byte-identical to the memo-off run. A batch
+        // request keeps no phase clock.
         let one = |(doc, update): &(DocTree, Script), scratch: &mut PropScratch| {
             let inst = self.instance(doc, update)?;
             let mut table = self.memo_for(doc);
@@ -108,7 +109,7 @@ impl Engine {
                 self.config(),
                 table.as_mut(),
                 scratch,
-                None,
+                &mut PhaseBreakdown::default(),
             )
         };
         let jobs = jobs.clamp(1, requests.len().max(1));

@@ -153,16 +153,12 @@ impl<T: Transport> Client<T> {
         self.retries
     }
 
-    /// Sends one frame and blocks for the reply (idle timeouts keep
-    /// waiting).
+    /// Sends one frame and blocks for the reply.
     fn roundtrip(&mut self, frame: Frame) -> Result<Frame, ClientError> {
         self.transport.send(&frame)?;
-        loop {
-            match self.transport.recv()? {
-                Recv::Frame(reply) => return Ok(reply),
-                Recv::Idle => continue,
-                Recv::Eof => return Err(ClientError::Disconnected),
-            }
+        match self.transport.recv()? {
+            Recv::Frame(reply) => Ok(reply),
+            Recv::Eof => Err(ClientError::Disconnected),
         }
     }
 

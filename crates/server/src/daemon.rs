@@ -488,7 +488,6 @@ impl<'e> Server<'e> {
     fn conn_loop<T: Transport>(&self, mut t: T) {
         loop {
             match t.recv() {
-                Ok(Recv::Idle) => {}
                 Ok(Recv::Eof) => break,
                 Ok(Recv::Frame(req)) => {
                     let resp = catch_unwind(AssertUnwindSafe(|| self.dispatch(req)))
@@ -919,12 +918,9 @@ mod tests {
     /// Sends one request and waits for its reply.
     fn ask(t: &mut StreamTransport<TcpStream>, verb: Verb, payload: &str) -> Frame {
         t.send(&Frame::new(verb, payload)).unwrap();
-        loop {
-            match t.recv().unwrap() {
-                Recv::Frame(reply) => return reply,
-                Recv::Idle => continue,
-                Recv::Eof => panic!("the daemon closed the connection"),
-            }
+        match t.recv().unwrap() {
+            Recv::Frame(reply) => reply,
+            Recv::Eof => panic!("the daemon closed the connection"),
         }
     }
 

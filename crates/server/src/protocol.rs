@@ -238,35 +238,21 @@ pub enum Recv {
     Frame(Frame),
     /// Clean end of stream (the peer closed between frames).
     Eof,
-    /// No data before the stream's read timeout fired *between* frames
-    /// (only with a read timeout configured). Mid-frame timeouts keep
-    /// waiting — a slow peer cannot desynchronise the framing.
-    Idle,
 }
 
-/// Reads bytes until `buf` is full, retrying timeouts: once a frame has
-/// started, a read timeout must not tear it. EOF mid-buffer is
-/// [`ProtocolError::Truncated`].
-fn read_exact_persistent(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ProtocolError> {
-    let mut got = 0;
-    while got < buf.len() {
-        match r.read(&mut buf[got..]) {
-            Ok(0) => return Err(ProtocolError::Truncated),
-            Ok(n) => got += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-                ) => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(())
+/// Reads bytes until `buf` is full (an interrupted read is retried). EOF
+/// mid-buffer is [`ProtocolError::Truncated`].
+fn read_exact(r: &mut impl Read, buf: &mut [u8]) -> Result<(), ProtocolError> {
+    r.read_exact(buf).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => ProtocolError::Truncated,
+        _ => e.into(),
+    })
 }
 
 /// Reads one frame. Returns [`Recv::Eof`] on a clean close before any
-/// byte of a frame, [`Recv::Idle`] when a configured read timeout fires
-/// between frames, and a [`ProtocolError`] for every malformed input.
+/// byte of a frame, and a [`ProtocolError`] for every malformed input and
+/// every read error but an interrupted read, which is retried: a read
+/// timeout, were one set, would be an [`ProtocolError::Io`] error.
 ///
 /// The verb byte is read and checked on its own, so an unknown verb is
 /// rejected before its payload is allocated; the payload is then read
@@ -286,11 +272,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Recv, ProtocolError> {
                 };
             }
             Ok(n) => got += n,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if got == 0 {
-                    return Ok(Recv::Idle);
-                }
-            }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(e.into()),
         }
@@ -303,10 +284,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Recv, ProtocolError> {
         return Err(ProtocolError::Oversized(len));
     }
     let mut verb = [0u8; 1];
-    read_exact_persistent(r, &mut verb)?;
+    read_exact(r, &mut verb)?;
     let verb = Verb::from_u8(verb[0]).ok_or(ProtocolError::UnknownVerb(verb[0]))?;
     let mut payload = vec![0u8; len as usize - 1];
-    read_exact_persistent(r, &mut payload)?;
+    read_exact(r, &mut payload)?;
     let payload = String::from_utf8(payload)
         .map_err(|e| ProtocolError::BadPayload(format!("payload is not UTF-8: {e}")))?;
     Ok(Recv::Frame(Frame { verb, payload }))
@@ -410,6 +391,37 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, &Frame::new(Verb::Open, "12")).unwrap();
         assert_eq!(wire, [0, 0, 0, 3, Verb::Open as u8, b'1', b'2']);
+    }
+
+    #[test]
+    fn a_read_timeout_is_an_io_error() {
+        // No transport sets a read timeout. Were one to fire, between
+        // frames or inside one, the reader reports it rather than waiting
+        // on.
+        struct TimesOut {
+            bytes: Cursor<Vec<u8>>,
+            after: u64,
+        }
+        impl Read for TimesOut {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                let left = self.after - self.bytes.position();
+                if left == 0 {
+                    return Err(ErrorKind::WouldBlock.into());
+                }
+                let n = buf.len().min(left as usize);
+                self.bytes.read(&mut buf[..n])
+            }
+        }
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &Frame::new(Verb::Open, "12")).unwrap();
+        for after in [0, 2, 5] {
+            let bytes = Cursor::new(wire.clone());
+            let got = read_frame(&mut TimesOut { bytes, after });
+            assert!(
+                matches!(got, Err(ProtocolError::Io(ErrorKind::WouldBlock, _))),
+                "timeout after {after} bytes: {got:?}"
+            );
+        }
     }
 
     #[test]

@@ -8,12 +8,11 @@
 use crate::protocol::{read_frame, write_frame, Frame, ProtocolError, Recv};
 use std::io::{BufReader, Read, Write};
 
-/// One bidirectional frame channel. A stream with a read timeout returns
-/// [`Recv::Idle`] when it fires between frames; the daemon sets none, and
-/// a drain ends its connections by shutting their streams down for
-/// reading.
+/// One bidirectional frame channel. Reads block until a frame or the end
+/// of the stream arrives: the daemon sets no read timeout, and a drain
+/// ends its connections by shutting their streams down for reading.
 pub trait Transport {
-    /// Receives the next frame (or [`Recv::Eof`]/[`Recv::Idle`]).
+    /// Receives the next frame (or [`Recv::Eof`]).
     fn recv(&mut self) -> Result<Recv, ProtocolError>;
     /// Sends one frame.
     fn send(&mut self, frame: &Frame) -> Result<(), ProtocolError>;
@@ -37,7 +36,7 @@ impl<S: Read + Write> StreamTransport<S> {
         }
     }
 
-    /// The underlying stream (e.g. to set socket timeouts).
+    /// The underlying stream.
     pub fn get_ref(&self) -> &S {
         self.stream.get_ref()
     }
@@ -85,8 +84,8 @@ mod tests {
     use std::io::ErrorKind;
 
     /// A scripted byte stream: each `read` returns the next chunk of
-    /// `input` (or a `WouldBlock` for an empty chunk) and is counted;
-    /// writes are kept.
+    /// `input` (or an `Interrupted` error for an empty chunk) and is
+    /// counted; writes are kept.
     struct Scripted {
         input: Vec<u8>,
         pos: usize,
@@ -111,15 +110,6 @@ mod tests {
                 output: Vec::new(),
             }
         }
-
-        /// The byte offsets at which each frame ends (and the next starts).
-        fn boundaries(frames: &[Frame]) -> Vec<usize> {
-            let mut at = vec![0];
-            for frame in frames {
-                at.push(at[at.len() - 1] + 5 + frame.payload.len());
-            }
-            at
-        }
     }
 
     impl Read for Scripted {
@@ -127,7 +117,7 @@ mod tests {
             let chunk = self.chunks[self.reads % self.chunks.len()];
             self.reads += 1;
             if chunk == 0 {
-                return Err(ErrorKind::WouldBlock.into());
+                return Err(ErrorKind::Interrupted.into());
             }
             let n = chunk.min(buf.len()).min(self.input.len() - self.pos);
             buf[..n].copy_from_slice(&self.input[self.pos..self.pos + n]);
@@ -156,37 +146,38 @@ mod tests {
     }
 
     #[test]
-    fn byte_at_a_time_reads_with_timeouts_decode_every_frame() {
-        // one byte per read, a timeout between any two bytes: through the
-        // buffered stream transport and through a bare reader alike, every
-        // frame decodes and `Idle` is reported only between frames
+    fn byte_at_a_time_reads_with_interrupts_decode_every_frame() {
+        // one byte per read and an interrupted read between any two bytes:
+        // through the buffered stream transport and through a bare reader
+        // alike, every frame decodes, whether the interrupt falls between
+        // frames or inside one
         let sent = frames();
-        let boundaries = Scripted::boundaries(&sent);
         for buffered in [true, false] {
             let mut stream = StreamTransport::new(Scripted::new(&sent, vec![0, 1]));
             let mut bare = DuplexTransport::new(Scripted::new(&sent, vec![0, 1]), Vec::new());
             let mut got = Vec::new();
-            let mut idles = 0;
             loop {
-                let (recv, pos) = if buffered {
-                    (stream.recv().unwrap(), stream.get_ref().pos)
+                let recv = if buffered {
+                    stream.recv().unwrap()
                 } else {
-                    (bare.recv().unwrap(), bare.reader.pos)
+                    bare.recv().unwrap()
                 };
                 match recv {
                     Recv::Frame(f) => got.push(f),
-                    Recv::Idle => {
-                        idles += 1;
-                        assert!(
-                            boundaries.contains(&pos),
-                            "idle mid-frame at byte {pos} (buffered: {buffered})"
-                        );
-                    }
                     Recv::Eof => break,
                 }
             }
             assert_eq!(got, sent, "buffered: {buffered}");
-            assert!(idles > sent.len(), "timeouts reached the reader");
+            let reader = if buffered {
+                stream.get_ref()
+            } else {
+                &bare.reader
+            };
+            assert!(
+                reader.reads > 2 * reader.input.len(),
+                "{} reads: interrupts reached the reader",
+                reader.reads
+            );
         }
     }
 

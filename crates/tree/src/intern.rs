@@ -62,11 +62,14 @@ impl std::fmt::Display for InternId {
 /// The module docs spell out the keying contract. A shape is keyed by
 /// its label's index followed by its children's ids, so a lookup reads a
 /// slice built in the interner's own buffer and allocates nothing; only
-/// a never-seen shape stores a key.
+/// a never-seen shape stores a key, of one word more than its node has
+/// children ([`Interner::key_words`] keeps the total).
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
     shapes: HashMap<Box<[u64]>, InternId>,
     next: u64,
+    /// The words of every stored key.
+    words: usize,
     /// The key being looked up: the label's index, then the children's
     /// ids.
     key: Vec<u64>,
@@ -94,6 +97,7 @@ impl Interner {
         }
         let id = InternId(self.next);
         self.next += 1;
+        self.words += self.key.len();
         self.shapes.insert(self.key.as_slice().into(), id);
         id
     }
@@ -116,10 +120,23 @@ impl Interner {
         self.shapes.is_empty()
     }
 
+    /// The 8-byte words of every key held: one per shape plus one per
+    /// child of each shape, so a wide node's shapes weigh their width.
+    pub fn key_words(&self) -> usize {
+        self.words
+    }
+
     /// Keeps only the shapes whose id `keep` accepts. A dropped shape
     /// interned again gets a new id: ids are never reused.
     pub fn retain(&mut self, mut keep: impl FnMut(InternId) -> bool) {
-        self.shapes.retain(|_, id| keep(*id));
+        let words = &mut self.words;
+        self.shapes.retain(|key, id| {
+            let kept = keep(*id);
+            if !kept {
+                *words -= key.len();
+            }
+            kept
+        });
     }
 
     /// Interns every subtree of `doc` bottom-up, returning the id of
@@ -230,8 +247,14 @@ mod tests {
         let leaf_a = interner.intern(a, &[]);
         let leaf_b = interner.intern(b, &[]);
         let pair = interner.intern(a, &[leaf_b, leaf_b]);
+        assert_eq!(interner.key_words(), 1 + 1 + 3);
         interner.retain(|id| id != leaf_b);
         assert_eq!(interner.len(), 2);
+        assert_eq!(
+            interner.key_words(),
+            1 + 3,
+            "the dropped key's word is gone"
+        );
         assert_eq!(interner.lookup(b, &[]), None, "dropped");
         assert_eq!(interner.lookup(a, &[leaf_b, leaf_b]), Some(pair), "kept");
         let again = interner.intern(b, &[]);

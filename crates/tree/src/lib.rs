@@ -56,16 +56,9 @@
 //!
 //! A live node's slot never moves: removing a subtree leaves its slots
 //! vacant, and insertions reuse them — see [`slot`] for the exact
-//! contract.
-//!
-//! # Change tracking
-//!
-//! An opt-in dirty journal ([`Tree::set_change_tracking`]) records the
-//! nodes whose child word changed. Consumers holding per-subtree state
-//! (a propagation session's structural intern ids) drain the journal —
-//! [`Tree::take_changed_parents`] / [`Tree::drain_dirty_to_root`] — to
-//! recompute exactly the changed region. The journal never participates
-//! in equality or serialization.
+//! contract. A tree keeps no record of its edits: a consumer holding
+//! per-subtree state learns what changed from the edit itself (a
+//! propagation session reads the committed script's footprint).
 //!
 //! The tree type is generic in its label type: documents are
 //! `Tree<Sym>` (see [`Sym`], interned via [`Alphabet`]) while editing
@@ -95,12 +88,7 @@
 //! assert_eq!(t.label(t.root()), r);
 //! ```
 
-// The `mmap` feature carries the one unsafe module in the workspace (the
-// raw mmap(2) fast path in `snapshot`); the default build forbids unsafe
-// outright, and even with the feature on, unsafe is denied everywhere
-// except that explicitly-allowed module.
-#![cfg_attr(not(feature = "mmap"), forbid(unsafe_code))]
-#![cfg_attr(feature = "mmap", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod alphabet;

@@ -50,9 +50,7 @@
 //!
 //! [`SnapshotFile`] packs many snapshots into one file — a doc-id
 //! directory followed by length-prefixed snapshot sections — loaded in
-//! one read ([`SnapshotFile::open`]) or, with the `mmap` feature on unix,
-//! mapped directly from the page cache (`SnapshotFile::open_mmap`).
-//! The default build stays `std`-only and `forbid(unsafe_code)`.
+//! one read ([`SnapshotFile::open`]).
 
 use crate::alphabet::{Alphabet, Sym};
 use crate::node::{Node, NodeId};
@@ -656,43 +654,23 @@ impl CorpusBuilder {
     }
 }
 
-/// The backing bytes of a loaded corpus: owned, or mapped (unix, `mmap`
-/// feature).
-enum CorpusData {
-    Owned(Vec<u8>),
-    #[cfg(all(feature = "mmap", unix))]
-    Mapped(mmap::Mapped),
-}
-
-impl CorpusData {
-    fn bytes(&self) -> &[u8] {
-        match self {
-            CorpusData::Owned(v) => v,
-            #[cfg(all(feature = "mmap", unix))]
-            CorpusData::Mapped(m) => m.bytes(),
-        }
-    }
-}
-
-impl fmt::Debug for CorpusData {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CorpusData::Owned(v) => write!(f, "Owned({} bytes)", v.len()),
-            #[cfg(all(feature = "mmap", unix))]
-            CorpusData::Mapped(m) => write!(f, "Mapped({} bytes)", m.bytes().len()),
-        }
-    }
-}
-
 /// A whole corpus of flat snapshots, loaded in one read.
 ///
 /// The directory is parsed and bounds-checked once at open; each
 /// document decodes lazily out of the shared byte image via
 /// [`SnapshotFile::decode`].
-#[derive(Debug)]
 pub struct SnapshotFile {
-    data: CorpusData,
+    data: Vec<u8>,
     entries: Vec<CorpusEntry>,
+}
+
+impl fmt::Debug for SnapshotFile {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SnapshotFile")
+            .field("bytes", &self.data.len())
+            .field("entries", &self.entries)
+            .finish()
+    }
 }
 
 impl SnapshotFile {
@@ -700,7 +678,7 @@ impl SnapshotFile {
     pub fn from_bytes(bytes: Vec<u8>) -> Result<SnapshotFile, SnapshotError> {
         let entries = parse_corpus_directory(&bytes)?;
         Ok(SnapshotFile {
-            data: CorpusData::Owned(bytes),
+            data: bytes,
             entries,
         })
     }
@@ -710,20 +688,6 @@ impl SnapshotFile {
         let bytes = std::fs::read(path.as_ref())
             .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.as_ref().display())))?;
         SnapshotFile::from_bytes(bytes)
-    }
-
-    /// Maps a corpus file into memory instead of copying it (unix only,
-    /// `mmap` feature): the page cache is the corpus, so repeated daemon
-    /// starts over the same file touch no heap for the raw image.
-    #[cfg(all(feature = "mmap", unix))]
-    pub fn open_mmap(path: impl AsRef<Path>) -> Result<SnapshotFile, SnapshotError> {
-        let mapped = mmap::Mapped::open(path.as_ref())
-            .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.as_ref().display())))?;
-        let entries = parse_corpus_directory(mapped.bytes())?;
-        Ok(SnapshotFile {
-            data: CorpusData::Mapped(mapped),
-            entries,
-        })
     }
 
     /// Number of documents in the corpus.
@@ -749,7 +713,7 @@ impl SnapshotFile {
     /// The raw snapshot section of the `idx`-th document.
     pub fn doc_bytes(&self, idx: usize) -> &[u8] {
         let e = &self.entries[idx];
-        &self.data.bytes()[e.offset..e.offset + e.len]
+        &self.data[e.offset..e.offset + e.len]
     }
 
     /// Decodes the `idx`-th document (see [`Tree::from_snapshot_bytes`]).
@@ -820,102 +784,6 @@ fn parse_corpus_directory(bytes: &[u8]) -> Result<Vec<CorpusEntry>, SnapshotErro
         ));
     }
     Ok(entries)
-}
-
-// ---------------------------------------------------------------- mmap
-
-/// Read-only file mapping via raw `mmap(2)`/`munmap(2)` — hand-declared
-/// FFI (std already links libc on unix) so the crate stays free of
-/// external dependencies; the whole module sits behind the `mmap`
-/// feature and the default build remains `forbid(unsafe_code)`.
-#[cfg(all(feature = "mmap", unix))]
-#[allow(unsafe_code)]
-mod mmap {
-    use std::ffi::c_void;
-    use std::fs::File;
-    use std::io;
-    use std::os::unix::io::AsRawFd;
-    use std::path::Path;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    /// An owned read-only mapping of a whole file.
-    pub struct Mapped {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    // The mapping is immutable for its whole lifetime.
-    unsafe impl Send for Mapped {}
-    unsafe impl Sync for Mapped {}
-
-    impl Mapped {
-        /// Maps `path` read-only. Empty files yield an empty slice
-        /// without calling `mmap` (zero-length mappings are EINVAL).
-        pub fn open(path: &Path) -> io::Result<Mapped> {
-            let file = File::open(path)?;
-            let len = file.metadata()?.len();
-            let len = usize::try_from(len)
-                .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "file exceeds usize"))?;
-            if len == 0 {
-                return Ok(Mapped {
-                    ptr: std::ptr::null_mut(),
-                    len: 0,
-                });
-            }
-            // SAFETY: fd is a valid open file, len is its exact size,
-            // PROT_READ|MAP_PRIVATE never aliases writable memory, and
-            // the pointer is checked against MAP_FAILED before use.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Mapped { ptr, len })
-        }
-
-        /// The mapped bytes.
-        pub fn bytes(&self) -> &[u8] {
-            if self.len == 0 {
-                return &[];
-            }
-            // SAFETY: ptr/len describe a live PROT_READ mapping owned by
-            // self; the borrow cannot outlive the mapping.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Mapped {
-        fn drop(&mut self) {
-            if self.len != 0 {
-                // SAFETY: exactly the region mmap returned, unmapped once.
-                unsafe {
-                    munmap(self.ptr, self.len);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1213,16 +1081,6 @@ mod tests {
         assert_eq!(file.len(), 2);
         let mut a = alpha.clone();
         file.decode(0, &mut a).unwrap();
-        #[cfg(all(feature = "mmap", unix))]
-        {
-            let mapped = SnapshotFile::open_mmap(&path).unwrap();
-            assert_eq!(mapped.len(), 2);
-            let mut a = alpha.clone();
-            let t_read = file.decode(1, &mut a).unwrap();
-            let mut a = alpha.clone();
-            let t_map = mapped.decode(1, &mut a).unwrap();
-            assert_eq!(t_read, t_map);
-        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -61,15 +61,6 @@ const COPY_ROOM: usize = 64;
 ///
 /// The label type `L` is generic: documents use [`Sym`], editing scripts use
 /// an edit alphabet (`xvu_edit`).
-///
-/// # Change tracking
-///
-/// An opt-in *dirty journal* ([`Tree::set_change_tracking`]) records the
-/// identifier of every node whose child word changed; consumers holding
-/// per-subtree caches drain it with [`Tree::take_changed_parents`] or
-/// [`Tree::drain_dirty_to_root`] to invalidate exactly the changed region
-/// instead of discarding everything. The journal participates in neither
-/// equality nor the serialized form.
 #[derive(Clone, Debug)]
 pub struct Tree<L> {
     slab: Vec<Node<L>>,
@@ -81,11 +72,6 @@ pub struct Tree<L> {
     free: Vec<Slot>,
     index: SlotIndex,
     root: NodeId,
-    /// Whether structural mutations are journaled.
-    track: bool,
-    /// Identifiers of nodes whose child word changed since the last drain
-    /// (only while `track`; may contain duplicates until drained).
-    journal: Vec<NodeId>,
 }
 
 impl<L: PartialEq> PartialEq for Tree<L> {
@@ -151,8 +137,6 @@ impl<L> Tree<L> {
             free: Vec::new(),
             index,
             root,
-            track: false,
-            journal: Vec::new(),
         }
     }
 
@@ -267,15 +251,6 @@ impl<L> Tree<L> {
         self.dead = 0;
     }
 
-    /// Journals the node at `slot`, whose child word is about to change
-    /// (or just changed).
-    #[inline]
-    fn mark_children_changed(&mut self, slot: Slot) {
-        if self.track {
-            self.journal.push(self.slab[slot.index()].id);
-        }
-    }
-
     /// The root node identifier.
     #[inline]
     pub fn root(&self) -> NodeId {
@@ -325,68 +300,6 @@ impl<L> Tree<L> {
     #[inline]
     pub fn slot_index(&self) -> &SlotIndex {
         &self.index
-    }
-
-    /// Enables or disables the dirty journal. Turning tracking on (or
-    /// off) clears any journaled entries; with tracking on, every
-    /// structural mutation records the identifier of the node whose child
-    /// word changed, for [`Tree::take_changed_parents`] /
-    /// [`Tree::drain_dirty_to_root`] to drain.
-    ///
-    /// Tracking is off by default — construction-heavy code paths pay
-    /// nothing for it.
-    pub fn set_change_tracking(&mut self, on: bool) {
-        self.track = on;
-        self.journal.clear();
-    }
-
-    /// Whether the dirty journal is recording.
-    #[inline]
-    pub fn is_change_tracking(&self) -> bool {
-        self.track
-    }
-
-    /// Drains the journal: the identifiers of every node whose child word
-    /// changed since the last drain (deduplicated, in first-touched
-    /// order). Empty unless [`Tree::set_change_tracking`] is on.
-    pub fn take_changed_parents(&mut self) -> Vec<NodeId> {
-        let mut seen = SlotSet::with_capacity(self.slot_bound());
-        let mut out = Vec::new();
-        for id in self.journal.drain(..) {
-            match self.index.slot(id) {
-                // A journaled parent may itself have been removed by a
-                // later mutation; report only surviving nodes.
-                Some(s) => {
-                    if seen.insert(s) {
-                        out.push(id);
-                    }
-                }
-                None => continue,
-            }
-        }
-        out
-    }
-
-    /// Drains the journal and expands it to the **dirty region**: every
-    /// journaled node plus all of its ancestors up to the root
-    /// (deduplicated). This is exactly the set of nodes whose *subtree*
-    /// changed — the region a subtree-keyed cache must invalidate.
-    pub fn drain_dirty_to_root(&mut self) -> Vec<NodeId> {
-        let touched = self.take_changed_parents();
-        let mut seen = SlotSet::with_capacity(self.slot_bound());
-        let mut out = Vec::new();
-        for id in touched {
-            let mut cur = Some(id);
-            while let Some(n) = cur {
-                let Some(s) = self.index.slot(n) else { break };
-                if !seen.insert(s) {
-                    break; // this ancestor chain is already marked
-                }
-                out.push(n);
-                cur = self.slab[s.index()].parent;
-            }
-        }
-        out
     }
 
     /// Borrow a node.
@@ -510,7 +423,6 @@ impl<L> Tree<L> {
         if self.contains(id) {
             return Err(TreeError::DuplicateNodeId(id));
         }
-        self.mark_children_changed(pslot);
         let arity = self.slab[pslot.index()].len as usize;
         self.insert_child(pslot, arity, id);
         // The leaf's empty list starts at the end of the buffer, so its
@@ -548,7 +460,6 @@ impl<L> Tree<L> {
             }
         }
         let sub_root = sub.root;
-        self.mark_children_changed(pslot);
         self.insert_child(pslot, position, sub_root);
         let Tree { slab, kids, .. } = sub;
         for mut node in slab.into_iter().filter(|n| !n.is_vacant()) {
@@ -587,7 +498,6 @@ impl<L> Tree<L> {
         self.kids
             .copy_within(plist.start + pos + 1..plist.end, plist.start + pos);
         self.slab[pslot.index()].len -= 1;
-        self.mark_children_changed(pslot);
 
         // Copy the subtree out in document order, vacating each slot once
         // its record is copied.
@@ -690,7 +600,6 @@ impl<L> Tree<L> {
             }
             stack.extend_from_slice(src.children(n));
         }
-        self.mark_children_changed(pslot);
         let arity = self.slab[pslot.index()].len as usize;
         self.insert_child(pslot, arity, root);
         self.copy_subtree(src, root, Some(parent), f);
@@ -741,7 +650,6 @@ impl<L> Tree<L> {
         if want != have {
             return Err(TreeError::NotAPermutation(parent));
         }
-        self.mark_children_changed(pslot);
         self.kids[list].copy_from_slice(order);
         Ok(())
     }
@@ -782,7 +690,7 @@ impl<L> Tree<L> {
     }
 
     /// Maps the label of every node, preserving identifiers, structure and
-    /// slots. The result is a fresh tree with change tracking off.
+    /// slots.
     ///
     /// `f` runs once per node, the root first. The arena is copied in
     /// bulk: the child buffer, the free list and the identifier index
@@ -814,8 +722,6 @@ impl<L> Tree<L> {
             free: self.free.clone(),
             index: self.index.clone(),
             root: self.root,
-            track: false,
-            journal: Vec::new(),
         }
     }
 
@@ -1170,10 +1076,8 @@ mod tests {
         let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
         let r = t.root();
         let c: Vec<NodeId> = (1..4).map(|i| t.add_child(r, &mut gen, sym(i))).collect();
-        t.set_change_tracking(true);
         t.reorder_children(r, &[c[2], c[0], c[1]]).unwrap();
         assert_eq!(t.children(r), &[c[2], c[0], c[1]]);
-        assert_eq!(t.take_changed_parents(), vec![r]);
         t.validate().unwrap();
         let before = t.clone();
         for bad in [
@@ -1187,9 +1091,9 @@ mod tests {
             );
             assert_eq!(t, before);
         }
-        // the current order is a no-op that journals nothing
+        // the current order is a no-op
         t.reorder_children(r, &[c[2], c[0], c[1]]).unwrap();
-        assert!(t.take_changed_parents().is_empty());
+        assert_eq!(t, before);
     }
 
     #[test]
@@ -1320,78 +1224,5 @@ mod tests {
         let (t, ..) = chain3();
         let u = t.clone();
         assert_eq!(t, u);
-    }
-
-    #[test]
-    fn journal_records_changed_parents_only_when_tracking() {
-        let mut gen = NodeIdGen::new();
-        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
-        let r = t.root();
-        let a = t.add_child(r, &mut gen, sym(1));
-        // construction above was untracked
-        t.set_change_tracking(true);
-        assert!(t.take_changed_parents().is_empty());
-        let b = t.add_child(a, &mut gen, sym(2));
-        t.add_child(a, &mut gen, sym(3));
-        let changed = t.take_changed_parents();
-        assert_eq!(changed, vec![a]); // deduplicated
-        assert!(t.take_changed_parents().is_empty(), "drained");
-        // detach journals the parent of the cut point
-        t.detach_subtree(b).unwrap();
-        assert_eq!(t.take_changed_parents(), vec![a]);
-        // disabling tracking stops the journal
-        t.set_change_tracking(false);
-        t.add_child(r, &mut gen, sym(4));
-        assert!(t.take_changed_parents().is_empty());
-    }
-
-    #[test]
-    fn dirty_to_root_marks_all_ancestors() {
-        // r(a(b(c)), d): touching b dirties {b, a, r} but not d.
-        let mut gen = NodeIdGen::new();
-        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
-        let r = t.root();
-        let a = t.add_child(r, &mut gen, sym(1));
-        let b = t.add_child(a, &mut gen, sym(2));
-        t.add_child(b, &mut gen, sym(3));
-        let d = t.add_child(r, &mut gen, sym(4));
-        t.set_change_tracking(true);
-        t.add_child(b, &mut gen, sym(5));
-        let mut dirty = t.drain_dirty_to_root();
-        dirty.sort();
-        assert_eq!(dirty, vec![r, a, b]);
-        assert!(!dirty.contains(&d));
-        assert!(t.drain_dirty_to_root().is_empty(), "drained");
-    }
-
-    #[test]
-    fn journal_skips_parents_removed_after_the_touch() {
-        let mut gen = NodeIdGen::new();
-        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
-        let r = t.root();
-        let a = t.add_child(r, &mut gen, sym(1));
-        t.set_change_tracking(true);
-        t.add_child(a, &mut gen, sym(2)); // journals a
-        t.detach_subtree(a).unwrap(); // journals r, removes a
-        assert_eq!(t.take_changed_parents(), vec![r]);
-    }
-
-    #[test]
-    fn clones_and_projections_do_not_inherit_journal() {
-        let mut gen = NodeIdGen::new();
-        let mut t: DocTree = Tree::leaf(&mut gen, sym(0));
-        let r = t.root();
-        t.set_change_tracking(true);
-        t.add_child(r, &mut gen, sym(1));
-        // clone copies journal state verbatim…
-        let mut c = t.clone();
-        assert_eq!(c.take_changed_parents(), vec![r]);
-        // …but label-mapped and subtree projections start fresh
-        let mut m = t.map_labels(|_, &l| l);
-        assert!(!m.is_change_tracking());
-        assert!(m.take_changed_parents().is_empty());
-        let sub = t.subtree(r);
-        assert!(!sub.is_change_tracking());
-        sub.validate().unwrap();
     }
 }
