@@ -51,6 +51,12 @@
 //! before), and each `admission` and `worst_case` row carries `phases`:
 //! what its median edit by propagate time added to the clock, so the four
 //! propagate phases add up to about `propagate_ms`' median.
+//!
+//! Since schema /11 each `admission` row also times opening its document:
+//! `open_ms` is `Engine::open` (copy, validation, identifier scan,
+//! interning, view extraction) and `resume_ms` is `Parked::resume` of a
+//! copy parked outside the timing (interning and view extraction), each
+//! min / median / max over 7 repeats taken in alternation.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -228,7 +234,33 @@ struct Timed {
 struct AdmissionRow {
     departments: usize,
     doc_nodes: usize,
+    open_ms: Spread,
+    resume_ms: Spread,
     timed: Timed,
+}
+
+/// How many times each admission row opens and resumes its document.
+const OPEN_REPEATS: usize = 7;
+
+/// Times `Engine::open` of `doc` and `Parked::resume` of a parked copy of
+/// it, `OPEN_REPEATS` times each in alternation. Parking the copy and
+/// dropping each session are outside the timings.
+fn open_and_resume(engine: &Engine, doc: &DocTree) -> (Spread, Spread) {
+    let (mut open, mut resume) = (Vec::new(), Vec::new());
+    for _ in 0..OPEN_REPEATS {
+        let t0 = Instant::now();
+        let session = engine.open(doc).expect("hospital documents are valid");
+        open.push(t0.elapsed());
+        drop(black_box(session));
+        let parked = engine
+            .park(doc.clone())
+            .expect("hospital documents are valid");
+        let t0 = Instant::now();
+        let session = parked.resume();
+        resume.push(t0.elapsed());
+        drop(black_box(session));
+    }
+    (Spread::of(open), Spread::of(resume))
 }
 
 /// Times `warmup + updates` edits through `session`, each built by
@@ -284,6 +316,7 @@ fn admission_row(departments: usize, warmup: usize, updates: usize) -> Admission
     let mut gen = NodeIdGen::new();
     let doc = hospital_doc(&h, departments, 125, &mut gen);
     let engine = Engine::new(h.alpha.clone(), h.dtd.clone(), h.ann.clone());
+    let (open_ms, resume_ms) = open_and_resume(&engine, &doc);
     let mut session = engine.open(&doc).expect("hospital documents are valid");
     let timed = timed_edits(&mut session, warmup, updates, |session| {
         let mut ids = session.id_gen();
@@ -292,6 +325,8 @@ fn admission_row(departments: usize, warmup: usize, updates: usize) -> Admission
     AdmissionRow {
         departments,
         doc_nodes: doc.size(),
+        open_ms,
+        resume_ms,
         timed,
     }
 }
@@ -488,7 +523,7 @@ fn main() {
     let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-propagate/10\",\n");
+    json.push_str("  \"schema\": \"xvu-bench-propagate/11\",\n");
     json.push_str(&format!(
         "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
         git_revision()
@@ -569,13 +604,19 @@ fn main() {
         "  \"admission\": {{\n    \"timed_region\": \"one admission (a patient with name and \
          record, 3 view nodes) into department 0 of a hospital of 125-patient departments, \
          Session::propagate and Session::commit timed separately; min / median / max ms over \
-         {ADMISSIONS} updates after 3 warm-up admissions\",\n    \"rows\": [\n"
+         {ADMISSIONS} updates after 3 warm-up admissions; open_ms (Engine::open) and resume_ms \
+         (Parked::resume of a copy parked outside the timing) of the document before the \
+         admissions, min / median / max ms over {OPEN_REPEATS} repeats in alternation\",\n    \
+         \"rows\": [\n"
     ));
     for (i, r) in admission_rows.iter().enumerate() {
         json.push_str(&format!(
-            "      {{ \"departments\": {}, \"doc_nodes\": {}, \"updates\": {ADMISSIONS}, {} }}{}\n",
+            "      {{ \"departments\": {}, \"doc_nodes\": {}, \"updates\": {ADMISSIONS}, \
+             \"open_ms\": {}, \"resume_ms\": {}, {} }}{}\n",
             r.departments,
             r.doc_nodes,
+            r.open_ms.json(),
+            r.resume_ms.json(),
             r.timed.json(),
             if i + 1 == admission_rows.len() {
                 ""

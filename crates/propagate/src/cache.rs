@@ -48,7 +48,8 @@
 //! map names — the document's distinct shapes — and their entries. A
 //! commit sweeps once the interner holds more than twice the shapes the
 //! last sweep kept and more than [`SWEEP_FLOOR`], or more than twice the
-//! key words the last sweep kept and more than [`SWEEP_FLOOR_WORDS`]: a
+//! key words the last sweep kept and more than [`SWEEP_FLOOR_WORDS`]; a
+//! new table counts as just swept, since it holds only the document's. A
 //! shape's key has a word per child, so a wide node's replaced shapes
 //! weigh their width. After every commit a session so holds at most
 //! `max(2 × kept, SWEEP_FLOOR)` shapes of at most
@@ -156,25 +157,26 @@ pub(crate) struct MemoTable {
     entries: HashMap<InternId, Entry>,
     /// The intern id of every live node's subtree, keyed by arena slot.
     pub(crate) ids: SlotMap<InternId>,
-    /// Shapes the last sweep kept (0 before the first).
+    /// Shapes the last sweep kept (before the first, the document's).
     kept: usize,
-    /// Key words the last sweep kept (0 before the first).
+    /// Key words the last sweep kept (before the first, the document's).
     kept_words: usize,
 }
 
 impl MemoTable {
     /// A table over `doc`, every subtree interned, reporting to
-    /// `tallies`.
+    /// `tallies`. The interner holds exactly the document's shapes, so the
+    /// sweep bounds start from them, as if a sweep had just run.
     pub(crate) fn new(tallies: &Arc<Tallies>, doc: &DocTree) -> MemoTable {
         let mut interner = Interner::new();
         let ids = interner.intern_doc(doc);
         MemoTable {
             tallies: Arc::clone(tallies),
+            kept: interner.len(),
+            kept_words: interner.key_words(),
             interner,
             entries: HashMap::new(),
             ids,
-            kept: 0,
-            kept_words: 0,
         }
     }
 
@@ -594,6 +596,39 @@ mod tests {
         }
         let stats = engine.cache_stats();
         assert!(stats.sweeps >= 3, "{stats:?}");
+    }
+
+    #[test]
+    fn a_first_commit_keeps_a_document_of_many_shapes() {
+        // r → a*, a → a*: child i of the root holds i leaves, so the
+        // document names 301 distinct shapes, more than `SWEEP_FLOOR`. A
+        // fresh table counts them as kept, so a leaf appended under the
+        // root (one new shape) sweeps nothing.
+        let mut alpha = Alphabet::new();
+        let dtd = xvu_dtd::parse_dtd(&mut alpha, "r -> a*\na -> a*").unwrap();
+        let ann = xvu_view::parse_annotation(&mut alpha, "").unwrap();
+        let (r, a) = (alpha.get("r").unwrap(), alpha.get("a").unwrap());
+        let mut gen = NodeIdGen::new();
+        let mut doc = DocTree::leaf(&mut gen, r);
+        let root = doc.root();
+        for i in 0..300 {
+            let child = doc.add_child(root, &mut gen, a);
+            for _ in 0..i {
+                doc.add_child(child, &mut gen, a);
+            }
+        }
+        let engine = crate::Engine::new(alpha, dtd, ann);
+        let mut session = engine.open(&doc).unwrap();
+        let shapes = session.with_memo_table(|t| t.interner.len());
+        assert_eq!(shapes, 301);
+        let mut update = xvu_edit::nop_script(session.view());
+        let fresh = session.id_gen().fresh();
+        update
+            .add_child_with_id(root, fresh, xvu_edit::ELabel::ins(a))
+            .unwrap();
+        session.apply(&update).unwrap();
+        assert_eq!(engine.cache_stats().sweeps, 0);
+        assert_eq!(session.with_memo_table(|t| t.interner.len()), 302);
     }
 
     #[test]

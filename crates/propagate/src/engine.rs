@@ -10,16 +10,17 @@
 //! * the insertlet package `W` and the [`CostModel`] over both,
 //! * the default [`Config`] (selector `Φ`, witness budget),
 //!
-//! so nothing schema-dependent is ever recomputed per update. Opening a
-//! document with [`Engine::open`] validates it once and yields a
-//! [`Session`] that serves repeated [`Session::propagate`] /
+//! so nothing schema-dependent is ever recomputed per update.
+//! [`Engine::park`] validates a document once, and [`Parked::resume`]
+//! opens a [`Session`] on it that serves repeated [`Session::propagate`] /
 //! [`Session::verify`] / [`Session::count_optimal`] /
 //! [`Session::enumerate_optimal`] calls, each reusing the session's
-//! cached view and identifier high-water mark.
-//! [`Session::commit`] advances the session to a propagation's output
-//! using incremental revalidation ([`crate::revalidate_output`]) instead
-//! of a full schema check, and patches the view where the propagation
-//! changed it instead of extracting it again.
+//! cached view and identifier high-water mark ([`Engine::open`] does both
+//! on a copy). [`Session::commit`] advances the session to a propagation's
+//! output using incremental revalidation ([`crate::revalidate_output`])
+//! instead of a full schema check, and patches the view where the
+//! propagation changed it instead of extracting it again; the document
+//! stays valid, so [`Session::park`] parks it again without a check.
 //!
 //! The free functions ([`crate::propagate`], [`Instance::new`], …) remain
 //! as a one-shot compatibility layer over the same core code paths.
@@ -70,7 +71,7 @@ use crate::enumerate::enumerate_optimal_propagations;
 use crate::error::PropagateError;
 use crate::forest::PropagationForest;
 use crate::incremental::revalidate_changed;
-use crate::instance::{Instance, Prepared, SourceParts};
+use crate::instance::{gen_past, Instance, Prepared, SourceParts};
 use crate::scratch::PropScratch;
 use crate::verify::verify_propagation;
 use std::borrow::Cow;
@@ -79,7 +80,7 @@ use std::time::Instant;
 use xvu_dtd::{min_sizes, Dtd, InsertletPackage, MinSizes};
 use xvu_edit::{apply_checked, check_script, EditError, EditOp, Script};
 use xvu_tree::{Alphabet, DocTree, NodeId, NodeIdGen, Slot};
-use xvu_view::{derive_view_dtd, Annotation};
+use xvu_view::{derive_view_dtd, extract_view, Annotation};
 
 /// A compiled `(Σ, D, A)` triple with every update-independent artefact
 /// precomputed. Build one with [`Engine::builder`]; open documents with
@@ -299,30 +300,24 @@ impl Engine {
         self.prop_cache.then(|| MemoTable::new(&self.tallies, doc))
     }
 
-    /// Validates `doc ∈ L(D)` once and opens a session serving repeated
-    /// updates against it.
-    ///
-    /// The session interns its copy of the document into its own memo up
-    /// front, so every node carries its structural memo key from the first
-    /// update on: [`Session::commit`] applies propagations in place and
-    /// re-interns exactly the region each one changed.
-    pub fn open(&self, doc: &DocTree) -> Result<Session<'_>, PropagateError> {
+    /// Validates `doc ∈ L(D)` and parks it, with the identifier floor past
+    /// every identifier of `doc`: the one place a document is validated.
+    pub fn park(&self, doc: DocTree) -> Result<Parked<'_>, PropagateError> {
         self.dtd
-            .validate(doc)
+            .validate(&doc)
             .map_err(PropagateError::SourceNotValid)?;
-        let doc = doc.clone();
-        let memo = self.memo_for(&doc);
-        Ok(Session {
+        Ok(Parked {
             engine: self,
-            prepared: Prepared::from_source(&self.ann, &doc),
+            gen: gen_past(&doc),
             doc,
-            commits: 0,
-            work: Mutex::new(Work {
-                scratch: PropScratch::new(),
-                memo,
-                phases: PhaseBreakdown::default(),
-            }),
         })
+    }
+
+    /// Validates `doc ∈ L(D)` once and opens a session serving repeated
+    /// updates against a copy of it: [`Engine::park`] on the copy, then
+    /// [`Parked::resume`].
+    pub fn open(&self, doc: &DocTree) -> Result<Session<'_>, PropagateError> {
+        Ok(self.park(doc.clone())?.resume())
     }
 
     /// One-shot [`Instance`] assembly against engine-cached artefacts:
@@ -347,10 +342,58 @@ impl Engine {
     }
 }
 
+/// A document validated against one [`Engine`], with the identifier floor
+/// its next session starts from. Only [`Engine::park`], which validates,
+/// and [`Session::park`], whose commits kept the document valid, make one,
+/// so [`Parked::resume`] neither validates nor copies, and cannot fail.
+#[derive(Debug)]
+pub struct Parked<'e> {
+    engine: &'e Engine,
+    doc: DocTree,
+    gen: NodeIdGen,
+}
+
+impl<'e> Parked<'e> {
+    /// The parked document.
+    pub fn document(&self) -> &DocTree {
+        &self.doc
+    }
+
+    /// Places the floor just past the document's own identifiers: the next
+    /// session starts a fresh identifier history, as one from
+    /// [`Engine::open`] does.
+    pub fn restart_ids(&mut self) {
+        self.gen = gen_past(&self.doc);
+    }
+
+    /// Opens a session on the document, minting identifiers from the floor
+    /// on. The session interns the document into its own memo up front, so
+    /// [`Session::commit`] can re-intern exactly the region each
+    /// propagation changes.
+    pub fn resume(self) -> Session<'e> {
+        let Parked { engine, doc, gen } = self;
+        let memo = engine.memo_for(&doc);
+        Session {
+            engine,
+            prepared: Prepared {
+                view: extract_view(&engine.ann, &doc),
+                gen,
+            },
+            doc,
+            commits: 0,
+            work: Mutex::new(Work {
+                scratch: PropScratch::new(),
+                memo,
+                phases: PhaseBreakdown::default(),
+            }),
+        }
+    }
+}
+
 /// One open document served by an [`Engine`].
 ///
-/// The session validates the document once at [`Engine::open`] and caches
-/// its view and identifier high-water mark; every subsequent call runs
+/// The document was validated once, by [`Engine::park`]; the session caches
+/// its view and identifier high-water mark, and every subsequent call runs
 /// only update-dependent work. [`Session::commit`] advances the session to
 /// a propagation's output document with incremental revalidation, and
 /// keeps the view current by patching it under the propagation's changed
@@ -470,26 +513,16 @@ impl<'e> Session<'e> {
         self.prepared.gen.clone()
     }
 
-    /// Raises the session's fresh-identifier high-water mark to at least
-    /// `gen`'s ([`xvu_tree::NodeIdGen::merge`]; never lowers it).
-    ///
-    /// A session freshly opened from a committed document restarts its
-    /// identifiers just past the document's own maximum — forgetting
-    /// identifiers that were minted for since-deleted nodes over the
-    /// previous session's history. Serving layers that park a session's
-    /// document and later reopen it (e.g. an LRU pool evicting idle
-    /// sessions) call this with the evicted session's [`Session::id_gen`]
-    /// so the park/reopen round trip is invisible: the reopened session
-    /// mints exactly the identifiers the evicted one would have.
-    pub fn merge_id_gen(&mut self, gen: &NodeIdGen) {
-        self.prepared.gen.merge(gen);
-    }
-
-    /// Closes the session, handing back its current document without
-    /// copying it — what a serving layer keeps when it evicts the session.
-    /// The session's memo goes with it.
-    pub fn into_document(self) -> DocTree {
-        self.doc
+    /// Closes the session and parks its document, without copying it, at
+    /// the session's identifier floor; the memo, view and scratch go. The
+    /// resumed session mints exactly the identifiers this one would have,
+    /// so a park and resume changes no reply.
+    pub fn park(self) -> Parked<'e> {
+        Parked {
+            engine: self.engine,
+            doc: self.doc,
+            gen: self.prepared.gen,
+        }
     }
 
     /// Assembles the validated [`Instance`] for `update` against the

@@ -33,9 +33,10 @@ use xvu_view::{derive_view_dtd, extract_subtree_view, extract_view, Annotation};
 /// under a fixed annotation: the view and a fresh-identifier generator
 /// already positioned past every source identifier.
 ///
-/// [`Instance::new`] computes one per call; a [`crate::Session`] computes
-/// it once per document and then [advances](Prepared::advance) it across
-/// each commit.
+/// A [`crate::Session`] computes it when it resumes
+/// ([`crate::Parked::resume`]) and then [advances](Prepared::advance) it
+/// across each commit; [`Instance::new`] derives the same two per call
+/// ([`SourceParts::prepare`]).
 #[derive(Clone, Debug)]
 pub(crate) struct Prepared {
     /// The materialised view `A(t)`.
@@ -44,20 +45,16 @@ pub(crate) struct Prepared {
     pub gen: NodeIdGen,
 }
 
-impl Prepared {
-    /// Extracts the view of `source` under `ann` and positions the
-    /// generator past its identifiers.
-    pub(crate) fn from_source(ann: &Annotation, source: &DocTree) -> Prepared {
-        let mut gen = NodeIdGen::new();
-        for id in source.node_ids() {
-            gen.bump_past(id);
-        }
-        Prepared {
-            view: extract_view(ann, source),
-            gen,
-        }
+/// A generator positioned past every identifier of `doc`.
+pub(crate) fn gen_past(doc: &DocTree) -> NodeIdGen {
+    let mut gen = NodeIdGen::new();
+    for id in doc.node_ids() {
+        gen.bump_past(id);
     }
+    gen
+}
 
+impl Prepared {
     /// Advances the view and generator across a committed propagation
     /// `script` (whose footprint is `fp`), in time proportional to that
     /// footprint.
@@ -131,15 +128,14 @@ impl<'a> SourceParts<'a> {
     ) -> Result<SourceParts<'a>, PropagateError> {
         dtd.validate(source)
             .map_err(PropagateError::SourceNotValid)?;
-        let Prepared { view, gen } = Prepared::from_source(ann, source);
         Ok(SourceParts {
             dtd,
             ann,
             source,
             alphabet_len,
-            view: Cow::Owned(view),
+            gen: gen_past(source),
+            view: Cow::Owned(extract_view(ann, source)),
             view_dtd,
-            gen,
         })
     }
 }

@@ -107,7 +107,7 @@ pub use cache::CacheStats;
 pub use complement::{find_complement_preserving, invisible_impact, InvisibleImpact};
 pub use cost::CostModel;
 pub use count::count_optimal_propagations;
-pub use engine::{Engine, EngineBuilder, Session};
+pub use engine::{Engine, EngineBuilder, Parked, Session};
 pub use enumerate::{enumerate_optimal_propagations, enumerate_propagations_bounded};
 pub use error::PropagateError;
 pub use forest::PropagationForest;

@@ -56,7 +56,7 @@
 //! ```
 
 use crate::algorithm::{propagate_with_memo, PhaseBreakdown, Propagation};
-use crate::engine::{Engine, Session};
+use crate::engine::{Engine, Parked, Session};
 use crate::error::PropagateError;
 use crate::scratch::PropScratch;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,6 +72,7 @@ const _: () = {
     assert_send_sync::<Propagation>();
     assert_send_sync::<PropagateError>();
     assert_send_sync::<Session<'static>>();
+    assert_send_sync::<Parked<'static>>();
 };
 
 impl Engine {

@@ -48,22 +48,26 @@
 //!
 //! ## Determinism across eviction
 //!
-//! Evicting an idle session drops the session and with it its memo: the
-//! interner, the memoised counts and typing runs, and the intern-id map
-//! over its document ([`xvu_propagate::cache`]). Eviction is one state
-//! change under the document table's lock: the entry keeps the session's
-//! committed document **and** its fresh-identifier high-water mark, and
-//! the next lease reopens from both
-//! ([`xvu_propagate::Session::merge_id_gen`]), so replies are
-//! byte-identical whether or not an eviction happened in between — the
-//! property the fleet differential driver ([`crate::run_fleet`]) checks
-//! end to end. The memo does **not** survive eviction: a reopened
-//! session interns its document into a fresh memo and recounts what it
-//! needs, which changes the work done, never a reply. The `stats` verb
-//! reports the memo's counters summed over the server's families (`cache`
-//! object); its `entries` are those of the sessions open right now.
-//! An explicit `close` resets the identifier floor instead: a closed
-//! document starts a fresh session history, exactly like a direct
+//! A document is validated once, when `load` or [`Server::preload_corpus`]
+//! parks it with its family's engine ([`xvu_propagate::Engine::park`]);
+//! every commit keeps it valid, so no later step validates it again.
+//! Evicting an idle session parks it ([`xvu_propagate::Session::park`])
+//! and drops its memo: the interner, the memoised counts and typing runs,
+//! and the intern-id map over its document ([`xvu_propagate::cache`]).
+//! Eviction is one state change under the document table's lock: the
+//! entry keeps the session's committed document **and** its
+//! fresh-identifier high-water mark, and the next lease resumes from both
+//! ([`xvu_propagate::Parked::resume`]), so replies are byte-identical
+//! whether or not an eviction happened in between — the property the
+//! fleet differential driver ([`crate::run_fleet`]) checks end to end.
+//! The memo does **not** survive eviction: a resumed session interns its
+//! document into a fresh memo and recounts what it needs, which changes
+//! the work done, never a reply. The `stats` verb reports the memo's
+//! counters summed over the server's families (`cache` object); its
+//! `entries` are those of the sessions open right now. An explicit
+//! `close` restarts the identifier floor instead
+//! ([`xvu_propagate::Parked::restart_ids`]): a closed document starts a
+//! fresh session history, exactly like a direct
 //! [`xvu_propagate::Engine::open`].
 
 use crate::metrics::{Metrics, StatsSnapshot};
@@ -78,7 +82,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use xvu_edit::{parse_script, script_to_term, Script};
-use xvu_propagate::{count_optimal_propagations, CacheStats, Engine};
+use xvu_propagate::{count_optimal_propagations, CacheStats, Engine, PropagateError};
 use xvu_tree::{
     parse_term_with_ids, to_term_with_ids, Alphabet, CorpusBuilder, DocTree, NodeIdGen,
     SnapshotFile,
@@ -331,12 +335,20 @@ fn error(e: impl std::fmt::Display) -> Frame {
     Frame::err(e.to_string())
 }
 
+/// Why [`Engine::park`] refused a document: it violates its family's DTD.
+fn dtd_violation(e: PropagateError) -> String {
+    match e {
+        PropagateError::SourceNotValid(e) => format!("document violates the family DTD: {e}"),
+        e => e.to_string(),
+    }
+}
+
 impl<'e> Server<'e> {
     /// A daemon serving documents of the given families.
     pub fn new(engines: &'e [Engine], cfg: ServerConfig) -> Server<'e> {
         assert!(!engines.is_empty(), "a server needs at least one family");
         let gate = Gate::new(&cfg);
-        let table = DocTable::new(engines, cfg.pool_capacity.max(1));
+        let table = DocTable::new(cfg.pool_capacity.max(1));
         Server {
             engines,
             cfg: ServerConfig {
@@ -630,13 +642,13 @@ impl<'e> Server<'e> {
             )));
         };
         let tree = self.parse_doc(engine.alphabet(), term)?;
-        if let Err(e) = engine.dtd().validate(&tree) {
-            return Err(Frame::err(format!("document violates the family DTD: {e}")));
-        }
+        let parked = engine
+            .park(tree)
+            .map_err(|e| Frame::err(dtd_violation(e)))?;
         self.fault_point(Verb::Load);
         // replacing a document discards its session and pending
         // propagation, once any lease on it has returned
-        self.table.load(doc_id, family, tree);
+        self.table.load(doc_id, family, parked);
         Ok(Frame::ok(""))
     }
 
@@ -763,7 +775,6 @@ impl<'e> Server<'e> {
                 self.metrics.rejected_writes.fetch_add(1, Ordering::Relaxed);
                 Err(Frame::retry(self.cfg.retry_after_ms))
             }
-            Err(LeaseError::Open(e)) => Err(Frame::err(e.to_string())),
             Err(LeaseError::Lost) => Err(Frame::err(format!(
                 "document {doc_id} was lost when a request on it panicked; load it again"
             ))),
@@ -797,13 +808,10 @@ impl<'e> Server<'e> {
                     entry.doc_id
                 ));
             }
-            if let Err(e) = self.engines[family].dtd().validate(&tree) {
-                return Err(format!(
-                    "doc {}: document violates the family DTD: {e}",
-                    entry.doc_id
-                ));
-            }
-            self.table.load(entry.doc_id, family, tree);
+            let parked = self.engines[family]
+                .park(tree)
+                .map_err(|e| format!("doc {}: {}", entry.doc_id, dtd_violation(e)))?;
+            self.table.load(entry.doc_id, family, parked);
             loaded += 1;
         }
         Ok(loaded)
@@ -942,7 +950,7 @@ mod tests {
                 retry_after_ms: 1,
             },
         );
-        server.table.load(1, 0, t);
+        server.table.load(1, 0, engines[0].park(t).unwrap());
         let view = server.handle_write(Verb::Open, "1").payload;
         let report = serve_while(&server, |addr| {
             std::thread::scope(|scope| {
@@ -1033,6 +1041,32 @@ mod tests {
             gate.admit(&metrics).err(),
             Some(Frame::err("shutting down"))
         );
+    }
+
+    #[test]
+    fn a_load_that_violates_the_dtd_leaves_the_id_unknown() {
+        // `load` parks the document with its family's engine, which
+        // validates it: a refused document never enters the table, and a
+        // later valid `load` of the same id serves.
+        let engines = [hidden_h_engine()];
+        let server = Server::new(&engines, ServerConfig::default());
+        let reply = server.handle_write(Verb::Load, "9\n0\nr#0(h#1)");
+        assert_eq!(reply.verb, Verb::Err, "{reply:?}");
+        assert!(
+            reply
+                .payload
+                .starts_with("document violates the family DTD: "),
+            "{reply:?}"
+        );
+        assert_eq!(
+            server.handle_write(Verb::Open, "9"),
+            Frame::err("unknown document 9")
+        );
+        assert_eq!(
+            server.handle_write(Verb::Load, "9\n0\nr#0(a#1, h#2)"),
+            Frame::ok("")
+        );
+        assert_eq!(server.handle_write(Verb::Open, "9"), Frame::ok("r#0(a#1)"));
     }
 
     #[test]

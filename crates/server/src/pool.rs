@@ -4,20 +4,24 @@
 //! daemon knows about a document — its family, its pending propagation,
 //! an LRU stamp, and one of three states:
 //!
-//! * **parked** — the committed [`DocTree`], plus the identifier floor to
-//!   restore on reopen after an eviction;
+//! * **parked** — the committed document and the identifier floor its
+//!   next session starts from, as a [`Parked`] its family's engine
+//!   validated: [`DocTable::load`] takes nothing else, so every document
+//!   in the table is valid and resuming it cannot fail;
 //! * **resident** — an open [`Session`] between requests;
 //! * **leased** — one request holds the session ([`Lease`]).
 //!
 //! Leasing takes a resident session out of its entry, or marks a parked
-//! entry leased and opens its session outside the lock. At most
-//! `capacity` sessions (resident or leased) exist: opening one more
+//! entry leased and resumes its session outside the lock; `close` marks
+//! it leased the same way while it rescans the identifiers. At most
+//! `capacity` sessions (resident or leased) exist: resuming one more
 //! first evicts the least-recently-leased resident entry, in one state
-//! change under the same lock — resident becomes parked, keeping the
-//! session's document and identifier floor — so there is no moment at
-//! which a document lives nowhere. Leased entries are never evicted; when
-//! every session is leased, leasing a parked document fails with
-//! [`LeaseError::Full`], which the daemon turns into `retry` pushback.
+//! change under the same lock — resident becomes parked
+//! ([`Session::park`], keeping the session's document and identifier
+//! floor) — so there is no moment at which a document lives nowhere.
+//! Leased entries are never evicted; when every session is leased,
+//! leasing a parked document fails with [`LeaseError::Full`], which the
+//! daemon turns into `retry` pushback.
 //!
 //! Dropping a lease makes the entry resident again and wakes the one
 //! condvar. Leasing, [`DocTable::load`], [`DocTable::close`] and
@@ -35,18 +39,14 @@
 use std::collections::HashMap;
 use std::ops::{Deref, DerefMut};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use xvu_propagate::{Engine, PropagateError, Propagation, Session};
-use xvu_tree::{DocTree, NodeIdGen};
+use xvu_propagate::{Parked, Propagation, Session};
+use xvu_tree::DocTree;
 
 /// Where a document's content lives right now.
 enum State<'e> {
-    /// No session: the committed document (boxed, so a parked entry is
-    /// no larger than the others) and, after an eviction, the identifier
-    /// floor its next session must restore.
-    Parked {
-        doc: Box<DocTree>,
-        gen: Option<NodeIdGen>,
-    },
+    /// No session: the committed document and its identifier floor
+    /// (boxed, so a parked entry is no larger than the others).
+    Parked(Box<Parked<'e>>),
     /// An open session, not in use.
     Resident(Box<Session<'e>>),
     /// A request holds the session.
@@ -74,11 +74,7 @@ impl Entry<'_> {
     fn park(&mut self) -> bool {
         match std::mem::replace(&mut self.state, State::Leased) {
             State::Resident(session) => {
-                let gen = Some(session.id_gen());
-                self.state = State::Parked {
-                    doc: Box::new(session.into_document()),
-                    gen,
-                };
+                self.state = State::Parked(Box::new(session.park()));
                 true
             }
             other => {
@@ -106,8 +102,6 @@ pub(crate) enum LeaseError {
     Unknown,
     /// Every session is leased: push back rather than grow.
     Full,
-    /// The parked document failed to open.
-    Open(PropagateError),
     /// A request panicked while changing the document's session.
     Lost,
 }
@@ -115,21 +109,18 @@ pub(crate) enum LeaseError {
 /// The document table. See the module docs for the states and the
 /// eviction policy.
 pub(crate) struct DocTable<'e> {
-    engines: &'e [Engine],
     capacity: usize,
     docs: Mutex<Docs<'e>>,
-    /// Signalled whenever a lease returns or a failed open gives its
-    /// entry back.
+    /// Signalled whenever a lease returns.
     returned: Condvar,
 }
 
 impl<'e> DocTable<'e> {
-    /// An empty table over one engine per family, holding at most
-    /// `capacity` sessions. `capacity` must be ≥ 1.
-    pub(crate) fn new(engines: &'e [Engine], capacity: usize) -> DocTable<'e> {
+    /// An empty table holding at most `capacity` sessions. `capacity`
+    /// must be ≥ 1.
+    pub(crate) fn new(capacity: usize) -> DocTable<'e> {
         assert!(capacity >= 1, "DocTable capacity must be ≥ 1");
         DocTable {
-            engines,
             capacity,
             docs: Mutex::new(Docs::default()),
             returned: Condvar::new(),
@@ -159,19 +150,16 @@ impl<'e> DocTable<'e> {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Stores `tree` as `doc`'s committed document, replacing any
-    /// previous entry with its session and pending propagation. Waits
-    /// while the old entry is leased.
-    pub(crate) fn load(&self, doc: u64, family: usize, tree: DocTree) {
+    /// Stores `parked` as `doc`'s committed document, parked by its
+    /// `family`'s engine, replacing any previous entry with its session and
+    /// pending propagation. Waits while the old entry is leased.
+    pub(crate) fn load(&self, doc: u64, family: usize, parked: Parked<'e>) {
         let mut docs = self.settled(self.lock(), doc);
         let entry = Entry {
             family,
             pending: None,
             stamp: 0,
-            state: State::Parked {
-                doc: Box::new(tree),
-                gen: None,
-            },
+            state: State::Parked(Box::new(parked)),
         };
         if let Some(Entry {
             state: State::Resident(_),
@@ -182,7 +170,7 @@ impl<'e> DocTable<'e> {
         }
     }
 
-    /// Leases `doc`'s session, opening it from the parked document if
+    /// Leases `doc`'s session, resuming it from the parked document if
     /// needed, and returns the document an eviction parked to make room.
     /// Waits while another request holds the same document.
     pub(crate) fn lease(&self, doc: u64) -> Result<(Lease<'_, 'e>, Option<u64>), LeaseError> {
@@ -198,10 +186,9 @@ impl<'e> DocTable<'e> {
         }
         *clock += 1;
         entry.stamp = *clock;
-        let family = entry.family;
-        let (tree, gen) = match std::mem::replace(&mut entry.state, State::Leased) {
+        let parked = match std::mem::replace(&mut entry.state, State::Leased) {
             State::Resident(session) => return Ok((self.lease_of(doc, session), None)),
-            State::Parked { doc: tree, gen } => (tree, gen),
+            State::Parked(parked) => parked,
             State::Leased | State::Lost => {
                 unreachable!("settled() waited the lease out; lost entries returned above")
             }
@@ -214,8 +201,7 @@ impl<'e> DocTable<'e> {
                 .min_by_key(|(_, e)| e.stamp)
                 .map(|(&id, _)| id);
             let Some(victim) = victim else {
-                entries.get_mut(&doc).expect("looked up above").state =
-                    State::Parked { doc: tree, gen };
+                entries.get_mut(&doc).expect("looked up above").state = State::Parked(parked);
                 return Err(LeaseError::Full);
             };
             entries.get_mut(&victim).expect("victim listed").park();
@@ -224,25 +210,9 @@ impl<'e> DocTable<'e> {
         }
         *sessions += 1;
         drop(docs);
-        // Validation and interning are O(|doc|): open outside the lock.
-        match self.engines[family].open(&tree) {
-            Ok(mut session) => {
-                if let Some(gen) = gen {
-                    session.merge_id_gen(&gen);
-                }
-                Ok((self.lease_of(doc, Box::new(session)), evicted))
-            }
-            Err(e) => {
-                let mut docs = self.lock();
-                docs.sessions -= 1;
-                if let Some(entry) = docs.entries.get_mut(&doc) {
-                    entry.state = State::Parked { doc: tree, gen };
-                }
-                drop(docs);
-                self.returned.notify_all();
-                Err(LeaseError::Open(e))
-            }
-        }
+        // Interning and view extraction are O(|doc|): resume outside the
+        // lock.
+        Ok((self.lease_of(doc, Box::new(parked.resume())), evicted))
     }
 
     fn lease_of(&self, doc: u64, session: Box<Session<'e>>) -> Lease<'_, 'e> {
@@ -270,9 +240,21 @@ impl<'e> DocTable<'e> {
             *sessions -= 1;
         }
         entry.pending = None;
-        if let State::Parked { gen, .. } = &mut entry.state {
-            *gen = None;
-        }
+        let State::Parked(mut parked) = std::mem::replace(&mut entry.state, State::Leased) else {
+            // neither parked nor (settled) leased: lost
+            entry.state = State::Lost;
+            return true;
+        };
+        drop(docs);
+        // The identifier scan is O(|doc|): run it outside the lock, with
+        // the entry marked leased so that `doc`'s other verbs wait.
+        parked.restart_ids();
+        self.lock()
+            .entries
+            .get_mut(&doc)
+            .expect("entries are never removed")
+            .state = State::Parked(parked);
+        self.returned.notify_all();
         true
     }
 
@@ -292,8 +274,8 @@ impl<'e> DocTable<'e> {
             if entry.park() {
                 *sessions -= 1;
             }
-            if let State::Parked { doc, .. } = &entry.state {
-                visit(id, entry.family, doc);
+            if let State::Parked(parked) = &entry.state {
+                visit(id, entry.family, parked.document());
             }
         }
     }
@@ -367,7 +349,8 @@ pub(crate) mod tests {
     use std::time::Duration;
     use xvu_dtd::parse_dtd;
     use xvu_edit::{output_tree, parse_script, Script};
-    use xvu_tree::{parse_term_with_ids, Alphabet, NodeId, SnapshotFile};
+    use xvu_propagate::Engine;
+    use xvu_tree::{parse_term_with_ids, Alphabet, NodeId, NodeIdGen, SnapshotFile};
     use xvu_view::parse_annotation;
 
     /// The paper's running example: engine, `t0` and the Fig. 7 update.
@@ -397,16 +380,17 @@ pub(crate) mod tests {
         (engine, t, s0)
     }
 
-    /// A table over `engines` holding `docs` copies of `t`, keyed 1.. .
+    /// A table holding `docs` copies of `t`, keyed 1.., parked by
+    /// `engine`.
     pub(crate) fn table_with<'e>(
-        engines: &'e [Engine],
+        engine: &'e Engine,
         capacity: usize,
         t: &DocTree,
         docs: u64,
     ) -> DocTable<'e> {
-        let table = DocTable::new(engines, capacity);
+        let table = DocTable::new(capacity);
         for doc in 1..=docs {
-            table.load(doc, 0, t.clone());
+            table.load(doc, 0, engine.park(t.clone()).unwrap());
         }
         table
     }
@@ -414,8 +398,7 @@ pub(crate) mod tests {
     #[test]
     fn lru_evicts_oldest_parked_session_at_capacity() {
         let (engine, t, _) = engine_and_doc();
-        let engines = [engine];
-        let table = table_with(&engines, 2, &t, 4);
+        let table = table_with(&engine, 2, &t, 4);
         for doc in [1u64, 2, 3] {
             let (lease, evicted) = table.lease(doc).unwrap();
             drop(lease);
@@ -431,8 +414,7 @@ pub(crate) mod tests {
     #[test]
     fn leased_sessions_are_eviction_exempt() {
         let (engine, t, _) = engine_and_doc();
-        let engines = [engine];
-        let table = table_with(&engines, 2, &t, 3);
+        let table = table_with(&engine, 2, &t, 3);
         let (held_1, _) = table.lease(1).unwrap();
         drop(table.lease(2).unwrap());
         // doc 1 is LRU but leased: doc 2 is evicted instead
@@ -443,8 +425,7 @@ pub(crate) mod tests {
     #[test]
     fn fully_leased_pool_pushes_back_instead_of_growing() {
         let (engine, t, _) = engine_and_doc();
-        let engines = [engine];
-        let table = table_with(&engines, 2, &t, 3);
+        let table = table_with(&engine, 2, &t, 3);
         let (a, _) = table.lease(1).unwrap();
         let (b, _) = table.lease(2).unwrap();
         // both sessions are leased: a parked document is refused with
@@ -466,8 +447,7 @@ pub(crate) mod tests {
         // `close` parks the session's committed document in its entry:
         // the next lease reopens a fresh session from it.
         let (engine, t, s0) = engine_and_doc();
-        let engines = [engine];
-        let table = table_with(&engines, 4, &t, 7);
+        let table = table_with(&engine, 4, &t, 7);
         let committed = {
             let (mut lease, _) = table.lease(7).unwrap();
             lease.apply(&s0).unwrap();
@@ -486,11 +466,12 @@ pub(crate) mod tests {
     fn eviction_write_back_preserves_id_floor_via_merge() {
         // The serving invariant behind deterministic replay: evict a
         // session, reopen it — the reopened session mints the same fresh
-        // identifiers the evicted one would have.
-        let engines = [hidden_h_engine()];
-        let mut alpha = engines[0].alphabet().clone();
+        // identifiers the evicted one would have. A `close` restarts the
+        // floor instead, as a fresh `Engine::open` would.
+        let engine = hidden_h_engine();
+        let mut alpha = engine.alphabet().clone();
         let t = parse_term_with_ids(&mut alpha, &mut NodeIdGen::new(), "r#0(a#1, h#2)").unwrap();
-        let table = table_with(&engines, 1, &t, 2);
+        let table = table_with(&engine, 1, &t, 2);
         let floor = {
             let (mut lease, _) = table.lease(1).unwrap();
             // insert a#9, then delete it: the document's largest id is 2
@@ -501,7 +482,7 @@ pub(crate) mod tests {
                     .unwrap();
             }
             assert_eq!(
-                engines[0].open(lease.document()).unwrap().id_gen().peek(),
+                engine.open(lease.document()).unwrap().id_gen().peek(),
                 NodeId(3)
             );
             lease.id_gen().peek()
@@ -512,13 +493,17 @@ pub(crate) mod tests {
         assert_eq!(evicted, Some(2));
         assert_eq!(lease.commits(), 0, "reopened");
         assert_eq!(lease.id_gen().peek(), floor);
+        drop(lease);
+        assert!(table.close(1));
+        let (lease, _) = table.lease(1).unwrap();
+        assert_eq!(lease.commits(), 0, "reopened");
+        assert_eq!(lease.id_gen().peek(), NodeId(3), "close restarts the floor");
     }
 
     #[test]
     fn lease_resumes_the_committed_state() {
         let (engine, t, s0) = engine_and_doc();
-        let engines = [engine];
-        let table = table_with(&engines, 4, &t, 7);
+        let table = table_with(&engine, 4, &t, 7);
         let expected = {
             let (mut lease, _) = table.lease(7).unwrap();
             let prop = lease.apply(&s0).unwrap();
@@ -529,29 +514,6 @@ pub(crate) mod tests {
         let (lease, _) = table.lease(7).unwrap();
         assert_eq!(lease.commits(), 1);
         assert_eq!(lease.document(), &expected);
-    }
-
-    #[test]
-    fn failed_open_frees_the_key() {
-        let (engine, t, _) = engine_and_doc();
-        let mut alpha = engine.alphabet().clone();
-        let mut gen = NodeIdGen::starting_at(100);
-        let bad = parse_term_with_ids(&mut alpha, &mut gen, "r#100(a#101, b#102)").unwrap();
-        let engines = [engine];
-        let table = DocTable::new(&engines, 1);
-        table.load(9, 0, bad);
-        for _ in 0..2 {
-            // the entry goes back to parked: a retry fails again rather
-            // than waiting on a lease nobody holds
-            assert!(matches!(
-                table.lease(9),
-                Err(LeaseError::Open(PropagateError::SourceNotValid(_)))
-            ));
-            assert_eq!(table.resident(), 0);
-        }
-        table.load(9, 0, t.clone());
-        let (lease, _) = table.lease(9).unwrap();
-        assert_eq!(lease.document(), &t);
     }
 
     // ---- load / close / snapshot against a held lease --------------------

@@ -16,8 +16,7 @@ mod tests {
     #[test]
     fn pool_capacity_bounds_new_checkouts() {
         let (engine, t, _) = engine_and_doc();
-        let engines = [engine];
-        let table = table_with(&engines, 2, &t, 4);
+        let table = table_with(&engine, 2, &t, 4);
         assert_eq!(table.capacity(), 2);
         let (held, _) = table.lease(1).unwrap();
         drop(table.lease(2).unwrap());
@@ -43,8 +42,7 @@ mod tests {
     #[test]
     fn pool_evicts_only_parked_sessions() {
         let (engine, t, s0) = engine_and_doc();
-        let engines = [engine];
-        let table = table_with(&engines, 1, &t, 2);
+        let table = table_with(&engine, 1, &t, 2);
         let (mut lease, _) = table.lease(1).unwrap();
         lease.apply(&s0).unwrap();
         let committed = lease.document().clone();
@@ -62,7 +60,7 @@ mod tests {
         assert_eq!(evicted, Some(2));
         assert_eq!(lease.commits(), 0, "reopened");
         assert_eq!(lease.document(), &committed);
-        assert!(engines[0].dtd().is_valid(lease.document()));
+        assert!(engine.dtd().is_valid(lease.document()));
     }
 
     #[test]
@@ -76,16 +74,17 @@ mod tests {
             ann: ann.clone(),
         };
         let mut gen = NodeIdGen::new();
-        let engines = [Engine::builder()
+        let engine = Engine::builder()
             .alphabet(alpha)
             .dtd(dtd)
             .annotation(ann)
             .build()
-            .unwrap()];
+            .unwrap();
         let docs = 4u64;
-        let table = DocTable::new(&engines, docs as usize);
+        let table = DocTable::new(docs as usize);
         for doc in 0..docs {
-            table.load(doc, 0, hospital_doc(&h, 2, 6, &mut gen));
+            let parked = engine.park(hospital_doc(&h, 2, 6, &mut gen)).unwrap();
+            table.load(doc, 0, parked);
         }
         let rounds = 3u64;
         std::thread::scope(|scope| {
@@ -109,10 +108,10 @@ mod tests {
             let (lease, evicted) = table.lease(doc).unwrap();
             assert_eq!(evicted, None);
             total += lease.commits();
-            assert!(engines[0].dtd().is_valid(lease.document()));
+            assert!(engine.dtd().is_valid(lease.document()));
             assert_eq!(
                 lease.view(),
-                &extract_view(engines[0].annotation(), lease.document())
+                &extract_view(engine.annotation(), lease.document())
             );
         }
         assert_eq!(total, 8 * rounds);

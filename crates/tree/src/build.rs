@@ -1,100 +1,13 @@
-//! Construction of trees with explicit identifiers.
-//!
-//! [`TreeBuilder`] is the programmatic counterpart of
-//! [`crate::parse_term_with_ids`]: it builds trees node by node while
-//! keeping the enclosing [`NodeIdGen`] consistent. It is mainly used by the
-//! paper-figure fixtures and the workload generators.
+//! Construction of trees in document order.
 //!
 //! [`PreorderBuilder`] builds a tree from its nodes in document order and
 //! writes each child list once, when it is complete: the shape every
 //! reader and every filtering copy produces.
 
 use crate::error::TreeError;
-use crate::node::{Node, NodeId, NodeIdGen};
+use crate::node::{Node, NodeId};
 use crate::slot::Slot;
 use crate::tree::Tree;
-
-/// Builder for a [`Tree`] rooted at a given node.
-///
-/// # Example
-/// ```
-/// use xvu_tree::{Alphabet, NodeIdGen, TreeBuilder};
-///
-/// let mut alpha = Alphabet::new();
-/// let (r, a, b) = (alpha.intern("r"), alpha.intern("a"), alpha.intern("b"));
-/// let mut gen = NodeIdGen::new();
-/// let mut builder = TreeBuilder::new(&mut gen, r);
-/// let root = builder.root();
-/// builder.child(root, a).unwrap();
-/// let nb = builder.child(root, b).unwrap();
-/// builder.child(nb, a).unwrap();
-/// let t = builder.finish();
-/// assert_eq!(t.size(), 4);
-/// ```
-pub struct TreeBuilder<'g, L> {
-    gen: &'g mut NodeIdGen,
-    tree: Tree<L>,
-}
-
-impl<'g, L> TreeBuilder<'g, L> {
-    /// Starts a tree with a fresh root labeled `label`.
-    pub fn new(gen: &'g mut NodeIdGen, label: L) -> TreeBuilder<'g, L> {
-        let tree = Tree::leaf(gen, label);
-        TreeBuilder { gen, tree }
-    }
-
-    /// Starts a tree with an explicit root identifier.
-    pub fn with_root_id(gen: &'g mut NodeIdGen, id: NodeId, label: L) -> TreeBuilder<'g, L> {
-        gen.bump_past(id);
-        TreeBuilder {
-            gen,
-            tree: Tree::leaf_with_id(id, label),
-        }
-    }
-
-    /// The root identifier of the tree under construction.
-    pub fn root(&self) -> NodeId {
-        self.tree.root()
-    }
-
-    /// Appends a fresh child under `parent`, returning its identifier.
-    pub fn child(&mut self, parent: NodeId, label: L) -> Result<NodeId, TreeError> {
-        if !self.tree.contains(parent) {
-            return Err(TreeError::UnknownNode(parent));
-        }
-        Ok(self.tree.add_child(parent, self.gen, label))
-    }
-
-    /// Appends a child with an explicit identifier under `parent`.
-    pub fn child_with_id(
-        &mut self,
-        parent: NodeId,
-        id: NodeId,
-        label: L,
-    ) -> Result<NodeId, TreeError> {
-        self.tree.add_child_with_id(parent, id, label)?;
-        self.gen.bump_past(id);
-        Ok(id)
-    }
-
-    /// Grafts a fully built subtree as the last child of `parent`.
-    pub fn graft(&mut self, parent: NodeId, sub: Tree<L>) -> Result<NodeId, TreeError> {
-        let sub_root = sub.root();
-        let pos = self.tree.children(parent).len();
-        self.tree.attach_subtree(parent, pos, sub)?;
-        Ok(sub_root)
-    }
-
-    /// Read-only access to the tree under construction.
-    pub fn tree(&self) -> &Tree<L> {
-        &self.tree
-    }
-
-    /// Finishes construction and returns the tree.
-    pub fn finish(self) -> Tree<L> {
-        self.tree
-    }
-}
 
 /// Builds a tree from its nodes in document order (pre-order), writing
 /// each child list once, when it is complete.
@@ -209,38 +122,6 @@ mod tests {
     }
 
     #[test]
-    fn builds_nested_tree() {
-        let mut gen = NodeIdGen::new();
-        let mut b = TreeBuilder::new(&mut gen, sym(0));
-        let r = b.root();
-        let a = b.child(r, sym(1)).unwrap();
-        b.child(a, sym(2)).unwrap();
-        b.child(r, sym(3)).unwrap();
-        let t = b.finish();
-        assert_eq!(t.size(), 4);
-        assert_eq!(t.children(r).len(), 2);
-        t.validate().unwrap();
-    }
-
-    #[test]
-    fn explicit_ids_bump_generator() {
-        let mut gen = NodeIdGen::new();
-        let mut b = TreeBuilder::with_root_id(&mut gen, NodeId(5), sym(0));
-        let r = b.root();
-        b.child_with_id(r, NodeId(9), sym(1)).unwrap();
-        let fresh = b.child(r, sym(2)).unwrap();
-        assert!(fresh.0 > 9);
-    }
-
-    #[test]
-    fn child_of_unknown_parent_fails() {
-        let mut gen = NodeIdGen::new();
-        let mut b = TreeBuilder::new(&mut gen, sym(0));
-        let err = b.child(NodeId(999), sym(1)).unwrap_err();
-        assert_eq!(err, TreeError::UnknownNode(NodeId(999)));
-    }
-
-    #[test]
     fn preorder_builder_writes_each_list_once() {
         // r(a(b, c), d(e)), then finish with two lists still open
         let mut b = PreorderBuilder::new(NodeId(0), sym(0));
@@ -263,18 +144,5 @@ mod tests {
             vec![0, 1, 2, 3, 4, 5],
             "the arena is in document order"
         );
-    }
-
-    #[test]
-    fn graft_attaches_subtree() {
-        let mut gen = NodeIdGen::new();
-        let sub: Tree<Sym> = Tree::leaf(&mut gen, sym(7));
-        let sub_root = sub.root();
-        let mut b = TreeBuilder::new(&mut gen, sym(0));
-        let r = b.root();
-        let attached = b.graft(r, sub).unwrap();
-        assert_eq!(attached, sub_root);
-        let t = b.finish();
-        assert_eq!(t.children(r), &[sub_root]);
     }
 }

@@ -103,7 +103,7 @@ mod term;
 mod tree;
 
 pub use alphabet::{Alphabet, Sym};
-pub use build::{PreorderBuilder, TreeBuilder};
+pub use build::PreorderBuilder;
 pub use error::TreeError;
 pub use intern::{InternId, Interner};
 pub use iter::{Postorder, Preorder};

@@ -89,17 +89,6 @@ impl NodeIdGen {
         // `next` never passes `u64::MAX`, one past `NodeId::MAX`
         u64::MAX - self.next
     }
-
-    /// Advances this generator to at least `other`'s frontier, so every
-    /// future identifier is fresh with respect to *both* histories.
-    ///
-    /// Used when a derived generator (e.g. one rebuilt from a new document)
-    /// must stay monotone with respect to an older generator whose
-    /// identifiers may no longer appear in any tree — identifiers are never
-    /// recycled, even for deleted nodes.
-    pub fn merge(&mut self, other: &NodeIdGen) {
-        self.next = self.next.max(other.next);
-    }
 }
 
 /// Marks a vacant slot in a node record's `cap` field: no live list has
@@ -195,19 +184,6 @@ mod tests {
     fn starting_at_honours_start() {
         let mut g = NodeIdGen::starting_at(100);
         assert_eq!(g.fresh(), NodeId(100));
-    }
-
-    #[test]
-    fn merge_takes_the_later_frontier() {
-        let mut g = NodeIdGen::starting_at(10);
-        g.merge(&NodeIdGen::starting_at(100));
-        assert_eq!(g.fresh(), NodeId(100));
-        // merging an older generator is a no-op
-        g.merge(&NodeIdGen::starting_at(5));
-        assert_eq!(g.fresh(), NodeId(101));
-        // the empty generator never rewinds anything
-        g.merge(&NodeIdGen::new());
-        assert_eq!(g.fresh(), NodeId(102));
     }
 
     #[test]

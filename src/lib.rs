@@ -157,7 +157,7 @@ pub use xvu_workload as workload;
 pub use xvu_xml as xml;
 
 pub use error::XvuError;
-pub use xvu_propagate::{Engine, EngineBuilder, Session};
+pub use xvu_propagate::{Engine, EngineBuilder, Parked, Session};
 
 /// The commonly used names in one import.
 pub mod prelude {
@@ -177,13 +177,13 @@ pub mod prelude {
         enumerate_optimal_propagations, find_complement_preserving, invisible_impact, propagate,
         propagate_view_edit, revalidate_output, typing_report, verify_propagation, CacheStats,
         Config, CostModel, Engine, EngineBuilder, GraphScratch, Instance, InversionForest,
-        InvisibleImpact, PhaseBreakdown, PropScratch, PropagateError, Propagation,
+        InvisibleImpact, Parked, PhaseBreakdown, PropScratch, PropagateError, Propagation,
         PropagationForest, Selector, Session, TypingReport,
     };
     pub use xvu_repair::{repair_based_update, tree_edit_distance, RepairConfig};
     pub use xvu_tree::{
         parse_term, parse_term_with_ids, to_term, to_term_with_ids, Alphabet, DocTree, InternId,
-        Interner, NodeId, NodeIdGen, Sym, Tree, TreeBuilder,
+        Interner, NodeId, NodeIdGen, Sym, Tree,
     };
     pub use xvu_view::{
         derive_view_dtd, extract_view, parse_annotation, visible_nodes, Annotation,
