@@ -16,10 +16,12 @@
 //! Single documents at 1k/10k/100k nodes, plus a 36-document fleet
 //! corpus loaded whole (packed snapshot vs per-document term parse).
 //! Every timed load is also an oracle: the loaded tree must equal the
-//! original identifier-for-identifier. The run itself enforces the
-//! cold-start gate: flat load at least `FLAT_VS_TERM_GATE` times faster than
-//! term parse at 10k nodes. The file records `nproc` and the git
-//! revision it was measured at.
+//! original identifier-for-identifier. Each load time is recorded as
+//! `{ "min", "median", "max" }` µs over the repetitions; the speedups and
+//! the run's cold-start gate read the minimums (the best-of): flat load
+//! at least `FLAT_VS_TERM_GATE` times faster than term parse at 10k
+//! nodes. The file records `nproc` and the git revision it was measured
+//! at.
 //!
 //! ```text
 //! cargo run --release -p xvu_bench --bin bench_load [-- OUT_PATH]
@@ -27,7 +29,7 @@
 //! ```
 
 use std::time::Instant;
-use xvu_bench::git_revision;
+use xvu_bench::{json_header, ms, write_json, Spread};
 use xvu_tree::{
     parse_term_with_ids, to_term_with_ids, Alphabet, DocTree, NodeIdGen, SnapshotFile, Tree,
 };
@@ -72,18 +74,26 @@ fn synth_doc(nodes: usize) -> (Alphabet, DocTree) {
     (alpha, t)
 }
 
-/// Best-of-`reps` wall time for `load`, in seconds. Each reseeded run
-/// must produce a tree equal to `expect` (the load-path oracle).
-fn time_load(reps: usize, expect: &DocTree, mut load: impl FnMut() -> DocTree) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let got = load();
-        let dt = start.elapsed().as_secs_f64();
-        assert_eq!(&got, expect, "loaded tree diverged from the original");
-        best = best.min(dt);
-    }
-    best
+/// Wall time of `reps` runs of `load`, in µs. Each run must produce a
+/// tree equal to `expect` (the load-path oracle), checked outside the
+/// timing.
+fn load_us(reps: usize, expect: &DocTree, mut load: impl FnMut() -> DocTree) -> Spread {
+    let samples = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            let got = load();
+            let t = ms(start.elapsed());
+            assert_eq!(&got, expect, "loaded tree diverged from the original");
+            t
+        })
+        .collect();
+    Spread::of(samples).scale(1e3)
+}
+
+/// How many times faster flat load is than term parse, best-of against
+/// best-of.
+fn speedup(flat: &Spread, term: &Spread) -> f64 {
+    term.min / flat.min.max(1e-6)
 }
 
 struct SizeRow {
@@ -91,9 +101,9 @@ struct SizeRow {
     flat_bytes: usize,
     term_bytes: usize,
     xml_bytes: usize,
-    flat_s: f64,
-    term_s: f64,
-    xml_s: f64,
+    flat_us: Spread,
+    term_us: Spread,
+    xml_us: Spread,
 }
 
 fn measure_size(nodes: usize, reps: usize) -> SizeRow {
@@ -110,16 +120,16 @@ fn measure_size(nodes: usize, reps: usize) -> SizeRow {
     );
     // every format loads against a clone of the family alphabet, like
     // the daemon does (labels resolve to the engine's existing symbols)
-    let flat_s = time_load(reps, &doc, || {
+    let flat_us = load_us(reps, &doc, || {
         let mut a = alpha.clone();
         DocTree::from_snapshot_bytes(&flat, &mut a).expect("flat decodes")
     });
-    let term_s = time_load(reps, &doc, || {
+    let term_us = load_us(reps, &doc, || {
         let mut a = alpha.clone();
         let mut g = NodeIdGen::new();
         parse_term_with_ids(&mut a, &mut g, &term).expect("term parses")
     });
-    let xml_s = time_load(reps, &doc, || {
+    let xml_us = load_us(reps, &doc, || {
         let mut a = alpha.clone();
         let mut g = NodeIdGen::new();
         read_xml(&mut a, &mut g, &xml).expect("xml parses")
@@ -127,22 +137,22 @@ fn measure_size(nodes: usize, reps: usize) -> SizeRow {
     eprintln!(
         "  {nodes:>6} nodes: flat {:>9.1} µs ({} B), \
          term {:>9.1} µs ({} B), xml {:>9.1} µs ({} B) — flat is {:.1}× faster than term",
-        flat_s * 1e6,
+        flat_us.min,
         flat.len(),
-        term_s * 1e6,
+        term_us.min,
         term.len(),
-        xml_s * 1e6,
+        xml_us.min,
         xml.len(),
-        term_s / flat_s.max(1e-12),
+        speedup(&flat_us, &term_us),
     );
     SizeRow {
         nodes,
         flat_bytes: flat.len(),
         term_bytes: term.len(),
         xml_bytes: xml.len(),
-        flat_s,
-        term_s,
-        xml_s,
+        flat_us,
+        term_us,
+        xml_us,
     }
 }
 
@@ -151,8 +161,8 @@ struct FleetRow {
     total_nodes: usize,
     flat_bytes: usize,
     term_bytes: usize,
-    flat_s: f64,
-    term_s: f64,
+    flat_us: Spread,
+    term_us: Spread,
 }
 
 /// The 36-document fleet corpus, loaded whole: packed snapshot file
@@ -182,8 +192,7 @@ fn measure_fleet(docs: usize, reps: usize) -> FleetRow {
     let expect: Vec<&DocTree> = plan.docs.iter().map(|fd| &fd.doc).collect();
     let total_nodes: usize = expect.iter().map(|d| d.size()).sum();
 
-    let mut flat_s = f64::INFINITY;
-    let mut term_s = f64::INFINITY;
+    let (mut flat_ms, mut term_ms) = (Vec::new(), Vec::new());
     for _ in 0..reps {
         let start = Instant::now();
         let file = SnapshotFile::from_bytes(corpus.clone()).expect("corpus parses");
@@ -195,11 +204,10 @@ fn measure_fleet(docs: usize, reps: usize) -> FleetRow {
                 file.decode(i, &mut a).expect("doc decodes")
             })
             .collect();
-        let dt = start.elapsed().as_secs_f64();
+        flat_ms.push(ms(start.elapsed()));
         for (got, want) in loaded.iter().zip(&expect) {
             assert_eq!(&got, want, "corpus-loaded tree diverged");
         }
-        flat_s = flat_s.min(dt);
 
         let start = Instant::now();
         let parsed: Vec<DocTree> = terms
@@ -210,28 +218,29 @@ fn measure_fleet(docs: usize, reps: usize) -> FleetRow {
                 parse_term_with_ids(&mut a, &mut g, term).expect("term parses")
             })
             .collect();
-        let dt = start.elapsed().as_secs_f64();
+        term_ms.push(ms(start.elapsed()));
         for (got, want) in parsed.iter().zip(&expect) {
             assert_eq!(&got, want, "term-parsed tree diverged");
         }
-        term_s = term_s.min(dt);
     }
+    let flat_us = Spread::of(flat_ms).scale(1e3);
+    let term_us = Spread::of(term_ms).scale(1e3);
     eprintln!(
         "  fleet corpus ({docs} docs, {total_nodes} nodes): flat {:.1} µs ({} B), \
          term {:.1} µs ({} B) — flat is {:.1}× faster",
-        flat_s * 1e6,
+        flat_us.min,
         corpus.len(),
-        term_s * 1e6,
+        term_us.min,
         term_bytes,
-        term_s / flat_s.max(1e-12),
+        speedup(&flat_us, &term_us),
     );
     FleetRow {
         docs,
         total_nodes,
         flat_bytes: corpus.len(),
         term_bytes,
-        flat_s,
-        term_s,
+        flat_us,
+        term_us,
     }
 }
 
@@ -246,71 +255,64 @@ fn main() {
         (vec![1_000usize, 10_000, 100_000], 15, 36)
     };
 
-    eprintln!("bench_load: cold-start wall time per format (best of {reps})");
+    eprintln!("bench_load: cold-start wall time per format (min of {reps})");
     let rows: Vec<SizeRow> = sizes.iter().map(|&n| measure_size(n, reps)).collect();
     let fleet = measure_fleet(fleet_docs, reps);
 
-    let gate = rows
+    let at_10k = rows
         .iter()
         .find(|r| r.nodes == 10_000)
         .expect("10k row present");
-    let speedup = gate.term_s / gate.flat_s.max(1e-12);
+    let gate = speedup(&at_10k.flat_us, &at_10k.term_us);
     assert!(
-        speedup >= FLAT_VS_TERM_GATE,
+        gate >= FLAT_VS_TERM_GATE,
         "flat load must be ≥ {FLAT_VS_TERM_GATE}× faster than term parse at 10k nodes, \
-         got {speedup:.1}×"
+         got {gate:.1}×"
     );
 
     if smoke {
-        println!("bench_load self-test PASS (flat {speedup:.1}× faster than term at 10k nodes)");
+        println!("bench_load self-test PASS (flat {gate:.1}× faster than term at 10k nodes)");
         return;
     }
 
     let out_path = arg.unwrap_or_else(|| "BENCH_load.json".to_owned());
-    let mut json = String::from("{\n");
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    json.push_str("  \"schema\": \"xvu-bench-load/2\",\n");
-    json.push_str(&format!(
-        "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
-        git_revision()
-    ));
+    let mut json = json_header("xvu-bench-load/3");
     json.push_str(
-        "  \"timed_region\": \"serialized bytes to a verified in-memory arena (best of N)\",\n",
+        "  \"timed_region\": \"serialized bytes to a verified in-memory arena, min / median / \
+         max us over reps; flat_vs_term_speedup is the ratio of the minimums (best of reps)\",\n",
     );
     json.push_str(&format!("  \"reps\": {reps},\n"));
     json.push_str("  \"sizes\": {\n");
     for (i, r) in rows.iter().enumerate() {
         json.push_str(&format!(
-            "    \"{}\": {{ \"flat_us\": {:.1}, \"term_us\": {:.1}, \"xml_us\": {:.1}, \
+            "    \"{}\": {{ \"flat_us\": {}, \"term_us\": {}, \"xml_us\": {}, \
              \"flat_bytes\": {}, \"term_bytes\": {}, \"xml_bytes\": {}, \
              \"flat_vs_term_speedup\": {:.1} }}",
             r.nodes,
-            r.flat_s * 1e6,
-            r.term_s * 1e6,
-            r.xml_s * 1e6,
+            r.flat_us.json(1),
+            r.term_us.json(1),
+            r.xml_us.json(1),
             r.flat_bytes,
             r.term_bytes,
             r.xml_bytes,
-            r.term_s / r.flat_s.max(1e-12),
+            speedup(&r.flat_us, &r.term_us),
         ));
         json.push_str(if i + 1 == rows.len() { "\n" } else { ",\n" });
     }
     json.push_str("  },\n");
     json.push_str(&format!(
         "  \"fleet_corpus\": {{ \"docs\": {}, \"total_nodes\": {}, \
-         \"flat_us\": {:.1}, \"term_us\": {:.1}, \
+         \"flat_us\": {}, \"term_us\": {}, \
          \"flat_bytes\": {}, \"term_bytes\": {}, \"flat_vs_term_speedup\": {:.1} }}\n",
         fleet.docs,
         fleet.total_nodes,
-        fleet.flat_s * 1e6,
-        fleet.term_s * 1e6,
+        fleet.flat_us.json(1),
+        fleet.term_us.json(1),
         fleet.flat_bytes,
         fleet.term_bytes,
-        fleet.term_s / fleet.flat_s.max(1e-12),
+        speedup(&fleet.flat_us, &fleet.term_us),
     ));
     json.push_str("}\n");
 
-    std::fs::write(&out_path, &json).expect("write BENCH_load.json");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
+    write_json(&out_path, &json);
 }

@@ -1,8 +1,7 @@
 //! Machine-readable propagation benchmark: emits `BENCH_propagate.json`.
 //!
-//! Measures the engine-amortized repeated-update medians for the two
-//! canonical workloads of `benches/repeated_updates.rs` — the
-//! document-heavy hospital batch and the schema-heavy 32-label random
+//! Times engine-amortized repeated updates on two canonical workloads —
+//! the document-heavy hospital batch and the schema-heavy 32-label random
 //! batch — plus the **churn** workload (K small localized edits against
 //! the hospital document through one long-lived session, propagate +
 //! commit each, measured with the engine's propagation memo on and off
@@ -15,17 +14,15 @@
 //! per-phase breakdown (`phases`: instance validation, graph build,
 //! typing, assembly, commit — read off the session's phase clock,
 //! `Session::phases`) and a `kernel` section times the pooled CSR kernel
-//! of `benches/kernel_layouts.rs` over each workload's harvested graph
-//! set.
+//! (`xvu_bench::kernel`) over each workload's harvested graph set.
 //!
 //! ```text
 //! cargo run --release -p xvu_bench --bin bench_propagate [-- OUT_PATH]
 //! ```
 //!
-//! The timed region of the batch rows matches the bench's
-//! `engine_amortized` arm exactly: engine compilation + session open +
-//! one propagation per update. The churn rows pre-compile the engine and
-//! time session open + K × (propagate + commit).
+//! The timed region of the batch rows is engine compilation + session
+//! open + one propagation per update. The churn rows pre-compile the
+//! engine and time session open + K × (propagate + commit).
 //!
 //! Since schema /7 an `admission` section times one hospital admission
 //! (a 3-node patient added to the view) at three document sizes — 1, 10
@@ -57,13 +54,19 @@
 //! interning, view extraction) and `resume_ms` is `Parked::resume` of a
 //! copy parked outside the timing (interning and view extraction), each
 //! min / median / max over 7 repeats taken in alternation.
+//!
+//! Since schema /12 every timing figure is `{ "min", "median", "max" }`
+//! over the runs it was taken from ([`Spread`]): the `workloads`,
+//! `kernel` and `enumerated` rows over their 15 runs, as the admission
+//! and worst-case rows already were over their edits. The `phases`
+//! objects stay per-phase medians.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xvu_bench::kernel::{harvest_graphs, sum_csr_fresh, sum_csr_pooled};
 use xvu_bench::{
-    enumerated_regime_rows, git_revision, hospital_churn_batch, hospital_update_batch, median_time,
-    random_update_batch, run_churn_session, OwnedInstance,
+    enumerated_regime_rows, hospital_churn_batch, hospital_update_batch, json_header, ms,
+    random_update_batch, run_churn_session, write_json, OwnedInstance, Spread,
 };
 use xvu_dtd::parse_dtd;
 use xvu_edit::{nop_script, ELabel, Script};
@@ -72,9 +75,9 @@ use xvu_tree::{Alphabet, DocTree, NodeIdGen};
 use xvu_view::parse_annotation;
 use xvu_workload::scenario::{admit_patient, hospital, hospital_doc};
 
-/// Median engine-amortized wall time for one workload, in nanoseconds.
-fn engine_amortized_median_ns(oi: &OwnedInstance, updates: &[Script], runs: usize) -> u128 {
-    median_time(runs, || {
+/// Engine-amortized wall time for one workload, ns over `runs` runs.
+fn engine_amortized_ns(oi: &OwnedInstance, updates: &[Script], runs: usize) -> Spread {
+    Spread::time(runs, || {
         let engine = oi.engine();
         let session = engine.open(&oi.doc).expect("valid document");
         let mut total = 0u64;
@@ -83,19 +86,15 @@ fn engine_amortized_median_ns(oi: &OwnedInstance, updates: &[Script], runs: usiz
         }
         black_box(total);
     })
-    .as_nanos()
-}
-
-fn median_u64(mut v: Vec<u64>) -> u64 {
-    v.sort_unstable();
-    v[v.len() / 2]
+    .scale(1e6)
 }
 
 /// Runs `pass` `runs` times and takes the per-phase median across runs.
 fn phase_medians(runs: usize, mut pass: impl FnMut() -> PhaseBreakdown) -> PhaseBreakdown {
     let samples: Vec<PhaseBreakdown> = (0..runs.max(1)).map(|_| pass()).collect();
-    let median =
-        |phase: fn(&PhaseBreakdown) -> u64| median_u64(samples.iter().map(phase).collect());
+    let median = |phase: fn(&PhaseBreakdown) -> u64| {
+        Spread::of(samples.iter().map(|p| phase(p) as f64).collect()).median as u64
+    };
     PhaseBreakdown {
         instance_ns: median(|p| p.instance_ns),
         graph_build_ns: median(|p| p.graph_build_ns),
@@ -144,16 +143,16 @@ struct Row {
     name: &'static str,
     updates: usize,
     doc_nodes: usize,
-    median_ns: u128,
+    ns: Spread,
     phases: PhaseBreakdown,
 }
 
-/// One workload's kernel row: median ns for one pooled best-cost sweep
-/// over the harvested graph set.
+/// One workload's kernel row: ns for one pooled best-cost sweep over the
+/// harvested graph set.
 struct KernelRow {
     name: &'static str,
     graphs: usize,
-    csr_pooled_ns: u128,
+    csr_pooled_ns: Spread,
 }
 
 fn kernel_row(name: &'static str, oi: &OwnedInstance, runs: usize) -> KernelRow {
@@ -167,58 +166,31 @@ fn kernel_row(name: &'static str, oi: &OwnedInstance, runs: usize) -> KernelRow 
     KernelRow {
         name,
         graphs: graphs.len(),
-        csr_pooled_ns: median_time(runs, || {
+        csr_pooled_ns: Spread::time(runs, || {
             black_box(sum_csr_pooled(&graphs, &mut scratch));
         })
-        .as_nanos(),
+        .scale(1e6),
     }
 }
 
-/// Median wall time of a churn replay through a fresh session of a fresh
-/// engine, the engine compiled outside the timed region (its memo starts
-/// cold every run).
+/// Wall time of a churn replay through a fresh session of a fresh
+/// engine, ns over `runs` runs, the engine compiled outside the timed
+/// region (its memo starts cold every run).
 fn fresh_engine_churn_ns(
     runs: usize,
     engine: impl Fn() -> Engine,
-    doc: &xvu_tree::DocTree,
+    doc: &DocTree,
     updates: &[Script],
-) -> u128 {
-    let mut samples: Vec<Duration> = (0..runs.max(1))
+) -> Spread {
+    let samples = (0..runs.max(1))
         .map(|_| {
             let engine = engine();
             let t0 = Instant::now();
             black_box(run_churn_session(&engine, doc, updates));
-            t0.elapsed()
+            ms(t0.elapsed())
         })
         .collect();
-    samples.sort();
-    samples[samples.len() / 2].as_nanos()
-}
-
-/// Min, median and max of a sample, in milliseconds.
-struct Spread {
-    min: f64,
-    median: f64,
-    max: f64,
-}
-
-impl Spread {
-    fn of(mut samples: Vec<Duration>) -> Spread {
-        samples.sort();
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        Spread {
-            min: ms(samples[0]),
-            median: ms(samples[samples.len() / 2]),
-            max: ms(samples[samples.len() - 1]),
-        }
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{ \"min\": {:.4}, \"median\": {:.4}, \"max\": {:.4} }}",
-            self.min, self.median, self.max
-        )
-    }
+    Spread::of(samples).scale(1e6)
 }
 
 /// The timings of one row's edits.
@@ -250,14 +222,14 @@ fn open_and_resume(engine: &Engine, doc: &DocTree) -> (Spread, Spread) {
     for _ in 0..OPEN_REPEATS {
         let t0 = Instant::now();
         let session = engine.open(doc).expect("hospital documents are valid");
-        open.push(t0.elapsed());
+        open.push(ms(t0.elapsed()));
         drop(black_box(session));
         let parked = engine
             .park(doc.clone())
             .expect("hospital documents are valid");
         let t0 = Instant::now();
         let session = parked.resume();
-        resume.push(t0.elapsed());
+        resume.push(ms(t0.elapsed()));
         drop(black_box(session));
     }
     (Spread::of(open), Spread::of(resume))
@@ -283,14 +255,19 @@ fn timed_edits(
         session.commit(&prop).expect("the edit commits");
         let t2 = Instant::now();
         if i >= warmup {
-            edits.push((t1 - t0, t2 - t1, phase_delta(session.phases(), before)));
+            let phases = phase_delta(session.phases(), before);
+            edits.push((ms(t1 - t0), ms(t2 - t1), phases));
         }
     }
-    edits.sort_by_key(|&(propagate, ..)| propagate);
+    let propagate_ms = Spread::of(edits.iter().map(|e| e.0).collect());
+    let median_edit = edits
+        .iter()
+        .find(|e| e.0 == propagate_ms.median)
+        .expect("the median is one of the samples");
     Timed {
-        propagate_ms: Spread::of(edits.iter().map(|e| e.0).collect()),
+        propagate_ms,
         commit_ms: Spread::of(edits.iter().map(|e| e.1).collect()),
-        phases: edits[edits.len() / 2].2,
+        phases: median_edit.2,
     }
 }
 
@@ -299,8 +276,8 @@ impl Timed {
     fn json(&self) -> String {
         format!(
             "\"propagate_ms\": {}, \"commit_ms\": {}, {}",
-            self.propagate_ms.json(),
-            self.commit_ms.json(),
+            self.propagate_ms.json(4),
+            self.commit_ms.json(4),
             phases_json(&self.phases),
         )
     }
@@ -444,14 +421,14 @@ fn main() {
             name: "hospital",
             updates: K,
             doc_nodes: hospital.doc.size(),
-            median_ns: engine_amortized_median_ns(&hospital, &hospital_updates, RUNS),
+            ns: engine_amortized_ns(&hospital, &hospital_updates, RUNS),
             phases: phase_medians(RUNS, || phased_pass(&hospital, &hospital_updates, false)),
         },
         Row {
             name: "random32",
             updates: K,
             doc_nodes: random32.doc.size(),
-            median_ns: engine_amortized_median_ns(&random32, &random32_updates, RUNS),
+            ns: engine_amortized_ns(&random32, &random32_updates, RUNS),
             phases: phase_medians(RUNS, || phased_pass(&random32, &random32_updates, false)),
         },
     ];
@@ -472,7 +449,8 @@ fn main() {
         fresh_engine_churn_ns(RUNS, || churn.engine(), &churn.doc, &churn_updates);
     let churn_uncached_ns =
         fresh_engine_churn_ns(RUNS, || churn.engine_uncached(), &churn.doc, &churn_updates);
-    let improvement_pct = 100.0 * (1.0 - churn_cached_ns as f64 / churn_uncached_ns.max(1) as f64);
+    let improvement_pct =
+        100.0 * (1.0 - churn_cached_ns.median / churn_uncached_ns.median.max(1.0));
     let churn_phases = phase_medians(RUNS, || phased_pass(&churn, &churn_updates, true));
 
     // Enumerated coverage arm: the whole default-budget grammar space,
@@ -485,9 +463,8 @@ fn main() {
         .expect("enumeration is non-empty");
     let blowup_regime = blowup.regime;
 
-    // Kernel rows: the pooled CSR arm of `benches/kernel_layouts.rs` over
-    // each workload's harvested graph set (median ns per full best-cost
-    // sweep).
+    // Kernel rows: the pooled CSR arm over each workload's harvested
+    // graph set (ns per full best-cost sweep).
     let kernel_rows = [
         kernel_row("hospital", &hospital, RUNS),
         kernel_row("random32", &random32, RUNS),
@@ -520,61 +497,62 @@ fn main() {
         .iter()
         .map(|&n| chain_row(n, SHAPE_WARMUP, SHAPE_UPDATES))
         .collect();
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-propagate/11\",\n");
-    json.push_str(&format!(
-        "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
-        git_revision()
-    ));
+    let mut json = json_header("xvu-bench-propagate/12");
     json.push_str("  \"timed_region\": \"engine compile + session open + K propagations\",\n");
+    json.push_str(&format!(
+        "  \"spread_note\": \"every timing figure is min / median / max: workloads, kernel and \
+         enumerated over their {RUNS} runs, admission and worst_case over their updates and \
+         repeats\",\n"
+    ));
     json.push_str(
         "  \"phases_note\": \"workload phases are per-phase ns summed over the K updates of one \
-         pass, read off the session's phase clock (Session::phases), medians across runs, \
-         measured outside the median_ns region; admission and worst_case phases are those of \
+         pass, read off the session's phase clock (Session::phases), per-phase medians across \
+         runs, measured outside the timed runs; admission and worst_case phases are those of \
          the median edit by propagate time\",\n",
     );
-    json.push_str(&format!("  \"runs_per_median\": {RUNS},\n"));
+    json.push_str(&format!("  \"runs\": {RUNS},\n"));
     json.push_str("  \"workloads\": {\n");
     for row in rows.iter() {
         json.push_str(&format!(
-            "    \"{}\": {{ \"updates\": {}, \"doc_nodes\": {}, \"median_ns\": {}, \"median_us_per_update\": {:.3}, {} }},\n",
+            "    \"{}\": {{ \"updates\": {}, \"doc_nodes\": {}, \"ns\": {}, \
+             \"us_per_update\": {}, {} }},\n",
             row.name,
             row.updates,
             row.doc_nodes,
-            row.median_ns,
-            row.median_ns as f64 / 1e3 / row.updates as f64,
+            row.ns.json(0),
+            row.ns.scale(1e-3 / row.updates as f64).json(3),
             phases_json(&row.phases),
         ));
     }
     json.push_str(&format!(
         "    \"churn\": {{ \"updates\": {}, \"doc_nodes\": {}, \
          \"timed_region\": \"session open + K x (propagate + commit), a fresh engine compiled outside the timed region per run\", \
-         \"cached_median_ns\": {}, \"uncached_median_ns\": {}, \
-         \"cached_us_per_update\": {:.3}, \"uncached_us_per_update\": {:.3}, \
+         \"cached_ns\": {}, \"uncached_ns\": {}, \
+         \"cached_us_per_update\": {}, \"uncached_us_per_update\": {}, \
          \"cache_improvement_pct\": {:.1}, {} }}\n",
         K,
         churn.doc.size(),
-        churn_cached_ns,
-        churn_uncached_ns,
-        churn_cached_ns as f64 / 1e3 / K as f64,
-        churn_uncached_ns as f64 / 1e3 / K as f64,
+        churn_cached_ns.json(0),
+        churn_uncached_ns.json(0),
+        churn_cached_ns.scale(1e-3 / K as f64).json(3),
+        churn_uncached_ns.scale(1e-3 / K as f64).json(3),
         improvement_pct,
         phases_json(&churn_phases),
     ));
     json.push_str("  },\n");
     json.push_str(
-        "  \"kernel\": {\n    \"timed_region\": \"median ns per pooled best-cost sweep over \
-         every per-node propagation graph harvested from the workload's forest (csr_pooled \
-         in benches/kernel_layouts.rs)\",\n    \"workloads\": {\n",
+        "  \"kernel\": {\n    \"timed_region\": \"ns per pooled best-cost sweep over every \
+         per-node propagation graph harvested from the workload's forest \
+         (xvu_bench::kernel::sum_csr_pooled, checked against a fresh scratch per graph)\",\n    \
+         \"workloads\": {\n",
     );
     for (i, k) in kernel_rows.iter().enumerate() {
         json.push_str(&format!(
             "      \"{}\": {{ \"graphs\": {}, \"csr_pooled_ns\": {} }}{}\n",
             k.name,
             k.graphs,
-            k.csr_pooled_ns,
+            k.csr_pooled_ns.json(0),
             if i + 1 == kernel_rows.len() { "" } else { "," },
         ));
     }
@@ -586,15 +564,15 @@ fn main() {
     for (i, r) in regime_rows.iter().enumerate() {
         json.push_str(&format!(
             "      \"{}\": {{ \"instances\": {}, \"update_cost\": {}, \"propagation_cost\": {}, \
-             \"cost_amplification\": {:.2}, \"median_ns\": {}, \"median_us_per_instance\": {:.3}, \
+             \"cost_amplification\": {:.2}, \"ns\": {}, \"us_per_instance\": {}, \
              \"max_optimal_count\": {} }}{}\n",
             r.regime,
             r.instances,
             r.update_cost,
             r.propagation_cost,
             r.amplification,
-            r.median_ns,
-            r.median_ns as f64 / 1e3 / r.instances.max(1) as f64,
+            r.ns.json(0),
+            r.ns.scale(1e-3 / r.instances.max(1) as f64).json(3),
             r.max_count,
             if i + 1 == regime_rows.len() { "" } else { "," },
         ));
@@ -615,8 +593,8 @@ fn main() {
              \"open_ms\": {}, \"resume_ms\": {}, {} }}{}\n",
             r.departments,
             r.doc_nodes,
-            r.open_ms.json(),
-            r.resume_ms.json(),
+            r.open_ms.json(4),
+            r.resume_ms.json(4),
             r.timed.json(),
             if i + 1 == admission_rows.len() {
                 ""
@@ -638,7 +616,5 @@ fn main() {
         shape_rows_json(&chain_rows, "levels", SHAPE_UPDATES),
     ));
 
-    std::fs::write(&out_path, &json).expect("write BENCH_propagate.json");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
+    write_json(&out_path, &json);
 }

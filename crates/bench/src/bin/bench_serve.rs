@@ -35,7 +35,7 @@
 //! restored), a pool above it never evicts.
 
 use std::time::{Duration, Instant};
-use xvu_bench::git_revision;
+use xvu_bench::{json_header, ms, write_json, Spread};
 use xvu_propagate::Engine;
 use xvu_server::{run_fleet, Client, FleetReport, Server, ServerConfig};
 use xvu_tree::{to_term_with_ids, SnapshotFile};
@@ -58,13 +58,6 @@ fn plan(updates: usize, docs: usize, clients: usize) -> FleetPlan {
     })
 }
 
-/// Min, median and max of one figure over the runs of a row.
-fn spread(mut samples: Vec<f64>, decimals: usize) -> String {
-    samples.sort_by(f64::total_cmp);
-    let [min, median, max] = [0, samples.len() / 2, samples.len() - 1].map(|i| samples[i]);
-    format!("{{ \"min\": {min:.decimals$}, \"median\": {median:.decimals$}, \"max\": {max:.decimals$} }}")
-}
-
 /// One pool row: every figure as a spread over the row's runs.
 fn row_json(pool: usize, plan: &FleetPlan, runs: &[FleetReport]) -> String {
     let per_sec = |n: f64, r: &FleetReport| n / r.wall.as_secs_f64().max(1e-9);
@@ -75,13 +68,10 @@ fn row_json(pool: usize, plan: &FleetPlan, runs: &[FleetReport]) -> String {
         runs[0].stats.cache.entries
     );
     let mut figure = |name: &str, decimals: usize, f: &dyn Fn(&FleetReport) -> f64| {
-        let samples = runs.iter().map(f).collect();
-        row.push_str(&format!(
-            ",\n      \"{name}\": {}",
-            spread(samples, decimals)
-        ));
+        let spread = Spread::of(runs.iter().map(f).collect());
+        row.push_str(&format!(",\n      \"{name}\": {}", spread.json(decimals)));
     };
-    figure("wall_ms", 1, &|r| r.wall.as_secs_f64() * 1e3);
+    figure("wall_ms", 1, &|r| ms(r.wall));
     figure("updates_per_sec", 1, &|r| per_sec(plan.updates as f64, r));
     figure("requests_per_sec", 1, &|r| per_sec(r.requests as f64, r));
     figure("write_p50_ms", 3, &|r| {
@@ -156,31 +146,31 @@ fn cold_start_once(
 
 /// `reps` cold starts per mode, the modes taking turns, checking that
 /// the first reply is byte-identical between them. Returns each mode's
-/// samples in milliseconds.
-fn cold_start(plan: &FleetPlan, engines: &[Engine], reps: usize) -> (Vec<f64>, Vec<f64>) {
+/// spread in milliseconds.
+fn cold_start(plan: &FleetPlan, engines: &[Engine], reps: usize) -> (Spread, Spread) {
     let corpus = plan.corpus_snapshot_bytes();
     let (mut term_ms, mut snap_ms) = (Vec::new(), Vec::new());
     let mut term_reply = None;
     let mut snap_reply = None;
     for _ in 0..reps {
         let (t, reply) = cold_start_once(plan, engines, &corpus, false);
-        term_ms.push(t.as_secs_f64() * 1e3);
+        term_ms.push(ms(t));
         term_reply.get_or_insert(reply);
         let (t, reply) = cold_start_once(plan, engines, &corpus, true);
-        snap_ms.push(t.as_secs_f64() * 1e3);
+        snap_ms.push(ms(t));
         snap_reply.get_or_insert(reply);
     }
     assert_eq!(
         term_reply, snap_reply,
         "first reply differs between term and snapshot boot"
     );
-    (term_ms, snap_ms)
+    (Spread::of(term_ms), Spread::of(snap_ms))
 }
 
 /// `connects` sequential connect + `hello` round trips to an idle daemon
 /// that is already serving (one untimed connection first), in
 /// milliseconds. Each client closes before the next connects.
-fn connect_ms(engines: &[Engine], connects: usize) -> Vec<f64> {
+fn connect_ms(engines: &[Engine], connects: usize) -> Spread {
     let server = Server::new(engines, ServerConfig::default());
     let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr").to_string();
@@ -191,19 +181,13 @@ fn connect_ms(engines: &[Engine], connects: usize) -> Vec<f64> {
         for _ in 0..connects {
             let start = Instant::now();
             let client = Client::connect(&addr).expect("connect");
-            samples.push(start.elapsed().as_secs_f64() * 1e3);
+            samples.push(ms(start.elapsed()));
             drop(client);
         }
         let _ = Client::connect(&addr).expect("connect").shutdown();
         handle.join().expect("server thread").expect("serve ok");
     });
-    samples
-}
-
-fn median(samples: &[f64]) -> f64 {
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    sorted[sorted.len() / 2]
+    Spread::of(samples)
 }
 
 fn main() {
@@ -263,18 +247,17 @@ fn main() {
     // corpus installed by term `load` verbs vs a packed-snapshot preload
     let engines: Vec<Engine> = plan.families.iter().map(|f| f.engine()).collect();
     let (term_cold, snap_cold) = cold_start(&plan, &engines, runs);
-    let speedup = median(&term_cold) / median(&snap_cold).max(1e-9);
+    let speedup = term_cold.median / snap_cold.median.max(1e-9);
     eprintln!(
         "  cold start: term-corpus {:.1} ms, snapshot-corpus {:.1} ms ({speedup:.1}× faster)",
-        median(&term_cold),
-        median(&snap_cold),
+        term_cold.median, snap_cold.median,
     );
 
-    let connect = connect_ms(&engines, if smoke { 5 } else { CONNECTS });
+    let connects = if smoke { 5 } else { CONNECTS };
+    let connect = connect_ms(&engines, connects);
     eprintln!(
-        "  connect + hello to a running daemon: median {:.3} ms over {} connections",
-        median(&connect),
-        connect.len()
+        "  connect + hello to a running daemon: median {:.3} ms over {connects} connections",
+        connect.median,
     );
 
     if smoke {
@@ -283,13 +266,7 @@ fn main() {
     }
 
     let out_path = arg.unwrap_or_else(|| "BENCH_serve.json".to_owned());
-    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut json = String::from("{\n");
-    json.push_str("  \"schema\": \"xvu-bench-serve/7\",\n");
-    json.push_str(&format!(
-        "  \"nproc\": {nproc},\n  \"git_revision\": \"{}\",\n",
-        git_revision()
-    ));
+    let mut json = json_header("xvu-bench-serve/7");
     json.push_str(
         "  \"timed_region\": \"TCP replay of the full fleet plan: corpus load + every client op + drain\",\n",
     );
@@ -303,14 +280,13 @@ fn main() {
     json.push_str(&format!(
         "  \"cold_start\": {{ \"timed_region\": \"daemon construction + corpus install to first open reply\", \
          \"runs\": {runs}, \"term_corpus_ms\": {}, \"snapshot_corpus_ms\": {}, \"median_speedup\": {speedup:.1} }},\n",
-        spread(term_cold, 2),
-        spread(snap_cold, 2),
+        term_cold.json(2),
+        snap_cold.json(2),
     ));
     json.push_str(&format!(
         "  \"connect\": {{ \"timed_region\": \"TCP connect + hello to an idle daemon already serving, one connection at a time\", \
-         \"connects\": {}, \"ms\": {} }},\n",
-        connect.len(),
-        spread(connect, 3),
+         \"connects\": {connects}, \"ms\": {} }},\n",
+        connect.json(3),
     ));
     json.push_str("  \"pools\": {\n");
     for (i, (pool, reports)) in rows.iter().enumerate() {
@@ -319,7 +295,5 @@ fn main() {
     }
     json.push_str("  }\n}\n");
 
-    std::fs::write(&out_path, &json).expect("write BENCH_serve.json");
-    print!("{json}");
-    eprintln!("wrote {out_path}");
+    write_json(&out_path, &json);
 }

@@ -9,7 +9,7 @@
 //! paper.
 
 use std::collections::BTreeSet;
-use xvu_bench::{hospital_instance, median_time, ms, random_instance};
+use xvu_bench::{hospital_instance, random_instance, Spread};
 use xvu_dtd::{exponential_dtd, min_sizes, InsertletPackage};
 use xvu_edit::{cost as script_cost, input_tree, output_tree, parse_script, script_to_term};
 use xvu_propagate::{
@@ -316,9 +316,10 @@ fn e8() {
     for n in [1usize, 2, 4, 8, 16, 24, 32, 48, 60] {
         let mut alpha = Alphabet::new();
         let dtd = exponential_dtd(&mut alpha, n);
-        let t = median_time(5, || {
+        let t = Spread::time(5, || {
             let _ = min_sizes(&dtd, alpha.len());
-        });
+        })
+        .median;
         let sizes = min_sizes(&dtd, alpha.len());
         let a = alpha.get("a").expect("a");
         let expected = if n + 2 >= 64 {
@@ -327,11 +328,10 @@ fn e8() {
             ((1u64 << (n + 2)) - 1).to_string()
         };
         println!(
-            "| {n} | {} | {} | {} | {} |",
+            "| {n} | {} | {} | {} | {t:.3} |",
             dtd.size(),
             sizes.get(a),
             expected,
-            ms(t)
         );
     }
     println!();
@@ -355,15 +355,15 @@ fn e9() {
     for (d, p) in [(2, 6), (4, 30), (8, 150), (16, 750), (32, 2000)] {
         let oi = hospital_instance(d, p);
         let prop = oi.propagate();
-        let t = median_time(3, || {
+        let t = Spread::time(3, || {
             let _ = oi.propagate();
-        });
+        })
+        .median;
         let view = extract_view(&oi.ann, &oi.doc);
         println!(
-            "| {} | {} | {} | {} |",
+            "| {} | {} | {t:.3} | {} |",
             oi.doc.size(),
             view.size(),
-            ms(t),
             prop.cost
         );
     }
@@ -374,10 +374,11 @@ fn e9() {
     println!("|---|---|---|");
     for labels in [4usize, 8, 16, 32, 48] {
         let oi = random_instance(labels, 400, 3, 1234);
-        let t = median_time(3, || {
+        let t = Spread::time(3, || {
             let _ = oi.propagate();
-        });
-        println!("| {labels} | {} | {} |", oi.dtd.size(), ms(t));
+        })
+        .median;
+        println!("| {labels} | {} | {t:.3} |", oi.dtd.size());
     }
     println!();
     println!("### update size (hospital, 10×50, k admissions batched)");
@@ -386,10 +387,11 @@ fn e9() {
     println!("|---|---|---|");
     for ops in [1usize, 2, 4, 8, 16] {
         let oi = update_scaled_instance(ops);
-        let t = median_time(3, || {
+        let t = Spread::time(3, || {
             let _ = oi.propagate();
-        });
-        println!("| {ops} | {} | {} |", script_cost(&oi.update), ms(t));
+        })
+        .median;
+        println!("| {ops} | {} | {t:.3} |", script_cost(&oi.update));
     }
 }
 
@@ -447,7 +449,7 @@ fn e10() {
     let prop = propagate(&inst, &InsertletPackage::new(), &Config::default()).expect("prop");
     let new_source = output_tree(&prop.script).expect("non-empty");
 
-    let t_repair = median_time(5, || {
+    let t_repair = Spread::time(5, || {
         let _ = repair_based_update(
             &fx.dtd,
             &fx.ann,
@@ -456,25 +458,25 @@ fn e10() {
             &s,
             &RepairConfig::default(),
         );
-    });
-    let t_prop = median_time(5, || {
+    })
+    .median;
+    let t_prop = Spread::time(5, || {
         let inst = Instance::new(&fx.dtd, &fx.ann, &t, &s, fx.alpha.len()).expect("valid");
         let _ = propagate(&inst, &InsertletPackage::new(), &Config::default());
-    });
+    })
+    .median;
 
     println!("| approach | result | TED to t | time (ms) | verdict |");
     println!("|---|---|---|---|---|");
     println!(
-        "| repair (closest inverse) | `{}` | {} | {} | **wrong**: moves the hidden (a) behind the kept c |",
+        "| repair (closest inverse) | `{}` | {} | {t_repair:.3} | **wrong**: moves the hidden (a) behind the kept c |",
         to_term(&repair.chosen, &fx.alpha),
         repair.distance,
-        ms(t_repair)
     );
     println!(
-        "| propagation graphs | `{}` | {} | {} | correct: the new c gets its own (a·c) group |",
+        "| propagation graphs | `{}` | {} | {t_prop:.3} | correct: the new c gets its own (a·c) group |",
         to_term(&new_source, &fx.alpha),
         xvu_repair::tree_edit_distance(&t, &new_source),
-        ms(t_prop)
     );
     println!();
     println!(
@@ -495,7 +497,7 @@ fn e11() {
     let mut total_cost = 0u64;
     let mut max_cost = 0u64;
     let mut total_nodes = 0usize;
-    let t = median_time(1, || {
+    let t = Spread::time(1, || {
         for seed in 0..total {
             let oi = random_instance(8, 250, 3, seed);
             let inst = oi.instance();
@@ -507,14 +509,14 @@ fn e11() {
             max_cost = max_cost.max(prop.cost);
             total_nodes += oi.doc.size();
         }
-    });
+    })
+    .median;
     println!("| instances | propagation exists & verifies | avg source nodes | avg cost | max cost | total time (ms) |");
     println!("|---|---|---|---|---|---|");
     println!(
-        "| {total} | {ok}/{total} | {} | {:.1} | {max_cost} | {} |",
+        "| {total} | {ok}/{total} | {} | {:.1} | {max_cost} | {t:.3} |",
         total_nodes / total as usize,
         total_cost as f64 / total as f64,
-        ms(t)
     );
 }
 
@@ -528,10 +530,11 @@ fn e12() {
     println!("|---|---|");
     for (d, p) in [(4, 30), (8, 150), (16, 750)] {
         let oi = hospital_instance(d, p);
-        let t = median_time(5, || {
+        let t = Spread::time(5, || {
             let _ = oi.propagate();
-        });
-        println!("| {} | {:.1} |", oi.doc.size(), 1.0 / t.as_secs_f64());
+        })
+        .median;
+        println!("| {} | {:.1} |", oi.doc.size(), 1e3 / t);
     }
     println!();
     println!("### ablation: insertlets vs on-the-fly minimal witnesses (deep exponential DTD)");
@@ -548,23 +551,25 @@ fn e12() {
         let sizes = min_sizes(&dtd, alpha.len());
         let a = alpha.get("a").expect("a");
         let mut gen = NodeIdGen::new();
-        let t_witness = median_time(3, || {
+        let t_witness = Spread::time(3, || {
             let mut g = gen.clone();
             let _ = xvu_dtd::minimal_witness(&dtd, &sizes, a, &mut g, 1 << 40).expect("witness");
-        });
+        })
+        .median;
         let pkg = {
             let mut p = InsertletPackage::new();
             let w = xvu_dtd::minimal_witness(&dtd, &sizes, a, &mut gen, 1 << 40).expect("witness");
             p.insert(&dtd, &sizes, a, w).expect("insertlet");
             p
         };
-        let t_insertlet = median_time(3, || {
+        let t_insertlet = Spread::time(3, || {
             let mut g = gen.clone();
             let _ = pkg
                 .instantiate(&dtd, &sizes, a, &mut g, 1 << 40)
                 .expect("instantiate");
-        });
-        println!("| {n} | {} | {} |", ms(t_witness), ms(t_insertlet));
+        })
+        .median;
+        println!("| {n} | {t_witness:.3} | {t_insertlet:.3} |");
     }
 }
 

@@ -1,17 +1,20 @@
-//! Shared helpers for the benchmark harness and the `experiments` binary.
+//! Shared helpers for the benchmark binaries and the `experiments`
+//! binary.
 //!
 //! Everything here is deterministic: scaled hospital instances, generated
-//! random instances, and the D2/D3/exponential fixtures, packaged so both
-//! Criterion benches and the table-printing binary drive identical
-//! workloads.
+//! random instances, churn streams and the enumerated coverage arm,
+//! packaged so the `BENCH_*.json` writers and the table-printing binary
+//! drive identical workloads. Every timing they record goes through one
+//! sampler, [`Spread`]: the min, median and max of a figure over a row's
+//! runs, written as `{ "min", "median", "max" }`.
 //!
 //! # Paper cross-reference
 //!
 //! | paper | here |
 //! |-------|------|
-//! | polynomial complexity of Theorem 6, measured | `benches/scaling.rs` (E9) over [`hospital_instance`] / [`random_instance`] |
-//! | Fig. 7 propagation and the `D3` repair contrast (§6.2) | `benches/baseline.rs` |
-//! | per-phase costs of the §4–§5 machinery | `benches/paper_micro.rs`, `benches/ablation.rs` |
+//! | polynomial complexity of Theorem 6, measured | `src/bin/bench_propagate.rs` (the `admission` and `worst_case` rows) and E9 over [`hospital_instance`] / [`random_instance`] |
+//! | Fig. 7 propagation and the `D3` repair contrast (§6.2) | E4 and E10 of `src/bin/experiments.rs` |
+//! | the insertlet ablation of §5 | E12 of `src/bin/experiments.rs` |
 //! | the experiment tables E1–E13 | `src/bin/experiments.rs` |
 
 #![forbid(unsafe_code)]
@@ -29,7 +32,7 @@ use xvu_workload::{
 };
 
 /// A fully assembled, owned problem instance (the borrow-free bundle the
-/// benches iterate over).
+/// bench binaries iterate over).
 pub struct OwnedInstance {
     /// The alphabet.
     pub alpha: Alphabet,
@@ -94,8 +97,8 @@ impl OwnedInstance {
 }
 
 /// A hospital document plus `k` distinct single-admission updates, all
-/// against the same source — the repeated-update (what-if) workload for
-/// the one-shot vs engine-amortized comparison.
+/// against the same source — the repeated-update (what-if) workload of
+/// `bench_propagate`'s `hospital` row.
 ///
 /// `departments` and `k` must be ≥ 1.
 pub fn hospital_update_batch(
@@ -359,15 +362,16 @@ pub struct RegimeRow {
     pub propagation_cost: u64,
     /// `propagation_cost / update_cost` (0 when no update cost).
     pub amplification: f64,
-    /// Median wall time of one-shot-propagating the whole regime, ns.
-    pub median_ns: u128,
+    /// Wall time of one-shot-propagating the whole regime, ns, over the
+    /// runs.
+    pub ns: Spread,
     /// Largest optimal-propagation count seen in the regime.
     pub max_count: u128,
 }
 
 /// Measures one-shot propagation over every instance the default
 /// enumeration budget generates, grouped by regime. Deterministic in the
-/// budget; `runs` controls the median.
+/// budget; `runs` sets how many times each regime is timed.
 pub fn enumerated_regime_rows(runs: usize) -> Vec<RegimeRow> {
     use xvu_workload::enumo::{enumerate_instances, EnumBudget};
 
@@ -402,7 +406,7 @@ pub fn enumerated_regime_rows(runs: usize) -> Vec<RegimeRow> {
                 max_count = max_count.max(c);
             }
         }
-        let median_ns = median_time(runs, || {
+        let ns = Spread::time(runs, || {
             let mut total = 0u64;
             for inst in &group {
                 let i = Instance::new(
@@ -419,7 +423,7 @@ pub fn enumerated_regime_rows(runs: usize) -> Vec<RegimeRow> {
             }
             std::hint::black_box(total);
         })
-        .as_nanos();
+        .scale(1e6);
         rows.push(RegimeRow {
             regime,
             instances: group.len(),
@@ -430,7 +434,7 @@ pub fn enumerated_regime_rows(runs: usize) -> Vec<RegimeRow> {
             } else {
                 propagation_cost as f64 / update_cost as f64
             },
-            median_ns,
+            ns,
             max_count,
         });
     }
@@ -438,43 +442,26 @@ pub fn enumerated_regime_rows(runs: usize) -> Vec<RegimeRow> {
 }
 
 /// Kernel arms over the CSR [`xvu_propagate::pathgraph`] kernel:
-/// fresh-scratch and pooled-scratch best-cost sweeps. The benches in
-/// `benches/kernel_layouts.rs` and the `kernel` section of
-/// `BENCH_propagate.json` both drive these on graphs harvested from real
-/// propagation forests, so they measure the kernel on the exact
-/// vertex/edge distributions the algorithm produces — not on synthetic
-/// graphs.
+/// fresh-scratch and pooled-scratch best-cost sweeps. The `kernel`
+/// section of `BENCH_propagate.json` times the pooled arm on graphs
+/// harvested from real propagation forests, so it measures the kernel on
+/// the exact vertex/edge distributions the algorithm produces — not on
+/// synthetic graphs — and checks it against the fresh arm.
 pub mod kernel {
     use super::OwnedInstance;
     use xvu_dtd::{min_sizes, InsertletPackage};
-    use xvu_edit::Script;
-    use xvu_propagate::{CostModel, GraphScratch, Instance, PropGraph, PropagationForest};
-    use xvu_tree::DocTree;
-    use xvu_view::Annotation;
+    use xvu_propagate::{CostModel, GraphScratch, PropGraph, PropagationForest};
 
     /// Clones every per-node propagation graph out of one instance's
     /// forest — the query set the kernel arms sweep.
     pub fn harvest_graphs(oi: &OwnedInstance) -> Vec<PropGraph> {
-        harvest_from(&oi.dtd, &oi.ann, &oi.doc, &oi.update, oi.alpha.len())
-    }
-
-    /// [`harvest_graphs`] over unbundled parts (the enumerated-instance
-    /// shape).
-    pub fn harvest_from(
-        dtd: &xvu_dtd::Dtd,
-        ann: &Annotation,
-        doc: &DocTree,
-        update: &Script,
-        alpha_len: usize,
-    ) -> Vec<PropGraph> {
-        let inst = Instance::new(dtd, ann, doc, update, alpha_len).expect("valid instance");
-        let sizes = min_sizes(dtd, alpha_len);
+        let sizes = min_sizes(&oi.dtd, oi.alpha.len());
         let pkg = InsertletPackage::new();
         let cm = CostModel {
             sizes: &sizes,
             insertlets: &pkg,
         };
-        let forest = PropagationForest::build(&inst, &cm).expect("Theorem 5");
+        let forest = PropagationForest::build(&oi.instance(), &cm).expect("Theorem 5");
         forest.graphs().map(|(_, g)| g.clone()).collect()
     }
 
@@ -490,46 +477,97 @@ pub mod kernel {
     }
 }
 
-/// Pairs one source document with each update — the independent-request
-/// batch shape [`xvu_propagate::serve`]'s `Engine::propagate_batch`
-/// serves (requests are self-contained, so the same document may appear
-/// under many updates).
-pub fn batch_requests(oi: &OwnedInstance, updates: &[Script]) -> Vec<(DocTree, Script)> {
-    updates
-        .iter()
-        .map(|u| (oi.doc.clone(), u.clone()))
-        .collect()
+/// The min, median and max of one figure over a row's runs: the one
+/// sampler behind every timing the bench binaries record. The median of
+/// an even count is the upper of the two middle samples.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Spread {
+    /// The smallest sample (the best-of).
+    pub min: f64,
+    /// The middle sample.
+    pub median: f64,
+    /// The largest sample.
+    pub max: f64,
 }
 
-/// Median wall-clock time of `runs` executions of `f`.
-pub fn median_time(runs: usize, mut f: impl FnMut()) -> Duration {
-    let mut samples: Vec<Duration> = (0..runs.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed()
-        })
-        .collect();
-    samples.sort();
-    samples[samples.len() / 2]
+impl Spread {
+    /// The spread of `samples`.
+    ///
+    /// # Panics
+    /// Panics if `samples` is empty.
+    pub fn of(mut samples: Vec<f64>) -> Spread {
+        assert!(!samples.is_empty(), "a spread needs at least one sample");
+        samples.sort_by(f64::total_cmp);
+        Spread {
+            min: samples[0],
+            median: samples[samples.len() / 2],
+            max: samples[samples.len() - 1],
+        }
+    }
+
+    /// Runs `f` `runs` times (at least once) and returns the spread of its
+    /// wall times, in milliseconds.
+    pub fn time(runs: usize, mut f: impl FnMut()) -> Spread {
+        Spread::of(
+            (0..runs.max(1))
+                .map(|_| {
+                    let start = Instant::now();
+                    f();
+                    ms(start.elapsed())
+                })
+                .collect(),
+        )
+    }
+
+    /// Every figure multiplied by `k`: a change of unit, or a per-item
+    /// figure.
+    pub fn scale(self, k: f64) -> Spread {
+        Spread {
+            min: self.min * k,
+            median: self.median * k,
+            max: self.max * k,
+        }
+    }
+
+    /// The spread as a JSON object, `{ "min", "median", "max" }`, each
+    /// figure with `decimals` places.
+    pub fn json(&self, decimals: usize) -> String {
+        format!(
+            "{{ \"min\": {:.decimals$}, \"median\": {:.decimals$}, \"max\": {:.decimals$} }}",
+            self.min, self.median, self.max
+        )
+    }
 }
 
-/// Formats a duration as fractional milliseconds.
-pub fn ms(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64() * 1e3)
+/// A duration in fractional milliseconds, the unit [`Spread::time`]
+/// samples in.
+pub fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
-/// The revision of the checkout a bench runs in, if `git` can tell
-/// (suffixed `-dirty` when the working tree has uncommitted changes);
-/// recorded in every `BENCH_*.json` next to `nproc`.
-pub fn git_revision() -> String {
-    std::process::Command::new("git")
+/// Opens a `BENCH_*.json` object with the members every file records:
+/// its `schema`, the `nproc` it ran with and the git revision of the
+/// checkout it ran in (suffixed `-dirty` when the working tree has
+/// uncommitted changes; `unknown` when `git` cannot tell).
+pub fn json_header(schema: &str) -> String {
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let revision = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
         .output()
         .ok()
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned())
+        .map_or_else(|| "unknown".to_owned(), |s| s.trim().to_owned());
+    format!(
+        "{{\n  \"schema\": \"{schema}\",\n  \"nproc\": {nproc},\n  \"git_revision\": \"{revision}\",\n"
+    )
+}
+
+/// Writes a finished `BENCH_*.json` to `path` and echoes it to stdout.
+pub fn write_json(path: &str, json: &str) {
+    std::fs::write(path, json).unwrap_or_else(|e| panic!("write {path}: {e}"));
+    print!("{json}");
+    eprintln!("wrote {path}");
 }
 
 #[cfg(test)]
@@ -572,6 +610,20 @@ mod tests {
             rows.iter().any(|r| r.amplification > 1.0),
             "at least one regime must amplify view-edit cost"
         );
+    }
+
+    #[test]
+    fn spread_orders_its_samples_and_writes_one_json_object() {
+        let s = Spread::of(vec![3.0, 1.0, 4.0, 1.5, 9.0]);
+        assert_eq!((s.min, s.median, s.max), (1.0, 3.0, 9.0));
+        // an even count takes the upper middle sample
+        assert_eq!(Spread::of(vec![2.0, 1.0]).median, 2.0);
+        assert_eq!(
+            s.scale(2.0).json(1),
+            "{ \"min\": 2.0, \"median\": 6.0, \"max\": 18.0 }"
+        );
+        let t = Spread::time(3, || std::thread::sleep(Duration::from_millis(1)));
+        assert!(1.0 <= t.min && t.min <= t.median && t.median <= t.max);
     }
 
     #[test]

@@ -17,34 +17,9 @@
 //! --test alloc_budget`); the budget below holds for both debug and
 //! release builds.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+mod common;
 
-/// Counts allocations (and growing reallocations) while [`ARMED`].
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use common::{count_allocs, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -80,12 +55,10 @@ fn warm_churn_update_stays_under_allocation_budget() {
     }
 
     // Counted region: one more warm round trip.
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let prop = session.propagate(last).expect("churn update propagates");
-    session.commit(&prop).expect("churn propagation commits");
-    ARMED.store(false, Ordering::SeqCst);
-    let count = ALLOCS.load(Ordering::SeqCst);
+    let ((), count) = count_allocs(|| {
+        let prop = session.propagate(last).expect("churn update propagates");
+        session.commit(&prop).expect("churn propagation commits");
+    });
 
     assert!(count > 0, "counter never engaged — harness broken");
     assert!(

@@ -14,37 +14,12 @@
 //! This file holds exactly one `#[test]`: the counter is process-global,
 //! so a second concurrently running test would pollute the tally.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+mod common;
+
+use common::{count_allocs, CountingAlloc};
 use xvu_propagate::Engine;
 use xvu_tree::NodeIdGen;
 use xvu_workload::scenario::{admit_patient, hospital, hospital_doc};
-
-/// Counts allocations (and growing reallocations) while [`ARMED`].
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if ARMED.load(Ordering::Relaxed) {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -80,12 +55,8 @@ fn propagate_allocs(departments: usize, patients: usize) -> (usize, u64) {
     let mut ids = session.id_gen();
     let update = admit_patient(&h, session.document(), 0, &mut ids);
 
-    ALLOCS.store(0, Ordering::SeqCst);
-    ARMED.store(true, Ordering::SeqCst);
-    let prop = session.propagate(&update).expect("admissions propagate");
-    ARMED.store(false, Ordering::SeqCst);
-    drop(prop);
-    (session.document().size(), ALLOCS.load(Ordering::SeqCst))
+    let (_, count) = count_allocs(|| session.propagate(&update).expect("admissions propagate"));
+    (session.document().size(), count)
 }
 
 #[test]

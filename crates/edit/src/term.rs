@@ -98,6 +98,17 @@ mod tests {
     }
 
     #[test]
+    fn an_insert_after_the_last_identifier_is_a_parse_error() {
+        let mut alpha = Alphabet::new();
+        let err = parse_script(&mut alpha, "nop:r#0(nop:a#18446744073709551614, ins:a)")
+            .expect_err("no identifier is left for the inserted a");
+        assert!(
+            matches!(&err, EditError::Parse { msg, .. } if msg.contains("exhausted")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn parse_errors() {
         let mut alpha = Alphabet::new();
         for bad in [

@@ -25,7 +25,8 @@
 //! index order, each row lists its edges in insertion order — insertion
 //! order is the deterministic tie-break of every selector, so the packing
 //! is observationally identical to the jagged `Vec<Vec<u32>>` layout it
-//! replaced (and measurably faster: see the `kernel_layouts` bench group).
+//! replaced (`BENCH_propagate.json`'s `kernel` section times the packed
+//! kernel).
 //! Both the forward and the reverse CSR are built lazily on first use and
 //! memoised on the graph; [`PathGraph::add_edge`] invalidates them, so a
 //! graph under construction pays nothing until it is first queried.

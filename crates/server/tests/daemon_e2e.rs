@@ -500,3 +500,30 @@ fn an_exhausted_identifier_space_is_a_typed_error() {
     assert!(drain < Duration::from_millis(500), "drain took {drain:?}");
     assert_eq!((report.stats.errors, report.stats.panics), (1, 0));
 }
+
+#[test]
+fn frames_that_exhaust_the_identifier_space_get_typed_errors() {
+    // `#18446744073709551614` is `NodeId::MAX`: it leaves the reader no
+    // identifier for the node after it, in a document and in an update.
+    let engines = [engine()];
+    let server = Server::new(&engines, small_config());
+    let report = serve_while(&server, |addr| {
+        let mut c = Client::connect(addr).unwrap();
+        c.load(1, 0, "r#0(a#1)").unwrap();
+        let exhausted = |err: &ClientError| matches!(err, ClientError::Server(m) if m.contains("node identifier space exhausted"));
+        let err = c.load(2, 0, "r(a#18446744073709551614, a)").unwrap_err();
+        assert!(exhausted(&err), "{err:?}");
+        let err = c
+            .propagate(1, "nop:r#0(nop:a#18446744073709551614, ins:a)")
+            .unwrap_err();
+        assert!(exhausted(&err), "{err:?}");
+        // the other document is still served
+        let reply = c.propagate(1, "nop:r#0(nop:a#1, ins:a#2)").unwrap();
+        assert_eq!(reply.cost, 1);
+        c.commit(1).unwrap();
+        assert_eq!(c.open(1).unwrap(), "r#0(a#1, a#2)");
+        c.shutdown().unwrap();
+    });
+    assert!(report.drained_clean);
+    assert_eq!((report.stats.errors, report.stats.panics), (2, 0));
+}

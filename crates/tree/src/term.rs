@@ -80,7 +80,9 @@ pub fn to_term_with_ids(tree: &DocTree, alpha: &Alphabet) -> String {
 /// `head` starts at the first byte of a head (whitespace skipped) and
 /// returns the node's label and its explicit identifier, if the head
 /// carries one. Explicit identifiers bump `gen` past themselves; nodes
-/// without one get `gen.fresh()`, in document order. `what` names the
+/// without one get `gen.fresh()`, in document order, and a node without
+/// one once `gen` is exhausted (an explicit [`NodeId::MAX`] bumps it
+/// past the end) is a [`TreeError::Parse`] at its head. `what` names the
 /// language in the trailing-input error.
 ///
 /// The tree's arena holds the nodes in document order. A repeated
@@ -104,6 +106,9 @@ pub fn read_term<L>(
             Some(id) => {
                 gen.bump_past(id);
                 id
+            }
+            None if gen.remaining() == 0 => {
+                return Err(cur.error("node identifier space exhausted"))
             }
             None => gen.fresh(),
         };
@@ -332,6 +337,20 @@ mod tests {
             let res = parse_term_with_ids(&mut alpha, &mut gen, bad);
             assert!(res.is_err(), "input {bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn a_node_without_an_identifier_after_the_last_one_is_a_parse_error() {
+        // `#18446744073709551614` is `NodeId::MAX`: it leaves no identifier
+        // for the `a` after it
+        let mut alpha = Alphabet::new();
+        let mut gen = NodeIdGen::new();
+        let err = parse_term_with_ids(&mut alpha, &mut gen, "r(a#18446744073709551614, a)")
+            .expect_err("no identifier is left for the second a");
+        assert!(
+            matches!(&err, TreeError::Parse { at: 27, msg } if msg.contains("exhausted")),
+            "{err:?}"
+        );
     }
 
     #[test]

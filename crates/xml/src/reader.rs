@@ -143,6 +143,7 @@ impl<'a> Parser<'a> {
                 gen.bump_past(id);
                 id
             }
+            None if gen.remaining() == 0 => return Err(self.err("node identifier space exhausted")),
             None => gen.fresh(),
         };
         let empty = self.peek() == Some(b'/');

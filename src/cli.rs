@@ -1010,6 +1010,14 @@ mod tests {
         assert!(run_args(&["validate", "--dtd", "/nonexistent/x"])
             .unwrap_err()
             .contains("cannot read"));
+        // `NodeId::MAX` leaves no identifier for the second `a`
+        let exhausted = write_tmp(
+            "exhausted6.xml",
+            r#"<r><a xvu:id="18446744073709551614"/><a/></r>"#,
+        );
+        assert!(run_args(&["validate", "--dtd", &dtd, "--doc", &exhausted])
+            .unwrap_err()
+            .contains("node identifier space exhausted"));
         let ann = write_tmp("view6.ann", ANN);
         let doc = write_tmp("doc6.term", DOC);
         assert!(
